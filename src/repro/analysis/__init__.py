@@ -15,8 +15,8 @@ Layout:
 * :mod:`~repro.analysis.engine` — run rules, dedup, apply baseline;
 * :mod:`~repro.analysis.baseline` — grandfathered findings, a ratchet;
 * :mod:`~repro.analysis.cli` — the ``python -m repro.analysis`` command;
-* :mod:`~repro.analysis.dynamic_metrics` — the runtime half of the old
-  ``scripts/check_metrics.py`` (boots the stack, validates the registry).
+* :mod:`~repro.analysis.dynamic_metrics` — the runtime half of the metrics
+  lint (boots the stack, validates the registry).
 
 See ``docs/ANALYSIS.md`` for the trust-boundary model and how to add a
 rule.

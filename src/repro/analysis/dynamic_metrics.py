@@ -1,6 +1,5 @@
-"""The runtime half of the metrics lint (absorbed from
-``scripts/check_metrics.py``; that script is now a thin shim over this
-module).
+"""The runtime half of the metrics lint; CI runs it as
+``python -m repro.analysis.dynamic_metrics [-v]``.
 
 The static half lives in the :mod:`site-metric
 <repro.analysis.rules.consistency>` rule family — it validates every

@@ -18,16 +18,18 @@ sweeps.
 from __future__ import annotations
 
 import enum
+import functools
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.enclave.runtime import Enclave
 from repro.errors import EnclaveError
 from repro.obs.flightrec import record_event
 from repro.obs.metrics import StatsView, get_registry
-from repro.obs.tracing import EMPTY_CAPTURE, CapturedTrace, get_tracer
+from repro.obs.tracing import CapturedTrace, get_tracer
 from repro.obs.transition_cost import get_transition_cost_model
 
 
@@ -67,21 +69,20 @@ _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 @dataclass
 class _WorkItem:
-    handle: int
-    inputs: list
-    done: threading.Event = field(default_factory=threading.Event)
-    result: list | None = None
-    error: Exception | None = None
-    #: When True, ``inputs`` is a list of rows and the item routes through
-    #: ``Enclave.eval_batch`` — one queue slot, one transition per chunk.
-    batch: bool = False
+    #: ``Enclave.eval`` or ``Enclave.eval_batch`` bound to its arguments: a
+    #: chunk of ``n_rows`` rows is one queue slot and one transition.
+    call: Callable[[], list]
+    n_rows: int
     #: The submitting thread's metric attribution contexts; the worker
     #: adopts them so enclave counters land in the right statement's stats.
-    contexts: tuple = ()
+    contexts: tuple
     #: The submitting thread's trace state; the worker adopts it so
     #: flight-recorder events emitted inside the enclave (ecall
     #: observations, measured transitions) carry the statement identity.
-    trace: CapturedTrace = EMPTY_CAPTURE
+    trace: CapturedTrace
+    done: threading.Event = field(default_factory=threading.Event)
+    result: list | None = None
+    error: Exception | None = None
 
 
 class EnclaveCallGateway:
@@ -123,6 +124,7 @@ class EnclaveCallGateway:
         )
         self._queue: queue.Queue[_WorkItem | None] = queue.Queue()
         self._shutdown = False
+        self._submit_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         # The gateway half of the sanctioned-surface registry: everything
         # declared callable by hosts must exist here, or the declaration
@@ -149,31 +151,9 @@ class EnclaveCallGateway:
         return self.enclave.register_program(program_bytes)
 
     def eval(self, handle: int, inputs: list) -> list:
-        self.stats.inc("calls")
-        self._batch_size.observe(1)
-        if self.mode is CallMode.SYNCHRONOUS:
-            self.stats.inc("boundary_transitions")
-            with self._tracer.ecall_span("enclave.eval", mode="sync"):
-                started = time.perf_counter()
-                _busy_wait(self.transition_cost_s)
-                result = self.enclave.eval(handle, inputs)
-                self._observe_transition(1, time.perf_counter() - started)
-                return result
-        item = _WorkItem(
-            handle=handle, inputs=inputs,
-            contexts=get_registry().current_contexts(),
-            trace=self._tracer.capture(),
+        return self._submit(
+            "enclave.eval", functools.partial(self.enclave.eval, handle, inputs), 1
         )
-        # The span covers submit→completion as seen by the host thread: the
-        # full cost of routing one evaluation through the enclave boundary.
-        with self._tracer.ecall_span("enclave.eval", mode="queued"):
-            self._queue.put(item)
-            self._queue_depth.set(self._queue.qsize())
-            item.done.wait()
-        if item.error is not None:
-            raise item.error
-        assert item.result is not None
-        return item.result
 
     def eval_batch(self, handle: int, rows: list[list]) -> list[list]:
         """Evaluate ``handle`` over many rows through one boundary crossing.
@@ -184,27 +164,39 @@ class EnclaveCallGateway:
         """
         if not rows:
             return []
+        return self._submit(
+            "enclave.eval_batch",
+            functools.partial(self.enclave.eval_batch, handle, rows),
+            len(rows),
+            rows=len(rows),
+        )
+
+    def _submit(
+        self, span_name: str, call: Callable[[], list], n_rows: int, **span_attrs: int
+    ) -> list:
+        """Run one ecall covering ``n_rows`` rows on the far side of the boundary."""
         self.stats.inc("calls")
-        self._batch_size.observe(len(rows))
+        self._batch_size.observe(n_rows)
         if self.mode is CallMode.SYNCHRONOUS:
             self.stats.inc("boundary_transitions")
-            with self._tracer.ecall_span(
-                "enclave.eval_batch", mode="sync", rows=len(rows)
-            ):
+            with self._tracer.ecall_span(span_name, mode="sync", **span_attrs):
                 started = time.perf_counter()
                 _busy_wait(self.transition_cost_s)
-                result = self.enclave.eval_batch(handle, rows)
-                self._observe_transition(len(rows), time.perf_counter() - started)
+                result = call()
+                self._observe_transition(n_rows, time.perf_counter() - started)
                 return result
         item = _WorkItem(
-            handle=handle, inputs=rows, batch=True,
-            contexts=get_registry().current_contexts(),
-            trace=self._tracer.capture(),
+            call, n_rows, get_registry().current_contexts(), self._tracer.capture()
         )
-        with self._tracer.ecall_span(
-            "enclave.eval_batch", mode="queued", rows=len(rows)
-        ):
-            self._queue.put(item)
+        # The span covers submit→completion as seen by the host thread: the
+        # full cost of routing one evaluation through the enclave boundary.
+        with self._tracer.ecall_span(span_name, mode="queued", **span_attrs):
+            # Atomic with shutdown()'s flag flip: an item enqueued after the
+            # workers were told to stop would never complete.
+            with self._submit_lock:
+                if self._shutdown:
+                    raise EnclaveError("enclave call gateway is shut down")
+                self._queue.put(item)
             self._queue_depth.set(self._queue.qsize())
             item.done.wait()
         if item.error is not None:
@@ -258,25 +250,30 @@ class EnclaveCallGateway:
         self._queue_depth.set(self._queue.qsize())
         started = time.perf_counter()
         try:
-            if item.batch:
-                item.result = self.enclave.eval_batch(item.handle, item.inputs)
-            else:
-                item.result = self.enclave.eval(item.handle, item.inputs)
-            self._observe_transition(
-                len(item.inputs) if item.batch else 1,
-                time.perf_counter() - started,
-            )
+            item.result = item.call()
+            self._observe_transition(item.n_rows, time.perf_counter() - started)
         except Exception as exc:  # propagate to the submitting host thread
             item.error = exc
         finally:
             item.done.set()
 
     def shutdown(self) -> None:
-        self._shutdown = True
-        for __ in self._threads:
-            self._queue.put(None)
+        with self._submit_lock:
+            self._shutdown = True
+            for __ in self._threads:
+                self._queue.put(None)
         for thread in self._threads:
             thread.join(timeout=1.0)
+        # Workers stop at the flag, not at an empty queue: fail what they
+        # left behind so no submitter waits forever.
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            if item is not None:
+                item.error = EnclaveError("enclave call gateway shut down before the call ran")
+                item.done.set()
 
     def __enter__(self) -> "EnclaveCallGateway":
         return self

@@ -12,7 +12,7 @@ Design rules:
   segments of ``[a-z][a-z0-9_]*``, at least two segments, where the first
   segment names the reporting component (``enclave``, ``bufferpool``, ...)
   and the last describes what is counted (``pages_read``, ``wait_seconds``).
-  ``scripts/check_metrics.py`` lints this.
+  ``python -m repro.analysis.dynamic_metrics`` lints this.
 * **Registration is get-or-create** per (name, kind); re-registering the
   same name with a *different* kind raises — that is always a bug.
 * **Thread safety**: every mutation takes the metric's lock; concurrent

@@ -10,8 +10,10 @@ only ever *moved* here — never interpreted — except through the enclave.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.crypto.aead import EncryptionScheme
 from repro.errors import BindError, ExecutionError, SqlError, TypeDeductionError
@@ -47,6 +49,10 @@ from repro.sqlengine.typededuce import DeductionResult, deduce
 from repro.sqlengine.types import ColumnType, SqlType
 from repro.sqlengine.txn.transaction import Transaction
 from repro.sqlengine.values import SqlScalar, compare_values
+
+
+#: Chunk size for predicates that never leave the host (see Executor._chunk_size).
+_HOST_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,8 @@ class Executor:
         # Future-work extension (paper conclusion): sort encrypted columns
         # through enclave comparisons. Off by default, as in AEv2.
         self.allow_enclave_order_by = allow_enclave_order_by
-        # Rows per enclave round-trip for enclave-requiring predicates; 1 (or
-        # less) disables batching and restores row-at-a-time evaluation.
+        # Rows per enclave round-trip for enclave-requiring predicates; at 1
+        # (or less) every chunk is one row: the paper's row-at-a-time mode.
         self.eval_batch_size = eval_batch_size
         self._vm = StackMachine(enclave=enclave_gateway)
         # Expression-compilation cache. Keyed by the (frozen, hashable)
@@ -294,7 +300,9 @@ class Executor:
         sargs = extract_sargs(stmt.where, scope, main_binding)
         path = choose_access_path(table, sargs)
 
-        rows = self._access(table, path, param_slots, param_values, scope, deduction)
+        rows = (
+            row for __, row in self._access(table, path, param_slots, param_values, scope)
+        )
 
         plan_parts = [path.describe()]
 
@@ -323,18 +331,9 @@ class Executor:
                 raise ExecutionError(
                     "query requires enclave computations but no enclave gateway is attached"
                 )
-            if self._should_batch(compiled):
-                # Enclave-requiring predicate: chunk rows so every TM_EVAL
-                # ships eval_batch_size rows per boundary crossing.
-                rows = self._batched_filter(rows, compiled, param_values)
+            rows = self._qualify(rows, compiled, param_values)
+            if compiled.uses_enclave and self._chunk_size(compiled) > 1:
                 plan_parts.append(f"BatchedFilter(batch={self.eval_batch_size})")
-            else:
-                rows = (
-                    row
-                    for row in rows
-                    if self._vm.eval_predicate(compiled.host_program, list(row) + param_values)
-                    is True
-                )
 
         aggregated = stmt.group_by or any(
             isinstance(i.expr, ast.Aggregate) for i in stmt.items if i.expr is not None
@@ -374,46 +373,44 @@ class Executor:
         result.plan_info = " -> ".join(plan_parts)
         return result
 
-    # -- batched predicate evaluation ---------------------------------------------
+    # -- chunked predicate evaluation -------------------------------------------
 
-    def _should_batch(self, compiled: CompiledExpression) -> bool:
-        """Batch only programs that actually cross the enclave boundary.
+    def _chunk_size(self, compiled: CompiledExpression) -> int:
+        """Rows per VM call for ``compiled``.
 
-        Host-only programs gain nothing from chunking (no transition to
-        amortize) and keep their streaming row-at-a-time evaluation.
+        A program that crosses the enclave boundary ships eval_batch_size
+        rows per ``TM_EVAL``; at 1 that is the paper's row-at-a-time mode
+        (see :meth:`StackMachine._tm_eval`). A host-only program crosses
+        nothing, so its chunk size is not a knob: chunks only spread the
+        interpreter's per-call overhead over more rows.
         """
-        return (
-            compiled.uses_enclave
-            and self.gateway is not None
-            and self.eval_batch_size > 1
-        )
+        if compiled.uses_enclave and self.gateway is not None:
+            return max(1, self.eval_batch_size)
+        return _HOST_CHUNK_ROWS
 
-    def _batched_filter(
+    def _qualify(
         self,
-        rows: Iterator[tuple],
+        candidates: Iterable,
         compiled: CompiledExpression,
         param_values: list[object],
-    ) -> Iterator[tuple]:
-        chunk: list[tuple] = []
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) >= self.eval_batch_size:
-                yield from self._filter_chunk(chunk, compiled, param_values)
-                chunk = []
-        if chunk:
-            yield from self._filter_chunk(chunk, compiled, param_values)
+        row_of: Callable[[object], tuple] = lambda candidate: candidate,
+    ) -> Iterator:
+        """Yield the candidates whose row satisfies ``compiled``.
 
-    def _filter_chunk(
-        self,
-        chunk: list[tuple],
-        compiled: CompiledExpression,
-        param_values: list[object],
-    ) -> Iterator[tuple]:
-        input_rows = [list(row) + param_values for row in chunk]
-        verdicts = self._vm.eval_predicate_batch(compiled.host_program, input_rows)
-        for row, verdict in zip(chunk, verdicts):
-            if verdict is True:
-                yield row
+        The one place predicates meet rows: the residual WHERE, nested-loop
+        join conditions and DML qualification all evaluate here, a chunk
+        (see :meth:`_chunk_size`) per VM call.
+        """
+        size = self._chunk_size(compiled)
+        candidates = iter(candidates)
+        while chunk := list(itertools.islice(candidates, size)):
+            verdicts = self._vm.eval_predicate_batch(
+                compiled.host_program,
+                [list(row_of(candidate)) + param_values for candidate in chunk],
+            )
+            for candidate, verdict in zip(chunk, verdicts):
+                if verdict is True:
+                    yield candidate
 
     # -- access paths ------------------------------------------------------------
 
@@ -424,8 +421,8 @@ class Executor:
         param_slots: dict[str, int],
         param_values: list[object],
         scope: Scope,
-        deduction: DeductionResult,
-    ) -> Iterator[tuple]:
+    ) -> Iterator[tuple[RowId, tuple]]:
+        """Yield ``(rid, row)`` along ``path``: heap scan, seek or range scan."""
         if path.kind == "scan" or path.index is None:
             self._table_scans.inc()
             with self._tracer.span(
@@ -433,14 +430,57 @@ class Executor:
             ):
                 scanned = 0
                 try:
-                    for __, row in table.heap.scan():
+                    for entry in table.heap.scan():
                         scanned += 1
-                        yield row
+                        yield entry
                 finally:
                     self._rows_scanned.inc(scanned)
             return
-        for __, row in self._access_with_rids(table, path, param_slots, param_values, scope):
-            yield row
+
+        def operand_value(operand: ast.AstExpr) -> object:
+            if isinstance(operand, ast.Literal):
+                return operand.value
+            assert isinstance(operand, ast.Param)
+            return param_values[param_slots[operand.name.lower()] - scope.width]
+
+        prefix = tuple(operand_value(op) for op in path.eq_operands)
+        tree = path.index.tree
+        if path.kind == "seek" and len(prefix) == len(path.index.key_slots):
+            self._index_seeks.inc()
+            with self._tracer.span(
+                "exec.index_seek",
+                kind=OPERATOR,
+                table=table.schema.name,
+                index=path.index.schema.name,
+            ):
+                rids = tree.search_eq(prefix)
+        else:
+            low: object = prefix
+            high: object = prefix + (MAX_KEY,)
+            low_inclusive = True
+            if path.low is not None:
+                low = prefix + (operand_value(path.low[0]),)
+                if not path.low[1]:
+                    low = low + (MAX_KEY,)
+            if path.high is not None:
+                high = prefix + (operand_value(path.high[0]),)
+                if path.high[1]:
+                    high = high + (MAX_KEY,)
+            self._index_range_scans.inc()
+            with self._tracer.span(
+                "exec.index_range_scan",
+                kind=OPERATOR,
+                table=table.schema.name,
+                index=path.index.schema.name,
+            ):
+                rids = [rid for __, rid in tree.range_scan(low, high, low_inclusive, True)]
+        fetched = [
+            (rid, row)
+            for rid in rids
+            if (row := table.heap.read_or_none(rid)) is not None
+        ]
+        self._rows_scanned.inc(len(fetched))
+        yield from fetched
 
     # -- joins ----------------------------------------------------------------------
 
@@ -483,40 +523,21 @@ class Executor:
         compiled = self._compile(condition)
         inner_rows = [row for __, row in join_table.heap.scan()]
 
-        if self._should_batch(compiled):
-            chunk_size = self.eval_batch_size
-
-            def batched_nl_generator() -> Iterator[tuple]:
-                # One enclave round-trip per chunk of inner rows instead of
-                # one per (left, right) pair.
-                for left in left_rows:
-                    for start in range(0, len(inner_rows), chunk_size):
-                        combined_rows = [
-                            left + right for right in inner_rows[start : start + chunk_size]
-                        ]
-                        input_rows = [
-                            list(combined)
-                            + [None] * (scope.width - len(combined))
-                            + param_values
-                            for combined in combined_rows
-                        ]
-                        verdicts = self._vm.eval_predicate_batch(
-                            compiled.host_program, input_rows
-                        )
-                        for combined, verdict in zip(combined_rows, verdicts):
-                            if verdict is True:
-                                yield combined
-
-            return batched_nl_generator(), f"NestedLoopJoin(batch={chunk_size})"
+        # Slots between the joined prefix and the parameters belong to tables
+        # joined later; they are NULL while this condition is evaluated.
+        padded_params = [None] * (scope.width - left_width - pad) + param_values
+        chunk_size = self._chunk_size(compiled)
 
         def nl_generator() -> Iterator[tuple]:
+            # Chunks never span left rows: one enclave round-trip per
+            # chunk_size inner rows of each left row.
             for left in left_rows:
-                for right in inner_rows:
-                    combined = left + right
-                    inputs = list(combined) + [None] * (scope.width - len(combined)) + param_values
-                    if self._vm.eval_predicate(compiled.host_program, inputs) is True:
-                        yield combined
+                yield from self._qualify(
+                    (left + right for right in inner_rows), compiled, padded_params
+                )
 
+        if compiled.uses_enclave and chunk_size > 1:
+            return nl_generator(), f"NestedLoopJoin(batch={chunk_size})"
         return nl_generator(), "NestedLoopJoin"
 
     def _hash_join_keys(
@@ -765,7 +786,7 @@ class Executor:
         # outcomes (a sort determines the total order), so the adversary
         # learns the same order information either way (see docs/PERF.md).
         rank_maps: dict[int, dict[object, int]] = {}
-        if self.eval_batch_size > 1 and hasattr(enclave, "compare_batch"):
+        if self.eval_batch_size > 1:
             for position, __, enc in keys:
                 if enc is not None and position not in rank_maps:
                     rank_maps[position] = self._enclave_rank_map(
@@ -862,99 +883,46 @@ class Executor:
             count += 1
         return QueryResult(rowcount=count)
 
-    def _target_rows(
+    def _qualified_under_lock(
         self,
         stmt: ast.UpdateStmt | ast.DeleteStmt,
+        txn: Transaction,
         scope: Scope,
         deduction: DeductionResult,
         param_slots: dict[str, int],
         param_values: list[object],
-    ) -> list[tuple[RowId, tuple]]:
+    ) -> Iterator[tuple[RowId, tuple]]:
+        """Yield ``(rid, row)`` for each row an UPDATE/DELETE must change.
+
+        Two-phase qualification: lock, re-read, re-check. Scanning reads are
+        unlocked, so assignment expressions (e.g. the D_NEXT_O_ID increment
+        of TPC-C NewOrder) must be evaluated against the row as it exists
+        *under the lock* — the one yielded here — or concurrent
+        read-modify-writes lose updates.
+        """
         table = self.engine.table(stmt.table)
         sargs = extract_sargs(stmt.where, scope, scope.bindings()[0][0])
         path = choose_access_path(table, sargs)
+        candidates = self._access(table, path, param_slots, param_values, scope)
         predicate = None
         if stmt.where is not None:
             predicate = self._compile(self._to_expr(stmt.where, scope, deduction, param_slots))
-        matches: list[tuple[RowId, tuple]] = []
-        if path.kind == "scan" or path.index is None:
-            candidates = list(table.heap.scan())
-        else:
-            candidates = self._access_with_rids(table, path, param_slots, param_values, scope)
-        if predicate is not None and self._should_batch(predicate):
-            # DML qualification over an enclave predicate: chunked, one
-            # transition per chunk. The under-lock re-check in _update /
-            # _delete stays per-row — it re-reads single rows.
-            for start in range(0, len(candidates), self.eval_batch_size):
-                batch = candidates[start : start + self.eval_batch_size]
-                input_rows = [list(row) + param_values for __, row in batch]
-                verdicts = self._vm.eval_predicate_batch(
-                    predicate.host_program, input_rows
-                )
-                for (rid, row), verdict in zip(batch, verdicts):
-                    if verdict is True:
-                        matches.append((rid, row))
-            return matches
-        for rid, row in candidates:
-            if predicate is not None:
-                verdict = self._vm.eval_predicate(predicate.host_program, list(row) + param_values)
-                if verdict is not True:
-                    continue
-            matches.append((rid, row))
-        return matches
-
-    def _access_with_rids(
-        self,
-        table: TableObject,
-        path: AccessPath,
-        param_slots: dict[str, int],
-        param_values: list[object],
-        scope: Scope,
-    ) -> list[tuple[RowId, tuple]]:
-        def operand_value(operand: ast.AstExpr) -> object:
-            if isinstance(operand, ast.Literal):
-                return operand.value
-            assert isinstance(operand, ast.Param)
-            return param_values[param_slots[operand.name.lower()] - scope.width]
-
-        prefix = tuple(operand_value(op) for op in path.eq_operands)
-        tree = path.index.tree
-        if path.kind == "seek" and len(prefix) == len(path.index.key_slots):
-            self._index_seeks.inc()
-            with self._tracer.span(
-                "exec.index_seek",
-                kind=OPERATOR,
-                table=table.schema.name,
-                index=path.index.schema.name,
+            candidates = self._qualify(
+                candidates, predicate, param_values, row_of=operator.itemgetter(1)
+            )
+        # Materialize the first phase before the caller's first write, so
+        # the scan never meets rows this statement has already changed.
+        for rid, __ in list(candidates):
+            self.engine.lock_row(txn, stmt.table, rid)
+            row = self.engine.read(stmt.table, rid)
+            if row is None:
+                continue
+            # The re-check re-reads single rows, so it is a chunk of one.
+            if predicate is not None and not list(
+                self._qualify([row], predicate, param_values)
             ):
-                rids = tree.search_eq(prefix)
-        else:
-            low: object = prefix
-            high: object = prefix + (MAX_KEY,)
-            low_inclusive = True
-            if path.low is not None:
-                low = prefix + (operand_value(path.low[0]),)
-                if not path.low[1]:
-                    low = low + (MAX_KEY,)
-            if path.high is not None:
-                high = prefix + (operand_value(path.high[0]),)
-                if path.high[1]:
-                    high = high + (MAX_KEY,)
-            self._index_range_scans.inc()
-            with self._tracer.span(
-                "exec.index_range_scan",
-                kind=OPERATOR,
-                table=table.schema.name,
-                index=path.index.schema.name,
-            ):
-                rids = [rid for __, rid in tree.range_scan(low, high, low_inclusive, True)]
-        out = []
-        for rid in rids:
-            row = table.heap.read_or_none(rid)
-            if row is not None:
-                out.append((rid, row))
-        self._rows_scanned.inc(len(out))
-        return out
+                continue
+            yield rid, row
 
     def _update(
         self,
@@ -975,25 +943,11 @@ class Executor:
             slot = schema.column_index(column_name)
             bound = self._to_expr(expr, scope, deduction, param_slots)
             assignments.append((slot, self._compile(bound)))
-        predicate = None
-        if stmt.where is not None:
-            predicate = self._compile(self._to_expr(stmt.where, scope, deduction, param_slots))
         count = 0
-        for rid, __ in self._target_rows(stmt, scope, deduction, param_slots, param_values):
-            # Two-phase qualification: lock, re-read, re-check. Scanning
-            # reads are unlocked, so assignment expressions (e.g. the
-            # D_NEXT_O_ID increment of TPC-C NewOrder) must be evaluated
-            # against the row as it exists *under the lock*, or concurrent
-            # read-modify-writes lose updates.
-            self.engine.lock_row(txn, stmt.table, rid)
-            row = self.engine.read(stmt.table, rid)
-            if row is None:
-                continue
+        for rid, row in self._qualified_under_lock(
+            stmt, txn, scope, deduction, param_slots, param_values
+        ):
             inputs = list(row) + param_values
-            if predicate is not None and self._vm.eval_predicate(
-                predicate.host_program, inputs
-            ) is not True:
-                continue
             new_row = list(row)
             for slot, compiled in assignments:
                 new_row[slot] = self._vm.eval(compiled.host_program, inputs)[0]
@@ -1014,19 +968,10 @@ class Executor:
         deduction = deduction or deduce(stmt, scope)
         param_slots = self._param_slots(stmt, scope)
         param_values = self._param_values(stmt, params)
-        predicate = None
-        if stmt.where is not None:
-            predicate = self._compile(self._to_expr(stmt.where, scope, deduction, param_slots))
         count = 0
-        for rid, __ in self._target_rows(stmt, scope, deduction, param_slots, param_values):
-            self.engine.lock_row(txn, stmt.table, rid)
-            row = self.engine.read(stmt.table, rid)
-            if row is None:
-                continue
-            if predicate is not None and self._vm.eval_predicate(
-                predicate.host_program, list(row) + param_values
-            ) is not True:
-                continue
+        for rid, __ in self._qualified_under_lock(
+            stmt, txn, scope, deduction, param_slots, param_values
+        ):
             self.engine.delete(txn, stmt.table, rid)
             count += 1
         return QueryResult(rowcount=count)

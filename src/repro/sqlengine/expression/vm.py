@@ -26,6 +26,12 @@ from repro.sqlengine.types import EncryptionInfo
 from repro.sqlengine.values import SqlScalar, compare_values, like_match
 
 
+# Enum member access goes through the metaclass; the interpreter loop tests
+# these two on every instruction.
+_TM_EVAL = Opcode.TM_EVAL
+_SET_DATA = Opcode.SET_DATA
+
+
 class CryptoContext(Protocol):
     """Decrypt/encrypt services available only inside the enclave."""
 
@@ -62,20 +68,7 @@ class StackMachine:
 
     def eval(self, program: StackProgram, inputs: list[object], n_outputs: int = 1) -> list[object]:
         """Run ``program``; returns the outputs array (size ``n_outputs``)."""
-        stack: list[object] = []
-        outputs: list[object] = [None] * n_outputs
-        wrote_output = False
-        for ins in program.instructions:
-            if ins.opcode is Opcode.SET_DATA:
-                wrote_output = True
-            self._step(ins, stack, inputs, outputs)
-        if stack and not wrote_output:
-            # A predicate program with no SET_DATA leaves its result on the
-            # stack; surface it as output 0 for convenience. A program that
-            # DID write outputs via SET_DATA keeps them — stack residue must
-            # not clobber output 0.
-            outputs[0] = stack[-1]
-        return outputs
+        return self.eval_batch(program, [inputs], n_outputs)[0]
 
     def eval_batch(
         self,
@@ -83,55 +76,47 @@ class StackMachine:
         input_rows: list[list[object]],
         n_outputs: int = 1,
     ) -> list[list[object]]:
-        """Run ``program`` over many input rows, coalescing enclave calls.
+        """Run ``program`` over a chunk of input rows; one outputs array each.
 
         Stack programs are straight-line (no branches), so every row reaches
-        each instruction at the same program counter. The batch interpreter
+        each instruction at the same program counter. The interpreter
         exploits that: it steps instruction-at-a-time across per-row stacks,
-        and when the shared instruction is ``TM_EVAL`` it ships the whole
-        chunk's sub-program inputs through one ``EnclaveConnector.eval_batch``
-        call instead of one ecall per row. Host-side instructions run
-        per-row, exactly as :meth:`eval` would.
+        so a ``TM_EVAL`` ships the whole chunk's sub-program inputs through
+        one enclave call instead of one per row. Host-side instructions run
+        per row. :meth:`eval` is the chunk of one.
         """
         if not input_rows:
             return []
-        # (stack, outputs, wrote_output-flag) per row.
-        states: list[list[object]] = [
-            [[], [None] * n_outputs, False] for __ in input_rows
-        ]
-        batch_connector = (
-            self._enclave if hasattr(self._enclave, "eval_batch") else None
-        )
+        # One (stack, inputs, outputs) lane per row.
+        lanes = [([], inputs, [None] * n_outputs) for inputs in input_rows]
+        wrote_output = False
         for ins in program.instructions:
-            if (
-                ins.opcode is Opcode.TM_EVAL
-                and batch_connector is not None
-                and len(input_rows) > 1
-            ):
-                self._step_tm_eval_batch(ins, states, batch_connector)
+            opcode = ins.opcode
+            if opcode is _TM_EVAL:
+                self._tm_eval(ins, [lane[0] for lane in lanes])
                 continue
-            for state, inputs in zip(states, input_rows):
-                if ins.opcode is Opcode.SET_DATA:
-                    state[2] = True
-                self._step(ins, state[0], inputs, state[1])
-        results: list[list[object]] = []
-        for stack, outputs, wrote_output in states:
-            if stack and not wrote_output:
-                outputs[0] = stack[-1]
-            results.append(outputs)
-        return results
+            if opcode is _SET_DATA:
+                wrote_output = True
+            for stack, inputs, outputs in lanes:
+                self._step(ins, stack, inputs, outputs)
+        if not wrote_output:
+            # A predicate program with no SET_DATA leaves its result on the
+            # stack; surface it as output 0 for convenience. A program that
+            # DID write outputs via SET_DATA keeps them — stack residue must
+            # not clobber output 0.
+            for stack, __, outputs in lanes:
+                if stack:
+                    outputs[0] = stack[-1]
+        return [lane[2] for lane in lanes]
 
     def eval_predicate(self, program: StackProgram, inputs: list[object]) -> bool | None:
         """Run a boolean-valued program; returns True/False/None (UNKNOWN)."""
-        result = self.eval(program, inputs, n_outputs=1)[0]
-        if result is not None and not isinstance(result, bool):
-            raise ExecutionError(f"predicate produced non-boolean {result!r}")
-        return result
+        return self.eval_predicate_batch(program, [inputs])[0]
 
     def eval_predicate_batch(
         self, program: StackProgram, input_rows: list[list[object]]
     ) -> list[bool | None]:
-        """Batched :meth:`eval_predicate`: one verdict per input row."""
+        """One True/False/None (UNKNOWN) verdict per input row."""
         verdicts: list[bool | None] = []
         for outputs in self.eval_batch(program, input_rows, n_outputs=1):
             result = outputs[0]
@@ -140,28 +125,35 @@ class StackMachine:
             verdicts.append(result)
         return verdicts
 
-    def _step_tm_eval_batch(
-        self,
-        ins: Instruction,
-        states: list[list[object]],
-        connector: EnclaveConnector,
-    ) -> None:
-        """Execute one shared TM_EVAL across all rows with a single ecall."""
+    def _tm_eval(self, ins: Instruction, stacks: list[list[object]]) -> None:
+        """Execute one shared ``TM_EVAL`` across every row of the chunk.
+
+        The chunk crosses the boundary as a single ``eval_batch`` ecall; a
+        chunk of one row is a plain ``eval`` ecall — which is all that
+        distinguishes the paper's row-at-a-time mode (Section 4.4) from
+        batch mode.
+        """
         blob, n_inputs = ins.operand  # type: ignore[misc]
+        if self._enclave is None:
+            raise ExecutionError(
+                "TM_EVAL encountered but no enclave is configured for this query"
+            )
         rows: list[list[object]] = []
-        for state in states:
-            stack = state[0]
+        for stack in stacks:
             if len(stack) < n_inputs:
                 raise ExecutionError("TM_EVAL underflow: not enough inputs on stack")
-            popped = [stack.pop() for __ in range(n_inputs)]
-            rows.append(list(reversed(popped)))
+            rows.append(stack[len(stack) - n_inputs :])
+            del stack[len(stack) - n_inputs :]
         handle = self._handle_cache.get(blob)
         if handle is None:
-            handle = connector.register_program(blob)
+            handle = self._enclave.register_program(blob)
             self._handle_cache[blob] = handle
-        results = connector.eval_batch(handle, rows)
-        for state, result in zip(states, results):
-            state[0].append(result[0])
+        if len(rows) == 1:
+            results = [self._enclave.eval(handle, rows[0])]
+        else:
+            results = self._enclave.eval_batch(handle, rows)
+        for stack, result in zip(stacks, results):
+            stack.append(result[0])
 
     # -- dispatch ------------------------------------------------------------
 
@@ -219,22 +211,6 @@ class StackMachine:
             value = stack.pop()
             result = value is None
             stack.append(not result if ins.operand else result)
-        elif opcode is Opcode.TM_EVAL:
-            blob, n_inputs = ins.operand  # type: ignore[misc]
-            if self._enclave is None:
-                raise ExecutionError(
-                    "TM_EVAL encountered but no enclave is configured for this query"
-                )
-            if len(stack) < n_inputs:
-                raise ExecutionError("TM_EVAL underflow: not enough inputs on stack")
-            popped = [stack.pop() for __ in range(n_inputs)]
-            enclave_inputs = list(reversed(popped))
-            handle = self._handle_cache.get(blob)
-            if handle is None:
-                handle = self._enclave.register_program(blob)
-                self._handle_cache[blob] = handle
-            result = self._enclave.eval(handle, enclave_inputs)
-            stack.append(result[0])
         else:  # pragma: no cover - exhaustive
             raise ExecutionError(f"unknown opcode {opcode}")
 

@@ -36,6 +36,10 @@ class KeyComparator(Protocol):
 
     def compare(self, left: object, right: object) -> int: ...
 
+    def compare_one_to_many(self, probe: object, keys: list[object]) -> list[int]:
+        """The outcome of ``compare(probe, k)`` for every ``k`` in keys."""
+        ...
+
     @property
     def supports_range(self) -> bool: ...
 
@@ -47,9 +51,7 @@ class KeyComparator(Protocol):
 #:   batch_capable: bool — probing one key against many through
 #:       ``compare_one_to_many`` amortizes real per-comparison cost
 #:       (an enclave boundary crossing), so B+-tree descents should
-#:       prefer a node-level batched probe over binary search;
-#:   compare_one_to_many(probe, keys) -> list[int] — the three-way
-#:       outcome of ``compare(probe, k)`` for every ``k`` in keys.
+#:       prefer a node-level batched probe over binary search.
 #: Wrappers (CellComparator etc.) propagate batch capability from their
 #: inner comparator; plain comparators default to batch_capable=False.
 
@@ -155,7 +157,7 @@ class EnclaveComparator:
         # compare_batch ecall amortizes the boundary crossing and decrypts
         # the probe once instead of once per separator. batch_probes=False
         # pins the paper's row-at-a-time behaviour (one compare per step).
-        return self._batch_probes and hasattr(self._enclave, "compare_batch")
+        return self._batch_probes
 
     def compare(self, left: object, right: object) -> int:
         if not isinstance(left, Ciphertext) or not isinstance(right, Ciphertext):
@@ -250,11 +252,7 @@ class CellComparator:
                 pending_indexes.append(i)
                 pending_keys.append(key)
         if pending_keys:
-            inner_batch = getattr(self._inner, "compare_one_to_many", None)
-            if inner_batch is not None:
-                outcomes = inner_batch(probe, pending_keys)
-            else:
-                outcomes = [self._inner.compare(probe, key) for key in pending_keys]
+            outcomes = self._inner.compare_one_to_many(probe, pending_keys)
             for i, outcome in zip(pending_indexes, outcomes):
                 results[i] = outcome
         return results
@@ -366,10 +364,7 @@ class CountingComparator:
         return result
 
     def compare_one_to_many(self, probe: object, keys: list[object]) -> list[int]:
-        inner_batch = getattr(self._inner, "compare_one_to_many", None)
-        if inner_batch is None:
-            return [self.compare(probe, key) for key in keys]
-        outcomes = inner_batch(probe, keys)
+        outcomes = self._inner.compare_one_to_many(probe, keys)
         self.count += len(keys)
         if self._on_compare is not None:
             for key, result in zip(keys, outcomes):

@@ -190,20 +190,6 @@ class SqlServer:
             "server.sessions_open", help="client sessions currently connected"
         )
 
-    # Historical attribute API, now views over the registry.
-
-    @property
-    def plan_cache_hits(self) -> int:
-        return self.stats.plan_cache_hits
-
-    @property
-    def plan_cache_misses(self) -> int:
-        return self.stats.plan_cache_misses
-
-    @property
-    def describe_calls(self) -> int:
-        return self.stats.describe_calls
-
     # ------------------------------------------------------------- connections
 
     def connect(self) -> "ServerSession":

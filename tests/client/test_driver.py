@@ -44,9 +44,9 @@ class TestTransparency:
     def test_plain_connection_skips_describe(self, plain_server, registry):
         conn = connect(plain_server, registry, column_encryption=False)
         conn.execute_ddl("CREATE TABLE p (a int)")
-        before = plain_server.describe_calls
+        before = plain_server.stats.describe_calls
         conn.execute("INSERT INTO p (a) VALUES (@a)", {"a": 1})
-        assert plain_server.describe_calls == before
+        assert plain_server.stats.describe_calls == before
 
 
 class TestSecurityControls:

@@ -1,6 +1,7 @@
 """The enclave worker-queue optimization (Section 4.6)."""
 
 import threading
+import time
 
 import pytest
 
@@ -85,6 +86,66 @@ class TestQueued:
         with EnclaveCallGateway(ready_enclave, mode=CallMode.QUEUED, n_threads=1) as gateway:
             with pytest.raises(EnclaveError):
                 gateway.eval(987654, [])
+
+    def test_submit_after_shutdown_raises(self, ready_enclave, cek_material):
+        # Regression: the call used to enqueue an item no worker would ever
+        # take and block forever; run it on a thread so a hang fails.
+        gateway = EnclaveCallGateway(ready_enclave, mode=CallMode.QUEUED, n_threads=1)
+        handle = gateway.register_program(comparison_blob())
+        row = [cell(cek_material, 1), cell(cek_material, 2)]
+        gateway.shutdown()
+        outcomes = []
+
+        def submit(call, payload):
+            try:
+                outcomes.append(call(handle, payload))
+            except EnclaveError as exc:
+                outcomes.append(exc)
+
+        for call, payload in ((gateway.eval, row), (gateway.eval_batch, [row, row])):
+            thread = threading.Thread(target=submit, args=(call, payload), daemon=True)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert [type(outcome) for outcome in outcomes] == [EnclaveError, EnclaveError]
+
+    def test_shutdown_fails_calls_still_queued(self, ready_enclave, cek_material, monkeypatch):
+        # The only worker is stuck inside an ecall for the whole shutdown,
+        # so the second call is still in the queue when the workers are
+        # told to stop: it must fail, not wait forever.
+        entered, release = threading.Event(), threading.Event()
+
+        def stuck_eval(handle, inputs):
+            entered.set()
+            release.wait(timeout=10.0)
+            return [True]
+
+        monkeypatch.setattr(ready_enclave, "eval", stuck_eval)
+        gateway = EnclaveCallGateway(ready_enclave, mode=CallMode.QUEUED, n_threads=1)
+        outcomes = {}
+
+        def submit(name):
+            try:
+                outcomes[name] = gateway.eval(1, [])
+            except EnclaveError as exc:
+                outcomes[name] = exc
+
+        running = threading.Thread(target=submit, args=("running",), daemon=True)
+        running.start()
+        assert entered.wait(timeout=5.0)
+        queued = threading.Thread(target=submit, args=("queued",), daemon=True)
+        queued.start()
+        deadline = time.monotonic() + 5.0
+        while gateway.stats.calls < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)  # submitted; give it time to reach the queue
+        gateway.shutdown()
+        queued.join(timeout=5.0)
+        assert not queued.is_alive()
+        assert isinstance(outcomes["queued"], EnclaveError)
+        release.set()
+        running.join(timeout=5.0)
+        assert outcomes["running"] == [True]
 
     def test_concurrent_submitters(self, ready_enclave, cek_material):
         with EnclaveCallGateway(ready_enclave, mode=CallMode.QUEUED, n_threads=4) as gateway:

@@ -54,5 +54,15 @@ class TestFigure9Smoke:
         result = run_figure9(scale=TINY, n_transactions=10)
         n = result.normalized
         assert n["SQL-PT"] == 1.0
+        # One set of measured demands solved at 1 and at 4 enclave threads:
+        # the model alone orders these two.
         assert n["SQL-AE-RND-1"] < n["SQL-AE-RND-4"]
-        assert n["SQL-PT-AEConn"] < 1.0
+        # Every other normalized figure divides two separate 10-transaction
+        # wall-clock samples, and this host's speed swings 1.8x between
+        # them — so what separates the configurations is asserted on the
+        # counted demands: AEConn's describe per execute, RND's enclave time.
+        c = result.calibrations
+        assert c["SQL-PT-AEConn"].roundtrips_per_txn > 1.5 * c["SQL-PT"].roundtrips_per_txn
+        assert c["SQL-AE-DET"].roundtrips_per_txn == c["SQL-PT-AEConn"].roundtrips_per_txn
+        assert c["SQL-PT"].enclave_s_per_txn == c["SQL-AE-DET"].enclave_s_per_txn == 0.0
+        assert c["SQL-AE-RND-4"].enclave_s_per_txn > 0.0

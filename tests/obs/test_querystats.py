@@ -3,6 +3,8 @@ telemetry whose enclave counts agree exactly with the registry."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.obs.metrics import get_registry
@@ -67,6 +69,30 @@ def test_dml_reports_wal_activity(encrypted_table):
     assert stats is not None
     assert stats.wal_records > 0
     assert stats.wal_bytes > 0
+
+
+@pytest.mark.parametrize(
+    "statement, params",
+    [
+        ("UPDATE T SET value = @new WHERE value > @v", {"new": 5, "v": 70}),
+        ("DELETE FROM T WHERE value > @v", {"v": 70}),
+    ],
+    ids=["update", "delete"],
+)
+def test_scan_qualified_dml_counts_its_table_scan(encrypted_table, statement, params):
+    """T.value has no index, so qualification is a heap scan — which must
+    show up like a SELECT's (regression: DML scanned the heap uncounted)."""
+    conn = encrypted_table
+    registry = get_registry()
+    scans = registry.value("executor.table_scans")
+    scanned = registry.value("executor.rows_scanned")
+
+    text = conn.explain_stats(statement, params)
+
+    assert registry.value("executor.table_scans") == scans + 1
+    assert registry.value("executor.rows_scanned") == scanned + 10
+    assert re.search(r"rows_scanned\s+10$", text, re.MULTILINE)
+    assert "exec.table_scan" in text
 
 
 def test_span_tree_contains_ecall_spans(encrypted_table):

@@ -121,3 +121,143 @@ class TestOrderReconstructionEquivalence:
         assert recovered == [n for n in sorted(NAMES) if n in recovered]
         if server.gateway is not None:
             server.gateway.shutdown()
+
+
+def decoded_evals(events, cek_material):
+    """The eval-path boundary events with ciphertext inputs decrypted.
+
+    Returns ``(ecall, program, inputs, outputs)`` per event, where
+    ``program`` numbers the registered handles by first appearance and a
+    batch event's inputs/outputs are tuples of per-row tuples.
+    """
+    cipher = CellCipher(cek_material)
+    programs: dict[int, int] = {}
+
+    def plain(cells):
+        return tuple(deserialize_value(cipher.decrypt(c.envelope)) for c in cells)
+
+    out = []
+    for event in events:
+        if event.ecall not in ("eval", "eval_batch"):
+            continue
+        handle, inputs = event.visible_inputs
+        program = programs.setdefault(handle, len(programs))
+        if event.ecall == "eval_batch":
+            inputs = tuple(plain(row) for row in inputs)
+        else:
+            inputs = plain(inputs)
+        out.append((event.ecall, program, inputs, event.visible_output))
+    return out
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
+class TestChunkOfOne:
+    """eval_batch_size=1 is the degenerate chunk of the one qualification
+    path, not a second implementation: every site must cross the boundary
+    exactly as the paper's row-at-a-time evaluation does — one plain
+    ``eval`` per row (or pair), in row order, and never a batch ecall."""
+
+    def paper_mode_evals(self, statement, mode, fixtures, cek_material):
+        adversary, server, conn = build_system(*fixtures, mode, 1)
+        conn.execute_ddl(
+            "CREATE TABLE M (j int PRIMARY KEY, "
+            f"name varchar(20) ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = TestCEK, "
+            f"ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}'))"
+        )
+        for j, name in enumerate(["banana", "apple"]):
+            conn.execute("INSERT INTO M (j, name) VALUES (@j, @n)", {"j": j, "n": name})
+        start = len(adversary.boundary_events)
+        result = statement(conn)
+        events = adversary.boundary_events[start:]
+        server.gateway.shutdown()
+        assert [e.ecall for e in events if e.ecall.endswith("_batch")] == []
+        return result, decoded_evals(events, cek_material)
+
+    @pytest.fixture()
+    def fixtures(self, enclave_binary, host_machine, hgs, registry,
+                 attestation_policy, enclave_cmk, enclave_cek):
+        return (enclave_binary, host_machine, hgs, registry, attestation_policy,
+                enclave_cmk, enclave_cek)
+
+    def test_filter(self, mode, fixtures, cek_material):
+        result, evals = self.paper_mode_evals(
+            lambda conn: conn.execute("SELECT k FROM L WHERE name LIKE @p", {"p": "ap%"}),
+            mode, fixtures, cek_material,
+        )
+        assert "BatchedFilter" not in result.plan_info
+        assert evals == [
+            ("eval", 0, (name, "ap%"), (name.startswith("ap"),)) for name in NAMES
+        ]
+
+    def test_rnd_nested_loop_join(self, mode, fixtures, cek_material):
+        result, evals = self.paper_mode_evals(
+            lambda conn: conn.execute(
+                "SELECT L.k, M.j FROM L JOIN M ON L.name = M.name", {}
+            ),
+            mode, fixtures, cek_material,
+        )
+        assert result.plan_info.endswith("NestedLoopJoin")
+        assert sorted(result.rows) == [(0, 1), (2, 0)]
+        assert evals == [
+            ("eval", 0, (left, right), (left == right,))
+            for left in NAMES
+            for right in ("banana", "apple")
+        ]
+
+    def test_update(self, mode, fixtures, cek_material):
+        result, evals = self.paper_mode_evals(
+            lambda conn: conn.execute(
+                "UPDATE L SET name = @new WHERE name LIKE @p", {"new": "fig", "p": "c%"}
+            ),
+            mode, fixtures, cek_material,
+        )
+        assert result.rowcount == 2
+        # Unlocked qualification over every row, then the re-check of each
+        # match under its row lock.
+        assert evals == [
+            ("eval", 0, (name, "c%"), (name.startswith("c"),)) for name in NAMES
+        ] + [("eval", 0, (name, "c%"), (True,)) for name in ("cherry", "citrus")]
+
+    def test_delete(self, mode, fixtures, cek_material):
+        result, evals = self.paper_mode_evals(
+            lambda conn: conn.execute("DELETE FROM L WHERE name LIKE @p", {"p": "%a%"}),
+            mode, fixtures, cek_material,
+        )
+        hits = [name for name in NAMES if "a" in name]
+        assert result.rowcount == len(hits) == 4
+        assert evals == [
+            ("eval", 0, (name, "%a%"), (name in hits,)) for name in NAMES
+        ] + [("eval", 0, (name, "%a%"), (True,)) for name in hits]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
+def test_partial_last_chunk_of_one_is_a_plain_eval(
+    mode, enclave_binary, host_machine, hgs, registry, attestation_policy,
+    enclave_cmk, enclave_cek, cek_material,
+):
+    # 65 rows at chunk size 64: one full eval_batch, then the remainder —
+    # a chunk of one — as a plain eval. Same rule, both modes.
+    adversary, server, conn = build_system(
+        enclave_binary, host_machine, hgs, registry, attestation_policy,
+        enclave_cmk, enclave_cek, mode, 64,
+    )
+    names = NAMES + [f"row{k:02d}" for k in range(len(NAMES), 65)]
+    for k in range(len(NAMES), 65):
+        conn.execute("INSERT INTO L (k, name) VALUES (@k, @n)", {"k": k, "n": names[k]})
+    start = len(adversary.boundary_events)
+    result = conn.execute("SELECT k FROM L WHERE name LIKE @p", {"p": "ap%"})
+    events = adversary.boundary_events[start:]
+    server.gateway.shutdown()
+    assert sorted(row[0] for row in result.rows) == [0, 1]
+    batch, single = decoded_evals(events, cek_material)
+    assert batch == (
+        "eval_batch", 0,
+        tuple((name, "ap%") for name in names[:64]),
+        tuple((name.startswith("ap"),) for name in names[:64]),
+    )
+    assert single == ("eval", 0, (names[64], "ap%"), (False,))
+    # The adversary's per-row verdict reconstruction is what row-at-a-time
+    # evaluation would have shown it (nothing before the scan evaluated).
+    assert like_scan_predicate_bits(adversary) == [
+        [name.startswith("ap") for name in names]
+    ]

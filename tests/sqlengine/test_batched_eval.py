@@ -1,10 +1,11 @@
 """Executor-level batched enclave evaluation.
 
-The chunking operator routes enclave-requiring predicates through
-``StackMachine.eval_predicate_batch`` — eval_batch_size rows per boundary
-crossing — while host-only programs keep their streaming row-at-a-time
-path. These tests pin result equivalence, the plan annotations, the
-per-statement telemetry, and the knob that turns it all off.
+The executor routes every predicate through
+``StackMachine.eval_predicate_batch``; enclave-requiring ones ship
+eval_batch_size rows per boundary crossing, host-only ones never cross.
+These tests pin result equivalence, the plan annotations, the
+per-statement telemetry, and the knob value (1) that makes every chunk
+one row.
 """
 
 import pytest

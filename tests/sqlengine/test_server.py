@@ -77,20 +77,20 @@ class TestPlanCache:
     def test_repeat_queries_hit_cache(self, keyed_server):
         q = "SELECT * FROM T WHERE id = @i"
         keyed_server.describe_parameter_encryption(q)
-        misses = keyed_server.plan_cache_misses
+        misses = keyed_server.stats.plan_cache_misses
         keyed_server.describe_parameter_encryption(q)
         keyed_server.describe_parameter_encryption(q)
-        assert keyed_server.plan_cache_misses == misses
-        assert keyed_server.plan_cache_hits >= 2
+        assert keyed_server.stats.plan_cache_misses == misses
+        assert keyed_server.stats.plan_cache_hits >= 2
 
     def test_ddl_invalidates_cache(self, keyed_server):
         session = keyed_server.connect()
         q = "SELECT * FROM T WHERE id = @i"
         keyed_server.describe_parameter_encryption(q)
         session.execute("CREATE TABLE other (x int)")
-        misses = keyed_server.plan_cache_misses
+        misses = keyed_server.stats.plan_cache_misses
         keyed_server.describe_parameter_encryption(q)
-        assert keyed_server.plan_cache_misses == misses + 1
+        assert keyed_server.stats.plan_cache_misses == misses + 1
 
 
 class TestDdl:
