@@ -60,9 +60,6 @@ class TaintConfig:
     )
     metric_sinks: tuple[str, ...] = ("inc", "set", "observe")
     trace_sinks: tuple[str, ...] = ("span", "ecall_span")
-    #: False pins the PR 4 per-function behaviour: calls are never
-    #: resolved, so taint dies at every function boundary.
-    interprocedural: bool = True
     #: wire egress sinks (everything feeding the frame codec/socket)
     wire_sinks: tuple[str, ...] = (
         "send_frame", "send_message", "encode_message", "encode_frame",
@@ -93,7 +90,8 @@ class ProtocolConfig:
 
     ``handler_modules`` are the server-side dispatchers; every opcode's
     message class must be isinstance-checked or constructed in one of
-    them. ``engine_modules`` are where 2PC state transitions live;
+    them. The first is the serving loop every other one answers through:
+    it is the one that must marshal errors. ``engine_modules`` are where 2PC state transitions live;
     functions named in ``recovery_functions`` replay WAL records instead
     of writing them and are exempt from the write-ahead ordering check.
     """
@@ -167,13 +165,13 @@ DEFAULT_LOCK_ORDER = (
     "repro.client.driver.Connection.*",
     "repro.client.caches.*",
     # The wire stub's control-channel lock is held across a whole remote
-    # round trip (like the driver's state lock above it); the router and
-    # wire-server locks guard connection bookkeeping and the 2PC decision
-    # log and never nest into engine latches — the serving thread releases
-    # them before dispatching into the shard's SqlServer.
+    # round trip (like the driver's state lock above it); the router's
+    # locks guard the 2PC decision log and the frame server's its
+    # connection bookkeeping, and neither nests into engine latches — the
+    # serving thread releases them before dispatching into a SqlServer.
     "repro.net.remote.RemoteServer.*",
     "repro.net.router.*",
-    "repro.net.wireserver.WireServer.*",
+    "repro.net.frameserver.FrameServer.*",
     "repro.sqlengine.server.SqlServer.*",
     "repro.sqlengine.scheduler.StatementScheduler.*",
     "repro.sqlengine.txn.locks.LockManager.*",
@@ -272,7 +270,11 @@ def default_config(
             opaque_packages=("repro.crypto",),
         ),
         protocol=ProtocolConfig(
-            handler_modules=("repro.net.wireserver", "repro.net.router"),
+            handler_modules=(
+                "repro.net.frameserver",
+                "repro.net.wireserver",
+                "repro.net.router",
+            ),
             messages_module="repro.net.messages",
             errors_module="repro.errors",
             engine_modules=("repro.sqlengine.engine",),

@@ -20,9 +20,7 @@ Laundering is unchanged from the intra-procedural engine: unresolved
 calls cleanse, re-encrypting (``encrypt_cell``) cleanses even when
 resolved, and comparison *results* are deliberately untainted —
 predicate verdicts are exactly the information the paper's adversary
-model already concedes. Setting ``TaintConfig.interprocedural=False``
-pins the old per-function behaviour (used by tests to demonstrate what
-the upgrade catches).
+model already concedes.
 
 Wire-specific egress (frame sends, ``ErrorReply`` payloads) is the
 ``wire-egress`` family in :mod:`repro.analysis.rules.wire_egress`,

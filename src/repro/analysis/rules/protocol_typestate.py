@@ -13,8 +13,9 @@ constructs it (replies; ``error_reply_for`` counts as constructing
 ``ErrorReply``). Dispatch-style functions (≥ ``_DISPATCH_MIN``
 ``if isinstance(msg, Cls):`` arms) must be *total*: end in ``raise``
 (the unknown-message catch-all) and check each message class at most
-once — a duplicate arm is dead code shadowing a handler. Each handler
-module must contain an error-marshalling path (``error_reply_for`` /
+once — a duplicate arm is dead code shadowing a handler. The serving
+loop (the first handler module, through which every dispatcher answers)
+must contain an error-marshalling path (``error_reply_for`` /
 ``ErrorReply``): a server that cannot say "error" hangs its client.
 
 **2PC log/state ordering.** In the engine modules, a transaction-state
@@ -188,12 +189,14 @@ class ProtocolTypestateRule:
                 if final in ("error_reply_for", "ErrorReply"):
                     has_error_path = True
                     constructed.add("ErrorReply")
-            if not has_error_path:
+            # Only the serving loop (first handler module) catches what
+            # the dispatchers raise, so only it owes the error path.
+            if handler_mod == proto.handler_modules[0] and not has_error_path:
                 findings.append(Finding(
                     rule=self.name, path=model.relpath(info), line=1,
                     symbol="<module>", key="missing-error-path",
                     message=(
-                        "handler module never marshals an error "
+                        "serving-loop module never marshals an error "
                         "(no error_reply_for / ErrorReply construction)"
                     ),
                 ))

@@ -316,8 +316,7 @@ class TaintFlow:
         self.model = model
         self.config = config
         self.taint_cfg = config.taint
-        self.interprocedural = getattr(config.taint, "interprocedural", True)
-        self.graph = get_callgraph(model, config) if self.interprocedural else None
+        self.graph = get_callgraph(model, config)
         self.sink_kinds: dict[str, str] = {}
         for name in config.taint.log_sinks:
             self.sink_kinds[name] = "log"
@@ -340,34 +339,14 @@ class TaintFlow:
     # ---------------------------------------------------------------- engine
 
     def _entries(self) -> list:
-        if self.graph is not None:
-            entries = list(self.graph.functions.values())
-        else:
-            entries = []
-            from repro.analysis.callgraph import FunctionEntry, _param_names
-
-            for modname, info in self.model.modules.items():
-                path = self.model.relpath(info)
-                for qualname, node in info.functions.items():
-                    parts = qualname.split(".")
-                    class_name = (
-                        parts[0] if parts[0] in info.classes and len(parts) > 1 else None
-                    )
-                    entries.append(FunctionEntry(
-                        fid=f"{modname}:{qualname}", module=modname,
-                        qualname=qualname, node=node, class_name=class_name,
-                        path=path, params=_param_names(node),
-                    ))
-        keep = []
-        for entry in entries:
-            if self.model.in_packages(entry.module, self.config.packages) and \
-                    not self.model.in_packages(entry.module, self._opaque):
-                keep.append(entry)
-        return keep
+        return [
+            entry
+            for entry in self.graph.functions.values()
+            if self.model.in_packages(entry.module, self.config.packages)
+            and not self.model.in_packages(entry.module, self._opaque)
+        ]
 
     def resolve(self, entry: FunctionEntry, func_expr, parts):
-        if self.graph is None:
-            return None
         return self.graph.resolve_call(entry.module, entry.qualname, parts)
 
     def _analyze(self) -> None:
@@ -398,11 +377,10 @@ class TaintFlow:
                 )
             if new != self.summaries.get(entry.fid, _CLEAN):
                 self.summaries[entry.fid] = new
-                if self.graph is not None:
-                    for caller in self.graph.functions[entry.fid].callers:
-                        if caller in by_fid and caller not in queued:
-                            pending.append(by_fid[caller])
-                            queued.add(caller)
+                for caller in self.graph.functions[entry.fid].callers:
+                    if caller in by_fid and caller not in queued:
+                        pending.append(by_fid[caller])
+                        queued.add(caller)
 
     # ----------------------------------------------------------------- reads
 

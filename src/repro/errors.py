@@ -186,6 +186,7 @@ class RemoteError(ReproError):
 
     def __init__(self, error_type: str, message: str):
         self.error_type = error_type
+        self.remote_message = message
         super().__init__(f"{error_type}: {message}")
 
 

@@ -4,9 +4,22 @@ The modeled Figure 8 (:mod:`repro.harness.experiments`) calibrates
 single-stream service demands and solves a queueing network, because pure
 Python under the GIL cannot natively exhibit 100-thread concurrency. This
 module produces the *measured* companion: N real client threads, each
-with its own driver connection, driving the standard TPC-C mix through
-the concurrent session layer (bounded worker pool, two-phase locking,
-shared plan cache, shared enclave sessions).
+with its own driver connection in paper mode, driving the standard TPC-C
+mix against one :class:`~repro.workloads.tpcc.driver.TpccSystem`.
+
+There is one measurement routine, :func:`measure_curve`, and the
+deployment is one of its arguments: ``n_shards=0`` hosts the engine in
+this process (the concurrent session layer: bounded worker pool, two-phase
+locking, shared plan cache, shared enclave sessions); ``n_shards>0`` forks
+that many shard processes behind the router process, the unmodified AE
+driver speaking the binary wire protocol to one address. The two entry
+points differ only in which curves they ask for:
+
+* :func:`run_figure8_measured` — SQL-PT / SQL-PT-AEConn / SQL-AE-RND-4,
+  all in-process, each overlaid with the queueing model's curve.
+* :func:`run_figure8_sharded` — SQL-PT over 1/2/4/8 shards, a smaller
+  SQL-AE-RND-4 sweep, and the same-host in-process SQL-PT point that the
+  sharded numbers are read against (below).
 
 To make measured scaling meaningful despite the GIL, each driver
 round-trip sleeps ``simulated_rtt_s`` (an in-datacenter RTT), restoring
@@ -16,16 +29,44 @@ the (GIL-serialized) server CPU saturates. The same RTT is fed to the
 queueing model, so the modeled and measured curves are directly
 comparable — EXPERIMENTS.md overlays them.
 
-The run doubles as a concurrency-correctness gate: after the largest
-client count, the TPC-C invariants
-(:mod:`repro.workloads.tpcc.invariants`) are checked at quiesce, so a
-lost update or index torn by concurrency fails the benchmark rather than
-silently skewing the curve.
+The sharded sweep keeps the in-process run's mix, RTT and per-client
+transaction budget, with two deliberate differences:
+
+* **Warehouses scale with the peak client count** (16), TPC-C's own
+  scaling rule (one home warehouse per terminal). At the in-process
+  run's 8 warehouses, 16 clients pair up two-per-warehouse and Payment's
+  exclusive warehouse-row lock serializes each pair — the wire lengthens
+  every lock-hold window by two hops, so the 8-warehouse sharded mix
+  measures lock-convoy collapse, not deployment scaling.
+* **Shards run statements inline on their connection threads**
+  (``worker_threads=0``). The bounded worker pool exists to cap
+  concurrency *inside one shared process*; a shard process already has
+  exactly one connection thread per client it serves, and hopping each
+  statement through submit→worker→reply-wakeup adds three thread
+  switches per statement — measurably slower at every shard count.
+
+Whether sharding can *exceed* the in-process ceiling is a property of
+the host, so the result records the host topology and the sharded sweep
+measures its in-process reference in the same run, at the same scale — a
+number measured on different hardware says nothing. In-process execution
+saturates one core with zero wire overhead; N shard processes need N
+cores to show parallel speedup. :meth:`Figure8MeasuredResult.wire_tax` is
+a sharded point over that reference: above 1 on a multi-core host, and on
+a single-core host — where no multi-process design can win, every frame
+costs CPU the in-process build does not spend — a bounded tax below 1.
+
+Every curve doubles as a concurrency-correctness gate: after the largest
+client count the TPC-C invariants
+(:mod:`repro.workloads.tpcc.invariants`) are audited at quiesce, on every
+shard, so a lost update or an index torn by concurrency fails the
+benchmark rather than silently skewing the curve; then the system is shut
+down, so no curve is measured beside a previous curve's idle threads.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +74,7 @@ from repro.harness.experiments import TpccScale, _config, calibrate_system
 from repro.harness.perfmodel import ModelConfig, solve_throughput
 from repro.workloads.tpcc.config import TRANSACTION_MIX, EncryptionMode
 from repro.workloads.tpcc.driver import build_system, run_multi_client
-from repro.workloads.tpcc.invariants import check_invariants
+from repro.workloads.tpcc.sharded import start_sharded_system
 
 #: Real-thread client counts. The paper sweeps 10–100 Benchcraft threads;
 #: real Python threads are meaningful up to the teens, past which the GIL
@@ -51,128 +92,204 @@ MEASURED_MODES = (
     EncryptionMode.RND,
 )
 
+#: Statement workers of the in-process engine: one per peak client.
+INPROCESS_WORKER_THREADS = 16
+
+#: Shard-process counts swept by the benchmark. 1 shard isolates the pure
+#: wire/router overhead against the in-process reference; 8 shards is past
+#: the point where the client process or router becomes the bottleneck.
+SHARD_COUNTS = (1, 2, 4, 8)
+
+#: Worker threads per shard process: inline (see the module docstring).
+SHARD_WORKER_THREADS = 0
+
+#: Home warehouses at the peak client count: one per client (TPC-C's
+#: terminal-per-warehouse scaling rule). See the module docstring.
+SHARDED_WAREHOUSES = 16
+
+
+def default_sharded_scale() -> TpccScale:
+    """The sharded sweep's scale: one home warehouse per peak client."""
+    return TpccScale(
+        warehouses=SHARDED_WAREHOUSES,
+        districts_per_warehouse=2,
+        customers_per_district=15,
+        items=40,
+    )
+
+
+def host_info() -> dict:
+    """CPU topology the curve was measured on — scaling depends on it."""
+    try:
+        effective = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # non-Linux
+        effective = os.cpu_count() or 1
+    cpu_max = None
+    try:
+        cpu_max = Path("/sys/fs/cgroup/cpu.max").read_text().strip()
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count(),
+        "effective_cpus": effective,
+        "cgroup_cpu_max": cpu_max,
+    }
+
 
 @dataclass
 class MeasuredCurve:
-    """Measured throughput for one configuration across client counts."""
+    """Measured throughput for one configuration on one deployment."""
 
-    label: str
+    label: str                       # the configuration: SQL-PT, SQL-AE-RND-4, …
+    n_shards: int                    # 0 = in-process
     clients: list[int]
     throughput: list[float]          # txn/s, wall-clock measured
-    modeled: list[float]             # txn/s from the queueing model
+    modeled: list[float]             # txn/s from the queueing model (in-process only)
     transactions: list[int]          # committed+rolled-back per point
     rollbacks: list[int]
     invariant_violations: list[str] = field(default_factory=list)
 
+    @property
+    def name(self) -> str:
+        return self.label if self.n_shards == 0 else f"{self.label}/{self.n_shards}sh"
+
     def at(self, n: int) -> float:
         return self.throughput[self.clients.index(n)]
+
+    def to_json(self) -> dict:
+        return {
+            "label": self.label,
+            "n_shards": self.n_shards,
+            "clients": self.clients,
+            "throughput_txn_s": self.throughput,
+            "modeled_txn_s": self.modeled,
+            "transactions": self.transactions,
+            "rollbacks": self.rollbacks,
+            "invariant_violations": self.invariant_violations,
+        }
 
 
 @dataclass
 class Figure8MeasuredResult:
+    figure: str                      # "8-measured" | "8-sharded"
     rtt_s: float
-    worker_threads: int
+    worker_threads: int              # per engine process
     transactions_per_client: int
     curves: list[MeasuredCurve]
+    host: dict = field(default_factory=host_info)
 
-    def curve(self, label: str) -> MeasuredCurve:
+    def curve(self, label: str, n_shards: int = 0) -> MeasuredCurve:
         for curve in self.curves:
-            if curve.label == label:
+            if curve.label == label and curve.n_shards == n_shards:
                 return curve
-        raise KeyError(label)
+        raise KeyError((label, n_shards))
+
+    @property
+    def scaling_gate_applicable(self) -> bool:
+        """Can N processes beat one? Only with cores to run them on."""
+        return (self.host.get("effective_cpus") or 1) >= 4
 
     def normalized(self) -> dict[str, list[float]]:
-        """Each curve normalized to SQL-PT's peak, as Figure 8 plots."""
+        """Each curve over in-process SQL-PT's peak, as Figure 8 plots."""
         peak = max(self.curve("SQL-PT").throughput)
         return {
-            curve.label: [t / peak for t in curve.throughput]
+            curve.name: [t / peak for t in curve.throughput]
             for curve in self.curves
         }
 
+    def wire_tax(self, n_shards: int, n_clients: int) -> float:
+        """Sharded SQL-PT throughput over the same-host in-process point."""
+        reference = self.curve("SQL-PT").at(n_clients)
+        return self.curve("SQL-PT", n_shards).at(n_clients) / reference
+
     def print_rows(self) -> str:
-        labels = [c.label for c in self.curves]
         lines = [
             "clients  "
-            + "  ".join(f"{label:>16s}" for label in labels)
+            + "  ".join(f"{curve.name:>16s}" for curve in self.curves)
             + "  (measured txn/s; modeled in parens)"
         ]
-        counts = self.curves[0].clients
-        for i, n in enumerate(counts):
-            cells = [
-                f"{c.throughput[i]:7.1f} ({c.modeled[i]:6.1f})"
-                for c in self.curves
-            ]
-            lines.append(f"{n:7d}  " + "  ".join(f"{cell:>16s}" for cell in cells))
+        for n in sorted({n for curve in self.curves for n in curve.clients}):
+            cells = []
+            for curve in self.curves:
+                cell = ""
+                if n in curve.clients:
+                    i = curve.clients.index(n)
+                    cell = f"{curve.throughput[i]:7.1f}"
+                    if curve.modeled:
+                        cell += f" ({curve.modeled[i]:6.1f})"
+                cells.append(f"{cell:>16s}")
+            lines.append(f"{n:7d}  " + "  ".join(cells))
+        lines.append(
+            f"host: {self.host.get('effective_cpus')} effective CPU(s) "
+            f"(scaling gate {'applies' if self.scaling_gate_applicable else 'off'})"
+        )
         return "\n".join(lines)
 
     def to_json(self) -> dict:
         return {
-            "figure": "8-measured",
+            "figure": self.figure,
             "rtt_s": self.rtt_s,
             "worker_threads": self.worker_threads,
             "transactions_per_client": self.transactions_per_client,
+            "host": self.host,
+            "scaling_gate_applicable": self.scaling_gate_applicable,
             "normalized": self.normalized(),
-            "curves": [
-                {
-                    "label": c.label,
-                    "clients": c.clients,
-                    "throughput_txn_s": c.throughput,
-                    "modeled_txn_s": c.modeled,
-                    "transactions": c.transactions,
-                    "rollbacks": c.rollbacks,
-                    "invariant_violations": c.invariant_violations,
-                }
-                for c in self.curves
-            ],
+            "curves": [curve.to_json() for curve in self.curves],
         }
 
+    def write(self, output_path: Path | str | None) -> "Figure8MeasuredResult":
+        if output_path is not None:
+            Path(output_path).write_text(
+                json.dumps(self.to_json(), indent=2, sort_keys=True)
+            )
+        return self
 
-def run_figure8_measured(
-    scale: TpccScale | None = None,
-    client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
-    transactions_per_client: int = 16,
-    rtt_s: float = MEASURED_RTT_S,
-    worker_threads: int = 16,
-    lock_timeout_s: float = 0.15,
-    output_path: Path | str | None = None,
-) -> Figure8MeasuredResult:
-    """Measure TPC-C throughput with real concurrent clients per mode.
 
-    For each of SQL-PT / SQL-PT-AEConn / SQL-AE-RND-4: build one system,
-    warm its caches, then for each client count spawn that many real
-    client threads (each with its own connection and simulated RTT) and
-    measure wall-clock throughput. After the largest count the TPC-C
-    invariants are audited at quiesce. The queueing model is solved with
-    ``server_cores=1`` (the GIL) and the same RTT, giving the modeled
-    curve the measured one should track in shape.
+def measure_curve(
+    mode: EncryptionMode,
+    scale: TpccScale,
+    n_shards: int,
+    client_counts: tuple[int, ...],
+    transactions_per_client: int,
+    rtt_s: float,
+    worker_threads: int,
+    lock_timeout_s: float,
+) -> MeasuredCurve:
+    """Build → warm → sweep client counts → audit → tear down, once.
+
+    A short lock timeout keeps deadlock victims cheap: under real
+    contention a victim rolls back and retries in ~``lock_timeout_s``
+    instead of stalling the whole curve for the default 5 s.
     """
-    scale = scale or TpccScale(
-        warehouses=8, districts_per_warehouse=2, customers_per_district=15, items=40
-    )
-    curves: list[MeasuredCurve] = []
-    for mode in MEASURED_MODES:
-        config = _config(mode, scale)
-        # A short lock timeout keeps deadlock victims cheap: under real
-        # contention a victim rolls back and retries in ~lock_timeout_s
-        # instead of stalling the whole curve for the default 5 s.
+    config = _config(mode, scale)
+    if n_shards:
+        system = start_sharded_system(
+            config, n_shards, worker_threads=worker_threads, lock_timeout_s=lock_timeout_s
+        )
+    else:
         system = build_system(
             config, worker_threads=worker_threads, lock_timeout_s=lock_timeout_s
         )
-        # Warm the plan cache / CEK cache / enclave sessions before timing.
-        system.transactions.run_mix(8, TRANSACTION_MIX)
+    try:
+        # Warm every engine's plan cache (and CEK cache, enclave sessions)
+        # before timing: seeds 0..n-1 are homed on warehouses 1..n, which
+        # round-robin onto shards 0..n-1.
+        for seed in range(max(n_shards, 1)):
+            system.new_client(seed=seed).run_mix(8, TRANSACTION_MIX)
 
-        calibration = calibrate_system(system, n_transactions=20)
-        model = ModelConfig(
-            server_cores=1,                    # the GIL is one core
-            enclave_threads=config.enclave_threads,
-            rtt_s=rtt_s,
-        )
-        demands = calibration.demands()
+        model_inputs = None
+        if n_shards == 0:
+            # The queueing model is solved with ``server_cores=1`` (the
+            # GIL) and the same RTT: the curve the measured one should
+            # track in shape.
+            model_inputs = (
+                calibrate_system(system, n_transactions=20).demands(),
+                ModelConfig(
+                    server_cores=1, enclave_threads=config.enclave_threads, rtt_s=rtt_s
+                ),
+            )
 
-        throughput: list[float] = []
-        modeled: list[float] = []
-        transactions: list[int] = []
-        rollbacks: list[int] = []
+        curve = MeasuredCurve(config.label, n_shards, list(client_counts), [], [], [], [])
         for n in client_counts:
             result = run_multi_client(
                 system,
@@ -181,41 +298,93 @@ def run_figure8_measured(
                 simulated_rtt_s=rtt_s,
                 seed=5000 + n,
             )
-            throughput.append(result.throughput)
-            modeled.append(solve_throughput(demands, model, n))
-            transactions.append(result.transactions)
-            rollbacks.append(
+            curve.throughput.append(result.throughput)
+            if model_inputs is not None:
+                curve.modeled.append(solve_throughput(*model_inputs, n))
+            curve.transactions.append(result.transactions)
+            curve.rollbacks.append(
                 sum(client.counts.rollbacks for client in result.clients)
             )
-        violations = check_invariants(system)
-        curves.append(
-            MeasuredCurve(
-                label=config.label,
-                clients=list(client_counts),
-                throughput=throughput,
-                modeled=modeled,
-                transactions=transactions,
-                rollbacks=rollbacks,
-                invariant_violations=violations,
-            )
-        )
+        curve.invariant_violations = system.audit()
+        return curve
+    finally:
+        system.shutdown()
 
-    result = Figure8MeasuredResult(
-        rtt_s=rtt_s,
-        worker_threads=worker_threads,
-        transactions_per_client=transactions_per_client,
-        curves=curves,
+
+def run_figure8_measured(
+    scale: TpccScale | None = None,
+    client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
+    transactions_per_client: int = 16,
+    rtt_s: float = MEASURED_RTT_S,
+    worker_threads: int = INPROCESS_WORKER_THREADS,
+    lock_timeout_s: float = 0.15,
+    output_path: Path | str | None = None,
+) -> Figure8MeasuredResult:
+    """SQL-PT / SQL-PT-AEConn / SQL-AE-RND-4 in-process, measured and modeled."""
+    scale = scale or TpccScale(
+        warehouses=8, districts_per_warehouse=2, customers_per_district=15, items=40
     )
-    if output_path is not None:
-        path = Path(output_path)
-        path.write_text(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    return result
+    curves = [
+        measure_curve(
+            mode, scale, 0, client_counts,
+            transactions_per_client, rtt_s, worker_threads, lock_timeout_s,
+        )
+        for mode in MEASURED_MODES
+    ]
+    return Figure8MeasuredResult(
+        "8-measured", rtt_s, worker_threads, transactions_per_client, curves
+    ).write(output_path)
+
+
+def run_figure8_sharded(
+    scale: TpccScale | None = None,
+    shard_counts: tuple[int, ...] = SHARD_COUNTS,
+    client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
+    transactions_per_client: int = 16,
+    rtt_s: float = MEASURED_RTT_S,
+    worker_threads: int = SHARD_WORKER_THREADS,
+    lock_timeout_s: float = 0.15,
+    output_path: Path | str | None = None,
+    ae_shard_counts: tuple[int, ...] = (1, 4),
+    ae_client_counts: tuple[int, ...] = (1, 16),
+) -> Figure8MeasuredResult:
+    """SQL-PT per shard count, a smaller SQL-AE-RND-4 sweep riding along,
+    and the same-host in-process SQL-PT reference at the peak client count."""
+    scale = scale or default_sharded_scale()
+    sweeps = [
+        (EncryptionMode.PLAINTEXT, n_shards, client_counts, worker_threads)
+        for n_shards in shard_counts
+    ] + [
+        (EncryptionMode.RND, n_shards, ae_client_counts, worker_threads)
+        for n_shards in ae_shard_counts
+    ] + [
+        # Measured LAST: the reference runs a full engine in *this*
+        # process, which no sharded measurement should share a core with.
+        (EncryptionMode.PLAINTEXT, 0, (max(client_counts),), INPROCESS_WORKER_THREADS)
+    ]
+    curves = [
+        measure_curve(
+            mode, scale, n_shards, counts,
+            transactions_per_client, rtt_s, workers, lock_timeout_s,
+        )
+        for mode, n_shards, counts, workers in sweeps
+    ]
+    return Figure8MeasuredResult(
+        "8-sharded", rtt_s, worker_threads, transactions_per_client, curves
+    ).write(output_path)
 
 
 __all__ = [
     "MEASURED_CLIENT_COUNTS",
     "MEASURED_RTT_S",
-    "MeasuredCurve",
+    "SHARD_COUNTS",
+    "SHARD_WORKER_THREADS",
+    "SHARDED_WAREHOUSES",
     "Figure8MeasuredResult",
+    "MeasuredCurve",
+    "default_sharded_scale",
+    "host_info",
+    "measure_curve",
     "run_figure8_measured",
+    "run_figure8_sharded",
 ]

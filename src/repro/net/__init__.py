@@ -5,11 +5,13 @@ serialized protocol: length-prefixed, versioned, CRC-protected frames
 (:mod:`repro.net.frames`) carrying typed request/reply messages
 (:mod:`repro.net.messages`) whose payloads are produced by a tagged
 recursive binary codec (:mod:`repro.net.encoding`). On top of the codec
-sit a socket server exposing one :class:`~repro.sqlengine.server.SqlServer`
-(:mod:`repro.net.wireserver`), a client-side stub implementing the exact
-surface the AE driver expects (:mod:`repro.net.remote`), and a stateless
-router that hash-partitions statements across N shard servers and
-coordinates cross-shard two-phase commit (:mod:`repro.net.router`).
+sit a client-side stub implementing the exact surface the AE driver
+expects (:mod:`repro.net.remote`) and the one frame-server loop
+(:mod:`repro.net.frameserver`) with its two users: a socket server
+exposing one :class:`~repro.sqlengine.server.SqlServer`
+(:mod:`repro.net.wireserver`), and a stateless router that
+hash-partitions statements across N shard servers and coordinates
+cross-shard two-phase commit (:mod:`repro.net.router`).
 
 Everything here is *untrusted host* code: the strong adversary reads every
 frame byte (see :meth:`repro.security.adversary.StrongAdversary`), so the

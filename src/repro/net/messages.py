@@ -500,11 +500,17 @@ NONRECONSTRUCTIBLE_ERRORS: tuple[str, ...] = ("RemoteError",)
 
 
 def error_reply_for(exc: BaseException, in_transaction: bool | None = None) -> ErrorReply:
-    """Marshal a server-side exception by concrete type name."""
+    """Marshal a server-side exception by concrete type name.
+
+    A :class:`RemoteError` is an error some *other* server already
+    marshalled (a shard's, relayed by the router): it keeps the origin's
+    type name, so a second hop degrades nothing further.
+    """
+    error_type, message = type(exc).__name__, str(exc)
+    if isinstance(exc, RemoteError):
+        error_type, message = exc.error_type, exc.remote_message
     return ErrorReply(
-        error_type=type(exc).__name__,
-        message=str(exc),
-        in_transaction=in_transaction,
+        error_type=error_type, message=message, in_transaction=in_transaction
     )
 
 

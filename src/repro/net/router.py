@@ -38,17 +38,17 @@ from __future__ import annotations
 
 import itertools
 import os
-import socket
 import threading
-from typing import Callable
+from functools import partial
 
-from repro.errors import FaultInjected, TransactionError, WireError
+from repro.errors import TransactionError, WireError
 from repro.faults.registry import fault_point, register_fault_site
 from repro.net import messages as msg
+from repro.net.frameserver import Dispatch, FrameServer
 from repro.net.messages import decode_message
 from repro.net.opcodes import opcode_byte, opcode_name
 from repro.net.remote import RemoteServer, RemoteSession
-from repro.net.transport import FrameChannel, FrameTap
+from repro.net.transport import FrameTap
 from repro.sqlengine.exec.executor import QueryResult
 
 __all__ = ["CommitDecisionLog", "Router", "shard_of"]
@@ -282,8 +282,10 @@ class RouterSession:
         self.backends.clear()
 
 
-class Router:
-    """Front-side wire server + back-side client of every shard."""
+class Router(FrameServer):
+    """Front-side frame server + back-side client of every shard."""
+
+    _thread_prefix = "router"
 
     def __init__(
         self,
@@ -295,61 +297,21 @@ class Router:
         timeout_s: float | None = 30.0,
         tap: FrameTap | None = None,
     ):
-        self.name = name
+        if not shard_addresses:
+            raise ValueError("router needs at least one shard")
         self.shards: list[RemoteServer] = [
             RemoteServer(h, p, timeout_s=timeout_s) for (h, p) in shard_addresses
         ]
         self.n_shards = len(self.shards)
-        if self.n_shards == 0:
-            raise ValueError("router needs at least one shard")
         self.decisions = decision_log or CommitDecisionLog()
-        self.tap = tap
         self._gtid_counter = itertools.count(1)
         self._session_ids = itertools.count(1)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self.host, self.port = self._listener.getsockname()
-        self._stopping = threading.Event()
-        self._accept_thread: threading.Thread | None = None
-        self._channels_lock = threading.Lock()
-        self._channels: set[FrameChannel] = set()
-
-    # --------------------------------------------------------------- lifecycle
-
-    def start(self) -> "Router":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"router-accept-{self.name}", daemon=True
-        )
-        self._accept_thread.start()
-        return self
+        super().__init__(host, port, name, tap)
 
     def stop(self) -> None:
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._channels_lock:
-            channels = list(self._channels)
-        for channel in channels:
-            channel.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+        super().stop()
         for shard in self.shards:
-            try:
-                shard.close()
-            except Exception:
-                pass
-
-    def __enter__(self) -> "Router":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            shard.close()
 
     # ------------------------------------------------------------- 2PC engine
 
@@ -413,85 +375,29 @@ class Router:
             violations.extend(f"shard{idx}: {v}" for v in shard.audit())
         return violations
 
-    # ------------------------------------------------------------ accept loop
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            channel = FrameChannel(sock, tap=self.tap)
-            with self._channels_lock:
-                self._channels.add(channel)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(channel,),
-                name=f"router-conn-{self.name}",
-                daemon=True,
-            ).start()
+    # ------------------------------------------------------------- connection
 
     def _affinity_shard(self, affinity: int | None) -> int:
         if affinity is None:
             return 0
         return shard_of(affinity, self.n_shards)
 
-    def _serve_connection(self, channel: FrameChannel) -> None:
-        sessions: dict[int, RouterSession] = {}
-        affinity_shard = 0
-        try:
-            hello = channel.recv_message()
-            if not isinstance(hello, msg.Hello):
-                return
-            affinity_shard = self._affinity_shard(hello.affinity)
-            shard_hello = self.shards[affinity_shard].hello
-            channel.send_message(
-                msg.HelloReply(
-                    protocol_version=1,
-                    server_name=self.name,
-                    shard_count=self.n_shards,
-                    hgs_public=shard_hello.hgs_public,
-                )
-            )
-            while True:
-                request = channel.recv_message()
-                if request is None or isinstance(request, msg.AdminShutdown):
-                    if request is not None:
-                        channel.send_message(msg.Ok())
-                    if isinstance(request, msg.AdminShutdown):
-                        threading.Thread(target=self.stop, daemon=True).start()
-                    return
-                try:
-                    if isinstance(request, msg.Execute):
-                        session = self._session(sessions, request.session_id)
-                        raw = session.execute_fast(request.query_text, request.params)
-                        if raw is not None:
-                            channel.send_frame(raw)
-                            continue
-                        # Slow path: nothing was sent to any shard yet.
-                    reply = self._dispatch(request, sessions, affinity_shard)
-                except WireError:
-                    raise  # protocol violation: drop the connection
-                except Exception as exc:
-                    in_txn = None
-                    if isinstance(request, msg.Execute):
-                        session = sessions.get(request.session_id)
-                        if session is not None:
-                            in_txn = session.in_transaction
-                    reply = msg.error_reply_for(exc, in_transaction=in_txn)
-                channel.send_message(reply)
-        except (ConnectionError, WireError, OSError, FaultInjected):
-            pass  # peer vanished, spoke garbage, or a net.* fault fired here
-        finally:
-            for session in sessions.values():
-                try:
-                    session.close()
-                except Exception:
-                    pass
-            with self._channels_lock:
-                self._channels.discard(channel)
-            channel.close()
+    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch]:
+        affinity_shard = self._affinity_shard(hello.affinity)
+        reply = msg.HelloReply(
+            protocol_version=1,
+            server_name=self.name,
+            shard_count=self.n_shards,
+            hgs_public=self.shards[affinity_shard].hello.hgs_public,
+        )
+        return reply, partial(self._dispatch, affinity_shard=affinity_shard)
+
+    def _forward_raw(self, request: object, sessions: dict) -> bytes | None:
+        if not isinstance(request, msg.Execute):
+            return None
+        # None = slow path through _dispatch: nothing was sent to any shard yet.
+        session = self._session(sessions, request.session_id)
+        return session.execute_fast(request.query_text, request.params)
 
     # --------------------------------------------------------------- dispatch
 
@@ -552,10 +458,3 @@ class Router:
         if isinstance(request, msg.AdminAudit):
             return msg.AdminAuditReply(violations=self.audit())
         raise WireError(f"message type {type(request).__name__!r} not valid at router")
-
-    @staticmethod
-    def _session(sessions: dict[int, RouterSession], session_id: int) -> RouterSession:
-        try:
-            return sessions[session_id]
-        except KeyError:
-            raise WireError(f"unknown session id {session_id}") from None

@@ -1,15 +1,9 @@
 """The socket server exposing one :class:`SqlServer` over the wire.
 
-One accept-loop thread plus one handler thread per connection. Each
-connection owns its sessions: a dropped socket aborts and closes every
-session it opened (the usual connection-loss contract), so a client crash
-never leaks session slots or row locks.
-
-Every server-side exception is marshalled as an :class:`ErrorReply` with
-the concrete type name — ``StaleRestoreError`` quarantine refusals,
-``LockTimeoutError``, injected faults — so typed client handling works
-identically to the in-process seam. Only wire-level failures (a peer
-speaking garbage) terminate the connection.
+The serving loop — accept thread, per-connection request loop, typed
+error marshalling, connection-loss session clean-up — is the shared
+:class:`~repro.net.frameserver.FrameServer`; this module is what *one
+engine* answers to each message.
 
 The ``audit_hook`` is the shard harness's seam: an ``AdminAudit`` frame
 runs it (e.g. TPC-C invariants + index-consistency checks over a local
@@ -18,20 +12,21 @@ plain connection) and returns the violation strings.
 
 from __future__ import annotations
 
-import socket
-import threading
 from typing import Callable
 
-from repro.errors import FaultInjected, WireError
+from repro.errors import WireError
 from repro.net import messages as msg
-from repro.net.transport import FrameChannel, FrameTap
+from repro.net.frameserver import Dispatch, FrameServer
+from repro.net.transport import FrameTap
 from repro.sqlengine.server import ServerSession, SqlServer
 
 __all__ = ["WireServer"]
 
 
-class WireServer:
+class WireServer(FrameServer):
     """Serve one :class:`SqlServer` on a TCP port."""
+
+    _thread_prefix = "wire"
 
     def __init__(
         self,
@@ -43,121 +38,20 @@ class WireServer:
         audit_hook: Callable[[], list[str]] | None = None,
         tap: FrameTap | None = None,
     ):
+        super().__init__(host, port, name, tap)
         self.server = server
-        self.name = name
         self.shard_count = shard_count
         self.audit_hook = audit_hook
-        #: observes every serialized frame on every connection (adversary).
-        self.tap = tap
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self.host, self.port = self._listener.getsockname()
-        self._stopping = threading.Event()
-        self._accept_thread: threading.Thread | None = None
-        self._channels_lock = threading.Lock()
-        self._channels: set[FrameChannel] = set()
 
-    # --------------------------------------------------------------- lifecycle
-
-    def start(self) -> "WireServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"wire-accept-{self.name}", daemon=True
+    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch]:
+        hgs = self.server.hgs
+        reply = msg.HelloReply(
+            protocol_version=1,
+            server_name=self.name,
+            shard_count=self.shard_count,
+            hgs_public=None if hgs is None else hgs.signing_public_key,
         )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting and drop every live connection."""
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._channels_lock:
-            channels = list(self._channels)
-        for channel in channels:
-            channel.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-
-    def __enter__(self) -> "WireServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------ accept loop
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            channel = FrameChannel(sock, tap=self.tap)
-            with self._channels_lock:
-                self._channels.add(channel)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(channel,),
-                name=f"wire-conn-{self.name}",
-                daemon=True,
-            ).start()
-
-    # ------------------------------------------------------------- connection
-
-    def _serve_connection(self, channel: FrameChannel) -> None:
-        sessions: dict[int, ServerSession] = {}
-        try:
-            hello = channel.recv_message()
-            if not isinstance(hello, msg.Hello):
-                return
-            hgs = self.server.hgs
-            channel.send_message(
-                msg.HelloReply(
-                    protocol_version=1,
-                    server_name=self.name,
-                    shard_count=self.shard_count,
-                    hgs_public=None if hgs is None else hgs.signing_public_key,
-                )
-            )
-            while True:
-                request = channel.recv_message()
-                if request is None or isinstance(request, msg.AdminShutdown):
-                    if request is not None:
-                        channel.send_message(msg.Ok())
-                    if isinstance(request, msg.AdminShutdown):
-                        threading.Thread(target=self.stop, daemon=True).start()
-                    return
-                try:
-                    reply = self._dispatch(request, sessions)
-                except WireError:
-                    raise  # protocol violation: drop the connection
-                except Exception as exc:  # marshalled to the client, typed
-                    in_txn = None
-                    if isinstance(request, msg.Execute):
-                        session = sessions.get(request.session_id)
-                        if session is not None:
-                            in_txn = session.in_transaction
-                    reply = msg.error_reply_for(exc, in_transaction=in_txn)
-                channel.send_message(reply)
-        except (ConnectionError, WireError, OSError, FaultInjected):
-            pass  # peer vanished, spoke garbage, or an armed net.* fault
-            # fired on our side of the socket: tear the connection down
-        finally:
-            for session in sessions.values():
-                try:
-                    session.close()
-                except Exception:
-                    pass  # a crashed engine may refuse the closing abort
-            with self._channels_lock:
-                self._channels.discard(channel)
-            channel.close()
+        return reply, self._dispatch
 
     # --------------------------------------------------------------- dispatch
 
@@ -245,10 +139,3 @@ class WireServer:
         if isinstance(request, msg.AdminCekVersions):
             return msg.AdminCekVersionsReply(versions=server.cek_versions())
         raise WireError(f"unhandled message type {type(request).__name__!r}")
-
-    @staticmethod
-    def _session(sessions: dict[int, ServerSession], session_id: int) -> ServerSession:
-        try:
-            return sessions[session_id]
-        except KeyError:
-            raise WireError(f"unknown session id {session_id}") from None

@@ -330,6 +330,16 @@ class SqlServer:
     def quarantined(self) -> bool:
         return self._quarantined
 
+    def shutdown(self) -> None:
+        """Stop this server's threads: enclave workers and statement workers.
+
+        Without it every QUEUED gateway leaves ``enclave_threads`` daemon
+        threads polling their queue for the life of the process.
+        """
+        if self.gateway is not None:
+            self.gateway.shutdown()
+        self.scheduler.shutdown()
+
     # ------------------------------------------------------- two-phase commit
 
     def commit_prepared(self, gtid: str) -> bool:

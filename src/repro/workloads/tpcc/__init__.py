@@ -6,14 +6,7 @@ from repro.workloads.tpcc.config import (
     EncryptionMode,
     TpccConfig,
 )
-from repro.workloads.tpcc.driver import (
-    TpccSystem,
-    build_system,
-    measure_service_times,
-    mixed_service_time,
-    run_concurrent,
-    run_throughput,
-)
+from repro.workloads.tpcc.driver import TpccSystem, build_system, run_multi_client
 from repro.workloads.tpcc.generator import TpccLoader, c_last_name, nurand
 from repro.workloads.tpcc.transactions import TpccTransactions, TxnCounts
 
@@ -28,9 +21,6 @@ __all__ = [
     "TxnCounts",
     "build_system",
     "c_last_name",
-    "measure_service_times",
-    "mixed_service_time",
     "nurand",
-    "run_concurrent",
-    "run_throughput",
+    "run_multi_client",
 ]

@@ -24,9 +24,9 @@ def test_every_project_function_is_registered(graph):
 
 
 def test_self_method_edges_resolve(graph):
-    # WireServer._serve_connection calls self._dispatch
-    caller = graph.functions["repro.net.wireserver:WireServer._serve_connection"]
-    assert "repro.net.wireserver:WireServer._dispatch" in caller.callees
+    # FrameServer._serve_connection calls self._forward_raw
+    caller = graph.functions["repro.net.frameserver:FrameServer._serve_connection"]
+    assert "repro.net.frameserver:FrameServer._forward_raw" in caller.callees
 
 
 def test_import_binding_edges_resolve(graph):
@@ -42,8 +42,8 @@ def test_receiver_alias_edges_resolve(graph):
 
 
 def test_callers_are_the_reverse_of_callees(graph):
-    callee = graph.functions["repro.net.wireserver:WireServer._dispatch"]
-    assert "repro.net.wireserver:WireServer._serve_connection" in callee.callers
+    callee = graph.functions["repro.net.frameserver:FrameServer._forward_raw"]
+    assert "repro.net.frameserver:FrameServer._serve_connection" in callee.callers
 
 
 def test_builtin_colliding_names_do_not_fallback(graph):

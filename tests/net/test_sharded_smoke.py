@@ -12,7 +12,7 @@ under the plaintext mode, AdminShutdown teardown).
 from __future__ import annotations
 
 from repro.workloads.tpcc.config import TRANSACTION_MIX, TpccConfig
-from repro.workloads.tpcc.sharded import start_sharded_system, wait_for_quiesce
+from repro.workloads.tpcc.sharded import start_sharded_system
 
 TINY = TpccConfig(
     warehouses=4, districts_per_warehouse=2, customers_per_district=6, items=20
@@ -29,7 +29,6 @@ def test_multiprocess_sharded_tpcc_slice():
             client.run_mix(12, TRANSACTION_MIX)
         committed = sum(c.counts.total for c in clients)
         assert committed >= 12, f"only {committed} transactions ran"
-        wait_for_quiesce(system)
         assert system.audit() == []
     finally:
         system.shutdown()

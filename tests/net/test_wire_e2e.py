@@ -19,6 +19,7 @@ from repro.errors import ConstraintError, RemoteError, StaleRestoreError
 from repro.faults.actions import DropMessage, RaiseTransient
 from repro.faults.schedules import Always, OnNth
 from repro.net.remote import RemoteServer
+from repro.net.router import Router
 from repro.net.wireserver import WireServer
 from repro.sqlengine.server import SqlServer
 from tests.conftest import ALGO, make_encrypted_table
@@ -115,8 +116,11 @@ def test_unknown_server_exception_degrades_to_remote_error(plain_wire, plain_ser
     monkeypatch.setattr(plain_server, "connect", explode)
     remote = RemoteServer(plain_wire.host, plain_wire.port)
     with pytest.raises(RemoteError) as excinfo:
-        remote.connect()
+        # A wire server opens the engine session at connect; a router
+        # opens its shard sessions lazily, at the first statement.
+        remote.connect().execute("SELECT 1", {})
     assert excinfo.value.error_type == "ExoticFailure"
+    assert "no wire mapping for this" in str(excinfo.value)
     remote.close()
 
 
@@ -141,6 +145,45 @@ def test_connection_loss_closes_server_sessions(plain_wire, plain_server):
     assert session2.execute("SELECT K FROM C", {}).rows == []
     remote.close()
     remote2.close()
+
+
+def test_handshake_and_shutdown_contract(plain_wire):
+    """Hello → HelloReply, then AdminShutdown stops the whole endpoint."""
+    remote = RemoteServer(plain_wire.host, plain_wire.port)
+    assert remote.hello.protocol_version == 1
+    assert remote.hello.server_name == plain_wire.name
+    assert remote.hello.shard_count == 1
+    assert remote.hello.hgs_public is None
+    assert remote.ping()
+    assert not plain_wire.wait_stopped(timeout_s=0)
+    remote.shutdown()
+    assert plain_wire.wait_stopped(timeout_s=5.0)
+    with pytest.raises(OSError):
+        RemoteServer(plain_wire.host, plain_wire.port, timeout_s=1.0)
+
+
+class TestSameContractBehindRouter:
+    """The frame-server loop has two users. The tests above run it under a
+    :class:`WireServer`; these re-run the loop's own contract — typed and
+    untyped error marshalling, connection-loss clean-up, handshake and
+    shutdown — under a :class:`Router` in front of that wire server."""
+
+    @pytest.fixture()
+    def plain_wire(self, plain_server):
+        with WireServer(plain_server, name="plain-shard") as shard:
+            with Router([(shard.host, shard.port)], name="plain-test") as router:
+                yield router
+
+    test_typed_errors_cross_the_wire = staticmethod(test_typed_errors_cross_the_wire)
+    test_unknown_server_exception_degrades_to_remote_error = staticmethod(
+        test_unknown_server_exception_degrades_to_remote_error
+    )
+    test_connection_loss_closes_server_sessions = staticmethod(
+        test_connection_loss_closes_server_sessions
+    )
+    test_handshake_and_shutdown_contract = staticmethod(
+        test_handshake_and_shutdown_contract
+    )
 
 
 # ----------------------------------------------------------- fault injection

@@ -6,7 +6,7 @@ from repro.workloads.tpcc import (
     EncryptionMode,
     TpccConfig,
     build_system,
-    run_concurrent,
+    run_multi_client,
 )
 
 TINY = dict(warehouses=1, districts_per_warehouse=2, customers_per_district=10, items=15)
@@ -15,21 +15,22 @@ TINY = dict(warehouses=1, districts_per_warehouse=2, customers_per_district=10, 
 class TestConcurrentClients:
     def test_plaintext_concurrent_mix(self):
         system = build_system(TpccConfig(mode=EncryptionMode.PLAINTEXT, **TINY))
-        elapsed, clients = run_concurrent(system, n_clients=4, transactions_per_client=8)
+        result = run_multi_client(system, n_clients=4, transactions_per_client=8)
+        clients = result.clients
         total = sum(c.counts.total for c in clients)
         assert total >= 4 * 8 - sum(c.counts.rollbacks for c in clients)
-        assert elapsed > 0
+        assert result.elapsed_s > 0
 
     def test_encrypted_concurrent_mix_shares_enclave(self):
         system = build_system(TpccConfig(mode=EncryptionMode.RND, **TINY))
-        __, clients = run_concurrent(system, n_clients=3, transactions_per_client=6)
+        clients = run_multi_client(system, n_clients=3, transactions_per_client=6).clients
         # Each client attested its own session; the single enclave served all.
         assert system.enclave.counters.sessions_started >= 3
         assert sum(c.counts.total for c in clients) > 0
 
     def test_database_consistent_after_concurrency(self):
         system = build_system(TpccConfig(mode=EncryptionMode.PLAINTEXT, **TINY))
-        run_concurrent(system, n_clients=4, transactions_per_client=6)
+        run_multi_client(system, n_clients=4, transactions_per_client=6)
         conn = system.connection
         # District order counters never exceed the number of orders + initial.
         for d_id in (1, 2):
