@@ -47,9 +47,7 @@ def test_recorder_overhead_under_5_percent():
         mode=EncryptionMode.RND,
         enclave_threads=2,
     )
-    system = build_system(
-        config, enclave_call_mode=CallMode.SYNCHRONOUS, worker_threads=0
-    )
+    system = build_system(config, enclave_call_mode=CallMode.SYNCHRONOUS)
     recorder = get_recorder()
     txns = system.transactions
     for i in range(10):  # warm plans, caches, and the attestation session

@@ -75,8 +75,8 @@ def _open_mixed_window(system) -> tuple[str, int]:
 
 
 def test_rotation_overhead_under_10_percent():
-    rotating = build_system(_config(), worker_threads=0)
-    idle = build_system(_config(), worker_threads=0)
+    rotating = build_system(_config())
+    idle = build_system(_config())
     arms = {"rotating": rotating.transactions, "idle": idle.transactions}
 
     for txns in arms.values():  # warm plans and caches on both systems

@@ -151,9 +151,9 @@ class AnalysisConfig:
 
 #: Declared lock order for this repository, outermost → innermost. The
 #: client connection's state lock is outermost (the driver holds it
-#: across whole server round-trips); the server session/plan locks and
-#: the statement scheduler come next; the txn lock manager sits above
-#: storage (it blocks); the catalog and index latches sit above the
+#: across whole server round-trips); the server session/plan locks come
+#: next; the txn lock manager sits above storage (it blocks); the
+#: catalog and index latches sit above the
 #: enclave because comparators call into the gateway while held; the
 #: enclave's own locks sit above storage because ecalls never call back
 #: into the host; heap latches nest into the buffer-pool latch, which
@@ -173,7 +173,6 @@ DEFAULT_LOCK_ORDER = (
     "repro.net.router.*",
     "repro.net.frameserver.FrameServer.*",
     "repro.sqlengine.server.SqlServer.*",
-    "repro.sqlengine.scheduler.StatementScheduler.*",
     "repro.sqlengine.txn.locks.LockManager.*",
     "repro.sqlengine.txn.transaction.*",
     "repro.sqlengine.catalog.Catalog.*",
@@ -210,7 +209,6 @@ DEFAULT_RECEIVER_ALIASES = {
     "registry": "repro.obs.metrics.MetricsRegistry",
     "pool": "repro.sqlengine.storage.bufferpool.BufferPool",
     "_pool": "repro.sqlengine.storage.bufferpool.BufferPool",
-    "scheduler": "repro.sqlengine.scheduler.StatementScheduler",
     "cek_cache": "repro.client.caches.CekCache",
 }
 

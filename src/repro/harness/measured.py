@@ -9,11 +9,12 @@ mix against one :class:`~repro.workloads.tpcc.driver.TpccSystem`.
 
 There is one measurement routine, :func:`measure_curve`, and the
 deployment is one of its arguments: ``n_shards=0`` hosts the engine in
-this process (the concurrent session layer: bounded worker pool, two-phase
-locking, shared plan cache, shared enclave sessions); ``n_shards>0`` forks
-that many shard processes behind the router process, the unmodified AE
-driver speaking the binary wire protocol to one address. The two entry
-points differ only in which curves they ask for:
+this process (the concurrent session layer: each statement on its
+client's thread, two-phase locking, shared plan cache, shared enclave
+sessions); ``n_shards>0`` forks that many shard processes behind the
+router process, the unmodified AE driver speaking the binary wire
+protocol to one address. The two entry points differ only in which
+curves they ask for:
 
 * :func:`run_figure8_measured` — SQL-PT / SQL-PT-AEConn / SQL-AE-RND-4,
   all in-process, each overlaid with the queueing model's curve.
@@ -30,20 +31,16 @@ queueing model, so the modeled and measured curves are directly
 comparable — EXPERIMENTS.md overlays them.
 
 The sharded sweep keeps the in-process run's mix, RTT and per-client
-transaction budget, with two deliberate differences:
-
-* **Warehouses scale with the peak client count** (16), TPC-C's own
-  scaling rule (one home warehouse per terminal). At the in-process
-  run's 8 warehouses, 16 clients pair up two-per-warehouse and Payment's
-  exclusive warehouse-row lock serializes each pair — the wire lengthens
-  every lock-hold window by two hops, so the 8-warehouse sharded mix
-  measures lock-convoy collapse, not deployment scaling.
-* **Shards run statements inline on their connection threads**
-  (``worker_threads=0``). The bounded worker pool exists to cap
-  concurrency *inside one shared process*; a shard process already has
-  exactly one connection thread per client it serves, and hopping each
-  statement through submit→worker→reply-wakeup adds three thread
-  switches per statement — measurably slower at every shard count.
+transaction budget, with one deliberate difference: **warehouses scale
+with the peak client count** (16), TPC-C's own scaling rule (one home
+warehouse per terminal). At the in-process run's 8 warehouses, 16
+clients pair up two-per-warehouse and Payment's exclusive warehouse-row
+lock serializes each pair — the wire lengthens every lock-hold window by
+two hops, so the 8-warehouse sharded mix measures lock-convoy collapse,
+not deployment scaling. Every engine, in this process or in a shard,
+runs a statement on the thread that brought it (the client's thread, the
+shard's connection thread), so the two deployments differ only in the
+wire.
 
 Whether sharding can *exceed* the in-process ceiling is a property of
 the host, so the result records the host topology and the sharded sweep
@@ -92,16 +89,10 @@ MEASURED_MODES = (
     EncryptionMode.RND,
 )
 
-#: Statement workers of the in-process engine: one per peak client.
-INPROCESS_WORKER_THREADS = 16
-
 #: Shard-process counts swept by the benchmark. 1 shard isolates the pure
 #: wire/router overhead against the in-process reference; 8 shards is past
 #: the point where the client process or router becomes the bottleneck.
 SHARD_COUNTS = (1, 2, 4, 8)
-
-#: Worker threads per shard process: inline (see the module docstring).
-SHARD_WORKER_THREADS = 0
 
 #: Home warehouses at the peak client count: one per client (TPC-C's
 #: terminal-per-warehouse scaling rule). See the module docstring.
@@ -173,7 +164,6 @@ class MeasuredCurve:
 class Figure8MeasuredResult:
     figure: str                      # "8-measured" | "8-sharded"
     rtt_s: float
-    worker_threads: int              # per engine process
     transactions_per_client: int
     curves: list[MeasuredCurve]
     host: dict = field(default_factory=host_info)
@@ -229,7 +219,6 @@ class Figure8MeasuredResult:
         return {
             "figure": self.figure,
             "rtt_s": self.rtt_s,
-            "worker_threads": self.worker_threads,
             "transactions_per_client": self.transactions_per_client,
             "host": self.host,
             "scaling_gate_applicable": self.scaling_gate_applicable,
@@ -252,7 +241,6 @@ def measure_curve(
     client_counts: tuple[int, ...],
     transactions_per_client: int,
     rtt_s: float,
-    worker_threads: int,
     lock_timeout_s: float,
 ) -> MeasuredCurve:
     """Build → warm → sweep client counts → audit → tear down, once.
@@ -263,13 +251,9 @@ def measure_curve(
     """
     config = _config(mode, scale)
     if n_shards:
-        system = start_sharded_system(
-            config, n_shards, worker_threads=worker_threads, lock_timeout_s=lock_timeout_s
-        )
+        system = start_sharded_system(config, n_shards, lock_timeout_s=lock_timeout_s)
     else:
-        system = build_system(
-            config, worker_threads=worker_threads, lock_timeout_s=lock_timeout_s
-        )
+        system = build_system(config, lock_timeout_s=lock_timeout_s)
     try:
         # Warm every engine's plan cache (and CEK cache, enclave sessions)
         # before timing: seeds 0..n-1 are homed on warehouses 1..n, which
@@ -316,7 +300,6 @@ def run_figure8_measured(
     client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
     transactions_per_client: int = 16,
     rtt_s: float = MEASURED_RTT_S,
-    worker_threads: int = INPROCESS_WORKER_THREADS,
     lock_timeout_s: float = 0.15,
     output_path: Path | str | None = None,
 ) -> Figure8MeasuredResult:
@@ -327,12 +310,12 @@ def run_figure8_measured(
     curves = [
         measure_curve(
             mode, scale, 0, client_counts,
-            transactions_per_client, rtt_s, worker_threads, lock_timeout_s,
+            transactions_per_client, rtt_s, lock_timeout_s,
         )
         for mode in MEASURED_MODES
     ]
     return Figure8MeasuredResult(
-        "8-measured", rtt_s, worker_threads, transactions_per_client, curves
+        "8-measured", rtt_s, transactions_per_client, curves
     ).write(output_path)
 
 
@@ -342,7 +325,6 @@ def run_figure8_sharded(
     client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
     transactions_per_client: int = 16,
     rtt_s: float = MEASURED_RTT_S,
-    worker_threads: int = SHARD_WORKER_THREADS,
     lock_timeout_s: float = 0.15,
     output_path: Path | str | None = None,
     ae_shard_counts: tuple[int, ...] = (1, 4),
@@ -352,25 +334,25 @@ def run_figure8_sharded(
     and the same-host in-process SQL-PT reference at the peak client count."""
     scale = scale or default_sharded_scale()
     sweeps = [
-        (EncryptionMode.PLAINTEXT, n_shards, client_counts, worker_threads)
+        (EncryptionMode.PLAINTEXT, n_shards, client_counts)
         for n_shards in shard_counts
     ] + [
-        (EncryptionMode.RND, n_shards, ae_client_counts, worker_threads)
+        (EncryptionMode.RND, n_shards, ae_client_counts)
         for n_shards in ae_shard_counts
     ] + [
         # Measured LAST: the reference runs a full engine in *this*
         # process, which no sharded measurement should share a core with.
-        (EncryptionMode.PLAINTEXT, 0, (max(client_counts),), INPROCESS_WORKER_THREADS)
+        (EncryptionMode.PLAINTEXT, 0, (max(client_counts),))
     ]
     curves = [
         measure_curve(
             mode, scale, n_shards, counts,
-            transactions_per_client, rtt_s, workers, lock_timeout_s,
+            transactions_per_client, rtt_s, lock_timeout_s,
         )
-        for mode, n_shards, counts, workers in sweeps
+        for mode, n_shards, counts in sweeps
     ]
     return Figure8MeasuredResult(
-        "8-sharded", rtt_s, worker_threads, transactions_per_client, curves
+        "8-sharded", rtt_s, transactions_per_client, curves
     ).write(output_path)
 
 
@@ -378,7 +360,6 @@ __all__ = [
     "MEASURED_CLIENT_COUNTS",
     "MEASURED_RTT_S",
     "SHARD_COUNTS",
-    "SHARD_WORKER_THREADS",
     "SHARDED_WAREHOUSES",
     "Figure8MeasuredResult",
     "MeasuredCurve",

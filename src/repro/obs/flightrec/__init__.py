@@ -2,7 +2,7 @@
 
 Every instrumentation point in the stack — spans closing, ecall
 observations, lock and latch waits, fault injections, WAL flushes,
-scheduler queue events, leakage observations — feeds one process-global
+leakage observations — feeds one process-global
 :class:`FlightRecorder`. The recorder is a ring buffer: it never grows
 without bound, and eviction is *counted*, never silent.
 
@@ -48,8 +48,6 @@ EVENT_KINDS: dict[str, str] = {
     "stmt.begin": "a statement started executing on the server",
     "stmt.end": "a statement finished (attrs: elapsed_s, rows, ok)",
     "span.end": "a tracer span closed (attrs: name, span_kind, duration_s)",
-    "sched.enqueue": "a statement entered the scheduler queue",
-    "sched.dispatch": "a scheduler worker picked a statement up",
     "enclave.ecall": "one enclave boundary crossing (attrs: name)",
     "enclave.transition": "measured ecall wall time (attrs: rows, duration_s)",
     "lock.wait": "a txn lock wait ended (attrs: resource, duration_s)",

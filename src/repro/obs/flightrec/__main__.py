@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``record --out DIR`` — build a small RND TPC-C system (QUEUED enclave
-  gateway, multi-threaded scheduler), drive it from concurrent clients,
+  gateway), drive it from concurrent client threads,
   and export ``flight.jsonl``, ``flight.chrome.json`` (Perfetto-loadable)
   and ``transition_costs.json``;
 * ``validate PATH`` — check a JSONL recording against the event schema;
@@ -40,16 +40,8 @@ def _cmd_record(args) -> int:
         enclave_threads=2,
         eval_batch_size=args.batch_size,
     )
-    print(
-        f"building {config.label} system "
-        f"(worker_threads={args.workers}, QUEUED gateway) ...",
-        flush=True,
-    )
-    system = build_system(
-        config,
-        enclave_call_mode=CallMode.QUEUED,
-        worker_threads=args.workers,
-    )
+    print(f"building {config.label} system (QUEUED gateway) ...", flush=True)
+    system = build_system(config, enclave_call_mode=CallMode.QUEUED)
     recorder = get_recorder()
     # The schema/load phase floods the ring; the recording of interest is
     # the concurrent client run.
@@ -131,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
     p_record.add_argument("--clients", type=int, default=2)
     p_record.add_argument("--txns", type=int, default=10,
                           help="transactions per client")
-    p_record.add_argument("--workers", type=int, default=2,
-                          help="statement scheduler worker threads")
     p_record.add_argument("--customers", type=int, default=10,
                           help="customers per district")
     p_record.add_argument("--batch-size", type=int, default=8,

@@ -1,174 +1,44 @@
-"""The server's statement scheduler: a bounded worker pool.
+"""The server's statement gate.
 
-SQL Server multiplexes thousands of connections over a fixed pool of
-SQLOS workers; a statement arriving from a session is dispatched to a
-worker, runs to completion there, and the client blocks until its result
-is ready. This module reproduces that shape for the concurrent session
-layer: ``SqlServer`` owns one :class:`StatementScheduler`, every
-session's DML statement is submitted to it, and ``worker_threads`` caps
-how many statements execute simultaneously regardless of how many
-clients are connected.
+A statement runs start-to-finish on the thread that brought it: the
+client's own thread in-process, the connection thread behind a
+``WireServer``. The thread-local span tracer and the
+:class:`~repro.obs.querystats.QueryStatsCollector` attribution context
+therefore live on the thread doing the work, with no hand-off to adopt.
 
-Running the whole statement on one worker thread is also what makes
-per-statement observability correct under concurrency: the span tracer
-is thread-local, and the :class:`~repro.obs.querystats.QueryStatsCollector`
-pushes its attribution context on the thread that executes the statement.
-
-Workers are spawned on demand up to the cap and retire after an idle
-timeout, so an idle server holds no threads. ``worker_threads=0`` turns
-the scheduler into a pass-through (statements run on the calling
-thread) — the pre-concurrency behaviour, and the mode recovery tests
-use. A submit *from* a worker thread also runs inline: a statement that
-re-enters the server (driver-internal round-trips) must not wait for a
-second worker that the pool may never grant, the classic thread-pool
-self-deadlock.
+There is deliberately no cap on concurrent statements. Locks are held
+across statements, so a per-statement cap lets lock waiters occupy every
+slot while the holders' next statements queue behind them until
+``lock_timeout`` fires (docs/CONCURRENCY.md has the numbers);
+``SqlServer(max_sessions=…)`` is the admission bound. The gate only
+counts statements and refuses them once the server is shut down.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.obs.flightrec import record_event
+from repro.errors import SqlError
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import EMPTY_CAPTURE, CapturedTrace, get_tracer
-
-
-@dataclass
-class _Task:
-    fn: Callable[[], object]
-    done: threading.Event = field(default_factory=threading.Event)
-    result: object = None
-    error: BaseException | None = None
-    enqueued_at: float = field(default_factory=time.perf_counter)
-    #: The submitting thread's trace state and metric attribution
-    #: contexts; the worker adopts both so spans, flight-recorder events,
-    #: and counter increments all land under the submitting statement.
-    trace: CapturedTrace = EMPTY_CAPTURE
-    contexts: tuple = ()
 
 
 class StatementScheduler:
-    """Dispatches statement closures onto a bounded worker pool."""
+    """Runs statement closures on the calling thread until shut down."""
 
-    def __init__(self, worker_threads: int = 4, idle_timeout_s: float = 2.0):
-        if worker_threads < 0:
-            raise ValueError("worker_threads cannot be negative")
-        self.worker_threads = worker_threads
-        self.idle_timeout_s = idle_timeout_s
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._tasks: deque[_Task] = deque()
-        self._live = 0            # worker threads alive
-        self._idle = 0            # workers currently waiting for work
+    def __init__(self) -> None:
         self._shutdown = False
-        self._tls = threading.local()
-        registry = get_registry()
-        self._dispatched = registry.counter(
-            "scheduler.statements_dispatched",
-            help="statements executed on a scheduler worker thread",
-        )
-        self._inline = registry.counter(
+        self._inline = get_registry().counter(
             "scheduler.statements_inline",
-            help="statements executed inline (pass-through or reentrant)",
-        )
-        self._spawned = registry.counter(
-            "scheduler.workers_spawned", help="worker threads created on demand"
-        )
-        self._retired = registry.counter(
-            "scheduler.workers_retired", help="worker threads retired after idling"
-        )
-        self._queue_depth = registry.gauge(
-            "scheduler.queue_depth", help="statements waiting for a worker"
-        )
-        self._dispatch_wait = registry.histogram(
-            "scheduler.dispatch_wait_seconds",
-            help="time a statement waited in the queue before a worker took it",
+            help="statements executed on the thread that submitted them",
         )
 
     def submit(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` on a worker and return its result (re-raising errors).
-
-        The calling thread blocks until completion — the scheduler bounds
-        *execution* parallelism, it does not make statements asynchronous.
-        """
-        if self.worker_threads == 0 or getattr(self._tls, "is_worker", False):
-            self._inline.inc()
-            return fn()
-        registry = get_registry()
-        task = _Task(
-            fn,
-            trace=get_tracer().capture(),
-            contexts=registry.current_contexts(),
-        )
-        record_event("sched.enqueue", queue_depth=len(self._tasks))
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError("statement scheduler is shut down")
-            self._tasks.append(task)
-            self._queue_depth.set(len(self._tasks))
-            if len(self._tasks) > self._idle and self._live < self.worker_threads:
-                self._live += 1
-                self._spawned.inc()
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"stmt-worker-{self._live}",
-                    daemon=True,
-                )
-                thread.start()
-            self._work.notify()
-        task.done.wait()
-        if task.error is not None:
-            raise task.error
-        return task.result
-
-    def _worker_loop(self) -> None:
-        self._tls.is_worker = True
-        while True:
-            with self._lock:
-                deadline = time.monotonic() + self.idle_timeout_s
-                while not self._tasks and not self._shutdown:
-                    self._idle += 1
-                    remaining = deadline - time.monotonic()
-                    signalled = remaining > 0 and self._work.wait(timeout=remaining)
-                    self._idle -= 1
-                    if not signalled and not self._tasks:
-                        # Idle timeout (or shutdown wakeup): retire.
-                        self._live -= 1
-                        self._retired.inc()
-                        return
-                if self._shutdown and not self._tasks:
-                    self._live -= 1
-                    return
-                task = self._tasks.popleft()
-                self._queue_depth.set(len(self._tasks))
-            wait_s = time.perf_counter() - task.enqueued_at
-            self._dispatch_wait.observe(wait_s)
-            self._dispatched.inc()
-            # Adopt the submitter's trace and attribution contexts so the
-            # statement's spans/events/counters carry its identity even
-            # though they happen on this worker thread.
-            try:
-                with get_tracer().adopt(task.trace), get_registry().adopt_contexts(
-                    task.contexts
-                ):
-                    record_event("sched.dispatch", duration_s=wait_s)
-                    task.result = task.fn()
-            except BaseException as exc:  # propagate to the submitting thread
-                task.error = exc
-            finally:
-                task.done.set()
+        """Run ``fn`` here and return its result; errors propagate as raised."""
+        if self._shutdown:
+            raise SqlError("server is shut down")
+        self._inline.inc()
+        return fn()
 
     def shutdown(self) -> None:
-        """Stop accepting work and let live workers drain and exit."""
-        with self._lock:
-            self._shutdown = True
-            self._work.notify_all()
-
-    @property
-    def live_workers(self) -> int:
-        with self._lock:
-            return self._live
+        """Refuse every later statement."""
+        self._shutdown = True

@@ -159,7 +159,6 @@ class TpccSystem:
 def build_server(
     config: TpccConfig,
     enclave_call_mode: CallMode = CallMode.QUEUED,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
 ) -> tuple[SqlServer, bytes | None]:
@@ -197,7 +196,6 @@ def build_server(
         enclave_call_mode=enclave_call_mode,
         lock_timeout_s=lock_timeout_s,
         eval_batch_size=config.eval_batch_size,
-        worker_threads=worker_threads,
         freshness=freshness,
     )
     return server, author_id
@@ -279,7 +277,6 @@ def build_system(
     config: TpccConfig,
     enclave_call_mode: CallMode = CallMode.QUEUED,
     cache_describe_results: bool = False,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
 ) -> TpccSystem:
@@ -293,7 +290,6 @@ def build_system(
     server, author_id = build_server(
         config,
         enclave_call_mode=enclave_call_mode,
-        worker_threads=worker_threads,
         lock_timeout_s=lock_timeout_s,
         freshness_anchor=freshness_anchor,
     )

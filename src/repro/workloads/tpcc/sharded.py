@@ -107,7 +107,6 @@ def _assemble(config, router_address, shard_addresses, author_ids, **hosting) ->
 def start_sharded_system(
     config: TpccConfig,
     n_shards: int,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
     decision_log_path: str | None = None,
@@ -116,7 +115,6 @@ def start_sharded_system(
     """N shard OS processes + one router OS process, loaded and ready."""
     ctx = multiprocessing.get_context("fork")
     server_options = dict(
-        worker_threads=worker_threads,
         lock_timeout_s=lock_timeout_s,
         freshness_anchor=freshness_anchor,
     )
@@ -156,7 +154,6 @@ def start_sharded_system(
 def start_sharded_inprocess(
     config: TpccConfig,
     n_shards: int,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
     decision_log_path: str | None = None,
@@ -168,7 +165,6 @@ def start_sharded_inprocess(
                 shard_idx,
                 n_shards,
                 config,
-                worker_threads=worker_threads,
                 lock_timeout_s=lock_timeout_s,
                 freshness_anchor=freshness_anchor,
             )

@@ -7,6 +7,7 @@ is rebuilt per test from the cached keys.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import pytest
@@ -118,6 +119,20 @@ def server(enclave, host_machine, hgs) -> SqlServer:
 @pytest.fixture()
 def plain_server() -> SqlServer:
     return SqlServer(lock_timeout_s=0.3)
+
+
+@pytest.fixture()
+def threads_started(monkeypatch) -> list[str]:
+    """Name of every thread started while the test runs (a thread census)."""
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
 
 
 @pytest.fixture()

@@ -20,7 +20,7 @@ TINY = TpccConfig(
 
 
 def test_multiprocess_sharded_tpcc_slice():
-    system = start_sharded_system(TINY, n_shards=2, worker_threads=4, lock_timeout_s=1.0)
+    system = start_sharded_system(TINY, n_shards=2, lock_timeout_s=1.0)
     try:
         assert len(system.processes) == 3  # 2 shards + router
         assert all(p.is_alive() for p in system.processes)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client.driver import connect
-from repro.errors import ConstraintError, RemoteError, StaleRestoreError
+from repro.errors import ConstraintError, RemoteError, SqlError, StaleRestoreError
 from repro.faults.actions import DropMessage, RaiseTransient
 from repro.faults.schedules import Always, OnNth
 from repro.net.remote import RemoteServer
@@ -103,6 +103,23 @@ def test_quarantine_refusal_crosses_the_wire(plain_wire, plain_server, monkeypat
     with pytest.raises(StaleRestoreError, match="stale"):
         remote.connect()
     # The pre-quarantine session object also refuses at the engine seam.
+    remote.close()
+
+
+def test_shut_down_server_refuses_with_the_same_typed_error_on_both_sides(
+    plain_wire, plain_server
+):
+    """After ``SqlServer.shutdown()`` every statement is refused with a
+    plain ``SqlError``, in-process and through the wire alike — not an
+    untyped error that degrades to ``RemoteError`` on the way."""
+    remote = RemoteServer(plain_wire.host, plain_wire.port)
+    sessions = {"in-process": plain_server.connect(), "wire": remote.connect()}
+    sessions["wire"].execute("CREATE TABLE S (K INT PRIMARY KEY)", {})
+    plain_server.shutdown()
+    for where, session in sessions.items():
+        with pytest.raises(SqlError, match="server is shut down") as excinfo:
+            session.execute("SELECT K FROM S", {})
+        assert type(excinfo.value) is SqlError, where
     remote.close()
 
 

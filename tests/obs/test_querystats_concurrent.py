@@ -80,7 +80,7 @@ class TestConcurrentStatementStats:
         """Two sessions inserting at the same instant each see exactly the
         WAL records of *their* statement — the global-delta bug would give
         one of them (up to) both statements' records."""
-        server = SqlServer(lock_timeout_s=1.0, worker_threads=2)
+        server = SqlServer(lock_timeout_s=1.0)
         conn_a = connect(server, registry, column_encryption=False)
         conn_b = connect(server, registry, column_encryption=False)
         conn_a.execute_ddl("CREATE TABLE W(id int PRIMARY KEY, v int)")
@@ -157,7 +157,7 @@ class TestConcurrentStatementStats:
         assert stats_a.ecalls + stats_b.ecalls == after - before
 
     def test_concurrent_statements_get_their_own_span_trees(self, registry):
-        server = SqlServer(lock_timeout_s=1.0, worker_threads=2)
+        server = SqlServer(lock_timeout_s=1.0)
         conn_a = connect(server, registry, column_encryption=False)
         conn_b = connect(server, registry, column_encryption=False)
         conn_a.execute_ddl("CREATE TABLE S(id int PRIMARY KEY, v int)")

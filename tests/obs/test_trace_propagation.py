@@ -1,12 +1,13 @@
 """Cross-thread trace-context propagation, end to end.
 
-The satellite this file pins: two concurrent sessions drive encrypted
-statements through the :class:`StatementScheduler` (worker_threads >= 2)
-and the QUEUED enclave gateway, and every flight-recorder event emitted
-on *any* thread — scheduler worker, enclave worker — must carry the
-statement identity of the statement that caused it. A context that
-leaked across sessions (or was dropped at a thread hop) is exactly the
-orphaned-span bug this PR fixes."""
+A statement runs on its session's thread; the QUEUED enclave gateway is
+the one place its work hops to another. Two concurrent sessions drive
+encrypted statements through that gateway, and every flight-recorder
+event emitted on *either* thread — the client's, the enclave worker's —
+must carry the identity of the statement that caused it. A context that
+leaked across sessions, or was dropped at the hop, is the orphaned-span
+bug this file pins; the tracer runs strict, so a dropped context raises
+instead of silently rooting a fresh trace."""
 
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from repro.client.driver import connect
 from repro.obs.flightrec import get_recorder
 from repro.obs.leakage import get_leakage_accountant
 from repro.obs.tracing import TraceOrphanError, Tracer, get_tracer
-from repro.sqlengine.server import SqlServer
 from tests.conftest import make_encrypted_table
 
 POINT_LOOKUP = "SELECT id, value FROM T WHERE value = @v"
@@ -41,13 +41,17 @@ def recorder():
     get_leakage_accountant().reset()
 
 
+@pytest.fixture()
+def strict_tracer(monkeypatch):
+    monkeypatch.setattr(get_tracer(), "strict", True)
+
+
 def test_concurrent_sessions_partition_events_by_statement(
-    recorder, server, registry, attestation_policy, enclave_cmk, enclave_cek
+    recorder, strict_tracer, server, registry, attestation_policy, enclave_cmk, enclave_cek
 ):
-    """Two sessions, two scheduler workers, one queued enclave gateway:
+    """Two sessions, two client threads, one queued enclave gateway:
     the recording must attribute every statement-scoped event to the
     statement that caused it, with zero cross-session bleed."""
-    assert server.scheduler.worker_threads >= 2
     server.catalog.create_cmk(enclave_cmk)
     server.catalog.create_cek(enclave_cek)
     conn_a = connect(server, registry, attestation_policy=attestation_policy)
@@ -108,33 +112,11 @@ def test_concurrent_sessions_partition_events_by_statement(
         assert "stmt.begin" in kinds and "stmt.end" in kinds
         assert "enclave.ecall" in kinds
         # Cross-thread propagation: the statement's events span more than
-        # one thread (scheduler worker submits, enclave worker evaluates),
+        # one thread (the client's thread submits, an enclave worker evaluates),
         # and every one of them still carries the statement id.
         threads_used = {e.thread for e in stmt_events}
         assert len(threads_used) >= 2, (stmt_id, threads_used)
         assert any(t.startswith("enclave-worker") for t in threads_used)
-
-
-def test_statements_on_scheduler_workers_are_never_orphaned(recorder, registry):
-    """Strict orphan mode stays silent for the whole dispatch path: the
-    scheduler worker adopts the submitting session's trace before any
-    span opens (the regression this PR's tracer fix pins)."""
-    tracer = get_tracer()
-    assert not tracer.strict
-    tracer.strict = True
-    try:
-        server = SqlServer(lock_timeout_s=1.0, worker_threads=2)
-        conn = connect(server, registry, column_encryption=False)
-        conn.execute_ddl("CREATE TABLE O(id int PRIMARY KEY, v int)")
-        result = conn.execute(
-            "INSERT INTO O (id, v) VALUES (@i, @v)", {"i": 1, "v": 1}
-        )
-        assert result.stats.statement_id is not None
-    finally:
-        tracer.strict = False
-    stmt_events = [e for e in recorder.events() if e.statement_id is not None]
-    assert stmt_events, "scheduler-dispatched statement recorded no events"
-    assert {e.statement_id for e in stmt_events} == {result.stats.statement_id}
 
 
 def test_strict_mode_rejects_spans_on_unpropagated_workers():

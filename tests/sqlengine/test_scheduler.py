@@ -3,106 +3,81 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.client.driver import connect
 from repro.errors import ServerBusyError, SqlError
+from repro.obs.flightrec import get_recorder
 from repro.sqlengine.scheduler import StatementScheduler
 from repro.sqlengine.server import SqlServer
 
 
 class TestStatementScheduler:
     def test_submit_returns_result(self):
-        scheduler = StatementScheduler(worker_threads=2)
-        assert scheduler.submit(lambda: 41 + 1) == 42
+        assert StatementScheduler().submit(lambda: 41 + 1) == 42
 
     def test_passthrough_mode_runs_on_calling_thread(self):
-        scheduler = StatementScheduler(worker_threads=0)
-        caller = threading.current_thread()
+        """The gate is a pass-through: the closure runs where submit was called."""
+        scheduler = StatementScheduler()
         ran_on: list[threading.Thread] = []
         scheduler.submit(lambda: ran_on.append(threading.current_thread()))
-        assert ran_on == [caller]
-        assert scheduler.live_workers == 0
+        assert ran_on == [threading.current_thread()]
 
-    def test_worker_mode_runs_off_calling_thread(self):
-        scheduler = StatementScheduler(worker_threads=2)
-        ran_on: list[threading.Thread] = []
-        scheduler.submit(lambda: ran_on.append(threading.current_thread()))
-        assert ran_on[0] is not threading.current_thread()
-        assert ran_on[0].name.startswith("stmt-worker-")
+    def test_statement_runs_on_the_thread_that_brought_it(self, registry):
+        """Through the whole server: a client thread's statement begins and
+        ends on that client thread."""
+        server = SqlServer()
+        conn = connect(server, registry, column_encryption=False)
+        conn.execute_ddl("CREATE TABLE R(id int PRIMARY KEY)")
+        recorder = get_recorder()
+        recorder.clear()
+        client = threading.Thread(
+            target=conn.execute,
+            args=("INSERT INTO R (id) VALUES (@i)", {"i": 1}),
+            name="client-under-test",
+        )
+        client.start()
+        client.join()
+        events = [e for e in recorder.events() if e.statement_id is not None]
+        assert {"stmt.begin", "stmt.end"} <= {e.kind for e in events}
+        assert {e.thread for e in events} == {"client-under-test"}
+
+    def test_creates_no_thread(self, registry, threads_started):
+        """Connect, execute from several client threads, shut down: the only
+        threads an enclave-less server ever runs on are its clients'."""
+        server = SqlServer()
+        conn = connect(server, registry, column_encryption=False)
+        conn.execute_ddl("CREATE TABLE N(id int PRIMARY KEY)")
+        conns = [connect(server, registry, column_encryption=False) for __ in range(4)]
+        clients = [
+            threading.Thread(
+                target=c.execute,
+                args=("INSERT INTO N (id) VALUES (@i)", {"i": i}),
+                name=f"client-{i}",
+            )
+            for i, c in enumerate(conns)
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join()
+        assert len(conn.execute("SELECT id FROM N", {}).rows) == 4
+        server.shutdown()
+        assert threads_started == [f"client-{i}" for i in range(4)]
 
     def test_errors_propagate_to_submitter(self):
-        scheduler = StatementScheduler(worker_threads=2)
-
         def boom():
             raise ValueError("expected")
 
         with pytest.raises(ValueError, match="expected"):
-            scheduler.submit(boom)
-
-    def test_concurrency_bounded_by_worker_threads(self):
-        """With 2 workers, 4 concurrent submits never run more than 2
-        closures simultaneously."""
-        scheduler = StatementScheduler(worker_threads=2)
-        lock = threading.Lock()
-        running = [0]
-        peak = [0]
-
-        def task():
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            time.sleep(0.02)
-            with lock:
-                running[0] -= 1
-
-        threads = [
-            threading.Thread(target=scheduler.submit, args=(task,))
-            for __ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert peak[0] <= 2
-        assert scheduler.live_workers <= 2
-
-    def test_reentrant_submit_runs_inline(self):
-        """A task submitting from a worker thread must not wait for a
-        second worker the pool may never grant (self-deadlock): it runs
-        inline on the same worker."""
-        scheduler = StatementScheduler(worker_threads=1)
-        inner_thread: list[threading.Thread] = []
-
-        def outer():
-            scheduler.submit(
-                lambda: inner_thread.append(threading.current_thread())
-            )
-            return threading.current_thread()
-
-        outer_thread = scheduler.submit(outer)
-        assert inner_thread == [outer_thread]
-
-    def test_idle_workers_retire(self):
-        scheduler = StatementScheduler(worker_threads=2, idle_timeout_s=0.05)
-        scheduler.submit(lambda: None)
-        assert scheduler.live_workers >= 1
-        deadline = time.monotonic() + 2.0
-        while scheduler.live_workers > 0 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert scheduler.live_workers == 0
+            StatementScheduler().submit(boom)
 
     def test_shutdown_rejects_new_work(self):
-        scheduler = StatementScheduler(worker_threads=2)
+        scheduler = StatementScheduler()
         scheduler.shutdown()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SqlError, match="server is shut down"):
             scheduler.submit(lambda: None)
-
-    def test_negative_worker_threads_rejected(self):
-        with pytest.raises(ValueError):
-            StatementScheduler(worker_threads=-1)
 
 
 class TestSessionLimits:

@@ -16,7 +16,7 @@ from repro.workloads.tpcc.config import TRANSACTION_MIX
 from repro.workloads.tpcc.sharded import start_sharded_inprocess
 
 TINY = dict(warehouses=2, districts_per_warehouse=2, customers_per_district=6, items=20)
-WORKER_PREFIXES = ("enclave-worker-", "stmt-worker-", "wire-", "router-")
+WORKER_PREFIXES = ("enclave-worker-", "wire-", "router-")
 
 
 def _build(shape: str, mode: EncryptionMode) -> TpccSystem:
@@ -59,8 +59,19 @@ def test_build_clients_audit_shutdown(shape, mode):
 
     deadline = time.monotonic() + 5.0
     while leftovers() and time.monotonic() < deadline:
-        time.sleep(0.02)    # scheduler workers exit on their own wakeup
+        time.sleep(0.02)    # connection threads exit on their own wakeup
     assert leftovers() == []
+
+
+def test_in_process_plaintext_system_starts_no_thread(threads_started):
+    """No enclave, no wire: every statement of build → run_mix → shutdown
+    runs on the thread that called it, so the engine owns no thread."""
+    system = build_system(TpccConfig(mode=EncryptionMode.PLAINTEXT, **TINY))
+    try:
+        system.new_client(seed=3).run_mix(6, TRANSACTION_MIX)
+    finally:
+        system.shutdown()
+    assert threads_started == []
 
 
 def test_every_client_runs_in_paper_mode(shape):
