@@ -117,6 +117,23 @@ class Catalog:
         # Concurrent sessions read the catalog on every bind; DDL mutates
         # it. One reentrant latch keeps lookups consistent with drops.
         self._latch = TimedLatch("repro.sqlengine.catalog.Catalog._latch")
+        self._schema_version = 0
+
+    # -- schema version ----------------------------------------------------------
+
+    @property
+    def schema_version(self) -> int:
+        """Monotonic count of changes to anything a cached plan is built
+        from: tables, column types, key metadata, and (bumped by the
+        storage engine) indexes and each index's usable state."""
+        return self._schema_version
+
+    def bump_schema_version(self) -> None:
+        """Invalidate every cached plan. Call *after* the change is
+        visible: readers take the version before they start planning, so
+        a plan that raced the change carries the older version."""
+        with self._latch:
+            self._schema_version += 1
 
     # -- tables ----------------------------------------------------------------
 
@@ -126,11 +143,13 @@ class Catalog:
             if key in self._tables:
                 raise SqlError(f"table {schema.name!r} already exists")
             self._tables[key] = schema
+            self.bump_schema_version()
 
     def drop_table(self, name: str) -> None:
         with self._latch:
             self._require_table(name)
             del self._tables[name.lower()]
+            self.bump_schema_version()
 
     def table(self, name: str) -> TableSchema:
         with self._latch:
@@ -157,6 +176,7 @@ class Catalog:
             if cmk.name in self._cmks:
                 raise SqlError(f"column master key {cmk.name!r} already exists")
             self._cmks[cmk.name] = cmk
+            self.bump_schema_version()
 
     def create_cek(self, cek: ColumnEncryptionKey) -> None:
         with self._latch:
@@ -166,6 +186,7 @@ class Catalog:
                 if cmk_name not in self._cmks:
                     raise BindError(f"CEK {cek.name!r} references unknown CMK {cmk_name!r}")
             self._ceks[cek.name] = cek
+            self.bump_schema_version()
 
     def cmk(self, name: str) -> ColumnMasterKey:
         with self._latch:
@@ -199,11 +220,13 @@ class Catalog:
                     f"{value.column_master_key_name!r}"
                 )
             cek.add_encrypted_value(value)
+            self.bump_schema_version()
 
     def alter_cek_drop_value(self, cek_name: str, cmk_name: str) -> None:
         """ALTER COLUMN ENCRYPTION KEY ... DROP VALUE: finish a CMK rotation."""
         with self._latch:
             self.cek(cek_name).drop_encrypted_value(cmk_name)
+            self.bump_schema_version()
 
     # -- CEK versions and in-flight column rotations ------------------------
 
@@ -235,9 +258,15 @@ class Catalog:
         column to its new CEK at ROTATE_BEGIN (and by recovery replaying
         that flip)."""
         with self._latch:
-            schema = self.table(table)
-            col = schema.column(column)
-            col.column_type = ColumnType(col.column_type.sql_type, encryption)
+            sql_type = self.table(table).column(column).column_type.sql_type
+            self.set_column_type(table, column, ColumnType(sql_type, encryption))
+
+    def set_column_type(self, table: str, column: str, column_type: ColumnType) -> None:
+        """The one place a live column's type changes (ALTER COLUMN,
+        rotation flips, client-side initial encryption)."""
+        with self._latch:
+            self.table(table).column(column).column_type = column_type
+            self.bump_schema_version()
 
     def ensure_cek_version(self, cek_name: str, version: int) -> int:
         """Raise the CEK's version to at least ``version`` (recovery replay).
@@ -316,6 +345,7 @@ class Catalog:
         state that *references* them can tell they are old."""
         with self._latch:
             self._ceks = dict(ceks)
+            self.bump_schema_version()
 
     def snapshot_cek_versions(self) -> dict[str, int]:
         """Copy the CEK version table — part of the adversary's backup."""
@@ -353,6 +383,7 @@ class Catalog:
                         col.column_type = ColumnType(
                             col.column_type.sql_type, attributes[key]
                         )
+            self.bump_schema_version()
 
     def cek_enclave_enabled(self, cek_name: str) -> bool:
         """A CEK is enclave-enabled iff (some of) its CMK(s) allow it.

@@ -175,7 +175,12 @@ class StorageEngine:
             )
             self._create_index_object(table, pk_index)
             schema.indexes[pk_index.name] = pk_index
+        self.catalog.bump_schema_version()
         return table
+
+    def drop_table(self, name: str) -> None:
+        self.tables.pop(name.lower(), None)
+        self.catalog.drop_table(name)
 
     def create_index(self, index: IndexSchema) -> IndexObject:
         table = self.table(index.table_name)
@@ -204,6 +209,7 @@ class StorageEngine:
         for rid, row in table.heap.scan():
             entries.append((obj.key_of(row), rid))
         obj.tree.bulk_build(entries)
+        self.catalog.bump_schema_version()
         return obj
 
     def _create_index_object(self, table: TableObject, index: IndexSchema) -> IndexObject:
@@ -261,6 +267,7 @@ class StorageEngine:
         table = self.table(table_name)
         table.indexes.pop(index_name, None)
         table.schema.indexes.pop(index_name, None)
+        self.catalog.bump_schema_version()
 
     def rebind_index_cek(self, table_name: str, column_name: str, new_cek: str) -> None:
         """Repoint index comparators after a rotation's metadata flip.
@@ -594,6 +601,7 @@ class StorageEngine:
         obj.tree = BPlusTree(obj.tree.comparator, unique=obj.schema.unique)
         obj.tree.bulk_build(entries)
         obj.state = IndexState.READY
+        self.catalog.bump_schema_version()
 
     # ------------------------------------------------------------------- undo
 
@@ -668,6 +676,7 @@ class StorageEngine:
         self.prepared = {}
         self._resolved_gtids = set()
         self.pending_cleanups = []
+        self.catalog.bump_schema_version()
 
     def recover(self) -> "RecoveryReport":
         """Run crash recovery: physical redo, then (deferrable) undo."""
@@ -935,6 +944,8 @@ class StorageEngine:
                     obj.state = IndexState.PENDING_REBUILD
                     report.pending_indexes.append(obj.schema.name)
 
+        # The tables and index objects are new and their states settled.
+        self.catalog.bump_schema_version()
         return report
 
     def _undo_heap_only(self, txn: Transaction) -> None:
@@ -1057,6 +1068,7 @@ class StorageEngine:
             raise RecoveryError("invalidating a clustered index would lose data")
         obj.schema.valid = False
         obj.state = IndexState.INVALID
+        self.catalog.bump_schema_version()
         # Deferred transactions gated only on this index can now resolve.
         self.resolve_deferred_transactions()
 

@@ -1,7 +1,8 @@
-"""Query execution: binding, the iterator pipeline, and DML.
+"""Query execution: the iterator pipeline and DML over a physical plan.
 
-The executor evaluates predicates through expression services: each scalar
-predicate compiles to a stack program (Section 4.4); comparisons over
+Planning (:mod:`repro.sqlengine.exec.plan`) bound the statement, chose the
+access path and compiled every predicate to a stack program (Section 4.4);
+the executor binds parameter values and pulls rows. Comparisons over
 enclave-required encrypted operands run behind ``TM_EVAL`` through the
 enclave gateway, everything else runs on the host VM. Encrypted cells are
 only ever *moved* here — never interpreted — except through the enclave.
@@ -15,53 +16,35 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.crypto.aead import EncryptionScheme
-from repro.errors import BindError, ExecutionError, SqlError, TypeDeductionError
+from repro.errors import ExecutionError
 from repro.obs.metrics import get_registry
 from repro.obs.querystats import QueryStats
 from repro.obs.tracing import OPERATOR, get_tracer
 from repro.sqlengine.cells import Ciphertext
-from repro.sqlengine.catalog import IndexSchema, TableSchema
-from repro.sqlengine.engine import StorageEngine, TableObject
-from repro.sqlengine.exec.planner import AccessPath, choose_access_path, extract_sargs
-from repro.sqlengine.expression.compiler import CompiledExpression, compile_expression
-from repro.sqlengine.expression.tree import (
-    AndExpr,
-    ArithExpr,
-    ArithOp,
-    ColumnRefExpr,
-    CompareExpr,
-    CompareOp,
-    Expr,
-    IsNullExpr,
-    LikeExpr,
-    LiteralExpr,
-    NotExpr,
-    OrExpr,
-    ParameterExpr,
+from repro.sqlengine.engine import StorageEngine
+from repro.sqlengine.exec.plan import (
+    Access,
+    Aggregation,
+    DeletePlan,
+    InsertPlan,
+    JoinStep,
+    Plan,
+    ResultColumn,
+    Scalar,
+    SelectPlan,
+    SortKey,
+    UpdatePlan,
 )
+from repro.sqlengine.expression.compiler import CompiledExpression
 from repro.sqlengine.expression.vm import EnclaveConnector, StackMachine
-from repro.sqlengine.index.comparators import MAX_KEY, MIN_KEY
-from repro.sqlengine.scope import Scope
-from repro.sqlengine.sqlparser import ast
+from repro.sqlengine.index.comparators import MAX_KEY
 from repro.sqlengine.storage.heap import RowId
-from repro.sqlengine.typededuce import DeductionResult, deduce
-from repro.sqlengine.types import ColumnType, SqlType
 from repro.sqlengine.txn.transaction import Transaction
-from repro.sqlengine.values import SqlScalar, compare_values
+from repro.sqlengine.values import compare_values
 
 
 #: Chunk size for predicates that never leave the host (see Executor._chunk_size).
 _HOST_CHUNK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class ResultColumn:
-    """Name + full type of one result column (driver needs the encryption
-    metadata to decrypt)."""
-
-    name: str
-    column_type: ColumnType
 
 
 @dataclass
@@ -75,41 +58,23 @@ class QueryResult:
     stats: "QueryStats | None" = None
 
 
-def _literal_type(value: object) -> ColumnType:
-    if isinstance(value, bool):
-        return ColumnType(SqlType("BIT"))
-    if isinstance(value, int):
-        return ColumnType(SqlType("INT"))
-    if isinstance(value, float):
-        return ColumnType(SqlType("FLOAT"))
-    if isinstance(value, (bytes, bytearray)):
-        return ColumnType(SqlType("VARBINARY"))
-    return ColumnType(SqlType("VARCHAR"))
-
-
 class Executor:
-    """Executes parsed statements against a storage engine."""
+    """Runs physical plans against a storage engine."""
 
     def __init__(
         self,
         engine: StorageEngine,
         enclave_gateway: EnclaveConnector | None = None,
-        allow_enclave_order_by: bool = False,
         eval_batch_size: int = 64,
     ):
         self.engine = engine
         self.gateway = enclave_gateway
-        # Future-work extension (paper conclusion): sort encrypted columns
-        # through enclave comparisons. Off by default, as in AEv2.
-        self.allow_enclave_order_by = allow_enclave_order_by
         # Rows per enclave round-trip for enclave-requiring predicates; at 1
         # (or less) every chunk is one row: the paper's row-at-a-time mode.
+        # Read at execution time, never planned: it may be re-set on a live
+        # server between two executions of one cached plan.
         self.eval_batch_size = eval_batch_size
         self._vm = StackMachine(enclave=enclave_gateway)
-        # Expression-compilation cache. Keyed by the (frozen, hashable)
-        # expression tree itself — identity-based keys are unsafe because
-        # CPython recycles object addresses across statements.
-        self._program_cache: dict[Expr, CompiledExpression] = {}
         registry = get_registry()
         self._tracer = get_tracer()
         self._rows_scanned = registry.counter("executor.rows_scanned")
@@ -122,256 +87,73 @@ class Executor:
 
     def execute(
         self,
-        stmt: ast.Statement,
+        plan: Plan,
         params: dict[str, object] | None = None,
         txn: Transaction | None = None,
-        deduction: DeductionResult | None = None,
     ) -> QueryResult:
-        params = params or {}
-        handlers = (
-            (ast.SelectStmt, "exec.select", lambda: self._select(stmt, params, deduction)),
-            (ast.InsertStmt, "exec.insert", lambda: self._insert(stmt, params, txn, deduction)),
-            (ast.UpdateStmt, "exec.update", lambda: self._update(stmt, params, txn, deduction)),
-            (ast.DeleteStmt, "exec.delete", lambda: self._delete(stmt, params, txn, deduction)),
-        )
-        for stmt_type, span_name, handler in handlers:
-            if isinstance(stmt, stmt_type):
-                with self._tracer.span(span_name, kind=OPERATOR):
-                    result = handler()
-                self._rows_returned.inc(result.rowcount)
-                return result
-        raise ExecutionError(f"executor cannot run {type(stmt).__name__}")
+        """Bind ``params`` to the plan's parameter slots and run it."""
+        span_name, run = _HANDLERS[type(plan)]
+        lowered = {k.lower(): v for k, v in params.items()} if params else {}
+        try:
+            values = tuple([lowered[name] for name in plan.params])
+        except KeyError as missing:
+            raise ExecutionError(
+                f"missing value for parameter @{missing.args[0]}"
+            ) from None
+        with self._tracer.span(span_name, kind=OPERATOR):
+            result = run(self, plan, values, txn)
+        self._rows_returned.inc(result.rowcount)
+        return result
 
-    # ------------------------------------------------------------ scope/binding
-
-    def _scope_for(self, stmt: ast.Statement) -> Scope:
-        scope = Scope(self.engine.catalog)
-        if isinstance(stmt, ast.SelectStmt):
-            if stmt.table is not None:
-                scope.add_table(stmt.table)
-            for join in stmt.joins:
-                scope.add_table(join.table)
-        elif isinstance(stmt, (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)):
-            scope.add_table(ast.TableRef(name=stmt.table))
-        return scope
-
-    def _param_slots(self, stmt: ast.Statement, scope: Scope) -> dict[str, int]:
-        names = ast.statement_params(stmt)
-        return {name.lower(): scope.width + i for i, name in enumerate(names)}
-
-    def _param_values(
-        self, stmt: ast.Statement, params: dict[str, object]
-    ) -> list[object]:
-        values: list[object] = []
-        lowered = {k.lower(): v for k, v in params.items()}
-        for name in ast.statement_params(stmt):
-            key = name.lower()
-            if key not in lowered:
-                raise ExecutionError(f"missing value for parameter @{name}")
-            values.append(lowered[key])
-        return values
-
-    def _to_expr(
-        self,
-        node: ast.AstExpr,
-        scope: Scope,
-        deduction: DeductionResult,
-        param_slots: dict[str, int],
-    ) -> Expr:
-        if isinstance(node, ast.ColumnName):
-            resolved = scope.resolve(node)
-            return ColumnRefExpr(
-                name=resolved.column.name,
-                slot=resolved.slot,
-                column_type=resolved.column.column_type,
-            )
-        if isinstance(node, ast.Param):
-            name = node.name.lower()
-            column_type = deduction.param_types.get(name, ColumnType(SqlType("VARCHAR")))
-            return ParameterExpr(name=name, slot=param_slots[name], column_type=column_type)
-        if isinstance(node, ast.Literal):
-            return LiteralExpr(value=node.value, column_type=_literal_type(node.value))
-        if isinstance(node, ast.BinaryOp):
-            op = node.op.upper()
-            if op == "AND":
-                return AndExpr(
-                    self._to_expr(node.left, scope, deduction, param_slots),
-                    self._to_expr(node.right, scope, deduction, param_slots),
-                )
-            if op == "OR":
-                return OrExpr(
-                    self._to_expr(node.left, scope, deduction, param_slots),
-                    self._to_expr(node.right, scope, deduction, param_slots),
-                )
-            if op in ("=", "<>", "<", "<=", ">", ">="):
-                return CompareExpr(
-                    op=CompareOp(op),
-                    left=self._to_expr(node.left, scope, deduction, param_slots),
-                    right=self._to_expr(node.right, scope, deduction, param_slots),
-                )
-            if op in ("+", "-", "*", "/"):
-                return ArithExpr(
-                    op=ArithOp(op),
-                    left=self._to_expr(node.left, scope, deduction, param_slots),
-                    right=self._to_expr(node.right, scope, deduction, param_slots),
-                )
-            raise ExecutionError(f"unsupported operator {node.op!r}")
-        if isinstance(node, ast.UnaryOp):
-            if node.op == "NOT":
-                return NotExpr(self._to_expr(node.operand, scope, deduction, param_slots))
-            if node.op == "-":
-                return ArithExpr(
-                    op=ArithOp.SUB,
-                    left=LiteralExpr(0, ColumnType(SqlType("INT"))),
-                    right=self._to_expr(node.operand, scope, deduction, param_slots),
-                )
-            raise ExecutionError(f"unsupported unary operator {node.op!r}")
-        if isinstance(node, ast.LikeOp):
-            like = LikeExpr(
-                value=self._to_expr(node.value, scope, deduction, param_slots),
-                pattern=self._to_expr(node.pattern, scope, deduction, param_slots),
-            )
-            return NotExpr(like) if node.negated else like
-        if isinstance(node, ast.BetweenOp):
-            value_low = self._to_expr(node.value, scope, deduction, param_slots)
-            value_high = self._to_expr(node.value, scope, deduction, param_slots)
-            return AndExpr(
-                CompareExpr(CompareOp.GE, value_low, self._to_expr(node.low, scope, deduction, param_slots)),
-                CompareExpr(CompareOp.LE, value_high, self._to_expr(node.high, scope, deduction, param_slots)),
-            )
-        if isinstance(node, ast.InOp):
-            value = self._to_expr(node.value, scope, deduction, param_slots)
-            expr: Expr | None = None
-            for option in node.options:
-                eq = CompareExpr(
-                    CompareOp.EQ, value, self._to_expr(option, scope, deduction, param_slots)
-                )
-                expr = eq if expr is None else OrExpr(expr, eq)
-            assert expr is not None
-            return NotExpr(expr) if node.negated else expr
-        if isinstance(node, ast.IsNullOp):
-            return IsNullExpr(
-                operand=self._to_expr(node.value, scope, deduction, param_slots),
-                negated=node.negated,
-            )
-        raise ExecutionError(f"cannot bind expression node {type(node).__name__}")
-
-    def _compile(self, expr: Expr) -> CompiledExpression:
-        cached = self._program_cache.get(expr)
-        if cached is None:
-            cached = compile_expression(expr)
-            self._program_cache[expr] = cached
-        return cached
+    def _value(self, scalar: Scalar, inputs: tuple) -> object:
+        if scalar.program is not None:
+            return self._vm.eval(scalar.program, inputs)[0]
+        return scalar.const if scalar.slot is None else inputs[scalar.slot]
 
     # ------------------------------------------------------------------- SELECT
 
     def _select(
-        self,
-        stmt: ast.SelectStmt,
-        params: dict[str, object],
-        deduction: DeductionResult | None,
+        self, plan: SelectPlan, params: tuple, txn: Transaction | None
     ) -> QueryResult:
-        if stmt.table is None:
-            # SELECT of pure expressions (no FROM).
-            scope = Scope(self.engine.catalog)
-            deduction = deduction or deduce(stmt, scope)
-            param_slots = self._param_slots(stmt, scope)
-            values = self._param_values(stmt, params)
-            row: list[object] = []
-            columns: list[ResultColumn] = []
-            for i, item in enumerate(stmt.items):
-                if item.expr is None:
-                    raise BindError("SELECT * requires a FROM clause")
-                expr = self._to_expr(item.expr, scope, deduction, param_slots)
-                compiled = self._compile(expr)
-                row.append(self._vm.eval(compiled.host_program, list(values))[0])
-                columns.append(
-                    ResultColumn(item.alias or f"col{i+1}", ColumnType(SqlType("VARCHAR")))
-                )
-            return QueryResult(columns=columns, rows=[tuple(row)], rowcount=1)
-
-        scope = self._scope_for(stmt)
-        deduction = deduction or deduce(stmt, scope)
-        param_slots = self._param_slots(stmt, scope)
-        param_values = self._param_values(stmt, params)
-
-        main_binding = stmt.table.binding_name
-        table = self.engine.table(stmt.table.name)
-        sargs = extract_sargs(stmt.where, scope, main_binding)
-        path = choose_access_path(table, sargs)
-
-        rows = (
-            row for __, row in self._access(table, path, param_slots, param_values, scope)
-        )
-
-        plan_parts = [path.describe()]
-
+        where = plan.where
+        if where is not None and where.uses_enclave and self.gateway is None:
+            raise ExecutionError(
+                "query requires enclave computations but no enclave gateway is attached"
+            )
+        info = ""
+        rows: Iterator[tuple] = iter(((),))
+        if plan.access is not None:
+            rows = (row for __, row in self._access(plan.access, params))
+            info = plan.access.info
         # Joins (hash join on hashable equality keys, else nested loop).
-        width_so_far = table.schema.arity
-        for join in stmt.joins:
-            join_table = self.engine.table(join.table.name)
-            rows, strategy = self._join(
-                rows,
-                width_so_far,
-                join,
-                join_table,
-                scope,
-                deduction,
-                param_slots,
-                param_values,
-            )
-            width_so_far += join_table.schema.arity
-            plan_parts.append(strategy)
-
+        for join in plan.joins:
+            rows, strategy = self._join(rows, join, params)
+            info += " -> " + strategy
         # Residual filter: the full WHERE (re-checks sargs; harmless).
-        if stmt.where is not None:
-            predicate = self._to_expr(stmt.where, scope, deduction, param_slots)
-            compiled = self._compile(predicate)
-            if compiled.uses_enclave and self.gateway is None:
-                raise ExecutionError(
-                    "query requires enclave computations but no enclave gateway is attached"
-                )
-            rows = self._qualify(rows, compiled, param_values)
-            if compiled.uses_enclave and self._chunk_size(compiled) > 1:
-                plan_parts.append(f"BatchedFilter(batch={self.eval_batch_size})")
+        if where is not None:
+            rows = self._qualify(rows, where, params)
+            if note := self._batch_note(where):
+                info += f" -> BatchedFilter{note}"
 
-        aggregated = stmt.group_by or any(
-            isinstance(i.expr, ast.Aggregate) for i in stmt.items if i.expr is not None
-        )
-        hidden = 0
-        if aggregated:
-            result = self._aggregate(stmt, rows, scope, deduction, param_slots, param_values)
+        if plan.aggregate is not None:
+            out = self._aggregate(plan.aggregate, rows, params)
         else:
-            # Sorting may reference columns that are not projected (SQL
-            # allows ORDER BY over any table column); carry them as hidden
-            # trailing columns and strip them after the sort.
-            hidden_exprs = [
-                item.expr
-                for item in stmt.order_by
-                if isinstance(item.expr, ast.ColumnName)
+            outputs = plan.outputs
+            out = [
+                tuple([self._value(scalar, inputs) for scalar in outputs])
+                for inputs in (row + params for row in rows)
             ]
-            result = self._project(
-                stmt, rows, scope, deduction, param_slots, param_values,
-                hidden_exprs=hidden_exprs,
-            )
-            hidden = len(hidden_exprs)
-
-        if stmt.distinct:
-            if hidden:
-                result.rows = [row[:-hidden] for row in result.rows]
-                result.columns = result.columns[:-hidden]
-                hidden = 0
-            result.rows = self._distinct(result)
-        if stmt.order_by:
-            result.rows = self._order(stmt, result, scope, hidden=hidden)
-        if hidden:
-            result.rows = [row[:-hidden] for row in result.rows]
-            result.columns = result.columns[:-hidden]
-        if stmt.limit is not None:
-            result.rows = result.rows[: stmt.limit]
-        result.rowcount = len(result.rows)
-        result.plan_info = " -> ".join(plan_parts)
-        return result
+        if plan.distinct:
+            out = _distinct(out)
+        if plan.order:
+            out = self._order(plan.order, out)
+        if plan.hidden:
+            out = [row[: -plan.hidden] for row in out]
+        if plan.limit is not None:
+            out = out[: plan.limit]
+        return QueryResult(
+            columns=list(plan.columns), rows=out, rowcount=len(out), plan_info=info
+        )
 
     # -- chunked predicate evaluation -------------------------------------------
 
@@ -388,11 +170,17 @@ class Executor:
             return max(1, self.eval_batch_size)
         return _HOST_CHUNK_ROWS
 
+    def _batch_note(self, compiled: CompiledExpression) -> str:
+        """The ``plan_info`` suffix of an operator evaluating ``compiled``:
+        ``(batch=N)`` when N > 1 rows share one enclave round-trip."""
+        size = self._chunk_size(compiled)
+        return f"(batch={size})" if compiled.uses_enclave and size > 1 else ""
+
     def _qualify(
         self,
         candidates: Iterable,
         compiled: CompiledExpression,
-        param_values: list[object],
+        params: tuple,
         row_of: Callable[[object], tuple] = lambda candidate: candidate,
     ) -> Iterator:
         """Yield the candidates whose row satisfies ``compiled``.
@@ -406,7 +194,7 @@ class Executor:
         while chunk := list(itertools.islice(candidates, size)):
             verdicts = self._vm.eval_predicate_batch(
                 compiled.host_program,
-                [list(row_of(candidate)) + param_values for candidate in chunk],
+                [row_of(candidate) + params for candidate in chunk],
             )
             for candidate, verdict in zip(chunk, verdicts):
                 if verdict is True:
@@ -414,16 +202,10 @@ class Executor:
 
     # -- access paths ------------------------------------------------------------
 
-    def _access(
-        self,
-        table: TableObject,
-        path: AccessPath,
-        param_slots: dict[str, int],
-        param_values: list[object],
-        scope: Scope,
-    ) -> Iterator[tuple[RowId, tuple]]:
-        """Yield ``(rid, row)`` along ``path``: heap scan, seek or range scan."""
-        if path.kind == "scan" or path.index is None:
+    def _access(self, access: Access, params: tuple) -> Iterator[tuple[RowId, tuple]]:
+        """Yield ``(rid, row)`` along ``access``: heap scan, seek or range scan."""
+        table, index = access.table, access.index
+        if index is None:
             self._table_scans.inc()
             with self._tracer.span(
                 "exec.table_scan", kind=OPERATOR, table=table.schema.name
@@ -437,43 +219,37 @@ class Executor:
                     self._rows_scanned.inc(scanned)
             return
 
-        def operand_value(operand: ast.AstExpr) -> object:
-            if isinstance(operand, ast.Literal):
-                return operand.value
-            assert isinstance(operand, ast.Param)
-            return param_values[param_slots[operand.name.lower()] - scope.width]
-
-        prefix = tuple(operand_value(op) for op in path.eq_operands)
-        tree = path.index.tree
-        if path.kind == "seek" and len(prefix) == len(path.index.key_slots):
+        prefix = tuple([self._value(operand, params) for operand in access.eq])
+        if len(prefix) == len(index.key_slots):
             self._index_seeks.inc()
             with self._tracer.span(
                 "exec.index_seek",
                 kind=OPERATOR,
                 table=table.schema.name,
-                index=path.index.schema.name,
+                index=index.schema.name,
             ):
-                rids = tree.search_eq(prefix)
+                rids = index.tree.search_eq(prefix)
         else:
-            low: object = prefix
-            high: object = prefix + (MAX_KEY,)
-            low_inclusive = True
-            if path.low is not None:
-                low = prefix + (operand_value(path.low[0]),)
-                if not path.low[1]:
+            low: tuple = prefix
+            high: tuple = prefix + (MAX_KEY,)
+            if access.low is not None:
+                operand, inclusive = access.low
+                low = prefix + (self._value(operand, params),)
+                if not inclusive:
                     low = low + (MAX_KEY,)
-            if path.high is not None:
-                high = prefix + (operand_value(path.high[0]),)
-                if path.high[1]:
+            if access.high is not None:
+                operand, inclusive = access.high
+                high = prefix + (self._value(operand, params),)
+                if inclusive:
                     high = high + (MAX_KEY,)
             self._index_range_scans.inc()
             with self._tracer.span(
                 "exec.index_range_scan",
                 kind=OPERATOR,
                 table=table.schema.name,
-                index=path.index.schema.name,
+                index=index.schema.name,
             ):
-                rids = [rid for __, rid in tree.range_scan(low, high, low_inclusive, True)]
+                rids = [rid for __, rid in index.tree.range_scan(low, high, True, True)]
         fetched = [
             (rid, row)
             for rid in rids
@@ -485,297 +261,87 @@ class Executor:
     # -- joins ----------------------------------------------------------------------
 
     def _join(
-        self,
-        left_rows: Iterator[tuple],
-        left_width: int,
-        join: ast.Join,
-        join_table: TableObject,
-        scope: Scope,
-        deduction: DeductionResult,
-        param_slots: dict[str, int],
-        param_values: list[object],
+        self, left_rows: Iterator[tuple], join: JoinStep, params: tuple
     ) -> tuple[Iterator[tuple], str]:
-        pad = join_table.schema.arity
-        equality = self._hash_join_keys(join.condition, scope, left_width, pad)
-        if equality is not None:
-            left_slot, right_slot, hashable = equality
-            if hashable:
-                build: dict[object, list[tuple]] = {}
-                for __, row in join_table.heap.scan():
-                    key = row[right_slot - left_width]
+        if join.hash_slots is not None:
+            left_slot, right_slot = join.hash_slots
+            build: dict[object, list[tuple]] = {}
+            for __, row in join.table.heap.scan():
+                key = row[right_slot]
+                if key is None:
+                    continue
+                build.setdefault(_hash_key(key), []).append(row)
+
+            def hash_generator() -> Iterator[tuple]:
+                for left in left_rows:
+                    key = left[left_slot]
                     if key is None:
                         continue
-                    build.setdefault(_hash_key(key), []).append(row)
+                    for right in build.get(_hash_key(key), []):
+                        yield left + right
 
-                def hash_generator() -> Iterator[tuple]:
-                    for left in left_rows:
-                        key = left[left_slot]
-                        if key is None:
-                            continue
-                        for right in build.get(_hash_key(key), []):
-                            yield left + right
-
-                return hash_generator(), "HashJoin"
+            return hash_generator(), "HashJoin"
 
         # Nested loop with the join condition evaluated per pair (this is
         # the path for RND-encrypted join keys: per-pair enclave equality).
-        condition = self._to_expr(join.condition, scope, deduction, param_slots)
-        compiled = self._compile(condition)
-        inner_rows = [row for __, row in join_table.heap.scan()]
-
+        condition = join.condition
+        inner_rows = [row for __, row in join.table.heap.scan()]
         # Slots between the joined prefix and the parameters belong to tables
         # joined later; they are NULL while this condition is evaluated.
-        padded_params = [None] * (scope.width - left_width - pad) + param_values
-        chunk_size = self._chunk_size(compiled)
+        padded_params = join.pad + params
 
         def nl_generator() -> Iterator[tuple]:
             # Chunks never span left rows: one enclave round-trip per
-            # chunk_size inner rows of each left row.
+            # chunk of inner rows of each left row.
             for left in left_rows:
                 yield from self._qualify(
-                    (left + right for right in inner_rows), compiled, padded_params
+                    (left + right for right in inner_rows), condition, padded_params
                 )
 
-        if compiled.uses_enclave and chunk_size > 1:
-            return nl_generator(), f"NestedLoopJoin(batch={chunk_size})"
-        return nl_generator(), "NestedLoopJoin"
-
-    def _hash_join_keys(
-        self, condition: ast.AstExpr, scope: Scope, left_width: int, pad: int
-    ) -> tuple[int, int, bool] | None:
-        """If the condition is a simple equality usable for hashing, return
-        (left_slot, right_slot, hashable)."""
-        if not (isinstance(condition, ast.BinaryOp) and condition.op == "="):
-            return None
-        if not (
-            isinstance(condition.left, ast.ColumnName)
-            and isinstance(condition.right, ast.ColumnName)
-        ):
-            return None
-        a = scope.resolve(condition.left)
-        b = scope.resolve(condition.right)
-        if a.slot < left_width <= b.slot:
-            left_col, right_col = a, b
-        elif b.slot < left_width <= a.slot:
-            left_col, right_col = b, a
-        else:
-            return None
-        enc_left = left_col.column.column_type.encryption
-        enc_right = right_col.column.column_type.encryption
-        hashable = True
-        for enc in (enc_left, enc_right):
-            if enc is not None and enc.scheme is EncryptionScheme.RANDOMIZED:
-                hashable = False  # RND equality needs per-pair enclave checks
-        if (enc_left is None) != (enc_right is None):
-            raise TypeDeductionError(
-                "cannot join an encrypted column with a plaintext column"
-            )
-        if enc_left is not None and enc_right is not None and enc_left.cek_name != enc_right.cek_name:
-            raise TypeDeductionError("join columns are encrypted with different CEKs")
-        return left_col.slot, right_col.slot, hashable
+        return nl_generator(), "NestedLoopJoin" + self._batch_note(condition)
 
     # -- aggregation -------------------------------------------------------------------
 
     def _aggregate(
-        self,
-        stmt: ast.SelectStmt,
-        rows: Iterator[tuple],
-        scope: Scope,
-        deduction: DeductionResult,
-        param_slots: dict[str, int],
-        param_values: list[object],
-    ) -> QueryResult:
-        group_exprs = [self._to_expr(g, scope, deduction, param_slots) for g in stmt.group_by]
-        for g, bound in zip(stmt.group_by, group_exprs):
-            if isinstance(bound, ColumnRefExpr):
-                enc = bound.column_type.encryption
-                if enc is not None and enc.scheme is EncryptionScheme.RANDOMIZED:
-                    raise ExecutionError(
-                        "GROUP BY on a randomized encrypted column is not supported"
-                    )
-        group_programs = [self._compile(g) for g in group_exprs]
-
-        aggs: list[tuple[str, CompiledExpression | None]] = []
-        columns: list[ResultColumn] = []
-        item_kinds: list[tuple[str, int]] = []  # ("group", idx) | ("agg", idx)
-        for item in stmt.items:
-            if item.expr is None:
-                raise BindError("SELECT * cannot be combined with aggregation")
-            if isinstance(item.expr, ast.Aggregate):
-                agg = item.expr
-                compiled = None
-                if agg.argument is not None:
-                    compiled = self._compile(
-                        self._to_expr(agg.argument, scope, deduction, param_slots)
-                    )
-                aggs.append((agg.func, compiled))
-                item_kinds.append(("agg", len(aggs) - 1))
-                columns.append(
-                    ResultColumn(item.alias or agg.func.lower(), ColumnType(SqlType("INT" if agg.func == "COUNT" else "FLOAT")))
-                )
-            else:
-                bound = self._to_expr(item.expr, scope, deduction, param_slots)
-                matched = None
-                for gi, g in enumerate(group_exprs):
-                    if g == bound:
-                        matched = gi
-                        break
-                if matched is None:
-                    raise BindError(
-                        "non-aggregate SELECT item must appear in GROUP BY"
-                    )
-                item_kinds.append(("group", matched))
-                column_type = (
-                    bound.column_type
-                    if isinstance(bound, (ColumnRefExpr, ParameterExpr, LiteralExpr))
-                    else ColumnType(SqlType("VARCHAR"))
-                )
-                default_name = (
-                    item.expr.name
-                    if isinstance(item.expr, ast.ColumnName)
-                    else f"col{stmt.items.index(item) + 1}"
-                )
-                columns.append(ResultColumn(item.alias or default_name, column_type))
-
+        self, spec: Aggregation, rows: Iterator[tuple], params: tuple
+    ) -> list[tuple]:
+        aggregates = spec.aggregates
         groups: dict[tuple, list[list[object]]] = {}
         key_values: dict[tuple, tuple] = {}
         for row in rows:
-            inputs = list(row) + param_values
-            key_raw = tuple(self._vm.eval(p.host_program, inputs)[0] for p in group_programs)
-            key = tuple(_hash_key(k) for k in key_raw)
+            inputs = row + params
+            key_raw = tuple([self._value(key, inputs) for key in spec.keys])
+            key = tuple([_hash_key(k) for k in key_raw])
             state = groups.get(key)
             if state is None:
-                state = [[] for __ in aggs]
+                state = [[] for __ in aggregates]
                 groups[key] = state
                 key_values[key] = key_raw
-            for i, (func, compiled) in enumerate(aggs):
-                if compiled is None:  # COUNT(*)
+            for i, (__, argument) in enumerate(aggregates):
+                if argument is None:  # COUNT(*)
                     state[i].append(1)
                 else:
-                    value = self._vm.eval(compiled.host_program, inputs)[0]
+                    value = self._value(argument, inputs)
                     if value is not None:
                         state[i].append(value)
 
-        if not stmt.group_by and not groups:
-            groups[()] = [[] for __ in aggs]
+        if not spec.keys and not groups:
+            groups[()] = [[] for __ in aggregates]
             key_values[()] = ()
 
-        out_rows: list[tuple] = []
-        for key, state in groups.items():
-            raw = key_values[key]
-            row_out: list[object] = []
-            for kind, idx in item_kinds:
-                if kind == "group":
-                    row_out.append(raw[idx])
-                else:
-                    func, __ = aggs[idx]
-                    row_out.append(_fold(func, state[idx]))
-            out_rows.append(tuple(row_out))
-        return QueryResult(columns=columns, rows=out_rows)
-
-    # -- projection / ordering -------------------------------------------------------------
-
-    def _project(
-        self,
-        stmt: ast.SelectStmt,
-        rows: Iterator[tuple],
-        scope: Scope,
-        deduction: DeductionResult,
-        param_slots: dict[str, int],
-        param_values: list[object],
-        hidden_exprs: list[ast.ColumnName] | None = None,
-    ) -> QueryResult:
-        columns: list[ResultColumn] = []
-        extractors: list[object] = []  # int slot | CompiledExpression
-        for i, item in enumerate(stmt.items):
-            if item.expr is None:
-                for resolved in scope.all_columns():
-                    columns.append(ResultColumn(resolved.column.name, resolved.column.column_type))
-                    extractors.append(resolved.slot)
-                continue
-            if isinstance(item.expr, ast.ColumnName):
-                resolved = scope.resolve(item.expr)
-                columns.append(
-                    ResultColumn(item.alias or resolved.column.name, resolved.column.column_type)
-                )
-                extractors.append(resolved.slot)
-            else:
-                bound = self._to_expr(item.expr, scope, deduction, param_slots)
-                columns.append(ResultColumn(item.alias or f"col{i+1}", ColumnType(SqlType("VARCHAR"))))
-                extractors.append(self._compile(bound))
-
-        for expr in hidden_exprs or []:
-            resolved = scope.resolve(expr)
-            columns.append(
-                ResultColumn(f"__order_{resolved.column.name}", resolved.column.column_type)
+        return [
+            tuple(
+                _fold(aggregates[index][0], state[index])
+                if is_aggregate
+                else key_values[key][index]
+                for is_aggregate, index in spec.items
             )
-            extractors.append(resolved.slot)
+            for key, state in groups.items()
+        ]
 
-        out_rows: list[tuple] = []
-        for row in rows:
-            inputs = list(row) + param_values
-            out: list[object] = []
-            for extractor in extractors:
-                if isinstance(extractor, int):
-                    out.append(row[extractor])
-                else:
-                    out.append(self._vm.eval(extractor.host_program, inputs)[0])
-            out_rows.append(tuple(out))
-        return QueryResult(columns=columns, rows=out_rows)
+    # -- ordering ---------------------------------------------------------------------------
 
-    def _distinct(self, result: QueryResult) -> list[tuple]:
-        for column in result.columns:
-            enc = column.column_type.encryption
-            if enc is not None and enc.scheme is EncryptionScheme.RANDOMIZED:
-                raise ExecutionError(
-                    "DISTINCT over a randomized encrypted column is not supported"
-                )
-        seen: set = set()
-        out: list[tuple] = []
-        for row in result.rows:
-            key = tuple(_hash_key(cell) for cell in row)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return out
-
-    def _order(
-        self, stmt: ast.SelectStmt, result: QueryResult, scope: Scope, hidden: int = 0
-    ) -> list[tuple]:
-        # ORDER BY references output columns by name; hidden trailing sort
-        # columns (see _select) cover non-projected table columns.
-        keys: list[tuple[int, bool]] = []
-        n_visible = len(result.columns) - hidden
-        for order_index, item in enumerate(stmt.order_by):
-            if not isinstance(item.expr, ast.ColumnName):
-                raise ExecutionError("ORDER BY supports column references only")
-            target = item.expr.name.lower()
-            position = None
-            for i, column in enumerate(result.columns[:n_visible]):
-                if column.name.lower() == target:
-                    position = i
-                    break
-            if position is None and hidden:
-                position = n_visible + order_index
-            if position is None:
-                raise BindError(f"ORDER BY column {item.expr.name!r} is not in the output")
-            enc = result.columns[position].column_type.encryption
-            enclave_sorted = False
-            if enc is not None:
-                if not (
-                    self.allow_enclave_order_by
-                    and enc.scheme is EncryptionScheme.RANDOMIZED
-                    and enc.enclave_enabled
-                    and self.engine.enclave is not None
-                ):
-                    raise TypeDeductionError(
-                        "ORDER BY on encrypted columns is not supported in AEv2 "
-                        "(the paper removes these from TPC-C for the same reason); "
-                        "enable allow_enclave_order_by for the extension"
-                    )
-                enclave_sorted = True
-            keys.append((position, item.ascending, enc if enclave_sorted else None))
-
+    def _order(self, keys: tuple[SortKey, ...], rows: list[tuple]) -> list[tuple]:
         enclave = self.engine.enclave
 
         # Batched extension path: pre-rank every distinct ciphertext of each
@@ -787,37 +353,37 @@ class Executor:
         # learns the same order information either way (see docs/PERF.md).
         rank_maps: dict[int, dict[object, int]] = {}
         if self.eval_batch_size > 1:
-            for position, __, enc in keys:
-                if enc is not None and position not in rank_maps:
-                    rank_maps[position] = self._enclave_rank_map(
-                        result.rows, position, enc, enclave
+            for key in keys:
+                if key.enc is not None and key.position not in rank_maps:
+                    rank_maps[key.position] = self._enclave_rank_map(
+                        rows, key.position, key.enc, enclave
                     )
 
-        def cell_compare(av: object, bv: object, enc, position: int) -> int:
+        def cell_compare(av: object, bv: object, key: SortKey) -> int:
             if av is None and bv is None:
                 return 0
             if av is None:
                 return -1
             if bv is None:
                 return 1
-            if enc is not None:
-                ranks = rank_maps.get(position)
+            if key.enc is not None:
+                ranks = rank_maps.get(key.position)
                 if ranks is not None:
                     return compare_values(ranks[_hash_key(av)], ranks[_hash_key(bv)])
                 # Extension path: the comparison — and hence the row
                 # ordering — crosses the enclave boundary in the clear,
                 # the same leakage as a range index build.
-                return enclave.compare(enc.cek_name, av, bv)
+                return enclave.compare(key.enc.cek_name, av, bv)
             return compare_values(av, bv)
 
         def cmp(a: tuple, b: tuple) -> int:
-            for position, ascending, enc in keys:
-                c = cell_compare(a[position], b[position], enc, position)
+            for key in keys:
+                c = cell_compare(a[key.position], b[key.position], key)
                 if c:
-                    return c if ascending else -c
+                    return c if key.ascending else -c
             return 0
 
-        return sorted(result.rows, key=functools.cmp_to_key(cmp))
+        return sorted(rows, key=functools.cmp_to_key(cmp))
 
     def _enclave_rank_map(
         self, rows: list[tuple], position: int, enc, enclave
@@ -853,44 +419,18 @@ class Executor:
     # ---------------------------------------------------------------------- DML
 
     def _insert(
-        self,
-        stmt: ast.InsertStmt,
-        params: dict[str, object],
-        txn: Transaction | None,
-        deduction: DeductionResult | None,
+        self, plan: InsertPlan, params: tuple, txn: Transaction | None
     ) -> QueryResult:
         if txn is None:
             raise ExecutionError("INSERT requires a transaction")
-        scope = self._scope_for(stmt)
-        deduction = deduction or deduce(stmt, scope)
-        param_slots = self._param_slots(stmt, scope)
-        param_values = self._param_values(stmt, params)
-        schema = self.engine.catalog.table(stmt.table)
-        columns = [c.lower() for c in (stmt.columns or tuple(schema.column_names()))]
-        count = 0
-        for value_row in stmt.rows:
-            if len(value_row) != len(columns):
-                raise ExecutionError("INSERT arity mismatch")
-            cells: dict[str, object] = {}
-            for column_name, expr in zip(columns, value_row):
-                bound = self._to_expr(expr, scope, deduction, param_slots)
-                compiled = self._compile(bound)
-                cells[column_name] = self._vm.eval(
-                    compiled.host_program, [None] * scope.width + param_values
-                )[0]
-            row = tuple(cells.get(c.name.lower()) for c in schema.columns)
-            self.engine.insert(txn, stmt.table, row)
-            count += 1
-        return QueryResult(rowcount=count)
+        inputs = plan.blank + params
+        for template in plan.rows:
+            row = tuple([self._value(scalar, inputs) for scalar in template])
+            self.engine.insert(txn, plan.table, row)
+        return QueryResult(rowcount=len(plan.rows))
 
     def _qualified_under_lock(
-        self,
-        stmt: ast.UpdateStmt | ast.DeleteStmt,
-        txn: Transaction,
-        scope: Scope,
-        deduction: DeductionResult,
-        param_slots: dict[str, int],
-        param_values: list[object],
+        self, plan: DeletePlan, txn: Transaction, params: tuple
     ) -> Iterator[tuple[RowId, tuple]]:
         """Yield ``(rid, row)`` for each row an UPDATE/DELETE must change.
 
@@ -900,87 +440,77 @@ class Executor:
         *under the lock* — the one yielded here — or concurrent
         read-modify-writes lose updates.
         """
-        table = self.engine.table(stmt.table)
-        sargs = extract_sargs(stmt.where, scope, scope.bindings()[0][0])
-        path = choose_access_path(table, sargs)
-        candidates = self._access(table, path, param_slots, param_values, scope)
-        predicate = None
-        if stmt.where is not None:
-            predicate = self._compile(self._to_expr(stmt.where, scope, deduction, param_slots))
+        predicate = plan.where
+        candidates = self._access(plan.access, params)
+        if predicate is not None:
             candidates = self._qualify(
-                candidates, predicate, param_values, row_of=operator.itemgetter(1)
+                candidates, predicate, params, row_of=operator.itemgetter(1)
             )
         # Materialize the first phase before the caller's first write, so
         # the scan never meets rows this statement has already changed.
         for rid, __ in list(candidates):
-            self.engine.lock_row(txn, stmt.table, rid)
-            row = self.engine.read(stmt.table, rid)
+            self.engine.lock_row(txn, plan.table, rid)
+            row = self.engine.read(plan.table, rid)
             if row is None:
                 continue
             # The re-check re-reads single rows, so it is a chunk of one.
             if predicate is not None and not list(
-                self._qualify([row], predicate, param_values)
+                self._qualify([row], predicate, params)
             ):
                 continue
             yield rid, row
 
     def _update(
-        self,
-        stmt: ast.UpdateStmt,
-        params: dict[str, object],
-        txn: Transaction | None,
-        deduction: DeductionResult | None,
+        self, plan: UpdatePlan, params: tuple, txn: Transaction | None
     ) -> QueryResult:
         if txn is None:
             raise ExecutionError("UPDATE requires a transaction")
-        scope = self._scope_for(stmt)
-        deduction = deduction or deduce(stmt, scope)
-        param_slots = self._param_slots(stmt, scope)
-        param_values = self._param_values(stmt, params)
-        schema = self.engine.catalog.table(stmt.table)
-        assignments: list[tuple[int, CompiledExpression]] = []
-        for column_name, expr in stmt.assignments:
-            slot = schema.column_index(column_name)
-            bound = self._to_expr(expr, scope, deduction, param_slots)
-            assignments.append((slot, self._compile(bound)))
         count = 0
-        for rid, row in self._qualified_under_lock(
-            stmt, txn, scope, deduction, param_slots, param_values
-        ):
-            inputs = list(row) + param_values
+        for rid, row in self._qualified_under_lock(plan, txn, params):
+            inputs = row + params
             new_row = list(row)
-            for slot, compiled in assignments:
-                new_row[slot] = self._vm.eval(compiled.host_program, inputs)[0]
-            self.engine.update(txn, stmt.table, rid, tuple(new_row))
+            for slot, scalar in plan.assignments:
+                new_row[slot] = self._value(scalar, inputs)
+            self.engine.update(txn, plan.table, rid, tuple(new_row))
             count += 1
         return QueryResult(rowcount=count)
 
     def _delete(
-        self,
-        stmt: ast.DeleteStmt,
-        params: dict[str, object],
-        txn: Transaction | None,
-        deduction: DeductionResult | None,
+        self, plan: DeletePlan, params: tuple, txn: Transaction | None
     ) -> QueryResult:
         if txn is None:
             raise ExecutionError("DELETE requires a transaction")
-        scope = self._scope_for(stmt)
-        deduction = deduction or deduce(stmt, scope)
-        param_slots = self._param_slots(stmt, scope)
-        param_values = self._param_values(stmt, params)
         count = 0
-        for rid, __ in self._qualified_under_lock(
-            stmt, txn, scope, deduction, param_slots, param_values
-        ):
-            self.engine.delete(txn, stmt.table, rid)
+        for rid, __ in self._qualified_under_lock(plan, txn, params):
+            self.engine.delete(txn, plan.table, rid)
             count += 1
         return QueryResult(rowcount=count)
+
+
+#: Plan type -> (operator span name, the method that runs it).
+_HANDLERS = {
+    SelectPlan: ("exec.select", Executor._select),
+    InsertPlan: ("exec.insert", Executor._insert),
+    UpdatePlan: ("exec.update", Executor._update),
+    DeletePlan: ("exec.delete", Executor._delete),
+}
 
 
 def _hash_key(value: object) -> object:
     if isinstance(value, Ciphertext):
         return ("ct", value.envelope)
     return value
+
+
+def _distinct(rows: list[tuple]) -> list[tuple]:
+    seen: set = set()
+    out: list[tuple] = []
+    for row in rows:
+        key = tuple(_hash_key(cell) for cell in row)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 def _fold(func: str, values: list[object]) -> object:

@@ -17,7 +17,7 @@ propagates through comparisons; AND/OR follow Kleene semantics.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from repro.errors import ExecutionError
 from repro.sqlengine.cells import Ciphertext
@@ -66,14 +66,14 @@ class StackMachine:
         self._enclave = enclave
         self._handle_cache: dict[bytes, int] = {}
 
-    def eval(self, program: StackProgram, inputs: list[object], n_outputs: int = 1) -> list[object]:
+    def eval(self, program: StackProgram, inputs: Sequence[object], n_outputs: int = 1) -> list[object]:
         """Run ``program``; returns the outputs array (size ``n_outputs``)."""
         return self.eval_batch(program, [inputs], n_outputs)[0]
 
     def eval_batch(
         self,
         program: StackProgram,
-        input_rows: list[list[object]],
+        input_rows: list[Sequence[object]],
         n_outputs: int = 1,
     ) -> list[list[object]]:
         """Run ``program`` over a chunk of input rows; one outputs array each.
@@ -109,12 +109,12 @@ class StackMachine:
                     outputs[0] = stack[-1]
         return [lane[2] for lane in lanes]
 
-    def eval_predicate(self, program: StackProgram, inputs: list[object]) -> bool | None:
+    def eval_predicate(self, program: StackProgram, inputs: Sequence[object]) -> bool | None:
         """Run a boolean-valued program; returns True/False/None (UNKNOWN)."""
         return self.eval_predicate_batch(program, [inputs])[0]
 
     def eval_predicate_batch(
-        self, program: StackProgram, input_rows: list[list[object]]
+        self, program: StackProgram, input_rows: list[Sequence[object]]
     ) -> list[bool | None]:
         """One True/False/None (UNKNOWN) verdict per input row."""
         verdicts: list[bool | None] = []
@@ -161,7 +161,7 @@ class StackMachine:
         self,
         ins: Instruction,
         stack: list[object],
-        inputs: list[object],
+        inputs: Sequence[object],
         outputs: list[object],
     ) -> None:
         opcode = ins.opcode

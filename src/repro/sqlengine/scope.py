@@ -32,6 +32,19 @@ class Scope:
         self._bindings: list[tuple[str, TableSchema, int]] = []
         self._width = 0
 
+    @classmethod
+    def for_statement(cls, catalog: Catalog, stmt: ast.Statement) -> "Scope":
+        """The scope a SELECT / INSERT / UPDATE / DELETE binds against."""
+        scope = cls(catalog)
+        if isinstance(stmt, ast.SelectStmt):
+            if stmt.table is not None:
+                scope.add_table(stmt.table)
+            for join in stmt.joins:
+                scope.add_table(join.table)
+        else:
+            scope.add_table(ast.TableRef(name=stmt.table))
+        return scope
+
     def add_table(self, ref: ast.TableRef) -> TableSchema:
         schema = self._catalog.table(ref.name)
         binding = ref.binding_name

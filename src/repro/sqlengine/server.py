@@ -6,8 +6,10 @@ Implements the server-side surface the paper describes:
   encryption type deduction, returning per-parameter encryption types, the
   CEK/CMK metadata the driver needs, and — when the query needs the
   enclave — attestation information;
-* query execution through the executor, with a plan cache holding the
-  results of type deduction alongside parsed statements (Section 4.3);
+* query execution through the executor, with a plan cache holding each
+  statement text's parse, the describe payload type deduction produced
+  (Section 4.3) and its physical plan, valid at the schema version they
+  were built at;
 * DDL, including the enclave-mediated ``ALTER TABLE ALTER COLUMN`` paths
   for initial encryption, key rotation, and decryption (Sections 2.4.2,
   3.2) — all *online* and without any client round-trip per row;
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from repro.attestation.hgs import HostGuardianService
 from repro.attestation.protocol import AttestationInfo, server_attest
@@ -30,6 +33,7 @@ from repro.enclave import CallMode, Enclave, EnclaveCallGateway, SealedPackage
 from repro.errors import (
     BindError,
     EnclaveError,
+    ExecutionError,
     ServerBusyError,
     SqlError,
     StaleRestoreError,
@@ -54,10 +58,11 @@ from repro.sqlengine.rotation import (
 )
 from repro.sqlengine.storage.freshness import FreshnessAnchor
 from repro.sqlengine.exec.executor import Executor, QueryResult
+from repro.sqlengine.exec.plan import PLANNED_STATEMENTS, Plan, build_plan
 from repro.sqlengine.scheduler import StatementScheduler
 from repro.sqlengine.scope import Scope
 from repro.sqlengine.sqlparser import ast, parse
-from repro.sqlengine.typededuce import DeductionResult, deduce
+from repro.sqlengine.typededuce import deduce
 from repro.sqlengine.types import ColumnType, SqlType
 from repro.sqlengine.values import deserialize_value, serialize_value
 
@@ -101,11 +106,23 @@ class DescribeResult:
         return bool(self.enclave_ceks)
 
 
-@dataclass
+#: Plan-cache capacity in statement texts; least recently used goes first.
+PLAN_CACHE_CAPACITY = 1024
+
+
+@dataclass(frozen=True)
 class _CachedPlan:
+    """Everything the server derives from one statement text, built once:
+    valid while the catalog's schema version is still ``version``."""
+
+    version: int
     stmt: ast.Statement
-    deduction: DeductionResult
-    hits: int = 0
+    physical: Plan | None                          # None: not a planned statement
+    # The static part of sp_describe_parameter_encryption: what type
+    # deduction (Section 4.3) found, with the key metadata looked up.
+    parameters: tuple[ParameterDescription, ...] = ()
+    parameter_ceks: tuple[tuple[str, CekMetadata], ...] = ()
+    enclave_ceks: tuple[CekMetadata, ...] = ()
 
 
 class ServerStats(StatsView):
@@ -162,10 +179,9 @@ class SqlServer:
         self.executor = Executor(
             self.engine,
             enclave_gateway=self.gateway,
-            allow_enclave_order_by=allow_enclave_order_by,
             eval_batch_size=eval_batch_size,
         )
-        self._plan_cache: dict[str, _CachedPlan] = {}
+        self._plan_cache: OrderedDict[str, _CachedPlan] = OrderedDict()
         self._plan_lock = threading.Lock()
         self.stats = ServerStats()
         self._tracer = get_tracer()
@@ -214,43 +230,52 @@ class SqlServer:
     # ------------------------------------------------------------- plan cache
 
     def _plan(self, query_text: str) -> _CachedPlan:
+        # Read the version before anything it covers: a plan built while a
+        # schema change is in flight is tagged with the older version and
+        # dies at the change's bump.
+        version = self.catalog.schema_version
         with self._plan_lock:
             cached = self._plan_cache.get(query_text)
-        if cached is not None:
-            cached.hits += 1
-            self.stats.inc("plan_cache_hits")
-            return cached
+            if cached is not None and cached.version == version:
+                self._plan_cache.move_to_end(query_text)
+                self.stats.inc("plan_cache_hits")
+                return cached
         self.stats.inc("plan_cache_misses")
-        # Parse + deduce outside the lock: they only read the catalog, and
-        # concurrent first-executions of the same text just race to insert
-        # equivalent plans.
+        # Compile outside the lock: it only reads the catalog, and concurrent
+        # first executions of one text just race to insert equivalent plans.
         stmt = parse(query_text)
-        deduction = self._deduce(stmt)
-        cached = _CachedPlan(stmt=stmt, deduction=deduction)
-        if isinstance(stmt, (ast.SelectStmt, ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)):
-            with self._plan_lock:
-                existing = self._plan_cache.get(query_text)
-                if existing is not None:
-                    return existing
-                self._plan_cache[query_text] = cached
-        return cached
-
-    def _deduce(self, stmt: ast.Statement) -> DeductionResult:
-        scope = Scope(self.catalog)
-        if isinstance(stmt, ast.SelectStmt):
-            if stmt.table is not None:
-                scope.add_table(stmt.table)
-            for join in stmt.joins:
-                scope.add_table(join.table)
-        elif isinstance(stmt, (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)):
-            scope.add_table(ast.TableRef(name=stmt.table))
-        else:
-            return DeductionResult(param_types={}, enclave_ceks=set())
-        return deduce(stmt, scope, allow_enclave_order_by=self.allow_enclave_order_by)
-
-    def _invalidate_plan_cache(self) -> None:
+        if not isinstance(stmt, PLANNED_STATEMENTS):
+            return _CachedPlan(version, stmt, None)
+        deduction = deduce(
+            stmt,
+            Scope.for_statement(self.catalog, stmt),
+            allow_enclave_order_by=self.allow_enclave_order_by,
+        )
+        parameters = tuple(
+            ParameterDescription(name=name, column_type=column_type)
+            for name, column_type in deduction.param_types.items()
+        )
+        parameter_ceks = {
+            enc.cek_name: self._cek_metadata(enc.cek_name)
+            for enc in (p.column_type.encryption for p in parameters)
+            if enc is not None
+        }
+        cached = _CachedPlan(
+            version=version,
+            stmt=stmt,
+            physical=build_plan(stmt, deduction, self.engine, self.allow_enclave_order_by),
+            parameters=parameters,
+            parameter_ceks=tuple(parameter_ceks.items()),
+            enclave_ceks=tuple(
+                self._cek_metadata(name) for name in sorted(deduction.enclave_ceks)
+            ),
+        )
         with self._plan_lock:
-            self._plan_cache.clear()
+            self._plan_cache[query_text] = cached
+            self._plan_cache.move_to_end(query_text)
+            if len(self._plan_cache) > PLAN_CACHE_CAPACITY:
+                self._plan_cache.popitem(last=False)
+        return cached
 
     # ------------------------------------------- sp_describe_parameter_encryption
 
@@ -261,25 +286,13 @@ class SqlServer:
         metadata, and attestation info when the enclave is involved."""
         self.stats.inc("describe_calls")
         plan = self._plan(query_text)
-        parameters = [
-            ParameterDescription(name=name, column_type=column_type)
-            for name, column_type in plan.deduction.param_types.items()
-        ]
-        parameter_ceks: dict[str, CekMetadata] = {}
-        for description in parameters:
-            enc = description.column_type.encryption
-            if enc is not None:
-                parameter_ceks[enc.cek_name] = self._cek_metadata(enc.cek_name)
-        enclave_ceks = [
-            self._cek_metadata(name) for name in sorted(plan.deduction.enclave_ceks)
-        ]
         attestation = None
-        if enclave_ceks and client_dh_public is not None:
+        if plan.enclave_ceks and client_dh_public is not None:
             attestation = self.attest(client_dh_public)
         return DescribeResult(
-            parameters=parameters,
-            parameter_ceks=parameter_ceks,
-            enclave_ceks=enclave_ceks,
+            parameters=list(plan.parameters),
+            parameter_ceks=dict(plan.parameter_ceks),
+            enclave_ceks=list(plan.enclave_ceks),
             attestation=attestation,
         )
 
@@ -316,7 +329,6 @@ class SqlServer:
 
     def crash(self) -> None:
         self.engine.crash()
-        self._invalidate_plan_cache()
 
     def recover(self):
         try:
@@ -405,8 +417,6 @@ class SqlServer:
             )
             job.begin()
             self._rotation_jobs[rotation_id] = job
-        # New statements must bind against the flipped column metadata.
-        self._invalidate_plan_cache()
         return rotation_id
 
     def rotate_resume(
@@ -465,8 +475,6 @@ class SqlServer:
             total += rows
             if not more:
                 break
-        if not more:
-            self._invalidate_plan_cache()
         return more, total
 
     def rotate_run(self, rotation_id: str) -> int:
@@ -592,9 +600,7 @@ class ServerSession:
             raise StaleRestoreError(QUARANTINE_MESSAGE)
         stmt_probe = query_text.lstrip().upper()
         if stmt_probe.startswith(("CREATE", "DROP", "ALTER")):
-            result = self._execute_ddl(query_text)
-            self.server._invalidate_plan_cache()
-            return result
+            return self._execute_ddl(query_text)
         if stmt_probe.startswith("BEGIN"):
             self._begin()
             return QueryResult()
@@ -623,6 +629,10 @@ class ServerSession:
             with tracer.trace(trace_context):
                 record_event("stmt.begin", query=query_text[:120])
                 plan = self.server._plan(query_text)
+                if plan.physical is None:
+                    raise ExecutionError(
+                        f"executor cannot run {type(plan.stmt).__name__}"
+                    )
                 autocommit = self._txn is None and not isinstance(
                     plan.stmt, ast.SelectStmt
                 )
@@ -637,7 +647,7 @@ class ServerSession:
                         statement=statement_id,
                     ) as root_span:
                         result = self.server.executor.execute(
-                            plan.stmt, params, txn=txn, deduction=plan.deduction
+                            plan.physical, params, txn=txn
                         )
                 except Exception:
                     if autocommit and txn is not None:
@@ -705,8 +715,7 @@ class ServerSession:
             )
             return QueryResult()
         if isinstance(stmt, ast.DropTableStmt):
-            self.server.engine.tables.pop(stmt.name.lower(), None)
-            self.server.catalog.drop_table(stmt.name)
+            self.server.engine.drop_table(stmt.name)
             return QueryResult()
         if isinstance(stmt, ast.DropIndexStmt):
             self.server.engine.drop_index(stmt.table, stmt.name)
@@ -809,8 +818,10 @@ class ServerSession:
         # Update the schema first so row validation accepts the new cell
         # form during the rewrite; on failure the old type is restored.
         old_column_type = column.column_type
-        column.column_type = ColumnType(
-            sql_type=SqlType(stmt.type_name, stmt.type_length), encryption=new_enc
+        server.catalog.set_column_type(
+            stmt.table,
+            stmt.column,
+            ColumnType(sql_type=SqlType(stmt.type_name, stmt.type_length), encryption=new_enc),
         )
         txn = engine.begin()
         try:
@@ -826,12 +837,11 @@ class ServerSession:
         except Exception:
             if txn.is_active:
                 engine.abort(txn)
-            column.column_type = old_column_type
+            server.catalog.set_column_type(stmt.table, stmt.column, old_column_type)
             raise
         for index_schema in affected_indexes:
             index_schema.valid = True
             engine.create_index(index_schema)
-        server._invalidate_plan_cache()
         return QueryResult()
 
     def _convert_cell(self, query_text, cell, old_enc, new_enc):

@@ -62,7 +62,7 @@ def client_side_initial_encryption(
     for index_schema in affected:
         engine.drop_index(table, index_schema.name)
 
-    column_schema.column_type = new_type
+    server.catalog.set_column_type(table, column, new_type)
     txn = engine.begin()
     count = 0
     try:
@@ -80,8 +80,8 @@ def client_side_initial_encryption(
     except Exception:
         if txn.is_active:
             engine.abort(txn)
-        column_schema.column_type = ColumnType(
-            sql_type=new_type.sql_type, encryption=None
+        server.catalog.set_column_type(
+            table, column, ColumnType(sql_type=new_type.sql_type, encryption=None)
         )
         raise
     for index_schema in affected:
@@ -92,6 +92,5 @@ def client_side_initial_encryption(
             for c in index_schema.column_names
         ):
             engine.create_index(index_schema)
-    server._invalidate_plan_cache()
     connection.cek_cache.put(cek_name, cek_material)
     return count

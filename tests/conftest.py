@@ -15,13 +15,16 @@ import pytest
 from repro.attestation.hgs import AttestationPolicy, HostGuardianService
 from repro.attestation.tpm import HostMachine
 from repro.client.driver import Connection, connect
-from repro.crypto.aead import generate_cek_material
+from repro.crypto.aead import CellCipher, generate_cek_material
 from repro.crypto.rsa import RsaKeyPair
 from repro.enclave.runtime import Enclave, EnclaveBinary
 from repro.keys.cek import ColumnEncryptionKey
 from repro.keys.cmk import ColumnMasterKey
 from repro.keys.providers import KeyProviderRegistry, default_registry
+from repro.security.adversary import StrongAdversary
+from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.server import SqlServer
+from repro.sqlengine.values import deserialize_value
 
 ALGO = "AEAD_AES_256_CBC_HMAC_SHA_256"
 
@@ -158,6 +161,112 @@ def make_encrypted_table(connection: Connection, name: str = "T", cek: str = "Te
         f"value int ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = {cek}, "
         f"ENCRYPTION_TYPE = {scheme}, ALGORITHM = '{ALGO}'))"
     )
+
+
+class ThreeWay:
+    """A connection that runs every statement three ways and demands one answer.
+
+    Each SELECT / INSERT / UPDATE / DELETE runs on ``main`` with its plan
+    evicted (cold, rolled back), runs there again (warm, committed) and runs
+    once on ``twin`` — an identically built stack, driven through the same
+    history, whose plan cache is emptied before every statement. Rows,
+    rowcount, plan_info, result columns, the ``COUNTS`` of QueryStats and the
+    adversary's eval-path trace (ciphertexts decrypted: IVs differ) must be
+    identical. The caller, and the adversary attached to ``main``, see the
+    warm run only — so every other assertion of a suite built on this holds
+    for executions of a cached plan, and this class extends it to cold ones.
+    """
+
+    COUNTS = (
+        "rows_returned", "rows_scanned", "index_node_visits", "enclave_evals",
+        "enclave_eval_batches", "enclave_batched_rows", "enclave_comparisons",
+        "wal_records", "wal_bytes",
+    )
+    EVAL_PATH = ("eval", "eval_batch", "compare", "compare_batch")
+
+    def __init__(self, main: Connection, twin: Connection,
+                 main_adversary: StrongAdversary, twin_adversary: StrongAdversary):
+        self.main, self.twin = (main, main_adversary), (twin, twin_adversary)
+        self._ciphers: dict[str, CellCipher] = {}
+
+    def __getattr__(self, name: str):
+        return getattr(self.main[0], name)
+
+    @property
+    def servers(self) -> tuple[SqlServer, SqlServer]:
+        return self.main[0].server, self.twin[0].server
+
+    def execute_ddl(self, query_text: str, **options):
+        self.twin[0].execute_ddl(query_text, **options)
+        return self.main[0].execute_ddl(query_text, **options)
+
+    def execute(self, query_text: str, params: dict | None = None):
+        main_server, twin_server = self.servers
+        twin_server._plan_cache.clear()
+        __, always_cold = self._run(*self.twin, query_text, params, keep=True)
+        main_server._plan_cache.pop(query_text, None)
+        __, cold = self._run(*self.main, query_text, params, keep=False)
+        result, warm = self._run(*self.main, query_text, params, keep=True)
+        assert cold == warm, f"cold and warm differ on {query_text!r} {params!r}"
+        assert always_cold == warm, f"twin and warm differ on {query_text!r} {params!r}"
+        return result
+
+    def _run(self, conn: Connection, adversary: StrongAdversary, query_text: str,
+             params: dict | None, keep: bool):
+        events = adversary.boundary_events
+        mark = len(events)
+        conn.begin()
+        try:
+            result = conn.execute(query_text, params)
+        except BaseException:
+            conn.rollback()
+            raise
+        if keep:
+            conn.commit()
+        else:
+            conn.rollback()
+        trace = self._decoded(events[mark:])
+        if not keep:
+            del events[mark:]
+        counts = {name: getattr(result.stats, name) for name in self.COUNTS}
+        if counts["wal_records"]:
+            # A rolled-back insert leaves its leaf split behind, so the same
+            # write descends one node deeper the second time.
+            del counts["index_node_visits"]
+        return result, (
+            result.rows,
+            result.rowcount,
+            result.plan_info,
+            [(column.name, column.column_type) for column in result.columns],
+            counts,
+            trace,
+        )
+
+    def _decoded(self, events: list) -> list[tuple]:
+        def plain(value):
+            if isinstance(value, Ciphertext):
+                return ("ct", deserialize_value(self._decrypt(value.envelope)))
+            if isinstance(value, (tuple, list)):
+                return tuple(plain(item) for item in value)
+            return value
+
+        return [
+            (event.ecall, plain(event.visible_inputs), event.visible_output)
+            for event in events
+            if event.ecall in self.EVAL_PATH
+        ]
+
+    def _decrypt(self, envelope: bytes) -> bytes:
+        main = self.main[0]
+        for cek in main.server.catalog.ceks():
+            if cek.name not in self._ciphers:
+                material = main.cek_cache.get(cek.name)
+                if material is not None:
+                    self._ciphers[cek.name] = CellCipher(material)
+        for cipher in self._ciphers.values():
+            if cipher.verify(envelope):
+                return cipher.decrypt(envelope)
+        raise AssertionError("boundary event holds a cell under no key the client has")
 
 
 @pytest.fixture()

@@ -11,6 +11,13 @@ construction.
 Pairs are module-scoped: building the RND stack pays RSA + attestation
 once, and hypothesis then drives hundreds of generated schemas/queries
 against it using per-example table names (created and dropped per case).
+
+The oracle suite's AE side is a :class:`tests.conftest.ThreeWay`: every
+generated statement also runs cold, warm and on an always-cold twin stack,
+so "a cached plan behaves exactly like a fresh one" is one more axis of the
+same generated cases — for RND both at ``eval_batch_size=64``
+(``rnd_pair``) and in paper mode (``rnd_paper_pair``: ``eval_batch_size=1``,
+a describe per execute).
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from repro.attestation.hgs import AttestationPolicy, HostGuardianService
 from repro.attestation.tpm import HostMachine
 from repro.client.driver import Connection, connect
 from repro.enclave.runtime import Enclave
+from repro.security.adversary import StrongAdversary
 from repro.sqlengine.server import SqlServer
+from tests.conftest import ThreeWay
 
 ALGO = "AEAD_AES_256_CBC_HMAC_SHA_256"
 
@@ -36,7 +45,7 @@ class DifferentialPair:
     label: str                      # "DET" | "RND"
     cek_name: str
     scheme: str                     # "Deterministic" | "Randomized"
-    ae: Connection
+    ae: ThreeWay                    # main + always-cold twin AE stacks
     oracle: Connection
     cases: int = 0                  # generated cases executed (asserted >= 200)
     _table_seq: count = field(default_factory=count)
@@ -85,44 +94,82 @@ def _oracle_connection(registry) -> Connection:
     return connect(server, registry, column_encryption=False)
 
 
+def _three_way(build_server, registry, **connect_options) -> ThreeWay:
+    """Two identically built AE stacks, each watched by its own adversary."""
+    connections, adversaries = [], []
+    for __ in range(2):
+        server = build_server()
+        adversary = StrongAdversary()
+        adversary.attach(server)
+        connections.append(connect(server, registry, **connect_options))
+        adversaries.append(adversary)
+    return ThreeWay(*connections, *adversaries)
+
+
 @pytest.fixture(scope="module")
 def det_pair(registry, plain_cmk, plain_cek) -> DifferentialPair:
     """DET stack (enclave-disabled CEK, no enclave) vs plaintext oracle."""
-    server = SqlServer(lock_timeout_s=1.0)
-    server.catalog.create_cmk(plain_cmk)
-    server.catalog.create_cek(plain_cek)
+
+    def build_server() -> SqlServer:
+        server = SqlServer(lock_timeout_s=1.0)
+        server.catalog.create_cmk(plain_cmk)
+        server.catalog.create_cek(plain_cek)
+        return server
+
     return DifferentialPair(
         label="DET",
         cek_name=plain_cek.name,
         scheme="Deterministic",
-        ae=connect(server, registry),
+        ae=_three_way(build_server, registry),
         oracle=_oracle_connection(registry),
     )
 
 
-@pytest.fixture(scope="module")
-def rnd_pair(
-    registry, enclave_binary, enclave_cmk, enclave_cek
-) -> DifferentialPair:
-    """RND stack (enclave-enabled CEK, attested enclave) vs plaintext oracle."""
-    host = HostMachine()
-    hgs = HostGuardianService()
-    hgs.register_host(host.boot_and_measure())
-    server = SqlServer(
-        enclave=Enclave(enclave_binary),
-        host_machine=host,
-        hgs=hgs,
-        lock_timeout_s=1.0,
-    )
-    server.catalog.create_cmk(enclave_cmk)
-    server.catalog.create_cek(enclave_cek)
+def _rnd_pair(registry, enclave_binary, enclave_cmk, enclave_cek, eval_batch_size: int):
+    def build_server() -> SqlServer:
+        host = HostMachine()
+        hgs = HostGuardianService()
+        hgs.register_host(host.boot_and_measure())
+        server = SqlServer(
+            enclave=Enclave(enclave_binary),
+            host_machine=host,
+            hgs=hgs,
+            lock_timeout_s=1.0,
+            eval_batch_size=eval_batch_size,
+        )
+        server.catalog.create_cmk(enclave_cmk)
+        server.catalog.create_cek(enclave_cek)
+        return server
+
     policy = AttestationPolicy(
         trusted_author_ids=frozenset({enclave_binary.author_id})
     )
-    return DifferentialPair(
+    pair = DifferentialPair(
         label="RND",
         cek_name=enclave_cek.name,
         scheme="Randomized",
-        ae=connect(server, registry, attestation_policy=policy),
+        ae=_three_way(
+            build_server,
+            registry,
+            attestation_policy=policy,
+            # Paper mode is row-at-a-time *and* a describe per execute.
+            cache_describe_results=eval_batch_size > 1,
+        ),
         oracle=_oracle_connection(registry),
     )
+    yield pair
+    for server in pair.ae.servers:
+        server.shutdown()
+
+
+@pytest.fixture(scope="module")
+def rnd_pair(registry, enclave_binary, enclave_cmk, enclave_cek):
+    """RND stack (enclave-enabled CEK, attested enclave, 64-row enclave
+    batches) vs plaintext oracle."""
+    yield from _rnd_pair(registry, enclave_binary, enclave_cmk, enclave_cek, 64)
+
+
+@pytest.fixture(scope="module")
+def rnd_paper_pair(registry, enclave_binary, enclave_cmk, enclave_cek):
+    """The same in paper mode: ``eval_batch_size=1``, describe per execute."""
+    yield from _rnd_pair(registry, enclave_binary, enclave_cmk, enclave_cek, 1)

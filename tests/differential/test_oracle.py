@@ -16,6 +16,11 @@ The op vocabulary is mode-aware, mirroring the paper's capability matrix:
   LIKE, IN, join via enclave expression evaluation; GROUP BY only on
   plaintext/DET columns (the server refuses it on RND).
 
+The AE side of each pair is a ``ThreeWay`` (tests/conftest.py): every
+generated statement also runs cold, warm and on an always-cold twin stack,
+which must agree on rows, plan, counts and adversary trace before the
+warm answer is compared with the oracle's.
+
 ``derandomize=True`` keeps CI deterministic; each example uses fresh
 table names and drops them afterwards, so hundreds of generated cases
 share one attested stack. The final test per mode asserts that at least
@@ -216,3 +221,17 @@ def test_rnd_matches_plaintext_oracle(rnd_pair, t_rows, u_rows, ops):
 
 def test_rnd_generated_at_least_200_cases(rnd_pair):
     assert rnd_pair.cases >= MIN_CASES, rnd_pair.cases
+
+
+@given(
+    t_rows=st.lists(rows, min_size=1, max_size=8),
+    u_rows=st.lists(rows, min_size=0, max_size=5),
+    ops=rnd_ops,
+)
+@SETTINGS
+def test_rnd_paper_mode_matches_plaintext_oracle(rnd_paper_pair, t_rows, u_rows, ops):
+    _run_case(rnd_paper_pair, t_rows, u_rows, ops)
+
+
+def test_rnd_paper_mode_generated_at_least_200_cases(rnd_paper_pair):
+    assert rnd_paper_pair.cases >= MIN_CASES, rnd_paper_pair.cases

@@ -6,6 +6,11 @@ call mode, the adversary's scan-batch reconstruction must recover the
 or chunked, and batched index/sort comparisons must reveal the same
 ordering information as single compares. Only the *shape* of the
 boundary observations may differ (fewer, larger events).
+
+Every statement here goes through :class:`tests.conftest.ThreeWay`: what
+the assertions below see is the execution of a *cached* plan, and the same
+statement's cold execution and its execution on an always-cold twin stack
+must show the adversary the identical trace.
 """
 
 import pytest
@@ -18,28 +23,48 @@ from repro.security.adversary import StrongAdversary
 from repro.security.leakage import like_scan_predicate_bits, reconstruct_order
 from repro.sqlengine.server import SqlServer
 from repro.sqlengine.values import deserialize_value
-from tests.conftest import ALGO
+from tests.conftest import ALGO, ThreeWay
 
 NAMES = ["apple", "apricot", "banana", "cherry", "citrus", "date"]
 
 ALL_MODES = [CallMode.SYNCHRONOUS, CallMode.QUEUED]
 
 
+#: The twin stacks build_system made; the tests only stop the main one.
+_TWIN_SERVERS: list[SqlServer] = []
+
+
+@pytest.fixture(autouse=True)
+def stop_twin_servers():
+    yield
+    while _TWIN_SERVERS:
+        _TWIN_SERVERS.pop().shutdown()
+
+
 def build_system(enclave_binary, host_machine, hgs, registry, attestation_policy,
                  enclave_cmk, enclave_cek, mode, batch_size):
-    adversary = StrongAdversary()
-    server = SqlServer(
-        enclave=Enclave(enclave_binary),
-        host_machine=host_machine,
-        hgs=hgs,
-        lock_timeout_s=0.3,
-        enclave_call_mode=mode,
-        eval_batch_size=batch_size,
-    )
-    adversary.attach(server)
-    server.catalog.create_cmk(enclave_cmk)
-    server.catalog.create_cek(enclave_cek)
-    conn = connect(server, registry, attestation_policy=attestation_policy)
+    stacks = []
+    for __ in range(2):
+        adversary = StrongAdversary()
+        server = SqlServer(
+            enclave=Enclave(enclave_binary),
+            host_machine=host_machine,
+            hgs=hgs,
+            lock_timeout_s=0.3,
+            enclave_call_mode=mode,
+            eval_batch_size=batch_size,
+        )
+        adversary.attach(server)
+        server.catalog.create_cmk(enclave_cmk)
+        server.catalog.create_cek(enclave_cek)
+        conn = connect(
+            server, registry, attestation_policy=attestation_policy,
+            cache_describe_results=batch_size > 1,
+        )
+        stacks.append((adversary, server, conn))
+    (adversary, server, main), (twin_adversary, twin_server, twin) = stacks
+    _TWIN_SERVERS.append(twin_server)
+    conn = ThreeWay(main, twin, adversary, twin_adversary)
     conn.execute_ddl(
         "CREATE TABLE L (k int PRIMARY KEY, "
         f"name varchar(20) ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = TestCEK, "
