@@ -5,7 +5,10 @@ selective RND-predicate scan. The claim under test is the tentpole of the
 batching change: with a non-zero boundary-transition cost, shipping 64
 rows per ecall pays ≥5× fewer ``worker.boundary_transitions`` than
 row-at-a-time evaluation — and measurably less wall time — in both
-SYNCHRONOUS and QUEUED modes.
+SYNCHRONOUS and QUEUED modes. Beside it, a count that cannot flake: the
+one-comparison scan opens every cell once and the shared parameter once
+per ecall (``cell_decrypts == rows + eval ecalls``; docs/PERF.md, "Open
+once per ecall"), at every batch size.
 
 Every configuration's measurements are appended to
 ``benchmarks/BENCH_enclave_batch.json`` by the session fixture in
@@ -90,6 +93,9 @@ def measure(server, conn, batch_size: int, transition_cost_s: float) -> dict:
         "wall_time_s": round(wall_s, 6),
         "enclave_eval_batches": result.stats.enclave_eval_batches,
         "enclave_batched_rows": result.stats.enclave_batched_rows,
+        # The statement is warm, so every ecall it makes is an eval ecall.
+        "eval_ecalls": result.stats.ecalls,
+        "cell_decrypts": result.stats.enclave_cell_decrypts,
     }
 
 
@@ -107,6 +113,10 @@ def test_batch_sweep(mode, enclave_batch_results):
                 enclave_batch_results.append(entry)
     finally:
         server.gateway.shutdown()
+
+    for entry in by_config.values():
+        # One open per cell, one per parameter per ecall — not 2 × rows.
+        assert entry["cell_decrypts"] == entry["rows"] + entry["eval_ecalls"], entry
 
     for cost in TRANSITION_COSTS_S:
         row = by_config[(cost, 1)]

@@ -1,9 +1,15 @@
 """AES block cipher implemented from scratch (FIPS 197).
 
-No third-party crypto library is available in this offline environment, so
-the cell-encryption algorithm the paper names (AEAD_AES_256_CBC_HMAC_SHA_256)
-is built on this implementation. Correctness is pinned to the FIPS 197 /
-NIST SP 800-38A vectors in ``tests/crypto/test_aes.py``.
+The cell-encryption algorithm the paper names
+(AEAD_AES_256_CBC_HMAC_SHA_256) is built on this implementation. Pure
+Python is the reference by choice, not for want of a library: it keeps
+the repository free of any crypto dependency (``pyproject.toml`` declares
+numpy and scipy only) and its per-cell cost in plain view of the
+benchmark. ``cryptography`` does import on the development host; offering
+it as an optional backend behind ``CellCipher`` is ROADMAP items 3 and 5 —
+the choice has to be recorded in the benchmark's ``host`` block before
+numbers made with it mean anything. Correctness is pinned to the
+FIPS 197 / NIST SP 800-38A vectors in ``tests/crypto/test_aes.py``.
 
 The implementation is table-driven: the S-box is derived from the GF(2^8)
 multiplicative inverse and the affine transform at import time, and four

@@ -124,20 +124,36 @@ class EnclaveCounters(StatsView):
 BoundaryObserver = Callable[[str, tuple, object], None]
 
 
-class _EnclaveCryptoContext:
-    """The VM crypto context backed by the enclave's SQL OS key store."""
+#: Most plaintexts one ecall keeps open at a time. The chunk size of an
+#: ``eval_batch`` / ``compare_batch`` is the untrusted host's choice; how
+#: much cleartext the enclave holds for it is not. Once full, further
+#: operands are opened, used and dropped without being kept.
+_MEMO_CAPACITY = 256
+
+
+class _EcallCrypto:
+    """One computation ecall's VM crypto context and plaintext memo.
+
+    A local of the ecall — ``with _EcallCrypto(enclave) as crypto`` — so it
+    dies on return and on raise, and concurrent ecalls (gateway workers,
+    SYNCHRONOUS callers) share nothing. Leaving the block books the opens
+    actually performed, raised or not.
+    """
 
     def __init__(self, enclave: "Enclave"):
         self._enclave = enclave
+        self.plaintexts: dict[tuple[str, bytes], SqlScalar] = {}
+        self.partners: dict[str, str | None] = {}
+        self.opens = 0
+
+    def __enter__(self) -> "_EcallCrypto":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._enclave.counters.inc("cell_decrypts", self.opens)
 
     def decrypt_cell(self, ciphertext: Ciphertext, enc: EncryptionInfo) -> SqlScalar:
-        self._enclave.counters.inc("cell_decrypts")
-        # Mid-rotation scans read mixed old/new cells under one column
-        # name; the rotation-partner window resolves both, same as the
-        # comparison ecalls.
-        return deserialize_value(
-            self._enclave._decrypt_for_compare(enc.cek_name, ciphertext.envelope)
-        )
+        return self._enclave._open(self, enc.cek_name, ciphertext.envelope)
 
     def encrypt_cell(self, value: SqlScalar, enc: EncryptionInfo) -> Ciphertext:
         cipher = self._enclave.sqlos.cipher_for(enc.cek_name)
@@ -163,7 +179,6 @@ class Enclave:
         self._programs: dict[int, StackProgram] = {}
         self._program_handles: dict[bytes, int] = {}
         self._next_handle = itertools.count(1)
-        self._vm = StackMachine(crypto=_EnclaveCryptoContext(self))
         # Enclave-held freshness state (rollback defense): survives host
         # crashes and disk restores because it lives in this trust domain.
         from repro.enclave.anchor import AnchorState
@@ -311,7 +326,8 @@ class Enclave:
         if program is None:
             raise EnclaveError(f"no registered program with handle {handle}")
         started = time.perf_counter()
-        outputs = self._vm.eval(program, inputs, n_outputs=1)
+        with _EcallCrypto(self) as crypto:
+            outputs = StackMachine(crypto=crypto).eval(program, inputs, n_outputs=1)
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("evals")
         # The adversary sees the (ciphertext) inputs and the cleartext result.
@@ -334,9 +350,11 @@ class Enclave:
             raise EnclaveError(f"no registered program with handle {handle}")
         started = time.perf_counter()
         outputs: list[list[object]] = []
-        for index, inputs in enumerate(rows):
-            fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
-            outputs.append(self._vm.eval(program, inputs, n_outputs=1))
+        with _EcallCrypto(self) as crypto:
+            vm = StackMachine(crypto=crypto)
+            for index, inputs in enumerate(rows):
+                fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
+                outputs.append(vm.eval(program, inputs, n_outputs=1))
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("evals", len(rows))
         self.counters.inc("eval_batches")
@@ -371,11 +389,29 @@ class Enclave:
             self._rotation_partners.pop(old_cek, None)
             self._rotation_partners.pop(new_cek, None)
 
-    def _decrypt_for_compare(self, cek_name: str, envelope: bytes) -> bytes:
+    def _open(self, crypto: _EcallCrypto, cek_name: str, envelope: bytes) -> SqlScalar:
+        """The plaintext of one operand, opened at most once per ecall.
+
+        The CEK name is part of the key: a hit stands in for a MAC check, so
+        it may only ever answer for the key that check ran under. A failing
+        envelope raises before it is stored, so it fails again every time.
+        """
+        key = (cek_name, envelope)
+        if key in crypto.plaintexts:
+            return crypto.plaintexts[key]
+        if cek_name not in crypto.partners:
+            with self._lock:
+                crypto.partners[cek_name] = self._rotation_partners.get(cek_name)
+        partner = crypto.partners[cek_name]
+        crypto.opens += 1
+        value = deserialize_value(self._decrypt_for_compare(cek_name, envelope, partner))
+        if len(crypto.plaintexts) < _MEMO_CAPACITY:
+            crypto.plaintexts[key] = value
+        return value
+
+    def _decrypt_for_compare(self, cek_name: str, envelope: bytes, partner: str | None) -> bytes:
         """Decrypt under the named CEK, falling back to its live rotation
         partner — the one window in which two keys legitimately coexist."""
-        with self._lock:
-            partner = self._rotation_partners.get(cek_name)
         if not self.sqlos.has_key(cek_name) and partner:
             # A session that only ever shipped the partner key can still
             # probe mid-rotation trees: the window names both keys.
@@ -396,10 +432,11 @@ class Enclave:
         to RND comparisons.
         """
         started = time.perf_counter()
-        left_value = deserialize_value(self._decrypt_for_compare(cek_name, left.envelope))
-        right_value = deserialize_value(self._decrypt_for_compare(cek_name, right.envelope))
-        self.counters.inc("cell_decrypts", 2)
-        result = compare_values(left_value, right_value)
+        with _EcallCrypto(self) as crypto:
+            result = compare_values(
+                self._open(crypto, cek_name, left.envelope),
+                self._open(crypto, cek_name, right.envelope),
+            )
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("comparisons")
         self._observe("compare", (cek_name, left, right), result)
@@ -410,20 +447,20 @@ class Enclave:
     ) -> list[int]:
         """Three-way compare ``probe`` against every candidate in one ecall.
 
-        The probe is decrypted once for the whole batch (``compare`` pays
-        two decrypts per comparison). The observation carries every
-        per-pair ordering verdict — the same cleartext results the
-        adversary collects from single compares, in one crossing.
+        The probe — like any envelope the batch repeats — is opened once
+        for the whole ecall. The observation carries every per-pair
+        ordering verdict — the same cleartext results the adversary
+        collects from single compares, in one crossing.
         """
         if not candidates:
             return []
         started = time.perf_counter()
-        probe_value = deserialize_value(self._decrypt_for_compare(cek_name, probe.envelope))
-        results: list[int] = []
-        for candidate in candidates:
-            value = deserialize_value(self._decrypt_for_compare(cek_name, candidate.envelope))
-            results.append(compare_values(probe_value, value))
-        self.counters.inc("cell_decrypts", 1 + len(candidates))
+        with _EcallCrypto(self) as crypto:
+            probe_value = self._open(crypto, cek_name, probe.envelope)
+            results = [
+                compare_values(probe_value, self._open(crypto, cek_name, candidate.envelope))
+                for candidate in candidates
+            ]
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("comparisons", len(candidates))
         self.counters.inc("compare_batches")

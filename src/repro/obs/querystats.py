@@ -31,6 +31,7 @@ _SERVER_DELTA_FIELDS: dict[str, str] = {
     "enclave_eval_batches": "enclave.eval_batches",
     "enclave_batched_rows": "enclave.batched_rows",
     "enclave_comparisons": "enclave.comparisons",
+    "enclave_cell_decrypts": "enclave.cell_decrypts",
     "boundary_transitions": "worker.boundary_transitions",
     "rows_scanned": "executor.rows_scanned",
     "index_node_visits": "index.nodes_visited",
@@ -78,6 +79,7 @@ class QueryStats:
     enclave_eval_batches: int = 0
     enclave_batched_rows: int = 0
     enclave_comparisons: int = 0
+    enclave_cell_decrypts: int = 0
     boundary_transitions: int = 0
     rows_scanned: int = 0
     index_node_visits: int = 0
@@ -216,6 +218,7 @@ def format_explain_stats(stats: QueryStats) -> str:
         ("  enclave_eval_batches", stats.enclave_eval_batches),
         ("  enclave_batched_rows", stats.enclave_batched_rows),
         ("  enclave_comparisons", stats.enclave_comparisons),
+        ("  enclave_cell_decrypts", stats.enclave_cell_decrypts),
         ("boundary_transitions", stats.boundary_transitions),
         ("lock_waits", stats.lock_waits),
         ("latch_waits", stats.latch_waits),

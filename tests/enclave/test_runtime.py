@@ -1,12 +1,16 @@
 """The enclave runtime: sessions, CEK install, eval, gated oracles."""
 
+import threading
+
 import pytest
 
 from repro.crypto.aead import CellCipher, EncryptionScheme
 from repro.crypto.dh import DiffieHellman, public_key_bytes
 from repro.crypto.rsa import verify_signature
 from repro.enclave.channel import CekPackage, SealedPackage, seal_package
-from repro.errors import EnclaveError, KeysUnavailableError, ReplayError
+from repro.enclave.runtime import _MEMO_CAPACITY
+from repro.errors import EnclaveError, IntegrityError, KeysUnavailableError, ReplayError
+from repro.faults import Always, get_fault_registry
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.expression.program import Instruction, Opcode, StackProgram
 from repro.sqlengine.types import EncryptionInfo
@@ -129,6 +133,199 @@ class TestCompare:
         a = rnd_cell(cek_material, 1)
         with pytest.raises(KeysUnavailableError):
             enclave.compare("TestCEK", a, a)
+
+
+OTHER_MATERIAL = bytes([7]) * 32
+OTHER_ENC = EncryptionInfo(
+    scheme=EncryptionScheme.RANDOMIZED, cek_name="OtherCEK", enclave_enabled=True
+)
+
+
+class TestOpenOncePerEcall:
+    """A computation ecall opens each distinct (CEK, envelope) once; the
+    memo is the ecall's own and is gone when it returns or raises."""
+
+    @pytest.fixture()
+    def two_keys(self, enclave, session):
+        """``session`` plus a second CEK under different material."""
+        session_id, secret = session
+        package = CekPackage(nonce=1, ceks=(("OtherCEK", OTHER_MATERIAL),))
+        enclave.install_package(session_id, seal_package(secret, package))
+
+    @staticmethod
+    def handle(enclave, left=ENC, right=ENC):
+        prog = StackProgram([
+            Instruction(Opcode.GET_DATA, (0, left)),
+            Instruction(Opcode.GET_DATA, (1, right)),
+            Instruction(Opcode.COMP, ">"),
+            Instruction(Opcode.SET_DATA, (0, None)),
+        ])
+        return enclave.register_program(prog.serialize())
+
+    @staticmethod
+    def opens(enclave, ecall):
+        """(what the ecall returned, how many cells it opened)."""
+        before = enclave.counters.cell_decrypts
+        result = ecall()
+        return result, enclave.counters.cell_decrypts - before
+
+    def test_eval_batch_opens_a_shared_parameter_once(self, enclave, session, cek_material):
+        handle = self.handle(enclave)
+        lo = rnd_cell(cek_material, 31)
+        rows = [[rnd_cell(cek_material, v), lo] for v in range(64)]
+        expected = [[v > 31] for v in range(64)]
+        assert self.opens(enclave, lambda: enclave.eval_batch(handle, rows)) == (expected, 65)
+        # Nothing outlives the ecall: the same chunk pays in full again.
+        assert self.opens(enclave, lambda: enclave.eval_batch(handle, rows)) == (expected, 65)
+        # A plain eval has two distinct operands and nothing to share.
+        assert self.opens(enclave, lambda: enclave.eval(handle, rows[40])) == ([True], 2)
+
+    def test_compare_with_itself_opens_once(self, enclave, session, cek_material):
+        x, y = rnd_cell(cek_material, 10), rnd_cell(cek_material, 10)
+        assert self.opens(enclave, lambda: enclave.compare("TestCEK", x, x)) == (0, 1)
+        assert self.opens(enclave, lambda: enclave.compare("TestCEK", x, y)) == (0, 2)
+
+    def test_compare_batch_opens_each_distinct_envelope_once(
+        self, enclave, session, cek_material
+    ):
+        probe, low, high = (rnd_cell(cek_material, v) for v in (5, 1, 9))
+        candidates = [low, probe, high, low, probe]
+        assert self.opens(
+            enclave, lambda: enclave.compare_batch("TestCEK", probe, candidates)
+        ) == ([1, 0, -1, 1, 0], 3)
+
+    def test_a_hit_never_answers_for_another_cek(self, enclave, two_keys, cek_material):
+        # Slots 0-1 read under TestCEK, slots 2-3 under OtherCEK. An
+        # envelope already opened under TestCEK must still fail OtherCEK's
+        # MAC check in slot 2 — a memo keyed on the envelope alone would
+        # hand that slot the first key's plaintext.
+        prog = StackProgram([
+            Instruction(Opcode.GET_DATA, (0, ENC)),
+            Instruction(Opcode.GET_DATA, (1, ENC)),
+            Instruction(Opcode.COMP, ">"),
+            Instruction(Opcode.GET_DATA, (2, OTHER_ENC)),
+            Instruction(Opcode.GET_DATA, (3, OTHER_ENC)),
+            Instruction(Opcode.COMP, ">"),
+            Instruction(Opcode.AND),
+            Instruction(Opcode.SET_DATA, (0, None)),
+        ])
+        handle = enclave.register_program(prog.serialize())
+        five, two = rnd_cell(cek_material, 5), rnd_cell(cek_material, 2)
+        other_five, other_two = rnd_cell(OTHER_MATERIAL, 5), rnd_cell(OTHER_MATERIAL, 2)
+        good = [five, two, other_five, other_two]
+        assert enclave.eval(handle, good) == [True]
+        with pytest.raises(IntegrityError):
+            enclave.eval(handle, [five, two, five, other_two])
+        with pytest.raises(IntegrityError):
+            enclave.eval_batch(handle, [good, [five, two, five, other_two]])
+
+    def test_a_failing_envelope_fails_every_time(self, enclave, session, cek_material):
+        handle = self.handle(enclave)
+        lo = rnd_cell(cek_material, 31)
+        good = rnd_cell(cek_material, 50)
+        envelope = bytearray(good.envelope)
+        envelope[-1] ^= 1
+        tampered = Ciphertext(bytes(envelope))
+        rows = [[rnd_cell(cek_material, v), lo] for v in range(64)]
+        rows[3] = rows[40] = [tampered, lo]
+        before = enclave.counters.cell_decrypts
+        with pytest.raises(IntegrityError):
+            enclave.eval_batch(handle, rows)
+        # Rows 0-2, the parameter and the failed attempt: the opens of an
+        # ecall that raises mid-chunk are still booked.
+        assert enclave.counters.cell_decrypts - before == 5
+        # The next ecall starts from nothing: the valid twin succeeds, the
+        # tampered envelope still raises, on its own and behind other rows.
+        assert enclave.eval_batch(handle, [[good, lo], [good, lo]]) == [[True], [True]]
+        with pytest.raises(IntegrityError):
+            enclave.eval(handle, [tampered, lo])
+        with pytest.raises(IntegrityError):
+            enclave.eval_batch(handle, rows[38:])
+
+    def test_concurrent_ecalls_share_nothing(self, enclave, session, cek_material):
+        handle = self.handle(enclave)
+        chunks, expected = [], []
+        for t in range(4):
+            lo = rnd_cell(cek_material, 10 * t)
+            chunks.append([[rnd_cell(cek_material, v), lo] for v in range(20 + t)])
+            expected.append([[v > 10 * t] for v in range(20 + t)])
+        distinct = sum(len(chunk) + 1 for chunk in chunks)
+
+        class Rendezvous:
+            """Hold every ecall at row 10 until all four are inside."""
+
+            barrier = threading.Barrier(4, timeout=10)
+
+            def trigger(self, site, ctx):
+                if ctx["index"] == 10:
+                    self.barrier.wait()
+
+        results: list = [None] * 4
+
+        def run(t):
+            results[t] = enclave.eval_batch(handle, chunks[t])
+
+        armed = get_fault_registry().arm("enclave.eval_batch", Always(), Rendezvous())
+        before = enclave.counters.cell_decrypts
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+        finally:
+            get_fault_registry().disarm(armed)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+        assert enclave.counters.cell_decrypts - before == distinct
+
+    def test_mixed_key_chunk_opens_each_cell_once_through_the_partner(
+        self, enclave, two_keys, cek_material
+    ):
+        class CountingReads(dict):
+            reads = 0
+
+            def get(self, *args):
+                self.reads += 1
+                return super().get(*args)
+
+        enclave.begin_rotation("TestCEK", "OtherCEK")
+        enclave._rotation_partners = partners = CountingReads(enclave._rotation_partners)
+        handle = self.handle(enclave)  # the column still names TestCEK
+        lo = rnd_cell(cek_material, 4)
+        # Odd rows are already swept to the new key.
+        rows = [
+            [rnd_cell(OTHER_MATERIAL if v % 2 else cek_material, v), lo] for v in range(10)
+        ]
+        assert self.opens(enclave, lambda: enclave.eval_batch(handle, rows + rows)) == (
+            [[v > 4] for v in range(10)] * 2, 11
+        )
+        # One read of the partner table per (ecall, CEK), not one per cell.
+        assert partners.reads == 1
+        enclave.end_rotation("TestCEK", "OtherCEK")
+        with pytest.raises(IntegrityError):
+            enclave.eval_batch(handle, rows)
+
+    def test_the_host_cannot_make_the_enclave_hold_a_whole_chunk(
+        self, enclave, session, cek_material
+    ):
+        # The chunk size is the host's choice. Ship one with more distinct
+        # cells than the memo may hold, every cell twice: verdicts are
+        # right, and exactly the cells that did not fit are opened again.
+        handle = self.handle(enclave)
+        lo = rnd_cell(cek_material, 100)
+        n = _MEMO_CAPACITY + 44
+        rows = [[rnd_cell(cek_material, v), lo] for v in range(n)]
+        held_cells = _MEMO_CAPACITY - 1  # the parameter holds one place
+        used = enclave.sqlos.memory_used
+        assert self.opens(enclave, lambda: enclave.eval_batch(handle, rows + rows)) == (
+            [[v > 100] for v in range(n)] * 2, n + 1 + (n - held_cells)
+        )
+        assert enclave.sqlos.memory_used == used
+        rows[n // 2] = [Ciphertext(lo.envelope[:-1] + b"\x00"), lo]
+        with pytest.raises(IntegrityError):
+            enclave.eval_batch(handle, rows)
+        assert enclave.sqlos.memory_used == used
 
 
 class TestGatedOracles:

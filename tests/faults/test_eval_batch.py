@@ -34,6 +34,26 @@ class TestMidBatchFaults:
         assert sorted(row[0] for row in result.rows) == [4, 5, 6, 7, 8, 9]
         assert result.stats.enclave_batched_rows == 10
 
+    def test_rerun_after_failed_batch_opens_what_a_fresh_server_opens(self, encrypted_table):
+        conn = encrypted_table
+        query, params = "SELECT id FROM T WHERE value > @v", {"v": 30}
+        # Ten cells and one parameter: what this statement costs a server
+        # that never saw a fault.
+        fresh = conn.execute(query, params).stats.enclave_cell_decrypts
+        assert fresh == 11
+        counters = conn.server.enclave.counters
+        before = counters.cell_decrypts
+        get_fault_registry().arm(
+            "enclave.eval_batch", OnNth(5), RaiseTransient("mid-batch")
+        )
+        with pytest.raises(TransientFault):
+            conn.execute(query, params)
+        # Rows 0-3 and the parameter were opened before row 4 faulted, and
+        # are booked although the ecall raised ...
+        assert counters.cell_decrypts - before == 5
+        # ... and none of them is still open: the rerun pays in full.
+        assert conn.execute(query, params).stats.enclave_cell_decrypts == fresh
+
     def test_update_mid_batch_leaves_no_partial_updates(self, encrypted_table):
         conn = encrypted_table
         get_fault_registry().arm(

@@ -7,13 +7,22 @@ or chunked, and batched index/sort comparisons must reveal the same
 ordering information as single compares. Only the *shape* of the
 boundary observations may differ (fewer, larger events).
 
-Every statement here goes through :class:`tests.conftest.ThreeWay`: what
-the assertions below see is the execution of a *cached* plan, and the same
-statement's cold execution and its execution on an always-cold twin stack
-must show the adversary the identical trace.
+Every statement of the example-based tests goes through
+:class:`tests.conftest.ThreeWay`: what their assertions see is the
+execution of a *cached* plan, and the same statement's cold execution and
+its execution on an always-cold twin stack must show the adversary the
+identical trace. ``TestLeakageEquivalence`` at the end is the generated
+form of the same contract: the trace is a function of the declared leakage
+and of nothing else — not of the chunk size, not of the plaintexts.
 """
 
+import itertools
+import operator
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.client.driver import connect
 from repro.crypto.aead import CellCipher
@@ -21,8 +30,9 @@ from repro.enclave.runtime import Enclave
 from repro.enclave.worker import CallMode
 from repro.security.adversary import StrongAdversary
 from repro.security.leakage import like_scan_predicate_bits, reconstruct_order
+from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.server import SqlServer
-from repro.sqlengine.values import deserialize_value
+from repro.sqlengine.values import deserialize_value, serialize_value
 from tests.conftest import ALGO, ThreeWay
 
 NAMES = ["apple", "apricot", "banana", "cherry", "citrus", "date"]
@@ -286,3 +296,218 @@ def test_partial_last_chunk_of_one_is_a_plain_eval(
     assert like_scan_predicate_bits(adversary) == [
         [name.startswith("ap") for name in names]
     ]
+
+
+# -- the leakage claim, executed ----------------------------------------------
+#
+# Equivalence-based security (PAPERS.md) in executable form. The declared
+# leakage of an enclave-evaluated scan is L(table, predicate) = (row count,
+# ciphertext lengths, the verdict of every comparison on every row). The
+# property checks both directions: chunking an ecall changes nothing the
+# adversary can read (the batched trace, transposed chunk by chunk, IS the
+# row-at-a-time trace), and two tables with equal L are indistinguishable
+# (their traces are equal up to the random bytes of each envelope). Whatever
+# the enclave does between reading its inputs and writing its verdicts —
+# such as opening a repeated envelope once — has nowhere to show.
+
+CHUNK_SIZES = (1, 2, 7, 64)
+INTS = list(range(-3, 6))
+#: Short and long strings: two AES-CBC body lengths, so length is a live
+#: component of the leakage function and not a constant.
+TEXTS = ["", "a", "b", "ab", "ba", "bb", "a" * 15, "ab" * 8, "b" * 17]
+COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "=": operator.eq}
+
+_int_leaf = st.tuples(
+    st.just("n"), st.sampled_from([">", "<", ">=", "="]), st.sampled_from(INTS)
+)
+_text_leaf = st.one_of(
+    st.tuples(st.just("s"), st.just("LIKE"), st.sampled_from(["a%", "%b", "%a%", "a_", "%"])),
+    st.tuples(st.just("s"), st.just("="), st.sampled_from(TEXTS)),
+)
+predicates = st.recursive(
+    st.one_of(_int_leaf, _text_leaf),
+    lambda inner: st.one_of(
+        st.tuples(st.just("AND"), inner, inner),
+        st.tuples(st.just("OR"), inner, inner),
+        st.tuples(st.just("NOT"), inner),
+    ),
+    max_leaves=3,
+)
+tables = st.lists(
+    st.tuples(st.sampled_from(TEXTS), st.sampled_from(INTS)), min_size=1, max_size=10
+)
+
+
+def leaves(tree) -> list[tuple]:
+    if tree[0] in ("AND", "OR", "NOT"):
+        return [leaf for child in tree[1:] for leaf in leaves(child)]
+    return [tree]
+
+
+def cell_read(leaf, row):
+    """The cell of ``row`` — an ``(s, n)`` pair — that ``leaf`` compares."""
+    return row["sn".index(leaf[0])]
+
+
+def leaf_holds(leaf, row) -> bool:
+    __, op, operand = leaf
+    value = cell_read(leaf, row)
+    if op == "LIKE":
+        pattern = re.escape(operand).replace("%", ".*").replace("_", ".")
+        return re.fullmatch(pattern, value, re.DOTALL) is not None
+    return COMPARE[op](value, operand)
+
+
+def holds(tree, row) -> bool:
+    if tree[0] == "AND":
+        return holds(tree[1], row) and holds(tree[2], row)
+    if tree[0] == "OR":
+        return holds(tree[1], row) or holds(tree[2], row)
+    if tree[0] == "NOT":
+        return not holds(tree[1], row)
+    return leaf_holds(tree, row)
+
+
+def render(tree, names) -> str:
+    """SQL for ``tree``; each leaf takes the next parameter name."""
+    if tree[0] == "NOT":
+        return f"NOT ({render(tree[1], names)})"
+    if tree[0] in ("AND", "OR"):
+        return f"({render(tree[1], names)} {tree[0]} {render(tree[2], names)})"
+    return f"{tree[0]} {tree[1]} @{next(names)}"
+
+
+def leakage(table, tree) -> list[tuple]:
+    """L(table, predicate): per row, the AES-CBC block count of each cell
+    and the verdict of each comparison. The row count is the length."""
+    return [
+        tuple(len(serialize_value(value)) // 16 for value in row)
+        + tuple(leaf_holds(leaf, row) for leaf in leaves(tree))
+        for row in table
+    ]
+
+
+def per_row_trace(evals, n_sites) -> list[tuple]:
+    """``decoded_evals`` flattened to one ``(program, inputs, outputs)`` per
+    (row, comparison) in the order row-at-a-time evaluation produces them:
+    a chunk's ``n_sites`` consecutive events are transposed."""
+    flat = []
+    for start in range(0, len(evals), n_sites):
+        lanes = [
+            [(program, inputs, outputs)] if ecall == "eval"
+            else [(program, *row) for row in zip(inputs, outputs)]
+            for ecall, program, inputs, outputs in evals[start : start + n_sites]
+        ]
+        for row in zip(*lanes, strict=True):
+            flat.extend(row)
+    return flat
+
+
+def envelope_shapes(events) -> list[tuple]:
+    """The eval-path events as an adversary can compare two databases:
+    every envelope replaced by (its length, index of its first occurrence)."""
+    seen: dict[bytes, int] = {}
+
+    def shape(value):
+        if isinstance(value, Ciphertext):
+            return (len(value.envelope), seen.setdefault(value.envelope, len(seen)))
+        if isinstance(value, tuple):
+            return tuple(shape(item) for item in value)
+        return value
+
+    return [
+        (event.ecall, shape(event.visible_inputs), event.visible_output)
+        for event in events
+        if event.ecall in ("eval", "eval_batch")
+    ]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=[m.value for m in ALL_MODES])
+class TestLeakageEquivalence:
+    @pytest.fixture()
+    def stack(self, mode, enclave, host_machine, hgs, registry, attestation_policy,
+              enclave_cmk, enclave_cek):
+        adversary = StrongAdversary()
+        server = SqlServer(
+            enclave=enclave, host_machine=host_machine, hgs=hgs, lock_timeout_s=0.3,
+            enclave_call_mode=mode,
+        )
+        adversary.attach(server)
+        server.catalog.create_cmk(enclave_cmk)
+        server.catalog.create_cek(enclave_cek)
+        conn = connect(server, registry, attestation_policy=attestation_policy)
+        yield adversary, server, conn, itertools.count()
+        server.shutdown()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(table=tables, tree=predicates, data=st.data())
+    def test_trace_is_a_function_of_the_declared_leakage(
+        self, stack, cek_material, table, tree, data
+    ):
+        adversary, server, conn, sequence = stack
+        # A second table with the same L: per cell, any value of the domain
+        # with the same block count and the same verdict under every
+        # comparison that reads it.
+        domains = (TEXTS, INTS)
+        twin = [
+            tuple(
+                data.draw(st.sampled_from([
+                    other for other in domains[column]
+                    if leakage([row[:column] + (other,) + row[column + 1 :]], tree)
+                    == leakage([row], tree)
+                ]))
+                for column in (0, 1)
+            )
+            for row in table
+        ]
+        assert leakage(twin, tree) == leakage(table, tree)
+
+        params = {f"p{i}": leaf[2] for i, leaf in enumerate(leaves(tree))}
+        where = render(tree, iter(params))
+        n_sites = len(params)
+        enc = (
+            "ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = TestCEK, "
+            f"ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}')"
+        )
+        traces = []
+        for rows in (table, twin):
+            name = f"E{next(sequence)}"
+            conn.execute_ddl(
+                f"CREATE TABLE {name} (id int PRIMARY KEY, s varchar(20) {enc}, n int {enc})"
+            )
+            for i, (s, n) in enumerate(rows):
+                conn.execute(
+                    f"INSERT INTO {name} (id, s, n) VALUES (@i, @s, @n)",
+                    {"i": i, "s": s, "n": n},
+                )
+            per_chunk_size = []
+            for chunk_size in CHUNK_SIZES:
+                server.executor.eval_batch_size = chunk_size
+                start = len(adversary.boundary_events)
+                result = conn.execute(f"SELECT id FROM {name} WHERE {where}", params)
+                events = adversary.boundary_events[start:]
+                assert sorted(row[0] for row in result.rows) == [
+                    i for i, row in enumerate(rows) if holds(tree, row)
+                ]
+                per_chunk_size.append(events)
+            conn.execute_ddl(f"DROP TABLE {name}")
+            # Chunking is invisible: every chunk size decodes to the one
+            # per-row trace, which is the plaintext rows and their verdicts.
+            flat = [
+                per_row_trace(decoded_evals(events, cek_material), n_sites)
+                for events in per_chunk_size
+            ]
+            assert flat[1:] == flat[:-1]
+            assert [(inputs, outputs) for __, inputs, outputs in flat[0]] == [
+                ((cell_read(leaf, row), leaf[2]), (leaf_holds(leaf, row),))
+                for row in rows
+                for leaf in leaves(tree)
+            ]
+            traces.append([envelope_shapes(events) for events in per_chunk_size])
+        # Equal leakage, indistinguishable traces — at every chunk size.
+        assert traces[0] == traces[1]

@@ -94,6 +94,58 @@ class TestBatchedFilter:
         server.gateway.shutdown()
 
 
+class TestOpenOncePerEcall:
+    """The tier-1 pin of docs/PERF.md "Open once per ecall": one ecall per
+    (comparison, chunk), one open per cell plus one per shared parameter
+    per ecall — and paper mode exactly what it always cost."""
+
+    ROWS = 256
+    RANGE = "SELECT id FROM W WHERE value > @lo AND value < @hi"
+    LIKE = "SELECT id FROM W WHERE name LIKE @p"
+
+    def test_exact_ecalls_and_cell_opens(
+        self, enclave, host_machine, hgs, registry, attestation_policy,
+        enclave_cmk, enclave_cek,
+    ):
+        server = make_server(enclave, host_machine, hgs)
+        server.catalog.create_cmk(enclave_cmk)
+        server.catalog.create_cek(enclave_cek)
+        conn = connect(server, registry, attestation_policy=attestation_policy)
+        enc = (
+            "ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = TestCEK, "
+            f"ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}')"
+        )
+        conn.execute_ddl(
+            f"CREATE TABLE W (id int PRIMARY KEY, value int {enc}, name varchar(20) {enc})"
+        )
+        table = [(i, (i * 37) % self.ROWS, f"{'xyz'[i % 3]}{i:03d}") for i in range(self.ROWS)]
+        for i, value, name in table:
+            conn.execute(
+                "INSERT INTO W (id, value, name) VALUES (@i, @v, @n)",
+                {"i": i, "v": value, "n": name},
+            )
+        range_rows = sorted(i for i, value, __ in table if 100 < value < 120)
+        like_rows = sorted(i for i, __, name in table if name.startswith("x"))
+        # (eval_batch_size, statement, parameters, oracle, ecalls, cell opens)
+        cases = [
+            (64, self.RANGE, {"lo": 100, "hi": 120}, range_rows, 8, 8 * 65),
+            (64, self.LIKE, {"p": "x%"}, like_rows, 4, 4 * 65),
+            (1, self.RANGE, {"lo": 100, "hi": 120}, range_rows, 512, 1024),
+            (1, self.LIKE, {"p": "x%"}, like_rows, 256, 512),
+        ]
+        try:
+            for batch_size, query, params, oracle, ecalls, opens in cases:
+                server.executor.eval_batch_size = batch_size
+                conn.execute(query, params)  # registers the programs
+                result = conn.execute(query, params)
+                assert sorted(row[0] for row in result.rows) == oracle
+                assert (result.stats.ecalls, result.stats.enclave_cell_decrypts) == (
+                    ecalls, opens
+                ), (batch_size, query)
+        finally:
+            server.gateway.shutdown()
+
+
 class TestBatchProbeKnob:
     @pytest.mark.parametrize("batch_size, expect_batched", [(1, False), (64, True)])
     def test_eval_batch_size_gates_index_node_probes(
