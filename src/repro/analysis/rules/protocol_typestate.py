@@ -7,10 +7,11 @@ refactor cannot silently leave the wire protocol partial:
 (:data:`repro.net.opcodes.OPCODES`) maps to exactly one message
 dataclass (``OP`` class attribute in the messages module), and every
 message class is *reachable* server-side: either a handler module
-``isinstance``-checks it (requests — including classes listed in
-forwarding tuples like ``Router._FORWARDED``) or a handler module
-constructs it (replies; ``error_reply_for`` counts as constructing
-``ErrorReply``). Dispatch-style functions (≥ ``_DISPATCH_MIN``
+``isinstance``-checks it (requests), lists it in a forwarding tuple it
+reads (``Router._FORWARDED``, from which the raw-relayed opcode set is
+derived — those frames are never decoded, so no ``isinstance`` sees
+them), or constructs it (replies; ``error_reply_for`` counts as
+constructing ``ErrorReply``). Dispatch-style functions (≥ ``_DISPATCH_MIN``
 ``if isinstance(msg, Cls):`` arms) must be *total*: end in ``raise``
 (the unknown-message catch-all) and check each message class at most
 once — a duplicate arm is dead code shadowing a handler. The serving
@@ -177,6 +178,11 @@ class ProtocolTypestateRule:
             if info is None:
                 continue
             tuple_attrs = self._class_tuple_attrs(info.tree, class_names)
+            for node in ast.walk(info.tree):
+                # a forwarding tuple that something reads routes its classes
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    handled.update(tuple_attrs.get(name, ()))
             for call in _isinstance_calls(info.tree):
                 for cls_name in _class_names(call.args[1], tuple_attrs):
                     if cls_name in class_names:

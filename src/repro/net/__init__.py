@@ -3,8 +3,8 @@
 This package promotes the in-process client/server seam into a real
 serialized protocol: length-prefixed, versioned, CRC-protected frames
 (:mod:`repro.net.frames`) carrying typed request/reply messages
-(:mod:`repro.net.messages`) whose payloads are produced by a tagged
-recursive binary codec (:mod:`repro.net.encoding`). On top of the codec
+(:mod:`repro.net.messages`) whose payloads are produced by a closed,
+schema-compiled binary codec (:mod:`repro.net.encoding`). On top of the codec
 sit a client-side stub implementing the exact surface the AE driver
 expects (:mod:`repro.net.remote`) and the one frame-server loop
 (:mod:`repro.net.frameserver`) with its two users: a socket server
@@ -19,36 +19,7 @@ payloads it carries for encrypted columns are ciphertext envelopes —
 serialization must not (and does not) change the leakage accounting.
 This package must never import enclave internals; the static analyzer
 enforces that (``repro.net`` is a host package) and additionally lints
-that every opcode literal appears in :data:`repro.net.opcodes.OPCODES`.
+that every opcode literal appears in :data:`repro.net.opcodes.OPCODES`
+and every shape the codec carries has its id in ``WIRE_IDS`` beside it.
+Import what you need from the submodule that defines it.
 """
-
-from repro.net.encoding import decode_value, encode_value, register_enum, register_struct
-from repro.net.frames import (
-    PROTOCOL_VERSION,
-    CorruptFrameError,
-    TruncatedFrameError,
-    UnknownOpcodeError,
-    VersionMismatchError,
-    WireError,
-    decode_frame,
-    encode_frame,
-)
-from repro.net.opcodes import OPCODES, opcode_byte, opcode_name
-
-__all__ = [
-    "OPCODES",
-    "PROTOCOL_VERSION",
-    "CorruptFrameError",
-    "TruncatedFrameError",
-    "UnknownOpcodeError",
-    "VersionMismatchError",
-    "WireError",
-    "decode_frame",
-    "decode_value",
-    "encode_frame",
-    "encode_value",
-    "opcode_byte",
-    "opcode_name",
-    "register_enum",
-    "register_struct",
-]

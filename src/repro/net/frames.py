@@ -9,7 +9,7 @@ Frame layout (all integers big-endian)::
     3       1     opcode byte (:data:`repro.net.opcodes.OPCODES`)
     4       4     payload length ``n`` (u32)
     8       4     CRC32 of the payload bytes
-    12      n     payload (tagged binary value, :mod:`repro.net.encoding`)
+    12      n     payload (one tagged value, :mod:`repro.net.encoding`)
 
 The decoder is written for streaming use: :func:`try_decode` returns
 ``None`` when the buffer holds an incomplete frame (the caller reads more
@@ -33,7 +33,6 @@ from repro.errors import (
     TruncatedFrameError,
     UnknownOpcodeError,
     VersionMismatchError,
-    WireError,
 )
 from repro.net.opcodes import opcode_name
 
@@ -42,18 +41,13 @@ __all__ = [
     "MAGIC",
     "MAX_PAYLOAD_LEN",
     "PROTOCOL_VERSION",
-    "CorruptFrameError",
-    "TruncatedFrameError",
-    "UnknownOpcodeError",
-    "VersionMismatchError",
-    "WireError",
     "decode_frame",
     "encode_frame",
     "try_decode",
 ]
 
 MAGIC = b"AE"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: magic(2) + version(1) + opcode(1) + payload_len(4) + crc32(4)
 FRAME_HEADER_LEN = 12
@@ -74,12 +68,14 @@ def encode_frame(opcode: int, payload: bytes, *, version: int = PROTOCOL_VERSION
     return header + payload
 
 
-def try_decode(buffer: bytes) -> tuple[int, bytes, int] | None:
+def try_decode(buffer: bytes | bytearray) -> tuple[int, bytes, int] | None:
     """Decode the first frame in ``buffer`` if it is complete.
 
     Returns ``(opcode, payload, consumed)`` on success, ``None`` when more
     bytes are needed, and raises a :class:`WireError` subclass when the
-    prefix already present is invalid.
+    prefix already present is invalid. ``buffer`` is read in place (a
+    channel passes its growing receive buffer): nothing is copied until
+    the frame is whole, and then only the payload, once.
     """
     if len(buffer) < FRAME_HEADER_LEN:
         # Validate what we can see so a garbage prefix fails immediately.
@@ -100,7 +96,8 @@ def try_decode(buffer: bytes) -> tuple[int, bytes, int] | None:
     total = FRAME_HEADER_LEN + length
     if len(buffer) < total:
         return None
-    payload = bytes(buffer[FRAME_HEADER_LEN:total])
+    with memoryview(buffer) as view:
+        payload = bytes(view[FRAME_HEADER_LEN:total])
     if zlib.crc32(payload) != crc:
         raise CorruptFrameError("frame payload failed CRC check")
     return opcode, payload, total

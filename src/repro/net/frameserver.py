@@ -21,8 +21,8 @@ A subclass supplies exactly what differs:
 
 * ``_thread_prefix`` — names the serving threads;
 * :meth:`_handshake` — fills ``HelloReply`` and returns the connection's
-  dispatch callable (the router binds its affinity shard there);
-* :meth:`_forward_raw` — the router's verbatim reply-frame fast path.
+  dispatch and relay callables (the router binds its affinity shard there);
+* ``_RELAYED`` — the opcodes whose frames go to that relay undecoded.
 """
 
 from __future__ import annotations
@@ -33,18 +33,24 @@ from typing import Any, Callable
 
 from repro.errors import FaultInjected, WireError
 from repro.net import messages as msg
+from repro.net.frames import PROTOCOL_VERSION
 from repro.net.transport import FrameChannel, FrameTap
 
 __all__ = ["FrameServer"]
 
-#: ``dispatch(request, sessions) -> reply`` for one connection.
+#: ``dispatch(request, sessions) -> reply`` for one connection; the reply is
+#: a message, or ``bytes`` when it already is a frame (a shard's, verbatim).
 Dispatch = Callable[[object, dict], object]
+#: ``relay(request_frame) -> (opcode, payload, reply_frame)`` for one connection.
+Relay = Callable[[bytes], tuple[int, bytes, bytes]]
 
 
 class FrameServer:
     """A TCP endpoint speaking the framed request/reply protocol."""
 
     _thread_prefix = "frame"
+    #: opcode bytes answered by the connection's relay, frame for frame.
+    _RELAYED: frozenset[int] = frozenset()
 
     def __init__(self, host: str, port: int, name: str, tap: FrameTap | None):
         self.name = name
@@ -120,12 +126,16 @@ class FrameServer:
 
     # ------------------------------------------------------------- connection
 
-    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch]:
+    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch, Relay | None]:
         raise NotImplementedError
 
-    def _forward_raw(self, request: object, sessions: dict) -> bytes | None:
-        """An already-encoded reply frame for ``request``, or None to dispatch."""
-        return None
+    def _hello_reply(self, shard_count: int, hgs_public) -> msg.HelloReply:
+        return msg.HelloReply(
+            protocol_version=PROTOCOL_VERSION,
+            server_name=self.name,
+            shard_count=shard_count,
+            hgs_public=hgs_public,
+        )
 
     def _serve_connection(self, channel: FrameChannel) -> None:
         sessions: dict[int, Any] = {}
@@ -133,22 +143,29 @@ class FrameServer:
             hello = channel.recv_message()
             if not isinstance(hello, msg.Hello):
                 return
-            hello_reply, dispatch = self._handshake(hello)
+            hello_reply, dispatch, relay = self._handshake(hello)
             channel.send_message(hello_reply)
             while True:
-                request = channel.recv_message()
-                if request is None or isinstance(request, msg.AdminShutdown):
-                    if request is not None:
-                        channel.send_message(msg.Ok())
-                    if isinstance(request, msg.AdminShutdown):
-                        threading.Thread(target=self.stop, daemon=True).start()
+                raw = channel.recv_frame()
+                if raw is None:
+                    return
+                opcode, payload, frame = raw
+                relayed = opcode in self._RELAYED
+                request = None if relayed else msg.decode_message(opcode, payload)
+                if isinstance(request, msg.AdminShutdown):
+                    channel.send_message(msg.Ok())
+                    threading.Thread(target=self.stop, daemon=True).start()
                     return
                 try:
-                    raw = self._forward_raw(request, sessions)
-                    if raw is not None:
-                        channel.send_frame(raw)
-                        continue
-                    reply = dispatch(request, sessions)
+                    if relayed:
+                        # Frame for frame, payload undecoded: try_decode has
+                        # checked header and CRC on both legs, and the two
+                        # ends that read the payload validate it themselves.
+                        reply = relay(frame)[2]
+                    else:
+                        reply = dispatch(request, sessions)
+                        if not isinstance(reply, bytes):
+                            reply = msg.encode_message(reply)
                 except WireError:
                     raise  # protocol violation: drop the connection
                 except Exception as exc:  # marshalled to the client, typed
@@ -157,8 +174,8 @@ class FrameServer:
                         session = sessions.get(request.session_id)
                         if session is not None:
                             in_txn = session.in_transaction
-                    reply = msg.error_reply_for(exc, in_transaction=in_txn)
-                channel.send_message(reply)
+                    reply = msg.encode_message(msg.error_reply_for(exc, in_transaction=in_txn))
+                channel.send_frame(reply)
         except (ConnectionError, WireError, OSError, FaultInjected):
             pass  # peer vanished, spoke garbage, or an armed net.* fault
             # fired on our side of the socket: tear the connection down

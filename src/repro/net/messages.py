@@ -37,7 +37,7 @@ from repro.errors import RemoteError, ReproError, UnknownOpcodeError
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.keys.cmk import ColumnMasterKey
 from repro.net.encoding import decode_value, encode_value, register_enum, register_struct
-from repro.net.frames import decode_frame, encode_frame
+from repro.net.frames import encode_frame
 from repro.net.opcodes import opcode_byte
 from repro.sqlengine.catalog import ColumnSchema, IndexSchema, TableSchema
 from repro.sqlengine.cells import Ciphertext
@@ -48,57 +48,9 @@ from repro.sqlengine.server import CekMetadata, DescribeResult, ParameterDescrip
 from repro.sqlengine.storage.heap import RowId
 from repro.sqlengine.types import ColumnType, EncryptionInfo, EncryptionScheme, SqlType
 
-__all__ = [
-    "MESSAGE_TYPES",
-    "NONRECONSTRUCTIBLE_ERRORS",
-    "AdminAudit",
-    "AdminAuditReply",
-    "AdminCekVersions",
-    "AdminCekVersionsReply",
-    "AdminCrash",
-    "AdminRecover",
-    "AdminRecoverReply",
-    "AdminRotateStart",
-    "AdminRotateStatus",
-    "AdminRotateStatusReply",
-    "AdminRotateStep",
-    "AdminRotateStepReply",
-    "AdminShutdown",
-    "Attest",
-    "AttestReply",
-    "CekFetch",
-    "CekFetchReply",
-    "CekList",
-    "CekListReply",
-    "Describe",
-    "DescribeReply",
-    "ErrorReply",
-    "Execute",
-    "ExecuteReply",
-    "ForwardPackage",
-    "Hello",
-    "HelloReply",
-    "Ok",
-    "Ping",
-    "SessionClose",
-    "SessionOpen",
-    "SessionOpenReply",
-    "TableInfo",
-    "TableInfoReply",
-    "TxnAbortPrepared",
-    "TxnCommitPrepared",
-    "TxnIndoubt",
-    "TxnIndoubtReply",
-    "TxnPrepare",
-    "decode_message",
-    "encode_message",
-    "error_reply_for",
-    "reconstruct_error",
-]
-
 # ------------------------------------------------------------------ metadata
 # Shapes carried inside messages. Registration order only matters for
-# readability; the codec addresses structs by class name.
+# readability; the codec addresses each by its id in ``opcodes.WIRE_IDS``.
 
 register_enum(EncryptionScheme)
 for _cls in (
@@ -136,15 +88,16 @@ register_struct(QueryResult, ("columns", "rows", "rowcount", "plan_info"))
 # ------------------------------------------------------------------ messages
 
 MESSAGE_TYPES: dict[str, type] = {}
+_OPCODE_OF: dict[type, int] = {}
 
 
 def _message(cls: type) -> type:
     """Register a message dataclass under its ``OP`` opcode name."""
     op = cls.OP  # type: ignore[attr-defined]
-    opcode_byte(op)  # raises KeyError if the opcode registry lacks it
     if op in MESSAGE_TYPES:
         raise AssertionError(f"duplicate message class for opcode {op!r}")
     MESSAGE_TYPES[op] = cls
+    _OPCODE_OF[cls] = opcode_byte(op)  # KeyError if the opcode registry lacks it
     register_struct(cls)
     return cls
 
@@ -467,23 +420,32 @@ class AdminCekVersionsReply:
     versions: dict[str, int] = field(default_factory=dict)
 
 
+#: The catalogue is the export list: every message class, then the functions.
+__all__ = [
+    *(cls.__name__ for cls in MESSAGE_TYPES.values()),
+    "MESSAGE_TYPES",
+    "NONRECONSTRUCTIBLE_ERRORS",
+    "decode_message",
+    "encode_message",
+    "error_reply_for",
+    "reconstruct_error",
+]
+
+
 # ------------------------------------------------------------------ codec
 
 
 def encode_message(msg: Any) -> bytes:
     """Serialize a message to one complete frame."""
-    op = type(msg).OP
-    return encode_frame(opcode_byte(op), encode_value(msg))
+    return encode_frame(_OPCODE_OF[type(msg)], encode_value(msg))
 
 
 def decode_message(opcode: int, payload: bytes) -> Any:
     """Decode a frame's payload back into its message dataclass."""
     msg = decode_value(payload)
-    cls = type(msg)
-    expected = MESSAGE_TYPES.get(getattr(cls, "OP", None))
-    if cls is not expected or opcode_byte(cls.OP) != opcode:
+    if _OPCODE_OF.get(type(msg)) != opcode:
         raise UnknownOpcodeError(
-            f"frame opcode 0x{opcode:02X} does not match payload type {cls.__name__!r}"
+            f"frame opcode 0x{opcode:02X} does not match payload type {type(msg).__name__!r}"
         )
     return msg
 

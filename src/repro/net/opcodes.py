@@ -70,6 +70,50 @@ if len(_BY_BYTE) != len(OPCODES):
     raise AssertionError("duplicate opcode byte in OPCODES")
 
 
+#: class name → the tag byte its values carry inside payloads
+#: (:mod:`repro.net.encoding`). Assigned here and nowhere else — never by
+#: registration order, which two processes need not share. Append-only
+#: like the opcodes: an id is never renumbered or reused, a struct's
+#: registered fields and an enum's members only ever grow at the end, and
+#: any other change is a wire break that bumps the protocol version. Ids
+#: below 0x10 are the codec's built-in primitives and containers; by
+#: convention a message's id is its opcode with the high bit set.
+WIRE_IDS: dict[str, int] = {
+    # types, cells and catalog shapes
+    "EncryptionScheme": 0x10, "Ciphertext": 0x11, "RowId": 0x12, "SqlType": 0x13,
+    "EncryptionInfo": 0x14, "ColumnType": 0x15, "ColumnSchema": 0x16, "IndexSchema": 0x17,
+    "TableSchema": 0x18, "ResultColumn": 0x19, "QueryResult": 0x1A,
+    # key metadata and describe results
+    "CekEncryptedValue": 0x20, "ColumnEncryptionKey": 0x21, "ColumnMasterKey": 0x22,
+    "ParameterDescription": 0x23, "CekMetadata": 0x24, "DescribeResult": 0x25,
+    # attestation and the enclave channel
+    "RsaPublicKey": 0x30, "HealthCertificate": 0x31, "EnclaveReport": 0x32,
+    "SignedReport": 0x33, "AttestationInfo": 0x34, "SealedPackage": 0x35,
+    # administration
+    "RecoveryReport": 0x40, "RotationStatus": 0x41,
+    # messages: connection handshake
+    "Hello": 0x81, "HelloReply": 0x82, "Ok": 0x83, "ErrorReply": 0x84, "Ping": 0x85,
+    # messages: control plane
+    "Describe": 0x90, "DescribeReply": 0x91, "Attest": 0x92, "AttestReply": 0x93,
+    "CekFetch": 0x94, "CekFetchReply": 0x95, "CekList": 0x96, "CekListReply": 0x97,
+    "TableInfo": 0x98, "TableInfoReply": 0x99, "ForwardPackage": 0x9A,
+    # messages: data plane
+    "SessionOpen": 0xA0, "SessionOpenReply": 0xA1, "SessionClose": 0xA2,
+    "Execute": 0xA3, "ExecuteReply": 0xA4,
+    # messages: two-phase commit
+    "TxnPrepare": 0xB0, "TxnCommitPrepared": 0xB1, "TxnAbortPrepared": 0xB2,
+    "TxnIndoubt": 0xB3, "TxnIndoubtReply": 0xB4,
+    # messages: administration and the online key lifecycle
+    "AdminAudit": 0xC0, "AdminAuditReply": 0xC1, "AdminCrash": 0xC2, "AdminRecover": 0xC3,
+    "AdminRecoverReply": 0xC4, "AdminShutdown": 0xC5, "AdminRotateStart": 0xC6,
+    "AdminRotateStep": 0xC7, "AdminRotateStepReply": 0xC8, "AdminRotateStatus": 0xC9,
+    "AdminRotateStatusReply": 0xCA, "AdminCekVersions": 0xCB, "AdminCekVersionsReply": 0xCC,
+}
+
+if len(set(WIRE_IDS.values())) != len(WIRE_IDS):
+    raise AssertionError("duplicate wire id in WIRE_IDS")
+
+
 def opcode_byte(name: str) -> int:
     """The wire byte for an opcode name; raises ``KeyError`` on unknowns."""
     return OPCODES[name]

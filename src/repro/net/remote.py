@@ -25,14 +25,19 @@ import threading
 from repro.attestation.protocol import AttestationInfo
 from repro.crypto.rsa import RsaPublicKey
 from repro.enclave import SealedPackage
+from repro.errors import VersionMismatchError, WireError
 from repro.keys.cek import ColumnEncryptionKey
 from repro.net import messages as msg
+from repro.net.frames import PROTOCOL_VERSION
+from repro.net.opcodes import opcode_byte
 from repro.net.transport import FrameChannel, connect_channel
 from repro.sqlengine.catalog import TableSchema
 from repro.sqlengine.exec.executor import QueryResult
 from repro.sqlengine.server import CekMetadata, DescribeResult
 
 __all__ = ["RemoteCatalog", "RemoteHgs", "RemoteServer", "RemoteSession"]
+
+_EXECUTE_REPLY_OP = opcode_byte("execute_reply")
 
 
 class RemoteHgs:
@@ -98,10 +103,17 @@ class RemoteServer:
             raise msg.reconstruct_error(reply)
         if not isinstance(reply, msg.HelloReply):
             raise ConnectionResetError(f"unexpected handshake reply {type(reply).__name__}")
+        if reply.protocol_version != PROTOCOL_VERSION:
+            raise VersionMismatchError(
+                f"server speaks protocol version {reply.protocol_version}, "
+                f"this client speaks {PROTOCOL_VERSION}"
+            )
         return reply
 
-    def _request(self, message: object) -> object:
-        """One control-plane round trip; reconstructs typed errors.
+    def relay(self, frame: bytes) -> tuple[int, bytes, bytes]:
+        """One control-plane round trip of raw frames: an encoded request
+        in, the reply's ``(opcode, payload, frame_bytes)`` out, undecoded
+        (the router hands ``frame_bytes`` to its own peer verbatim).
 
         On a socket-level failure the channel is dead, but every message
         routed through here is an idempotent control-plane operation — so
@@ -111,7 +123,7 @@ class RemoteServer:
         """
         with self._lock:
             try:
-                reply = self._control.request(message)
+                return self._control.request_raw(frame)
             except (ConnectionError, TimeoutError, OSError) as exc:
                 try:
                     self._control.close()
@@ -120,6 +132,11 @@ class RemoteServer:
                 except Exception:
                     pass  # server gone: the retry will fail loudly instead
                 raise exc
+
+    def _request(self, message: object) -> object:
+        """One control-plane round trip; reconstructs typed errors."""
+        opcode, payload, _frame = self.relay(msg.encode_message(message))
+        reply = msg.decode_message(opcode, payload)
         if isinstance(reply, msg.ErrorReply):
             raise msg.reconstruct_error(reply)
         return reply
@@ -262,43 +279,40 @@ class RemoteSession:
     def in_transaction(self) -> bool:
         return self._in_transaction
 
+    def _raise(self, reply: object) -> None:
+        """Raise the typed error an Execute came back as, its transaction state mirrored."""
+        if not isinstance(reply, msg.ErrorReply):
+            raise WireError(f"unexpected reply {type(reply).__name__!r} to an execute")
+        if reply.in_transaction is not None:
+            self._in_transaction = reply.in_transaction
+        raise msg.reconstruct_error(reply)
+
+    def _send_execute(self, query_text: str, params: dict) -> tuple[int, bytes, bytes]:
+        request = msg.Execute(session_id=self.session_id, query_text=query_text, params=params)
+        return self._channel.request_raw(msg.encode_message(request))
+
     def execute(self, query_text: str, params: dict | None = None) -> QueryResult:
-        reply = self._channel.request(
-            msg.Execute(
-                session_id=self.session_id,
-                query_text=query_text,
-                params=params or {},
-            )
-        )
-        if isinstance(reply, msg.ErrorReply):
-            if reply.in_transaction is not None:
-                self._in_transaction = reply.in_transaction
-            raise msg.reconstruct_error(reply)
+        opcode, payload, _frame = self._send_execute(query_text, params or {})
+        reply = msg.decode_message(opcode, payload)
+        if not isinstance(reply, msg.ExecuteReply):
+            self._raise(reply)
         self._in_transaction = reply.in_transaction
         return reply.result
 
-    def execute_raw(self, query_text: str, params: dict) -> tuple[int, bytes, bytes]:
-        """One execute round trip returning the raw reply frame.
+    def execute_raw(self, query_text: str, params: dict) -> bytes:
+        """One execute round trip returning the raw ``execute_reply`` frame.
 
         The router's forwarding fast path: the reply payload — dominated
         by result rows on reads — is *not* decoded here; the caller
-        forwards ``frame_bytes`` verbatim to its own peer and decodes only
-        non-``execute_reply`` opcodes (errors). ``_in_transaction`` is
-        deliberately untouched: a successful DML statement never changes
-        the branch's transaction state, and the caller restores it from
-        the decoded reply on the error path.
+        forwards the frame verbatim to its own peer. Only an error reply
+        is decoded, and raised exactly as :meth:`execute` raises it.
+        ``_in_transaction`` is deliberately untouched on success: a DML
+        statement never changes the branch's transaction state.
         """
-        self._channel.send_message(
-            msg.Execute(
-                session_id=self.session_id,
-                query_text=query_text,
-                params=params,
-            )
-        )
-        raw = self._channel.recv_frame()
-        if raw is None:
-            raise ConnectionResetError("connection closed while awaiting reply")
-        return raw
+        opcode, payload, frame = self._send_execute(query_text, params)
+        if opcode != _EXECUTE_REPLY_OP:
+            self._raise(msg.decode_message(opcode, payload))
+        return frame
 
     def prepare_transaction(self, gtid: str) -> None:
         reply = self._channel.request(

@@ -44,9 +44,8 @@ from functools import partial
 from repro.errors import TransactionError, WireError
 from repro.faults.registry import fault_point, register_fault_site
 from repro.net import messages as msg
-from repro.net.frameserver import Dispatch, FrameServer
-from repro.net.messages import decode_message
-from repro.net.opcodes import opcode_byte, opcode_name
+from repro.net.frameserver import Dispatch, FrameServer, Relay
+from repro.net.opcodes import opcode_byte
 from repro.net.remote import RemoteServer, RemoteSession
 from repro.net.transport import FrameTap
 from repro.sqlengine.exec.executor import QueryResult
@@ -68,8 +67,6 @@ def shard_of(warehouse: int, n_shards: int) -> int:
 _DDL_KEYWORDS = frozenset({"CREATE", "DROP", "ALTER"})
 _WRITE_KEYWORDS = frozenset({"INSERT", "UPDATE", "DELETE"})
 _TXN_KEYWORDS = frozenset({"BEGIN", "COMMIT", "ROLLBACK"})
-
-_EXECUTE_REPLY_OP = opcode_byte("execute_reply")
 
 
 def _first_keyword(query_text: str) -> str:
@@ -144,6 +141,16 @@ class RouterSession:
 
     # ----------------------------------------------------------------- execute
 
+    def _route(self, keyword: str, params: dict) -> int | None:
+        """The one shard a statement goes to; None broadcasts it."""
+        if keyword in _DDL_KEYWORDS:
+            return None  # the catalog is replicated
+        if "w" in params:
+            return shard_of(params["w"], self.router.n_shards)
+        if keyword in _WRITE_KEYWORDS:
+            return None  # keyless write: the replicated ITEM table
+        return self.affinity_shard
+
     def execute(self, query_text: str, params: dict) -> QueryResult:
         keyword = _first_keyword(query_text)
         if keyword == "BEGIN":
@@ -152,15 +159,10 @@ class RouterSession:
             return self._commit()
         if keyword == "ROLLBACK":
             return self._rollback()
-        if keyword in _DDL_KEYWORDS:
+        shard_idx = self._route(keyword, params)
+        if shard_idx is None:
             return self._execute_broadcast(query_text, params)
-        if "w" in params:
-            shard_idx = shard_of(params["w"], self.router.n_shards)
-            return self._execute_on(shard_idx, query_text, params)
-        if keyword in _WRITE_KEYWORDS:
-            # Keyless write: the replicated ITEM table — every shard gets it.
-            return self._execute_broadcast(query_text, params)
-        return self._execute_on(self.affinity_shard, query_text, params)
+        return self._execute_on(shard_idx, query_text, params)
 
     def execute_fast(self, query_text: str, params: dict) -> bytes | None:
         """Single-shard forwarding fast path: the raw reply frame, or None.
@@ -173,39 +175,20 @@ class RouterSession:
         the branch's state, which on the success path always equals this
         session's state (a DML statement never opens or closes a
         transaction). ``None`` means the statement needs the slow path
-        (transaction verbs, DDL/keyless-write broadcasts); error replies
-        are decoded and take the same branch-abort path as
-        :meth:`_execute_on`.
+        (transaction verbs, DDL/keyless-write broadcasts); an error reply
+        raises through the same branch-abort path as :meth:`execute`.
         """
         keyword = _first_keyword(query_text)
-        if keyword in _TXN_KEYWORDS or keyword in _DDL_KEYWORDS:
+        shard_idx = None if keyword in _TXN_KEYWORDS else self._route(keyword, params)
+        if shard_idx is None:
             return None
-        if "w" in params:
-            shard_idx = shard_of(params["w"], self.router.n_shards)
-        elif keyword in _WRITE_KEYWORDS:
-            return None
-        else:
-            shard_idx = self.affinity_shard
-        backend = self._enlist(shard_idx)
-        opcode, payload, frame = backend.execute_raw(query_text, params)
-        if opcode == _EXECUTE_REPLY_OP:
-            return frame
-        reply = decode_message(opcode, payload)
-        if isinstance(reply, msg.ErrorReply):
-            if reply.in_transaction is not None:
-                backend._in_transaction = reply.in_transaction
-            if self.in_transaction and not backend.in_transaction:
-                self.participants.discard(shard_idx)
-                self._rollback_participants()
-                self.in_transaction = False
-            raise msg.reconstruct_error(reply)
-        raise WireError(
-            f"unexpected reply opcode {opcode_name(opcode)!r} to a forwarded execute"
-        )
+        return self._execute_on(shard_idx, query_text, params, raw=True)
 
-    def _execute_on(self, shard_idx: int, query_text: str, params: dict) -> QueryResult:
+    def _execute_on(self, shard_idx: int, query_text: str, params: dict, raw: bool = False):
         backend = self._enlist(shard_idx)
         try:
+            if raw:
+                return backend.execute_raw(query_text, params)
             return backend.execute(query_text, params)
         except Exception:
             if self.in_transaction and not backend.in_transaction:
@@ -382,27 +365,17 @@ class Router(FrameServer):
             return 0
         return shard_of(affinity, self.n_shards)
 
-    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch]:
+    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch, Relay | None]:
         affinity_shard = self._affinity_shard(hello.affinity)
-        reply = msg.HelloReply(
-            protocol_version=1,
-            server_name=self.name,
-            shard_count=self.n_shards,
-            hgs_public=self.shards[affinity_shard].hello.hgs_public,
-        )
-        return reply, partial(self._dispatch, affinity_shard=affinity_shard)
-
-    def _forward_raw(self, request: object, sessions: dict) -> bytes | None:
-        if not isinstance(request, msg.Execute):
-            return None
-        # None = slow path through _dispatch: nothing was sent to any shard yet.
-        session = self._session(sessions, request.session_id)
-        return session.execute_fast(request.query_text, request.params)
+        shard = self.shards[affinity_shard]
+        reply = self._hello_reply(self.n_shards, shard.hello.hgs_public)
+        return reply, partial(self._dispatch, affinity_shard=affinity_shard), shard.relay
 
     # --------------------------------------------------------------- dispatch
 
-    #: control-plane types forwarded verbatim to the affinity shard (the
-    #: enclave session created by Attest lives in that one process). The
+    #: control-plane types relayed to the affinity shard as raw frames,
+    #: request and reply, never decoded here (the enclave session created
+    #: by Attest lives in that one process). The
     #: rotation verbs ride the same rule on purpose: the enclave's batched
     #: recrypt is gated on the query authorization inside the *affinity*
     #: shard's enclave, so a fleet-wide rotation opens one connection per
@@ -421,6 +394,7 @@ class Router(FrameServer):
         msg.AdminRotateStatus,
         msg.AdminCekVersions,
     )
+    _RELAYED = frozenset(opcode_byte(cls.OP) for cls in _FORWARDED)
 
     def _dispatch(
         self,
@@ -430,8 +404,6 @@ class Router(FrameServer):
     ) -> object:
         if isinstance(request, msg.Ping):
             return msg.Ok()
-        if isinstance(request, self._FORWARDED):
-            return self.shards[affinity_shard]._request(request)
         if isinstance(request, msg.SessionOpen):
             shard_idx = (
                 affinity_shard
@@ -448,6 +420,10 @@ class Router(FrameServer):
             return msg.Ok()
         if isinstance(request, msg.Execute):
             session = self._session(sessions, request.session_id)
+            frame = session.execute_fast(request.query_text, request.params)
+            if frame is not None:
+                return frame
+            # None = slow path: nothing was sent to any shard yet.
             result = session.execute(request.query_text, request.params)
             return msg.ExecuteReply(result=result, in_transaction=session.in_transaction)
         if isinstance(request, msg.TxnIndoubt):

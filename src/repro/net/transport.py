@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 from repro.errors import TruncatedFrameError
 from repro.faults import DropMessageDirective, fault_point, register_fault_site
-from repro.net.frames import FRAME_HEADER_LEN, try_decode
+from repro.net.frames import try_decode
 from repro.net.messages import decode_message, encode_message
 
 __all__ = ["FrameChannel", "connect_channel"]
@@ -82,10 +82,11 @@ class FrameChannel:
         if isinstance(directive, DropMessageDirective):
             raise ConnectionResetError("injected: frame dropped on receive")
         while True:
-            decoded = try_decode(bytes(self._buffer))
+            decoded = try_decode(self._buffer)
             if decoded is not None:
                 opcode, payload, consumed = decoded
-                frame = bytes(self._buffer[:consumed])
+                with memoryview(self._buffer) as view:
+                    frame = bytes(view[:consumed])
                 if self.tap is not None:
                     self.tap("recv", opcode, frame)
                 del self._buffer[:consumed]
@@ -107,19 +108,20 @@ class FrameChannel:
         opcode, payload, _frame = raw
         return decode_message(opcode, payload)
 
-    def request(self, msg: Any) -> Any:
-        """Send one message and block for the peer's reply frame."""
-        self.send_message(msg)
-        reply = self.recv_message()
-        if reply is None:
+    def request_raw(self, frame: bytes) -> tuple[int, bytes, bytes]:
+        """Send one encoded frame and block for the peer's reply, undecoded."""
+        self.send_frame(frame)
+        raw = self.recv_frame()
+        if raw is None:
             raise ConnectionResetError("connection closed while awaiting reply")
-        return reply
+        return raw
+
+    def request(self, msg: Any) -> Any:
+        """Send one message and block for the peer's reply message."""
+        opcode, payload, _frame = self.request_raw(encode_message(msg))
+        return decode_message(opcode, payload)
 
     # -------------------------------------------------------------- lifecycle
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         if self._closed:
@@ -140,6 +142,3 @@ def connect_channel(
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return FrameChannel(sock, tap=tap)
 
-
-# Re-exported for introspection/tests: minimum bytes a valid frame needs.
-MIN_FRAME_LEN = FRAME_HEADER_LEN

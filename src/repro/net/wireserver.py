@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.errors import WireError
 from repro.net import messages as msg
-from repro.net.frameserver import Dispatch, FrameServer
+from repro.net.frameserver import Dispatch, FrameServer, Relay
 from repro.net.transport import FrameTap
 from repro.sqlengine.server import ServerSession, SqlServer
 
@@ -43,15 +43,10 @@ class WireServer(FrameServer):
         self.shard_count = shard_count
         self.audit_hook = audit_hook
 
-    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch]:
+    def _handshake(self, hello: msg.Hello) -> tuple[msg.HelloReply, Dispatch, Relay | None]:
         hgs = self.server.hgs
-        reply = msg.HelloReply(
-            protocol_version=1,
-            server_name=self.name,
-            shard_count=self.shard_count,
-            hgs_public=None if hgs is None else hgs.signing_public_key,
-        )
-        return reply, self._dispatch
+        hgs_public = None if hgs is None else hgs.signing_public_key
+        return self._hello_reply(self.shard_count, hgs_public), self._dispatch, None
 
     # --------------------------------------------------------------- dispatch
 

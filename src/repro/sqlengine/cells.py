@@ -20,6 +20,10 @@ class Ciphertext:
 
     def __post_init__(self) -> None:
         if not isinstance(self.envelope, bytes):
+            if not isinstance(self.envelope, (bytearray, memoryview)):
+                # bytes(n) would allocate n zero bytes: an integer arriving
+                # off the wire in the envelope's place must not size a buffer.
+                raise TypeError(f"envelope must be bytes, not {type(self.envelope).__name__}")
             object.__setattr__(self, "envelope", bytes(self.envelope))
 
     def __len__(self) -> int:

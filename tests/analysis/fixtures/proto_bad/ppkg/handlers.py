@@ -1,10 +1,13 @@
 """Dispatcher with a duplicate arm, no catch-all raise, and no error
 marshalling path."""
 
-from ppkg.messages import Close, Exec, ExecReply, Open, OpenReply, Ping, Pong
+from ppkg.messages import Close, Exec, ExecReply, Open, OpenReply, Orphaned, Ping, Pong
 
 
 class Server:
+    #: a forwarding tuple nothing reads routes nothing: Orphaned stays unrouted
+    _FORWARDED = (Orphaned,)
+
     def dispatch(self, request, sessions):
         if isinstance(request, Ping):
             return Pong()

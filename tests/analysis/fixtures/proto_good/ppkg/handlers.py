@@ -10,11 +10,17 @@ from ppkg.messages import (
     OpenReply,
     Ping,
     Pong,
+    Relayed,
     error_reply_for,
 )
 
 
 class Server:
+    #: relayed as raw frames, never decoded: no isinstance arm sees these,
+    #: the opcode set derived from the tuple routes them
+    _FORWARDED = (Relayed,)
+    _RELAYED = frozenset(cls.OP for cls in _FORWARDED)
+
     def serve(self, channel, request, sessions):
         try:
             reply = self.dispatch(request, sessions)

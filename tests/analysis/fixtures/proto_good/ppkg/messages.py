@@ -37,6 +37,10 @@ class AuditReply:
     OP = "audit_reply"
 
 
+class Relayed:
+    OP = "relayed"
+
+
 class ErrorReply:
     OP = "error"
 

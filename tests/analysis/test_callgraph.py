@@ -24,15 +24,15 @@ def test_every_project_function_is_registered(graph):
 
 
 def test_self_method_edges_resolve(graph):
-    # FrameServer._serve_connection calls self._forward_raw
+    # FrameServer._serve_connection calls self._handshake
     caller = graph.functions["repro.net.frameserver:FrameServer._serve_connection"]
-    assert "repro.net.frameserver:FrameServer._forward_raw" in caller.callees
+    assert "repro.net.frameserver:FrameServer._handshake" in caller.callees
 
 
 def test_import_binding_edges_resolve(graph):
-    # router.py does ``from repro.net.messages import decode_message``
-    caller = graph.functions["repro.net.router:RouterSession.execute_fast"]
-    assert "repro.net.messages:decode_message" in caller.callees
+    # remote.py does ``from repro.net.transport import connect_channel``
+    caller = graph.functions["repro.net.remote:RemoteServer._open_channel"]
+    assert "repro.net.transport:connect_channel" in caller.callees
 
 
 def test_receiver_alias_edges_resolve(graph):
@@ -42,7 +42,7 @@ def test_receiver_alias_edges_resolve(graph):
 
 
 def test_callers_are_the_reverse_of_callees(graph):
-    callee = graph.functions["repro.net.frameserver:FrameServer._forward_raw"]
+    callee = graph.functions["repro.net.frameserver:FrameServer._handshake"]
     assert "repro.net.frameserver:FrameServer._serve_connection" in callee.callers
 
 

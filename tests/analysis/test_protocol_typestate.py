@@ -11,6 +11,7 @@ from repro.analysis.config import AnalysisConfig, ProtocolConfig
 GOOD_OPCODES = (
     "ping", "pong", "open", "open_reply", "close",
     "exec", "exec_reply", "audit", "audit_reply", "error",
+    "relayed",  # routed only by a forwarding tuple its handler module reads
 )
 BAD_OPCODES = (
     "ping", "pong", "open", "open_reply", "close",

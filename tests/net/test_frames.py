@@ -9,13 +9,18 @@ at it. The properties here pin the codec's contract:
 * any single corrupted byte is *detected* — magic, version, opcode and
   length are validated from the header, everything else by CRC;
 * unknown opcodes and foreign protocol versions are typed rejections,
-  so a future v2 peer gets :class:`VersionMismatchError`, not garbage.
+  so a peer of another version gets :class:`VersionMismatchError`, not
+  garbage;
+* a payload that passed its CRC but is not a well-formed value — random
+  bytes, or any one-byte mutation or truncation of a real message —
+  raises :class:`CorruptFrameError` and nothing else, so the serving
+  loop's ``except WireError`` is all the handling a hostile peer needs.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
@@ -34,6 +39,7 @@ from repro.net.frames import (
     try_decode,
 )
 from repro.net.opcodes import OPCODES, opcode_byte
+from tests.net.test_messages import SAMPLES
 
 # ---------------------------------------------------------------- strategies
 
@@ -86,6 +92,38 @@ def test_truncated_value_never_decodes_silently(value, cut):
         return
     with pytest.raises(CorruptFrameError):
         decode_value(encoded[: len(encoded) - 1 - cut])
+
+
+#: one valid payload per message class (tests/net/test_messages.py keeps
+#: SAMPLES total over MESSAGE_TYPES), to be damaged one byte at a time.
+PAYLOADS = [encode_value(sample) for sample in SAMPLES]
+
+
+@st.composite
+def hostile_payloads(draw):
+    """Random bytes, or a real payload truncated or with one byte replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    payload = draw(st.sampled_from(PAYLOADS))
+    at = draw(st.integers(min_value=0, max_value=len(payload) - 1))
+    if draw(st.booleans()):
+        return payload[:at]
+    return payload[:at] + bytes([draw(st.integers(0, 255))]) + payload[at + 1 :]
+
+
+@settings(max_examples=1000)
+@given(hostile_payloads())
+@example(b"\x05\x00\x00\x00\x02\xff\xfe")                                 # str, not UTF-8
+@example(b"\x09\x00\x00\x00\x01" + b"\x07\x00\x00\x00\x00" + b"\x00")      # {[]: None}
+@example(b"\x0a\x00\x00\x00\x01" + b"\x07\x00\x00\x00\x00")                # frozenset({[]})
+def test_malformed_payload_decodes_or_raises_corrupt_frame_error(payload):
+    """The three examples raised UnicodeDecodeError and TypeError until
+    wire v2, either of which killed the connection's handler thread with
+    a traceback instead of dropping the connection."""
+    try:
+        decode_value(payload)
+    except CorruptFrameError:
+        pass
 
 
 # ------------------------------------------------------------ frame round-trip

@@ -6,19 +6,33 @@ writes, affinity reads), lazy transaction enlistment, single-shard
 commit fast path, cross-shard 2PC, and the coordinator's failure
 behaviors: presumed abort when the decision never lands (an armed
 "router.commit_decision" fault) and decision-log replay when it did.
+
+The control plane is *relayed*: the router hands every ``_FORWARDED``
+request frame to the affinity shard and the reply frame back without
+decoding either. The last section pins what that must not change — typed
+errors, what a wire observer sees, fault behaviour on the relayed leg,
+and the pinning of one client's enclave session to one shard.
 """
 
 from __future__ import annotations
 
+import builtins
+import threading
+
 import pytest
 
-from repro.errors import TransactionError, TransientFault
-from repro.faults.actions import RaiseTransient
-from repro.faults.schedules import OnNth
+from repro.attestation.hgs import HostGuardianService
+from repro.client.driver import connect
+from repro.enclave.runtime import Enclave
+from repro.errors import RemoteError, TransactionError, TransientFault
+from repro.faults.actions import DropMessageDirective, RaiseTransient
+from repro.faults.schedules import Always, OnNth
+from repro.net.opcodes import opcode_byte
 from repro.net.remote import RemoteServer
 from repro.net.router import CommitDecisionLog, Router, shard_of
 from repro.net.wireserver import WireServer
 from repro.sqlengine.server import SqlServer
+from tests.conftest import make_encrypted_table
 
 DDL = "CREATE TABLE T (ID INT PRIMARY KEY, W INT, VAL VARCHAR(32))"
 INSERT = "INSERT INTO T (ID, W, VAL) VALUES (@id, @w, @v)"
@@ -202,3 +216,137 @@ def test_decision_log_survives_coordinator_restart(cluster, tmp_path):
 def test_audit_aggregates_all_shards(cluster):
     _shards, _wires, router, _client = cluster
     assert router.audit() == []     # empty DB: trivially consistent
+
+
+# ------------------------------------------------- control-plane relay (raw)
+
+ENCLAVE_QUERY = "SELECT id FROM T WHERE value > @v"
+
+
+@pytest.fixture()
+def relay_cluster(enclave_binary, host_machine, enclave_cmk, enclave_cek):
+    """Two enclave-enabled shards behind a router, every endpoint tapped;
+    the client's home warehouse (2) makes shard 1 its affinity shard."""
+    taps: dict[str, list] = {"router": [], "shard0": [], "shard1": []}
+    hooks: list = []  # called with (direction, opcode) on the router's serving thread
+
+    def tap_into(name):
+        def tap(direction, opcode, frame):
+            taps[name].append((direction, opcode, frame))
+            if name == "router":
+                for hook in list(hooks):
+                    hook(direction, opcode)
+        return tap
+
+    shards = []
+    for _ in range(2):
+        hgs = HostGuardianService()
+        hgs.register_host(host_machine.boot_and_measure())
+        shard = SqlServer(
+            enclave=Enclave(enclave_binary), host_machine=host_machine, hgs=hgs, lock_timeout_s=0.5
+        )
+        shard.catalog.create_cmk(enclave_cmk)
+        shard.catalog.create_cek(enclave_cek)
+        shards.append(shard)
+    wires = [
+        WireServer(shard, name=f"shard{i}", shard_count=2, tap=tap_into(f"shard{i}")).start()
+        for i, shard in enumerate(shards)
+    ]
+    router = Router([(w.host, w.port) for w in wires], name="R", tap=tap_into("router")).start()
+    client = RemoteServer(router.host, router.port, affinity=2)
+    yield shards, client, taps, hooks, wires
+    client.close()
+    router.stop()
+    for wire, shard in zip(wires, shards):
+        wire.stop()
+        shard.shutdown()
+
+
+def test_relayed_describe_error_is_the_in_process_error(relay_cluster):
+    shards, client, _taps, _hooks, _wires = relay_cluster
+    bad = "SELECT id FROM NO_SUCH_TABLE WHERE value > @v"
+    with pytest.raises(Exception) as in_process:
+        shards[1].describe_parameter_encryption(bad)
+    with pytest.raises(type(in_process.value)) as relayed:
+        client.describe_parameter_encryption(bad)
+    assert type(relayed.value) is type(in_process.value) is not RemoteError
+    assert str(relayed.value) == str(in_process.value)
+    assert client.ping()  # a typed error leaves the connection open
+
+
+def test_relay_pins_the_enclave_session_and_is_byte_transparent(
+    relay_cluster, registry, attestation_policy
+):
+    """Attest, ForwardPackage and the enclave-predicate Execute all land on
+    the affinity shard, and the frames the router moved for the control
+    plane are exactly the frames the shard's own channel carried."""
+    shards, client, taps, _hooks, _wires = relay_cluster
+    conn = connect(client, registry, attestation_policy=attestation_policy)
+    make_encrypted_table(conn)  # DDL: broadcast
+    for i in range(4):  # keyless writes: broadcast, ciphertext only
+        conn.execute("INSERT INTO T (id, value) VALUES (@id, @v)", {"id": i, "v": i * 10})
+    for frames in taps.values():
+        frames.clear()
+    rows = conn.execute(ENCLAVE_QUERY, {"v": 15}).rows  # keyless read: affinity shard
+    assert sorted(row[0] for row in rows) == [2, 3]
+    assert shards[1].enclave.installed_ceks() == frozenset({"TestCEK"})
+    assert shards[0].enclave.installed_ceks() == frozenset()
+
+    relayed = {opcode_byte(op) for op in ("describe", "describe_reply", "forward_package")}
+    front = [entry for entry in taps["router"] if entry[1] in relayed]
+    assert {opcode for _d, opcode, _f in front} == relayed
+    assert front == [entry for entry in taps["shard1"] if entry[1] in relayed]
+    assert not [entry for entry in taps["shard0"] if entry[1] in relayed]
+    conn.close()
+
+
+class DropOnceOnThisThread:
+    """A fault action bound to the thread that arms it: its next frame drops."""
+
+    def __init__(self):
+        self.thread = threading.get_ident()
+        self.fired = False
+
+    def trigger(self, site, ctx):
+        if self.fired or threading.get_ident() != self.thread:
+            return None
+        self.fired = True
+        return DropMessageDirective()
+
+
+@pytest.mark.parametrize("site", ["net.send_frame", "net.recv_frame"])
+def test_dropped_frame_on_the_relayed_leg(relay_cluster, clean_fault_registry, site):
+    """The router's serving thread arms the drop the moment it has the
+    client's describe in hand, so the next frame it sends (or awaits) is
+    the relayed leg's. The stub heals its shard channel and the client
+    gets a typed error on a connection that stays open — and the next
+    describe goes through on the healed channel."""
+    shards, client, _taps, hooks, _wires = relay_cluster
+    shards[1].connect().execute("CREATE TABLE P (ID INT PRIMARY KEY, V INT)", {})
+    query = "SELECT ID FROM P WHERE V = @v"
+    assert client.describe_parameter_encryption(query).parameters
+
+    def arm_once(direction, opcode):
+        if (direction, opcode) == ("recv", opcode_byte("describe")):
+            hooks.remove(arm_once)
+            clean_fault_registry.arm(site, Always(), DropOnceOnThisThread())
+
+    hooks.append(arm_once)
+    control = client._control
+    with pytest.raises(RemoteError) as excinfo:
+        client.describe_parameter_encryption(query)
+    assert excinfo.value.error_type == "ConnectionResetError"
+    assert client.describe_parameter_encryption(query).parameters
+    assert client._control is control  # the client's own connection never dropped
+
+
+def test_shard_down_mid_relay_is_a_typed_error_on_an_open_connection(relay_cluster):
+    _shards, client, _taps, _hooks, wires = relay_cluster
+    assert client.fetch_cek_metadata("TestCEK").cek.name == "TestCEK"
+    wires[1].stop()
+    control = client._control
+    with pytest.raises(RemoteError) as excinfo:
+        client.fetch_cek_metadata("TestCEK")
+    assert issubclass(getattr(builtins, excinfo.value.error_type, object), ConnectionError)
+    assert client.ping()  # answered by the router, on the same connection
+    assert client._control is control

@@ -18,6 +18,7 @@ from repro.client.driver import connect
 from repro.errors import ConstraintError, RemoteError, SqlError, StaleRestoreError
 from repro.faults.actions import DropMessage, RaiseTransient
 from repro.faults.schedules import Always, OnNth
+from repro.net.frames import PROTOCOL_VERSION
 from repro.net.remote import RemoteServer
 from repro.net.router import Router
 from repro.net.wireserver import WireServer
@@ -167,7 +168,7 @@ def test_connection_loss_closes_server_sessions(plain_wire, plain_server):
 def test_handshake_and_shutdown_contract(plain_wire):
     """Hello → HelloReply, then AdminShutdown stops the whole endpoint."""
     remote = RemoteServer(plain_wire.host, plain_wire.port)
-    assert remote.hello.protocol_version == 1
+    assert remote.hello.protocol_version == PROTOCOL_VERSION
     assert remote.hello.server_name == plain_wire.name
     assert remote.hello.shard_count == 1
     assert remote.hello.hgs_public is None
