@@ -74,6 +74,10 @@ register_fault_site(
 )
 
 
+#: The log record that compensates each undo-entry kind.
+_COMPENSATION = {"insert": LogOp.DELETE, "delete": LogOp.INSERT, "update": LogOp.UPDATE}
+
+
 class IndexState(enum.Enum):
     READY = "ready"
     PENDING_REBUILD = "pending"   # waiting for enclave keys after a crash
@@ -396,7 +400,8 @@ class StorageEngine:
         table = self.table(table_name)
         self._validate_row(table, row)
         self._ensure_begin_logged(txn)
-        rid = table.heap.insert(row)
+        record = serialize_row(row)
+        rid = table.heap.insert(record)
         try:
             # The heap can hand out a reused slot whose rid another
             # transaction still locks (it deleted the old row and hasn't
@@ -414,7 +419,7 @@ class StorageEngine:
             raise
         try:
             self.wal.append(
-                txn.txn_id, LogOp.INSERT, table=table_name.lower(), rid=rid, after=serialize_row(row)
+                txn.txn_id, LogOp.INSERT, table=table_name.lower(), rid=rid, after=record
             )
         except Exception:
             # Write-ahead rule: a change that could not be logged must not
@@ -433,13 +438,13 @@ class StorageEngine:
         self._ensure_begin_logged(txn)
         row = table.heap.read(rid)
         self._index_delete(table, row, rid)
-        table.heap.delete(rid)
+        before = table.heap.delete(rid)
         try:
             self.wal.append(
-                txn.txn_id, LogOp.DELETE, table=table_name.lower(), rid=rid, before=serialize_row(row)
+                txn.txn_id, LogOp.DELETE, table=table_name.lower(), rid=rid, before=before
             )
         except Exception:
-            table.heap.insert_at(rid, row)
+            table.heap.insert_at(rid, before)
             self._index_reinsert_raw(table, row, rid)
             raise
         txn.undo_log.append(UndoEntry("delete", table_name.lower(), rid, row, None))
@@ -451,19 +456,16 @@ class StorageEngine:
         self.locks.acquire(txn.txn_id, ("row", table_name.lower(), rid), LockMode.EXCLUSIVE)
         self._ensure_begin_logged(txn)
         old_row = table.heap.read(rid)
-        self._index_delete(table, old_row, rid)
+        record = serialize_row(new_row)
+        moves = self._moved_keys(table, old_row, new_row)
+        self._index_rekey(table, rid, moves)
         try:
-            self._index_insert(table, new_row, rid)
-        except Exception:
-            self._index_insert(table, old_row, rid)
-            raise
-        try:
-            table.heap.update(rid, new_row)
+            before = table.heap.update(rid, record)
         except SqlError:
             # The row grew past its page's free space (e.g. in-place
             # encryption turning small plaintext into 65+-byte envelopes):
             # relocate it, repointing index entries at the new rid.
-            self._relocate_row(txn, table, table_name.lower(), rid, old_row, new_row)
+            self._relocate_row(txn, table, table_name.lower(), rid, old_row, new_row, record)
             return
         try:
             self.wal.append(
@@ -471,13 +473,12 @@ class StorageEngine:
                 LogOp.UPDATE,
                 table=table_name.lower(),
                 rid=rid,
-                before=serialize_row(old_row),
-                after=serialize_row(new_row),
+                before=before,
+                after=record,
             )
         except Exception:
-            table.heap.update(rid, old_row)
-            self._index_delete(table, new_row, rid)
-            self._index_reinsert_raw(table, old_row, rid)
+            table.heap.update(rid, before)
+            self._index_rekey_back(rid, moves, len(moves))
             raise
         txn.undo_log.append(UndoEntry("update", table_name.lower(), rid, old_row, new_row))
         txn.touched_tables.add(table_name.lower())
@@ -490,9 +491,10 @@ class StorageEngine:
         rid: RowId,
         old_row: tuple,
         new_row: tuple,
+        record: bytes,
     ) -> RowId:
-        table.heap.delete(rid)
-        new_rid = table.heap.insert(new_row)
+        before = table.heap.delete(rid)
+        new_rid = table.heap.insert(record)
         self.locks.acquire(txn.txn_id, ("row", table_name, new_rid), LockMode.EXCLUSIVE)
         for obj in list(table.indexes.values()):
             if obj.state is not IndexState.READY or not obj.schema.valid:
@@ -500,12 +502,8 @@ class StorageEngine:
             key = obj.key_of(new_row)
             obj.tree.delete(key, rid)
             obj.tree.insert(key, new_rid)
-        self.wal.append(
-            txn.txn_id, LogOp.DELETE, table=table_name, rid=rid, before=serialize_row(old_row)
-        )
-        self.wal.append(
-            txn.txn_id, LogOp.INSERT, table=table_name, rid=new_rid, after=serialize_row(new_row)
-        )
+        self.wal.append(txn.txn_id, LogOp.DELETE, table=table_name, rid=rid, before=before)
+        self.wal.append(txn.txn_id, LogOp.INSERT, table=table_name, rid=new_rid, after=record)
         txn.undo_log.append(UndoEntry("delete", table_name, rid, old_row, None))
         txn.undo_log.append(UndoEntry("insert", table_name, new_rid, None, new_row))
         txn.touched_tables.add(table_name)
@@ -594,6 +592,66 @@ class StorageEngine:
                 continue
             obj.tree.insert(obj.key_of(row), rid)
 
+    def _moved_keys(
+        self, table: TableObject, old_row: tuple, new_row: tuple
+    ) -> list[tuple[IndexObject, tuple, tuple]]:
+        """``(index, old key, new key)`` for each usable index whose key
+        differs between the two images of a row.
+
+        An index whose key did not move needs nothing from an UPDATE: its
+        entry already maps that key to that rid. A key cell moved unless
+        it is the same object, or equal *and* of the same type (``1``,
+        ``1.0`` and ``True`` are equal but are different cells; a
+        ciphertext equals another by its envelope bytes).
+        """
+        moves: list[tuple[IndexObject, tuple, tuple]] = []
+        for obj in list(table.indexes.values()):
+            if not obj.usable:
+                continue
+            for slot in obj.key_slots:
+                old, new = old_row[slot], new_row[slot]
+                if old is not new and (type(old) is not type(new) or old != new):
+                    moves.append((obj, obj.key_of(old_row), obj.key_of(new_row)))
+                    break
+        return moves
+
+    def _index_rekey(
+        self,
+        table: TableObject,
+        rid: RowId,
+        moves: list[tuple[IndexObject, tuple, tuple]],
+    ) -> None:
+        """Re-key ``rid`` in the moved indexes: old entries out, new ones in.
+
+        Between the two a reader of a moved index finds the row under
+        neither key. The fault point fires there once per updated row,
+        moved keys or not.
+        """
+        for obj, old_key, __ in moves:
+            obj.tree.delete(old_key, rid)
+        placed = 0
+        try:
+            fault_point("engine.index_insert", table=table.schema.name, rid=rid)
+            for obj, __, new_key in moves:
+                obj.tree.insert(new_key, rid)
+                placed += 1
+        except Exception:
+            # Constraint violation or injected fault: the row keeps its
+            # old image, so every moved index gets its old entry back.
+            self._index_rekey_back(rid, moves, placed)
+            raise
+
+    @staticmethod
+    def _index_rekey_back(
+        rid: RowId, moves: list[tuple[IndexObject, tuple, tuple]], placed: int
+    ) -> None:
+        """Undo :meth:`_index_rekey` after the first ``placed`` new entries
+        went in. No fault point: the old entries were present moments ago."""
+        for i, (obj, old_key, new_key) in enumerate(moves):
+            if i < placed:
+                obj.tree.delete(new_key, rid)
+            obj.tree.insert(old_key, rid)
+
     def _rebuild_index(self, table: TableObject, obj: IndexObject) -> None:
         entries = []
         for rid, row in table.heap.scan():
@@ -623,7 +681,8 @@ class StorageEngine:
                     )
             elif entry.op == "delete":
                 assert entry.before is not None
-                table.heap.insert_at(entry.rid, entry.before)
+                record = serialize_row(entry.before)
+                table.heap.insert_at(entry.rid, record)
                 self._index_insert(table, entry.before, entry.rid)
                 if log_compensation:
                     self.wal.append(
@@ -631,15 +690,24 @@ class StorageEngine:
                         LogOp.INSERT,
                         table=entry.table,
                         rid=entry.rid,
-                        after=serialize_row(entry.before),
+                        after=record,
                     )
             elif entry.op == "update":
                 assert entry.before is not None and entry.after is not None
+                record = serialize_row(entry.before)
                 current = table.heap.read_or_none(entry.rid)
-                if current is not None:
-                    self._index_delete(table, current, entry.rid)
-                table.heap.insert_at(entry.rid, entry.before)
-                self._index_insert(table, entry.before, entry.rid)
+                if current is None:
+                    table.heap.insert_at(entry.rid, record)
+                    self._index_insert(table, entry.before, entry.rid)
+                else:
+                    # Like the forward UPDATE: indexes first, and only
+                    # those whose key the restored image moves.
+                    self._index_rekey(
+                        table,
+                        entry.rid,
+                        self._moved_keys(table, current, entry.before),
+                    )
+                    table.heap.insert_at(entry.rid, record)
                 if log_compensation:
                     self.wal.append(
                         txn.txn_id,
@@ -647,7 +715,7 @@ class StorageEngine:
                         table=entry.table,
                         rid=entry.rid,
                         before=serialize_row(entry.after),
-                        after=serialize_row(entry.before),
+                        after=record,
                     )
         txn.undo_log.clear()
 
@@ -757,7 +825,7 @@ class StorageEngine:
         for record in records:
             if record.op is LogOp.INSERT:
                 table = self.table(record.table)
-                table.heap.insert_at(record.rid, deserialize_row(record.after))
+                table.heap.insert_at(record.rid, record.after)
                 self.pool.note_existing_page_id(record.rid.page_id)
                 report.redone += 1
             elif record.op is LogOp.DELETE:
@@ -767,7 +835,7 @@ class StorageEngine:
                 report.redone += 1
             elif record.op is LogOp.UPDATE:
                 table = self.table(record.table)
-                table.heap.insert_at(record.rid, deserialize_row(record.after))
+                table.heap.insert_at(record.rid, record.after)
                 report.redone += 1
 
         # 3. Identify loser transactions. A transaction with a durable
@@ -953,25 +1021,19 @@ class StorageEngine:
         later by rebuild, so no index navigation (no keys) is needed."""
         for entry in reversed(txn.undo_log):
             table = self.table(entry.table)
-            if entry.op == "insert":
-                if table.heap.read_or_none(entry.rid) is not None:
-                    table.heap.delete(entry.rid)
-            elif entry.op == "delete":
-                assert entry.before is not None
-                table.heap.insert_at(entry.rid, entry.before)
-            elif entry.op == "update":
-                assert entry.before is not None
-                table.heap.insert_at(entry.rid, entry.before)
+            undone = serialize_row(entry.after) if entry.after is not None else None
+            restored = serialize_row(entry.before) if entry.before is not None else None
+            if restored is not None:
+                table.heap.insert_at(entry.rid, restored)
+            elif table.heap.read_or_none(entry.rid) is not None:
+                table.heap.delete(entry.rid)
             self.wal.append(
                 txn.txn_id,
-                LogOp.UPDATE if entry.op == "update" else
-                (LogOp.DELETE if entry.op == "insert" else LogOp.INSERT),
+                _COMPENSATION[entry.op],
                 table=entry.table,
                 rid=entry.rid,
-                before=serialize_row(entry.after) if entry.op == "update" else (
-                    serialize_row(entry.after) if entry.op == "insert" else None
-                ),
-                after=serialize_row(entry.before) if entry.op in ("delete", "update") else None,
+                before=undone,
+                after=restored,
             )
 
     def _keyless_encrypted_indexes(self, table_names: set[str]) -> list[tuple[str, str]]:

@@ -82,18 +82,6 @@ class BPlusTree:
 
     # -- search ------------------------------------------------------------
 
-    def _find_leaf_for_insert(self, key: object) -> _Leaf:
-        node = self._root
-        visited = 1
-        while not node.is_leaf:
-            idx = self._upper_bound(node.keys, key)
-            node = node.children[idx]
-            visited += 1
-        _nodes_visited.inc(visited)
-        if self._leak_column is not None:
-            record_leak(self._leak_column, "index_touch", count=visited)
-        return node  # type: ignore[return-value]
-
     def _find_leaf_for_search(self, key: object) -> _Leaf:
         # Descend via lower bound: a separator equal to the key may have
         # equal keys remaining in the left subtree (duplicates split across
@@ -105,10 +93,13 @@ class BPlusTree:
             idx = self._lower_bound(node.keys, key)
             node = node.children[idx]
             visited += 1
+        self._count_descent(visited)
+        return node  # type: ignore[return-value]
+
+    def _count_descent(self, visited: int) -> None:
         _nodes_visited.inc(visited)
         if self._leak_column is not None:
             record_leak(self._leak_column, "index_touch", count=visited)
-        return node  # type: ignore[return-value]
 
     def _lower_bound(self, keys: list[object], key: object) -> int:
         """First index i with keys[i] >= key."""
@@ -234,25 +225,35 @@ class BPlusTree:
     def insert(self, key: object, rid: RowId) -> None:
         """Insert one entry; enforces uniqueness if configured."""
         with self._latch:
-            if self.unique and self.search_eq(key):
-                raise ConstraintError("duplicate key in unique index")
-            split = self._insert_into(self._root, key, rid)
-            if split is not None:
-                sep_key, right = split
-                new_root = _Internal(keys=[sep_key], children=[self._root, right])
-                self._root = new_root
-            self._size += 1
+            self._insert_locked(key, rid)
 
-    def _insert_into(self, node, key: object, rid: RowId):
+    def _insert_locked(self, key: object, rid: RowId) -> None:
+        split = self._insert_into(self._root, key, rid, 1)
+        if split is not None:
+            sep_key, right = split
+            self._root = _Internal(keys=[sep_key], children=[self._root, right])
+        self._size += 1
+
+    def _insert_into(self, node, key: object, rid: RowId, depth: int):
+        idx = self._upper_bound(node.keys, key)
         if node.is_leaf:
-            idx = self._upper_bound(node.keys, key)
+            if self.unique:
+                # A unique tree holds at most one entry per key, and the
+                # upper-bound descent reaches the leaf that would hold an
+                # equal one, just left of the insert position: one
+                # comparison there is the whole uniqueness check, made
+                # before anything is mutated. The descent is counted as
+                # the search it stands in for; a non-unique insert makes
+                # no search and counts none.
+                self._count_descent(depth)
+                if idx and self.comparator.compare(node.keys[idx - 1], key) == 0:
+                    raise ConstraintError("duplicate key in unique index")
             node.keys.insert(idx, key)
             node.rids.insert(idx, rid)
             if len(node.keys) > self.order:
                 return self._split_leaf(node)
             return None
-        idx = self._upper_bound(node.keys, key)
-        split = self._insert_into(node.children[idx], key, rid)
+        split = self._insert_into(node.children[idx], key, rid, depth + 1)
         if split is not None:
             sep_key, right = split
             node.keys.insert(idx, sep_key)
@@ -321,13 +322,7 @@ class BPlusTree:
             for key, rid in ordered:
                 # Entries are pre-sorted; plain inserts keep costs low and the
                 # comparator count realistic for a build-by-sort.
-                if self.unique and self.search_eq(key):
-                    raise ConstraintError("duplicate key in unique index")
-                split = self._insert_into(self._root, key, rid)
-                if split is not None:
-                    sep_key, right = split
-                    self._root = _Internal(keys=[sep_key], children=[self._root, right])
-                self._size += 1
+                self._insert_locked(key, rid)
 
     # -- structural introspection (Figure 4 style walkthroughs) -----------------
 

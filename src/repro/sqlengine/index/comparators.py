@@ -258,6 +258,11 @@ class CellComparator:
         return results
 
 
+#: Cell types whose same-type pairs ``compare_values`` orders with ``<`` and
+#: ``>`` alone (``bool`` is not among them: it takes the BIT check).
+_INLINE_TYPES = frozenset((int, str, float, bytes))
+
+
 class CompositeComparator:
     """Lexicographic comparison of tuple keys, one comparator per column.
 
@@ -270,6 +275,13 @@ class CompositeComparator:
         if not cells:
             raise SqlError("composite comparator needs at least one column")
         self._cells = cells
+        # Columns :meth:`compare` may decide inline: exactly a
+        # CellComparator over exactly a PlaintextComparator, so a wrapped
+        # or subclassed comparator still sees every comparison.
+        self._plain = [
+            type(cell) is CellComparator and type(cell.inner) is PlaintextComparator
+            for cell in cells
+        ]
 
     @property
     def supports_range(self) -> bool:
@@ -290,9 +302,22 @@ class CompositeComparator:
     def compare(self, left: object, right: object) -> int:
         if not isinstance(left, tuple) or not isinstance(right, tuple):
             raise SqlError("composite comparator expects tuple keys")
+        cells, plain = self._cells, self._plain
+        last = len(cells) - 1
         for i in range(min(len(left), len(right))):
-            cell = self._cells[i] if i < len(self._cells) else self._cells[-1]
-            c = cell.compare(left[i], right[i])
+            column = i if i < last else last
+            a, b = left[i], right[i]
+            kind = type(a)
+            if kind is type(b) and kind in _INLINE_TYPES and plain[column]:
+                # Two plaintext cells of one orderable type: the verdict
+                # compare_values would reach, without the three calls
+                # (cell, plaintext, compare_values) that lead to it.
+                if a < b:
+                    return -1
+                if a > b:
+                    return 1
+                continue
+            c = cells[column].compare(a, b)
             if c != 0:
                 return c
         return (len(left) > len(right)) - (len(left) < len(right))

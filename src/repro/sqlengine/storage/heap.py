@@ -1,4 +1,10 @@
-"""Heap files: unordered row storage for one table."""
+"""Heap files: unordered row storage for one table.
+
+Writes are record-level: the caller encodes a row once
+(:func:`~repro.sqlengine.storage.record.serialize_row`) and hands the same
+bytes to the heap and to the log; ``update`` and ``delete`` hand back the
+record they replaced, which is the log's before-image. Reads decode.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from typing import Iterator
 from repro.errors import SqlError
 from repro.obs.latchprof import TimedLatch
 from repro.sqlengine.storage.bufferpool import BufferPool
-from repro.sqlengine.storage.record import deserialize_row, serialize_row
+from repro.sqlengine.storage.record import deserialize_row
 
 
 @dataclass(frozen=True, order=True)
@@ -47,8 +53,7 @@ class HeapFile:
 
     # -- row operations -------------------------------------------------------
 
-    def insert(self, row: tuple) -> RowId:
-        record = serialize_row(row)
+    def insert(self, record: bytes) -> RowId:
         with self._latch, self._pool.latch:
             for page_id in reversed(self._page_ids):
                 page = self._pool.get(page_id)
@@ -60,12 +65,12 @@ class HeapFile:
                 raise SqlError(f"row of {len(record)} bytes exceeds page capacity")
             return RowId(page.page_id, page.insert(record))
 
-    def insert_at(self, rid: RowId, row: tuple) -> None:
-        """Physical placement at a known rid (redo recovery)."""
+    def insert_at(self, rid: RowId, record: bytes) -> None:
+        """Physical placement at a known rid (redo recovery, undo)."""
         with self._latch, self._pool.latch:
             if rid.page_id not in self._page_ids:
                 self.adopt_page(rid.page_id)
-            self._pool.get_or_create(rid.page_id).insert_at(rid.slot, serialize_row(row))
+            self._pool.get_or_create(rid.page_id).insert_at(rid.slot, record)
 
     def read(self, rid: RowId) -> tuple:
         with self._latch, self._pool.latch:
@@ -81,13 +86,16 @@ class HeapFile:
             record = self._pool.get_or_create(rid.page_id).read_or_none(rid.slot)
             return deserialize_row(record) if record is not None else None
 
-    def update(self, rid: RowId, row: tuple) -> None:
+    def update(self, rid: RowId, record: bytes) -> bytes | None:
+        """Overwrite the record at ``rid``; returns the one it replaced
+        (None for an empty slot)."""
         with self._latch, self._pool.latch:
-            self._pool.get(rid.page_id).update(rid.slot, serialize_row(row))
+            return self._pool.get(rid.page_id).update(rid.slot, record)
 
-    def delete(self, rid: RowId) -> None:
+    def delete(self, rid: RowId) -> bytes | None:
+        """Remove the record at ``rid``; returns it (None for an empty slot)."""
         with self._latch, self._pool.latch:
-            self._pool.get(rid.page_id).delete(rid.slot)
+            return self._pool.get(rid.page_id).delete(rid.slot)
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Yield every live row with its rid.

@@ -77,17 +77,23 @@ class Page:
             return None
         return self._records[slot]
 
-    def update(self, slot: int, record: bytes) -> None:
-        self._slot(slot)  # must exist
-        self._records[slot] = record
-        if not self.can_fit(b""):
+    def update(self, slot: int, record: bytes) -> bytes | None:
+        """Replace a slot's record; returns what it held. An update that
+        would overflow the page raises and leaves the slot as it was."""
+        replaced = self._slot(slot)  # must exist
+        grown = len(record) - (len(replaced) if replaced is not None else 0)
+        if self.free_space() - grown < _SLOT.size:
             raise SqlError(f"update overflows page {self.page_id}")
+        self._records[slot] = record
         self.dirty = True
+        return replaced
 
-    def delete(self, slot: int) -> None:
-        self._slot(slot)  # must exist
+    def delete(self, slot: int) -> bytes | None:
+        """Tombstone a slot; returns the record it held."""
+        replaced = self._slot(slot)  # must exist
         self._records[slot] = None
         self.dirty = True
+        return replaced
 
     def slots(self) -> list[tuple[int, bytes]]:
         """All live (slot, record) pairs."""

@@ -27,6 +27,12 @@ from repro.sqlengine.storage.heap import RowId
 #: trust boundary, so the constant (32 zero bytes) is mirrored here.
 CHAIN_GENESIS = b"\x00" * 32
 
+# Bound once: get_registry().counter(name) validates the name and takes the
+# registry lock, and append() runs for every row operation.
+_records_appended = get_registry().counter("wal.records_appended")
+_bytes_written = get_registry().counter("wal.bytes_written")
+_flushes = get_registry().counter("wal.flushes")
+
 register_fault_site("wal.append", "one log record appended")
 register_fault_site(
     "wal.flush",
@@ -139,7 +145,6 @@ class WriteAheadLog:
         after: bytes | None = None,
     ) -> LogRecord:
         fault_point("wal.append", txn_id=txn_id, op=op)
-        registry = get_registry()
         with self._lock:
             record = LogRecord(
                 lsn=self._next_lsn,
@@ -156,10 +161,8 @@ class WriteAheadLog:
             # holds the same lock, so flushed_lsn can never cover a record
             # whose metrics have not landed yet (the totals and the
             # durability horizon advance atomically together).
-            registry.counter("wal.records_appended").inc()
-            registry.counter("wal.bytes_written").inc(
-                len(before or b"") + len(after or b"")
-            )
+            _records_appended.inc()
+            _bytes_written.inc(len(before or b"") + len(after or b""))
         return record
 
     def flush(self) -> None:
@@ -181,7 +184,7 @@ class WriteAheadLog:
             self._extend_chain_locked()
             digest = self._chain_digest
             hook = self.flush_hook
-        get_registry().counter("wal.flushes").inc()
+        _flushes.inc()
         record_event("wal.flush", flushed_lsn=flushed)
         if hook is not None:
             # Outside the latch: the hook crosses into the freshness

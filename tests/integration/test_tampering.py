@@ -14,6 +14,7 @@ import pytest
 from repro.client.driver import connect
 from repro.errors import DriverError, EnclaveError, IntegrityError, SecurityViolation
 from repro.sqlengine.cells import Ciphertext
+from repro.sqlengine.storage.record import serialize_row
 from tests.conftest import make_encrypted_table
 
 
@@ -28,7 +29,7 @@ class TestCellTampering:
         envelope[-1] ^= 0x01
         tampered = list(row)
         tampered[1] = Ciphertext(bytes(envelope))
-        table.heap.update(rid, tuple(tampered))
+        table.heap.update(rid, serialize_row(tuple(tampered)))
 
         target_id = row[0]
         with pytest.raises(IntegrityError):
@@ -42,7 +43,7 @@ class TestCellTampering:
         rid, row = next(table.heap.scan())
         garbage = list(row)
         garbage[1] = Ciphertext(b"\x01" + b"\x99" * 80)
-        table.heap.update(rid, tuple(garbage))
+        table.heap.update(rid, serialize_row(tuple(garbage)))
         with pytest.raises(Exception):
             encrypted_table.execute("SELECT value FROM T WHERE id = @i", {"i": row[0]})
 
@@ -56,7 +57,7 @@ class TestCellTampering:
         envelope[10] ^= 0xFF
         tampered = list(row)
         tampered[1] = Ciphertext(bytes(envelope))
-        table.heap.update(rid, tuple(tampered))
+        table.heap.update(rid, serialize_row(tuple(tampered)))
         with pytest.raises(IntegrityError):
             encrypted_table.execute("SELECT id FROM T WHERE value = @v", {"v": 50})
 

@@ -12,6 +12,7 @@ from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.index.btree import BPlusTree
 from repro.sqlengine.index.comparators import (
     MAX_KEY,
+    MIN_KEY,
     CellComparator,
     CiphertextBinaryComparator,
     CompositeComparator,
@@ -249,3 +250,139 @@ class TestCompositeTree:
         # Prefix-equality scan over (w) works even with a DET component.
         got = sorted(r.slot for __, r in tree.range_scan((1,), (1, MAX_KEY)))
         assert got == [1, 2]
+
+
+class TestUniqueInsertDescendsOnce:
+    """The uniqueness check rides the insert's own descent: one comparison
+    against the left neighbour at the leaf, before anything is mutated."""
+
+    def counting_tree(self, order=4):
+        counter = CountingComparator(PlaintextComparator())
+        tree = BPlusTree(
+            CompositeComparator([CellComparator(counter)]), order=order, unique=True
+        )
+        return tree, counter
+
+    def test_one_descent_and_one_extra_comparison(self):
+        from repro.obs.metrics import get_registry
+
+        tree, counter = self.counting_tree()
+        for v in range(0, 400, 2):
+            tree.insert((v,), rid(v))
+        visited = get_registry().counter("index.nodes_visited")
+        before_nodes, before_compares = visited.value, counter.count
+        tree.insert((201,), rid(201))
+        assert visited.value - before_nodes == tree.height()
+        # Binary search per node (<= 3 comparisons at order 4) plus the
+        # neighbour check; a search_eq first would roughly double it.
+        assert counter.count - before_compares <= 3 * tree.height() + 1
+        # A non-unique insert makes no search, and counts none.
+        plain = BPlusTree(CompositeComparator([CellComparator(PlaintextComparator())]))
+        before_nodes = visited.value
+        plain.insert((1,), rid(1))
+        assert visited.value == before_nodes
+
+    def test_duplicate_rejected_before_any_mutation(self):
+        tree, __ = self.counting_tree()
+        for v in range(60):
+            tree.insert((v,), rid(v))
+        leaves = tree.leaf_keys()
+        separators = {leaf[0] for leaf in leaves[1:]}
+        # Every key, including those equal to a separator (first in their
+        # leaf) and the last key of a leaf.
+        for v in range(60):
+            with pytest.raises(ConstraintError):
+                tree.insert((v,), rid(1000 + v))
+        assert separators and tree.leaf_keys() == leaves and len(tree) == 60
+
+    def test_bulk_build_rejects_duplicates(self):
+        tree, __ = self.counting_tree()
+        with pytest.raises(ConstraintError):
+            tree.bulk_build([((v % 7,), rid(v)) for v in range(20)])
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 25)), max_size=120))
+    @settings(max_examples=60, deadline=None)
+    def test_property_unique_tree_matches_a_dict(self, ops):
+        tree, __ = self.counting_tree()
+        model: dict[int, RowId] = {}
+        for n, (is_insert, v) in enumerate(ops):
+            if is_insert:
+                if v in model:
+                    with pytest.raises(ConstraintError):
+                        tree.insert((v,), rid(n))
+                else:
+                    tree.insert((v,), rid(n))
+                    model[v] = rid(n)
+            else:
+                assert tree.delete((v,), model.get(v, rid(n))) == (v in model)
+                model.pop(v, None)
+        assert list(tree.scan_all()) == [((v,), model[v]) for v in sorted(model)]
+
+
+# Small domains, so same-typed pairs (the inline route) and ties (the next
+# column decides) are common; NaN and -0.0 because ``<``/``>`` treat them
+# specially; bool because it is an int to isinstance but not to SQL.
+_CELLS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.5, -1.5, float("inf"), float("nan")]),
+    st.sampled_from(["", "a", "ab", "b"]),
+    st.sampled_from([b"", b"a", b"ab", b"b"]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([MIN_KEY, MAX_KEY]),
+)
+_KEYS = st.lists(_CELLS, max_size=4).map(tuple)
+
+
+def _reference_compare(cells, left, right):
+    """CompositeComparator.compare as the plain column loop."""
+    for i in range(min(len(left), len(right))):
+        cell = cells[i] if i < len(cells) else cells[-1]
+        c = cell.compare(left[i], right[i])
+        if c != 0:
+            return c
+    return (len(left) > len(right)) - (len(left) < len(right))
+
+
+def _outcome(compare):
+    try:
+        return compare()
+    except SqlError as exc:
+        return ("SqlError", str(exc))
+
+
+class TestFusedCompositeCompare:
+    @given(
+        wrapped=st.lists(st.booleans(), min_size=1, max_size=3),
+        pairs=st.lists(st.tuples(_KEYS, _KEYS), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_the_column_loop(self, wrapped, pairs):
+        def build():
+            counters = [
+                CountingComparator(PlaintextComparator()) if wrap else None
+                for wrap in wrapped
+            ]
+            cells = [
+                CellComparator(counter or PlaintextComparator()) for counter in counters
+            ]
+            return cells, [c for c in counters if c is not None]
+
+        fused_cells, fused_counters = build()
+        reference_cells, reference_counters = build()
+        fused = CompositeComparator(fused_cells)
+        for left, right in pairs:
+            assert _outcome(lambda: fused.compare(left, right)) == _outcome(
+                lambda: _reference_compare(reference_cells, left, right)
+            )
+        # A wrapped column is never decided inline: it saw every comparison.
+        assert [c.count for c in fused_counters] == [
+            c.count for c in reference_counters
+        ]
+
+    def test_non_tuple_keys_still_rejected(self):
+        fused = CompositeComparator([CellComparator(PlaintextComparator())])
+        with pytest.raises(SqlError):
+            fused.compare(1, (1,))
+        with pytest.raises(SqlError):
+            fused.compare((1,), [1])

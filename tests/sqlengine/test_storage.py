@@ -82,6 +82,21 @@ class TestPage:
         with pytest.raises(SqlError):
             page.insert(b"x" * PAGE_SIZE)
 
+    def test_update_and_delete_hand_back_the_replaced_record(self):
+        page = Page(1)
+        slot = page.insert(b"old")
+        assert page.update(slot, b"new") == b"old"
+        assert page.delete(slot) == b"new"
+
+    def test_overflowing_update_leaves_the_slot_as_it_was(self):
+        page = Page(1)
+        slot = page.insert(b"small")
+        page.insert(b"x" * (page.free_space() - 200))
+        with pytest.raises(SqlError):
+            page.update(slot, b"y" * 400)
+        assert page.read(slot) == b"small"
+        assert len(page.to_bytes()) == PAGE_SIZE
+
     def test_insert_at_for_redo(self):
         page = Page(1)
         page.insert_at(5, b"redone")
@@ -95,15 +110,15 @@ class TestHeap:
         return HeapFile("t", BufferPool(Disk(), capacity=4))
 
     def test_insert_read_update_delete(self, heap):
-        rid = heap.insert((1, "a"))
+        rid = heap.insert(serialize_row((1, "a")))
         assert heap.read(rid) == (1, "a")
-        heap.update(rid, (1, "b"))
+        assert heap.update(rid, serialize_row((1, "b"))) == serialize_row((1, "a"))
         assert heap.read(rid) == (1, "b")
-        heap.delete(rid)
+        assert heap.delete(rid) == serialize_row((1, "b"))
         assert heap.read_or_none(rid) is None
 
     def test_scan_sees_all_live_rows(self, heap):
-        rids = [heap.insert((i,)) for i in range(50)]
+        rids = [heap.insert(serialize_row((i,))) for i in range(50)]
         heap.delete(rids[10])
         rows = {row[0] for __, row in heap.scan()}
         assert rows == set(range(50)) - {10}
@@ -111,7 +126,7 @@ class TestHeap:
     def test_rows_spill_across_pages(self, heap):
         big = "x" * 2000
         for i in range(20):
-            heap.insert((i, big))
+            heap.insert(serialize_row((i, big)))
         assert len(heap.page_ids) > 1
         assert heap.row_count() == 20
 

@@ -149,3 +149,89 @@ class TestEncryptedEquivalence:
             {"w": 1, "d": 1, "l": c_last_name(2)},
         )
         assert "CUSTOMER_NC1" in r.plan_info
+
+
+class TestWritePath:
+    """Write-path work is proportional to what a statement changed."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return build_system(TpccConfig(mode=EncryptionMode.RND, seed=424242, **TINY))
+
+    CUSTOMER_KEY = "WHERE C_W_ID = @w AND C_D_ID = @d AND C_ID = @c"
+
+    def test_balance_update_never_reaches_the_enclave(self, system):
+        """CUSTOMER_NC1 holds an RND column, but a payment moves none of its
+        key columns: no descent, no enclave comparison, no ordering bit."""
+        conn = system.connection
+        params = {"w": 1, "d": 1, "c": 3, "b": 12.5}
+        query = f"UPDATE CUSTOMER SET C_BALANCE = C_BALANCE - @b {self.CUSTOMER_KEY}"
+        conn.execute(query, params)  # warm plan, describe and CEK caches
+        result = conn.execute(query, params)
+        assert result.rowcount == 1
+        assert result.stats.ecalls == 0 and result.stats.enclave_comparisons == 0
+        assert system.server.engine.verify_index_consistency() == []
+
+    def test_last_name_update_still_rekeys_nc1_through_the_enclave(self, system):
+        conn = system.connection
+        params = {"w": 1, "d": 1, "c": 3, "l": c_last_name(7)}
+        query = f"UPDATE CUSTOMER SET C_LAST = @l {self.CUSTOMER_KEY}"
+        conn.execute(query, params)
+        result = conn.execute(query, params)
+        assert result.rowcount == 1
+        assert result.stats.ecalls > 0 and result.stats.enclave_comparisons > 0
+        by_name = conn.execute(
+            "SELECT C_ID FROM CUSTOMER WHERE C_W_ID = @w AND C_D_ID = @d AND C_LAST = @l",
+            {"w": 1, "d": 1, "l": c_last_name(7)},
+        )
+        assert "CUSTOMER_NC1" in by_name.plan_info and (3,) in by_name.rows
+        assert system.server.engine.verify_index_consistency() == []
+
+    def test_logged_images_are_the_stored_bytes_and_recovery_replays_them(self, system):
+        """Each image is encoded once and the log carries those bytes: every
+        before/after image is canonical, and physical redo from them
+        reproduces the committed state."""
+        from repro.sqlengine.storage.record import deserialize_row, serialize_row
+        from repro.sqlengine.storage.wal import LogOp
+        from repro.workloads.tpcc.invariants import check_invariants
+
+        system.transactions.run_mix(30, TRANSACTION_MIX)
+        engine = system.server.engine
+        images = [
+            image
+            for record in engine.wal.records(durable_only=False)
+            if record.op in (LogOp.INSERT, LogOp.UPDATE, LogOp.DELETE)
+            for image in (record.before, record.after)
+            if image is not None
+        ]
+        assert len(images) > 100
+        for image in images:
+            assert serialize_row(deserialize_row(image)) == image
+        # The heap holds exactly what the last record about each rid logged.
+        last = {}
+        for record in engine.wal.records(durable_only=False):
+            if record.op in (LogOp.INSERT, LogOp.UPDATE, LogOp.DELETE):
+                last[(record.table, record.rid)] = record.after
+        for (table, rid), after in last.items():
+            row = engine.read(table, rid)
+            assert (serialize_row(row) if row is not None else None) == after
+
+        def fingerprint():
+            return [
+                sorted(system.connection.execute(query).rows)
+                for query in (
+                    "SELECT W_ID, W_YTD FROM WAREHOUSE",
+                    "SELECT D_W_ID, D_ID, D_NEXT_O_ID, D_YTD FROM DISTRICT",
+                    "SELECT C_W_ID, C_D_ID, C_ID, C_BALANCE FROM CUSTOMER",
+                    "SELECT S_W_ID, S_I_ID, S_QUANTITY FROM STOCK",
+                    "SELECT O_W_ID, O_D_ID, O_ID, O_CARRIER_ID FROM ORDERS",
+                    "SELECT OL_W_ID, OL_D_ID, OL_O_ID, OL_NUMBER FROM ORDER_LINE",
+                    "SELECT H_W_ID, H_D_ID, H_C_ID, H_AMOUNT FROM HISTORY",
+                )
+            ]
+
+        before = fingerprint()
+        system.server.crash()
+        system.server.recover()
+        assert fingerprint() == before
+        assert check_invariants(system) == []
