@@ -158,8 +158,9 @@ class AnalysisConfig:
 #: enclave's own locks sit above storage because ecalls never call back
 #: into the host; heap latches nest into the buffer-pool latch, which
 #: nests into WAL/disk (the write-back path); the fault-registry and
-#: observability locks (latch profiler, flight recorder, tracer, metrics)
-#: are innermost leaves every layer may take while instrumented.
+#: observability locks (latch profiler, leakage ledger, flight recorder,
+#: metrics) are innermost leaves every layer may take while instrumented
+#: — once per statement, at its settle, for everything a statement counts.
 #: ``docs/CONCURRENCY.md`` documents this hierarchy — keep them in sync.
 DEFAULT_LOCK_ORDER = (
     "repro.client.driver.Connection.*",
@@ -193,7 +194,6 @@ DEFAULT_LOCK_ORDER = (
     "repro.obs.leakage.*",
     "repro.obs.transition_cost.*",
     "repro.obs.flightrec.*",
-    "repro.obs.tracing.*",
     "repro.obs.metrics.*",
 )
 

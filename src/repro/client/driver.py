@@ -35,12 +35,9 @@ from repro.faults.classify import is_transient
 from repro.faults.registry import fault_point, register_fault_site
 from repro.keys.providers import KeyProviderRegistry
 from repro.client.caches import AttestationSession, CekCache
-from repro.obs.metrics import StatsView
-from repro.obs.querystats import (
-    DriverStatsCollector,
-    format_explain_analyze,
-    format_explain_stats,
-)
+from repro.obs.metrics import StatsView, get_registry
+from repro.obs.querystats import format_explain_analyze, format_explain_stats
+from repro.obs.tracing import get_tracer
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.exec.executor import QueryResult
 from repro.sqlengine.server import CekMetadata, DescribeResult, SqlServer
@@ -126,6 +123,8 @@ class Connection:
         self.options = options or ConnectionOptions()
         self.attestation_policy = attestation_policy
         self.stats = DriverStats()
+        self._executes = self.stats.handle("executes")
+        self._execute_roundtrips = self.stats.handle("execute_roundtrips")
         self.cek_cache = CekCache(
             ttl_s=self.options.cek_cache_ttl_s,
             max_entries=self.options.cek_cache_max_entries,
@@ -166,58 +165,68 @@ class Connection:
         be encrypted — the Section 4.1 defense against a server that lies
         about a column being plaintext.
         """
-        params = params or {}
-        self.stats.inc("executes")
-        collector = DriverStatsCollector()
+        # The driver's scope is the parent of the server's statement record:
+        # its own counts ride along and everything settles once, here.
+        registry = get_registry()
+        record = registry.open_record()
         try:
-            if not self.options.column_encryption:
-                # Plain connection: no describe round-trip, params pass through.
-                self.stats.inc("execute_roundtrips")
-                self._roundtrip_delay()
-                result = self.session.execute(query_text, params)
-                collector.apply(result.stats)
-                return result
-
-            describe = self._describe(query_text)
-            self._check_forced(describe, force_encryption)
-
-            wire_params: dict[str, object] = dict(params)
-            for description in describe.parameters:
-                enc = description.column_type.encryption
-                if enc is None:
-                    continue
-                name = description.name
-                key = self._param_key(params, name)
-                plaintext = params[key]
-                if plaintext is None:
-                    wire_params[key] = None
-                    continue
-                description.column_type.sql_type.validate(plaintext)
-                material = self._cek_material(enc.cek_name, describe)
-                cipher = CellCipher(material)
-                wire_params[key] = Ciphertext(
-                    cipher.encrypt(serialize_value(plaintext), enc.scheme)
-                )
-                self.stats.inc("params_encrypted")
-
-            if describe.uses_enclave:
-                self._ensure_enclave_keys(describe)
-
-            self.stats.inc("execute_roundtrips")
-            self._roundtrip_delay()
-            result = self.session.execute(query_text, wire_params)
-            result = self._decrypt_result(result)
-        except BaseException:
-            collector.cancel()
-            raise
-        collector.apply(result.stats)
+            result = self._execute(query_text, params or {}, force_encryption)
+        finally:
+            registry.settle(record)
+        if result.stats is not None:
+            result.stats.add_driver_counts(record)
         return result
+
+    def _execute(
+        self,
+        query_text: str,
+        params: dict[str, object],
+        force_encryption: frozenset[str] | set[str],
+    ) -> QueryResult:
+        self._executes.inc()
+        if not self.options.column_encryption:
+            # Plain connection: no describe round-trip, params pass through.
+            self._execute_roundtrips.inc()
+            self._roundtrip_delay()
+            return self.session.execute(query_text, params)
+
+        describe = self._describe(query_text)
+        self._check_forced(describe, force_encryption)
+
+        wire_params: dict[str, object] = dict(params)
+        for description in describe.parameters:
+            enc = description.column_type.encryption
+            if enc is None:
+                continue
+            name = description.name
+            key = self._param_key(params, name)
+            plaintext = params[key]
+            if plaintext is None:
+                wire_params[key] = None
+                continue
+            description.column_type.sql_type.validate(plaintext)
+            material = self._cek_material(enc.cek_name, describe)
+            cipher = CellCipher(material)
+            wire_params[key] = Ciphertext(
+                cipher.encrypt(serialize_value(plaintext), enc.scheme)
+            )
+            self.stats.inc("params_encrypted")
+
+        if describe.uses_enclave:
+            self._ensure_enclave_keys(describe)
+
+        self._execute_roundtrips.inc()
+        self._roundtrip_delay()
+        result = self.session.execute(query_text, wire_params)
+        return self._decrypt_result(result)
 
     def explain_stats(
         self, query_text: str, params: dict[str, object] | None = None
     ) -> str:
         """Run a statement and pretty-print its :class:`QueryStats`."""
-        result = self.execute(query_text, params)
+        # The open root span is the request for this statement's span tree.
+        with get_tracer().root("driver.explain"):
+            result = self.execute(query_text, params)
         if result.stats is None:
             return "EXPLAIN STATS\n  <no stats collected>"
         return format_explain_stats(result.stats)
@@ -226,7 +235,8 @@ class Connection:
         self, query_text: str, params: dict[str, object] | None = None
     ) -> str:
         """Run a statement and render its timeline + contention profile."""
-        result = self.execute(query_text, params)
+        with get_tracer().root("driver.explain"):
+            result = self.execute(query_text, params)
         if result.stats is None:
             return "EXPLAIN ANALYZE\n  <no stats collected>"
         return format_explain_analyze(result.stats)

@@ -28,8 +28,8 @@ from typing import Callable
 from repro.enclave.runtime import Enclave
 from repro.errors import EnclaveError
 from repro.obs.flightrec import record_event
-from repro.obs.metrics import StatsView, get_registry
-from repro.obs.tracing import CapturedTrace, get_tracer
+from repro.obs.metrics import StatementRecord, StatsView, get_registry
+from repro.obs.tracing import get_tracer
 from repro.obs.transition_cost import get_transition_cost_model
 
 
@@ -73,16 +73,16 @@ class _WorkItem:
     #: chunk of ``n_rows`` rows is one queue slot and one transition.
     call: Callable[[], list]
     n_rows: int
-    #: The submitting thread's metric attribution contexts; the worker
-    #: adopts them so enclave counters land in the right statement's stats.
-    contexts: tuple
-    #: The submitting thread's trace state; the worker adopts it so
-    #: flight-recorder events emitted inside the enclave (ecall
-    #: observations, measured transitions) carry the statement identity.
-    trace: CapturedTrace
+    #: The blocked submitter's statement record (None outside a statement).
+    #: The worker adopts it, so enclave counters, ecall events and spans
+    #: land in the right statement lock-free, and lets go of it before
+    #: ``done`` wakes the submitter: it comes back with the verdicts.
+    record: StatementRecord | None
     done: threading.Event = field(default_factory=threading.Event)
     result: list | None = None
     error: Exception | None = None
+    #: Wall time of ``call`` on the worker, for the submitter to report.
+    wall_s: float = 0.0
 
 
 class EnclaveCallGateway:
@@ -185,9 +185,7 @@ class EnclaveCallGateway:
                 result = call()
                 self._observe_transition(n_rows, time.perf_counter() - started)
                 return result
-        item = _WorkItem(
-            call, n_rows, get_registry().current_contexts(), self._tracer.capture()
-        )
+        item = _WorkItem(call, n_rows, self._tracer.capture())
         # The span covers submit→completion as seen by the host thread: the
         # full cost of routing one evaluation through the enclave boundary.
         with self._tracer.ecall_span(span_name, mode="queued", **span_attrs):
@@ -202,6 +200,7 @@ class EnclaveCallGateway:
         if item.error is not None:
             raise item.error
         assert item.result is not None
+        self._observe_transition(n_rows, item.wall_s)
         return item.result
 
     # -- worker threads ----------------------------------------------------------
@@ -216,12 +215,7 @@ class EnclaveCallGateway:
                 continue
             if item is None:
                 return
-            with get_registry().adopt_contexts(item.contexts), \
-                    self._tracer.adopt(item.trace):
-                self.stats.inc("worker_wakeups")
-                self.stats.inc("boundary_transitions")
-                _busy_wait(self.transition_cost_s)
-                self._process(item)
+            self._process(item, wakeup=True)
             # Hot state: spin polling for more work before exiting. The
             # sleep(0) is the PAUSE of this spin loop — it yields the GIL
             # so submitters can actually enqueue while we poll.
@@ -234,10 +228,7 @@ class EnclaveCallGateway:
                     continue
                 if item is None:
                     return
-                with get_registry().adopt_contexts(item.contexts), \
-                        self._tracer.adopt(item.trace):
-                    self.stats.inc("spin_hits")
-                    self._process(item)
+                self._process(item, wakeup=False)
                 deadline = time.perf_counter() + self.spin_duration_s
 
     def _observe_transition(self, rows: int, wall_s: float) -> None:
@@ -246,15 +237,27 @@ class EnclaveCallGateway:
         get_transition_cost_model().observe(rows, wall_s)
         record_event("enclave.transition", rows=rows, duration_s=wall_s)
 
-    def _process(self, item: _WorkItem) -> None:
-        self._queue_depth.set(self._queue.qsize())
-        started = time.perf_counter()
+    def _process(self, item: _WorkItem, wakeup: bool) -> None:
+        """Run one item as part of its submitter's statement. A sleeping
+        worker's wakeup pays the enclave-entry transition; a spin hit does
+        not."""
         try:
-            item.result = item.call()
-            self._observe_transition(item.n_rows, time.perf_counter() - started)
-        except Exception as exc:  # propagate to the submitting host thread
-            item.error = exc
+            with self._tracer.adopt(item.record):
+                if wakeup:
+                    self.stats.inc("worker_wakeups")
+                    self.stats.inc("boundary_transitions")
+                    _busy_wait(self.transition_cost_s)
+                else:
+                    self.stats.inc("spin_hits")
+                self._queue_depth.set(self._queue.qsize())
+                started = time.perf_counter()
+                try:
+                    item.result = item.call()
+                    item.wall_s = time.perf_counter() - started
+                except Exception as exc:  # propagate to the submitting host thread
+                    item.error = exc
         finally:
+            # Only now: the record is the submitter's again.
             item.done.set()
 
     def shutdown(self) -> None:

@@ -5,9 +5,10 @@ Pillars (see ``docs/OBSERVABILITY.md``):
 
 * :class:`MetricsRegistry` — process-global named counters, gauges, and
   fixed-bucket histograms with JSON and Prometheus-text exposition;
-* :class:`Tracer` — context-manager spans forming per-query trees, with a
-  dedicated ``enclave.ecall`` span kind for boundary transitions and
-  cross-thread propagation via :meth:`Tracer.capture`/:meth:`Tracer.adopt`;
+* :class:`Tracer` — context-manager spans forming per-query trees, built
+  only when asked for, with a dedicated ``enclave.ecall`` span kind for
+  boundary transitions and cross-thread propagation via
+  :meth:`Tracer.capture`/:meth:`Tracer.adopt`;
 * :class:`QueryStats` — the per-statement cost facade the engine attaches
   to every result, plus the ``EXPLAIN STATS`` / ``EXPLAIN ANALYZE``
   pretty-printers;
@@ -35,6 +36,7 @@ from repro.obs.metrics import (
     MetricError,
     MetricKind,
     MetricsRegistry,
+    StatementRecord,
     StatsView,
     get_registry,
     snapshot_from_json,
@@ -42,9 +44,7 @@ from repro.obs.metrics import (
     validate_metric_name,
 )
 from repro.obs.querystats import (
-    DriverStatsCollector,
     QueryStats,
-    QueryStatsCollector,
     format_explain_analyze,
     format_explain_stats,
 )
@@ -52,7 +52,6 @@ from repro.obs.tracing import (
     ECALL,
     OPERATOR,
     STATEMENT,
-    CapturedTrace,
     Span,
     TraceContext,
     TraceOrphanError,
@@ -62,9 +61,7 @@ from repro.obs.tracing import (
 from repro.obs.transition_cost import TransitionCostModel, get_transition_cost_model
 
 __all__ = [
-    "CapturedTrace",
     "Counter",
-    "DriverStatsCollector",
     "ECALL",
     "EVENT_KINDS",
     "FlightRecorder",
@@ -78,9 +75,9 @@ __all__ = [
     "MetricsRegistry",
     "OPERATOR",
     "QueryStats",
-    "QueryStatsCollector",
     "STATEMENT",
     "Span",
+    "StatementRecord",
     "StatsView",
     "TimedLatch",
     "TraceContext",

@@ -18,6 +18,11 @@ Events carry the emitting thread's :class:`~repro.obs.tracing.TraceContext`
 exporters parent every ecall and lock-wait under the correct statement —
 the cross-thread propagation PR this recorder ships with.
 
+Inside a statement an event is stamped where it happens and buffered in
+the thread's :class:`~repro.obs.metrics.StatementRecord`; the ring takes
+the statement's events in one locked append when it settles. ``seq`` is
+therefore settle order — order a timeline by ``(ts_s, seq)``.
+
 Recording is near-free when disabled: ``recorder.enabled = False`` or
 ``get_registry().enabled = False`` both reduce :func:`record_event` to an
 attribute check and return.
@@ -46,7 +51,7 @@ SCHEMA_VERSION = 1
 #: before it can fail at runtime.
 EVENT_KINDS: dict[str, str] = {
     "stmt.begin": "a statement started executing on the server",
-    "stmt.end": "a statement finished (attrs: elapsed_s, rows, ok)",
+    "stmt.end": "a statement finished or failed (attrs: ok, elapsed_s, rows | error)",
     "span.end": "a tracer span closed (attrs: name, span_kind, duration_s)",
     "enclave.ecall": "one enclave boundary crossing (attrs: name)",
     "enclave.transition": "measured ecall wall time (attrs: rows, duration_s)",
@@ -128,18 +133,16 @@ class FlightRecorder:
         self.enabled = True
         self._registry = registry or get_registry()
         self._tracer = tracer or get_tracer()
-        # The ring holds raw tuples, not Event objects — the record() hot
-        # path sits inside every instrumented code path, so it builds one
-        # tuple; Event dataclasses materialize only at snapshot time.
+        # The ring holds raw ``(ts_s, kind, thread, context, attrs)`` tuples
+        # — record() sits inside every instrumented code path; Event
+        # dataclasses, and their ``seq``, materialize only at snapshot time.
         self._events: deque[tuple] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._seq = 0
-        self.dropped = 0
-        # Registry counters are batched: record() tallies plain ints under
-        # the ring lock and _sync_counters() (called by every reader)
-        # settles them, so the hot path never touches the metric locks.
-        self._pending_recorded = 0
-        self._pending_dropped = 0
+        self._seq = 0       # events appended since clear(); the newest one's seq
+        # The registry counters are settled by readers (_sync_counters), from
+        # what the ring itself knows, so the hot path never touches a metric
+        # lock: (appended, evicted) already counted there.
+        self._synced = (0, 0)
         self._recorded_counter = self._registry.counter(
             "flightrec.events_recorded", help="events accepted by the flight recorder"
         )
@@ -155,12 +158,13 @@ class FlightRecorder:
         (so one global kill switch silences metrics *and* events)."""
         return self.enabled and self._registry.enabled
 
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the full ring since the last :meth:`clear`."""
+        return self._seq - len(self._events)
+
     def clear(self) -> None:
-        self._sync_counters()
-        with self._lock:
-            self._events.clear()
-            self.dropped = 0
-            self._seq = 0
+        self._sync_counters(clear=True)
 
     def __len__(self) -> int:
         with self._lock:
@@ -169,9 +173,10 @@ class FlightRecorder:
     # -- recording ---------------------------------------------------------
 
     def record(self, kind: str, **attrs) -> None:
-        """Record one event of a *declared* kind; trace identity is read
-        from the calling thread's tracer context."""
-        if not (self.enabled and self._registry.enabled):
+        """Record one event of a *declared* kind, stamped now, carrying the
+        trace identity of the calling thread's statement record."""
+        registry = self._registry
+        if not (self.enabled and registry.enabled):
             return
         if kind not in EVENT_KINDS:
             raise FlightRecorderError(
@@ -179,36 +184,45 @@ class FlightRecorder:
                 "repro.obs.flightrec.EVENT_KINDS; declare it there (and let "
                 "the analyzer validate call sites) before recording it"
             )
-        # Inlined current_trace(): this path runs inside every instrumented
-        # hot loop, so it reads the tracer's thread-local directly.
-        context = getattr(self._tracer._local, "trace", None)
-        thread = threading.current_thread().name
-        with self._lock:
-            if len(self._events) == self.capacity:
-                self.dropped += 1
-                self._pending_dropped += 1
-            self._seq += 1
-            self._pending_recorded += 1
-            self._events.append(
-                (self._seq, time.perf_counter(), kind, thread, context, attrs)
-            )
+        thread = registry.thread
+        statement = thread.record
+        if statement is None:
+            self._settle([(time.perf_counter(), kind, thread.name, None, attrs)])
+            return
+        event = (time.perf_counter(), kind, thread.name, statement.trace, attrs)
+        if self in statement.deferred:
+            statement.deferred[self].append(event)
+        else:
+            statement.deferred[self] = [event]
 
-    def _sync_counters(self) -> None:
-        """Settle batched tallies into the registry counters. Called from
-        every reader, so exported counts are exact whenever observed."""
+    def _settle(self, batch: list) -> None:
+        """Append a settled record's events (or one direct event)."""
         with self._lock:
-            recorded, self._pending_recorded = self._pending_recorded, 0
-            dropped, self._pending_dropped = self._pending_dropped, 0
+            self._events += batch
+            self._seq += len(batch)
+
+    def _sync_counters(self, clear: bool = False) -> None:
+        """Settle what the ring took and evicted since the last call into
+        the registry counters. Called from every reader, so exported counts
+        are exact whenever observed."""
+        with self._lock:
+            appended, dropped = self._seq, self.dropped
+            recorded, evicted = appended - self._synced[0], dropped - self._synced[1]
+            if clear:
+                self._events.clear()
+                self._seq = appended = dropped = 0
+            self._synced = (appended, dropped)
         if recorded:
             self._recorded_counter.inc(recorded)
-        if dropped:
-            self._dropped_counter.inc(dropped)
+        if evicted:
+            self._dropped_counter.inc(evicted)
 
     def events(self) -> list[Event]:
         """A consistent snapshot of the ring, oldest first."""
         self._sync_counters()
         with self._lock:
             raw = list(self._events)
+            first = self._seq - len(raw) + 1
         return [
             Event(
                 seq=seq,
@@ -220,7 +234,7 @@ class FlightRecorder:
                 session_id=context.session_id if context else None,
                 attrs=attrs,
             )
-            for seq, ts_s, kind, thread, context, attrs in raw
+            for seq, (ts_s, kind, thread, context, attrs) in enumerate(raw, first)
         ]
 
     # -- span sink ---------------------------------------------------------

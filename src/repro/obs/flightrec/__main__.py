@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``record --out DIR`` — build a small RND TPC-C system (QUEUED enclave
-  gateway), drive it from concurrent client threads,
-  and export ``flight.jsonl``, ``flight.chrome.json`` (Perfetto-loadable)
-  and ``transition_costs.json``;
+  gateway), drive it from concurrent client threads with the tracer armed
+  (a recording is a request for spans), and export ``flight.jsonl``,
+  ``flight.chrome.json`` (Perfetto-loadable) and ``transition_costs.json``;
 * ``validate PATH`` — check a JSONL recording against the event schema;
 * ``chrome PATH --out PATH`` — convert a JSONL recording to Chrome
   trace-event format;
@@ -25,6 +25,7 @@ def _cmd_record(args) -> int:
     from repro.obs.flightrec import get_recorder
     from repro.obs.flightrec.export import write_chrome_trace, write_jsonl
     from repro.obs.flightrec.report import build_report, format_report
+    from repro.obs.tracing import get_tracer
     from repro.obs.transition_cost import get_transition_cost_model
     from repro.workloads.tpcc.config import EncryptionMode, TpccConfig
     from repro.workloads.tpcc.driver import build_system, run_multi_client
@@ -51,9 +52,14 @@ def _cmd_record(args) -> int:
         f"recording {args.clients} clients x {args.txns} transactions ...",
         flush=True,
     )
-    result = run_multi_client(
-        system, n_clients=args.clients, transactions_per_client=args.txns
-    )
+    tracer = get_tracer()
+    tracer.enabled = True           # off by default: a recording asks for spans
+    try:
+        result = run_multi_client(
+            system, n_clients=args.clients, transactions_per_client=args.txns
+        )
+    finally:
+        tracer.enabled = False
     events = recorder.events()
     jsonl_path = out_dir / "flight.jsonl"
     chrome_path = out_dir / "flight.chrome.json"

@@ -80,6 +80,7 @@ def build_report(events: list[Event], top_statements: int = 5) -> dict:
                 "elapsed_s": float(event.attrs.get("elapsed_s", 0.0)),
                 "query": event.attrs.get("query", ""),
                 "rows": event.attrs.get("rows", 0),
+                "error": event.attrs.get("error"),    # exception type, failed statements
             }
 
     slowest = sorted(
@@ -158,9 +159,10 @@ def format_report(report: dict) -> str:
     if report["slowest_statements"]:
         for entry in report["slowest_statements"]:
             query = str(entry["query"])[:60]
+            outcome = f"FAILED {entry['error']}" if entry.get("error") else f"rows={entry['rows']}"
             lines.append(
                 f"  #{entry['statement_id']} (session {entry['session_id']}) "
-                f"{entry['elapsed_s'] * 1000:.3f}ms rows={entry['rows']}  {query}"
+                f"{entry['elapsed_s'] * 1000:.3f}ms {outcome}  {query}"
             )
             start = entry["timeline"][0]["ts_s"] if entry["timeline"] else 0.0
             for item in entry["timeline"][:20]:

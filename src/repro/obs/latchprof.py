@@ -13,7 +13,7 @@ module adds that:
 * :class:`LatchProfiler` — per-level and per-latch cumulative/max wait
   accounting. Waits also feed per-level *counters* (``latch.l07_waits``,
   ``latch.l07_wait_seconds``), which is what routes them through the
-  active :class:`~repro.obs.metrics.AttributionContext` into the waiting
+  waiting thread's :class:`~repro.obs.metrics.StatementRecord` into its
   statement's :class:`~repro.obs.querystats.QueryStats` — per-statement
   contention in ``EXPLAIN STATS`` without any per-statement plumbing.
 
@@ -28,7 +28,8 @@ import time
 from fnmatch import fnmatch
 
 from repro.analysis.config import DEFAULT_LOCK_ORDER
-from repro.obs.metrics import get_registry
+from repro.obs.flightrec import record_event
+from repro.obs.metrics import Counter, get_registry
 
 
 class LatchProfiler:
@@ -38,7 +39,8 @@ class LatchProfiler:
         self.levels = levels
         self._registry = registry or get_registry()
         self._lock = threading.Lock()
-        self._level_cache: dict[str, int] = {}
+        #: latch id -> (level, that level's waits / wait_seconds counters)
+        self._level_cache: dict[str, tuple[int, Counter, Counter]] = {}
         #: latch id -> {"level", "waits", "total_s", "max_s"}
         self._stats: dict[str, dict] = {}
         self._total_waits = self._registry.counter(
@@ -51,6 +53,9 @@ class LatchProfiler:
     def level_of(self, latch_id: str) -> int:
         """Index of the first declared pattern matching ``latch_id``
         (``len(levels)`` when undeclared — below every declared level)."""
+        return self._resolve(latch_id)[0]
+
+    def _resolve(self, latch_id: str) -> tuple[int, Counter, Counter]:
         cached = self._level_cache.get(latch_id)
         if cached is not None:
             return cached
@@ -59,15 +64,21 @@ class LatchProfiler:
             if fnmatch(latch_id, pattern):
                 level = i
                 break
+        # Registered here, once per latch id — never on the waiting path.
+        resolved = (
+            level,
+            self._registry.counter(f"latch.l{level:02d}_waits"),
+            self._registry.counter(f"latch.l{level:02d}_wait_seconds"),
+        )
         with self._lock:
-            self._level_cache[latch_id] = level
-        return level
+            self._level_cache[latch_id] = resolved
+        return resolved
 
     def record_wait(self, latch_id: str, wait_s: float) -> None:
         """Account one contended wait on ``latch_id``."""
         if not self._registry.enabled:
             return
-        level = self.level_of(latch_id)
+        level, level_waits, level_seconds = self._resolve(latch_id)
         with self._lock:
             entry = self._stats.setdefault(
                 latch_id,
@@ -78,15 +89,10 @@ class LatchProfiler:
             entry["max_s"] = max(entry["max_s"], wait_s)
         self._total_waits.inc()
         self._total_seconds.inc(wait_s)
-        # Per-level counters carry the wait into the active statement's
-        # attribution context; registration is lazy and get-or-create.
-        self._registry.counter(f"latch.l{level:02d}_waits").inc()
-        self._registry.counter(f"latch.l{level:02d}_wait_seconds").inc(wait_s)
-        # Imported here, not at module top: flightrec pulls in the tracer,
-        # and keeping the profiler importable from storage modules first
-        # avoids ordering surprises during interpreter start-up.
-        from repro.obs.flightrec import record_event
-
+        # Per-level counters carry the wait into the waiting statement's
+        # record, and from there into its QueryStats.latch_level_waits.
+        level_waits.inc()
+        level_seconds.inc(wait_s)
         record_event(
             "latch.wait", latch=latch_id, level=level, duration_s=wait_s
         )
@@ -126,8 +132,16 @@ class LatchProfiler:
             self._stats.clear()
 
 
-class TimedLatch:
+#: The interpreter's reentrant lock type (``threading.RLock`` is a factory).
+_RLock = type(threading.RLock())
+
+
+class TimedLatch(_RLock):
     """A reentrant latch that reports contended waits to the profiler.
+
+    It *is* the interpreter's reentrant lock — ``release`` and leaving a
+    ``with`` block are the lock's own, no Python frame — with acquisition
+    overridden to time the waits that actually block.
 
     ``name`` is the latch's fully-qualified id (``module.Class.attr``),
     matched against the declared lock order exactly like the static
@@ -135,33 +149,32 @@ class TimedLatch:
     the hierarchy use the same names.
     """
 
-    __slots__ = ("name", "_inner", "_profiler")
+    __slots__ = ("name", "_profiler")
+
+    def __new__(cls, name: str, profiler: "LatchProfiler | None" = None):
+        return super().__new__(cls)
 
     def __init__(self, name: str, profiler: "LatchProfiler | None" = None):
         self.name = name
-        self._inner = threading.RLock()
         self._profiler = profiler or get_latch_profiler()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         # Fast path: uncontended (or reentrant) acquisition measures nothing.
-        if self._inner.acquire(blocking=False):
+        if _RLock.acquire(self, False):
             return True
         if not blocking:
             return False
         started = time.perf_counter()
-        acquired = self._inner.acquire(timeout=timeout)
+        acquired = _RLock.acquire(self, True, timeout)
         self._profiler.record_wait(self.name, time.perf_counter() - started)
         return acquired
 
-    def release(self) -> None:
-        self._inner.release()
-
     def __enter__(self) -> "TimedLatch":
-        self.acquire()
+        # The fast path again, in this frame: a ``with`` on an uncontended
+        # latch costs one Python call.
+        if not _RLock.acquire(self, False):
+            self.acquire()
         return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
 
     def __repr__(self) -> str:
         return f"TimedLatch({self.name!r})"

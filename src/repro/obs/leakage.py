@@ -16,7 +16,9 @@ reveals something about —
 Counts are global per (column, kind); every observation also lands in
 the flight recorder as a ``leak.*`` event carrying the active statement
 identity, so a recording answers "which statement leaked what about
-which column".
+which column". Inside a statement the observations are buffered in its
+record and reach the ledger in one locked pass when it settles — batched,
+never dropped and never merged across columns or kinds.
 """
 
 from __future__ import annotations
@@ -58,11 +60,21 @@ class LeakageAccountant:
         if count <= 0 or not self._registry.enabled:
             return
         column = column or UNLABELLED
-        with self._lock:
-            key = (column, kind)
-            self._counts[key] = self._counts.get(key, 0) + count
+        statement = self._registry.thread.record
+        if statement is None:
+            self._settle([((column, kind), count)])
+        elif self in statement.deferred:
+            statement.deferred[self].append(((column, kind), count))
+        else:
+            statement.deferred[self] = [((column, kind), count)]
         self._total.inc(count)
         record_event(LEAK_KINDS[kind], column=column, count=count)
+
+    def _settle(self, observations) -> None:
+        with self._lock:
+            counts = self._counts
+            for key, count in observations:
+                counts[key] = counts.get(key, 0) + count
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """``{column: {kind: count}}`` with zero-count kinds omitted."""

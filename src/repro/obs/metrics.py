@@ -15,8 +15,13 @@ Design rules:
   ``python -m repro.analysis.dynamic_metrics`` lints this.
 * **Registration is get-or-create** per (name, kind); re-registering the
   same name with a *different* kind raises — that is always a bug.
-* **Thread safety**: every mutation takes the metric's lock; concurrent
-  increments never lose counts.
+* **Thread safety**: concurrent increments never lose counts. Outside a
+  statement every mutation takes the registry's lock. Inside one, counter
+  increments go lock-free into the executing thread's
+  :class:`StatementRecord` and reach the counters in one locked pass when
+  the statement settles — so a counter read is exact for finished
+  statements and for the reading thread's own open statement; another
+  thread's open statement appears when it ends.
 * **Cheap when disabled**: ``registry.enabled = False`` turns every
   ``inc``/``set``/``observe`` into a single attribute check and return.
 * **Exposition**: ``to_json()`` and ``to_prometheus_text()`` both
@@ -30,7 +35,6 @@ share one process-global metric while keeping per-instance semantics.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import json
 import re
@@ -66,90 +70,108 @@ def validate_metric_name(name: str) -> None:
         )
 
 
-class AttributionContext:
-    """A per-statement bucket of counter increments.
+class StatementRecord:
+    """What one statement did, written lock-free by the thread running it.
 
-    While a context is active on a thread (``registry.push_context``),
-    every ``Counter.inc`` on that thread *also* adds into the context —
-    so a statement reads back exactly the counts its own execution caused,
-    even when other sessions increment the same global counters
-    concurrently. Contexts can be adopted by worker threads
-    (``registry.adopt_contexts``) so enclave-gateway work done on behalf
-    of a statement still attributes to it.
+    Opened by :meth:`MetricsRegistry.open_record` and ended — once, on
+    every exit path — by :meth:`MetricsRegistry.settle`, which folds it
+    into ``parent`` (a nested scope on the same thread: the driver around
+    the server, a fault action reading through a second session) or, for
+    the outermost record, into the shared counters, flight-recorder ring
+    and leakage ledger, one lock each. The QUEUED enclave gateway hands the
+    blocked submitter's record to its worker and gets it back with the
+    verdicts, so exactly one thread writes a record at any moment.
     """
 
-    __slots__ = ("_values", "_lock")
+    __slots__ = ("trace", "parent", "counts", "deferred", "spans")
+
+    def __init__(self, trace, parent: "StatementRecord | None", spans: list):
+        #: Identity stamped on the statement's events (a ``TraceContext``).
+        self.trace = trace
+        self.parent = parent
+        #: Counter -> amount incremented under this record.
+        self.counts: dict[Counter, int | float] = {}
+        #: Sink (flight recorder, leakage accountant) -> items buffered for
+        #: its ``_settle``, in emission order.
+        self.deferred: dict[object, list] = {}
+        #: The open-span stack of the thread that opened the outermost
+        #: record; an adopting worker pushes onto the same list.
+        self.spans = spans
+
+
+class _ThreadState(threading.local):
+    """Per-thread: the innermost open record, whether a gateway worker
+    adopted it, the thread's own open-span stack, and its name as events
+    print it (read once: ``current_thread().name`` is three calls)."""
 
     def __init__(self):
-        self._values: dict[str, int | float] = {}
-        self._lock = threading.Lock()
-
-    def add(self, name: str, amount: int | float) -> None:
-        with self._lock:
-            self._values[name] = self._values.get(name, 0) + amount
-
-    def value(self, name: str) -> int | float:
-        with self._lock:
-            return self._values.get(name, 0)
-
-    def snapshot(self) -> dict[str, int | float]:
-        with self._lock:
-            return dict(self._values)
+        self.record: StatementRecord | None = None
+        self.adopted = False
+        self.spans: list = []
+        self.name = threading.current_thread().name
 
 
 class Counter:
     """A monotonically increasing value (ints stay ints, floats allowed)."""
 
-    __slots__ = ("name", "help", "_value", "_lock", "_registry")
+    __slots__ = ("name", "help", "_value", "_registry")
 
     def __init__(self, name: str, registry: "MetricsRegistry", help: str = ""):
         self.name = name
         self.help = help
         self._value: int | float = 0
-        self._lock = threading.Lock()
         self._registry = registry
 
     def inc(self, amount: int | float = 1) -> None:
-        if not self._registry.enabled:
+        registry = self._registry
+        if not registry.enabled:
             return
         if amount < 0:
             raise MetricError(f"counter {self.name!r} cannot decrease")
-        with self._lock:
-            self._value += amount
-        for ctx in self._registry.current_contexts():
-            ctx.add(self.name, amount)
+        record = registry.thread.record
+        if record is None:
+            with registry._lock:
+                self._value += amount
+        elif self in record.counts:
+            record.counts[self] += amount
+        else:
+            record.counts[self] = amount
 
     @property
     def value(self) -> int | float:
-        return self._value
+        """Settled statements plus the calling thread's own open ones."""
+        value = self._value
+        record = self._registry.thread.record
+        while record is not None:
+            value += record.counts.get(self, 0)
+            record = record.parent
+        return value
 
     def _reset(self) -> None:
-        with self._lock:
+        with self._registry._lock:
             self._value = 0
 
 
 class Gauge:
     """A value that can go up and down (queue depth, cached pages)."""
 
-    __slots__ = ("name", "help", "_value", "_lock", "_registry")
+    __slots__ = ("name", "help", "_value", "_registry")
 
     def __init__(self, name: str, registry: "MetricsRegistry", help: str = ""):
         self.name = name
         self.help = help
         self._value: int | float = 0
-        self._lock = threading.Lock()
         self._registry = registry
 
     def set(self, value: int | float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
+        # One attribute store: atomic without the lock inc() needs.
+        if self._registry.enabled:
             self._value = value
 
     def inc(self, amount: int | float = 1) -> None:
         if not self._registry.enabled:
             return
-        with self._lock:
+        with self._registry._lock:
             self._value += amount
 
     def dec(self, amount: int | float = 1) -> None:
@@ -160,7 +182,7 @@ class Gauge:
         return self._value
 
     def _reset(self) -> None:
-        with self._lock:
+        with self._registry._lock:
             self._value = 0
 
 
@@ -172,7 +194,7 @@ class Histogram:
     ``v <= bound`` — bucket edges are inclusive, which the unit tests pin.
     """
 
-    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_lock", "_registry")
+    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_registry")
 
     def __init__(
         self,
@@ -189,14 +211,13 @@ class Histogram:
         self._counts = [0] * (len(self.buckets) + 1)  # last = +inf
         self._sum: float = 0.0
         self._count: int = 0
-        self._lock = threading.Lock()
         self._registry = registry
 
     def observe(self, value: int | float) -> None:
         if not self._registry.enabled:
             return
         idx = bisect_left(self.buckets, value)
-        with self._lock:
+        with self._registry._lock:
             self._counts[idx] += 1
             self._sum += value
             self._count += 1
@@ -211,7 +232,7 @@ class Histogram:
 
     def snapshot(self) -> dict:
         """Cumulative bucket counts keyed by upper bound (prom semantics)."""
-        with self._lock:
+        with self._registry._lock:
             cumulative: dict[str, int] = {}
             running = 0
             for bound, count in zip(self.buckets, self._counts):
@@ -221,7 +242,7 @@ class Histogram:
             return {"count": self._count, "sum": self._sum, "buckets": cumulative}
 
     def _reset(self) -> None:
-        with self._lock:
+        with self._registry._lock:
             self._counts = [0] * (len(self.buckets) + 1)
             self._sum = 0.0
             self._count = 0
@@ -238,46 +259,54 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
         self._kinds: dict[str, MetricKind] = {}
         self._lock = threading.Lock()
-        self._tls = threading.local()
+        #: The calling thread's telemetry state; ``thread.record`` is the
+        #: statement record it is writing into (None outside a statement).
+        self.thread = _ThreadState()
 
-    # -- attribution contexts ----------------------------------------------
+    # -- statement records --------------------------------------------------
 
-    def _context_stack(self) -> list[AttributionContext]:
-        stack = getattr(self._tls, "contexts", None)
-        if stack is None:
-            stack = []
-            self._tls.contexts = stack
-        return stack
+    def open_record(self, trace=None) -> StatementRecord:
+        """Start a statement record on the calling thread, nested under
+        the one already open there (whose trace identity it inherits
+        unless given its own). Pair with :meth:`settle` in a ``finally``."""
+        thread = self.thread
+        parent = thread.record
+        if parent is None:
+            record = StatementRecord(trace, None, thread.spans)
+        else:
+            record = StatementRecord(
+                parent.trace if trace is None else trace, parent, parent.spans
+            )
+        thread.record = record
+        return record
 
-    def current_contexts(self) -> tuple[AttributionContext, ...]:
-        """The contexts active on the calling thread (innermost last)."""
-        stack = getattr(self._tls, "contexts", None)
-        if not stack:
-            return ()
-        return tuple(stack)
-
-    def push_context(self, ctx: AttributionContext) -> AttributionContext:
-        self._context_stack().append(ctx)
-        return ctx
-
-    def pop_context(self, ctx: AttributionContext) -> None:
-        stack = self._context_stack()
-        if ctx in stack:
-            stack.remove(ctx)
-
-    @contextlib.contextmanager
-    def adopt_contexts(self, contexts: tuple[AttributionContext, ...]):
-        """Attribute this thread's increments to ``contexts`` for the
-        duration — used by worker threads doing a statement's work."""
-        stack = self._context_stack()
-        for ctx in contexts:
-            stack.append(ctx)
-        try:
-            yield
-        finally:
-            for ctx in contexts:
-                if ctx in stack:
-                    stack.remove(ctx)
+    def settle(self, record: StatementRecord) -> None:
+        """End ``record``: into its parent, so the outer scope includes the
+        inner, or — outermost — into the counters and each sink, one lock
+        each. ``record.counts`` stays readable afterwards."""
+        thread = self.thread
+        if thread.record is record:
+            thread.record = record.parent
+        parent = record.parent
+        if parent is not None:
+            counts = parent.counts
+            for counter, amount in record.counts.items():
+                if counter in counts:
+                    counts[counter] += amount
+                else:
+                    counts[counter] = amount
+            for sink, items in record.deferred.items():
+                if sink in parent.deferred:
+                    parent.deferred[sink] += items
+                else:
+                    parent.deferred[sink] = items
+            return
+        if record.counts:
+            with self._lock:
+                for counter, amount in record.counts.items():
+                    counter._value += amount
+        for sink, items in record.deferred.items():
+            sink._settle(items)
 
     # -- registration -------------------------------------------------------
 
@@ -471,14 +500,11 @@ class StatsView:
 
     def __init__(self, registry: MetricsRegistry | None = None):
         registry = registry or get_registry()
-        counters = {
+        self._counters = {
             attr: registry.counter(metric_name)
             for attr, metric_name in self.FIELDS.items()
         }
-        baseline = {attr: counter.value for attr, counter in counters.items()}
-        # Avoid __setattr__/__getattr__ recursion by writing __dict__ directly.
-        self.__dict__["_counters"] = counters
-        self.__dict__["_baseline"] = baseline
+        self._baseline = {attr: c.value for attr, c in self._counters.items()}
 
     def __getattr__(self, attr: str):
         counters = self.__dict__.get("_counters", {})
@@ -488,7 +514,12 @@ class StatsView:
         raise AttributeError(attr)
 
     def inc(self, attr: str, amount: int | float = 1) -> None:
-        self.__dict__["_counters"][attr].inc(amount)
+        self._counters[attr].inc(amount)
+
+    def handle(self, attr: str) -> Counter:
+        """The shared counter behind ``attr``, for a per-statement path to
+        hold and ``inc()`` without the lookup."""
+        return self._counters[attr]
 
     def snapshot(self) -> dict[str, int | float]:
         return {attr: getattr(self, attr) for attr in self.FIELDS}

@@ -7,21 +7,21 @@ equivalent — and the measurement substrate the paper's claims are checked
 against: ecalls per query (Section 4.6), pages touched per index seek over
 ciphertext (Section 3.1.2), and driver cache effectiveness (Section 4.1).
 
-The collector works by pushing a thread-local :class:`AttributionContext`
-onto the registry for the duration of the statement: every counter
-increment made by the executing thread (and by enclave-gateway worker
-threads acting on its behalf, which adopt the context) is also added into
-the context. Concurrent statements therefore read back exactly their own
-counts instead of folding into each other's deltas — the fix the
-threaded regression test in ``tests/obs/test_querystats_concurrent.py``
-pins down.
+The server opens a :class:`~repro.obs.metrics.StatementRecord` on the
+executing thread for the duration of the statement: every counter
+increment made by that thread (and by the enclave-gateway worker acting on
+its behalf, which adopts the record) lands in the record, and
+:meth:`QueryStats.from_record` is one pass over it once the statement has
+settled. Concurrent statements therefore read back exactly their own
+counts instead of folding into each other's deltas — the fix the threaded
+regression test in ``tests/obs/test_querystats_concurrent.py`` pins down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import AttributionContext, MetricsRegistry, get_registry
+from repro.obs.metrics import StatementRecord
 from repro.obs.tracing import ECALL, Span
 
 # Counter names diffed into QueryStats. Keys are QueryStats field names.
@@ -49,7 +49,7 @@ _SERVER_DELTA_FIELDS: dict[str, str] = {
 
 #: Per-level latch counters (``latch.l07_wait_seconds``) are dynamic —
 #: one pair per contended hierarchy level — so they are harvested from
-#: the context snapshot by prefix instead of a fixed field map.
+#: the record by prefix instead of a fixed field map.
 _LATCH_LEVEL_PREFIX = "latch.l"
 
 _DRIVER_DELTA_FIELDS: dict[str, str] = {
@@ -58,6 +58,10 @@ _DRIVER_DELTA_FIELDS: dict[str, str] = {
     "describe_roundtrips": "driver.describe_roundtrips",
     "retries": "driver.retries",
 }
+
+# Counter name -> QueryStats field: how one pass over a record fills stats.
+_SERVER_FIELD_OF = {name: attr for attr, name in _SERVER_DELTA_FIELDS.items()}
+_DRIVER_FIELD_OF = {name: attr for attr, name in _DRIVER_DELTA_FIELDS.items()}
 
 
 @dataclass
@@ -119,6 +123,39 @@ class QueryStats:
             return 0
         return self.root_span.count(ECALL)
 
+    @classmethod
+    def from_record(cls, record: StatementRecord, **facts) -> "QueryStats":
+        """The stats of the statement ``record`` counted: ``facts`` (text,
+        plan, elapsed time, rows, span tree) plus one pass over its counts."""
+        counts = record.counts
+        for counter, amount in counts.items():
+            if counter.name in _SERVER_FIELD_OF:
+                facts[_SERVER_FIELD_OF[counter.name]] = amount
+        stats = cls(**facts)
+        if stats.latch_waits:
+            stats.latch_level_waits = {
+                counter.name: amount
+                for counter, amount in counts.items()
+                if counter.name.startswith(_LATCH_LEVEL_PREFIX)
+            }
+        return stats
+
+    def add_driver_counts(self, record: StatementRecord) -> None:
+        """The driver-side half, from the record around ``execute()`` — the
+        parent of the server's, so it includes it and settles last."""
+        for counter, amount in record.counts.items():
+            if counter.name in _DRIVER_FIELD_OF:
+                setattr(self, _DRIVER_FIELD_OF[counter.name], amount)
+
+    def latch_levels(self):
+        """``(counter name, waits, seconds)`` per contended hierarchy level."""
+        levels = self.latch_level_waits
+        for name in sorted(levels):
+            if name.endswith("_waits") and levels[name]:
+                yield name, levels[name], levels.get(
+                    name.replace("_waits", "_wait_seconds"), 0.0
+                )
+
     def as_dict(self) -> dict:
         out = {
             "query_text": self.query_text,
@@ -130,72 +167,6 @@ class QueryStats:
         for attr in (*_SERVER_DELTA_FIELDS, *_DRIVER_DELTA_FIELDS):
             out[attr] = getattr(self, attr)
         return out
-
-
-class QueryStatsCollector:
-    """Context-based collector wrapped around one statement execution.
-
-    Construction pushes an attribution context onto the calling thread;
-    :meth:`finish` (success path) or :meth:`cancel` (exception path) pops
-    it. The collector must be created on the same thread that executes
-    the statement.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None, query_text: str = ""):
-        self.registry = registry or get_registry()
-        self.query_text = query_text
-        self._ctx = self.registry.push_context(AttributionContext())
-
-    def cancel(self) -> None:
-        """Pop the context without building stats (statement failed)."""
-        self.registry.pop_context(self._ctx)
-
-    def finish(
-        self,
-        elapsed_s: float | None = None,
-        rows_returned: int = 0,
-        plan_info: str = "",
-        root_span: Span | None = None,
-    ) -> QueryStats:
-        self.registry.pop_context(self._ctx)
-        if root_span is not None and root_span.end_s is None:
-            # The disabled-tracer null span (never finished): drop it.
-            root_span = None
-        if elapsed_s is None:
-            elapsed_s = root_span.duration_s if root_span is not None else 0.0
-        stats = QueryStats(
-            query_text=self.query_text,
-            plan_info=plan_info,
-            elapsed_s=elapsed_s,
-            rows_returned=rows_returned,
-            root_span=root_span,
-        )
-        for attr, name in _SERVER_DELTA_FIELDS.items():
-            setattr(stats, attr, self._ctx.value(name))
-        stats.latch_level_waits = {
-            name: value
-            for name, value in self._ctx.snapshot().items()
-            if name.startswith(_LATCH_LEVEL_PREFIX)
-        }
-        return stats
-
-
-class DriverStatsCollector:
-    """The driver-side half: cache and round-trip counts around execute()."""
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or get_registry()
-        self._ctx = self.registry.push_context(AttributionContext())
-
-    def cancel(self) -> None:
-        self.registry.pop_context(self._ctx)
-
-    def apply(self, stats: QueryStats | None) -> None:
-        self.registry.pop_context(self._ctx)
-        if stats is None:
-            return
-        for attr, name in _DRIVER_DELTA_FIELDS.items():
-            setattr(stats, attr, self._ctx.value(name))
 
 
 def format_explain_stats(stats: QueryStats) -> str:
@@ -230,15 +201,8 @@ def format_explain_stats(stats: QueryStats) -> str:
         ("describe_roundtrips", stats.describe_roundtrips),
         ("retries", stats.retries),
     ]
-    for name in sorted(stats.latch_level_waits):
-        if name.endswith("_waits") and stats.latch_level_waits[name]:
-            seconds = stats.latch_level_waits.get(
-                name.replace("_waits", "_wait_seconds"), 0.0
-            )
-            rows.append(
-                (f"  {name}", f"{stats.latch_level_waits[name]} "
-                              f"({seconds * 1000:.3f}ms)")
-            )
+    for name, waits, seconds in stats.latch_levels():
+        rows.append((f"  {name}", f"{waits} ({seconds * 1000:.3f}ms)"))
     width = max(len(str(label)) for label, __ in rows)
     lines = ["EXPLAIN STATS"]
     lines += [f"  {str(label).ljust(width)}  {value}" for label, value in rows]
@@ -289,15 +253,8 @@ def format_explain_analyze(stats: QueryStats) -> str:
         f"    lock_waits={stats.lock_waits}  latch_waits={stats.latch_waits}  "
         f"latch_wait_ms={stats.latch_wait_seconds * 1000:.3f}"
     )
-    for name in sorted(stats.latch_level_waits):
-        if name.endswith("_waits") and stats.latch_level_waits[name]:
-            seconds = stats.latch_level_waits.get(
-                name.replace("_waits", "_wait_seconds"), 0.0
-            )
-            lines.append(
-                f"    {name}={stats.latch_level_waits[name]} "
-                f"({seconds * 1000:.3f}ms)"
-            )
+    for name, waits, seconds in stats.latch_levels():
+        lines.append(f"    {name}={waits} ({seconds * 1000:.3f}ms)")
     lines.append(
         f"  enclave: ecalls={stats.ecalls} "
         f"transitions={stats.boundary_transitions} "

@@ -12,31 +12,37 @@ The dedicated :data:`ECALL` span kind makes enclave boundary transitions
 first-class in every query's trace — the quantity Section 4.6 of the
 paper optimizes and the one every perf PR here must report.
 
+Timing is on request: the process-global tracer is off, and a span site
+builds a :class:`Span` only when its tracer is enabled (a recording) or
+the thread already has an open span (``EXPLAIN STATS`` / ``EXPLAIN
+ANALYZE`` open one with :meth:`Tracer.root` around their statement).
+Otherwise the site gets one shared do-nothing object.
+
 Spans with no enclosing parent are returned to the caller but retained
 nowhere, so tracing a hot loop without an active statement trace cannot
 leak memory. Child lists are capped (:data:`MAX_CHILDREN_PER_SPAN`); the
 overflow is *counted*, never silently dropped.
 
-Cross-thread propagation: a statement runs on its session's thread and
-establishes a :class:`TraceContext` there; the one place its work leaves
-that thread is the QUEUED enclave gateway, whose submitting code calls
-:meth:`Tracer.capture` and whose worker wraps the work in
-:meth:`Tracer.adopt`, so spans and flight-recorder events emitted on the
-worker parent under the submitting statement's trace instead of silently
-rooting a fresh one. With
-``tracer.strict`` set (tests), an adopted thread opening a span with no
-inherited context raises :class:`TraceOrphanError` — the loud failure
-mode for broken propagation.
+Cross-thread propagation: the open-span stack and the trace identity
+live in the executing thread's statement record
+(:class:`~repro.obs.metrics.StatementRecord`). The one place a
+statement's work leaves its thread is the QUEUED enclave gateway, whose
+submitting code calls :meth:`Tracer.capture` and whose worker wraps the
+work in :meth:`Tracer.adopt`, so counts, spans and flight-recorder events
+emitted on the worker land in the submitting statement's record instead
+of silently rooting a fresh trace. With ``tracer.strict`` set (tests), an
+adopted thread opening a span with no record raises
+:class:`TraceOrphanError` — the loud failure mode for broken propagation.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, StatementRecord, get_registry
 
 # Span kinds. Plain strings so instrumentation can invent operator kinds
 # freely; ECALL is special-cased by QueryStats and the pretty-printer.
@@ -47,17 +53,12 @@ ECALL = "enclave.ecall"
 
 MAX_CHILDREN_PER_SPAN = 512
 
-# Guards cross-thread child attachment: gateway workers append children
-# onto a span owned by the (blocked) submitting thread.
-_CHILD_LOCK = threading.Lock()
-
 
 class TraceOrphanError(RuntimeError):
     """A worker-thread span had no adopted trace context (strict mode)."""
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """Identity of the statement a trace belongs to.
 
     ``trace_id`` currently equals ``statement_id`` (one trace per
@@ -68,22 +69,6 @@ class TraceContext:
     trace_id: int
     statement_id: int
     session_id: int = 0
-
-
-@dataclass(frozen=True)
-class CapturedTrace:
-    """What :meth:`Tracer.capture` snapshots for hand-off to a worker."""
-
-    context: TraceContext | None = None
-    parent: "Span | None" = None
-
-    @property
-    def empty(self) -> bool:
-        return self.context is None and self.parent is None
-
-
-#: Shared empty capture so hot submit paths allocate nothing.
-EMPTY_CAPTURE = CapturedTrace()
 
 
 @dataclass
@@ -106,14 +91,12 @@ class Span:
         return self.end_s - self.start_s
 
     def add_child(self, child: "Span") -> None:
-        # Adopted parents receive children from whichever worker thread is
-        # doing the statement's work; the submitter is blocked meanwhile,
-        # but gateway workers can interleave, so attachment is serialized.
-        with _CHILD_LOCK:
-            if len(self.children) >= MAX_CHILDREN_PER_SPAN:
-                self.dropped_children += 1
-                return
-            self.children.append(child)
+        # No lock: a span's children come from the one thread that holds
+        # its statement's record at the moment (owner or adopting worker).
+        if len(self.children) >= MAX_CHILDREN_PER_SPAN:
+            self.dropped_children += 1
+            return
+        self.children.append(child)
 
     def count(self, kind: str | None = None) -> int:
         """Spans in this subtree (excluding self), optionally by kind."""
@@ -205,29 +188,24 @@ _NULL_CONTEXT = _NullSpanContext()
 
 
 class Tracer:
-    """Produces nested spans; one instance is process-global (:func:`get_tracer`)."""
+    """Produces nested spans. The process-global one (:func:`get_tracer`)
+    is off until a recording arms it; one built by hand is on."""
 
     def __init__(self, registry: MetricsRegistry | None = None, enabled: bool = True):
         self.enabled = enabled
         #: Fail loudly when an adopted worker thread opens a span with no
-        #: inherited trace context or parent (tests flip this on).
+        #: statement record (tests flip this on).
         self.strict = False
         self.registry = registry or get_registry()
-        self._local = threading.local()
         #: Span sinks: callables ``(span, trace_context)`` invoked when a
         #: span closes — how the flight recorder sees spans without the
         #: tracer importing it (that would be a cycle).
         self._sinks: list = []
-        # Histogram of ecall span durations — boundary-crossing latency is
-        # a first-class observable, not just a count.
-        self._ecall_hist: Histogram | None = None
 
     def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        thread = self.registry.thread
+        record = thread.record
+        return thread.spans if record is None else record.spans
 
     def current(self) -> Span | None:
         stack = self._stack()
@@ -237,57 +215,35 @@ class Tracer:
 
     def current_trace(self) -> TraceContext | None:
         """The trace context active on the calling thread, if any."""
-        return getattr(self._local, "trace", None)
+        record = self.registry.thread.record
+        return None if record is None else record.trace
 
     @contextlib.contextmanager
     def trace(self, context: TraceContext):
-        """Establish ``context`` as the thread's trace for the duration."""
-        previous = getattr(self._local, "trace", None)
-        self._local.trace = context
+        """Run the body as one statement record carrying ``context``."""
+        record = self.registry.open_record(context)
         try:
             yield context
         finally:
-            self._local.trace = previous
+            self.registry.settle(record)
 
-    def capture(self) -> CapturedTrace:
-        """Snapshot the calling thread's trace state for worker hand-off."""
-        context = self.current_trace()
-        parent = self.current()
-        if context is None and parent is None:
-            return EMPTY_CAPTURE
-        return CapturedTrace(context=context, parent=parent)
+    def capture(self) -> StatementRecord | None:
+        """The calling thread's open record, for hand-off to a worker."""
+        return self.registry.thread.record
 
     @contextlib.contextmanager
-    def adopt(self, captured: CapturedTrace):
-        """Run the body under a captured trace on a *different* thread.
-
-        The captured parent span (if any) is pushed onto this thread's
-        stack so spans opened here nest under it; it is popped — without
-        re-attaching, it belongs to the submitter's stack — at exit. Safe
-        because the submitting thread blocks on the work's completion
-        while its span is open.
-        """
-        local = self._local
-        previous_trace = getattr(local, "trace", None)
-        previously_adopted = getattr(local, "adopted", False)
-        local.trace = captured.context
-        local.adopted = True
-        stack = self._stack()
-        pushed = captured.parent is not None
-        if pushed:
-            stack.append(captured.parent)
+    def adopt(self, record: StatementRecord | None):
+        """Run the body on a *different* thread as part of ``record``:
+        counts, events and spans land in it, spans nesting under the
+        owner's open span. Safe because the owner blocks on the work's
+        completion — leave the body before waking it."""
+        thread = self.registry.thread
+        previous = thread.record, thread.adopted
+        thread.record, thread.adopted = record, True
         try:
             yield
         finally:
-            if pushed:
-                # Pop the foreign parent plus any spans abandoned above it
-                # (same sweep rationale as _SpanContext.__exit__).
-                for i in range(len(stack) - 1, -1, -1):
-                    if stack[i] is captured.parent:
-                        del stack[i:]
-                        break
-            local.trace = previous_trace
-            local.adopted = previously_adopted
+            thread.record, thread.adopted = previous
 
     # -- span sinks --------------------------------------------------------
 
@@ -307,29 +263,32 @@ class Tracer:
         capture: tuple[str, ...] = (),
         **attrs,
     ) -> _SpanContext | _NullSpanContext:
-        """Open a span. ``capture`` names registry metrics whose deltas are
-        recorded on the span at exit."""
-        if not self.enabled:
+        """Open a span — if someone asked: the tracer is enabled or the
+        thread already has an open span. ``capture`` names registry
+        metrics whose deltas are recorded on the span at exit."""
+        thread = self.registry.thread
+        record = thread.record
+        if not (self.enabled or (thread.spans if record is None else record.spans)):
             return _NULL_CONTEXT
-        if (
-            self.strict
-            and getattr(self._local, "adopted", False)
-            and self.current() is None
-            and self.current_trace() is None
-        ):
+        if self.strict and thread.adopted and record is None:
             raise TraceOrphanError(
                 f"span {name!r} opened on an adopted worker thread with no "
-                "trace context or parent span — the submitting side failed "
-                "to capture/propagate its trace"
+                "statement record — the submitting side failed to hand "
+                "its record over"
             )
         return _SpanContext(self, Span(name=name, kind=kind, attrs=attrs), capture)
+
+    def root(self, name: str, kind: str = INTERNAL, **attrs) -> _SpanContext:
+        """Open a span whether or not the tracer is enabled: how one
+        caller asks for the span tree of the work it is about to do."""
+        return _SpanContext(self, Span(name=name, kind=kind, attrs=attrs), ())
 
     def ecall_span(self, name: str, **attrs) -> _SpanContext | _NullSpanContext:
         """A span for one enclave boundary crossing."""
         return self.span(name, kind=ECALL, **attrs)
 
 
-_global_tracer = Tracer()
+_global_tracer = Tracer(enabled=False)
 
 
 def get_tracer() -> Tracer:

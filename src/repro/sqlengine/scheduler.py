@@ -2,9 +2,9 @@
 
 A statement runs start-to-finish on the thread that brought it: the
 client's own thread in-process, the connection thread behind a
-``WireServer``. The thread-local span tracer and the
-:class:`~repro.obs.querystats.QueryStatsCollector` attribution context
-therefore live on the thread doing the work, with no hand-off to adopt.
+``WireServer``. The statement's telemetry record
+(:class:`~repro.obs.metrics.StatementRecord`: counts, events, open spans)
+therefore lives on the thread doing the work, with no hand-off to adopt.
 
 There is deliberately no cap on concurrent statements. Locks are held
 across statements, so a per-statement cap lets lock waiters occupy every

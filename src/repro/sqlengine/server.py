@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from repro.errors import (
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.obs.flightrec import record_event
 from repro.obs.metrics import StatsView, get_registry
-from repro.obs.querystats import QueryStatsCollector
+from repro.obs.querystats import QueryStats
 from repro.obs.tracing import STATEMENT, TraceContext, get_tracer
 from repro.keys.cmk import ColumnMasterKey
 from repro.sqlengine.catalog import Catalog, ColumnSchema, IndexSchema, TableSchema
@@ -184,6 +185,8 @@ class SqlServer:
         self._plan_cache: OrderedDict[str, _CachedPlan] = OrderedDict()
         self._plan_lock = threading.Lock()
         self.stats = ServerStats()
+        self._plan_cache_hits = self.stats.handle("plan_cache_hits")
+        self._statements_executed = self.stats.handle("statements_executed")
         self._tracer = get_tracer()
         self._session_ids = itertools.count(1)
         # Process-wide statement ids: unique across sessions, so traces
@@ -238,7 +241,7 @@ class SqlServer:
             cached = self._plan_cache.get(query_text)
             if cached is not None and cached.version == version:
                 self._plan_cache.move_to_end(query_text)
-                self.stats.inc("plan_cache_hits")
+                self._plan_cache_hits.inc()
                 return cached
         self.stats.inc("plan_cache_misses")
         # Compile outside the lock: it only reads the catalog, and concurrent
@@ -617,64 +620,66 @@ class ServerSession:
         )
 
     def _run_statement(self, query_text: str, params: dict[str, object]) -> QueryResult:
-        statement_id = next(self.server._statement_ids)
-        trace_context = TraceContext(
-            trace_id=statement_id,
+        server = self.server
+        statement_id = next(server._statement_ids)
+        started = time.perf_counter()
+        registry = get_registry()
+        # This thread's record of the statement: everything it counts and
+        # emits lands here lock-free and settles once, in the finally.
+        record = registry.open_record(
+            TraceContext(statement_id, statement_id, self.session_id)
+        )
+        query = query_text[:120]
+        record_event("stmt.begin", query=query)
+        outcome: dict[str, object] = {"ok": False}
+        try:
+            plan = server._plan(query_text)
+            if plan.physical is None:
+                raise ExecutionError(
+                    f"executor cannot run {type(plan.stmt).__name__}"
+                )
+            autocommit = self._txn is None and not isinstance(
+                plan.stmt, ast.SelectStmt
+            )
+            txn = self._txn
+            if autocommit:
+                txn = server.engine.begin()
+            try:
+                with server._tracer.span(
+                    "server.statement",
+                    kind=STATEMENT,
+                    session=self.session_id,
+                    statement=statement_id,
+                ) as root_span:
+                    result = server.executor.execute(plan.physical, params, txn=txn)
+            except Exception:
+                if autocommit and txn is not None:
+                    server.engine.abort(txn)
+                raise
+            if autocommit and txn is not None:
+                server.engine.commit(txn)
+            server._statements_executed.inc()
+            outcome = {"ok": True, "rows": result.rowcount}
+        except BaseException as exc:
+            outcome["error"] = type(exc).__name__
+            raise
+        finally:
+            # Every stmt.begin gets its stmt.end, and the events buffered
+            # before a failure reach the ring with it.
+            elapsed_s = time.perf_counter() - started
+            record_event("stmt.end", elapsed_s=elapsed_s, query=query, **outcome)
+            registry.settle(record)
+        result.stats = QueryStats.from_record(
+            record,
+            query_text=query_text,
+            plan_info=result.plan_info,
+            elapsed_s=elapsed_s,
+            rows_returned=result.rowcount,
+            # The shared null span of a site nobody asked to time has no end.
+            root_span=root_span if root_span.end_s is not None else None,
             statement_id=statement_id,
             session_id=self.session_id,
         )
-        collector = QueryStatsCollector(query_text=query_text)
-        tracer = self.server._tracer
-        try:
-            with tracer.trace(trace_context):
-                record_event("stmt.begin", query=query_text[:120])
-                plan = self.server._plan(query_text)
-                if plan.physical is None:
-                    raise ExecutionError(
-                        f"executor cannot run {type(plan.stmt).__name__}"
-                    )
-                autocommit = self._txn is None and not isinstance(
-                    plan.stmt, ast.SelectStmt
-                )
-                txn = self._txn
-                if autocommit:
-                    txn = self.server.engine.begin()
-                try:
-                    with tracer.span(
-                        "server.statement",
-                        kind=STATEMENT,
-                        session=self.session_id,
-                        statement=statement_id,
-                    ) as root_span:
-                        result = self.server.executor.execute(
-                            plan.physical, params, txn=txn
-                        )
-                except Exception:
-                    if autocommit and txn is not None:
-                        self.server.engine.abort(txn)
-                    record_event("stmt.end", ok=False, query=query_text[:120])
-                    raise
-                if autocommit and txn is not None:
-                    self.server.engine.commit(txn)
-        except BaseException:
-            collector.cancel()
-            raise
-        self.server.stats.inc("statements_executed")
-        result.stats = collector.finish(
-            rows_returned=result.rowcount,
-            plan_info=result.plan_info,
-            root_span=root_span,
-        )
-        result.stats.statement_id = statement_id
-        result.stats.session_id = self.session_id
-        with tracer.trace(trace_context):
-            record_event(
-                "stmt.end",
-                ok=True,
-                elapsed_s=result.stats.elapsed_s,
-                rows=result.rowcount,
-                query=query_text[:120],
-            )
         return result
 
     # -- DDL ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ class BufferPool:
         self._capacity = max(1, capacity)
         self._pages: OrderedDict[int, Page] = OrderedDict()
         self.stats = BufferPoolStats()
+        self._hits = self.stats.handle("hits")
         self._cached_gauge = get_registry().gauge(
             "bufferpool.pages_cached", help="pages resident in this process's pools"
         )
@@ -128,7 +129,7 @@ class BufferPool:
             page = self._pages.get(page_id)
             if page is not None:
                 self._pages.move_to_end(page_id)
-                self.stats.inc("hits")
+                self._hits.inc()
                 return page
             self.stats.inc("misses")
             page = Page.from_bytes(self._disk.read_page(page_id))

@@ -286,3 +286,89 @@ def test_format_report_prints_contention_and_leakage():
     assert "T.C_LAST" in text
     assert "rnd_comparison=4" in text
     assert "WriteAheadLog._lock" in text
+
+
+# -- every stmt.begin gets its stmt.end --------------------------------------
+
+def _fail_parse(session, other):
+    session.execute("SELEC id FROM F")
+
+
+def _fail_bind(session, other):
+    session.execute("SELECT nope FROM F")
+
+
+def _fail_unique(session, other):
+    session.execute("INSERT INTO F (id, v) VALUES (@id, @v)", {"id": 1, "v": 0})
+
+
+def _fail_injected_fault(session, other):
+    from repro.faults import Always, RaiseFatal, get_fault_registry
+
+    armed = get_fault_registry().arm("engine.index_insert", Always(), RaiseFatal())
+    try:
+        session.execute("INSERT INTO F (id, v) VALUES (@id, @v)", {"id": 2, "v": 0})
+    finally:
+        get_fault_registry().disarm(armed)
+
+
+def _fail_lock_timeout(session, other):
+    other.execute("BEGIN")
+    other.execute("UPDATE F SET v = @v WHERE id = @id", {"v": 5, "id": 1})
+    try:
+        session.execute("UPDATE F SET v = @v WHERE id = @id", {"v": 6, "id": 1})
+    finally:
+        other.execute("ROLLBACK")
+
+
+@pytest.mark.parametrize(
+    "fail, error, leading_up",
+    [
+        (_fail_parse, "ParseError", None),
+        (_fail_bind, "BindError", None),
+        (_fail_unique, "ConstraintError", None),
+        (_fail_injected_fault, "FatalFault", "fault.injected"),
+        (_fail_lock_timeout, "LockTimeoutError", "lock.timeout"),
+    ],
+    ids=["parse", "bind", "unique", "fault", "lock_timeout"],
+)
+def test_failed_statement_still_ends(fail, error, leading_up):
+    """A statement that fails — before planning, in the executor, on a
+    lock — leaves exactly one begin/end pair under one statement id, the
+    end saying what failed, and the events buffered before the failure
+    reach the ring with it (``flightrec report`` must not silently omit
+    exactly the statements that went wrong)."""
+    from repro.sqlengine.server import SqlServer
+
+    server = SqlServer(lock_timeout_s=0.05)
+    session, other = server.connect(), server.connect()
+    session.execute("CREATE TABLE F(id int PRIMARY KEY, v int)")
+    session.execute("INSERT INTO F (id, v) VALUES (@id, @v)", {"id": 1, "v": 0})
+    recorder = get_recorder()
+    recorder.clear()
+    try:
+        with pytest.raises(Exception) as raised:
+            fail(session, other)
+        assert type(raised.value).__name__ == error
+        events = [e for e in recorder.events()
+                  if e.session_id == session.session_id]
+    finally:
+        recorder.clear()
+    begins = [e for e in events if e.kind == "stmt.begin"]
+    ends = [e for e in events if e.kind == "stmt.end"]
+    assert len(begins) == len(ends) == 1
+    begin, end = begins[0], ends[0]
+    assert begin.statement_id == end.statement_id is not None
+    assert end.attrs["ok"] is False
+    assert end.attrs["error"] == error
+    assert end.attrs["elapsed_s"] >= 0.0 and "rows" not in end.attrs
+    assert begin.ts_s <= end.ts_s and begin.seq < end.seq
+    if leading_up is not None:
+        (cause,) = [e for e in events if e.kind == leading_up]
+        assert cause.statement_id == end.statement_id
+        assert begin.seq < cause.seq < end.seq
+    # The report's slowest-statement table lists it, as failed.
+    report = build_report(events)
+    (entry,) = report["slowest_statements"]
+    assert entry["error"] == error
+    assert f"FAILED {error}" in format_report(report)

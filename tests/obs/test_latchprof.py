@@ -71,6 +71,26 @@ def test_record_wait_accumulates_per_latch_and_per_level():
     ).value == pytest.approx(1.0)
 
 
+def test_waiting_path_registers_nothing_after_the_first_wait(monkeypatch):
+    """The per-level counter pair is resolved once per latch id; the path
+    that is already waiting never formats a name or takes the registry's
+    registration lock again."""
+    profiler, registry = make_profiler()
+    profiler.record_wait(WAL_LATCH, 0.001)
+    names = registry.names()
+    lookups: list[str] = []
+    register = registry.counter
+    monkeypatch.setattr(
+        registry, "counter", lambda name, **kw: lookups.append(name) or register(name, **kw)
+    )
+    for __ in range(99):
+        profiler.record_wait(WAL_LATCH, 0.001)
+    assert lookups == []
+    assert registry.names() == names
+    level = profiler.level_of(WAL_LATCH)
+    assert registry.value(f"latch.l{level:02d}_waits") == 100
+
+
 def test_by_level_aggregates_latches_sharing_a_pattern():
     profiler, __ = make_profiler()
     profiler.record_wait(WAL_LATCH, 0.1)

@@ -37,6 +37,26 @@ def test_counts_accumulate_per_column_and_kind():
     assert registry.counter("leakage.events_observed").value == 7
 
 
+def test_a_statement_settles_its_observations_per_column_and_kind():
+    """Inside a statement the ledger is batched — one locked pass at the
+    settle — but never dropped and never merged across columns or kinds."""
+    accountant, registry = make_accountant()
+    record = registry.open_record()
+    try:
+        accountant.record("T.A", "index_touch", count=2)
+        accountant.record("T.B", "index_touch", count=3)
+        accountant.record("T.A", "rnd_comparison")
+        accountant.record("T.A", "index_touch")
+        assert accountant.snapshot() == {}     # another reader sees it at the settle
+    finally:
+        registry.settle(record)
+    assert accountant.snapshot() == {
+        "T.A": {"index_touch": 3, "rnd_comparison": 1},
+        "T.B": {"index_touch": 3},
+    }
+    assert registry.value("leakage.events_observed") == 7
+
+
 def test_unknown_kind_raises():
     accountant, __ = make_accountant()
     with pytest.raises(ValueError, match="unknown leakage kind"):

@@ -4,6 +4,7 @@ histogram bucket edges, and exposition round-trips."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -107,6 +108,53 @@ def test_counter_thread_safety_eight_threads(registry):
     for t in threads:
         t.join()
     assert counter.value == n_threads * per_thread
+
+
+def test_no_count_is_lost_inside_or_outside_a_statement(registry):
+    """Eight threads on one counter, half of them incrementing inside
+    statement records (nested every other round) and settling, half
+    straight in, with the interpreter switching threads as often as it
+    can: a lost update at a settle, a merge or a direct increment would
+    leave the counter short."""
+    counter = registry.counter("test.settled")
+    n_threads, rounds, per_round = 8, 300, 7
+    barrier = threading.Barrier(n_threads)
+
+    def in_statements():
+        barrier.wait()
+        for i in range(rounds):
+            outer = registry.open_record()
+            try:
+                counter.inc()
+                inner = registry.open_record() if i % 2 else None
+                for __ in range(per_round - 1):
+                    counter.inc()
+                if inner is not None:
+                    registry.settle(inner)
+            finally:
+                registry.settle(outer)
+
+    def straight_in():
+        barrier.wait()
+        for __ in range(rounds * per_round):
+            counter.inc()
+
+    threads = [
+        threading.Thread(target=in_statements if i % 2 else straight_in)
+        for i in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counter.value == n_threads * rounds * per_round
+    assert registry.thread.record is None
 
 
 def test_histogram_thread_safety_eight_threads(registry):

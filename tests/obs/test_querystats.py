@@ -3,13 +3,20 @@ telemetry whose enclave counts agree exactly with the registry."""
 
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
+from repro.client.driver import connect
+from repro.enclave.runtime import Enclave
+from repro.enclave.worker import CallMode
 from repro.obs.metrics import get_registry
 from repro.obs.querystats import QueryStats, format_explain_stats
-from tests.conftest import make_encrypted_table
+from repro.obs.tracing import get_tracer
+from repro.sqlengine.server import SqlServer
+from tests.conftest import ALGO, make_encrypted_table
 
 POINT_LOOKUP = "SELECT id, value FROM T WHERE value = @v"
 
@@ -97,9 +104,13 @@ def test_scan_qualified_dml_counts_its_table_scan(encrypted_table, statement, pa
 
 def test_span_tree_contains_ecall_spans(encrypted_table):
     conn = encrypted_table
-    conn.execute(POINT_LOOKUP, {"v": 30})  # warm
+    plain = conn.execute(POINT_LOOKUP, {"v": 30})  # warm
+    # Timing is on request: a plain execute carries counts and no tree.
+    assert plain.stats.root_span is None
+    assert plain.stats.ecall_spans == 0 < plain.stats.ecalls
 
-    result = conn.execute(POINT_LOOKUP, {"v": 30})
+    with get_tracer().root("test.request"):        # ask, as EXPLAIN STATS does
+        result = conn.execute(POINT_LOOKUP, {"v": 30})
     stats = result.stats
     assert stats.root_span is not None
     assert stats.root_span.name == "server.statement"
@@ -233,3 +244,107 @@ def test_range_query_explain_stats(ae_connection):
     assert [r[0] for r in result.rows] == [3, 4, 5, 6]
     assert stats.ecalls > 0
     assert stats.enclave_evals > 0  # host-issued TM_EVALs for the predicate
+
+
+# -- EXPLAIN text is the parent commit's, byte for byte ----------------------
+
+GOLDEN_EXPLAIN = Path(__file__).with_name("golden_explain.json")
+
+EXPLAINED = [
+    ("point_seek", "SELECT id, tag FROM G WHERE id = @id", {"id": 3}),
+    ("rnd_range_scan", "SELECT id FROM G WHERE value > @lo AND value < @hi",
+     {"lo": 10, "hi": 40}),
+    ("insert", "INSERT INTO G (id, value, tag) VALUES (@id, @v, @t)",
+     {"id": 100, "v": 1000, "t": 5}),
+    ("key_moving_update", "UPDATE G SET tag = @t WHERE id = @id", {"t": 99, "id": 2}),
+]
+
+
+def _mask_ms(text: str) -> str:
+    """Durations — and the padding a wider one eats — are the only thing
+    allowed to differ between two runs."""
+    text = re.sub(r" *\d+\.\d+ms", " #ms", text)
+    return re.sub(r"(_ms[\s=]+)\d+\.\d+", r"\1#", text)
+
+
+def explain_texts(server: SqlServer, conn) -> dict[str, str]:
+    """Masked EXPLAIN STATS / EXPLAIN ANALYZE text of every ``EXPLAINED``
+    statement, each run warm, on a fresh six-row table (deterministic ids,
+    counts and page traffic: the gateway must be SYNCHRONOUS)."""
+    conn.execute_ddl(
+        "CREATE TABLE G(id int PRIMARY KEY, value int ENCRYPTED WITH ("
+        f"COLUMN_ENCRYPTION_KEY = TestCEK, ENCRYPTION_TYPE = Randomized, "
+        f"ALGORITHM = '{ALGO}'), tag int)"
+    )
+    conn.execute_ddl("CREATE INDEX G_TAG ON G(tag)")
+    for i in range(6):
+        conn.execute(
+            "INSERT INTO G (id, value, tag) VALUES (@id, @v, @t)",
+            {"id": i, "v": i * 10, "t": i % 3},
+        )
+    out: dict[str, str] = {}
+    for name, text, params in EXPLAINED:
+        fresh = iter(range(200, 300)) if name == "insert" else None
+
+        def bind():
+            return dict(params, id=next(fresh)) if fresh else params
+
+        conn.execute(text, bind())       # warm: plan, describe, CEKs
+        out[f"{name}.stats"] = _mask_ms(conn.explain_stats(text, bind()))
+        out[f"{name}.analyze"] = _mask_ms(conn.explain_analyze(text, bind()))
+    return out
+
+
+@pytest.mark.parametrize("eval_batch_size", [1, 64])
+def test_explain_text_matches_the_parent_commits(
+    eval_batch_size, enclave_binary, host_machine, hgs, registry,
+    attestation_policy, enclave_cmk, enclave_cek,
+):
+    """``EXPLAIN STATS`` / ``EXPLAIN ANALYZE`` for a point seek, an RND
+    range scan (row-at-a-time and batched), an INSERT and a key-moving
+    UPDATE: equal, after masking ``*_ms``, to the strings the parent
+    commit printed (captured there by running this module's
+    ``explain_texts``) — every count, every span, every attribute."""
+    server = SqlServer(
+        enclave=Enclave(enclave_binary), host_machine=host_machine, hgs=hgs,
+        enclave_call_mode=CallMode.SYNCHRONOUS, eval_batch_size=eval_batch_size,
+    )
+    server.catalog.create_cmk(enclave_cmk)
+    server.catalog.create_cek(enclave_cek)
+    conn = connect(server, registry, attestation_policy=attestation_policy)
+    texts = explain_texts(server, conn)
+    golden = json.loads(GOLDEN_EXPLAIN.read_text())[f"eval_batch_size={eval_batch_size}"]
+    assert texts.keys() == golden.keys()
+    for name in golden:
+        assert texts[name] == golden[name], name
+    assert "span tree:" in texts["point_seek.stats"]
+    assert "enclave.eval" in texts["rnd_range_scan.analyze"]
+
+
+def test_latch_waits_reach_the_waiting_statements_stats_per_level():
+    """A contended latch wait is counted per hierarchy level, and those
+    counters ride the waiting thread's record into its QueryStats — and
+    from there into both EXPLAIN printers."""
+    from repro.obs.latchprof import get_latch_profiler
+    from repro.obs.querystats import format_explain_analyze
+
+    profiler = get_latch_profiler()
+    latch = "repro.sqlengine.storage.wal.WriteAheadLog._lock"
+    level = profiler.level_of(latch)
+    registry = get_registry()
+    record = registry.open_record()
+    try:
+        profiler.record_wait(latch, 0.002)
+        profiler.record_wait(latch, 0.001)
+    finally:
+        registry.settle(record)
+        profiler.reset()
+    stats = QueryStats.from_record(record, query_text="q")
+    assert stats.latch_waits == 2
+    assert stats.latch_wait_seconds == pytest.approx(0.003)
+    assert stats.latch_level_waits == {
+        f"latch.l{level:02d}_waits": 2,
+        f"latch.l{level:02d}_wait_seconds": pytest.approx(0.003),
+    }
+    assert re.search(rf"latch\.l{level:02d}_waits\s+2 \(3\.000ms\)", format_explain_stats(stats))
+    assert f"latch.l{level:02d}_waits=2 (3.000ms)" in format_explain_analyze(stats)

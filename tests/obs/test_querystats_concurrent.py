@@ -3,19 +3,29 @@
 The regression this file pins: QueryStats used to be computed as global
 registry deltas (value-after minus value-before), which is only correct
 when one statement runs at a time — two concurrent statements would bleed
-their counter increments into each other's stats. Attribution contexts
-(:class:`repro.obs.metrics.AttributionContext`) fix this: each collector
-pushes a thread-local context, every ``Counter.inc`` lands in the active
-contexts of *its* thread, and the enclave gateway carries the submitting
-statement's contexts across the queued-worker boundary.
+their counter increments into each other's stats. Statement records
+(:class:`repro.obs.metrics.StatementRecord`) fix this: each collector
+opens a record on its own thread, every ``Counter.inc`` lands in the
+record of *its* thread, and the enclave gateway hands the submitting
+statement's record across the queued-worker boundary and back.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.attestation.hgs import AttestationPolicy, HostGuardianService
 from repro.client.driver import connect
-from repro.obs.metrics import AttributionContext, get_registry
+from repro.enclave.runtime import Enclave
+from repro.enclave.worker import CallMode, EnclaveCallGateway
+from repro.obs.metrics import get_registry
+from repro.obs.querystats import _DRIVER_DELTA_FIELDS, _SERVER_DELTA_FIELDS
+from repro.obs.tracing import get_tracer
 from repro.sqlengine.server import SqlServer
 from tests.conftest import make_encrypted_table
 
@@ -23,56 +33,95 @@ POINT_LOOKUP = "SELECT id, value FROM T WHERE value = @v"
 
 
 class TestAttributionContext:
+    """The three attribution behaviours, on the statement record."""
+
     def test_context_captures_only_its_own_threads_increments(self):
         registry = get_registry()
         counter = registry.counter("ctxtest.hits")
-        ctx = AttributionContext()
-        registry.push_context(ctx)
+        before = counter.value
+        record = registry.open_record()
         try:
             counter.inc()                     # this thread: attributed
 
             def other_thread():
-                counter.inc(5)                # no context there: unattributed
+                counter.inc(5)                # no record there: straight in
+                seen.append(counter.value)
 
+            seen: list[int] = []
             thread = threading.Thread(target=other_thread)
             thread.start()
             thread.join()
+            # Another thread's open statement shows when it ends; the
+            # owner reads its own pending count.
+            assert seen == [before + 5]
+            assert counter.value == before + 6
         finally:
-            registry.pop_context(ctx)
-        counter.inc()                         # after pop: unattributed
-        assert ctx.value("ctxtest.hits") == 1
+            registry.settle(record)
+        counter.inc()                         # after settle: unattributed
+        assert record.counts[counter] == 1
+        assert counter.value == before + 7
 
     def test_adopt_contexts_attributes_worker_increments(self):
+        """The QUEUED gateway hands the submitter's record to the worker
+        and gets it back with the verdicts — also when the ecall raises."""
+        self._hand_over_and_back(ecall_raises=False)
+        self._hand_over_and_back(ecall_raises=True)
+
+    def _hand_over_and_back(self, ecall_raises: bool) -> None:
         registry = get_registry()
         counter = registry.counter("ctxtest.adopted")
-        ctx = AttributionContext()
-        registry.push_context(ctx)
-        contexts = registry.current_contexts()
-        registry.pop_context(ctx)
+        before = counter.value
+        workers: list[str] = []
 
-        def worker():
-            with registry.adopt_contexts(contexts):
-                counter.inc(3)
-            counter.inc()                     # outside adoption: unattributed
+        def ecall():
+            counter.inc(3)
+            workers.append(threading.current_thread().name)
+            assert registry.thread.record is record   # adopted, not copied
+            if ecall_raises:
+                raise ValueError("ecall failed")
+            return [True]
 
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert ctx.value("ctxtest.adopted") == 3
+        class FakeEnclave:
+            def eval(self, handle, inputs):
+                return ecall()
+
+        with EnclaveCallGateway(FakeEnclave(), mode=CallMode.QUEUED, n_threads=1) as gateway:
+            record = registry.open_record()
+            try:
+                if ecall_raises:
+                    with pytest.raises(ValueError):
+                        gateway.eval(1, [])
+                else:
+                    assert gateway.eval(1, []) == [True]
+                # Back with the submitter: its own increments keep landing
+                # in the same record, and nothing has reached the counter.
+                counter.inc()
+                assert record.counts[counter] == 4
+            finally:
+                registry.settle(record)
+            worker_thread = next(t for t in gateway._threads)
+            assert workers == [worker_thread.name]
+        assert counter.value == before + 4
+        assert record.counts[registry.counter("worker.calls")] == 1
 
     def test_nested_contexts_both_receive(self):
         registry = get_registry()
         counter = registry.counter("ctxtest.nested")
-        outer, inner = AttributionContext(), AttributionContext()
-        registry.push_context(outer)
-        registry.push_context(inner)
+        before = counter.value
+        outer = registry.open_record()
         try:
-            counter.inc(2)
+            counter.inc()
+            inner = registry.open_record()
+            try:
+                counter.inc(2)
+            finally:
+                registry.settle(inner)
+            assert registry.thread.record is outer
         finally:
-            registry.pop_context(inner)
-            registry.pop_context(outer)
-        assert outer.value("ctxtest.nested") == 2
-        assert inner.value("ctxtest.nested") == 2
+            registry.settle(outer)
+        assert inner.counts[counter] == 2
+        assert outer.counts[counter] == 3     # the outer includes the inner
+        assert counter.value == before + 3    # and the registry counts it once
 
 
 class TestConcurrentStatementStats:
@@ -171,9 +220,10 @@ class TestConcurrentStatementStats:
 
         def client(name: str, conn, v: int) -> None:
             barrier.wait()
-            results[name] = conn.execute(
-                "SELECT id FROM S WHERE v = @v", {"v": v}
-            )
+            with get_tracer().root(f"test.client_{name}"):   # ask for the tree
+                results[name] = conn.execute(
+                    "SELECT id FROM S WHERE v = @v", {"v": v}
+                )
 
         threads = [
             threading.Thread(target=client, args=("a", conn_a, 1)),
@@ -188,5 +238,112 @@ class TestConcurrentStatementStats:
         span_b = results["b"].stats.root_span
         assert span_a is not None and span_b is not None
         assert span_a is not span_b
+        assert span_a.attrs["session"] != span_b.attrs["session"]
         assert results["a"].rows == [(1,)]
         assert results["b"].rows == [(2,)]
+        # A statement nobody asked to time carries no tree.
+        plain = conn_a.execute("SELECT id FROM S WHERE v = @v", {"v": 1})
+        assert plain.stats.root_span is None
+
+
+# -- the books balance: sum of QueryStats == registry delta -------------------
+
+PT_STATEMENTS = [
+    ("SELECT id, v FROM P WHERE id = @id", lambda n: {"id": n % 6}),
+    ("UPDATE P SET v = @v WHERE id = @id", lambda n: {"v": n, "id": n % 6}),
+    ("INSERT INTO P (id, v) VALUES (@id, @v)", lambda n: {"id": 1000 + n, "v": n}),
+]
+RND_STATEMENTS = [
+    (POINT_LOOKUP, lambda n: {"v": (n % 6) * 10}),
+    ("SELECT id FROM T WHERE value > @lo AND value < @hi",
+     lambda n: {"lo": (n % 3) * 10, "hi": 40 + (n % 3) * 10}),
+    ("INSERT INTO T (id, value) VALUES (@id, @v)", lambda n: {"id": 1000 + n, "v": n}),
+]
+ALL_STATEMENTS = PT_STATEMENTS + RND_STATEMENTS
+
+
+@pytest.fixture(scope="module", params=[CallMode.SYNCHRONOUS, CallMode.QUEUED],
+                ids=["sync", "queued"])
+def bookkeeping_system(request, enclave_binary, host_machine, registry,
+                       enclave_cmk, enclave_cek):
+    """A server with a plaintext table P and an RND table T behind the
+    given gateway, and three warm AE connections (describe results, the
+    attestation session and the CEKs cached: the measured statements make
+    no call outside a statement)."""
+    hgs = HostGuardianService()
+    hgs.register_host(host_machine.boot_and_measure())
+    policy = AttestationPolicy(trusted_author_ids=frozenset({enclave_binary.author_id}))
+    server = SqlServer(
+        enclave=Enclave(enclave_binary), host_machine=host_machine, hgs=hgs,
+        enclave_call_mode=request.param, lock_timeout_s=5.0,
+    )
+    server.catalog.create_cmk(enclave_cmk)
+    server.catalog.create_cek(enclave_cek)
+    connections = [
+        connect(server, registry, attestation_policy=policy) for __ in range(3)
+    ]
+    make_encrypted_table(connections[0])
+    connections[0].execute_ddl("CREATE TABLE P(id int PRIMARY KEY, v int)")
+    for i in range(6):
+        connections[0].execute(
+            "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": i, "v": i * 10}
+        )
+        connections[0].execute("INSERT INTO P (id, v) VALUES (@id, @v)", {"id": i, "v": i})
+    serial = itertools.count(1)
+    for conn in connections:
+        for text, params in ALL_STATEMENTS:
+            conn.execute(text, params(next(serial)))
+    yield connections, serial
+    server.shutdown()
+
+
+class TestTheBooksBalance:
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plan=st.lists(
+        st.lists(st.integers(0, len(ALL_STATEMENTS) - 1), min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    def test_sum_of_query_stats_equals_the_registry_delta(self, bookkeeping_system, plan):
+        """N sessions x M statements, PT and RND, concurrently: for every
+        one of the 19 server and 4 driver fields, the field-wise sum of all
+        QueryStats is the registry's delta — nothing lost at a settle,
+        nothing counted twice by the nesting or the worker hand-back — and
+        the snapshot taken right after the last ``execute`` returns already
+        holds every count (that is when ``bench/round.py`` reads it)."""
+        connections, serial = bookkeeping_system
+        metrics = get_registry()
+        work = [
+            [(ALL_STATEMENTS[i][0], ALL_STATEMENTS[i][1](next(serial))) for i in picks]
+            for picks in plan
+        ]
+        collected: list[list] = [[] for __ in work]
+        barrier = threading.Barrier(len(work))
+
+        def client(conn, statements, out) -> None:
+            barrier.wait()
+            for text, params in statements:
+                out.append(conn.execute(text, params).stats)
+
+        threads = [
+            threading.Thread(target=client, args=(conn, statements, out))
+            for conn, statements, out in zip(connections, work, collected)
+        ]
+        before = metrics.snapshot()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        after = metrics.snapshot()
+
+        stats = [s for out in collected for s in out]
+        assert len(stats) == sum(len(statements) for statements in work)
+        for attr, name in {**_SERVER_DELTA_FIELDS, **_DRIVER_DELTA_FIELDS}.items():
+            total = sum(getattr(s, attr) for s in stats)
+            assert total == pytest.approx(after.get(name, 0) - before.get(name, 0)), attr
+        # Sanity: the enclave fields are not balancing at zero. The two RND
+        # predicates evaluate in the enclave; the RND insert does not.
+        ran_enclave = any(
+            "WHERE value" in ALL_STATEMENTS[i][0] for picks in plan for i in picks
+        )
+        assert (sum(s.ecalls for s in stats) > 0) == ran_enclave

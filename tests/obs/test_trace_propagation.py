@@ -43,6 +43,9 @@ def recorder():
 
 @pytest.fixture()
 def strict_tracer(monkeypatch):
+    """Armed and strict: every span site builds its span, and one opened
+    on a worker that was handed no record raises."""
+    monkeypatch.setattr(get_tracer(), "enabled", True)
     monkeypatch.setattr(get_tracer(), "strict", True)
 
 
@@ -110,7 +113,7 @@ def test_concurrent_sessions_partition_events_by_statement(
         # The encrypted point lookup crosses the enclave boundary, so the
         # recording must show the boundary under this statement's trace.
         assert "stmt.begin" in kinds and "stmt.end" in kinds
-        assert "enclave.ecall" in kinds
+        assert "enclave.ecall" in kinds and "span.end" in kinds
         # Cross-thread propagation: the statement's events span more than
         # one thread (the client's thread submits, an enclave worker evaluates),
         # and every one of them still carries the statement id.
