@@ -1,35 +1,8 @@
-"""Experiment harness: the calibrated queueing model and figure runners."""
+"""The experiment harness: ``python -m repro.harness {list | run | report}``.
 
-from repro.harness.experiments import (
-    Calibration,
-    Figure8Result,
-    Figure9Result,
-    TpccScale,
-    calibrate_system,
-    run_figure8,
-    run_figure9,
-)
-from repro.harness.perfmodel import (
-    ModelConfig,
-    NormalizedFigure,
-    ServiceDemands,
-    ThroughputCurve,
-    solve_throughput,
-    sweep,
-)
-
-__all__ = [
-    "Calibration",
-    "Figure8Result",
-    "Figure9Result",
-    "ModelConfig",
-    "NormalizedFigure",
-    "ServiceDemands",
-    "ThroughputCurve",
-    "TpccScale",
-    "calibrate_system",
-    "run_figure8",
-    "run_figure9",
-    "solve_throughput",
-    "sweep",
-]
+One sampling routine (:mod:`~repro.harness.paired`), one calibration and
+every experiment definition (:mod:`~repro.harness.experiments`), the
+queueing model (:mod:`~repro.harness.perfmodel`), the measured multi-client
+sweep (:mod:`~repro.harness.measured`) and one result schema with its
+renderer (:mod:`~repro.harness.result`).
+"""

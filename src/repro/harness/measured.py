@@ -1,34 +1,23 @@
-"""Measured multi-client Figure 8: real threads, real locks, real enclave.
+"""Measured multi-client sweep: real threads, real locks, real enclave.
 
-The modeled Figure 8 (:mod:`repro.harness.experiments`) calibrates
-single-stream service demands and solves a queueing network, because pure
-Python under the GIL cannot natively exhibit 100-thread concurrency. This
-module produces the *measured* companion: N real client threads, each
-with its own driver connection in paper mode, driving the standard TPC-C
-mix against one :class:`~repro.workloads.tpcc.driver.TpccSystem`.
-
-There is one measurement routine, :func:`measure_curve`, and the
-deployment is one of its arguments: ``n_shards=0`` hosts the engine in
-this process (the concurrent session layer: each statement on its
-client's thread, two-phase locking, shared plan cache, shared enclave
-sessions); ``n_shards>0`` forks that many shard processes behind the
-router process, the unmodified AE driver speaking the binary wire
-protocol to one address. The two entry points differ only in which
-curves they ask for:
-
-* :func:`run_figure8_measured` — SQL-PT / SQL-PT-AEConn / SQL-AE-RND-4,
-  all in-process, each overlaid with the queueing model's curve.
-* :func:`run_figure8_sharded` — SQL-PT over 1/2/4/8 shards, a smaller
-  SQL-AE-RND-4 sweep, and the same-host in-process SQL-PT point that the
-  sharded numbers are read against (below).
+The modeled Figure 8 solves a queueing network over calibrated demands,
+because pure Python under the GIL cannot natively exhibit 100-thread
+concurrency. :func:`measure_curve` produces the *measured* companion: N
+real client threads, each with its own driver connection in paper mode,
+driving the standard TPC-C mix against one
+:class:`~repro.workloads.tpcc.driver.TpccSystem`. The deployment is an
+argument: ``n_shards=0`` hosts the engine in this process (each statement
+on its client's thread, two-phase locking, shared plan cache, shared
+enclave sessions); ``n_shards>0`` forks that many shard processes behind
+the router process, the unmodified AE driver speaking the binary wire
+protocol to one address.
 
 To make measured scaling meaningful despite the GIL, each driver
-round-trip sleeps ``simulated_rtt_s`` (an in-datacenter RTT), restoring
-the regime the paper measures in: a single client is RTT-bound, so
-additional clients overlap their network waits and throughput rises until
-the (GIL-serialized) server CPU saturates. The same RTT is fed to the
-queueing model, so the modeled and measured curves are directly
-comparable — EXPERIMENTS.md overlays them.
+round-trip sleeps ``rtt_s`` (an in-datacenter RTT), restoring the regime
+the paper measures in: a single client is RTT-bound, so additional
+clients overlap their network waits and throughput rises until the
+(GIL-serialized) server CPU saturates. The experiments feed the same RTT
+to the queueing model, so the modeled and measured curves are comparable.
 
 The sharded sweep keeps the in-process run's mix, RTT and per-client
 transaction budget, with one deliberate difference: **warehouses scale
@@ -37,39 +26,20 @@ warehouse per terminal). At the in-process run's 8 warehouses, 16
 clients pair up two-per-warehouse and Payment's exclusive warehouse-row
 lock serializes each pair — the wire lengthens every lock-hold window by
 two hops, so the 8-warehouse sharded mix measures lock-convoy collapse,
-not deployment scaling. Every engine, in this process or in a shard,
-runs a statement on the thread that brought it (the client's thread, the
-shard's connection thread), so the two deployments differ only in the
-wire.
-
-Whether sharding can *exceed* the in-process ceiling is a property of
-the host, so the result records the host topology and the sharded sweep
-measures its in-process reference in the same run, at the same scale — a
-number measured on different hardware says nothing. In-process execution
-saturates one core with zero wire overhead; N shard processes need N
-cores to show parallel speedup. :meth:`Figure8MeasuredResult.wire_tax` is
-a sharded point over that reference: above 1 on a multi-core host, and on
-a single-core host — where no multi-process design can win, every frame
-costs CPU the in-process build does not spend — a bounded tax below 1.
+not deployment scaling.
 
 Every curve doubles as a concurrency-correctness gate: after the largest
 client count the TPC-C invariants
 (:mod:`repro.workloads.tpcc.invariants`) are audited at quiesce, on every
 shard, so a lost update or an index torn by concurrency fails the
-benchmark rather than silently skewing the curve; then the system is shut
-down, so no curve is measured beside a previous curve's idle threads.
+experiment rather than silently skewing the curve; then the system is
+shut down, so no curve is measured beside a previous curve's idle threads.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
-
-from repro.harness.experiments import TpccScale, _config, calibrate_system
-from repro.harness.perfmodel import ModelConfig, solve_throughput
-from repro.workloads.tpcc.config import TRANSACTION_MIX, EncryptionMode
+from repro.harness.result import row
+from repro.workloads.tpcc.config import TRANSACTION_MIX, TpccConfig
 from repro.workloads.tpcc.driver import build_system, run_multi_client
 from repro.workloads.tpcc.sharded import start_sharded_system
 
@@ -83,289 +53,61 @@ MEASURED_CLIENT_COUNTS = (1, 2, 4, 8, 16)
 #: network-bound exactly as in the paper's setup.
 MEASURED_RTT_S = 0.002
 
-MEASURED_MODES = (
-    EncryptionMode.PLAINTEXT,
-    EncryptionMode.PLAINTEXT_AECONN,
-    EncryptionMode.RND,
-)
-
-#: Shard-process counts swept by the benchmark. 1 shard isolates the pure
-#: wire/router overhead against the in-process reference; 8 shards is past
-#: the point where the client process or router becomes the bottleneck.
-SHARD_COUNTS = (1, 2, 4, 8)
-
-#: Home warehouses at the peak client count: one per client (TPC-C's
-#: terminal-per-warehouse scaling rule). See the module docstring.
-SHARDED_WAREHOUSES = 16
+#: A short lock timeout keeps deadlock victims cheap: under real
+#: contention a victim rolls back and retries in ~this long instead of
+#: stalling the whole curve for the default 5 s.
+MEASURED_LOCK_TIMEOUT_S = 0.15
 
 
-def default_sharded_scale() -> TpccScale:
+def default_sharded_scale() -> TpccConfig:
     """The sharded sweep's scale: one home warehouse per peak client."""
-    return TpccScale(
-        warehouses=SHARDED_WAREHOUSES,
+    return TpccConfig(
+        warehouses=max(MEASURED_CLIENT_COUNTS),
         districts_per_warehouse=2,
         customers_per_district=15,
         items=40,
     )
 
 
-def host_info() -> dict:
-    """CPU topology the curve was measured on — scaling depends on it."""
-    try:
-        effective = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux
-        effective = os.cpu_count() or 1
-    cpu_max = None
-    try:
-        cpu_max = Path("/sys/fs/cgroup/cpu.max").read_text().strip()
-    except OSError:
-        pass
-    return {
-        "cpu_count": os.cpu_count(),
-        "effective_cpus": effective,
-        "cgroup_cpu_max": cpu_max,
-    }
-
-
-@dataclass
-class MeasuredCurve:
-    """Measured throughput for one configuration on one deployment."""
-
-    label: str                       # the configuration: SQL-PT, SQL-AE-RND-4, …
-    n_shards: int                    # 0 = in-process
-    clients: list[int]
-    throughput: list[float]          # txn/s, wall-clock measured
-    modeled: list[float]             # txn/s from the queueing model (in-process only)
-    transactions: list[int]          # committed+rolled-back per point
-    rollbacks: list[int]
-    invariant_violations: list[str] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        return self.label if self.n_shards == 0 else f"{self.label}/{self.n_shards}sh"
-
-    def at(self, n: int) -> float:
-        return self.throughput[self.clients.index(n)]
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "n_shards": self.n_shards,
-            "clients": self.clients,
-            "throughput_txn_s": self.throughput,
-            "modeled_txn_s": self.modeled,
-            "transactions": self.transactions,
-            "rollbacks": self.rollbacks,
-            "invariant_violations": self.invariant_violations,
-        }
-
-
-@dataclass
-class Figure8MeasuredResult:
-    figure: str                      # "8-measured" | "8-sharded"
-    rtt_s: float
-    transactions_per_client: int
-    curves: list[MeasuredCurve]
-    host: dict = field(default_factory=host_info)
-
-    def curve(self, label: str, n_shards: int = 0) -> MeasuredCurve:
-        for curve in self.curves:
-            if curve.label == label and curve.n_shards == n_shards:
-                return curve
-        raise KeyError((label, n_shards))
-
-    @property
-    def scaling_gate_applicable(self) -> bool:
-        """Can N processes beat one? Only with cores to run them on."""
-        return (self.host.get("effective_cpus") or 1) >= 4
-
-    def normalized(self) -> dict[str, list[float]]:
-        """Each curve over in-process SQL-PT's peak, as Figure 8 plots."""
-        peak = max(self.curve("SQL-PT").throughput)
-        return {
-            curve.name: [t / peak for t in curve.throughput]
-            for curve in self.curves
-        }
-
-    def wire_tax(self, n_shards: int, n_clients: int) -> float:
-        """Sharded SQL-PT throughput over the same-host in-process point."""
-        reference = self.curve("SQL-PT").at(n_clients)
-        return self.curve("SQL-PT", n_shards).at(n_clients) / reference
-
-    def print_rows(self) -> str:
-        lines = [
-            "clients  "
-            + "  ".join(f"{curve.name:>16s}" for curve in self.curves)
-            + "  (measured txn/s; modeled in parens)"
-        ]
-        for n in sorted({n for curve in self.curves for n in curve.clients}):
-            cells = []
-            for curve in self.curves:
-                cell = ""
-                if n in curve.clients:
-                    i = curve.clients.index(n)
-                    cell = f"{curve.throughput[i]:7.1f}"
-                    if curve.modeled:
-                        cell += f" ({curve.modeled[i]:6.1f})"
-                cells.append(f"{cell:>16s}")
-            lines.append(f"{n:7d}  " + "  ".join(cells))
-        lines.append(
-            f"host: {self.host.get('effective_cpus')} effective CPU(s) "
-            f"(scaling gate {'applies' if self.scaling_gate_applicable else 'off'})"
-        )
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "figure": self.figure,
-            "rtt_s": self.rtt_s,
-            "transactions_per_client": self.transactions_per_client,
-            "host": self.host,
-            "scaling_gate_applicable": self.scaling_gate_applicable,
-            "normalized": self.normalized(),
-            "curves": [curve.to_json() for curve in self.curves],
-        }
-
-    def write(self, output_path: Path | str | None) -> "Figure8MeasuredResult":
-        if output_path is not None:
-            Path(output_path).write_text(
-                json.dumps(self.to_json(), indent=2, sort_keys=True)
-            )
-        return self
-
-
 def measure_curve(
-    mode: EncryptionMode,
-    scale: TpccScale,
+    config: TpccConfig,
     n_shards: int,
     client_counts: tuple[int, ...],
     transactions_per_client: int,
-    rtt_s: float,
-    lock_timeout_s: float,
-) -> MeasuredCurve:
+    rtt_s: float = MEASURED_RTT_S,
+) -> tuple[list[dict], list[str]]:
     """Build → warm → sweep client counts → audit → tear down, once.
 
-    A short lock timeout keeps deadlock victims cheap: under real
-    contention a victim rolls back and retries in ~``lock_timeout_s``
-    instead of stalling the whole curve for the default 5 s.
+    Returns one result row per client count (txn/s; transactions and
+    rollbacks as counts) and the invariant violations found at quiesce.
     """
-    config = _config(mode, scale)
+    label = config.label + (f"/{n_shards}sh" if n_shards else "")
     if n_shards:
-        system = start_sharded_system(config, n_shards, lock_timeout_s=lock_timeout_s)
+        system = start_sharded_system(
+            config, n_shards, lock_timeout_s=MEASURED_LOCK_TIMEOUT_S
+        )
     else:
-        system = build_system(config, lock_timeout_s=lock_timeout_s)
+        system = build_system(config, lock_timeout_s=MEASURED_LOCK_TIMEOUT_S)
     try:
         # Warm every engine's plan cache (and CEK cache, enclave sessions)
         # before timing: seeds 0..n-1 are homed on warehouses 1..n, which
         # round-robin onto shards 0..n-1.
         for seed in range(max(n_shards, 1)):
             system.new_client(seed=seed).run_mix(8, TRANSACTION_MIX)
-
-        model_inputs = None
-        if n_shards == 0:
-            # The queueing model is solved with ``server_cores=1`` (the
-            # GIL) and the same RTT: the curve the measured one should
-            # track in shape.
-            model_inputs = (
-                calibrate_system(system, n_transactions=20).demands(),
-                ModelConfig(
-                    server_cores=1, enclave_threads=config.enclave_threads, rtt_s=rtt_s
-                ),
-            )
-
-        curve = MeasuredCurve(config.label, n_shards, list(client_counts), [], [], [], [])
+        rows = []
         for n in client_counts:
-            result = run_multi_client(
+            run = run_multi_client(
                 system,
                 n_clients=n,
                 transactions_per_client=transactions_per_client,
                 simulated_rtt_s=rtt_s,
                 seed=5000 + n,
             )
-            curve.throughput.append(result.throughput)
-            if model_inputs is not None:
-                curve.modeled.append(solve_throughput(*model_inputs, n))
-            curve.transactions.append(result.transactions)
-            curve.rollbacks.append(
-                sum(client.counts.rollbacks for client in result.clients)
-            )
-        curve.invariant_violations = system.audit()
-        return curve
+            rollbacks = sum(client.counts.rollbacks for client in run.clients)
+            rows.append(row(
+                label, run.throughput, x=n,
+                counts={"transactions": run.transactions, "rollbacks": rollbacks},
+            ))
+        return rows, system.audit()
     finally:
         system.shutdown()
-
-
-def run_figure8_measured(
-    scale: TpccScale | None = None,
-    client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
-    transactions_per_client: int = 16,
-    rtt_s: float = MEASURED_RTT_S,
-    lock_timeout_s: float = 0.15,
-    output_path: Path | str | None = None,
-) -> Figure8MeasuredResult:
-    """SQL-PT / SQL-PT-AEConn / SQL-AE-RND-4 in-process, measured and modeled."""
-    scale = scale or TpccScale(
-        warehouses=8, districts_per_warehouse=2, customers_per_district=15, items=40
-    )
-    curves = [
-        measure_curve(
-            mode, scale, 0, client_counts,
-            transactions_per_client, rtt_s, lock_timeout_s,
-        )
-        for mode in MEASURED_MODES
-    ]
-    return Figure8MeasuredResult(
-        "8-measured", rtt_s, transactions_per_client, curves
-    ).write(output_path)
-
-
-def run_figure8_sharded(
-    scale: TpccScale | None = None,
-    shard_counts: tuple[int, ...] = SHARD_COUNTS,
-    client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
-    transactions_per_client: int = 16,
-    rtt_s: float = MEASURED_RTT_S,
-    lock_timeout_s: float = 0.15,
-    output_path: Path | str | None = None,
-    ae_shard_counts: tuple[int, ...] = (1, 4),
-    ae_client_counts: tuple[int, ...] = (1, 16),
-) -> Figure8MeasuredResult:
-    """SQL-PT per shard count, a smaller SQL-AE-RND-4 sweep riding along,
-    and the same-host in-process SQL-PT reference at the peak client count."""
-    scale = scale or default_sharded_scale()
-    sweeps = [
-        (EncryptionMode.PLAINTEXT, n_shards, client_counts)
-        for n_shards in shard_counts
-    ] + [
-        (EncryptionMode.RND, n_shards, ae_client_counts)
-        for n_shards in ae_shard_counts
-    ] + [
-        # Measured LAST: the reference runs a full engine in *this*
-        # process, which no sharded measurement should share a core with.
-        (EncryptionMode.PLAINTEXT, 0, (max(client_counts),))
-    ]
-    curves = [
-        measure_curve(
-            mode, scale, n_shards, counts,
-            transactions_per_client, rtt_s, lock_timeout_s,
-        )
-        for mode, n_shards, counts in sweeps
-    ]
-    return Figure8MeasuredResult(
-        "8-sharded", rtt_s, transactions_per_client, curves
-    ).write(output_path)
-
-
-__all__ = [
-    "MEASURED_CLIENT_COUNTS",
-    "MEASURED_RTT_S",
-    "SHARD_COUNTS",
-    "SHARDED_WAREHOUSES",
-    "Figure8MeasuredResult",
-    "MeasuredCurve",
-    "default_sharded_scale",
-    "host_info",
-    "measure_curve",
-    "run_figure8_measured",
-    "run_figure8_sharded",
-]

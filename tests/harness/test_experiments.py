@@ -1,68 +1,103 @@
-"""Experiment calibration plumbing (tiny-scale smoke of the Figure 8/9 path)."""
+"""Every experiment at smoke scale, in the one schema, asserted on counts."""
+
+import json
 
 import pytest
 
-from repro.harness.experiments import (
-    Calibration,
-    TpccScale,
-    calibrate_system,
-    run_figure9,
-)
-from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system
+from repro.harness.__main__ import main
+from repro.harness.experiments import EXPERIMENTS, Demands
+from repro.harness.result import failed_claims, validate
+from repro.workloads.tpcc import EncryptionMode
 
-TINY = TpccScale(warehouses=1, districts_per_warehouse=1, customers_per_district=8, items=12)
+PT, AECONN, DET, RND = EncryptionMode
+
+
+def test_the_ten_experiments():
+    assert list(EXPERIMENTS) == [
+        "figure8", "figure9", "figure8-measured", "figure8-sharded", "eval-batch",
+        "anchor", "rotation", "telemetry", "initial-encryption", "order-by",
+    ]
+
+
+# figure8-sharded forks: tests/harness/test_measured.py runs it.
+@pytest.mark.parametrize("name", [n for n in EXPERIMENTS if n != "figure8-sharded"])
+def test_experiment_at_smoke_scale(smoke, name):
+    result = validate(json.loads(json.dumps(smoke(name))))     # survives its own JSON
+    assert result["experiment"] == name and result["params"]["scale"] == "smoke"
+    assert failed_claims(result) == []
+    bases = {c["basis"] for c in result["claims"]}
+    assert "count" in bases or "model" in bases, "nothing asserted"
 
 
 class TestCalibration:
-    def test_calibration_measures_demands(self):
-        system = build_system(
-            TpccConfig(
-                warehouses=1, districts_per_warehouse=1,
-                customers_per_district=8, items=12,
-                mode=EncryptionMode.PLAINTEXT,
-            )
-        )
-        calibration = calibrate_system(system, n_transactions=10)
-        assert calibration.wall_s_per_txn > 0
-        assert calibration.enclave_s_per_txn == 0.0
-        assert calibration.roundtrips_per_txn > 1  # several statements/txn
+    def test_calibration_measures_demands(self, smoke_run):
+        pt = smoke_run.calibration().demands[PT]
+        assert pt.wall_s > 0 and pt.wall_ms[0] <= pt.wall_ms[1] <= pt.wall_ms[2]
+        assert pt.enclave_s == 0.0
+        assert pt.counts["round trips"] > pt.counts["statements"] > 1
 
-    def test_rnd_calibration_includes_enclave_time(self):
-        system = build_system(
-            TpccConfig(
-                warehouses=1, districts_per_warehouse=1,
-                customers_per_district=8, items=12,
-                mode=EncryptionMode.RND,
-            )
-        )
-        calibration = calibrate_system(system, n_transactions=10)
-        assert calibration.enclave_s_per_txn > 0
-        assert calibration.enclave_s_per_txn < calibration.wall_s_per_txn
+    def test_rnd_calibration_includes_enclave_time(self, smoke_run):
+        rnd = smoke_run.calibration().demands[RND]
+        assert 0 < rnd.enclave_s < rnd.wall_s
+        assert rnd.counts["ecalls"] > 0
 
     def test_demands_split_host_and_enclave(self):
-        c = Calibration(
-            label="X", wall_s_per_txn=0.010, enclave_s_per_txn=0.002,
-            roundtrips_per_txn=30, transactions_run=10,
-        )
-        d = c.demands()
+        d = Demands("X", wall_s=0.010, enclave_s=0.002, counts={"round trips": 30}).service()
         assert d.host_cpu_s == pytest.approx(0.008)
         assert d.enclave_cpu_s == pytest.approx(0.002)
+        assert d.roundtrips == 30
+
+    def test_one_calibration_serves_both_figures(self, monkeypatch):
+        import repro.harness.experiments as experiments
+
+        built = []
+        build_system = experiments.build_system
+        monkeypatch.setattr(
+            experiments, "build_system",
+            lambda config, **kw: built.append(config.label) or build_system(config, **kw),
+        )
+        run = experiments.Run(smoke=True)
+        experiments.figure8(run), experiments.figure9(run)
+        assert built == ["SQL-PT", "SQL-PT-AEConn", "SQL-AE-DET", "SQL-AE-RND-4"]
 
 
 class TestFigure9Smoke:
-    def test_orderings_hold_at_tiny_scale(self):
-        result = run_figure9(scale=TINY, n_transactions=10)
-        n = result.normalized
-        assert n["SQL-PT"] == 1.0
+    def test_orderings_hold_at_tiny_scale(self, smoke):
+        result = smoke("figure9")
+        bars = {r["label"]: r for r in result["rows"]}
+        assert list(bars) == [
+            "SQL-PT", "SQL-PT-AEConn", "SQL-AE-DET", "SQL-AE-RND-1", "SQL-AE-RND-4",
+        ]
+        assert bars["SQL-PT"]["value"] == 1.0
         # One set of measured demands solved at 1 and at 4 enclave threads:
-        # the model alone orders these two.
-        assert n["SQL-AE-RND-1"] < n["SQL-AE-RND-4"]
-        # Every other normalized figure divides two separate 10-transaction
-        # wall-clock samples, and this host's speed swings 1.8x between
-        # them — so what separates the configurations is asserted on the
-        # counted demands: AEConn's describe per execute, RND's enclave time.
-        c = result.calibrations
-        assert c["SQL-PT-AEConn"].roundtrips_per_txn > 1.5 * c["SQL-PT"].roundtrips_per_txn
-        assert c["SQL-AE-DET"].roundtrips_per_txn == c["SQL-PT-AEConn"].roundtrips_per_txn
-        assert c["SQL-PT"].enclave_s_per_txn == c["SQL-AE-DET"].enclave_s_per_txn == 0.0
-        assert c["SQL-AE-RND-4"].enclave_s_per_txn > 0.0
+        # the model alone orders these two, and they share one row of counts.
+        assert bars["SQL-AE-RND-1"]["value"] <= bars["SQL-AE-RND-4"]["value"]
+        assert bars["SQL-AE-RND-1"]["counts"] == bars["SQL-AE-RND-4"]["counts"]
+        # What separates the other configurations is asserted on the counted
+        # demands (the three step claims, ✓ by test_experiment_at_smoke_scale),
+        # never on two timings.
+        assert [c["basis"] for c in result["claims"]] == [
+            "count", "count", "count", "paired", "paired", "paired", "model",
+        ]
+
+
+class TestCommandLine:
+    def test_run_writes_one_file_and_report_renders_it(self, tmp_path, capsys):
+        assert main(["run", "anchor", "--smoke", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["anchor.json"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        block = capsys.readouterr().out
+        assert block.startswith("<!-- harness:anchor -->\n| arm |")
+        assert block.rstrip().endswith("<!-- /harness:anchor -->")
+
+    def test_a_failed_count_claim_is_the_only_nonzero_exit(self, tmp_path, monkeypatch, smoke):
+        import repro.harness.__main__ as cli
+
+        broken = json.loads(json.dumps(smoke("anchor")))
+        broken["claims"][0]["verdict"] = "✗"                     # a count claim
+        monkeypatch.setattr(cli, "EXPERIMENTS", {"anchor": lambda run: broken})
+        assert main(["run", "all", "--smoke", "--out", str(tmp_path)]) == 1
+        broken["claims"][0]["verdict"] = "✓"
+        broken["claims"][-1]["verdict"] = "✗"                    # a paired claim
+        assert main(["run", "all", "--smoke", "--out", str(tmp_path)]) == 0

@@ -120,6 +120,58 @@ class TestMixedVersionWindow:
         assert sorted(rows) == [(i, i * 10) for i in range(30)]
         stack.server.rotate_run(rid)
 
+    def test_index_probe_pays_one_partner_open_per_old_key_entry_it_meets(self):
+        """What the mixed-key window costs live traffic, as counts (the
+        wall-clock side is the ``rotation`` experiment of ``python -m
+        repro.harness``): with ``CUSTOMER_NC1`` held half-rotated, a probe
+        that meets an old-key ``C_FIRST`` entry opens it once more through
+        the partner, and one that meets only new-key entries opens nothing
+        extra."""
+        from repro.harness.experiments import NEW_CEK, open_mixed_window
+        from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system
+
+        system = build_system(TpccConfig(1, 1, 10, 20, mode=EncryptionMode.RND))
+        enclave, conn = system.enclave, system.connection
+        home = {"w": 1, "d": 1}
+        customers = conn.execute(
+            "SELECT C_ID, C_LAST, C_FIRST FROM CUSTOMER WHERE C_W_ID = @w AND C_D_ID = @d", home
+        ).rows
+        rid = open_mixed_window(system, rows=len(customers) // 2)
+        new_cipher = enclave.sqlos.cipher_for(NEW_CEK)
+        slot = system.server.catalog.table("CUSTOMER").column_index("C_FIRST")
+        under_new = {
+            row[0] for __, row in system.server.engine.scan("CUSTOMER")
+            if new_cipher.verify(row[slot].envelope)
+        }
+        assert len(under_new) == len(customers) // 2
+
+        keys_asked: list[str] = []          # every cipher the enclave reaches for
+        cipher_for = enclave.sqlos.cipher_for
+        enclave.sqlos.cipher_for = lambda name: keys_asked.append(name) or cipher_for(name)
+        probe = (
+            "SELECT C_ID FROM CUSTOMER WHERE C_W_ID = @w AND C_D_ID = @d "
+            "AND C_LAST = @last AND C_FIRST = @first"
+        )
+        try:
+            for c_id, last, first in customers:
+                params = {**home, "last": last, "first": first}
+                conn.execute(probe, params)                     # plan, CEK install
+                keys_asked.clear()
+                opened = enclave.counters.cell_decrypts
+                assert conn.execute(probe, params).rows == [(c_id,)]
+                opened = enclave.counters.cell_decrypts - opened
+                # Last names are distinct here, so C_FIRST (named NEW_CEK since
+                # the metadata flip) is compared only against the probe's own
+                # entry: two opens under NEW_CEK per such comparison.
+                first_compares = keys_asked.count(NEW_CEK) // 2
+                assert first_compares > 0
+                extra = len(keys_asked) - opened
+                assert extra == (0 if c_id in under_new else first_compares), c_id
+            while system.server.rotate_step(rid)[0]:
+                pass
+        finally:
+            system.shutdown()
+
     def test_write_through_stale_metadata_is_converged_by_the_sweep(
         self, rotation_stack_factory
     ):

@@ -235,3 +235,43 @@ class TestEngineWiring:
         import hashlib
 
         assert page_digest(b"abc") == hashlib.sha256(b"abc").digest()
+
+
+class TestAnchorCrossingsAreCounted:
+    """What the anchor costs the write path, as counts (the wall-clock side
+    is the ``anchor`` experiment of ``python -m repro.harness``)."""
+
+    def test_one_advance_per_wal_flush_and_an_advance_confirm_pair_per_page(self):
+        from repro.obs.metrics import get_registry
+        from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system
+
+        system = build_system(
+            TpccConfig(1, 1, 8, 12, mode=EncryptionMode.RND), freshness_anchor=True
+        )
+        crossings: list[str] = []
+        system.enclave.add_boundary_observer(
+            lambda name, inputs, output: name.startswith("anchor_") and crossings.append(name)
+        )
+        registry = get_registry()
+
+        def moved(work) -> tuple[int, int]:
+            """(WAL flushes, pages written back) while ``work`` ran."""
+            names = ("wal.flushes", "bufferpool.pages_flushed")
+            before = [registry.value(name) for name in names]
+            crossings.clear()
+            work()
+            return tuple(registry.value(name) - b for name, b in zip(names, before))
+
+        try:
+            system.transactions.rng.seed(20_000)
+            flushes, pages = moved(system.transactions.payment)
+            assert (flushes, pages) == (1, 0)           # the commit's flush
+            assert crossings == ["anchor_advance"]
+
+            flushes, pages = moved(system.server.engine.checkpoint)
+            assert pages > 0
+            assert crossings.count("anchor_confirm") == pages
+            assert crossings.count("anchor_advance") == pages + flushes
+            assert set(crossings) == {"anchor_advance", "anchor_confirm"}
+        finally:
+            system.shutdown()
