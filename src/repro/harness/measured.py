@@ -13,10 +13,10 @@ the router process, the unmodified AE driver speaking the binary wire
 protocol to one address.
 
 To make measured scaling meaningful despite the GIL, each driver
-round-trip sleeps ``rtt_s`` (an in-datacenter RTT), restoring the regime
-the paper measures in: a single client is RTT-bound, so additional
-clients overlap their network waits and throughput rises until the
-(GIL-serialized) server CPU saturates. The experiments feed the same RTT
+round-trip sleeps ``MEASURED_RTT_S`` (an in-datacenter RTT), restoring
+the regime the paper measures in: a single client is RTT-bound, so
+additional clients overlap their network waits and throughput rises until
+the (GIL-serialized) server CPU saturates. The experiments feed the same RTT
 to the queueing model, so the modeled and measured curves are comparable.
 
 The sharded sweep keeps the in-process run's mix, RTT and per-client
@@ -61,20 +61,11 @@ MEASURED_LOCK_TIMEOUT_S = 0.15
 
 def default_sharded_scale() -> TpccConfig:
     """The sharded sweep's scale: one home warehouse per peak client."""
-    return TpccConfig(
-        warehouses=max(MEASURED_CLIENT_COUNTS),
-        districts_per_warehouse=2,
-        customers_per_district=15,
-        items=40,
-    )
+    return TpccConfig(max(MEASURED_CLIENT_COUNTS), 2, 15, 40)
 
 
 def measure_curve(
-    config: TpccConfig,
-    n_shards: int,
-    client_counts: tuple[int, ...],
-    transactions_per_client: int,
-    rtt_s: float = MEASURED_RTT_S,
+    config: TpccConfig, n_shards: int, client_counts: tuple[int, ...], transactions_per_client: int
 ) -> tuple[list[dict], list[str]]:
     """Build → warm → sweep client counts → audit → tear down, once.
 
@@ -83,9 +74,7 @@ def measure_curve(
     """
     label = config.label + (f"/{n_shards}sh" if n_shards else "")
     if n_shards:
-        system = start_sharded_system(
-            config, n_shards, lock_timeout_s=MEASURED_LOCK_TIMEOUT_S
-        )
+        system = start_sharded_system(config, n_shards, lock_timeout_s=MEASURED_LOCK_TIMEOUT_S)
     else:
         system = build_system(config, lock_timeout_s=MEASURED_LOCK_TIMEOUT_S)
     try:
@@ -96,18 +85,12 @@ def measure_curve(
             system.new_client(seed=seed).run_mix(8, TRANSACTION_MIX)
         rows = []
         for n in client_counts:
-            run = run_multi_client(
-                system,
-                n_clients=n,
-                transactions_per_client=transactions_per_client,
-                simulated_rtt_s=rtt_s,
-                seed=5000 + n,
-            )
+            run = run_multi_client(system, n_clients=n, seed=5000 + n,
+                                   transactions_per_client=transactions_per_client,
+                                   simulated_rtt_s=MEASURED_RTT_S)
             rollbacks = sum(client.counts.rollbacks for client in run.clients)
-            rows.append(row(
-                label, run.throughput, x=n,
-                counts={"transactions": run.transactions, "rollbacks": rollbacks},
-            ))
+            rows.append(row(label, run.throughput, x=n,
+                            counts={"transactions": run.transactions, "rollbacks": rollbacks}))
         return rows, system.audit()
     finally:
         system.shutdown()

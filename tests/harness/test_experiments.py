@@ -1,11 +1,12 @@
 """Every experiment at smoke scale, in the one schema, asserted on counts."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.harness.__main__ import main
-from repro.harness.experiments import EXPERIMENTS, Demands
+from repro.harness.experiments import EXPERIMENTS, Calibration, Demands, _step_claims
 from repro.harness.result import failed_claims, validate
 from repro.workloads.tpcc import EncryptionMode
 
@@ -31,13 +32,13 @@ def test_experiment_at_smoke_scale(smoke, name):
 
 class TestCalibration:
     def test_calibration_measures_demands(self, smoke_run):
-        pt = smoke_run.calibration().demands[PT]
+        pt = smoke_run.calibration.demands[PT]
         assert pt.wall_s > 0 and pt.wall_ms[0] <= pt.wall_ms[1] <= pt.wall_ms[2]
         assert pt.enclave_s == 0.0
         assert pt.counts["round trips"] > pt.counts["statements"] > 1
 
     def test_rnd_calibration_includes_enclave_time(self, smoke_run):
-        rnd = smoke_run.calibration().demands[RND]
+        rnd = smoke_run.calibration.demands[RND]
         assert 0 < rnd.enclave_s < rnd.wall_s
         assert rnd.counts["ecalls"] > 0
 
@@ -46,6 +47,14 @@ class TestCalibration:
         assert d.host_cpu_s == pytest.approx(0.008)
         assert d.enclave_cpu_s == pytest.approx(0.002)
         assert d.roundtrips == 30
+
+    def test_step_claims_judge_raw_totals_not_the_rounded_display(self, smoke_run):
+        # 100 statements over 12 transactions display as 8.3333 + 8.3333, not 16.6667.
+        cal = smoke_run.calibration
+        skewed = {mode: replace(d, counts={k: v + 1e-4 * len(k) for k, v in d.counts.items()})
+                  for mode, d in cal.demands.items()}
+        claims = _step_claims(Calibration(cal.sample, skewed))
+        assert [c["verdict"] for c in claims] == ["✓", "✓", "✓"]
 
     def test_one_calibration_serves_both_figures(self, monkeypatch):
         import repro.harness.experiments as experiments
@@ -71,7 +80,7 @@ class TestFigure9Smoke:
         assert bars["SQL-PT"]["value"] == 1.0
         # One set of measured demands solved at 1 and at 4 enclave threads:
         # the model alone orders these two, and they share one row of counts.
-        assert bars["SQL-AE-RND-1"]["value"] <= bars["SQL-AE-RND-4"]["value"]
+        assert bars["SQL-AE-RND-1"]["value"] < bars["SQL-AE-RND-4"]["value"]
         assert bars["SQL-AE-RND-1"]["counts"] == bars["SQL-AE-RND-4"]["counts"]
         # What separates the other configurations is asserted on the counted
         # demands (the three step claims, ✓ by test_experiment_at_smoke_scale),

@@ -122,19 +122,18 @@ class TestMixedVersionWindow:
 
     def test_index_probe_pays_one_partner_open_per_old_key_entry_it_meets(self):
         """What the mixed-key window costs live traffic, as counts (the
-        wall-clock side is the ``rotation`` experiment of ``python -m
-        repro.harness``): with ``CUSTOMER_NC1`` held half-rotated, a probe
-        that meets an old-key ``C_FIRST`` entry opens it once more through
-        the partner, and one that meets only new-key entries opens nothing
-        extra."""
-        from repro.harness.experiments import NEW_CEK, open_mixed_window
+        ``rotation`` experiment of ``python -m repro.harness`` times the same
+        probe against an idle twin): with ``CUSTOMER_NC1`` held half-rotated,
+        a probe that meets an old-key ``C_FIRST`` entry opens it once more
+        through the partner, and one that meets only new-key entries opens
+        nothing extra."""
+        from repro.harness.experiments import NEW_CEK, PROBE, open_mixed_window
         from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system
 
         system = build_system(TpccConfig(1, 1, 10, 20, mode=EncryptionMode.RND))
         enclave, conn = system.enclave, system.connection
-        home = {"w": 1, "d": 1}
         customers = conn.execute(
-            "SELECT C_ID, C_LAST, C_FIRST FROM CUSTOMER WHERE C_W_ID = @w AND C_D_ID = @d", home
+            "SELECT C_ID, C_LAST, C_FIRST FROM CUSTOMER WHERE C_W_ID = 1 AND C_D_ID = 1"
         ).rows
         rid = open_mixed_window(system, rows=len(customers) // 2)
         new_cipher = enclave.sqlos.cipher_for(NEW_CEK)
@@ -148,17 +147,13 @@ class TestMixedVersionWindow:
         keys_asked: list[str] = []          # every cipher the enclave reaches for
         cipher_for = enclave.sqlos.cipher_for
         enclave.sqlos.cipher_for = lambda name: keys_asked.append(name) or cipher_for(name)
-        probe = (
-            "SELECT C_ID FROM CUSTOMER WHERE C_W_ID = @w AND C_D_ID = @d "
-            "AND C_LAST = @last AND C_FIRST = @first"
-        )
         try:
             for c_id, last, first in customers:
-                params = {**home, "last": last, "first": first}
-                conn.execute(probe, params)                     # plan, CEK install
+                params = {"last": last, "first": first}
+                conn.execute(PROBE, params)                     # plan, CEK install
                 keys_asked.clear()
                 opened = enclave.counters.cell_decrypts
-                assert conn.execute(probe, params).rows == [(c_id,)]
+                assert conn.execute(PROBE, params).rows == [(c_id,)]
                 opened = enclave.counters.cell_decrypts - opened
                 # Last names are distinct here, so C_FIRST (named NEW_CEK since
                 # the metadata flip) is compared only against the probe's own
