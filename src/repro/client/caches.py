@@ -4,7 +4,8 @@ The paper calls out two caches, both shared across the client process:
 
 * the **CEK cache** — decrypted CEK material, so repeated queries don't
   pay a key-provider round-trip (which for Azure Key Vault is a network
-  call); entries live for a client-controlled duration;
+  call), and the cell cipher derived from it, so they don't pay a key
+  schedule either; entries live for a client-controlled duration;
 * the **attestation / shared-secret cache** — the outcome of the
   attestation protocol, so the handshake doesn't rerun per query.
 """
@@ -14,7 +15,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from repro.crypto.aead import CellCipher
 from repro.enclave import NonceCounter
 from repro.obs.metrics import StatsView
 
@@ -27,6 +30,22 @@ class _CekCacheStats(StatsView):
         "misses": "driver.cek_cache_misses",
         "evictions": "driver.cek_cache_evictions",
     }
+
+
+@dataclass
+class CachedCek:
+    """One cache entry: unwrapped CEK material and the cipher keyed with it.
+
+    The cipher (three key derivations and an AES-256 key schedule) is built
+    on first use and lives exactly as long as the entry does.
+    """
+
+    material: bytes
+    stored_at: float
+
+    @cached_property
+    def cipher(self) -> CellCipher:
+        return CellCipher(self.material)
 
 
 class CekCache:
@@ -53,7 +72,7 @@ class CekCache:
         self._clock = clock
         # Insertion-ordered; a hit reinserts its key so the dict's order is
         # recency-of-use and eviction can pop the front.
-        self._entries: dict[str, tuple[bytes, float]] = {}
+        self._entries: dict[str, CachedCek] = {}
         self._stats = _CekCacheStats()
         # get() is check-then-act (lookup, then delete on expiry): without
         # the lock, two threads expiring the same entry race on the del.
@@ -79,14 +98,14 @@ class CekCache:
         with self._lock:
             return cek_name in self._entries
 
-    def get(self, cek_name: str) -> bytes | None:
+    def entry(self, cek_name: str) -> CachedCek | None:
+        """The live entry for ``cek_name``; every call is one hit or one miss."""
         with self._lock:
             entry = self._entries.get(cek_name)
             if entry is None:
                 self._stats.inc("misses")
                 return None
-            material, stored_at = entry
-            if self._clock() - stored_at > self.ttl_s:
+            if self._clock() - entry.stored_at > self.ttl_s:
                 del self._entries[cek_name]
                 self._stats.inc("misses")
                 return None
@@ -94,17 +113,22 @@ class CekCache:
             del self._entries[cek_name]
             self._entries[cek_name] = entry
             self._stats.inc("hits")
-            return material
+            return entry
 
-    def put(self, cek_name: str, material: bytes) -> None:
+    def get(self, cek_name: str) -> bytes | None:
+        entry = self.entry(cek_name)
+        return None if entry is None else entry.material
+
+    def put(self, cek_name: str, material: bytes) -> CachedCek:
         with self._lock:
             self._entries.pop(cek_name, None)
-            self._entries[cek_name] = (material, self._clock())
+            entry = self._entries[cek_name] = CachedCek(material, self._clock())
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     evicted = next(iter(self._entries))
                     del self._entries[evicted]
                     self._stats.inc("evictions")
+            return entry
 
     def invalidate(self, cek_name: str | None = None) -> None:
         with self._lock:

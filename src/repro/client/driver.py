@@ -29,12 +29,18 @@ from repro.attestation.protocol import verify_attestation_and_derive_secret
 from repro.crypto.aead import CellCipher
 from repro.crypto.dh import DiffieHellman
 from repro.enclave import CekPackage, seal_package
-from repro.errors import DriverError, ReplayError, SecurityViolation, TransientFault
+from repro.errors import (
+    DriverError,
+    IntegrityError,
+    ReplayError,
+    SecurityViolation,
+    TransientFault,
+)
 from repro.faults.actions import DropMessageDirective, DuplicateMessageDirective
 from repro.faults.classify import is_transient
 from repro.faults.registry import fault_point, register_fault_site
 from repro.keys.providers import KeyProviderRegistry
-from repro.client.caches import AttestationSession, CekCache
+from repro.client.caches import AttestationSession, CachedCek, CekCache
 from repro.obs.metrics import StatsView, get_registry
 from repro.obs.querystats import format_explain_analyze, format_explain_stats
 from repro.obs.tracing import get_tracer
@@ -205,8 +211,7 @@ class Connection:
                 wire_params[key] = None
                 continue
             description.column_type.sql_type.validate(plaintext)
-            material = self._cek_material(enc.cek_name, describe)
-            cipher = CellCipher(material)
+            cipher = self._cek(enc.cek_name, describe).cipher
             wire_params[key] = Ciphertext(
                 cipher.encrypt(serialize_value(plaintext), enc.scheme)
             )
@@ -502,8 +507,9 @@ class Connection:
                     )
             cmk.require_valid(self.registry)
 
-    def _cek_material(self, cek_name: str, describe: DescribeResult | None = None) -> bytes:
-        cached = self.cek_cache.get(cek_name)
+    def _cek(self, cek_name: str, describe: DescribeResult | None = None) -> CachedCek:
+        """The CEK's cache entry (material and cipher), unwrapping on a miss."""
+        cached = self.cek_cache.entry(cek_name)
         if cached is not None:
             return cached
         metadata = None
@@ -516,9 +522,7 @@ class Connection:
                         break
         if metadata is None:
             metadata = self.server.fetch_cek_metadata(cek_name)
-        material = self._unwrap_cek(metadata)
-        self.cek_cache.put(cek_name, material)
-        return material
+        return self.cek_cache.put(cek_name, self._unwrap_cek(metadata))
 
     def unwrap_cek(self, metadata: CekMetadata) -> bytes:
         """Unwrap CEK material client-side (trusted-path checks included).
@@ -559,7 +563,7 @@ class Connection:
                         f"refusing to send CEK {metadata.cek.name!r} to the enclave"
                     )
             if metadata.cek.name not in session.installed_ceks:
-                missing.append((metadata.cek.name, self._cek_material(metadata.cek.name, describe)))
+                missing.append((metadata.cek.name, self._cek(metadata.cek.name, describe).material))
         if not missing:
             return
         package = CekPackage(nonce=session.nonces.next(), ceks=tuple(missing))
@@ -578,7 +582,7 @@ class Connection:
         ciphers: dict[str, CellCipher] = {}
         for __, enc in encrypted_columns:
             if enc.cek_name not in ciphers:
-                ciphers[enc.cek_name] = CellCipher(self._cek_material(enc.cek_name))
+                ciphers[enc.cek_name] = self._cek(enc.cek_name).cipher
         rotation_partners: dict[str, str | None] | None = None
         out_rows: list[tuple] = []
         for row in result.rows:
@@ -599,21 +603,22 @@ class Connection:
                         f"result column {result.columns[i].name!r} should be "
                         "ciphertext but is not"
                     )
-                cipher = ciphers[enc.cek_name]
-                if not cipher.verify(cell.envelope):
+                try:
+                    plaintext = ciphers[enc.cek_name].decrypt(cell.envelope)
+                except IntegrityError:
                     # Rows the rotation sweep has not reached yet (or, for a
                     # stale describe cache, rows it already converted) carry
-                    # the rotation partner's CEK — resolve it per cell by
-                    # MAC probe against the active lifecycle jobs.
+                    # the rotation partner's CEK — a failed MAC is the probe;
+                    # the partner comes from the active lifecycle jobs.
                     if rotation_partners is None:
                         rotation_partners = self._rotation_partners()
                     partner = rotation_partners.get(enc.cek_name)
-                    if partner:
-                        cipher = ciphers.get(partner) or CellCipher(
-                            self._cek_material(partner)
-                        )
-                        ciphers[partner] = cipher
-                cells[i] = deserialize_value(cipher.decrypt(cell.envelope))
+                    if not partner:
+                        raise
+                    if partner not in ciphers:
+                        ciphers[partner] = self._cek(partner).cipher
+                    plaintext = ciphers[partner].decrypt(cell.envelope)
+                cells[i] = deserialize_value(plaintext)
                 self.stats.inc("results_decrypted")
             out_rows.append(tuple(cells))
         result.rows = out_rows

@@ -37,6 +37,10 @@ ALGORITHM_VERSION = 0x01
 MAC_SIZE = 32
 KEY_SIZE = 32
 
+_VERSION = bytes([ALGORITHM_VERSION])
+_IV_OFFSET = 1 + MAC_SIZE
+_BODY_OFFSET = _IV_OFFSET + BLOCK_SIZE
+
 _ENC_KEY_SALT = (
     "Microsoft SQL Server cell encryption key with encryption algorithm:"
     f"{ALGORITHM_NAME} and key length:256"
@@ -88,42 +92,39 @@ class CellCipher:
             iv = secrets.token_bytes(BLOCK_SIZE)
         body = cbc_encrypt(self._aes, iv, pkcs7_pad(plaintext))
         mac = self._compute_mac(iv, body)
-        return bytes([ALGORITHM_VERSION]) + mac + iv + body
+        return b"".join((_VERSION, mac, iv, body))
 
     def decrypt(self, envelope: bytes) -> bytes:
         """Decrypt a cell envelope, verifying version and MAC first."""
-        iv, body = self._parse(envelope)
-        expected = self._compute_mac(iv, body)
-        if not constant_time_equal(expected, envelope[1 : 1 + MAC_SIZE]):
+        mac, iv, body = self._parse(envelope)
+        if not constant_time_equal(self._compute_mac(iv, body), mac):
             raise IntegrityError("cell MAC verification failed (tampered or wrong key)")
         return pkcs7_unpad(cbc_decrypt(self._aes, iv, body))
 
     def verify(self, envelope: bytes) -> bool:
         """Check the envelope's MAC without decrypting; never raises on bad MACs."""
         try:
-            iv, body = self._parse(envelope)
+            mac, iv, body = self._parse(envelope)
         except CryptoError:
             return False
-        return constant_time_equal(self._compute_mac(iv, body), envelope[1 : 1 + MAC_SIZE])
+        return constant_time_equal(self._compute_mac(iv, body), mac)
 
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _parse(envelope: bytes) -> tuple[bytes, bytes]:
-        minimum = 1 + MAC_SIZE + BLOCK_SIZE + BLOCK_SIZE
+    def _parse(envelope: bytes) -> tuple[bytes, bytes, bytes]:
+        """Split an envelope into ``(mac, iv, body)`` after the length checks."""
+        minimum = _BODY_OFFSET + BLOCK_SIZE
         if len(envelope) < minimum:
             raise CryptoError(f"cell envelope too short: {len(envelope)} < {minimum} bytes")
         if envelope[0] != ALGORITHM_VERSION:
             raise CryptoError(f"unsupported cell algorithm version {envelope[0]:#x}")
-        iv = envelope[1 + MAC_SIZE : 1 + MAC_SIZE + BLOCK_SIZE]
-        body = envelope[1 + MAC_SIZE + BLOCK_SIZE :]
-        if len(body) % BLOCK_SIZE != 0:
+        if (len(envelope) - _BODY_OFFSET) % BLOCK_SIZE != 0:
             raise CryptoError("cell ciphertext body is not block-aligned")
-        return iv, body
+        return envelope[1:_IV_OFFSET], envelope[_IV_OFFSET:_BODY_OFFSET], envelope[_BODY_OFFSET:]
 
     def _compute_mac(self, iv: bytes, body: bytes) -> bytes:
-        version = bytes([ALGORITHM_VERSION])
-        return hmac_sha256(self._mac_key, version + iv + body + b"\x01")
+        return hmac_sha256(self._mac_key, b"".join((_VERSION, iv, body, b"\x01")))
 
 
 def generate_cek_material() -> bytes:

@@ -3,20 +3,25 @@
 The cell-encryption algorithm the paper names
 (AEAD_AES_256_CBC_HMAC_SHA_256) is built on this implementation. Pure
 Python is the reference by choice, not for want of a library: it keeps
-the repository free of any crypto dependency (``pyproject.toml`` declares
-numpy and scipy only) and its per-cell cost in plain view of the
-benchmark. ``cryptography`` does import on the development host; offering
-it as an optional backend behind ``CellCipher`` is ROADMAP items 3 and 5 —
-the choice has to be recorded in the benchmark's ``host`` block before
-numbers made with it mean anything. Correctness is pinned to the
-FIPS 197 / NIST SP 800-38A vectors in ``tests/crypto/test_aes.py``.
+``src/`` free of any dependency (``pyproject.toml`` declares none) and
+the per-cell cost in plain view of the benchmark. ``cryptography`` does
+import on the development host and ``tests/crypto`` cross-checks against
+it where it does; offering it as a backend behind ``CellCipher`` is
+ROADMAP items 5 and 6 — the choice has to be recorded in the benchmark's
+``host`` block before numbers made with it mean anything. Correctness is
+pinned to the FIPS 197 / NIST SP 800-38A vectors and a byte-wise
+reference cipher in ``tests/crypto/``.
 
-The implementation is table-driven: the S-box is derived from the GF(2^8)
-multiplicative inverse and the affine transform at import time, and four
-encryption T-tables (and four decryption tables) are precomputed so each
-round is eight table lookups and xors per column. This is the classic
-software AES construction and is the fastest approach available in pure
-Python.
+The state is one 128-bit integer, big-endian over the block's 16 bytes
+(byte ``4 * column + row``). The S-box is derived from the GF(2^8) inverse
+and the affine transform at import time; from it come sixteen tables per
+direction, one per state byte, whose entries are the classic T-table word
+(SubBytes and MixColumns of that byte) already shifted to the column that
+ShiftRows sends it to. A middle round is therefore sixteen lookups xored
+with one 128-bit round key; the last round, which has no MixColumns, is
+``bytes.translate`` for SubBytes and a strided slice for ShiftRows.
+Decryption is the equivalent inverse cipher (FIPS 197 section 5.3.5): the
+same kernel over the inverse tables and a transformed key schedule.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from repro.errors import CryptoError
 BLOCK_SIZE = 16
 
 # ---------------------------------------------------------------------------
-# GF(2^8) arithmetic and S-box construction
+# GF(2^8) arithmetic, S-box and round tables
 # ---------------------------------------------------------------------------
 
 
@@ -47,7 +52,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> tuple[bytes, bytes]:
     # Multiplicative inverses via exponentiation tables over generator 3.
     exp = [0] * 256
     log = [0] * 256
@@ -74,45 +79,62 @@ def _build_sbox() -> tuple[list[int], list[int]]:
         s ^= 0x63
         sbox[value] = s
         inv_sbox[s] = value
-    return sbox, inv_sbox
+    return bytes(sbox), bytes(inv_sbox)
 
 
 SBOX, INV_SBOX = _build_sbox()
 
-
-def _build_enc_tables() -> list[list[int]]:
-    t0 = [0] * 256
-    for value in range(256):
-        s = SBOX[value]
-        s2 = _gf_mul(s, 2)
-        s3 = _gf_mul(s, 3)
-        t0[value] = (s2 << 24) | (s << 16) | (s << 8) | s3
-    tables = [t0]
-    for shift in (8, 16, 24):
-        tables.append([((w >> shift) | (w << (32 - shift))) & 0xFFFFFFFF for w in t0])
-    return tables
+# ShiftRows as a stride: byte j of the shifted state is byte (5 * j) % 16 of
+# the input, i.e. ``(state * 5)[::5]``. InvShiftRows is the inverse stride
+# (5 * 13 = 65 = 1 mod 16).
+_SHIFT_ROWS, _INV_SHIFT_ROWS = 5, 13
 
 
-def _build_dec_tables() -> list[list[int]]:
-    d0 = [0] * 256
-    for value in range(256):
-        s = INV_SBOX[value]
-        d0[value] = (
-            (_gf_mul(s, 14) << 24)
-            | (_gf_mul(s, 9) << 16)
-            | (_gf_mul(s, 13) << 8)
-            | _gf_mul(s, 11)
-        )
-    tables = [d0]
-    for shift in (8, 16, 24):
-        tables.append([((w >> shift) | (w << (32 - shift))) & 0xFFFFFFFF for w in d0])
-    return tables
+def _build_tables(sbox: bytes, coefficients: tuple[int, int, int, int], stride: int):
+    """Sixteen 256-entry tables: state byte ``i`` -> its share of the next state.
+
+    ``coefficients`` is the first column of the (Inv)MixColumns matrix; a
+    byte in row ``r`` meets it rotated down by ``r``. ``stride`` is the row
+    shift, which decides the column the byte's word lands in.
+    """
+    words = [
+        [
+            int.from_bytes(bytes(_gf_mul(s, coefficients[(out - row) % 4]) for out in range(4)), "big")
+            for s in sbox
+        ]
+        for row in range(4)
+    ]
+    unstride = pow(stride, -1, 16)      # input byte i becomes output byte i * unstride
+    tables = []
+    for i in range(16):
+        column = (i * unstride % 16) // 4
+        tables.append([word << 32 * (3 - column) for word in words[i % 4]])
+    return tuple(tables)
 
 
-TE0, TE1, TE2, TE3 = _build_enc_tables()
-TD0, TD1, TD2, TD3 = _build_dec_tables()
+_ENC_TABLES = _build_tables(SBOX, (2, 1, 1, 3), _SHIFT_ROWS)
+_DEC_TABLES = _build_tables(INV_SBOX, (14, 9, 13, 11), _INV_SHIFT_ROWS)
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB]
+
+
+def _sub_word(word: int) -> int:
+    return int.from_bytes(word.to_bytes(4, "big").translate(SBOX), "big")
+
+
+def _cipher(state: int, keys: tuple[int, ...], tables, sbox: bytes, stride: int) -> int:
+    """The one block kernel: either direction is a choice of arguments."""
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = tables
+    s = (state ^ keys[0]).to_bytes(16, "big")
+    for key in keys[1:-1]:
+        a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = s
+        s = (
+            t0[a] ^ t1[b] ^ t2[c] ^ t3[d] ^ t4[e] ^ t5[f] ^ t6[g] ^ t7[h]
+            ^ t8[i] ^ t9[j] ^ t10[k] ^ t11[l] ^ t12[m] ^ t13[n] ^ t14[o] ^ t15[p]
+            ^ key
+        ).to_bytes(16, "big")
+    # Last round: SubBytes, ShiftRows, AddRoundKey (no MixColumns).
+    return int.from_bytes((s.translate(sbox) * stride)[::stride], "big") ^ keys[-1]
 
 
 class AES:
@@ -127,159 +149,59 @@ class AES:
             raise CryptoError(f"AES key must be 16, 24, or 32 bytes, got {len(key)}")
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(key)
-        self._dec_round_keys = self._expand_decryption_key()
+        self._enc_keys = self._expand_key(key)
+        self._dec_keys = self._expand_decryption_key()
 
     # -- key schedule -------------------------------------------------------
 
-    def _expand_key(self, key: bytes) -> list[int]:
+    def _expand_key(self, key: bytes) -> tuple[int, ...]:
         nk = len(key) // 4
         words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(nk)]
-        total = 4 * (self.rounds + 1)
-        for i in range(nk, total):
+        for i in range(nk, 4 * (self.rounds + 1)):
             temp = words[i - 1]
             if i % nk == 0:
                 temp = ((temp << 8) | (temp >> 24)) & 0xFFFFFFFF
-                temp = (
-                    (SBOX[(temp >> 24) & 0xFF] << 24)
-                    | (SBOX[(temp >> 16) & 0xFF] << 16)
-                    | (SBOX[(temp >> 8) & 0xFF] << 8)
-                    | SBOX[temp & 0xFF]
-                )
-                temp ^= _RCON[i // nk - 1] << 24
+                temp = _sub_word(temp) ^ (_RCON[i // nk - 1] << 24)
             elif nk > 6 and i % nk == 4:
-                temp = (
-                    (SBOX[(temp >> 24) & 0xFF] << 24)
-                    | (SBOX[(temp >> 16) & 0xFF] << 16)
-                    | (SBOX[(temp >> 8) & 0xFF] << 8)
-                    | SBOX[temp & 0xFF]
-                )
+                temp = _sub_word(temp)
             words.append(words[i - nk] ^ temp)
-        return words
+        return tuple(
+            (words[i] << 96) | (words[i + 1] << 64) | (words[i + 2] << 32) | words[i + 3]
+            for i in range(0, len(words), 4)
+        )
 
-    def _expand_decryption_key(self) -> list[int]:
+    def _expand_decryption_key(self) -> tuple[int, ...]:
         # Equivalent inverse cipher: round keys in reverse round order with
-        # InvMixColumns applied to the middle rounds.
-        rk = self._round_keys
-        out: list[int] = []
-        for rnd in range(self.rounds, -1, -1):
-            for col in range(4):
-                w = rk[4 * rnd + col]
-                if 0 < rnd < self.rounds:
-                    w = (
-                        TD0[SBOX[(w >> 24) & 0xFF]]
-                        ^ TD1[SBOX[(w >> 16) & 0xFF]]
-                        ^ TD2[SBOX[(w >> 8) & 0xFF]]
-                        ^ TD3[SBOX[w & 0xFF]]
-                    )
-                out.append(w)
-        return out
+        # InvMixColumns applied to the middle ones. The decryption tables
+        # compute InvMixColumns(InvShiftRows(InvSubBytes(.))), so they are
+        # fed ShiftRows(SubBytes(key)).
+        first, *middle, last = self._enc_keys
+        out = [last]
+        for key in reversed(middle):
+            shifted = (key.to_bytes(16, "big").translate(SBOX) * _SHIFT_ROWS)[::_SHIFT_ROWS]
+            mixed = 0
+            for table, value in zip(_DEC_TABLES, shifted):
+                mixed ^= table[value]
+            out.append(mixed)
+        out.append(first)
+        return tuple(out)
 
     # -- block operations ---------------------------------------------------
+
+    def encrypt_state(self, state: int) -> int:
+        """Encrypt one block held as a big-endian 128-bit integer."""
+        return _cipher(state, self._enc_keys, _ENC_TABLES, SBOX, _SHIFT_ROWS)
+
+    def decrypt_state(self, state: int) -> int:
+        """Decrypt one block held as a big-endian 128-bit integer."""
+        return _cipher(state, self._dec_keys, _DEC_TABLES, INV_SBOX, _INV_SHIFT_ROWS)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        rk = self._round_keys
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        i = 4
-        for __ in range(self.rounds - 1):
-            t0 = (
-                TE0[(s0 >> 24) & 0xFF]
-                ^ TE1[(s1 >> 16) & 0xFF]
-                ^ TE2[(s2 >> 8) & 0xFF]
-                ^ TE3[s3 & 0xFF]
-                ^ rk[i]
-            )
-            t1 = (
-                TE0[(s1 >> 24) & 0xFF]
-                ^ TE1[(s2 >> 16) & 0xFF]
-                ^ TE2[(s3 >> 8) & 0xFF]
-                ^ TE3[s0 & 0xFF]
-                ^ rk[i + 1]
-            )
-            t2 = (
-                TE0[(s2 >> 24) & 0xFF]
-                ^ TE1[(s3 >> 16) & 0xFF]
-                ^ TE2[(s0 >> 8) & 0xFF]
-                ^ TE3[s1 & 0xFF]
-                ^ rk[i + 2]
-            )
-            t3 = (
-                TE0[(s3 >> 24) & 0xFF]
-                ^ TE1[(s0 >> 16) & 0xFF]
-                ^ TE2[(s1 >> 8) & 0xFF]
-                ^ TE3[s2 & 0xFF]
-                ^ rk[i + 3]
-            )
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            i += 4
-        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        out = bytearray(16)
-        for col, (a, b, c, d) in enumerate(
-            ((s0, s1, s2, s3), (s1, s2, s3, s0), (s2, s3, s0, s1), (s3, s0, s1, s2))
-        ):
-            w = (
-                (SBOX[(a >> 24) & 0xFF] << 24)
-                | (SBOX[(b >> 16) & 0xFF] << 16)
-                | (SBOX[(c >> 8) & 0xFF] << 8)
-                | SBOX[d & 0xFF]
-            ) ^ rk[i + col]
-            out[4 * col : 4 * col + 4] = w.to_bytes(4, "big")
-        return bytes(out)
+        return self.encrypt_state(int.from_bytes(block, "big")).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        rk = self._dec_round_keys
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        i = 4
-        for __ in range(self.rounds - 1):
-            t0 = (
-                TD0[(s0 >> 24) & 0xFF]
-                ^ TD1[(s3 >> 16) & 0xFF]
-                ^ TD2[(s2 >> 8) & 0xFF]
-                ^ TD3[s1 & 0xFF]
-                ^ rk[i]
-            )
-            t1 = (
-                TD0[(s1 >> 24) & 0xFF]
-                ^ TD1[(s0 >> 16) & 0xFF]
-                ^ TD2[(s3 >> 8) & 0xFF]
-                ^ TD3[s2 & 0xFF]
-                ^ rk[i + 1]
-            )
-            t2 = (
-                TD0[(s2 >> 24) & 0xFF]
-                ^ TD1[(s1 >> 16) & 0xFF]
-                ^ TD2[(s0 >> 8) & 0xFF]
-                ^ TD3[s3 & 0xFF]
-                ^ rk[i + 2]
-            )
-            t3 = (
-                TD0[(s3 >> 24) & 0xFF]
-                ^ TD1[(s2 >> 16) & 0xFF]
-                ^ TD2[(s1 >> 8) & 0xFF]
-                ^ TD3[s0 & 0xFF]
-                ^ rk[i + 3]
-            )
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            i += 4
-        out = bytearray(16)
-        for col, (a, b, c, d) in enumerate(
-            ((s0, s3, s2, s1), (s1, s0, s3, s2), (s2, s1, s0, s3), (s3, s2, s1, s0))
-        ):
-            w = (
-                (INV_SBOX[(a >> 24) & 0xFF] << 24)
-                | (INV_SBOX[(b >> 16) & 0xFF] << 16)
-                | (INV_SBOX[(c >> 8) & 0xFF] << 8)
-                | INV_SBOX[d & 0xFF]
-            ) ^ rk[i + col]
-            out[4 * col : 4 * col + 4] = w.to_bytes(4, "big")
-        return bytes(out)
+        return self.decrypt_state(int.from_bytes(block, "big")).to_bytes(16, "big")

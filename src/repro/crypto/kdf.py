@@ -13,7 +13,7 @@ import hmac
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256 of ``data`` under ``key``."""
-    return hmac.new(key, data, hashlib.sha256).digest()
+    return hmac.digest(key, data, "sha256")
 
 
 def derive_key(root_key: bytes, label: str) -> bytes:

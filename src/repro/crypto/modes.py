@@ -34,15 +34,13 @@ def cbc_encrypt(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:
         raise CryptoError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
     if len(plaintext) % BLOCK_SIZE != 0:
         raise CryptoError("CBC plaintext must be block-aligned; pad it first")
-    out = bytearray()
-    prev = iv
+    encrypt = cipher.encrypt_state
+    out = []
+    prev = int.from_bytes(iv, "big")
     for offset in range(0, len(plaintext), BLOCK_SIZE):
-        block = bytes(
-            a ^ b for a, b in zip(plaintext[offset : offset + BLOCK_SIZE], prev)
-        )
-        prev = cipher.encrypt_block(block)
-        out += prev
-    return bytes(out)
+        prev = encrypt(int.from_bytes(plaintext[offset : offset + BLOCK_SIZE], "big") ^ prev)
+        out.append(prev.to_bytes(BLOCK_SIZE, "big"))
+    return b"".join(out)
 
 
 def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
@@ -51,11 +49,11 @@ def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
         raise CryptoError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
     if not ciphertext or len(ciphertext) % BLOCK_SIZE != 0:
         raise CryptoError("CBC ciphertext must be a non-empty multiple of 16 bytes")
-    out = bytearray()
-    prev = iv
+    decrypt = cipher.decrypt_state
+    out = []
+    prev = int.from_bytes(iv, "big")
     for offset in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[offset : offset + BLOCK_SIZE]
-        decrypted = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(decrypted, prev))
+        block = int.from_bytes(ciphertext[offset : offset + BLOCK_SIZE], "big")
+        out.append((decrypt(block) ^ prev).to_bytes(BLOCK_SIZE, "big"))
         prev = block
-    return bytes(out)
+    return b"".join(out)

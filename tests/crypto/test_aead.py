@@ -105,6 +105,77 @@ class TestEnvelope:
             cipher.decrypt(envelope[:40])
 
 
+class TestWireFormat:
+    """The envelope bytes are a storage format: databases and WALs written
+    by earlier commits must keep opening."""
+
+    # CellCipher(bytes(range(32))).encrypt(..., DETERMINISTIC) as written by
+    # the word-oriented kernel this one replaced.
+    PINNED = {
+        b"alice": (
+            "015b730149689142853c27e5333db8c9d485e18054258482390af0a00ac944a960"
+            "29f3e086df7b070a97069cc32d6e4d4aa08549734cc60dfa7960c8c56b1caf91"
+        ),
+        bytes(range(40)): (
+            "011c6afd78a0fc5cf64347545af24eadfc9fb286f68084b45d1cae35528f17a6ce"
+            "6449e7780c1f2f298853654b8559ed395a9f0ce4febbc20329bce1d76f3ec27e"
+            "ec702062a0bf9d5c1ebca5c7e85d4d33cb3eb8df9f345d463f75bd0c7cd75f29"
+        ),
+    }
+
+    @pytest.mark.parametrize("plaintext", PINNED, ids=["one_block", "three_blocks"])
+    def test_det_envelope_bytes_are_pinned(self, cipher, plaintext):
+        envelope = bytes.fromhex(self.PINNED[plaintext])
+        assert cipher.encrypt(plaintext, EncryptionScheme.DETERMINISTIC) == envelope
+        assert cipher.decrypt(envelope) == plaintext
+        assert cipher.verify(envelope)
+
+    def test_tampered_padding_fails_the_mac_not_the_unpad(self, cipher):
+        # MAC before unpad: a flipped padding byte is an IntegrityError, never
+        # a padding CryptoError an attacker could use as an oracle.
+        envelope = bytearray(cipher.encrypt(b"x" * 20, EncryptionScheme.RANDOMIZED))
+        envelope[-1] ^= 0x10
+        with pytest.raises(IntegrityError):
+            cipher.decrypt(bytes(envelope))
+
+    def test_unaligned_body_rejected(self, cipher):
+        envelope = cipher.encrypt(b"x" * 20, EncryptionScheme.RANDOMIZED)
+        with pytest.raises(CryptoError):
+            cipher.decrypt(envelope + b"\x00")
+        assert not cipher.verify(envelope + b"\x00")
+
+    @pytest.mark.parametrize("size", [0, 15, 16, 17, 100])
+    def test_envelope_matches_library_construction(self, cipher, size):
+        """AES-256-CBC + PKCS#7 + HMAC-SHA-256 built from ``cryptography``
+        yields the same DET envelope, and its RND envelopes open here."""
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes, hmac, padding
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+        def mac(key: bytes, data: bytes) -> bytes:
+            h = hmac.HMAC(key, hashes.SHA256())
+            h.update(data)
+            return h.finalize()
+
+        def derive(purpose: str) -> bytes:
+            salt = (
+                f"Microsoft SQL Server cell {purpose} key with encryption algorithm:"
+                "AEAD_AES_256_CBC_HMAC_SHA_256 and key length:256"
+            )
+            return mac(CEK, salt.encode("utf-16-le"))
+
+        def seal(plaintext: bytes, iv: bytes) -> bytes:
+            padder = padding.PKCS7(128).padder()
+            encryptor = Cipher(algorithms.AES(derive("encryption")), modes.CBC(iv)).encryptor()
+            body = encryptor.update(padder.update(plaintext) + padder.finalize())
+            return b"\x01" + mac(derive("MAC"), b"\x01" + iv + body + b"\x01") + iv + body
+
+        plaintext = bytes(range(size))
+        det_iv = mac(derive("IV"), plaintext)[:16]
+        assert cipher.encrypt(plaintext, EncryptionScheme.DETERMINISTIC) == seal(plaintext, det_iv)
+        assert cipher.decrypt(seal(plaintext, bytes(range(16, 32)))) == plaintext
+
+
 class TestKeys:
     def test_bad_key_size_rejected(self):
         with pytest.raises(CryptoError):

@@ -20,10 +20,12 @@ from __future__ import annotations
 import random
 import re
 import threading
+from unittest import mock
 
 import pytest
 
 from repro.client.driver import connect
+from repro.crypto.aead import CellCipher
 from repro.obs import flightrec, latchprof, tracing
 from repro.obs.flightrec import get_recorder
 from repro.obs.latchprof import get_latch_profiler
@@ -166,12 +168,17 @@ def test_queued_gateway_statement_takes_no_telemetry_lock_on_the_worker(
     assert threads == {threading.current_thread().name}, telemetry_locks
 
 
-#: Captured on the parent commit (40c78f4) with this very function.
+#: Captured on the parent commits (40c78f4; the decrypts on 9e837b2) with
+#: this very function.
 PARENT_LEDGER = {"CUSTOMER.C_LAST": {"index_touch": 16, "rnd_comparison": 61}}
+PARENT_CELL_DECRYPTS = 138
 
 
-def tpcc_rnd_ledger() -> dict[str, dict[str, int]]:
-    """The leakage ledger of 30 ``tpcc_rnd`` transactions, seed 20200614."""
+@pytest.fixture(scope="module")
+def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int]:
+    """30 ``tpcc_rnd`` transactions at seed 20200614 on a loaded (so warm)
+    system: the leakage ledger, the cells the enclave opened, and the
+    ``CellCipher`` objects anyone built meanwhile."""
     seed = 20200614
     system = build_system(
         TpccConfig(mode=EncryptionMode.RND, enclave_threads=4, eval_batch_size=1, seed=seed)
@@ -181,13 +188,32 @@ def tpcc_rnd_ledger() -> dict[str, dict[str, int]]:
                 for __ in range(max(1, round(weight * 30)))][:30]
         random.Random(f"ledger:{seed}").shuffle(deck)
         get_leakage_accountant().reset()
-        for kind in deck:
-            system.transactions.run_one(kind)
-        return get_leakage_accountant().snapshot()
+        cell_decrypts = get_registry().counter("enclave.cell_decrypts")
+        opened = cell_decrypts.value
+        with mock.patch.object(
+            CellCipher, "__init__", autospec=True, side_effect=CellCipher.__init__
+        ) as built:
+            for kind in deck:
+                system.transactions.run_one(kind)
+        return (
+            get_leakage_accountant().snapshot(),
+            cell_decrypts.value - opened,
+            built.call_count,
+        )
     finally:
         system.server.shutdown()
         get_leakage_accountant().reset()
 
 
-def test_leakage_ledger_of_a_tpcc_rnd_mix_is_the_parents():
-    assert tpcc_rnd_ledger() == PARENT_LEDGER
+def test_leakage_ledger_of_a_tpcc_rnd_mix_is_the_parents(tpcc_rnd_deck):
+    ledger, __, __ = tpcc_rnd_deck
+    assert ledger == PARENT_LEDGER
+
+
+def test_a_tpcc_rnd_mix_opens_the_parents_cells_and_builds_no_cipher(tpcc_rnd_deck):
+    """A cheaper cell changes what a cell costs, not how many are opened; and
+    a warm driver keeps the ciphers it has (the parent built 36 here: one
+    per encrypted parameter and one per encrypted result)."""
+    __, cell_decrypts, ciphers_built = tpcc_rnd_deck
+    assert cell_decrypts == PARENT_CELL_DECRYPTS
+    assert ciphers_built == 0
