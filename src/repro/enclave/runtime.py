@@ -47,7 +47,7 @@ register_fault_site(
 )
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.expression.program import StackProgram
-from repro.sqlengine.expression.vm import StackMachine
+from repro.sqlengine.expression.vm import LoweredProgram, StackMachine
 from repro.sqlengine.types import EncryptionInfo
 from repro.sqlengine.values import (
     SqlScalar,
@@ -176,7 +176,7 @@ class Enclave:
         # key-size agnostic.
         self._rsa = RsaKeyPair.generate(1024)
         self._sessions: dict[int, SessionSecrets] = {}
-        self._programs: dict[int, StackProgram] = {}
+        self._programs: dict[int, LoweredProgram] = {}
         self._program_handles: dict[bytes, int] = {}
         self._next_handle = itertools.count(1)
         # Enclave-held freshness state (rollback defense): survives host
@@ -312,8 +312,9 @@ class Enclave:
                 return existing
             program = StackProgram.deserialize(program_bytes)
             validate_program(program, self.sqlos.installed_keys())
+            lowered = StackMachine.lower(program)
             handle = next(self._next_handle)
-            self._programs[handle] = program
+            self._programs[handle] = lowered
             self._program_handles[program_bytes] = handle
         self.counters.inc("programs_registered")
         self._observe("register_program", (program_bytes,), handle)

@@ -18,7 +18,8 @@ the flight recorder as a ``leak.*`` event carrying the active statement
 identity, so a recording answers "which statement leaked what about
 which column". Inside a statement the observations are buffered in its
 record and reach the ledger in one locked pass when it settles — batched,
-never dropped and never merged across columns or kinds.
+never dropped and never merged across columns or kinds; a read includes
+the calling thread's own open statements, as ``Counter.value`` does.
 """
 
 from __future__ import annotations
@@ -77,21 +78,27 @@ class LeakageAccountant:
                 counts[key] = counts.get(key, 0) + count
 
     def snapshot(self) -> dict[str, dict[str, int]]:
-        """``{column: {kind: count}}`` with zero-count kinds omitted."""
+        """``{column: {kind: count}}`` with zero-count kinds omitted: settled
+        statements plus the calling thread's own open ones, as
+        :attr:`Counter.value` reads ``leakage.events_observed``."""
         with self._lock:
-            items = dict(self._counts)
+            counts = dict(self._counts)
+        statement = self._registry.thread.record
+        while statement is not None:
+            for key, count in statement.deferred.get(self, ()):
+                counts[key] = counts.get(key, 0) + count
+            statement = statement.parent
         out: dict[str, dict[str, int]] = {}
-        for (column, kind), count in sorted(items.items()):
+        for (column, kind), count in sorted(counts.items()):
             out.setdefault(column, {})[kind] = count
         return out
 
     def total(self, column: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                count
-                for (col, __), count in self._counts.items()
-                if column is None or col == column
-            )
+        return sum(
+            sum(kinds.values())
+            for col, kinds in self.snapshot().items()
+            if column is None or col == column
+        )
 
     def reset(self) -> None:
         with self._lock:

@@ -41,6 +41,7 @@ from repro.faults.registry import fault_point, register_fault_site
 from repro.obs.metrics import get_registry
 from repro.sqlengine.storage.page import Page
 from repro.sqlengine.catalog import Catalog, IndexSchema, TableSchema
+from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.index.btree import BPlusTree
 from repro.sqlengine.index.comparators import (
     CellComparator,
@@ -401,7 +402,7 @@ class StorageEngine:
         self._validate_row(table, row)
         self._ensure_begin_logged(txn)
         record = serialize_row(row)
-        rid = table.heap.insert(record)
+        rid = table.heap.insert(record, row)
         try:
             # The heap can hand out a reused slot whose rid another
             # transaction still locks (it deleted the old row and hasn't
@@ -460,7 +461,7 @@ class StorageEngine:
         moves = self._moved_keys(table, old_row, new_row)
         self._index_rekey(table, rid, moves)
         try:
-            before = table.heap.update(rid, record)
+            before = table.heap.update(rid, record, new_row)
         except SqlError:
             # The row grew past its page's free space (e.g. in-place
             # encryption turning small plaintext into 65+-byte envelopes):
@@ -529,8 +530,6 @@ class StorageEngine:
                 f"row arity {len(row)} does not match table "
                 f"{table.schema.name!r} ({table.schema.arity} columns)"
             )
-        from repro.sqlengine.cells import Ciphertext
-
         for cell, column in zip(row, table.schema.columns):
             if cell is None:
                 if not column.nullable:
@@ -1178,8 +1177,6 @@ class StorageEngine:
         transactions are in flight.
         """
         from collections import Counter as _Counter
-
-        from repro.sqlengine.cells import Ciphertext
 
         def _norm(key: tuple) -> tuple:
             return tuple(

@@ -193,7 +193,7 @@ class Executor:
         candidates = iter(candidates)
         while chunk := list(itertools.islice(candidates, size)):
             verdicts = self._vm.eval_predicate_batch(
-                compiled.host_program,
+                compiled.lowered,
                 [row_of(candidate) + params for candidate in chunk],
             )
             for candidate, verdict in zip(chunk, verdicts):

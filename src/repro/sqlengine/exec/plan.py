@@ -22,7 +22,7 @@ from repro.errors import BindError, ExecutionError, TypeDeductionError
 from repro.sqlengine.engine import IndexObject, StorageEngine, TableObject
 from repro.sqlengine.exec.planner import choose_access_path, extract_sargs
 from repro.sqlengine.expression.compiler import CompiledExpression, compile_expression
-from repro.sqlengine.expression.program import Opcode, StackProgram
+from repro.sqlengine.expression.program import Opcode
 from repro.sqlengine.expression.tree import (
     AndExpr,
     ArithExpr,
@@ -38,6 +38,7 @@ from repro.sqlengine.expression.tree import (
     OrExpr,
     ParameterExpr,
 )
+from repro.sqlengine.expression.vm import LoweredProgram
 from repro.sqlengine.scope import Scope
 from repro.sqlengine.sqlparser import ast
 from repro.sqlengine.typededuce import DeductionResult
@@ -63,12 +64,13 @@ class Scalar:
 
     Every scalar goes through :func:`compile_expression`; a program that
     is a single ``GET_DATA`` or ``PUSH_CONST`` is kept as the slot or the
-    constant it names, so reading it costs no VM call.
+    constant it names, so reading it costs no VM call. Any other is kept
+    as the VM runs it: lowered, once per plan.
     """
 
     slot: int | None = None
     const: object = None
-    program: StackProgram | None = None
+    program: LoweredProgram | None = None
 
 
 @dataclass(frozen=True)
@@ -258,14 +260,15 @@ class _Builder:
 
     def scalar(self, node: ast.AstExpr | Expr) -> Scalar:
         expr = node if isinstance(node, Expr) else self.lower(node)
-        program = compile_expression(expr).host_program
+        compiled = compile_expression(expr)
+        program = compiled.host_program
         if len(program) == 1:
             only = program.instructions[0]
             if only.opcode is Opcode.GET_DATA:
                 return Scalar(slot=only.operand[0])
             if only.opcode is Opcode.PUSH_CONST:
                 return Scalar(const=only.operand)
-        return Scalar(program=program)
+        return Scalar(program=compiled.lowered)
 
     def predicate(self, node: ast.AstExpr | None) -> CompiledExpression | None:
         return None if node is None else compile_expression(self.lower(node))

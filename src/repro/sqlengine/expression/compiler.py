@@ -39,6 +39,7 @@ from repro.sqlengine.expression.tree import (
     OrExpr,
     ParameterExpr,
 )
+from repro.sqlengine.expression.vm import LoweredProgram, StackMachine
 from repro.sqlengine.types import EncryptionInfo
 
 
@@ -46,7 +47,8 @@ from repro.sqlengine.types import EncryptionInfo
 class CompiledExpression:
     """The result of compiling one scalar expression.
 
-    ``host_program`` is the CEsComp evaluated by the host VM;
+    ``host_program`` is the CEsComp evaluated by the host VM, ``lowered``
+    the form the VM runs it in (lowered here, once per compilation);
     ``enclave_programs`` lists each serialized enclave sub-program (already
     embedded in TM_EVAL operands; exposed for registration/inspection);
     ``enclave_ceks`` is the set of CEK names the enclave will need.
@@ -55,6 +57,7 @@ class CompiledExpression:
     host_program: StackProgram
     enclave_programs: list[bytes] = field(default_factory=list)
     enclave_ceks: set[str] = field(default_factory=set)
+    lowered: LoweredProgram = field(init=False)
 
     @property
     def uses_enclave(self) -> bool:
@@ -65,6 +68,7 @@ def compile_expression(expr: Expr) -> CompiledExpression:
     """Compile ``expr`` into a host program with embedded enclave splits."""
     compiled = CompiledExpression(host_program=StackProgram())
     _emit(expr, compiled.host_program.instructions, compiled)
+    compiled.lowered = StackMachine.lower(compiled.host_program)
     return compiled
 
 

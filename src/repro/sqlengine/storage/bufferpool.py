@@ -2,9 +2,9 @@
 
 Encrypted cells stay encrypted in the buffer pool — the paper's central
 operational guarantee ("encrypted ... in SQL Server's internal memory while
-in use"). The pool never deserializes cell contents; it caches
+in use"). The pool never interprets cell contents; it caches
 :class:`~repro.sqlengine.storage.page.Page` objects whose records are raw
-bytes.
+bytes and whose decoded rows hold a ciphertext as the same opaque envelope.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Writes are record-level: the caller encodes a row once
 (:func:`~repro.sqlengine.storage.record.serialize_row`) and hands the same
 bytes to the heap and to the log; ``update`` and ``delete`` hand back the
-record they replaced, which is the log's before-image. Reads decode.
+record they replaced, which is the log's before-image. A writer that holds
+the row hands it over beside the bytes; reads return the row the page keeps
+for the slot (:meth:`Page.row`), one immutable tuple shared by every reader.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Iterator
 from repro.errors import SqlError
 from repro.obs.latchprof import TimedLatch
 from repro.sqlengine.storage.bufferpool import BufferPool
-from repro.sqlengine.storage.record import deserialize_row
 
 
 @dataclass(frozen=True, order=True)
@@ -34,7 +35,7 @@ class HeapFile:
     def __init__(self, table_name: str, pool: BufferPool):
         self.table_name = table_name
         self._pool = pool
-        self._page_ids: list[int] = []
+        self._page_ids: dict[int, None] = {}  # an ordered set, oldest first
         # Serializes page-id bookkeeping; page *content* mutation happens
         # under the pool latch so eviction's page serialization never
         # observes a half-mutated slot directory.
@@ -48,22 +49,22 @@ class HeapFile:
     def adopt_page(self, page_id: int) -> None:
         """Attach an existing page (recovery rebuild path)."""
         with self._latch:
-            if page_id not in self._page_ids:
-                self._page_ids.append(page_id)
+            self._page_ids.setdefault(page_id)
 
     # -- row operations -------------------------------------------------------
 
-    def insert(self, record: bytes) -> RowId:
+    def insert(self, record: bytes, row: tuple | None = None) -> RowId:
+        """``row``, here and in :meth:`update`, is the tuple ``record`` encodes."""
         with self._latch, self._pool.latch:
             for page_id in reversed(self._page_ids):
                 page = self._pool.get(page_id)
                 if page.can_fit(record):
-                    return RowId(page_id, page.insert(record))
+                    return RowId(page_id, page.insert(record, row))
             page = self._pool.allocate_page()
-            self._page_ids.append(page.page_id)
+            self._page_ids[page.page_id] = None
             if not page.can_fit(record):
                 raise SqlError(f"row of {len(record)} bytes exceeds page capacity")
-            return RowId(page.page_id, page.insert(record))
+            return RowId(page.page_id, page.insert(record, row))
 
     def insert_at(self, rid: RowId, record: bytes) -> None:
         """Physical placement at a known rid (redo recovery, undo)."""
@@ -76,21 +77,20 @@ class HeapFile:
         with self._latch, self._pool.latch:
             if rid.page_id not in self._page_ids:
                 raise SqlError(f"{rid} does not belong to table {self.table_name!r}")
-            return deserialize_row(self._pool.get(rid.page_id).read(rid.slot))
+            return self._pool.get(rid.page_id).row(rid.slot)
 
     def read_or_none(self, rid: RowId) -> tuple | None:
         with self._latch, self._pool.latch:
             if rid.page_id not in self._page_ids:
                 return None
             # get_or_create: recovery may probe pages that never hit the disk.
-            record = self._pool.get_or_create(rid.page_id).read_or_none(rid.slot)
-            return deserialize_row(record) if record is not None else None
+            return self._pool.get_or_create(rid.page_id).row_or_none(rid.slot)
 
-    def update(self, rid: RowId, record: bytes) -> bytes | None:
+    def update(self, rid: RowId, record: bytes, row: tuple | None = None) -> bytes | None:
         """Overwrite the record at ``rid``; returns the one it replaced
         (None for an empty slot)."""
         with self._latch, self._pool.latch:
-            return self._pool.get(rid.page_id).update(rid.slot, record)
+            return self._pool.get(rid.page_id).update(rid.slot, record, row)
 
     def delete(self, rid: RowId) -> bytes | None:
         """Remove the record at ``rid``; returns it (None for an empty slot)."""
@@ -109,10 +109,7 @@ class HeapFile:
         for page_id in page_ids:
             with self._latch, self._pool.latch:
                 page = self._pool.get(page_id)
-                rows = [
-                    (RowId(page_id, slot), deserialize_row(record))
-                    for slot, record in page.slots()
-                ]
+                rows = [(RowId(page_id, slot), row) for slot, row in page.rows()]
             yield from rows
 
     def row_count(self) -> int:

@@ -11,6 +11,11 @@ bytes of the new image, some of the old) is *detectable*:
 :meth:`Page.from_bytes` raises :class:`~repro.errors.PageCorruptError`
 and recovery reformats the page and redoes its rows from the WAL — the
 physical, keyless redo of Section 4.5.
+
+Beside each record a resident page keeps the row it decodes to: decoded
+once per residency, not once per read. The image is the records alone — a
+loaded, restored or reformatted page starts with no rows — and a row's
+cells are exactly what decoding yields: ciphertext stays ``Ciphertext``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import struct
 import zlib
 
 from repro.errors import PageCorruptError, SqlError
+from repro.sqlengine.storage.record import deserialize_row, is_decoded_form
 
 PAGE_SIZE = 8192
 _HEADER = struct.Struct(">IHI")  # page_id, slot_count, payload crc32
@@ -33,37 +39,41 @@ class Page:
     def __init__(self, page_id: int):
         self.page_id = page_id
         self._records: list[bytes | None] = []  # None = tombstone
+        # Each slot's decoded row: None until first read, and again whenever
+        # the slot is written from bytes alone.
+        self._rows: list[tuple | None] = []
+        self._used = _HEADER.size  # image bytes taken: header, slot lengths, records
         self.dirty = False
 
     # -- record operations -------------------------------------------------
 
     def free_space(self) -> int:
-        used = _HEADER.size
-        for record in self._records:
-            used += _SLOT.size + (len(record) if record is not None else 0)
-        return PAGE_SIZE - used
+        return PAGE_SIZE - self._used
 
     def can_fit(self, record: bytes) -> bool:
         return self.free_space() >= _SLOT.size + len(record)
 
-    def insert(self, record: bytes) -> int:
-        """Insert a record; returns its slot id. Reuses tombstoned slots."""
+    def insert(self, record: bytes, row: tuple | None = None) -> int:
+        """Insert a record; returns its slot id. Reuses tombstoned slots.
+        ``row``, here and in :meth:`update`, is the tuple ``record`` encodes,
+        kept only where decoding ``record`` would return exactly that."""
         if not self.can_fit(record):
             raise SqlError(f"record of {len(record)} bytes does not fit in page {self.page_id}")
-        for slot, existing in enumerate(self._records):
-            if existing is None:
-                self._records[slot] = record
-                self.dirty = True
-                return slot
-        self._records.append(record)
-        self.dirty = True
-        return len(self._records) - 1
+        tombstones = (slot for slot, held in enumerate(self._records) if held is None)
+        slot = next(tombstones, len(self._records))
+        self.insert_at(slot, record)
+        self._rows[slot] = row if is_decoded_form(row) else None
+        return slot
 
     def insert_at(self, slot: int, record: bytes) -> None:
         """Place a record at a specific slot (physical redo during recovery)."""
         while len(self._records) <= slot:
             self._records.append(None)
+            self._rows.append(None)
+            self._used += _SLOT.size
+        self._used += len(record) - len(self._records[slot] or b"")
         self._records[slot] = record
+        self._rows[slot] = None
         self.dirty = True
 
     def read(self, slot: int) -> bytes:
@@ -72,32 +82,48 @@ class Page:
             raise SqlError(f"slot {slot} of page {self.page_id} is empty")
         return record
 
-    def read_or_none(self, slot: int) -> bytes | None:
+    def row(self, slot: int) -> tuple:
+        """The row ``read(slot)`` decodes to, decoded on its first read."""
+        self.read(slot)  # raises for an empty or absent slot
+        return self.row_or_none(slot)
+
+    def row_or_none(self, slot: int) -> tuple | None:
         if slot >= len(self._records):
             return None
-        return self._records[slot]
+        row = self._rows[slot]
+        if row is None and (record := self._records[slot]) is not None:
+            row = self._rows[slot] = deserialize_row(record)
+        return row
 
-    def update(self, slot: int, record: bytes) -> bytes | None:
+    def update(self, slot: int, record: bytes, row: tuple | None = None) -> bytes | None:
         """Replace a slot's record; returns what it held. An update that
         would overflow the page raises and leaves the slot as it was."""
         replaced = self._slot(slot)  # must exist
         grown = len(record) - (len(replaced) if replaced is not None else 0)
         if self.free_space() - grown < _SLOT.size:
             raise SqlError(f"update overflows page {self.page_id}")
+        self._used += grown
         self._records[slot] = record
+        self._rows[slot] = row if is_decoded_form(row) else None
         self.dirty = True
         return replaced
 
     def delete(self, slot: int) -> bytes | None:
         """Tombstone a slot; returns the record it held."""
         replaced = self._slot(slot)  # must exist
+        self._used -= len(replaced or b"")
         self._records[slot] = None
+        self._rows[slot] = None
         self.dirty = True
         return replaced
 
     def slots(self) -> list[tuple[int, bytes]]:
         """All live (slot, record) pairs."""
         return [(i, r) for i, r in enumerate(self._records) if r is not None]
+
+    def rows(self) -> list[tuple[int, tuple]]:
+        """All live (slot, row) pairs."""
+        return [(slot, self.row_or_none(slot)) for slot, __ in self.slots()]
 
     def _slot(self, slot: int) -> bytes | None:
         if slot < 0 or slot >= len(self._records):
@@ -140,4 +166,6 @@ class Page:
             else:
                 page._records.append(data[offset : offset + length])
                 offset += length
+        page._rows = [None] * slot_count
+        page._used = offset
         return page

@@ -19,6 +19,9 @@ _CELL_NULL = 0
 _CELL_PLAIN = 1
 _CELL_CIPHER = 2
 
+#: The exact cell types decoding produces.
+_DECODED_TYPES = frozenset({type(None), bool, int, float, str, bytes, Ciphertext})
+
 
 def serialize_row(row: tuple) -> bytes:
     """Serialize a row of cell values to bytes."""
@@ -37,6 +40,13 @@ def serialize_row(row: tuple) -> bytes:
             out += struct.pack(">I", len(blob))
             out += blob
     return bytes(out)
+
+
+def is_decoded_form(row: object) -> bool:
+    """Whether ``row`` is, type for type, what decoding its record returns.
+    A row the engine accepts need not be: VARBINARY takes a ``bytearray``,
+    which decodes to ``bytes``."""
+    return type(row) is tuple and _DECODED_TYPES.issuperset(map(type, row))
 
 
 def deserialize_row(data: bytes) -> tuple:

@@ -4,6 +4,8 @@ events each observation emits."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs.flightrec import get_recorder
@@ -47,7 +49,7 @@ def test_a_statement_settles_its_observations_per_column_and_kind():
         accountant.record("T.B", "index_touch", count=3)
         accountant.record("T.A", "rnd_comparison")
         accountant.record("T.A", "index_touch")
-        assert accountant.snapshot() == {}     # another reader sees it at the settle
+        assert _read_on_another_thread(accountant.snapshot) == {}   # sees it at the settle
     finally:
         registry.settle(record)
     assert accountant.snapshot() == {
@@ -55,6 +57,42 @@ def test_a_statement_settles_its_observations_per_column_and_kind():
         "T.B": {"index_touch": 3},
     }
     assert registry.value("leakage.events_observed") == 7
+
+
+def _read_on_another_thread(read):
+    seen = []
+    reader = threading.Thread(target=lambda: seen.append(read()))
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    return seen[0]
+
+
+def test_a_statement_reads_its_own_pending_observations():
+    """The ledger reads by ``Counter.value``'s rule — settled statements
+    plus the calling thread's own open ones, nested included — so inside a
+    statement ``total()`` equals ``leakage.events_observed``."""
+    accountant, registry = make_accountant()
+    accountant.record("T.A", "index_touch", count=2)       # settled at once
+    outer = registry.open_record()
+    try:
+        accountant.record("T.A", "index_touch", count=3)
+        inner = registry.open_record()
+        try:
+            accountant.record("T.B", "rnd_comparison")
+            assert accountant.snapshot() == {
+                "T.A": {"index_touch": 5},
+                "T.B": {"rnd_comparison": 1},
+            }
+            assert accountant.total() == registry.value("leakage.events_observed") == 6
+            assert accountant.total("T.A") == 5
+            assert _read_on_another_thread(accountant.total) == 2
+        finally:
+            registry.settle(inner)
+        assert accountant.total() == 6
+    finally:
+        registry.settle(outer)
+    assert accountant.total() == _read_on_another_thread(accountant.total) == 6
 
 
 def test_unknown_kind_raises():

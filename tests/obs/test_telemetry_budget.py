@@ -13,6 +13,10 @@ and ``time.perf_counter`` is counted inside the ``repro.obs`` modules.
 * and settling once never changes the leakage ledger: it is a security
   output (access patterns are what encryption does not hide), so it may
   be batched per statement but never dropped or merged across columns.
+
+Beside the ledger pin, the same deck pins two things a warm statement no
+longer does at all: decode a record its page already holds the row of, and
+lower a stack program.
 """
 
 from __future__ import annotations
@@ -32,7 +36,10 @@ from repro.obs.latchprof import get_latch_profiler
 from repro.obs.leakage import get_leakage_accountant
 from repro.obs.metrics import get_registry
 from repro.obs.transition_cost import get_transition_cost_model
+from repro.sqlengine.expression.vm import StackMachine
 from repro.sqlengine.server import SqlServer
+from repro.sqlengine.storage import page as page_module
+from repro.sqlengine.storage.record import deserialize_row
 from repro.workloads.tpcc import TRANSACTION_MIX, EncryptionMode, TpccConfig, build_system
 from tests.conftest import make_encrypted_table
 
@@ -175,10 +182,12 @@ PARENT_CELL_DECRYPTS = 138
 
 
 @pytest.fixture(scope="module")
-def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int]:
+def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int, int, int]:
     """30 ``tpcc_rnd`` transactions at seed 20200614 on a loaded (so warm)
     system: the leakage ledger, the cells the enclave opened, and the
-    ``CellCipher`` objects anyone built meanwhile."""
+    ``CellCipher`` objects anyone built meanwhile. Then the deck once more,
+    now that every plan it runs is cached: the records decoded and the
+    stack programs lowered meanwhile."""
     seed = 20200614
     system = build_system(
         TpccConfig(mode=EncryptionMode.RND, enclave_threads=4, eval_batch_size=1, seed=seed)
@@ -195,18 +204,26 @@ def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int]:
         ) as built:
             for kind in deck:
                 system.transactions.run_one(kind)
-        return (
+        first = (
             get_leakage_accountant().snapshot(),
             cell_decrypts.value - opened,
             built.call_count,
         )
+        with mock.patch.object(
+            page_module, "deserialize_row", side_effect=deserialize_row
+        ) as decoded, mock.patch.object(
+            StackMachine, "lower", side_effect=StackMachine.lower
+        ) as lowered:
+            for kind in deck:
+                system.transactions.run_one(kind)
+        return (*first, decoded.call_count, lowered.call_count)
     finally:
         system.server.shutdown()
         get_leakage_accountant().reset()
 
 
 def test_leakage_ledger_of_a_tpcc_rnd_mix_is_the_parents(tpcc_rnd_deck):
-    ledger, __, __ = tpcc_rnd_deck
+    ledger, *__ = tpcc_rnd_deck
     assert ledger == PARENT_LEDGER
 
 
@@ -214,6 +231,17 @@ def test_a_tpcc_rnd_mix_opens_the_parents_cells_and_builds_no_cipher(tpcc_rnd_de
     """A cheaper cell changes what a cell costs, not how many are opened; and
     a warm driver keeps the ciphers it has (the parent built 36 here: one
     per encrypted parameter and one per encrypted result)."""
-    __, cell_decrypts, ciphers_built = tpcc_rnd_deck
+    __, cell_decrypts, ciphers_built, *__ = tpcc_rnd_deck
     assert cell_decrypts == PARENT_CELL_DECRYPTS
     assert ciphers_built == 0
+
+
+def test_a_warm_tpcc_rnd_mix_decodes_no_resident_record_and_lowers_no_program(tpcc_rnd_deck):
+    """A page slot keeps the row its record decodes to — only a slot written
+    from bytes alone (a rollback's restore) is decoded again; the parent
+    decoded ~45 records per transaction here — and a stack program is
+    lowered when its plan is built or its handle registered, never per
+    statement and never per ecall."""
+    *__, records_decoded, programs_lowered = tpcc_rnd_deck
+    assert records_decoded < 30
+    assert programs_lowered == 0
