@@ -232,15 +232,16 @@ class Executor:
         else:
             low: tuple = prefix
             high: tuple = prefix + (MAX_KEY,)
+            high_inclusive = True
             if access.low is not None:
                 operand, inclusive = access.low
                 low = prefix + (self._value(operand, params),)
                 if not inclusive:
                     low = low + (MAX_KEY,)
             if access.high is not None:
-                operand, inclusive = access.high
+                operand, high_inclusive = access.high
                 high = prefix + (self._value(operand, params),)
-                if inclusive:
+                if high_inclusive:
                     high = high + (MAX_KEY,)
             self._index_range_scans.inc()
             with self._tracer.span(
@@ -249,7 +250,11 @@ class Executor:
                 table=table.schema.name,
                 index=index.schema.name,
             ):
-                rids = [rid for __, rid in index.tree.range_scan(low, high, True, True)]
+                # ``< v`` stops at a key equal to ``prefix + (v,)`` rather
+                # than reading that row for the residual to drop.
+                rids = [
+                    rid for __, rid in index.tree.range_scan(low, high, True, high_inclusive)
+                ]
         fetched = [
             (rid, row)
             for rid in rids

@@ -181,17 +181,48 @@ class EnclaveComparator:
 
 
 class _Sentinel:
-    def __init__(self, name: str, sign: int):
+    """A key cell ordered by its rank alone; every value has rank 0.
+
+    The rich comparisons let Python's own tuple order place it (a
+    plaintext :class:`~repro.sqlengine.index.btree.BPlusTree` sorts with
+    ``bisect``); equality stays identity.
+    """
+
+    __slots__ = ("name", "rank")
+
+    def __init__(self, name: str, rank: int):
         self.name = name
-        self.sign = sign  # -1 sorts before everything, +1 after
+        self.rank = rank
 
     def __repr__(self) -> str:
         return self.name
 
+    def __lt__(self, other: object) -> bool:
+        return self.rank < _rank(other)
+
+    def __le__(self, other: object) -> bool:
+        return self.rank <= _rank(other)
+
+    def __gt__(self, other: object) -> bool:
+        return self.rank > _rank(other)
+
+    def __ge__(self, other: object) -> bool:
+        return self.rank >= _rank(other)
+
+
+def _rank(cell: object) -> int:
+    if isinstance(cell, _Sentinel):
+        return cell.rank
+    return -1 if cell is None else 0
+
 
 # Open-interval markers for prefix scans over composite keys.
-MIN_KEY = _Sentinel("MIN_KEY", -1)
+MIN_KEY = _Sentinel("MIN_KEY", -2)
 MAX_KEY = _Sentinel("MAX_KEY", +1)
+#: What a plaintext tree stores for a NULL cell: Python cannot order
+#: ``None``, this sorts where SQL index order puts NULL (after MIN_KEY,
+#: before every value).
+NULL_CELL = _Sentinel("NULL", -1)
 
 
 class CellComparator:
@@ -220,14 +251,14 @@ class CellComparator:
         return bool(getattr(self._inner, "batch_capable", False))
 
     def compare(self, left: object, right: object) -> int:
-        if isinstance(left, _Sentinel) or isinstance(right, _Sentinel):
-            left_rank = left.sign if isinstance(left, _Sentinel) else 0
-            right_rank = right.sign if isinstance(right, _Sentinel) else 0
+        if (
+            isinstance(left, _Sentinel)
+            or isinstance(right, _Sentinel)
+            or left is None
+            or right is None
+        ):
+            left_rank, right_rank = _rank(left), _rank(right)
             return (left_rank > right_rank) - (left_rank < right_rank)
-        if left is None or right is None:
-            if left is None and right is None:
-                return 0
-            return -1 if left is None else 1
         return self._inner.compare(left, right)
 
     def compare_one_to_many(self, probe: object, keys: list[object]) -> list[int]:
@@ -359,6 +390,38 @@ class CompositeComparator:
             active = tied
             depth += 1
         return results
+
+
+def orders_like_python(comparator: KeyComparator) -> bool:
+    """Whether Python's tuple order may stand in for ``comparator``.
+
+    True for exactly a :class:`CompositeComparator` whose every column is
+    exactly a :class:`CellComparator` over exactly a
+    :class:`PlaintextComparator`: no encrypted cell, and no wrapped or
+    subclassed comparator that must see each comparison.
+    """
+    return type(comparator) is CompositeComparator and all(comparator._plain)
+
+
+#: Cells Python orders as such a comparator does. Not ``bool`` (an int to
+#: Python, BIT to SQL), ``float`` (NaN ties with everything), ``bytes``
+#: (a ``bytearray`` equals it) or anything else.
+_PYTHON_ORDERED = frozenset((int, str, _Sentinel))
+
+
+def python_key(key: object) -> tuple[object, bool]:
+    """``key`` as a plaintext tree holds it, and whether Python may order it.
+
+    NULL cells become :data:`NULL_CELL`. Between two keys Python may order,
+    Python's tuple order gives the comparator's verdict, except that where
+    the comparator raises (int against str) Python raises ``TypeError``.
+    Every other key must go through the comparator.
+    """
+    if type(key) is not tuple:
+        return key, False
+    if None in key:
+        key = tuple(NULL_CELL if cell is None else cell for cell in key)
+    return key, _PYTHON_ORDERED.issuperset(map(type, key))
 
 
 class CountingComparator:

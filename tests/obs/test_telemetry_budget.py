@@ -16,7 +16,8 @@ and ``time.perf_counter`` is counted inside the ``repro.obs`` modules.
 
 Beside the ledger pin, the same deck pins two things a warm statement no
 longer does at all: decode a record its page already holds the row of, and
-lower a stack program.
+lower a stack program; and that only the index with an encrypted key cell
+calls its comparator.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.obs.leakage import get_leakage_accountant
 from repro.obs.metrics import get_registry
 from repro.obs.transition_cost import get_transition_cost_model
 from repro.sqlengine.expression.vm import StackMachine
+from repro.sqlengine.index.comparators import CompositeComparator
 from repro.sqlengine.server import SqlServer
 from repro.sqlengine.storage import page as page_module
 from repro.sqlengine.storage.record import deserialize_row
@@ -175,19 +177,22 @@ def test_queued_gateway_statement_takes_no_telemetry_lock_on_the_worker(
     assert threads == {threading.current_thread().name}, telemetry_locks
 
 
-#: Captured on the parent commits (40c78f4; the decrypts on 9e837b2) with
-#: this very function.
+#: Captured on the parent commits (40c78f4; the decrypts on 9e837b2; the
+#: node visits and enclave comparisons on 9c63354) with this very function.
 PARENT_LEDGER = {"CUSTOMER.C_LAST": {"index_touch": 16, "rnd_comparison": 61}}
 PARENT_CELL_DECRYPTS = 138
+PARENT_NODES_VISITED = 1699
+PARENT_ENCLAVE_COMPARISONS = 61
 
 
 @pytest.fixture(scope="module")
-def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int, int, int]:
+def tpcc_rnd_deck() -> dict[str, object]:
     """30 ``tpcc_rnd`` transactions at seed 20200614 on a loaded (so warm)
-    system: the leakage ledger, the cells the enclave opened, and the
-    ``CellCipher`` objects anyone built meanwhile. Then the deck once more,
-    now that every plan it runs is cached: the records decoded and the
-    stack programs lowered meanwhile."""
+    system: the leakage ledger, the cells the enclave opened, the B+-tree
+    nodes visited, the enclave comparisons, the ``CellCipher`` objects
+    anyone built meanwhile and the indexes whose comparator was called.
+    Then the deck once more, now that every plan it runs is cached: the
+    records decoded and the stack programs lowered meanwhile."""
     seed = 20200614
     system = build_system(
         TpccConfig(mode=EncryptionMode.RND, enclave_threads=4, eval_batch_size=1, seed=seed)
@@ -196,19 +201,30 @@ def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int, int, int]:
         deck = [kind for kind, weight in TRANSACTION_MIX
                 for __ in range(max(1, round(weight * 30)))][:30]
         random.Random(f"ledger:{seed}").shuffle(deck)
+        index_of = {
+            id(obj.tree.comparator): name
+            for table in system.server.engine.tables.values()
+            for name, obj in table.indexes.items()
+        }
         get_leakage_accountant().reset()
-        cell_decrypts = get_registry().counter("enclave.cell_decrypts")
-        opened = cell_decrypts.value
+        registry = get_registry()
+        counters = {
+            name: registry.counter(name)
+            for name in ("enclave.cell_decrypts", "index.nodes_visited", "enclave.comparisons")
+        }
+        before = {name: counter.value for name, counter in counters.items()}
         with mock.patch.object(
             CellCipher, "__init__", autospec=True, side_effect=CellCipher.__init__
-        ) as built:
+        ) as built, mock.patch.object(
+            CompositeComparator, "compare", autospec=True,
+            side_effect=CompositeComparator.compare,
+        ) as compared:
             for kind in deck:
                 system.transactions.run_one(kind)
-        first = (
-            get_leakage_accountant().snapshot(),
-            cell_decrypts.value - opened,
-            built.call_count,
-        )
+        out = {name: counter.value - before[name] for name, counter in counters.items()}
+        out["ledger"] = get_leakage_accountant().snapshot()
+        out["ciphers_built"] = built.call_count
+        out["compared_on"] = {index_of[id(call.args[0])] for call in compared.call_args_list}
         with mock.patch.object(
             page_module, "deserialize_row", side_effect=deserialize_row
         ) as decoded, mock.patch.object(
@@ -216,24 +232,34 @@ def tpcc_rnd_deck() -> tuple[dict[str, dict[str, int]], int, int, int, int]:
         ) as lowered:
             for kind in deck:
                 system.transactions.run_one(kind)
-        return (*first, decoded.call_count, lowered.call_count)
+        out["records_decoded"] = decoded.call_count
+        out["programs_lowered"] = lowered.call_count
+        return out
     finally:
         system.server.shutdown()
         get_leakage_accountant().reset()
 
 
 def test_leakage_ledger_of_a_tpcc_rnd_mix_is_the_parents(tpcc_rnd_deck):
-    ledger, *__ = tpcc_rnd_deck
-    assert ledger == PARENT_LEDGER
+    assert tpcc_rnd_deck["ledger"] == PARENT_LEDGER
 
 
 def test_a_tpcc_rnd_mix_opens_the_parents_cells_and_builds_no_cipher(tpcc_rnd_deck):
     """A cheaper cell changes what a cell costs, not how many are opened; and
     a warm driver keeps the ciphers it has (the parent built 36 here: one
     per encrypted parameter and one per encrypted result)."""
-    __, cell_decrypts, ciphers_built, *__ = tpcc_rnd_deck
-    assert cell_decrypts == PARENT_CELL_DECRYPTS
-    assert ciphers_built == 0
+    assert tpcc_rnd_deck["enclave.cell_decrypts"] == PARENT_CELL_DECRYPTS
+    assert tpcc_rnd_deck["ciphers_built"] == 0
+
+
+def test_only_an_encrypted_key_calls_the_comparator(tpcc_rnd_deck):
+    """A tree whose key cells are all plaintext is ordered by Python's own
+    tuple order (the parent called the comparator 7,579 times here, on all
+    nine indexes); the one tree with an RND key cell keeps its comparator,
+    and with it the parent's descents and enclave comparisons."""
+    assert tpcc_rnd_deck["compared_on"] == {"CUSTOMER_NC1"}
+    assert tpcc_rnd_deck["index.nodes_visited"] == PARENT_NODES_VISITED
+    assert tpcc_rnd_deck["enclave.comparisons"] == PARENT_ENCLAVE_COMPARISONS
 
 
 def test_a_warm_tpcc_rnd_mix_decodes_no_resident_record_and_lowers_no_program(tpcc_rnd_deck):
@@ -242,6 +268,5 @@ def test_a_warm_tpcc_rnd_mix_decodes_no_resident_record_and_lowers_no_program(tp
     decoded ~45 records per transaction here — and a stack program is
     lowered when its plan is built or its handle registered, never per
     statement and never per ecall."""
-    *__, records_decoded, programs_lowered = tpcc_rnd_deck
-    assert records_decoded < 30
-    assert programs_lowered == 0
+    assert tpcc_rnd_deck["records_decoded"] < 30
+    assert tpcc_rnd_deck["programs_lowered"] == 0

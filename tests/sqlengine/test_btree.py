@@ -1,6 +1,7 @@
 """B+-tree correctness over all comparator flavours, incl. Figure 4."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.sqlengine.index.comparators import (
     CountingComparator,
     EnclaveComparator,
     PlaintextComparator,
+    orders_like_python,
 )
 from repro.sqlengine.storage.heap import RowId
 from repro.sqlengine.values import serialize_value
@@ -386,3 +388,145 @@ class TestFusedCompositeCompare:
             fused.compare(1, (1,))
         with pytest.raises(SqlError):
             fused.compare((1,), [1])
+
+
+# Keys as the engine stores them: one cell per column, of the column's type
+# or NULL. Probes of every other shape and type, besides.
+_STORED = st.tuples(
+    st.one_of(st.none(), st.integers(-2, 2)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "b"])),
+)
+_PROBE_CELLS = st.one_of(_CELLS, st.sampled_from([bytearray(b""), bytearray(b"a")]))
+_PROBES = st.one_of(
+    st.lists(_PROBE_CELLS, max_size=3).map(tuple),
+    _STORED,
+    _STORED.map(lambda key: key[:1] + (MAX_KEY,)),
+)
+_BOUNDS = st.one_of(st.none(), _PROBES)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _STORED),
+        st.tuples(st.just("insert_any"), _KEYS),
+        st.tuples(st.just("delete"), st.integers(0, 100), _PROBES),
+        st.tuples(st.just("search_eq"), _PROBES),
+        st.tuples(st.just("range_scan"), _BOUNDS, _BOUNDS, st.booleans(), st.booleans()),
+    ),
+    max_size=80,
+)
+
+
+def _twin_trees(unique):
+    """A plaintext tree Python orders, and the same cells through the comparator."""
+    native = BPlusTree(
+        CompositeComparator([CellComparator(PlaintextComparator()) for __ in range(2)]),
+        order=4,
+        unique=unique,
+    )
+    twin = BPlusTree(
+        CompositeComparator(
+            [CellComparator(CountingComparator(PlaintextComparator())) for __ in range(2)]
+        ),
+        order=4,
+        unique=unique,
+    )
+    assert orders_like_python(native.comparator)
+    assert not orders_like_python(twin.comparator)
+    return native, twin
+
+
+def _result(call):
+    try:
+        return call()
+    except SqlError as exc:  # ConstraintError included
+        return (type(exc).__name__, str(exc))
+
+
+class TestPythonOrder:
+    """A plaintext tree orders by Python's tuple order, with NULL as
+    ``NULL_CELL``; the comparator twin of every operation must agree on
+    rids, keys and errors, through splits, NULLs, sentinels and probes of
+    other types (bool, NaN, -0.0, str against int, bytearray)."""
+
+    @given(unique=st.booleans(), odd_inserts=st.booleans(), ops=_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_property_native_tree_equals_its_comparator_twin(self, unique, odd_inserts, ops):
+        native, twin = _twin_trees(unique)
+        inserted: list[tuple[tuple, RowId]] = []
+        for n, (kind, *args) in enumerate(ops):
+            if kind in ("insert", "insert_any"):
+                if kind == "insert_any" and not odd_inserts:
+                    continue
+                (key,) = args
+                outcomes = [_result(lambda t=t: t.insert(key, rid(n))) for t in (native, twin)]
+                if outcomes[0] is None:
+                    inserted.append((key, rid(n)))
+            elif kind == "delete":
+                pick, probe = args
+                key, row = inserted[pick % len(inserted)] if inserted and pick % 2 else (probe, rid(pick))
+                outcomes = [_result(lambda t=t: t.delete(key, row)) for t in (native, twin)]
+            elif kind == "search_eq":
+                (probe,) = args
+                outcomes = [_result(lambda t=t: t.search_eq(probe)) for t in (native, twin)]
+            else:
+                low, high, low_inclusive, high_inclusive = args
+                outcomes = [
+                    _result(lambda t=t: list(t.range_scan(low, high, low_inclusive, high_inclusive)))
+                    for t in (native, twin)
+                ]
+            assert outcomes[0] == outcomes[1], (kind, args)
+        assert len(native) == len(twin)
+        assert list(native.scan_all()) == list(twin.scan_all())
+        assert native.leaf_keys() == twin.leaf_keys()
+
+    def test_engine_shaped_keys_never_call_the_comparator(self):
+        tree = BPlusTree(
+            CompositeComparator([CellComparator(PlaintextComparator()) for __ in range(2)]),
+            order=4,
+            unique=True,
+        )
+        with mock.patch.object(
+            CompositeComparator, "compare", autospec=True, side_effect=CompositeComparator.compare
+        ) as compare:
+            tree.bulk_build([((v % 5, str(v)), rid(v)) for v in range(30)])
+            for v in range(30, 60):
+                tree.insert((v % 5, None if v % 7 == 0 else str(v)), rid(v))
+            assert [r.slot for r in tree.search_eq((3, "33"))] == [33]
+            got = [k for k, __ in tree.range_scan((0,), (0, MAX_KEY))]
+            assert got[0] == (0, None) and len(got) == 12
+            assert tree.delete((0, None), rid(35))
+            with pytest.raises(ConstraintError):
+                tree.insert((3, "33"), rid(99))
+        assert compare.call_count == 0
+        # A probe Python would order differently goes to the comparator.
+        with mock.patch.object(
+            CompositeComparator, "compare", autospec=True, side_effect=CompositeComparator.compare
+        ) as compare:
+            assert tree.search_eq((3.0, "33")) == [rid(33)]
+        assert compare.call_count > 0
+
+    def test_comparator_errors_survive(self):
+        tree = plain_tree()
+        for v in range(20):
+            tree.insert((v,), rid(v))
+        with pytest.raises(SqlError, match="cannot compare int with str"):
+            tree.search_eq(("a",))
+        with pytest.raises(SqlError, match="cannot compare BIT with non-BIT value"):
+            tree.insert((True,), rid(99))
+        assert len(tree) == 20
+
+    @pytest.mark.parametrize(
+        "stored, probe",
+        [
+            ((True,), (1,)),  # Python: 1 == True; SQL refuses BIT against INT
+            ((b"a",), (bytearray(b"a"),)),  # Python: equal; SQL refuses
+            ((float("nan"), 1), (5, 0)),  # Python: NaN decides; SQL: NaN ties
+        ],
+    )
+    def test_a_stored_key_python_orders_otherwise_hands_over_the_tree(self, stored, probe):
+        native, twin = _twin_trees(unique=False)
+        for tree in (native, twin):
+            tree.insert(stored, rid(1))
+        assert _result(lambda: native.search_eq(probe)) == _result(lambda: twin.search_eq(probe))
+        assert _result(lambda: list(native.range_scan(probe))) == _result(
+            lambda: list(twin.range_scan(probe))
+        )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BindError, ExecutionError, TypeDeductionError
 from repro.sqlengine.server import SqlServer
+from tests.conftest import make_encrypted_table
 
 
 @pytest.fixture()
@@ -225,3 +226,44 @@ class TestPlanner:
         )
         assert "ix_ds" in r.plan_info
         assert sorted(x[0] for x in r.rows) == [1]
+
+
+class TestRangeBounds:
+    """A range scan reads the rows inside its bounds and no more: an
+    exclusive upper bound stops at the key equal to it."""
+
+    @pytest.mark.parametrize(
+        "where, returned",
+        [
+            ("id >= @lo AND id < @hi", 10),
+            ("id > @lo AND id < @hi", 9),
+            ("id > @lo AND id <= @hi", 10),
+            ("id >= @lo AND id <= @hi", 11),
+        ],
+    )
+    def test_scanned_rows_are_the_returned_rows(self, plain_server, where, returned):
+        s = plain_server.connect()
+        s.execute("CREATE TABLE T (id int NOT NULL, PRIMARY KEY (id))")
+        for i in range(100):
+            s.execute("INSERT INTO T (id) VALUES (@i)", {"i": i})
+        r = s.execute(f"SELECT id FROM T WHERE {where}", {"lo": 10, "hi": 20})
+        assert "IndexRangeScan" in r.plan_info
+        assert len(r.rows) == returned
+        assert r.stats.rows_scanned == returned
+
+    def test_exclusive_bound_on_rnd_index_costs_no_more_comparisons(self, ae_connection):
+        conn = ae_connection
+        make_encrypted_table(conn)
+        conn.execute_ddl("CREATE INDEX T_VALUE ON T(value)", authorize_enclave=True)
+        for i in range(40):
+            conn.execute("INSERT INTO T (id, value) VALUES (@id, @v)", {"id": i, "v": i})
+        stats = {}
+        for op in ("<", "<="):
+            query = f"SELECT id FROM T WHERE value {op} @hi"
+            conn.execute(query, {"hi": 20})  # warm: plan, describe, CEKs
+            r = conn.execute(query, {"hi": 20})
+            assert "IndexRangeScan(T_VALUE)" in r.stats.plan_info
+            stats[op] = r.stats
+        assert stats["<"].rows_returned == 20 and stats["<="].rows_returned == 21
+        assert stats["<"].rows_scanned == 20
+        assert stats["<"].enclave_comparisons <= stats["<="].enclave_comparisons
