@@ -129,6 +129,7 @@ class Connection:
         self.options = options or ConnectionOptions()
         self.attestation_policy = attestation_policy
         self.stats = DriverStats()
+        self._metrics = get_registry()
         self._executes = self.stats.handle("executes")
         self._execute_roundtrips = self.stats.handle("execute_roundtrips")
         self.cek_cache = CekCache(
@@ -171,16 +172,14 @@ class Connection:
         be encrypted — the Section 4.1 defense against a server that lies
         about a column being plaintext.
         """
-        # The driver's scope is the parent of the server's statement record:
-        # its own counts ride along and everything settles once, here.
-        registry = get_registry()
-        record = registry.open_record()
+        # One record for the whole call: an in-process server statement runs
+        # in it too, and everything settles once, here.
+        record = self._metrics.open_record()
         try:
             result = self._execute(query_text, params or {}, force_encryption)
         finally:
-            registry.settle(record)
-        if result.stats is not None:
-            result.stats.add_driver_counts(record)
+            self._metrics.settle(record)
+        result.driver_counts = record.counts
         return result
 
     def _execute(

@@ -75,8 +75,8 @@ class StatementRecord:
 
     Opened by :meth:`MetricsRegistry.open_record` and ended — once, on
     every exit path — by :meth:`MetricsRegistry.settle`, which folds it
-    into ``parent`` (a nested scope on the same thread: the driver around
-    the server, a fault action reading through a second session) or, for
+    into ``parent`` (a nested scope on the same thread: a statement run from
+    inside another, as a fault action reading through a second session) or, for
     the outermost record, into the shared counters, flight-recorder ring
     and leakage ledger, one lock each. The QUEUED enclave gateway hands the
     blocked submitter's record to its worker and gets it back with the

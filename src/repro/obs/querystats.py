@@ -7,21 +7,21 @@ equivalent — and the measurement substrate the paper's claims are checked
 against: ecalls per query (Section 4.6), pages touched per index seek over
 ciphertext (Section 3.1.2), and driver cache effectiveness (Section 4.1).
 
-The server opens a :class:`~repro.obs.metrics.StatementRecord` on the
-executing thread for the duration of the statement: every counter
-increment made by that thread (and by the enclave-gateway worker acting on
-its behalf, which adopts the record) lands in the record, and
-:meth:`QueryStats.from_record` is one pass over it once the statement has
-settled. Concurrent statements therefore read back exactly their own
-counts instead of folding into each other's deltas — the fix the threaded
-regression test in ``tests/obs/test_querystats_concurrent.py`` pins down.
+A statement's counts come from the :class:`~repro.obs.metrics.StatementRecord`
+open on the executing thread while it runs: every counter increment made
+by that thread (and by the enclave-gateway worker acting on its behalf,
+which adopts the record) lands in the record. Concurrent statements
+therefore read back exactly their own counts instead of folding into each
+other's deltas — the fix the threaded regression test in
+``tests/obs/test_querystats_concurrent.py`` pins down. The result keeps
+the counts as counted; :meth:`QueryStats.from_counts` is one pass over
+them, made when someone first reads ``QueryResult.stats``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import StatementRecord
 from repro.obs.tracing import ECALL, Span
 
 # Counter names diffed into QueryStats. Keys are QueryStats field names.
@@ -124,13 +124,25 @@ class QueryStats:
         return self.root_span.count(ECALL)
 
     @classmethod
-    def from_record(cls, record: StatementRecord, **facts) -> "QueryStats":
-        """The stats of the statement ``record`` counted: ``facts`` (text,
-        plan, elapsed time, rows, span tree) plus one pass over its counts."""
-        counts = record.counts
+    def from_counts(
+        cls, counts: dict, base: dict | None = None, driver_counts: dict | None = None, **facts
+    ) -> "QueryStats":
+        """The stats of one statement: ``facts`` (text, plan, elapsed time,
+        rows, span tree), one pass over its record's ``counts`` less
+        ``base`` (their copy at its start, when the record was the driver's)
+        and the driver fields of ``driver_counts``."""
+        if base:
+            counts = {
+                counter: amount - base.get(counter, 0)
+                for counter, amount in counts.items()
+                if amount != base.get(counter, 0)
+            }
         for counter, amount in counts.items():
             if counter.name in _SERVER_FIELD_OF:
                 facts[_SERVER_FIELD_OF[counter.name]] = amount
+        for counter, amount in (driver_counts or {}).items():
+            if counter.name in _DRIVER_FIELD_OF:
+                facts[_DRIVER_FIELD_OF[counter.name]] = amount
         stats = cls(**facts)
         if stats.latch_waits:
             stats.latch_level_waits = {
@@ -140,13 +152,6 @@ class QueryStats:
             }
         return stats
 
-    def add_driver_counts(self, record: StatementRecord) -> None:
-        """The driver-side half, from the record around ``execute()`` — the
-        parent of the server's, so it includes it and settles last."""
-        for counter, amount in record.counts.items():
-            if counter.name in _DRIVER_FIELD_OF:
-                setattr(self, _DRIVER_FIELD_OF[counter.name], amount)
-
     def latch_levels(self):
         """``(counter name, waits, seconds)`` per contended hierarchy level."""
         levels = self.latch_level_waits
@@ -155,18 +160,6 @@ class QueryStats:
                 yield name, levels[name], levels.get(
                     name.replace("_waits", "_wait_seconds"), 0.0
                 )
-
-    def as_dict(self) -> dict:
-        out = {
-            "query_text": self.query_text,
-            "plan_info": self.plan_info,
-            "elapsed_s": self.elapsed_s,
-            "rows_returned": self.rows_returned,
-            "pages_read": self.pages_read,
-        }
-        for attr in (*_SERVER_DELTA_FIELDS, *_DRIVER_DELTA_FIELDS):
-            out[attr] = getattr(self, attr)
-        return out
 
 
 def format_explain_stats(stats: QueryStats) -> str:

@@ -53,7 +53,7 @@ from repro.sqlengine.index.comparators import (
 from repro.sqlengine.storage.bufferpool import BufferPool
 from repro.sqlengine.storage.disk import Disk
 from repro.sqlengine.storage.heap import HeapFile, RowId
-from repro.sqlengine.storage.record import deserialize_row, serialize_row
+from repro.sqlengine.storage.record import RowCodec, deserialize_row, serialize_row
 from repro.sqlengine.storage.wal import LogOp, LogRecord, WriteAheadLog
 from repro.sqlengine.txn.locks import LockManager, LockMode
 from repro.sqlengine.txn.transaction import (
@@ -113,6 +113,8 @@ class TableObject:
     schema: TableSchema
     heap: HeapFile
     indexes: dict[str, IndexObject] = field(default_factory=dict)
+    #: ``(schema version, RowCodec)``: rebuilt when the version moves.
+    codec: tuple[int, RowCodec | None] = (-1, None)
 
 
 @dataclass
@@ -399,9 +401,8 @@ class StorageEngine:
 
     def insert(self, txn: Transaction, table_name: str, row: tuple) -> RowId:
         table = self.table(table_name)
-        self._validate_row(table, row)
+        record = self._encode_row(table, row)
         self._ensure_begin_logged(txn)
-        record = serialize_row(row)
         rid = table.heap.insert(record, row)
         try:
             # The heap can hand out a reused slot whose rid another
@@ -453,11 +454,10 @@ class StorageEngine:
 
     def update(self, txn: Transaction, table_name: str, rid: RowId, new_row: tuple) -> None:
         table = self.table(table_name)
-        self._validate_row(table, new_row)
+        record = self._encode_row(table, new_row)
         self.locks.acquire(txn.txn_id, ("row", table_name.lower(), rid), LockMode.EXCLUSIVE)
         self._ensure_begin_logged(txn)
         old_row = table.heap.read(rid)
-        record = serialize_row(new_row)
         moves = self._moved_keys(table, old_row, new_row)
         self._index_rekey(table, rid, moves)
         try:
@@ -524,6 +524,20 @@ class StorageEngine:
     def scan(self, table_name: str) -> Iterator[tuple[RowId, tuple]]:
         return self.table(table_name).heap.scan()
 
+    def _encode_row(self, table: TableObject, row: tuple) -> bytes:
+        """``row``'s record, checked against the schema by the table's codec
+        in the same pass, or by the full check for a row it does not cover."""
+        version, codec = table.codec
+        if version != self.catalog.schema_version:
+            version = self.catalog.schema_version   # read before the schema, as _plan does
+            codec = RowCodec(table.schema.columns)
+            table.codec = (version, codec)
+        record = codec.encode(row)
+        if record is None:
+            self._validate_row(table, row)
+            record = serialize_row(row)
+        return record
+
     def _validate_row(self, table: TableObject, row: tuple) -> None:
         if len(row) != table.schema.arity:
             raise SqlError(
@@ -542,11 +556,12 @@ class StorageEngine:
                     # During an online *initial encryption* the column's
                     # metadata flips to encrypted at ROTATE_BEGIN while old
                     # rows are still plaintext; the sweep converts them.
-                    # Only that declared window tolerates a mixed cell.
+                    # Only that declared window tolerates plaintext its type takes.
                     rotation = self.catalog.column_rotation(
                         table.schema.name, column.name
                     )
                     if rotation is not None and rotation.kind == "encrypt":
+                        column.column_type.sql_type.validate(cell)
                         continue
                     raise SqlError(
                         f"column {column.name!r} is encrypted; the engine only "

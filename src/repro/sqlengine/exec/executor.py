@@ -53,9 +53,22 @@ class QueryResult:
     rows: list[tuple] = field(default_factory=list)
     rowcount: int = 0
     plan_info: str = ""
-    # Per-statement telemetry, attached by the server session (None for
-    # DDL/transaction-control statements and when telemetry is disabled).
-    stats: "QueryStats | None" = None
+    # Per-statement telemetry as counted (see QueryStats.from_counts): the
+    # server session's ``(counts, base, facts)`` — None for DDL, transaction
+    # control and off the wire — and the driver's record's counts.
+    counted: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    driver_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def stats(self) -> QueryStats | None:
+        """The statement's :class:`QueryStats`, built on first read."""
+        if self.counted is None:
+            return None
+        counts, base, facts = self.counted
+        return QueryStats.from_counts(
+            counts, base, self.driver_counts,
+            plan_info=self.plan_info, rows_returned=self.rowcount, **facts,
+        )
 
 
 class Executor:

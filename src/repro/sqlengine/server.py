@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.attestation.hgs import HostGuardianService
 from repro.attestation.protocol import AttestationInfo, server_attest
 from repro.attestation.tpm import HostMachine
-from repro.crypto.aead import ALGORITHM_NAME, EncryptionScheme
+from repro.crypto.aead import EncryptionScheme
 from repro.enclave import CallMode, Enclave, EnclaveCallGateway, SealedPackage
 from repro.errors import (
     BindError,
@@ -43,7 +43,6 @@ from repro.errors import (
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.obs.flightrec import record_event
 from repro.obs.metrics import StatsView, get_registry
-from repro.obs.querystats import QueryStats
 from repro.obs.tracing import STATEMENT, TraceContext, get_tracer
 from repro.keys.cmk import ColumnMasterKey
 from repro.sqlengine.catalog import Catalog, ColumnSchema, IndexSchema, TableSchema
@@ -188,6 +187,7 @@ class SqlServer:
         self._plan_cache_hits = self.stats.handle("plan_cache_hits")
         self._statements_executed = self.stats.handle("statements_executed")
         self._tracer = get_tracer()
+        self._registry = get_registry()
         self._session_ids = itertools.count(1)
         # Process-wide statement ids: unique across sessions, so traces
         # and flight-recorder events never collide between clients.
@@ -204,7 +204,7 @@ class SqlServer:
         self._rotation_jobs: dict[str, KeyLifecycleJob] = {}
         self._rotation_ids = itertools.count(1)
         self._rotation_lock = threading.Lock()
-        self._sessions_gauge = get_registry().gauge(
+        self._sessions_gauge = self._registry.gauge(
             "server.sessions_open", help="client sessions currently connected"
         )
 
@@ -623,12 +623,18 @@ class ServerSession:
         server = self.server
         statement_id = next(server._statement_ids)
         started = time.perf_counter()
-        registry = get_registry()
+        registry = server._registry
+        trace = TraceContext(statement_id, statement_id, self.session_id)
         # This thread's record of the statement: everything it counts and
-        # emits lands here lock-free and settles once, in the finally.
-        record = registry.open_record(
-            TraceContext(statement_id, statement_id, self.session_id)
-        )
+        # emits lands here lock-free and settles once. In-process, that is
+        # the driver's (no trace identity), stamped for the statement and
+        # read less its counts at the start; otherwise, the statement's own.
+        record = registry.thread.record
+        base = record.counts.copy() if record is not None and record.trace is None else None
+        if base is None:
+            record = registry.open_record(trace)
+        else:
+            record.trace = trace
         query = query_text[:120]
         record_event("stmt.begin", query=query)
         outcome: dict[str, object] = {"ok": False}
@@ -668,18 +674,15 @@ class ServerSession:
             # before a failure reach the ring with it.
             elapsed_s = time.perf_counter() - started
             record_event("stmt.end", elapsed_s=elapsed_s, query=query, **outcome)
-            registry.settle(record)
-        result.stats = QueryStats.from_record(
-            record,
-            query_text=query_text,
-            plan_info=result.plan_info,
-            elapsed_s=elapsed_s,
-            rows_returned=result.rowcount,
-            # The shared null span of a site nobody asked to time has no end.
-            root_span=root_span if root_span.end_s is not None else None,
-            statement_id=statement_id,
-            session_id=self.session_id,
-        )
+            if base is None:
+                registry.settle(record)
+            else:
+                record.trace = None
+        # The shared null span of a site nobody asked to time has no end.
+        facts = dict(query_text=query_text, elapsed_s=elapsed_s, statement_id=statement_id,
+                     session_id=self.session_id,
+                     root_span=root_span if root_span.end_s is not None else None)
+        result.counted = (record.counts if base is None else record.counts.copy(), base, facts)
         return result
 
     # -- DDL ---------------------------------------------------------------------------
@@ -869,6 +872,3 @@ class ServerSession:
         return enclave.recrypt_for_ddl(
             query_text, old_enc.cek_name, new_enc.cek_name, cell, new_enc.scheme
         )
-
-
-ALGORITHM = ALGORITHM_NAME

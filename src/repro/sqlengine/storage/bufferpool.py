@@ -124,12 +124,18 @@ class BufferPool:
             self._put(page)
             return page
 
+    def resident(self, page_id: int) -> Page | None:
+        """The cached page, counted as a hit, or None; the caller holds :attr:`latch`."""
+        page = self._pages.get(page_id)
+        if page is not None:
+            self._pages.move_to_end(page_id)
+            self._hits.inc()
+        return page
+
     def get(self, page_id: int) -> Page:
         with self._latch:
-            page = self._pages.get(page_id)
+            page = self.resident(page_id)
             if page is not None:
-                self._pages.move_to_end(page_id)
-                self._hits.inc()
                 return page
             self.stats.inc("misses")
             page = Page.from_bytes(self._disk.read_page(page_id))
@@ -178,7 +184,3 @@ class BufferPool:
         with self._latch:
             self._pages.clear()
             self._cached_gauge.set(0)
-
-    def cached_page_ids(self) -> list[int]:
-        with self._latch:
-            return list(self._pages)

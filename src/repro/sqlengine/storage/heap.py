@@ -16,6 +16,7 @@ from typing import Iterator
 from repro.errors import SqlError
 from repro.obs.latchprof import TimedLatch
 from repro.sqlengine.storage.bufferpool import BufferPool
+from repro.sqlengine.storage.page import Page
 
 
 @dataclass(frozen=True, order=True)
@@ -53,11 +54,15 @@ class HeapFile:
 
     # -- row operations -------------------------------------------------------
 
+    def _page(self, page_id: int) -> Page:
+        """The page, for a caller holding the pool latch (a hit takes no more)."""
+        return self._pool.resident(page_id) or self._pool.get(page_id)
+
     def insert(self, record: bytes, row: tuple | None = None) -> RowId:
         """``row``, here and in :meth:`update`, is the tuple ``record`` encodes."""
         with self._latch, self._pool.latch:
             for page_id in reversed(self._page_ids):
-                page = self._pool.get(page_id)
+                page = self._page(page_id)
                 if page.can_fit(record):
                     return RowId(page_id, page.insert(record, row))
             page = self._pool.allocate_page()
@@ -77,25 +82,26 @@ class HeapFile:
         with self._latch, self._pool.latch:
             if rid.page_id not in self._page_ids:
                 raise SqlError(f"{rid} does not belong to table {self.table_name!r}")
-            return self._pool.get(rid.page_id).row(rid.slot)
+            return self._page(rid.page_id).row(rid.slot)
 
     def read_or_none(self, rid: RowId) -> tuple | None:
         with self._latch, self._pool.latch:
             if rid.page_id not in self._page_ids:
                 return None
             # get_or_create: recovery may probe pages that never hit the disk.
-            return self._pool.get_or_create(rid.page_id).row_or_none(rid.slot)
+            page = self._pool.resident(rid.page_id) or self._pool.get_or_create(rid.page_id)
+            return page.row_or_none(rid.slot)
 
     def update(self, rid: RowId, record: bytes, row: tuple | None = None) -> bytes | None:
         """Overwrite the record at ``rid``; returns the one it replaced
         (None for an empty slot)."""
         with self._latch, self._pool.latch:
-            return self._pool.get(rid.page_id).update(rid.slot, record, row)
+            return self._page(rid.page_id).update(rid.slot, record, row)
 
     def delete(self, rid: RowId) -> bytes | None:
         """Remove the record at ``rid``; returns it (None for an empty slot)."""
         with self._latch, self._pool.latch:
-            return self._pool.get(rid.page_id).delete(rid.slot)
+            return self._page(rid.page_id).delete(rid.slot)
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Yield every live row with its rid.
@@ -108,8 +114,7 @@ class HeapFile:
             page_ids = list(self._page_ids)
         for page_id in page_ids:
             with self._latch, self._pool.latch:
-                page = self._pool.get(page_id)
-                rows = [(RowId(page_id, slot), row) for slot, row in page.rows()]
+                rows = [(RowId(page_id, slot), row) for slot, row in self._page(page_id).rows()]
             yield from rows
 
     def row_count(self) -> int:

@@ -4,7 +4,8 @@ A stored row is a sequence of cells, each either NULL, a plaintext scalar,
 or an opaque ciphertext envelope. The record format tags each cell so the
 engine can move rows without consulting the schema — which is also what
 makes the strong adversary's view of disk pages realistic: ciphertext
-cells appear as opaque blobs, plaintext cells are readable.
+cells appear as opaque blobs, plaintext cells are readable. The engine
+writes through a :class:`RowCodec`, which checks a row as it encodes it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ _CELL_CIPHER = 2
 
 #: The exact cell types decoding produces.
 _DECODED_TYPES = frozenset({type(None), bool, int, float, str, bytes, Ciphertext})
-
 
 def serialize_row(row: tuple) -> bytes:
     """Serialize a row of cell values to bytes."""
@@ -74,3 +74,56 @@ def deserialize_row(data: bytes) -> tuple:
     except struct.error as exc:
         raise SqlError(f"malformed stored record: {exc}") from exc
     return tuple(cells)
+
+
+_LENGTH = struct.Struct(">I").pack
+_INT64 = struct.Struct(">q").pack   # struct.error outside 64 bits, where serialize_value refuses
+_DOUBLE = struct.Struct(">d").pack
+# What serialize_row writes before the value bytes of a cell.
+_NULL, _CIPHER, _PLAIN = bytes([_CELL_NULL]), bytes([_CELL_CIPHER]), bytes([_CELL_PLAIN])
+_INT_HEAD, _FLOAT_HEAD = serialize_row((0,))[2:-8], serialize_row((0.0,))[2:-8]
+_STR_TAG = serialize_value("")
+
+
+def _column_encoders(column) -> dict:
+    """The exact cell types ``column`` takes, each to its cell encoder."""
+    base, length = column.column_type.sql_type.base, column.column_type.sql_type.length
+    encoders: dict = {type(None): lambda cell: _NULL} if column.nullable else {}
+    if column.is_encrypted:
+        encoders[Ciphertext] = lambda cell: _CIPHER + _LENGTH(len(cell.envelope)) + cell.envelope
+    elif base in ("INT", "BIGINT", "FLOAT"):
+        encoders[int] = lambda cell: _INT_HEAD + _INT64(cell)
+        if base == "FLOAT":
+            encoders[float] = lambda cell: _FLOAT_HEAD + _DOUBLE(cell)
+    elif base in ("VARCHAR", "CHAR"):
+
+        def string(cell: str) -> bytes:
+            if length is not None and len(cell) > length:
+                raise ValueError("over the column's length")
+            blob = _STR_TAG + cell.encode("utf-8")
+            return _PLAIN + _LENGTH(len(blob)) + blob
+
+        encoders[str] = string
+    return encoders
+
+
+class RowCodec:
+    """Checks and encodes rows of one schema in one pass: ``encode(row)`` is
+    ``serialize_row(row)`` for a row the engine's full check accepts. It
+    covers ``int`` (INT, BIGINT, FLOAT; 64 bits), ``float`` (FLOAT), ``str``
+    within the length (VARCHAR, CHAR), ``Ciphertext`` (encrypted) and
+    ``None`` (nullable); for any other cell or arity it returns None, and
+    the full check runs: every error and the initial-encryption window."""
+
+    def __init__(self, columns) -> None:
+        self._head = struct.pack(">H", len(columns))
+        self._columns = [_column_encoders(column) for column in columns]
+
+    def encode(self, row: tuple) -> bytes | None:
+        if len(row) != len(self._columns):
+            return None
+        try:
+            cells = [encoders[type(cell)](cell) for encoders, cell in zip(self._columns, row)]
+        except (KeyError, ValueError, struct.error):   # UnicodeEncodeError is a ValueError
+            return None
+        return self._head + b"".join(cells)

@@ -239,6 +239,35 @@ class TestInitialEncryptionOnline:
         rows = stack.conn.execute("SELECT id, tag FROM T").rows
         assert sorted(rows) == [(i, f"t{i}") for i in range(25)]
 
+    def test_plaintext_written_mid_window_still_gets_its_type_check(
+        self, rotation_stack_factory
+    ):
+        """A writer whose cached describe still says plaintext is tolerated
+        inside the window only with a cell the column's type accepts: an
+        oversized string gets the refusal it gets outside the window."""
+        stack = rotation_stack_factory()
+        make_table(stack.conn, rows=12)
+        update = "UPDATE T SET tag = @t WHERE id = @id"
+        stale = stack.fresh_conn()
+        with pytest.raises(SqlError, match=r"string of length 40 exceeds VARCHAR\(16\)"):
+            stale.execute(update, {"t": "x" * 40, "id": 1})   # before: refused
+        rid = encrypt_column_online(
+            stack.conn, "T", "tag", "RotThirdCEK",
+            scheme=EncryptionScheme.RANDOMIZED, batch_size=4, run=False,
+        )
+        stack.server.rotate_step(rid)
+        for row_id in (1, 10):                       # one swept row, one not yet
+            with pytest.raises(SqlError, match=r"string of length 40 exceeds VARCHAR\(16\)"):
+                stale.execute(update, {"t": "x" * 40, "id": row_id})
+            stale.execute(update, {"t": f"fits{row_id}", "id": row_id})
+        assert cell_key_census(stack, "T", "tag")["<plaintext>"] > 0
+
+        stack.server.rotate_run(rid)
+        census = cell_key_census(stack, "T", "tag")
+        assert census["<plaintext>"] == 0 and census.get("RotThirdCEK") == 12
+        rows = dict(stack.conn.execute("SELECT id, tag FROM T").rows)
+        assert rows[1] == "fits1" and rows[10] == "fits10" and rows[2] == "t2"
+
     def test_initial_encryption_requires_plaintext_column(
         self, rotation_stack_factory
     ):

@@ -339,7 +339,7 @@ def test_latch_waits_reach_the_waiting_statements_stats_per_level():
     finally:
         registry.settle(record)
         profiler.reset()
-    stats = QueryStats.from_record(record, query_text="q")
+    stats = QueryStats.from_counts(record.counts, query_text="q")
     assert stats.latch_waits == 2
     assert stats.latch_wait_seconds == pytest.approx(0.003)
     assert stats.latch_level_waits == {

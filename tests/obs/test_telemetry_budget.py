@@ -8,6 +8,9 @@ and ``time.perf_counter`` is counted inside the ``repro.obs`` modules.
 * a warm plaintext point SELECT through ``Connection.execute`` takes at
   most three telemetry locks — the counter settle, the ring append, the
   leakage ledger — and reads the clock for no span;
+* the same statement is one statement record (the driver's, which the
+  server statement runs in), builds its ``QueryStats`` only when ``.stats``
+  is read, and takes the buffer-pool latch once per heap read;
 * the same statement through ``explain_analyze`` gets its full tree;
 * a QUEUED-gateway statement takes no telemetry lock on the worker thread;
 * and settling once never changes the leakage ledger: it is a security
@@ -36,11 +39,13 @@ from repro.obs.flightrec import get_recorder
 from repro.obs.latchprof import get_latch_profiler
 from repro.obs.leakage import get_leakage_accountant
 from repro.obs.metrics import get_registry
+from repro.obs.querystats import QueryStats
 from repro.obs.transition_cost import get_transition_cost_model
 from repro.sqlengine.expression.vm import StackMachine
 from repro.sqlengine.index.comparators import CompositeComparator
 from repro.sqlengine.server import SqlServer
 from repro.sqlengine.storage import page as page_module
+from repro.sqlengine.storage.heap import HeapFile
 from repro.sqlengine.storage.record import deserialize_row
 from repro.workloads.tpcc import TRANSACTION_MIX, EncryptionMode, TpccConfig, build_system
 from tests.conftest import make_encrypted_table
@@ -146,6 +151,73 @@ def test_the_same_statement_asked_through_explain_gets_its_tree(
     before = clocks["repro.obs.tracing"].reads
     assert plain_connection.execute(POINT_SELECT, {"id": 3}).stats.root_span is None
     assert clocks["repro.obs.tracing"].reads == before
+
+
+def test_plain_point_select_is_one_record_and_builds_its_stats_when_read(
+    plain_connection, monkeypatch
+):
+    """The driver's record is the server statement's too: one open, one
+    settle. The result keeps the counts; the ``QueryStats`` is built on the
+    first read of ``.stats`` and never again."""
+    registry = get_registry()
+    calls: list[str] = []
+    for name in ("open_record", "settle"):
+        real = getattr(registry, name)
+        monkeypatch.setattr(
+            registry, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
+        )
+    with mock.patch.object(
+        QueryStats, "__init__", autospec=True, side_effect=QueryStats.__init__
+    ) as built:
+        result = plain_connection.execute(POINT_SELECT, {"id": 3})
+        assert calls == ["open_record", "settle"]
+        assert built.call_count == 0
+        stats = result.stats
+        assert result.stats is stats and built.call_count == 1
+    assert stats.rows_returned == 1 and stats.plan_cache_hits == 1
+    assert stats.statement_id > 0 and stats.session_id == plain_connection.session.session_id
+
+
+def test_plain_point_select_takes_the_pool_latch_once_per_heap_read(
+    plain_connection, monkeypatch
+):
+    pool = plain_connection.server.engine.pool
+    log: list[tuple[str, str]] = []
+    monkeypatch.setattr(pool, "_latch", CountingLock(pool._latch, "pool", log))
+    heap_reads: list[str] = []
+    for name in ("read", "read_or_none"):
+        real = getattr(HeapFile, name)
+        monkeypatch.setattr(
+            HeapFile, name,
+            lambda heap, rid, _n=name, _f=real: heap_reads.append(_n) or _f(heap, rid),
+        )
+    hits = pool.hits
+    assert plain_connection.execute(POINT_SELECT, {"id": 3}).rows == [(9,)]
+    assert len(heap_reads) == 1
+    assert len(log) == len(heap_reads)
+    assert pool.hits == hits + 1
+
+
+def test_describe_per_execute_books_its_plan_cache_hit_to_the_driver_not_the_statement(
+    ae_connection, registry, attestation_policy
+):
+    """The describe runs inside the driver's record before the statement
+    does, and counts a plan-cache hit of its own: the statement's fields are
+    what the statement added."""
+    make_encrypted_table(ae_connection)
+    ae_connection.execute("INSERT INTO T (id, value) VALUES (@id, @v)", {"id": 1, "v": 10})
+    conn = connect(
+        ae_connection.server, registry, attestation_policy=attestation_policy,
+        cache_describe_results=False,
+    )
+    seek = "SELECT id FROM T WHERE value = @v"
+    conn.execute(seek, {"v": 10})                # warm: plan, attestation, CEKs
+    plan_hits = get_registry().counter("server.plan_cache_hits")
+    before = plan_hits.value
+    stats = conn.execute(seek, {"v": 10}).stats
+    assert plan_hits.value == before + 2         # the describe's and the statement's
+    assert stats.plan_cache_hits == 1
+    assert stats.describe_roundtrips == 1
 
 
 def test_queued_gateway_statement_takes_no_telemetry_lock_on_the_worker(

@@ -1,12 +1,15 @@
 """Storage engine: DML, index maintenance, transactions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.aead import CellCipher, EncryptionScheme
 from repro.errors import ConstraintError, SqlError
 from repro.sqlengine.catalog import Catalog, ColumnSchema, IndexSchema, TableSchema, plain_column
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import StorageEngine
+from repro.sqlengine.storage.record import serialize_row
 from repro.sqlengine.types import ColumnType, SqlType
 from repro.sqlengine.values import serialize_value
 
@@ -364,17 +367,22 @@ class TestUpdateTouchesOnlyMovedIndexes:
         assert eng.verify_index_consistency() == []
 
     def test_new_image_is_encoded_before_any_index_moves(self, two, tree_calls, monkeypatch):
-        from repro.sqlengine import engine as engine_module
+        from repro.sqlengine.storage.record import RowCodec
 
         eng, rids = two
         before = self.snapshot(eng)
+        txn = eng.begin()
+        # An INT the type check accepts and no record can hold: the codec
+        # leaves it to the full check, whose encoding refuses it.
+        with pytest.raises(SqlError, match="out of 64-bit range"):
+            eng.update(txn, "t", rids[7], (7, 2**64, "a"))
+        assert tree_calls == [] and self.snapshot(eng) == before
 
-        def refuse(row):
+        def refuse(codec, row):
             raise SqlError("cannot encode")
 
-        txn = eng.begin()
-        with monkeypatch.context() as patch, pytest.raises(SqlError):
-            patch.setattr(engine_module, "serialize_row", refuse)
+        with monkeypatch.context() as patch, pytest.raises(SqlError, match="cannot encode"):
+            patch.setattr(RowCodec, "encode", refuse)
             eng.update(txn, "t", rids[7], (7, 9007, "a"))
         assert tree_calls == [] and self.snapshot(eng) == before
         eng.abort(txn)
@@ -397,3 +405,156 @@ class TestUpdateTouchesOnlyMovedIndexes:
         assert self.snapshot(eng) == before
         eng.commit(txn)
         assert eng.verify_index_consistency() == []
+
+
+# -- the row codec is the full check, in one pass --------------------------------
+
+_BASES = ("INT", "BIGINT", "FLOAT", "VARCHAR", "CHAR", "VARBINARY", "BIT")
+_SCHEMES = (None, EncryptionScheme.DETERMINISTIC, EncryptionScheme.RANDOMIZED)
+_STRING_LENGTH = 8
+_KINDS = [
+    (base, nullable, scheme)
+    for base in _BASES for nullable in (False, True) for scheme in _SCHEMES
+]
+
+#: Every cell form a write can carry, at and past each type's edges.
+EDGE_CELLS = [
+    None, True, False, 0, 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+    1.5, float("nan"), -0.0, float("inf"),
+    "", "x" * _STRING_LENGTH, "é" * (_STRING_LENGTH + 1), "\ud800",   # \ud800: no UTF-8
+    b"", b"x" * _STRING_LENGTH, b"x" * (_STRING_LENGTH + 1),
+    bytearray(b"ab"), bytearray(b"x" * (_STRING_LENGTH + 1)),
+    Ciphertext(b""), Ciphertext(bytes(range(40))),
+]
+_EDGE_INTS = st.sampled_from([0, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
+
+
+def _fitting(base: str, scheme):
+    """Cells a column of ``base`` accepts (its ciphertext when encrypted)."""
+    if scheme is not None:
+        return st.binary(max_size=40).map(Ciphertext) | st.none()
+    return st.none() | {
+        "INT": st.integers(-(2**63), 2**63 - 1),
+        "BIGINT": st.integers(-(2**63), 2**63 - 1),
+        "FLOAT": st.floats() | st.integers(-(2**63), 2**63 - 1),
+        "VARCHAR": st.text(max_size=_STRING_LENGTH),
+        "CHAR": st.text(max_size=_STRING_LENGTH),
+        "VARBINARY": st.binary(max_size=_STRING_LENGTH),
+        "BIT": st.booleans(),
+    }[base]
+
+
+_ANY_CELL = st.sampled_from(EDGE_CELLS) | _EDGE_INTS | st.floats() | st.text(
+    min_size=_STRING_LENGTH - 1, max_size=_STRING_LENGTH + 1
+)
+
+
+def _codec_engine(kinds, window: bool):
+    """An engine with table ``c`` of one column per ``(base, nullable,
+    scheme)``; with ``window``, each encrypted column is inside an online
+    initial encryption."""
+    from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
+    from repro.keys.cmk import ColumnMasterKey
+    from repro.sqlengine.catalog import ColumnRotationState
+    from repro.sqlengine.types import EncryptionInfo
+
+    catalog = Catalog()
+    catalog.create_cmk(ColumnMasterKey("CMK", "AZURE_KEY_VAULT_PROVIDER", "https://vault/k", True, b"\x01"))
+    catalog.create_cek(
+        ColumnEncryptionKey("CEK", [CekEncryptedValue("CMK", "RSA_OAEP", b"\x02", b"\x03")])
+    )
+    schema = TableSchema(name="c", columns=[
+        ColumnSchema(
+            f"c{i}",
+            ColumnType(
+                SqlType(base, _STRING_LENGTH if base in ("VARCHAR", "CHAR", "VARBINARY") else None),
+                None if scheme is None else EncryptionInfo(scheme, "CEK", True),
+            ),
+            nullable=nullable,
+        )
+        for i, (base, nullable, scheme) in enumerate(kinds)
+    ])
+    eng = StorageEngine(catalog=catalog)
+    table = eng.create_table(schema)
+    if window:
+        for column in schema.columns:
+            if column.is_encrypted:
+                catalog.begin_column_rotation(ColumnRotationState(
+                    f"rot-{column.name}", "c", column.name, "", "CEK", kind="encrypt",
+                ))
+    return eng, table
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _covers(column: ColumnSchema, cell) -> bool:
+    """Whether a cell is one the codec checks and encodes itself."""
+    sql_type = column.column_type.sql_type
+    if cell is None:
+        return column.nullable
+    if column.is_encrypted:
+        return type(cell) is Ciphertext
+    if type(cell) is int:
+        return sql_type.base in ("INT", "BIGINT", "FLOAT") and -(2**63) <= cell < 2**63
+    if type(cell) is float:
+        return sql_type.base == "FLOAT"
+    return (
+        type(cell) is str and sql_type.base in ("VARCHAR", "CHAR")
+        and len(cell) <= sql_type.length and cell != "\ud800"
+    )
+
+
+def assert_codec_is_the_full_check(eng, table, row) -> None:
+    """The engine's encoding of ``row`` is the bytes ``serialize_row``
+    writes for a row ``_validate_row`` accepts, or the exception that check
+    raises (type and message); and the codec's own pass answers exactly the
+    rows whose cells it covers."""
+    from repro.sqlengine.storage.record import RowCodec
+
+    def full_check():
+        eng._validate_row(table, row)
+        return serialize_row(row)
+
+    expected = _outcome(full_check)
+    assert _outcome(lambda: eng._encode_row(table, row)) == expected, row
+    columns = table.schema.columns
+    covered = len(row) == len(columns) and all(map(_covers, columns, row))
+    encoded = RowCodec(columns).encode(row)
+    assert (encoded is not None) == covered, row
+    if covered:
+        assert encoded == expected, row
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["steady", "encrypt-window"])
+def test_the_row_codec_on_every_column_kind_and_edge_cell(window):
+    """All seven base types x nullable x plaintext/DET/RND, each against
+    every edge cell, one column at a time; then the wrong arities."""
+    for kind in _KINDS:
+        eng, table = _codec_engine([kind], window)
+        for cell in EDGE_CELLS:
+            assert_codec_is_the_full_check(eng, table, (cell,))
+        assert_codec_is_the_full_check(eng, table, ())
+        assert_codec_is_the_full_check(eng, table, (None, None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+       window=st.booleans(), data=st.data())
+def test_the_row_codec_writes_the_full_checks_bytes_or_its_refusal(kinds, window, data):
+    """Rows of several columns: the first misfit cell, wherever it sits,
+    decides. Half the cells fit their column, so one misfit meets a codec
+    that would otherwise have encoded the row."""
+    eng, table = _codec_engine(kinds, window)
+    row = tuple(
+        data.draw(st.sampled_from([_fitting(base, scheme)] * 2 + [_ANY_CELL]).flatmap(
+            lambda cells: cells
+        ))
+        for base, __, scheme in kinds
+    )
+    row = data.draw(st.sampled_from([row] * 4 + [row[:-1], row + (None,)]))   # wrong arities
+    assert_codec_is_the_full_check(eng, table, row)
