@@ -138,6 +138,9 @@ class Connection:
         )
         self._describe_cache: dict[str, DescribeResult] = {}
         self._attestation: AttestationSession | None = None
+        # The DH pair offered by describes until one attests: an attestation
+        # consumes it and a failed attempt drops it (``_describe``).
+        self._pending_dh: DiffieHellman | None = None
         # Guards the check-then-act on the describe cache and the
         # attestation session: two threads sharing a connection must not
         # negotiate two enclave sessions (the second would orphan the
@@ -422,23 +425,31 @@ class Connection:
             def describe_once() -> DescribeResult:
                 # Only offer a DH public key when this connection is configured
                 # for enclave attestation and no shared secret is cached yet.
-                # The DH key pair is fresh per attempt: a retried attestation
-                # always negotiates a new session.
-                needs_dh = self._attestation is None and self.attestation_policy is not None
-                client_dh = DiffieHellman() if needs_dh else None
-                fault_point("driver.describe_parameter_encryption", query=query_text)
-                describe = self.server.describe_parameter_encryption(
-                    query_text,
-                    client_dh_public=client_dh.public_key if client_dh is not None else None,
-                )
-                self.stats.inc("describe_roundtrips")
-                self._roundtrip_delay()
-                if describe.attestation is not None and self._attestation is None:
-                    secret = self._verify_attestation(describe, client_dh)
-                    self._attestation = AttestationSession(
-                        enclave_session_id=describe.attestation.session_id,
-                        shared_secret=secret,
+                # Describes that come back without an attestation reuse the
+                # pending pair (one 2048-bit pow, not one per describe); an
+                # attestation consumes it and a failed attempt drops it, so a
+                # retried attestation still negotiates with a never-used pair.
+                client_dh = None
+                if self._attestation is None and self.attestation_policy is not None:
+                    client_dh = self._pending_dh = self._pending_dh or DiffieHellman()
+                try:
+                    fault_point("driver.describe_parameter_encryption", query=query_text)
+                    describe = self.server.describe_parameter_encryption(
+                        query_text,
+                        client_dh_public=client_dh.public_key if client_dh is not None else None,
                     )
+                    self.stats.inc("describe_roundtrips")
+                    self._roundtrip_delay()
+                    if describe.attestation is not None and self._attestation is None:
+                        self._pending_dh = None
+                        secret = self._verify_attestation(describe, client_dh)
+                        self._attestation = AttestationSession(
+                            enclave_session_id=describe.attestation.session_id,
+                            shared_secret=secret,
+                        )
+                except BaseException:
+                    self._pending_dh = None
+                    raise
                 return describe
 
             describe = self._with_retries("describe", describe_once)
@@ -469,9 +480,10 @@ class Connection:
                 raise DriverError("no attestation policy configured")
 
             def attest_once() -> AttestationSession:
-                # Fresh DH pair per attempt: a retried attestation negotiates a
+                # Every attempt consumes its DH pair (the pending one, if a
+                # describe made it): a retried attestation negotiates a
                 # brand-new enclave session rather than resuming a half-built one.
-                client_dh = DiffieHellman()
+                client_dh, self._pending_dh = self._pending_dh or DiffieHellman(), None
                 info = self.server.attest(client_dh.public_key)
                 self.stats.inc("describe_roundtrips")
                 self._roundtrip_delay()

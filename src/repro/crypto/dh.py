@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import CryptoError
 
@@ -43,8 +44,9 @@ class DiffieHellman:
         if not self._private:
             self._private = secrets.randbits(256) | 1
 
-    @property
+    @cached_property
     def public_key(self) -> int:
+        """``generator ** private mod prime``: one 2048-bit ``pow`` per key pair."""
         return pow(self.generator, self._private, self.prime)
 
     def shared_secret(self, peer_public: int) -> bytes:

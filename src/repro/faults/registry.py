@@ -11,9 +11,9 @@ image being written, drop the channel message, force a crash.
 
 Design rules:
 
-* **Disarmed sites are near-free**: one dict lookup per ``fault_point``
-  call, no lock, no allocation — the instrumentation can stay in
-  production code permanently.
+* **Disarmed sites are near-free**: one truth test per ``fault_point``
+  while nothing is armed anywhere, one dict lookup while anything is, no
+  lock — the instrumentation can stay in production code permanently.
 * **Determinism**: schedules are counters or seeded RNGs; the same
   (workload seed, site, schedule) triple replays the same failure.
 * **Observability**: every fired fault increments the ``faults.injected``
@@ -172,8 +172,10 @@ def register_fault_site(name: str, description: str = "") -> FaultSite:
 def fault_point(name: str, **ctx) -> FaultDirective | None:
     """The instrumentation hook: evaluate armed faults at ``name``.
 
-    Disarmed cost is a single dict lookup. ``ctx`` keyword arguments are
-    passed to the action (e.g. ``image=...`` at ``disk.write_page`` so a
-    torn-write action can corrupt the exact bytes in flight).
+    Disarmed cost: one truth test while nothing is armed anywhere. ``ctx``
+    keyword arguments go to the action (e.g. ``image=...`` at
+    ``disk.write_page``, so a torn write corrupts the bytes in flight).
     """
+    if not _global_fault_registry._armed:
+        return None
     return _global_fault_registry.fire(name, **ctx)

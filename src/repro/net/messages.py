@@ -36,7 +36,8 @@ from repro.enclave import SealedPackage
 from repro.errors import RemoteError, ReproError, UnknownOpcodeError
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.keys.cmk import ColumnMasterKey
-from repro.net.encoding import decode_value, encode_value, register_enum, register_struct
+from repro.net.encoding import decode_value, encode_value, memoize_structs
+from repro.net.encoding import register_enum, register_struct
 from repro.net.frames import encode_frame
 from repro.net.opcodes import opcode_byte
 from repro.sqlengine.catalog import ColumnSchema, IndexSchema, TableSchema
@@ -83,6 +84,10 @@ for _cls in (
 # stats is a volatile server-side attachment (QueryStats holds live
 # references into the metrics registry) — it never crosses the wire.
 register_struct(QueryResult, ("columns", "rows", "rowcount", "plan_info"))
+
+# Immutable metadata, coded once per distinct value: never a shape holding
+# bytes, containers or mutable objects (Ciphertext, CekMetadata).
+memoize_structs(SqlType, EncryptionInfo, ColumnType, ResultColumn, ParameterDescription)
 
 
 # ------------------------------------------------------------------ messages

@@ -82,7 +82,8 @@ class FrameChannel:
         if isinstance(directive, DropMessageDirective):
             raise ConnectionResetError("injected: frame dropped on receive")
         while True:
-            decoded = try_decode(self._buffer)
+            # An empty buffer holds no frame: block on the socket, don't poll.
+            decoded = try_decode(self._buffer) if self._buffer else None
             if decoded is not None:
                 opcode, payload, consumed = decoded
                 with memoryview(self._buffer) as view:
