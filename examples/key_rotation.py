@@ -22,13 +22,7 @@ from repro.enclave import Enclave, EnclaveBinary
 from repro.keys import default_registry
 from repro.client import connect
 from repro.sqlengine import SqlServer
-from repro.tools import (
-    client_side_initial_encryption,
-    provision_cek,
-    provision_cmk,
-    rotate_cek_in_place,
-    rotate_cmk,
-)
+from repro.tools import client_side_initial_encryption, provision_cek, provision_cmk, rotate_cmk
 
 ALGO = "AEAD_AES_256_CBC_HMAC_SHA_256"
 
@@ -85,7 +79,12 @@ def main() -> None:
     # 3. CEK rotation: re-encrypt the column in place via the enclave.
     provision_cek(conn, vault, new_cmk, "CEK2")
     conn.cek_cache.invalidate("CEK1")  # force re-fetch through the new CMK
-    rotate_cek_in_place(conn, "PATIENT", "diagnosis", "varchar(40)", "CEK2")
+    conn.execute_ddl(
+        "ALTER TABLE PATIENT ALTER COLUMN diagnosis varchar(40) "
+        f"ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK2, "
+        f"ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}')",
+        authorize_enclave=True,
+    )
     r = conn.execute("SELECT pid FROM PATIENT WHERE diagnosis = @d", {"d": "arrhythmia"})
     assert r.rows == [(2,)]
     print("query after CEK rotation:", r.rows)

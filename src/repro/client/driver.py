@@ -249,111 +249,46 @@ class Connection:
         return format_explain_analyze(result.stats)
 
     def execute_ddl(self, query_text: str, authorize_enclave: bool = False) -> QueryResult:
-        """Run DDL; with ``authorize_enclave`` the driver signs the query
-        text so the enclave's Encrypt/Recrypt oracle accepts it (the secure
-        compilation check of Section 3.2).
+        """Run DDL. Like a query, it is described first, and the CEKs the
+        server names for the enclave are shipped there (a range index over
+        RND columns compares inside it, Section 3.1.2; an ALTER COLUMN
+        re-encrypts inside it, Section 3.2).
 
-        The CEKs referenced by the DDL must already be installed (the
-        driver ships them along with the authorization, like a query would)
-        — we ship every CEK the client can decrypt that appears in the
-        statement text, which is what the tooling does.
+        ``authorize_enclave`` adds the text's hash to the same package, so
+        the enclave's Encrypt/Recrypt oracle accepts this statement (the
+        secure compilation check of Section 3.2). It is the client's stated
+        intent to use that oracle: authorizing every DDL would let the host
+        use it under any CEK a ``CREATE INDEX`` names.
         """
-        needed_for_index = self._index_ddl_enclave_ceks(query_text)
-        if needed_for_index:
-            # Building a range index over RND columns runs enclave
-            # comparisons — the client must have supplied the keys, exactly
-            # as for a query (Section 3.1.2).
-            self.install_enclave_ceks(needed_for_index)
-        if authorize_enclave:
-            needed = [
-                cek.name
-                for cek in self.server.catalog.ceks()
-                if cek.name in query_text or self._column_cek_in(query_text, cek.name)
-            ]
-            self.authorize_enclave_query(query_text, needed)
+        if self.options.column_encryption:
+            describe = self._describe(query_text)
+            if describe.uses_enclave or authorize_enclave:
+                self._ensure_enclave_keys(describe, query_text if authorize_enclave else None)
         self.stats.inc("execute_roundtrips")
         self._roundtrip_delay()
-        result = self.session.execute(query_text)
-        # DDL can change encryption metadata (rotation, initial encryption);
-        # cached describe results and CEK material may now be stale.
-        self.invalidate_metadata_caches()
-        return result
+        try:
+            return self.session.execute(query_text)
+        finally:
+            # DDL can change encryption metadata (rotation, initial
+            # encryption); cached describe results may now be stale, and a
+            # DDL's own describe is never worth keeping.
+            self.invalidate_metadata_caches()
 
     def invalidate_metadata_caches(self) -> None:
         """Drop cached describe results (e.g. after DDL or key rotation)."""
         with self._state_lock:
             self._describe_cache.clear()
 
-    def install_enclave_ceks(self, cek_names: list[str]) -> None:
-        """Ship the named CEKs to the enclave over the secure channel."""
-        session = self._attest()
-        missing: list[tuple[str, bytes]] = []
-        for name in cek_names:
-            if name not in session.installed_ceks:
-                metadata = self.server.fetch_cek_metadata(name)
-                for cmk in metadata.cmks:
-                    if not cmk.allow_enclave_computations:
-                        raise SecurityViolation(
-                            f"CMK {cmk.name!r} does not allow enclave computations"
-                        )
-                missing.append((name, self._unwrap_cek(metadata)))
-        if not missing:
-            return
-        package = CekPackage(nonce=session.nonces.next(), ceks=tuple(missing))
-        self._send_package(session, package)
-        for name, __ in missing:
-            session.installed_ceks.add(name)
-
-    def authorize_enclave_query(self, query_text: str, cek_names: list[str]) -> None:
-        """Attest and authorize ``query_text`` for the enclave's DDL oracle.
-
-        Ships any not-yet-installed CEKs from ``cek_names`` together with
-        the query-text hash, exactly as :meth:`execute_ddl` would — but
-        without executing anything. The online key-lifecycle tooling uses
-        this: rotation batches run through admin verbs, not DDL execution,
-        yet the enclave still gates its Recrypt oracle on an authorized
-        query hash (Section 3.2).
+    def authorize_enclave_query(self, query_text: str) -> None:
+        """Authorize ``query_text`` for the enclave's Encrypt/Recrypt oracle
+        without executing it: describe it, then ship the CEKs the server
+        names together with the text's hash, exactly as :meth:`execute_ddl`
+        with ``authorize_enclave`` would. The online key-lifecycle tooling
+        uses this: rotation batches run through admin verbs, not DDL
+        execution, yet the enclave still gates its Recrypt oracle on an
+        authorized query hash (Section 3.2).
         """
-        digest = hashlib.sha256(query_text.encode("utf-8")).digest()
-        session = self._attest()
-        ceks: list[tuple[str, bytes]] = []
-        for name in cek_names:
-            if name not in session.installed_ceks:
-                metadata = self.server.fetch_cek_metadata(name)
-                ceks.append((name, self._unwrap_cek(metadata)))
-        package = CekPackage(
-            nonce=session.nonces.next(),
-            ceks=tuple(ceks),
-            authorized_query_hashes=(digest,),
-        )
-        self._send_package(session, package)
-        for name, __ in ceks:
-            session.installed_ceks.add(name)
-
-    def _index_ddl_enclave_ceks(self, query_text: str) -> list[str]:
-        """CEKs an index-creation DDL would need inside the enclave."""
-        try:
-            from repro.crypto.aead import EncryptionScheme
-            from repro.sqlengine.sqlparser import parse
-            from repro.sqlengine.sqlparser import ast as _ast
-
-            stmt = parse(query_text)
-            if not isinstance(stmt, _ast.CreateIndexStmt):
-                return []
-            table = self.server.catalog.table(stmt.table)
-            needed: list[str] = []
-            for column_name in stmt.columns:
-                enc = table.column(column_name).column_type.encryption
-                if (
-                    enc is not None
-                    and enc.scheme is EncryptionScheme.RANDOMIZED
-                    and enc.enclave_enabled
-                    and enc.cek_name not in needed
-                ):
-                    needed.append(enc.cek_name)
-            return needed
-        except Exception:
-            return []
+        self._ensure_enclave_keys(self._describe(query_text), query_text)
 
     # ----------------------------------------------------------------- internals
 
@@ -559,7 +494,11 @@ class Connection:
             f"could not unwrap CEK {metadata.cek.name!r} under any CMK: {'; '.join(errors)}"
         )
 
-    def _ensure_enclave_keys(self, describe: DescribeResult) -> None:
+    def _ensure_enclave_keys(
+        self, describe: DescribeResult, authorized_text: str | None = None
+    ) -> None:
+        """Ship the enclave CEKs ``describe`` names that the enclave lacks,
+        and the hash of ``authorized_text`` if given, in one sealed package."""
         session = self._attestation or self._attest()
         missing: list[tuple[str, bytes]] = []
         for metadata in describe.enclave_ceks:
@@ -575,9 +514,14 @@ class Connection:
                     )
             if metadata.cek.name not in session.installed_ceks:
                 missing.append((metadata.cek.name, self._cek(metadata.cek.name, describe).material))
-        if not missing:
+        hashes = ()
+        if authorized_text is not None:
+            hashes = (hashlib.sha256(authorized_text.encode("utf-8")).digest(),)
+        if not missing and not hashes:
             return
-        package = CekPackage(nonce=session.nonces.next(), ceks=tuple(missing))
+        package = CekPackage(
+            nonce=session.nonces.next(), ceks=tuple(missing), authorized_query_hashes=hashes
+        )
         self._send_package(session, package)
         for name, __ in missing:
             session.installed_ceks.add(name)
@@ -641,14 +585,10 @@ class Connection:
         Covers both directions of the mixed-version window: a fresh
         describe (column already flipped to the new CEK) reading unswept
         old-key rows, and a stale describe (old CEK) reading rows the
-        sweep already converted. Servers without the rotation surface
-        (older wire peers) simply yield no partners.
+        sweep already converted.
         """
         partners: dict[str, str | None] = {}
-        states_fn = getattr(self.server, "rotation_states", None)
-        if states_fn is None:
-            return partners
-        for state in states_fn():
+        for state in self.server.rotation_states():
             if not state.active:
                 continue
             if state.old_cek:
@@ -661,25 +601,6 @@ class Connection:
     @staticmethod
     def _encrypting_live(cek_name: str, partners: dict[str, str | None]) -> bool:
         return cek_name in partners and partners[cek_name] is None
-
-    def _column_cek_in(self, query_text: str, cek_name: str) -> bool:
-        """Does this DDL's target column currently use ``cek_name``?
-
-        Rotations reference the *old* CEK only implicitly (through the
-        column), so the driver resolves it from the catalog metadata.
-        """
-        try:
-            from repro.sqlengine.sqlparser import parse
-            from repro.sqlengine.sqlparser import ast as _ast
-
-            stmt = parse(query_text)
-            if isinstance(stmt, _ast.AlterColumnStmt):
-                column = self.server.catalog.table(stmt.table).column(stmt.column)
-                enc = column.column_type.encryption
-                return enc is not None and enc.cek_name == cek_name
-        except Exception:
-            return False
-        return False
 
     # -- transactions ---------------------------------------------------------------
 

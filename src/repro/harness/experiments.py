@@ -39,6 +39,7 @@ from repro.harness.perfmodel import (
 )
 from repro.harness.result import claim, result, row
 from repro.keys import default_registry
+from repro.keys.cmk import ColumnMasterKey
 from repro.obs.flightrec import get_recorder
 from repro.obs.metrics import get_registry
 from repro.sqlengine.server import SqlServer
@@ -46,7 +47,7 @@ from repro.tools.initial_encryption import client_side_initial_encryption
 from repro.tools.provisioning import provision_cek, provision_cmk
 from repro.tools.rotation import rotate_cek_online
 from repro.workloads.tpcc.config import TRANSACTION_MIX, EncryptionMode, TpccConfig
-from repro.workloads.tpcc.driver import TpccSystem, build_server, build_system
+from repro.workloads.tpcc.driver import CMK_NAME, CMK_PATH, TpccSystem, build_server, build_system
 from repro.workloads.tpcc.transactions import TpccTransactions
 
 PT, AECONN, DET, RND = EncryptionMode
@@ -378,7 +379,8 @@ def open_mixed_window(system: TpccSystem, rows: int) -> str:
     """Start an online C_FIRST rotation to ``NEW_CEK`` and sweep ``rows`` rows,
     leaving ``CUSTOMER_NC1`` part old-key, part new-key. Returns the rotation id."""
     provider = system.registry.get("AZURE_KEY_VAULT_PROVIDER")
-    provision_cek(system.connection, provider, system.server.catalog.cmk("TpccCMK"), NEW_CEK)
+    cmk = ColumnMasterKey.create(CMK_NAME, provider, CMK_PATH, allow_enclave_computations=True)
+    provision_cek(system.connection, provider, cmk, NEW_CEK)
     rid = rotate_cek_online(system.connection, "CUSTOMER", "C_FIRST", NEW_CEK,
                             batch_size=1, run=False)
     while rows > 0:

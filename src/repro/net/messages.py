@@ -40,7 +40,6 @@ from repro.net.encoding import decode_value, encode_value, memoize_structs
 from repro.net.encoding import register_enum, register_struct
 from repro.net.frames import encode_frame
 from repro.net.opcodes import opcode_byte
-from repro.sqlengine.catalog import ColumnSchema, IndexSchema, TableSchema
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import RecoveryReport
 from repro.sqlengine.exec.executor import QueryResult, ResultColumn
@@ -60,9 +59,6 @@ for _cls in (
     SqlType,
     EncryptionInfo,
     ColumnType,
-    ColumnSchema,
-    IndexSchema,
-    TableSchema,
     ResultColumn,
     CekEncryptedValue,
     ColumnEncryptionKey,
@@ -204,33 +200,6 @@ class CekFetch:
 class CekFetchReply:
     OP = "cek_fetch_reply"
     metadata: CekMetadata
-
-
-@_message
-@dataclass
-class CekList:
-    OP = "cek_list"
-
-
-@_message
-@dataclass
-class CekListReply:
-    OP = "cek_list_reply"
-    ceks: list[ColumnEncryptionKey] = field(default_factory=list)
-
-
-@_message
-@dataclass
-class TableInfo:
-    OP = "table_info"
-    table_name: str
-
-
-@_message
-@dataclass
-class TableInfoReply:
-    OP = "table_info_reply"
-    schema: TableSchema
 
 
 @_message

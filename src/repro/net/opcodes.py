@@ -30,10 +30,6 @@ OPCODES: dict[str, int] = {
     "attest_reply": 0x13,
     "cek_fetch": 0x14,
     "cek_fetch_reply": 0x15,
-    "cek_list": 0x16,
-    "cek_list_reply": 0x17,
-    "table_info": 0x18,
-    "table_info_reply": 0x19,
     "forward_package": 0x1A,
     # data plane (sessions and statements)
     "session_open": 0x20,
@@ -64,10 +60,17 @@ OPCODES: dict[str, int] = {
     "admin_cek_versions_reply": 0x4C,
 }
 
+#: Bytes of retired opcodes, reserved forever: never assigned again. The
+#: catalog reads (``cek_list``, ``table_info`` and their replies) went when
+#: the server's describe began naming every statement's enclave keys.
+RETIRED_OPCODES: dict[str, int] = {
+    "cek_list": 0x16, "cek_list_reply": 0x17, "table_info": 0x18, "table_info_reply": 0x19,
+}
+
 _BY_BYTE: dict[int, str] = {byte: name for name, byte in OPCODES.items()}
 
-if len(_BY_BYTE) != len(OPCODES):
-    raise AssertionError("duplicate opcode byte in OPCODES")
+if len(_BY_BYTE) != len(OPCODES) or set(_BY_BYTE) & set(RETIRED_OPCODES.values()):
+    raise AssertionError("duplicate or retired opcode byte in OPCODES")
 
 
 #: class name → the tag byte its values carry inside payloads
@@ -81,8 +84,7 @@ if len(_BY_BYTE) != len(OPCODES):
 WIRE_IDS: dict[str, int] = {
     # types, cells and catalog shapes
     "EncryptionScheme": 0x10, "Ciphertext": 0x11, "RowId": 0x12, "SqlType": 0x13,
-    "EncryptionInfo": 0x14, "ColumnType": 0x15, "ColumnSchema": 0x16, "IndexSchema": 0x17,
-    "TableSchema": 0x18, "ResultColumn": 0x19, "QueryResult": 0x1A,
+    "EncryptionInfo": 0x14, "ColumnType": 0x15, "ResultColumn": 0x19, "QueryResult": 0x1A,
     # key metadata and describe results
     "CekEncryptedValue": 0x20, "ColumnEncryptionKey": 0x21, "ColumnMasterKey": 0x22,
     "ParameterDescription": 0x23, "CekMetadata": 0x24, "DescribeResult": 0x25,
@@ -95,8 +97,7 @@ WIRE_IDS: dict[str, int] = {
     "Hello": 0x81, "HelloReply": 0x82, "Ok": 0x83, "ErrorReply": 0x84, "Ping": 0x85,
     # messages: control plane
     "Describe": 0x90, "DescribeReply": 0x91, "Attest": 0x92, "AttestReply": 0x93,
-    "CekFetch": 0x94, "CekFetchReply": 0x95, "CekList": 0x96, "CekListReply": 0x97,
-    "TableInfo": 0x98, "TableInfoReply": 0x99, "ForwardPackage": 0x9A,
+    "CekFetch": 0x94, "CekFetchReply": 0x95, "ForwardPackage": 0x9A,
     # messages: data plane
     "SessionOpen": 0xA0, "SessionOpenReply": 0xA1, "SessionClose": 0xA2,
     "Execute": 0xA3, "ExecuteReply": 0xA4,
@@ -110,8 +111,16 @@ WIRE_IDS: dict[str, int] = {
     "AdminRotateStatusReply": 0xCA, "AdminCekVersions": 0xCB, "AdminCekVersionsReply": 0xCC,
 }
 
-if len(set(WIRE_IDS.values())) != len(WIRE_IDS):
-    raise AssertionError("duplicate wire id in WIRE_IDS")
+#: Ids of retired shapes, reserved forever like the retired opcodes: the
+#: catalog shapes only ``table_info_reply`` carried, and the four messages.
+RETIRED_WIRE_IDS: dict[str, int] = {
+    "ColumnSchema": 0x16, "IndexSchema": 0x17, "TableSchema": 0x18,
+    "CekList": 0x96, "CekListReply": 0x97, "TableInfo": 0x98, "TableInfoReply": 0x99,
+}
+
+_IDS = set(WIRE_IDS.values())
+if len(_IDS) != len(WIRE_IDS) or _IDS & set(RETIRED_WIRE_IDS.values()):
+    raise AssertionError("duplicate or retired wire id in WIRE_IDS")
 
 
 def opcode_byte(name: str) -> int:

@@ -1,13 +1,15 @@
 """Client-side stub: the driver's server surface over a socket.
 
 :class:`RemoteServer` duck-types exactly what
-:class:`repro.client.driver.Connection` expects of a server — ``connect``,
-``describe_parameter_encryption``, ``attest``, ``fetch_cek_metadata``,
-``forward_enclave_package``, ``hgs.signing_public_key``, and
-``catalog.ceks()/cek()/table()`` — so the AE driver runs unchanged against
-a remote process. Control-plane requests share one locked channel; each
-:class:`RemoteSession` opens its own socket so statements on different
-sessions never serialize behind each other.
+:class:`repro.client.driver.Connection` and the key tools expect of a
+server — ``connect``, ``describe_parameter_encryption``, ``attest``,
+``fetch_cek_metadata``, ``forward_enclave_package``,
+``hgs.signing_public_key``, ``rotation_states`` and the rotation admin
+verbs — so the AE driver runs unchanged against a remote process. It has
+no catalog: what a statement needs of the server's metadata, DDL
+included, comes back in its describe. Control-plane requests share one
+locked channel; each :class:`RemoteSession` opens its own socket so
+statements on different sessions never serialize behind each other.
 
 Typed errors cross back intact: an :class:`ErrorReply` is reconstructed
 into the concrete :class:`~repro.errors.ReproError` subclass
@@ -26,16 +28,14 @@ from repro.attestation.protocol import AttestationInfo
 from repro.crypto.rsa import RsaPublicKey
 from repro.enclave import SealedPackage
 from repro.errors import VersionMismatchError, WireError
-from repro.keys.cek import ColumnEncryptionKey
 from repro.net import messages as msg
 from repro.net.frames import PROTOCOL_VERSION
 from repro.net.opcodes import opcode_byte
 from repro.net.transport import FrameChannel, connect_channel
-from repro.sqlengine.catalog import TableSchema
 from repro.sqlengine.exec.executor import QueryResult
 from repro.sqlengine.server import CekMetadata, DescribeResult
 
-__all__ = ["RemoteCatalog", "RemoteHgs", "RemoteServer", "RemoteSession"]
+__all__ = ["RemoteHgs", "RemoteServer", "RemoteSession"]
 
 _EXECUTE_REPLY_OP = opcode_byte("execute_reply")
 
@@ -45,24 +45,6 @@ class RemoteHgs:
 
     def __init__(self, signing_public_key: RsaPublicKey):
         self.signing_public_key = signing_public_key
-
-
-class RemoteCatalog:
-    """Catalog reads proxied over the control channel."""
-
-    def __init__(self, server: "RemoteServer"):
-        self._server = server
-
-    def ceks(self) -> list[ColumnEncryptionKey]:
-        reply = self._server._request(msg.CekList())
-        return reply.ceks
-
-    def cek(self, name: str) -> ColumnEncryptionKey:
-        return self._server.fetch_cek_metadata(name).cek
-
-    def table(self, name: str) -> TableSchema:
-        reply = self._server._request(msg.TableInfo(table_name=name))
-        return reply.schema
 
 
 class RemoteServer:
@@ -90,7 +72,6 @@ class RemoteServer:
         self.hgs: RemoteHgs | None = (
             None if self.hello.hgs_public is None else RemoteHgs(self.hello.hgs_public)
         )
-        self.catalog = RemoteCatalog(self)
 
     # ------------------------------------------------------------- plumbing
 

@@ -386,8 +386,6 @@ class Router(FrameServer):
         msg.Describe,
         msg.Attest,
         msg.CekFetch,
-        msg.CekList,
-        msg.TableInfo,
         msg.ForwardPackage,
         msg.AdminRotateStart,
         msg.AdminRotateStep,

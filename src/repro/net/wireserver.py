@@ -64,10 +64,6 @@ class WireServer(FrameServer):
             return msg.AttestReply(info=server.attest(request.client_dh_public))
         if isinstance(request, msg.CekFetch):
             return msg.CekFetchReply(metadata=server.fetch_cek_metadata(request.cek_name))
-        if isinstance(request, msg.CekList):
-            return msg.CekListReply(ceks=server.catalog.ceks())
-        if isinstance(request, msg.TableInfo):
-            return msg.TableInfoReply(schema=server.catalog.table(request.table_name))
         if isinstance(request, msg.ForwardPackage):
             server.forward_enclave_package(request.enclave_session_id, request.sealed)
             return msg.Ok()

@@ -1001,7 +1001,9 @@ class StorageEngine:
                 if end_record is not None:
                     version = int.from_bytes(end_record.after or b"", "big", signed=True)
                     self.catalog.ensure_cek_version(descriptor.new_cek, version)
-                    if self.catalog.column_rotation(descriptor.table, descriptor.column):
+                    # The column may be under a later rotation by now.
+                    state = self.catalog.column_rotation(descriptor.table, descriptor.column)
+                    if state is not None and state.rotation_id == rotation_id:
                         self.catalog.finish_column_rotation(rotation_id)
                     report.completed_rotations.append(rotation_id)
                 else:

@@ -286,18 +286,56 @@ class SqlServer:
         self, query_text: str, client_dh_public: int | None = None
     ) -> DescribeResult:
         """The Section 4.1 API: per-parameter encryption types, CEK/CMK
-        metadata, and attestation info when the enclave is involved."""
+        metadata, and attestation info when the enclave is involved.
+
+        DDL is described too: its enclave CEKs are the only thing the driver
+        needs to know about it, and they are read at describe time, because
+        an online rotation's progress is not covered by the schema version.
+        """
         self.stats.inc("describe_calls")
         plan = self._plan(query_text)
+        enclave_ceks = plan.enclave_ceks
+        if plan.physical is None:
+            enclave_ceks = tuple(map(self._cek_metadata, self._ddl_enclave_ceks(plan.stmt)))
         attestation = None
-        if plan.enclave_ceks and client_dh_public is not None:
+        if enclave_ceks and client_dh_public is not None:
             attestation = self.attest(client_dh_public)
         return DescribeResult(
             parameters=list(plan.parameters),
             parameter_ceks=dict(plan.parameter_ceks),
-            enclave_ceks=list(plan.enclave_ceks),
+            enclave_ceks=list(enclave_ceks),
             attestation=attestation,
         )
+
+    def _ddl_enclave_ceks(self, stmt: ast.Statement) -> list[str]:
+        """The CEKs a DDL statement needs inside the enclave.
+
+        ``CREATE INDEX`` compares its enclave-enabled RND key columns there
+        (Section 3.1.2). ``ALTER COLUMN`` re-encrypts from the column's key
+        (both keys of an online rotation under way) to its target key
+        (Section 3.2). The driver refuses any of them whose CMK forbids
+        enclave computations.
+        """
+        names: list[str] = []
+        if isinstance(stmt, ast.CreateIndexStmt):
+            table = self.catalog.table(stmt.table)
+            for column_name in stmt.columns:
+                enc = table.column(column_name).column_type.encryption
+                rnd = enc is not None and enc.scheme is EncryptionScheme.RANDOMIZED
+                if rnd and enc.enclave_enabled:
+                    names.append(enc.cek_name)
+        elif isinstance(stmt, (ast.AlterColumnStmt, ast.AlterColumnOnlineStmt)):
+            rotation = self.catalog.column_rotation(stmt.table, stmt.column)
+            if rotation is not None:
+                names += [rotation.old_cek, rotation.new_cek]
+            else:
+                enc = self.catalog.table(stmt.table).column(stmt.column).column_type.encryption
+                names.append(enc.cek_name if enc is not None else "")
+            if isinstance(stmt, ast.AlterColumnOnlineStmt):
+                names.append(stmt.cek_name)
+            elif stmt.encryption is not None:
+                names.append(stmt.encryption.cek_name)
+        return [name for name in dict.fromkeys(names) if name]
 
     def attest(self, client_dh_public: int) -> AttestationInfo:
         if self.enclave is None or self.host_machine is None or self.hgs is None:
@@ -730,6 +768,10 @@ class ServerSession:
             return QueryResult()
         if isinstance(stmt, ast.AlterColumnStmt):
             return self._alter_column(query_text, stmt)
+        if isinstance(stmt, ast.AlterColumnOnlineStmt):
+            raise SqlError(
+                "an online ALTER COLUMN runs as a lifecycle job (rotate_start), not as DDL"
+            )
         if isinstance(stmt, ast.AlterCekStmt):
             # CMK rotation metadata surgery (§4.3): ADD VALUE starts it
             # (the CEK is temporarily wrapped under both CMKs), DROP VALUE

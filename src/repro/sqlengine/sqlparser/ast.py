@@ -251,6 +251,18 @@ class AlterColumnStmt(Statement):
 
 
 @dataclass(frozen=True)
+class AlterColumnOnlineStmt(Statement):
+    """ALTER TABLE ... ALTER COLUMN c ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY
+    = k) ONLINE — the text an online lifecycle job runs under. The server
+    describes it like any DDL but never executes it: the job itself runs
+    through ``rotate_start``."""
+
+    table: str
+    column: str
+    cek_name: str
+
+
+@dataclass(frozen=True)
 class BeginStmt(Statement):
     pass
 

@@ -439,6 +439,20 @@ class _Parser:
         table = self._ident()
         self._expect_keyword("ALTER", "COLUMN")
         column = self._ident()
+        if self._accept(TokenType.KEYWORD, "ENCRYPTED"):
+            # The online form: no type, only the key, then ONLINE.
+            self._expect(TokenType.KEYWORD, "WITH")
+            self._expect(TokenType.OPERATOR, "(")
+            prop = self._ident().upper()
+            if prop != "COLUMN_ENCRYPTION_KEY":
+                raise ParseError(f"expected COLUMN_ENCRYPTION_KEY, found {prop!r}")
+            self._expect(TokenType.OPERATOR, "=")
+            cek_name = self._ident()
+            self._expect(TokenType.OPERATOR, ")")
+            word = self._ident().upper()
+            if word != "ONLINE":
+                raise ParseError(f"expected a type or ONLINE, found {word!r}")
+            return ast.AlterColumnOnlineStmt(table=table, column=column, cek_name=cek_name)
         type_name, type_length = self._type()
         encryption = None
         if self._accept(TokenType.KEYWORD, "ENCRYPTED"):

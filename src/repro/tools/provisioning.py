@@ -97,25 +97,3 @@ def rotate_cmk(
         f"  COLUMN_MASTER_KEY = {old_cmk.name})"
     )
     connection.execute_ddl(drop_ddl)
-
-
-def rotate_cek_in_place(
-    connection: Connection,
-    table: str,
-    column: str,
-    type_sql: str,
-    new_cek_name: str,
-    encryption_type: str = "Randomized",
-) -> None:
-    """CEK rotation via ALTER TABLE ALTER COLUMN through the enclave.
-
-    A CEK rotation *does* re-encrypt data; with enclave-enabled old and new
-    keys this happens server-side with no client round-trip per row.
-    """
-    ddl = (
-        f"ALTER TABLE {table} ALTER COLUMN {column} {type_sql} "
-        f"ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = {new_cek_name}, "
-        f"ENCRYPTION_TYPE = {encryption_type}, "
-        f"ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')"
-    )
-    connection.execute_ddl(ddl, authorize_enclave=True)

@@ -1,16 +1,17 @@
 """Online key-lifecycle client tooling (Section 2.4.2, online variant).
 
-The one-shot ``ALTER TABLE ... ALTER COLUMN`` path in
-:mod:`repro.tools.provisioning` rewrites the whole column inside a single
+The one-shot ``ALTER TABLE ... ALTER COLUMN`` DDL (``execute_ddl`` with
+``authorize_enclave=True``) rewrites the whole column inside a single
 statement — correct, but it holds every row lock at once and offers no
 crash-resume. These helpers drive the *online* path instead: the server's
 :class:`~repro.sqlengine.rotation.KeyRotationJob` re-encrypts the column
 batch-at-a-time through the enclave while concurrent sessions keep
 reading and writing, checkpointing progress to the WAL.
 
-The client's part mirrors what it does for any enclave query: authorize
-the (canonical) rotation statement text with the enclave so its Recrypt
-oracle accepts the batches, then drive the job through the admin verbs —
+The client's part mirrors what it does for any enclave query: describe
+the (canonical) rotation statement text, ship the keys the server names
+for it, and authorize the text with the enclave so its Recrypt oracle
+accepts the batches, then drive the job through the admin verbs —
 which work identically against an in-process :class:`SqlServer` and a
 :class:`~repro.net.remote.RemoteServer` (and, through the router, against
 a sharded fleet, pinned to the affinity shard that owns the enclave
@@ -36,17 +37,12 @@ def rotation_query_text(table: str, column: str, new_cek: str) -> str:
     This is what the client authorizes with the enclave and what the
     server hashes at every recrypt batch — one text per (table, column,
     target CEK), so a resumed job after a crash re-authorizes the exact
-    same statement.
+    same statement. The server describes it like any DDL (naming the old
+    and new keys) but refuses to execute it.
     """
     return (
         f"ALTER TABLE {table} ALTER COLUMN {column} "
         f"ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = {new_cek}) ONLINE"
-    )
-
-
-def _authorize(connection: Connection, query_text: str, cek_names: list[str]) -> None:
-    connection.authorize_enclave_query(
-        query_text, [name for name in cek_names if name]
     )
 
 
@@ -65,13 +61,8 @@ def rotate_cek_online(
     .rotate_step`` to interleave with its own traffic (as the torture and
     differential suites do).
     """
-    enc = connection.server.catalog.table(table).column(column).column_type.encryption
-    if enc is None:
-        raise ValueError(
-            f"column {table}.{column} is not encrypted; use encrypt_column_online"
-        )
     query_text = rotation_query_text(table, column, new_cek)
-    _authorize(connection, query_text, [enc.cek_name, new_cek])
+    connection.authorize_enclave_query(query_text)
     rotation_id = connection.server.rotate_start(
         table, column, new_cek, query_text, batch_size=batch_size
     )
@@ -94,7 +85,7 @@ def encrypt_column_online(
     """Start (and by default complete) online *initial* encryption of a
     plaintext column under ``new_cek``."""
     query_text = rotation_query_text(table, column, new_cek)
-    _authorize(connection, query_text, [new_cek])
+    connection.authorize_enclave_query(query_text)
     rotation_id = connection.server.rotate_start(
         table,
         column,
@@ -117,7 +108,6 @@ def resume_rotation(
     table: str,
     column: str,
     new_cek: str,
-    old_cek: str = "",
     batch_size: int = 64,
     run: bool = True,
 ) -> str:
@@ -125,10 +115,11 @@ def resume_rotation(
 
     Enclave sessions don't survive a crash, so the client must attest
     afresh and re-authorize the *same* canonical statement text before
-    the server's recrypt batches are accepted again.
+    the server's recrypt batches are accepted again. The server's describe
+    of that text names both keys of the reinstated rotation.
     """
     query_text = rotation_query_text(table, column, new_cek)
-    _authorize(connection, query_text, [old_cek, new_cek])
+    connection.authorize_enclave_query(query_text)
     connection.server.rotate_resume(rotation_id, query_text, batch_size=batch_size)
     connection.invalidate_metadata_caches()
     if run:

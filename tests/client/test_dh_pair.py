@@ -114,7 +114,10 @@ def test_a_failed_attestation_leaves_no_pair(plain_table, server, monkeypatch):
 
     monkeypatch.setattr(server, "attest", refuse)
     with pytest.raises(DriverError):
-        plain_table.install_enclave_ceks(["TestCEK"])
+        # Its describe names TestCEK for the enclave, and attests.
+        plain_table.authorize_enclave_query(
+            "ALTER TABLE P ALTER COLUMN v ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = TestCEK) ONLINE"
+        )
     assert plain_table._pending_dh is None
 
 

@@ -32,9 +32,9 @@ def arm(site, schedule, action):
 
 class TestTransparentRetry:
     def test_describe_transient_is_retried_transparently(self, ae_connection):
+        make_encrypted_table(ae_connection)
         armed = arm("driver.describe_parameter_encryption", OnNth(1), RaiseTransient())
         try:
-            make_encrypted_table(ae_connection)
             ae_connection.execute(
                 "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": 1, "v": 42}
             )
@@ -79,9 +79,9 @@ class TestTransparentRetry:
         assert get_registry().value("enclave.replays_rejected") == baseline_rejected
 
     def test_retry_stats_visible_in_explain(self, ae_connection):
+        make_encrypted_table(ae_connection)
         armed = arm("driver.describe_parameter_encryption", OnNth(1), RaiseTransient())
         try:
-            make_encrypted_table(ae_connection)
             text = ae_connection.explain_stats(
                 "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": 1, "v": 2}
             )
@@ -93,10 +93,10 @@ class TestTransparentRetry:
 
 class TestBoundedBackoff:
     def test_exhausted_budget_raises_the_transient(self, ae_connection):
+        make_encrypted_table(ae_connection)
         armed = arm("driver.describe_parameter_encryption", Always(), RaiseTransient())
         baseline_retries = ae_connection.stats.retries
         try:
-            make_encrypted_table(ae_connection)  # DDL path has no describe
             with pytest.raises(TransientFault):
                 ae_connection.execute(
                     "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": 1, "v": 2}
@@ -108,9 +108,9 @@ class TestBoundedBackoff:
         assert ae_connection.stats.retries - baseline_retries == expected
 
     def test_backoff_is_bounded_not_a_hang(self, ae_connection):
+        make_encrypted_table(ae_connection)
         armed = arm("driver.describe_parameter_encryption", Always(), RaiseTransient())
         try:
-            make_encrypted_table(ae_connection)
             started = time.monotonic()
             with pytest.raises(TransientFault):
                 ae_connection.execute(
@@ -138,10 +138,10 @@ class TestBoundedBackoff:
             retry_backoff_base_s=0.0,
             retry_backoff_cap_s=0.0,
         )
+        make_encrypted_table(connection)
         armed = arm("driver.describe_parameter_encryption", Always(), RaiseTransient())
         baseline = connection.stats.retries
         try:
-            make_encrypted_table(connection)
             with pytest.raises(TransientFault):
                 connection.execute(
                     "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": 1, "v": 2}
@@ -153,10 +153,10 @@ class TestBoundedBackoff:
 
 class TestFatalClassification:
     def test_fatal_fault_surfaces_immediately(self, ae_connection):
+        make_encrypted_table(ae_connection)
         armed = arm("driver.describe_parameter_encryption", Always(), RaiseFatal())
         baseline_retries = ae_connection.stats.retries
         try:
-            make_encrypted_table(ae_connection)
             with pytest.raises(FatalFault):
                 ae_connection.execute(
                     "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": 1, "v": 2}

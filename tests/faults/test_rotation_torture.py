@@ -116,7 +116,7 @@ def assert_recovered_consistent(stack, expect_resumable: bool) -> None:
         assert expect_resumable
         rid = active[0].rotation_id
         conn = stack.fresh_conn()
-        resume_rotation(conn, rid, "T", "value", "RotNewCEK", old_cek="RotOldCEK")
+        resume_rotation(conn, rid, "T", "value", "RotNewCEK")
     assert not any(s.active for s in stack.server.rotation_states())
 
     # Terminal (or never-started) state must be single-keyed...

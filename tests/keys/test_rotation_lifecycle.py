@@ -375,7 +375,7 @@ class TestCrashResume:
         assert [s.rotation_id for s in states if s.active] == [rid]
 
         conn = stack.fresh_conn()
-        resume_rotation(conn, rid, "T", "value", "RotNewCEK", old_cek="RotOldCEK")
+        resume_rotation(conn, rid, "T", "value", "RotNewCEK")
         assert cell_key_census(stack, "T", "value").get("RotNewCEK") == 30
         assert stack.server.cek_versions() == {"RotNewCEK": 2}
         rows = conn.execute("SELECT id, value FROM T").rows
@@ -395,6 +395,19 @@ class TestCrashResume:
         assert not any(s.active for s in stack.server.rotation_states())
         assert report.completed_rotations == [rid]  # END replayed, not resumed
         assert report.resumed_rotations == []
+
+    def test_crash_in_a_columns_second_rotation_resumes_it(self, rotation_stack_factory):
+        """The first rotation's durable END does not touch the second's state."""
+        stack = rotation_stack_factory()
+        make_table(stack.conn, rows=12)
+        rotate_cek_online(stack.conn, "T", "value", "RotNewCEK", batch_size=5)
+        rid = rotate_cek_online(stack.conn, "T", "value", "RotThirdCEK", batch_size=5, run=False)
+        stack.server.rotate_step(rid)
+        stack.server.crash()
+        report = stack.server.recover()
+        assert report.resumed_rotations == [rid]
+        resume_rotation(stack.fresh_conn(), rid, "T", "value", "RotThirdCEK")
+        assert cell_key_census(stack, "T", "value").get("RotThirdCEK") == 12
 
     def test_query_text_is_stable_across_resume(self):
         assert rotation_query_text("T", "value", "NewCEK") == rotation_query_text(

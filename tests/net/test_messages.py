@@ -32,6 +32,7 @@ from repro.errors import (
     RemoteError,
     StaleRestoreError,
     TransientFault,
+    UnknownOpcodeError,
     VersionMismatchError,
 )
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
@@ -45,8 +46,7 @@ from repro.net.frames import (
     encode_frame,
     try_decode,
 )
-from repro.net.opcodes import OPCODES, opcode_byte
-from repro.sqlengine.catalog import ColumnSchema, IndexSchema, TableSchema
+from repro.net.opcodes import OPCODES, RETIRED_OPCODES, RETIRED_WIRE_IDS, WIRE_IDS, opcode_byte
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import RecoveryReport
 from repro.sqlengine.exec.executor import QueryResult, ResultColumn
@@ -116,17 +116,6 @@ SAMPLES = [
     msg.AttestReply(info=ATTESTATION),
     msg.CekFetch(cek_name="TpccCEK"),
     msg.CekFetchReply(metadata=CEK_METADATA),
-    msg.CekList(),
-    msg.CekListReply(ceks=[CEK, ColumnEncryptionKey("CEK2")]),
-    msg.TableInfo(table_name="CUSTOMER"),
-    msg.TableInfoReply(
-        schema=TableSchema(
-            name="T",
-            columns=[ColumnSchema("id", INT, nullable=False), ColumnSchema("v", RND_INT)],
-            primary_key=("id",),
-            indexes={"PK_T": IndexSchema("PK_T", "T", ("id",), unique=True, clustered=True)},
-        )
-    ),
     msg.ForwardPackage(enclave_session_id=3, sealed=SealedPackage(b"\x01\xac\x85")),
     msg.SessionOpen(affinity=3),
     msg.SessionOpenReply(session_id=42),
@@ -244,6 +233,17 @@ def test_v1_frame_is_refused():
 def test_every_message_opcode_is_registered():
     for name, cls in msg.MESSAGE_TYPES.items():
         assert name in OPCODES, f"{cls.__name__} opcode {name!r} missing from registry"
+
+
+def test_retired_opcodes_and_wire_ids_stay_reserved():
+    """The catalog reads are gone, and their bytes are never handed out again."""
+    assert set(RETIRED_OPCODES.values()) == {0x16, 0x17, 0x18, 0x19}
+    assert not set(RETIRED_OPCODES) & set(OPCODES)
+    assert not set(RETIRED_OPCODES.values()) & set(OPCODES.values())
+    assert not set(RETIRED_WIRE_IDS) & set(WIRE_IDS)
+    assert not set(RETIRED_WIRE_IDS.values()) & set(WIRE_IDS.values())
+    with pytest.raises(UnknownOpcodeError):
+        decode_frame(encode_frame(RETIRED_OPCODES["table_info"], encode_value(msg.Ping())))
 
 
 def test_opcode_payload_mismatch_rejected():

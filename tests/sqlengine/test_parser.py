@@ -130,6 +130,14 @@ class TestFigure1Ddl:
         stmt = parse("ALTER TABLE T ALTER COLUMN v int")
         assert stmt.encryption is None
 
+    def test_alter_column_online(self):
+        stmt = parse("ALTER TABLE T ALTER COLUMN v ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = K) ONLINE")
+        assert stmt == ast.AlterColumnOnlineStmt(table="T", column="v", cek_name="K")
+        for bad in ("(COLUMN_ENCRYPTION_KEY = K)", "(ALGORITHM = K) ONLINE",
+                    "(COLUMN_ENCRYPTION_KEY = K) OFFLINE"):
+            with pytest.raises(ParseError):
+                parse(f"ALTER TABLE T ALTER COLUMN v ENCRYPTED WITH {bad}")
+
 
 class TestDml:
     def test_select_star(self):

@@ -123,6 +123,14 @@ class TestDdl:
                             "COLUMN_ENCRYPTION_KEY = K, ENCRYPTION_TYPE = Randomized, "
                             f"ALGORITHM = '{ALGO}')")
 
+    def test_online_alter_column_is_described_but_never_executed(self, plain_server):
+        session = plain_server.connect()
+        session.execute("CREATE TABLE x (a int)")
+        online = "ALTER TABLE x ALTER COLUMN a ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = K) ONLINE"
+        with pytest.raises(SqlError, match="rotate_start"):
+            session.execute(online)
+        assert plain_server.describe_parameter_encryption("CREATE TABLE y (a int)").enclave_ceks == []
+
     def test_cmk_cek_ddl_populate_catalog(self, plain_server):
         session = plain_server.connect()
         session.execute(

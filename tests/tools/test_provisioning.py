@@ -4,15 +4,16 @@ import pytest
 
 from repro.client.driver import connect
 from repro.crypto.aead import EncryptionScheme
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, SecurityViolation
 from repro.tools.initial_encryption import client_side_initial_encryption
-from repro.tools.provisioning import (
-    provision_cek,
-    provision_cmk,
-    rotate_cek_in_place,
-    rotate_cmk,
-)
+from repro.tools.provisioning import provision_cek, provision_cmk, rotate_cmk
 from tests.conftest import ALGO
+
+ALTER_V = (
+    "ALTER TABLE d ALTER COLUMN v varchar(20) ENCRYPTED WITH ("
+    "COLUMN_ENCRYPTION_KEY = {cek}, ENCRYPTION_TYPE = Randomized, "
+    f"ALGORITHM = '{ALGO}')"
+)
 
 
 @pytest.fixture()
@@ -104,11 +105,61 @@ class TestInPlaceDdl:
         )
         cmk = server.catalog.cmk("ECMK")
         provision_cek(conn, vault, cmk, "ECEK2")
-        rotate_cek_in_place(conn, "d", "v", "varchar(20)", "ECEK2")
+        conn.execute_ddl(ALTER_V.format(cek="ECEK2"), authorize_enclave=True)
         column = server.catalog.table("d").column("v")
         assert column.column_type.encryption.cek_name == "ECEK2"
         r = conn.execute("SELECT k FROM d WHERE v = @v", {"v": "val-1"})
         assert r.rows == [(1,)]
+
+
+class TestDdlEnclaveKeys:
+    """The server's describe names the keys a DDL ships to the enclave."""
+
+    @pytest.fixture()
+    def packages(self, server, monkeypatch):
+        """The CEK names of every package the enclave installed, in order."""
+        installed = []
+        install = server.enclave.install_package
+
+        def spy(session_id, sealed):
+            before = server.enclave.installed_ceks()
+            install(session_id, sealed)
+            installed.append(sorted(server.enclave.installed_ceks() - before))
+
+        monkeypatch.setattr(server.enclave, "install_package", spy)
+        return installed
+
+    @pytest.fixture()
+    def table(self, conn):
+        conn.execute_ddl("CREATE TABLE d (k int PRIMARY KEY, v varchar(20))")
+        conn.execute("INSERT INTO d (k, v) VALUES (@k, @v)", {"k": 1, "v": "val-1"})
+
+    def test_authorized_alter_to_an_enclave_disabled_cek_ships_nothing(
+        self, conn, vault, server, table, packages
+    ):
+        cmk = provision_cmk(
+            conn, vault, "NoEncCMK", "https://vault.azure.net/keys/n1",
+            allow_enclave_computations=False,
+        )
+        provision_cek(conn, vault, cmk, "NoEncCEK")
+        with pytest.raises(SecurityViolation, match="does not allow enclave computations"):
+            conn.execute_ddl(ALTER_V.format(cek="NoEncCEK"), authorize_enclave=True)
+        assert packages == []
+        assert "NoEncCEK" not in server.enclave.installed_ceks()
+        assert server.catalog.table("d").column("v").column_type.encryption is None
+
+    def test_a_cek_whose_name_is_a_prefix_is_not_shipped(
+        self, conn, vault, server, table, packages
+    ):
+        cmk = provision_cmk(conn, vault, "PCMK", "https://vault.azure.net/keys/k1")
+        provision_cek(conn, vault, cmk, "K")
+        provision_cek(conn, vault, cmk, "K_PAYROLL")
+        ddl = ALTER_V.format(cek="K_PAYROLL")
+        described = [m.cek.name for m in server.describe_parameter_encryption(ddl).enclave_ceks]
+        assert described == ["K_PAYROLL"]
+        conn.execute_ddl(ddl, authorize_enclave=True)
+        assert packages == [["K_PAYROLL"]]
+        assert server.enclave.installed_ceks() == frozenset({"K_PAYROLL"})
 
 
 class TestCmkRotation:
