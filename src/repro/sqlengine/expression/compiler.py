@@ -13,7 +13,13 @@ Placement rules (Sections 2.4.3 / 4.4):
 * ``=`` / ``<>`` over DET operands run on the host as ciphertext binary
   comparisons — no enclave involved.
 * ``=``, range comparisons, and ``LIKE`` over RND operands with
-  enclave-enabled CEKs compile into enclave sub-programs.
+  enclave-enabled CEKs run in the enclave, and so does every ``AND`` /
+  ``OR`` / ``NOT`` all of whose operands do: such an *enclave subtree* —
+  a BETWEEN, an IN-list, a NOT LIKE, a conjunction of RND comparisons —
+  compiles into **one** enclave sub-program behind one ``TM_EVAL``. Its
+  inputs are the subtree's distinct operands, and its one output is the
+  subtree's verdict. An ``AND`` / ``OR`` chain that mixes host and
+  enclave terms gathers its enclave terms into one sub-program too.
 * Everything else over encrypted operands is a compile-time error (type
   deduction normally rejects these before we get here; the checks are
   repeated because the compiler is also used directly in tests).
@@ -21,6 +27,7 @@ Placement rules (Sections 2.4.3 / 4.4):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.crypto.aead import EncryptionScheme
@@ -78,25 +85,40 @@ def compile_expression(expr: Expr) -> CompiledExpression:
 
 
 def _encryption_of(expr: Expr) -> EncryptionInfo | None:
-    if isinstance(expr, (ColumnRefExpr, ParameterExpr)):
-        return expr.column_type.encryption
-    if isinstance(expr, LiteralExpr):
+    if isinstance(expr, (ColumnRefExpr, ParameterExpr, LiteralExpr)):
         return expr.column_type.encryption
     return None
 
 
-def _is_operand(expr: Expr) -> bool:
-    return isinstance(expr, (ColumnRefExpr, ParameterExpr, LiteralExpr))
+def _needs_enclave(expr: Expr) -> bool:
+    """Whether ``expr`` is an enclave subtree: a comparison or LIKE over an
+    encrypted operand that is not DET equality, or an AND / OR / NOT all of
+    whose operands are enclave subtrees."""
+    if isinstance(expr, (AndExpr, OrExpr)):
+        return _needs_enclave(expr.left) and _needs_enclave(expr.right)
+    if isinstance(expr, NotExpr):
+        return _needs_enclave(expr.operand)
+    if isinstance(expr, CompareExpr):
+        left, right = _encryption_of(expr.left), _encryption_of(expr.right)
+        if left is None and right is None:
+            return False
+        deterministic = (
+            left is not None
+            and right is not None
+            and left.scheme is EncryptionScheme.DETERMINISTIC
+            and right.scheme is EncryptionScheme.DETERMINISTIC
+        )
+        return not (deterministic and expr.op.value in ("=", "<>"))
+    if isinstance(expr, LikeExpr):
+        return _encryption_of(expr.value) is not None or _encryption_of(expr.pattern) is not None
+    return False
 
 
-def _emit_operand_host(expr: Expr, out: list[Instruction], compiled: CompiledExpression) -> None:
-    """Emit host code that pushes an operand's raw cell value (no crypto)."""
-    if isinstance(expr, (ColumnRefExpr, ParameterExpr)):
-        out.append(Instruction(Opcode.GET_DATA, (expr.slot, None)))
-    elif isinstance(expr, LiteralExpr):
-        out.append(Instruction(Opcode.PUSH_CONST, expr.value))
-    else:
-        _emit(expr, out, compiled)
+def _chain(expr: Expr, kind: type) -> list[Expr]:
+    """The terms of the ``kind`` (AND or OR) chain rooted at ``expr``."""
+    if type(expr) is kind:
+        return _chain(expr.left, kind) + _chain(expr.right, kind)  # type: ignore[attr-defined]
+    return [expr]
 
 
 def _check_enclave_pair(left: EncryptionInfo | None, right: EncryptionInfo | None, what: str) -> EncryptionInfo:
@@ -125,39 +147,54 @@ def _check_enclave_pair(left: EncryptionInfo | None, right: EncryptionInfo | Non
     return left
 
 
-def _split_to_enclave(
-    operands: list[Expr],
-    body: list[Instruction],
-    out: list[Instruction],
-    compiled: CompiledExpression,
-) -> None:
-    """Wrap ``body`` (which consumes len(operands) GET_DATAs) in a TM_EVAL.
+def _split_to_enclave(expr: Expr, out: list[Instruction], compiled: CompiledExpression) -> None:
+    """Compile the enclave subtree ``expr`` into one enclave program behind
+    one ``TM_EVAL``.
 
-    The enclave program reads its inputs from the TM_EVAL input array with
-    encryption annotations, runs ``body``, and SET_DATAs a plaintext result
-    — the boolean the paper notes is returned to SQL Server in the clear.
+    The program's inputs are the subtree's distinct column and parameter
+    operands, each pushed by the host once per row however many
+    comparisons read it; its ``GET_DATA``s carry the encryption
+    annotations, and it ``SET_DATA``s one plaintext result — the subtree's
+    verdict, the boolean the paper notes is returned to SQL Server in the
+    clear. The verdicts of the comparisons inside stay in the enclave.
     """
-    enclave_ins: list[Instruction] = []
-    for slot, operand in enumerate(operands):
-        enc = _encryption_of(operand)
-        if isinstance(operand, LiteralExpr):
-            enclave_ins.append(Instruction(Opcode.PUSH_CONST, operand.value))
-        else:
-            enclave_ins.append(Instruction(Opcode.GET_DATA, (slot, enc)))
-    enclave_ins.extend(body)
-    enclave_ins.append(Instruction(Opcode.SET_DATA, (0, None)))
-    blob = StackProgram(enclave_ins).serialize()
-
-    n_inputs = len(operands)
-    for operand in operands:
-        _emit_operand_host(operand, out, compiled)
-    out.append(Instruction(Opcode.TM_EVAL, (blob, n_inputs)))
-
+    inputs: dict[Expr, int] = {}
+    body: list[Instruction] = []
+    _emit_enclave(expr, body, inputs)
+    body.append(Instruction(Opcode.SET_DATA, (0, None)))
+    blob = StackProgram(body).serialize()
+    for operand in inputs:
+        out.append(Instruction(Opcode.GET_DATA, (operand.slot, None)))  # type: ignore[attr-defined]
+        compiled.enclave_ceks.add(_encryption_of(operand).cek_name)  # type: ignore[union-attr]
+    out.append(Instruction(Opcode.TM_EVAL, (blob, len(inputs))))
     compiled.enclave_programs.append(blob)
+
+
+def _emit_enclave(expr: Expr, body: list[Instruction], inputs: dict[Expr, int]) -> None:
+    """Emit the enclave-side code of the enclave subtree ``expr``;
+    ``inputs`` numbers the distinct operands in first-read order."""
+    if isinstance(expr, (AndExpr, OrExpr)):
+        _emit_enclave(expr.left, body, inputs)
+        _emit_enclave(expr.right, body, inputs)
+        body.append(Instruction(Opcode.AND if isinstance(expr, AndExpr) else Opcode.OR))
+        return
+    if isinstance(expr, NotExpr):
+        _emit_enclave(expr.operand, body, inputs)
+        body.append(Instruction(Opcode.NOT))
+        return
+    if isinstance(expr, CompareExpr):
+        operands, what = (expr.left, expr.right), f"comparison {expr.op.value!r}"
+        operation = Instruction(Opcode.COMP, expr.op.value)
+    else:  # a LikeExpr: _needs_enclave admits no other leaf
+        operands, what = (expr.value, expr.pattern), "LIKE"
+        operation = Instruction(Opcode.LIKE)
+    _check_enclave_pair(*map(_encryption_of, operands), what)
     for operand in operands:
-        enc = _encryption_of(operand)
-        if enc is not None:
-            compiled.enclave_ceks.add(enc.cek_name)
+        if not isinstance(operand, (ColumnRefExpr, ParameterExpr)):
+            raise TypeDeductionError(f"enclave {what} supports only column and parameter operands")
+        slot = inputs.setdefault(operand, len(inputs))
+        body.append(Instruction(Opcode.GET_DATA, (slot, _encryption_of(operand))))
+    body.append(operation)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +203,12 @@ def _split_to_enclave(
 
 
 def _emit(expr: Expr, out: list[Instruction], compiled: CompiledExpression) -> None:
+    if _needs_enclave(expr):
+        _split_to_enclave(expr, out, compiled)
+        return
+
     if isinstance(expr, (ColumnRefExpr, ParameterExpr)):
-        enc = expr.column_type.encryption
-        if enc is not None and enc.scheme is EncryptionScheme.RANDOMIZED and not enc.enclave_enabled:
-            # A bare RND value may be projected (moved), never computed on;
-            # the host moves it as an opaque blob.
-            pass
+        # An encrypted value is moved as an opaque blob, never computed on.
         out.append(Instruction(Opcode.GET_DATA, (expr.slot, None)))
         return
 
@@ -180,23 +217,39 @@ def _emit(expr: Expr, out: list[Instruction], compiled: CompiledExpression) -> N
         return
 
     if isinstance(expr, CompareExpr):
-        _emit_compare(expr, out, compiled)
+        # Plaintext, or DET equality: host-side VARBINARY comparison on
+        # ciphertext (Section 4.4), no TMEval instruction.
+        left_enc, right_enc = _encryption_of(expr.left), _encryption_of(expr.right)
+        if left_enc is not None and left_enc.cek_name != right_enc.cek_name:  # type: ignore[union-attr]
+            raise TypeDeductionError(
+                "DET equality requires both operands encrypted with the same CEK"
+            )
+        _emit(expr.left, out, compiled)
+        _emit(expr.right, out, compiled)
+        out.append(Instruction(Opcode.COMP, expr.op.value))
         return
 
     if isinstance(expr, LikeExpr):
-        _emit_like(expr, out, compiled)
+        _emit(expr.value, out, compiled)
+        _emit(expr.pattern, out, compiled)
+        out.append(Instruction(Opcode.LIKE))
         return
 
-    if isinstance(expr, AndExpr):
-        _emit(expr.left, out, compiled)
-        _emit(expr.right, out, compiled)
-        out.append(Instruction(Opcode.AND))
-        return
-
-    if isinstance(expr, OrExpr):
-        _emit(expr.left, out, compiled)
-        _emit(expr.right, out, compiled)
-        out.append(Instruction(Opcode.OR))
+    if isinstance(expr, (AndExpr, OrExpr)):
+        # The chain's enclave terms become one enclave subtree; the rest run
+        # here. Kleene AND / OR are associative and commutative, and the
+        # host evaluates every term of a row, so regrouping changes nothing
+        # but the number of TM_EVALs.
+        kind = type(expr)
+        inside, host = [], []
+        for term in _chain(expr, kind):
+            (inside if _needs_enclave(term) else host).append(term)
+        terms = ([functools.reduce(kind, inside)] if inside else []) + host
+        opcode = Opcode.AND if kind is AndExpr else Opcode.OR
+        _emit(terms[0], out, compiled)
+        for term in terms[1:]:
+            _emit(term, out, compiled)
+            out.append(Instruction(opcode))
         return
 
     if isinstance(expr, NotExpr):
@@ -220,56 +273,3 @@ def _emit(expr: Expr, out: list[Instruction], compiled: CompiledExpression) -> N
         return
 
     raise TypeDeductionError(f"cannot compile expression node {type(expr).__name__}")
-
-
-def _emit_compare(expr: CompareExpr, out: list[Instruction], compiled: CompiledExpression) -> None:
-    left_enc = _encryption_of(expr.left)
-    right_enc = _encryption_of(expr.right)
-
-    if left_enc is None and right_enc is None:
-        _emit(expr.left, out, compiled)
-        _emit(expr.right, out, compiled)
-        out.append(Instruction(Opcode.COMP, expr.op.value))
-        return
-
-    deterministic = (
-        left_enc is not None
-        and right_enc is not None
-        and left_enc.scheme is EncryptionScheme.DETERMINISTIC
-        and right_enc.scheme is EncryptionScheme.DETERMINISTIC
-    )
-    if deterministic and expr.op.value in ("=", "<>"):
-        # Host-side VARBINARY equality on ciphertext (Section 4.4): no
-        # TMEval instruction is generated for DET equality.
-        if left_enc.cek_name != right_enc.cek_name:  # type: ignore[union-attr]
-            raise TypeDeductionError(
-                "DET equality requires both operands encrypted with the same CEK"
-            )
-        _emit_operand_host(expr.left, out, compiled)
-        _emit_operand_host(expr.right, out, compiled)
-        out.append(Instruction(Opcode.COMP, expr.op.value))
-        return
-
-    # Everything else over encrypted operands needs the enclave.
-    _check_enclave_pair(left_enc, right_enc, f"comparison {expr.op.value!r}")
-    if not (_is_operand(expr.left) and _is_operand(expr.right)):
-        raise TypeDeductionError("enclave comparisons support only simple operands")
-    body = [Instruction(Opcode.COMP, expr.op.value)]
-    _split_to_enclave([expr.left, expr.right], body, out, compiled)
-
-
-def _emit_like(expr: LikeExpr, out: list[Instruction], compiled: CompiledExpression) -> None:
-    value_enc = _encryption_of(expr.value)
-    pattern_enc = _encryption_of(expr.pattern)
-
-    if value_enc is None and pattern_enc is None:
-        _emit(expr.value, out, compiled)
-        _emit(expr.pattern, out, compiled)
-        out.append(Instruction(Opcode.LIKE))
-        return
-
-    _check_enclave_pair(value_enc, pattern_enc, "LIKE")
-    if not (_is_operand(expr.value) and _is_operand(expr.pattern)):
-        raise TypeDeductionError("enclave LIKE supports only simple operands")
-    body = [Instruction(Opcode.LIKE)]
-    _split_to_enclave([expr.value, expr.pattern], body, out, compiled)

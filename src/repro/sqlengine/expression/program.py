@@ -97,19 +97,6 @@ class StackProgram:
             raise SqlError("trailing bytes after stack program")
         return cls(instructions)
 
-    def referenced_ceks(self) -> set[str]:
-        """CEK names referenced by GET_DATA / SET_DATA annotations."""
-        ceks: set[str] = set()
-        for ins in self.instructions:
-            if ins.opcode in (Opcode.GET_DATA, Opcode.SET_DATA):
-                __, enc = ins.operand  # type: ignore[misc]
-                if enc is not None:
-                    ceks.add(enc.cek_name)
-            elif ins.opcode is Opcode.TM_EVAL:
-                blob, __ = ins.operand  # type: ignore[misc]
-                ceks |= StackProgram.deserialize(blob).referenced_ceks()
-        return ceks
-
 
 # ---------------------------------------------------------------------------
 # Operand (de)serialization

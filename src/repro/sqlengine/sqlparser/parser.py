@@ -557,29 +557,24 @@ class _Parser:
         if token.type is TokenType.OPERATOR and token.value in ("=", "<>", "<", "<=", ">", ">="):
             self._advance()
             return ast.BinaryOp(token.value, left, self._additive())
-        negated = False
-        if self._check(TokenType.KEYWORD, "NOT") and self._peek(1).matches(TokenType.KEYWORD, "LIKE"):
+        negated = self._check(TokenType.KEYWORD, "NOT") and any(
+            self._peek(1).matches(TokenType.KEYWORD, word) for word in ("LIKE", "BETWEEN", "IN")
+        )
+        if negated:
             self._advance()
-            negated = True
         if self._accept(TokenType.KEYWORD, "LIKE"):
             return ast.LikeOp(value=left, pattern=self._additive(), negated=negated)
-        if self._check(TokenType.KEYWORD, "NOT") and self._peek(1).matches(TokenType.KEYWORD, "IN"):
-            self._advance()
-            self._advance()
-            self._expect(TokenType.OPERATOR, "(")
-            options = tuple(self._expression_list())
-            self._expect(TokenType.OPERATOR, ")")
-            return ast.InOp(value=left, options=options, negated=True)
         if self._accept(TokenType.KEYWORD, "BETWEEN"):
             low = self._additive()
             self._expect(TokenType.KEYWORD, "AND")
-            high = self._additive()
-            return ast.BetweenOp(value=left, low=low, high=high)
+            between = ast.BetweenOp(value=left, low=low, high=self._additive())
+            # Not a BetweenOp, so the planner never takes it for a range sarg.
+            return ast.UnaryOp("NOT", between) if negated else between
         if self._accept(TokenType.KEYWORD, "IN"):
             self._expect(TokenType.OPERATOR, "(")
             options = tuple(self._expression_list())
             self._expect(TokenType.OPERATOR, ")")
-            return ast.InOp(value=left, options=options)
+            return ast.InOp(value=left, options=options, negated=negated)
         if self._accept(TokenType.KEYWORD, "IS"):
             negated = self._accept(TokenType.KEYWORD, "NOT") is not None
             self._expect(TokenType.KEYWORD, "NULL")

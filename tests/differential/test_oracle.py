@@ -13,8 +13,10 @@ The op vocabulary is mode-aware, mirroring the paper's capability matrix:
   IN, join, GROUP BY on the encrypted column; ranges/LIKE only on
   plaintext columns.
 * **RND** (enclave-enabled randomized keys): point, range, BETWEEN,
-  LIKE, IN, join via enclave expression evaluation; GROUP BY only on
-  plaintext/DET columns (the server refuses it on RND).
+  LIKE, IN, their negations, conjunctions over two RND columns and
+  chains mixing RND and plaintext terms, join via enclave expression
+  evaluation; GROUP BY only on plaintext/DET columns (the server refuses
+  it on RND).
 
 The AE side of each pair is a ``ThreeWay`` (tests/conftest.py): every
 generated statement also runs cold, warm and on an always-cold twin stack,
@@ -55,6 +57,7 @@ like_patterns = st.sampled_from(
 _point_s = st.tuples(st.just("point_s"), texts)
 _point_n = st.tuples(st.just("point_n"), ints)
 _in_n = st.tuples(st.just("in_n"), ints, ints)
+_not_in_n = st.tuples(st.just("not_in_n"), ints, ints)
 _join = st.tuples(st.just("join"))
 _group_pub = st.tuples(st.just("group_pub"))
 _group_s = st.tuples(st.just("group_s"))               # DET only
@@ -63,6 +66,10 @@ _range_n = st.tuples(st.just("range_n"), ints)         # RND only
 _between_n = st.tuples(st.just("between_n"), ints, ints)  # RND only
 _range_s = st.tuples(st.just("range_s"), texts)        # RND only
 _like_s = st.tuples(st.just("like_s"), like_patterns)  # RND only
+_not_like_s = st.tuples(st.just("not_like_s"), like_patterns)   # RND only
+_not_between_n = st.tuples(st.just("not_between_n"), ints, ints)  # RND only
+_conj_ns = st.tuples(st.just("conj_ns"), ints, like_patterns)   # RND only
+_mixed = st.tuples(st.just("mixed"), ints, texts, ints)         # RND only
 _range_pub = st.tuples(st.just("range_pub"), ints)     # plaintext col: both
 _update_pub = st.tuples(st.just("update_pub"), texts, ints)
 _update_s = st.tuples(st.just("update_s"), st.integers(0, 7), texts)
@@ -71,14 +78,15 @@ _delete_n = st.tuples(st.just("delete_n"), ints)
 _insert = st.tuples(st.just("insert"), st.integers(100, 107), rows)
 
 _COMMON = [
-    _point_s, _point_n, _in_n, _join, _group_pub, _order_n, _range_pub,
+    _point_s, _point_n, _in_n, _not_in_n, _join, _group_pub, _order_n, _range_pub,
     _update_pub, _update_s, _delete_s, _delete_n, _insert,
 ]
 det_ops = st.lists(
     st.one_of(*_COMMON, _group_s), min_size=5, max_size=9
 )
 rnd_ops = st.lists(
-    st.one_of(*_COMMON, _range_n, _between_n, _range_s, _like_s),
+    st.one_of(*_COMMON, _range_n, _between_n, _range_s, _like_s,
+              _not_like_s, _not_between_n, _conj_ns, _mixed),
     min_size=5, max_size=9,
 )
 
@@ -93,6 +101,11 @@ def _render(op: tuple, t: str, u: str) -> tuple[str, dict, bool]:
     if tag == "in_n":
         return (
             f"SELECT id, s FROM {t} WHERE n IN (@a, @b)",
+            {"a": args[0], "b": args[1]}, False,
+        )
+    if tag == "not_in_n":
+        return (
+            f"SELECT id, s FROM {t} WHERE n NOT IN (@a, @b)",
             {"a": args[0], "b": args[1]}, False,
         )
     if tag == "join":
@@ -121,6 +134,24 @@ def _render(op: tuple, t: str, u: str) -> tuple[str, dict, bool]:
         return f"SELECT id, n FROM {t} WHERE s >= @v", {"v": args[0]}, False
     if tag == "like_s":
         return f"SELECT id, n FROM {t} WHERE s LIKE @pat", {"pat": args[0]}, False
+    if tag == "not_like_s":
+        return f"SELECT id, n FROM {t} WHERE s NOT LIKE @pat", {"pat": args[0]}, False
+    if tag == "not_between_n":
+        lo, hi = sorted(args)
+        return (
+            f"SELECT id, s FROM {t} WHERE n NOT BETWEEN @lo AND @hi",
+            {"lo": lo, "hi": hi}, False,
+        )
+    if tag == "conj_ns":
+        return (
+            f"SELECT id, pub FROM {t} WHERE n > @lo AND s LIKE @pat",
+            {"lo": args[0], "pat": args[1]}, False,
+        )
+    if tag == "mixed":
+        return (
+            f"SELECT id, n FROM {t} WHERE (n < @lo OR s >= @v) AND pub <> @p",
+            {"lo": args[0], "v": args[1], "p": args[2]}, False,
+        )
     if tag == "range_pub":
         return f"SELECT id, s FROM {t} WHERE pub > @lo", {"lo": args[0]}, False
     if tag == "update_pub":

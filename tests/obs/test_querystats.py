@@ -304,7 +304,9 @@ def test_explain_text_matches_the_parent_commits(
     range scan (row-at-a-time and batched), an INSERT and a key-moving
     UPDATE: equal, after masking ``*_ms``, to the strings the parent
     commit printed (captured there by running this module's
-    ``explain_texts``) — every count, every span, every attribute."""
+    ``explain_texts``) — every count, every span, every attribute. The
+    range scan's were captured again when its conjunction became one
+    enclave program: half the ecalls, and one open of each cell."""
     server = SqlServer(
         enclave=Enclave(enclave_binary), host_machine=host_machine, hgs=hgs,
         enclave_call_mode=CallMode.SYNCHRONOUS, eval_batch_size=eval_batch_size,

@@ -300,15 +300,18 @@ def test_partial_last_chunk_of_one_is_a_plain_eval(
 
 # -- the leakage claim, executed ----------------------------------------------
 #
-# Equivalence-based security (PAPERS.md) in executable form. The declared
-# leakage of an enclave-evaluated scan is L(table, predicate) = (row count,
-# ciphertext lengths, the verdict of every comparison on every row). The
-# property checks both directions: chunking an ecall changes nothing the
-# adversary can read (the batched trace, transposed chunk by chunk, IS the
-# row-at-a-time trace), and two tables with equal L are indistinguishable
-# (their traces are equal up to the random bytes of each envelope). Whatever
-# the enclave does between reading its inputs and writing its verdicts —
-# such as opening a repeated envelope once — has nowhere to show.
+# Equivalence-based security (PAPERS.md) in executable form. A WHERE whose
+# every comparison is over RND columns is one enclave subtree, evaluated by
+# one enclave program, so the declared leakage of the scan is
+# L(table, predicate) = (row count, ciphertext lengths, the predicate's
+# verdict on every row); the verdicts of the comparisons inside stay in the
+# enclave. The property checks both directions: chunking an ecall changes
+# nothing the adversary can read (the batched trace, flattened chunk by
+# chunk, IS the row-at-a-time trace), and two tables with equal L are
+# indistinguishable (their traces are equal up to the random bytes of each
+# envelope) — although the twin may flip any single comparison. Whatever the
+# enclave does between reading its inputs and writing its verdict — such as
+# opening a repeated envelope once — has nowhere to show.
 
 CHUNK_SIZES = (1, 2, 7, 64)
 INTS = list(range(-3, 6))
@@ -379,28 +382,37 @@ def render(tree, names) -> str:
 
 def leakage(table, tree) -> list[tuple]:
     """L(table, predicate): per row, the AES-CBC block count of each cell
-    and the verdict of each comparison. The row count is the length."""
+    and the predicate's verdict. The row count is the length."""
     return [
-        tuple(len(serialize_value(value)) // 16 for value in row)
-        + tuple(leaf_holds(leaf, row) for leaf in leaves(tree))
+        tuple(len(serialize_value(value)) // 16 for value in row) + (holds(tree, row),)
         for row in table
     ]
 
 
-def per_row_trace(evals, n_sites) -> list[tuple]:
+def program_inputs(tree, row) -> tuple:
+    """What the predicate's enclave program reads for ``row``, in order:
+    a column's cell where a comparison first reads it, and each
+    comparison's parameter."""
+    read, inputs = set(), []
+    for leaf in leaves(tree):
+        if leaf[0] not in read:
+            read.add(leaf[0])
+            inputs.append(cell_read(leaf, row))
+        inputs.append(leaf[2])
+    return tuple(inputs)
+
+
+def per_row_trace(evals) -> list[tuple]:
     """``decoded_evals`` flattened to one ``(program, inputs, outputs)`` per
-    (row, comparison) in the order row-at-a-time evaluation produces them:
-    a chunk's ``n_sites`` consecutive events are transposed."""
-    flat = []
-    for start in range(0, len(evals), n_sites):
-        lanes = [
+    row, in the order row-at-a-time evaluation produces them."""
+    return [
+        entry
+        for ecall, program, inputs, outputs in evals
+        for entry in (
             [(program, inputs, outputs)] if ecall == "eval"
             else [(program, *row) for row in zip(inputs, outputs)]
-            for ecall, program, inputs, outputs in evals[start : start + n_sites]
-        ]
-        for row in zip(*lanes, strict=True):
-            flat.extend(row)
-    return flat
+        )
+    ]
 
 
 def envelope_shapes(events) -> list[tuple]:
@@ -450,26 +462,19 @@ class TestLeakageEquivalence:
         self, stack, cek_material, table, tree, data
     ):
         adversary, server, conn, sequence = stack
-        # A second table with the same L: per cell, any value of the domain
-        # with the same block count and the same verdict under every
-        # comparison that reads it.
-        domains = (TEXTS, INTS)
+        # A second table with the same L: per row, any row of the domain
+        # with the same block counts and the same verdict.
         twin = [
-            tuple(
-                data.draw(st.sampled_from([
-                    other for other in domains[column]
-                    if leakage([row[:column] + (other,) + row[column + 1 :]], tree)
-                    == leakage([row], tree)
-                ]))
-                for column in (0, 1)
-            )
+            data.draw(st.sampled_from([
+                other for other in itertools.product(TEXTS, INTS)
+                if leakage([other], tree) == leakage([row], tree)
+            ]))
             for row in table
         ]
         assert leakage(twin, tree) == leakage(table, tree)
 
         params = {f"p{i}": leaf[2] for i, leaf in enumerate(leaves(tree))}
         where = render(tree, iter(params))
-        n_sites = len(params)
         enc = (
             "ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = TestCEK, "
             f"ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}')"
@@ -499,14 +504,12 @@ class TestLeakageEquivalence:
             # Chunking is invisible: every chunk size decodes to the one
             # per-row trace, which is the plaintext rows and their verdicts.
             flat = [
-                per_row_trace(decoded_evals(events, cek_material), n_sites)
+                per_row_trace(decoded_evals(events, cek_material))
                 for events in per_chunk_size
             ]
             assert flat[1:] == flat[:-1]
-            assert [(inputs, outputs) for __, inputs, outputs in flat[0]] == [
-                ((cell_read(leaf, row), leaf[2]), (leaf_holds(leaf, row),))
-                for row in rows
-                for leaf in leaves(tree)
+            assert flat[0] == [
+                (0, program_inputs(tree, row), (holds(tree, row),)) for row in rows
             ]
             traces.append([envelope_shapes(events) for events in per_chunk_size])
         # Equal leakage, indistinguishable traces — at every chunk size.

@@ -95,13 +95,18 @@ class TestBatchedFilter:
 
 
 class TestOpenOncePerEcall:
-    """The tier-1 pin of docs/PERF.md "Open once per ecall": one ecall per
-    (comparison, chunk), one open per cell plus one per shared parameter
-    per ecall — and paper mode exactly what it always cost."""
+    """The tier-1 pin of docs/PERF.md "Open once per ecall" and "One enclave
+    program per enclave subtree": one ecall per (enclave subtree, chunk),
+    one open per cell the subtree reads plus one per shared parameter per
+    ecall — in paper mode too, where every row is its own ecall."""
 
     ROWS = 256
     RANGE = "SELECT id FROM W WHERE value > @lo AND value < @hi"
+    BETWEEN = "SELECT id FROM W WHERE value BETWEEN @lo AND @hi"
+    IN_LIST = "SELECT id FROM W WHERE value IN (@a, @b, @c)"
     LIKE = "SELECT id FROM W WHERE name LIKE @p"
+    NOT_LIKE = "SELECT id FROM W WHERE name NOT LIKE @p"
+    BOTH = "SELECT id FROM W WHERE value < @hi AND name LIKE @p"
 
     def test_exact_ecalls_and_cell_opens(
         self, enclave, host_machine, hgs, registry, attestation_policy,
@@ -124,14 +129,25 @@ class TestOpenOncePerEcall:
                 "INSERT INTO W (id, value, name) VALUES (@i, @v, @n)",
                 {"i": i, "v": value, "n": name},
             )
-        range_rows = sorted(i for i, value, __ in table if 100 < value < 120)
-        like_rows = sorted(i for i, __, name in table if name.startswith("x"))
-        # (eval_batch_size, statement, parameters, oracle, ecalls, cell opens)
+        def ids(keep):
+            return sorted(i for i, value, name in table if keep(value, name))
+
+        bounds, options, prefix = {"lo": 100, "hi": 120}, {"a": 3, "b": 7, "c": 300}, {"p": "x%"}
+        range_rows = ids(lambda value, __: 100 < value < 120)
+        like_rows = ids(lambda __, name: name.startswith("x"))
+        # (eval_batch_size, statement, parameters, oracle, ecalls, cell opens):
+        # four 64-row chunks, or 256 one-row ecalls.
         cases = [
-            (64, self.RANGE, {"lo": 100, "hi": 120}, range_rows, 8, 8 * 65),
-            (64, self.LIKE, {"p": "x%"}, like_rows, 4, 4 * 65),
-            (1, self.RANGE, {"lo": 100, "hi": 120}, range_rows, 512, 1024),
-            (1, self.LIKE, {"p": "x%"}, like_rows, 256, 512),
+            (64, self.RANGE, bounds, range_rows, 4, 4 * (64 + 2)),
+            (64, self.BETWEEN, bounds, ids(lambda value, __: 100 <= value <= 120), 4, 4 * 66),
+            (64, self.IN_LIST, options, ids(lambda value, __: value in (3, 7, 300)), 4, 4 * 67),
+            (64, self.LIKE, prefix, like_rows, 4, 4 * 65),
+            (64, self.NOT_LIKE, prefix, ids(lambda __, name: not name.startswith("x")),
+             4, 4 * 65),
+            (64, self.BOTH, {"hi": 120, "p": "x%"},
+             ids(lambda value, name: value < 120 and name.startswith("x")), 4, 4 * (128 + 2)),
+            (1, self.RANGE, bounds, range_rows, 256, 256 * 3),
+            (1, self.LIKE, prefix, like_rows, 256, 256 * 2),
         ]
         try:
             for batch_size, query, params, oracle, ecalls, opens in cases:

@@ -166,6 +166,16 @@ class TestDml:
         stmt = parse("SELECT x FROM t WHERE x NOT IN (1) AND y NOT LIKE 'a%'")
         assert stmt.where.left.negated and stmt.where.right.negated
 
+    def test_not_between(self):
+        """``NOT BETWEEN`` is NOT over a BETWEEN, which the planner's sarg
+        extraction (it matches BetweenOp conjuncts) passes over."""
+        stmt = parse("SELECT x FROM t WHERE x NOT BETWEEN @lo AND @hi AND y = 1")
+        negation = stmt.where.left
+        assert isinstance(negation, ast.UnaryOp) and negation.op == "NOT"
+        assert negation.operand == ast.BetweenOp(
+            value=ast.ColumnName("x"), low=ast.Param("lo"), high=ast.Param("hi")
+        )
+
     def test_is_null(self):
         stmt = parse("SELECT x FROM t WHERE x IS NULL AND y IS NOT NULL")
         assert not stmt.where.left.negated and stmt.where.right.negated
