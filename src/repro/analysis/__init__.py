@@ -4,19 +4,19 @@ isolation argument).
 The reproduction's security story rests on invariants that, until this
 package existed, were held only by convention: the host never touches
 enclave internals, plaintext never escapes host-side, locks nest in one
-declared order, and every fault site / metric name is a registered,
-tested, well-formed contract. ``python -m repro.analysis --strict`` checks
-all of it on every commit.
+declared order, every fault site is a registered, tested contract, and
+2PC writes its log record before its state. ``python -m repro.analysis
+--strict`` checks all of it on every commit. Each check is proved by a
+realistic edit of the real tree that it catches: the mutation table in
+``tests/analysis/test_injection.py``, printed in ``docs/ANALYSIS.md``.
 
 Layout:
 
 * :mod:`~repro.analysis.model` — one AST pass per module, shared records;
-* :mod:`~repro.analysis.rules` — the four rule families;
+* :mod:`~repro.analysis.rules` — the rule families;
 * :mod:`~repro.analysis.engine` — run rules, dedup, apply baseline;
 * :mod:`~repro.analysis.baseline` — grandfathered findings, a ratchet;
-* :mod:`~repro.analysis.cli` — the ``python -m repro.analysis`` command;
-* :mod:`~repro.analysis.dynamic_metrics` — the runtime half of the metrics
-  lint (boots the stack, validates the registry).
+* :mod:`~repro.analysis.cli` — the ``python -m repro.analysis`` command.
 
 See ``docs/ANALYSIS.md`` for the trust-boundary model and how to add a
 rule.

@@ -16,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Trust-boundary / taint / lock-order / site-metric static "
+            "Trust-boundary / taint / lock-order / fault-site / 2PC static "
             "analysis for the Always Encrypted reproduction."
         ),
     )

@@ -86,20 +86,14 @@ class TaintConfig:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Protocol-typestate parameters (all empty → the rule is inert).
+    """2PC write-ahead parameters (no engine modules → the ordering check
+    is inert).
 
-    ``handler_modules`` are the server-side dispatchers; every opcode's
-    message class must be isinstance-checked or constructed in one of
-    them. The first is the serving loop every other one answers through:
-    it is the one that must marshal errors. ``engine_modules`` are where 2PC state transitions live;
-    functions named in ``recovery_functions`` replay WAL records instead
-    of writing them and are exempt from the write-ahead ordering check.
+    ``engine_modules`` are where 2PC state transitions live; functions
+    named in ``recovery_functions`` replay WAL records instead of writing
+    them and are exempt from the write-ahead ordering check.
     """
 
-    handler_modules: tuple[str, ...] = ()
-    messages_module: str = ""
-    errors_module: str = ""
-    error_base: str = "ReproError"
     engine_modules: tuple[str, ...] = ()
     recovery_functions: tuple[str, ...] = ("recover",)
 
@@ -136,14 +130,6 @@ class AnalysisConfig:
     #: packages exempt from the literal-site requirement (the registry
     #: implementation itself passes names through variables)
     consistency_exempt: tuple[str, ...] = ()
-    #: registered flight-recorder event kinds; ``record_event("…")``
-    #: literals must name one of these (empty tuple disables the check)
-    event_kinds: tuple[str, ...] = ()
-    #: packages whose wire-opcode literals (``OP = "…"`` class attributes
-    #: and ``opcode_byte("…")`` calls) must appear in the opcode registry
-    opcode_packages: tuple[str, ...] = ()
-    #: the registered opcode names (empty tuple disables the check)
-    opcode_names: tuple[str, ...] = ()
     #: directory scanned for fault-site test coverage (None disables)
     tests_root: Path | None = None
     baseline_path: Path | None = None
@@ -192,7 +178,6 @@ DEFAULT_LOCK_ORDER = (
     "repro.faults.registry.*",
     "repro.obs.latchprof.*",
     "repro.obs.leakage.*",
-    "repro.obs.transition_cost.*",
     "repro.obs.flightrec.*",
     "repro.obs.metrics.*",
 )
@@ -227,8 +212,6 @@ def default_config(
 ) -> AnalysisConfig:
     """The configuration for this repository's source tree."""
     from repro.enclave import ECALL_SURFACE
-    from repro.net.opcodes import OPCODES
-    from repro.obs.flightrec import EVENT_KINDS
 
     top = repo_root()
     if root is None:
@@ -267,26 +250,13 @@ def default_config(
         taint=TaintConfig(
             opaque_packages=("repro.crypto",),
         ),
-        protocol=ProtocolConfig(
-            handler_modules=(
-                "repro.net.frameserver",
-                "repro.net.wireserver",
-                "repro.net.router",
-            ),
-            messages_module="repro.net.messages",
-            errors_module="repro.errors",
-            engine_modules=("repro.sqlengine.engine",),
-            recovery_functions=("recover",),
-        ),
+        protocol=ProtocolConfig(engine_modules=("repro.sqlengine.engine",)),
         latch_exempt=("repro.obs.latchprof",),
         lock_order=LockOrderConfig(
             order=DEFAULT_LOCK_ORDER,
             receiver_aliases=dict(DEFAULT_RECEIVER_ALIASES),
         ),
-        consistency_exempt=("repro.faults", "repro.obs"),
-        event_kinds=tuple(EVENT_KINDS),
-        opcode_packages=("repro.net",),
-        opcode_names=tuple(OPCODES),
+        consistency_exempt=("repro.faults",),
         tests_root=tests_root,
         baseline_path=baseline_path,
     )

@@ -24,6 +24,7 @@ class Report:
     #: wall-clock seconds by phase: "model", "taint-flow", then one entry
     #: per rule name, in execution order (dicts preserve it).
     timings: dict = field(default_factory=dict)
+    model: ProjectModel | None = None                # what the rules ran on
 
     @property
     def new(self) -> list:
@@ -87,4 +88,5 @@ class AnalysisEngine:
             findings=findings,
             baseline=apply_baseline(findings, entries),
             timings=timings,
+            model=model,
         )

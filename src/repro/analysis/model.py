@@ -81,14 +81,6 @@ class HeldCall:
 
 
 @dataclass
-class ClassInfo:
-    name: str
-    lineno: int
-    methods: dict = field(default_factory=dict)      # name -> qualname
-    fields_literal: dict = field(default_factory=dict)  # FIELDS-style str->str dicts
-
-
-@dataclass
 class ModuleInfo:
     name: str                      # dotted module name relative to the root
     path: Path
@@ -98,7 +90,7 @@ class ModuleInfo:
     calls: list = field(default_factory=list)
     lock_acquisitions: list = field(default_factory=list)
     held_calls: list = field(default_factory=list)
-    classes: dict = field(default_factory=dict)     # name -> ClassInfo
+    classes: set = field(default_factory=set)       # top-level and nested class names
     #: qualname ("f", "Cls.meth", "Cls.meth.inner") -> ast.FunctionDef;
     #: the call graph and taint summaries hang off these nodes.
     functions: dict = field(default_factory=dict)
@@ -122,7 +114,6 @@ class _ModuleVisitor(ast.NodeVisitor):
     def __init__(self, info: ModuleInfo):
         self.info = info
         self._scope: list[str] = []
-        self._class_stack: list[ClassInfo] = []
         self._type_checking_depth = 0
         self._lock_stack: list[tuple[str, ...]] = []
 
@@ -141,8 +132,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self._scope.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if self._class_stack:
-            self._class_stack[-1].methods[node.name] = f"{self.scope}.{node.name}"
         qualname = node.name if not self._scope else f"{self.scope}.{node.name}"
         self.info.functions.setdefault(qualname, node)
         self._visit_scoped(node, node.name)
@@ -150,11 +139,8 @@ class _ModuleVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        info = ClassInfo(name=node.name, lineno=node.lineno)
-        self.info.classes[node.name] = info
-        self._class_stack.append(info)
+        self.info.classes.add(node.name)
         self._visit_scoped(node, node.name)
-        self._class_stack.pop()
 
     def visit_If(self, node: ast.If) -> None:
         if _is_type_checking_test(node.test):
@@ -224,29 +210,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             ))
         self.generic_visit(node)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        # Class-body ``NAME = {"k": "v", ...}`` literal dicts (StatsView
-        # FIELDS maps) feed the metric-name consistency rule.
-        if (
-            self._class_stack
-            and self.scope == ".".join(self._scope)
-            and self._scope
-            and self._scope[-1] == self._class_stack[-1].name
-            and isinstance(node.value, ast.Dict)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            literal: dict[str, tuple[str, int]] = {}
-            for key, value in zip(node.value.keys, node.value.values):
-                if (
-                    isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    and isinstance(value, ast.Constant) and isinstance(value.value, str)
-                ):
-                    literal[key.value] = (value.value, value.lineno)
-            if literal:
-                self._class_stack[-1].fields_literal[node.targets[0].id] = literal
-        self.generic_visit(node)
-
     def visit_With(self, node: ast.With) -> None:
         acquired: list[tuple[str, ...]] = []
         for item in node.items:
@@ -271,6 +234,13 @@ class _ModuleVisitor(ast.NodeVisitor):
         del self._lock_stack[len(self._lock_stack) - len(acquired):]
 
     visit_AsyncWith = visit_With
+
+
+def parse_module(modname: str, path: Path, source: str) -> ModuleInfo:
+    """One module's records: the single AST pass every rule shares."""
+    info = ModuleInfo(name=modname, path=path, tree=ast.parse(source, filename=str(path)))
+    _ModuleVisitor(info).visit(info.tree)
+    return info
 
 
 class ProjectModel:
@@ -306,11 +276,9 @@ class ProjectModel:
             if parts[-1] == "__init__":
                 parts.pop()
             modname = ".".join(parts) if parts else rel.stem
-            info = ModuleInfo(name=modname, path=path, tree=ast.parse(
-                path.read_text(encoding="utf-8"), filename=str(path)
-            ))
-            _ModuleVisitor(info).visit(info.tree)
-            model.modules[modname] = info
+            model.modules[modname] = parse_module(
+                modname, path, path.read_text(encoding="utf-8")
+            )
         return model
 
     def relpath(self, info: ModuleInfo) -> str:

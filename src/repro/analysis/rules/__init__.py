@@ -2,14 +2,13 @@
 ``run(model, config) -> list[Finding]``; :data:`ALL_RULES` is the default
 battery the engine and CLI load."""
 
-from repro.analysis.rules.consistency import SiteMetricConsistencyRule
+from repro.analysis.rules.consistency import FaultSiteRule
 from repro.analysis.rules.latch_safety import LatchSafetyRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.plaintext_taint import PlaintextTaintRule
 from repro.analysis.rules.protocol_typestate import ProtocolTypestateRule
 from repro.analysis.rules.trust_boundary import TrustBoundaryRule
 from repro.analysis.rules.wire_egress import WireEgressRule
-from repro.analysis.rules.wire_opcodes import WireOpcodeRule
 
 ALL_RULES = (
     TrustBoundaryRule(),
@@ -17,19 +16,17 @@ ALL_RULES = (
     WireEgressRule(),
     LockOrderRule(),
     LatchSafetyRule(),
-    SiteMetricConsistencyRule(),
-    WireOpcodeRule(),
+    FaultSiteRule(),
     ProtocolTypestateRule(),
 )
 
 __all__ = [
     "ALL_RULES",
+    "FaultSiteRule",
     "LatchSafetyRule",
     "LockOrderRule",
     "PlaintextTaintRule",
     "ProtocolTypestateRule",
-    "SiteMetricConsistencyRule",
     "TrustBoundaryRule",
     "WireEgressRule",
-    "WireOpcodeRule",
 ]

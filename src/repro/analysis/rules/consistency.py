@@ -1,8 +1,8 @@
-"""Rule family 4: fault-site and metric-name consistency.
+"""Rule family 4: fault-site consistency.
 
-Fault sites and metric names are stringly-typed contracts between
-production code, tests, and dashboards; typos fail silently (a fault that
-never fires, a counter nobody aggregates). Checks:
+Fault sites are a stringly-typed contract between production code and
+the fault-injection tests; a typo fails silently (a fault that never
+fires, and the test that armed it passes anyway). Checks:
 
 * every ``fault_point("…")`` literal names a site that some
   ``register_fault_site("…")`` declares;
@@ -11,43 +11,30 @@ never fires, a counter nobody aggregates). Checks:
   test is an untested failure path);
 * site names passed to ``fault_point``/``register_fault_site`` must be
   literals outside the registry implementation itself — a dynamic name
-  can't be audited;
-* every metric name — ``registry.counter/gauge/histogram("…")`` literals
-  and ``FIELDS``-style StatsView maps — follows the ``component.noun_verb``
-  convention (the static half of the metrics lint; the runtime half is
-  :mod:`repro.analysis.dynamic_metrics`);
-* no metric name is registered under two different kinds;
-* every ``record_event("…")`` literal names a flight-recorder event kind
-  registered in :data:`repro.obs.flightrec.EVENT_KINDS` and follows the
-  same naming convention — an unregistered kind would raise at runtime,
-  but only on the instrumented path actually executing.
+  can't be audited.
+
+Metric names and kinds and flight-recorder event kinds are left to
+runtime: the registry
+and the recorder refuse bad ones, and every such call site runs at
+import or under a named test (``docs/ANALYSIS.md``, "Deleted checks").
 """
 
 from __future__ import annotations
 
-import re
-
 from repro.analysis.findings import Finding
 from repro.analysis.model import CALL_MARK
 
-#: Mirrors repro.obs.metrics.METRIC_NAME_RE; asserted identical by the
-#: analyzer's test suite so the two cannot drift.
-METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
-
 _SITE_REGISTER_FNS = ("register_fault_site", "register_site")
 _SITE_USE_FNS = ("fault_point",)
-_METRIC_FNS = ("counter", "gauge", "histogram")
-_EVENT_FNS = ("record_event",)
 
 
-class SiteMetricConsistencyRule:
-    name = "site-metric"
+class FaultSiteRule:
+    name = "fault-site"
 
     def run(self, model, config) -> list:
         findings: list[Finding] = []
         registered: dict[str, tuple] = {}   # site -> (path, line)
         used: list[tuple] = []              # (site, path, line, scope)
-        metric_kinds: dict[str, tuple] = {} # name -> (kind, path, line)
 
         for modname, info in model.modules.items():
             if not model.in_packages(modname, config.packages):
@@ -73,77 +60,10 @@ class SiteMetricConsistencyRule:
                                     "string literals"
                                 ),
                             ))
-                        continue
-                    if fn in _SITE_REGISTER_FNS:
+                    elif fn in _SITE_REGISTER_FNS:
                         registered.setdefault(literal, (path, call.lineno))
                     else:
                         used.append((literal, path, call.lineno, call.scope))
-                elif fn in _EVENT_FNS:
-                    literal = call.str_args[0] if call.str_args else None
-                    if literal is None:
-                        if not exempt:
-                            findings.append(Finding(
-                                rule=self.name, path=path, line=call.lineno,
-                                symbol=call.scope,
-                                key=f"dynamic-event:{fn}",
-                                message=(
-                                    f"{fn}() called with a non-literal event "
-                                    "kind; flight-recorder events must be "
-                                    "auditable string literals"
-                                ),
-                            ))
-                        continue
-                    if not METRIC_NAME_RE.match(literal):
-                        findings.append(Finding(
-                            rule=self.name, path=path, line=call.lineno,
-                            symbol=call.scope,
-                            key=f"event-name:{literal}",
-                            message=(
-                                f"event kind {literal!r} violates the "
-                                "component.noun_verb convention (lowercase "
-                                "dot-separated segments, >= 2)"
-                            ),
-                        ))
-                    elif config.event_kinds and literal not in config.event_kinds:
-                        findings.append(Finding(
-                            rule=self.name, path=path, line=call.lineno,
-                            symbol=call.scope,
-                            key=f"unregistered-event:{literal}",
-                            message=(
-                                f"record_event({literal!r}) names an event "
-                                "kind not registered in "
-                                "repro.obs.flightrec.EVENT_KINDS"
-                            ),
-                        ))
-                elif fn in _METRIC_FNS and len(parts) >= 2:
-                    literal = call.str_args[0] if call.str_args else None
-                    if literal is None:
-                        continue  # registry APIs validate dynamic names at runtime
-                    self._check_metric_name(
-                        findings, literal, path, call.lineno, call.scope
-                    )
-                    previous = metric_kinds.get(literal)
-                    if previous is not None and previous[0] != fn:
-                        findings.append(Finding(
-                            rule=self.name, path=path, line=call.lineno,
-                            symbol=call.scope,
-                            key=f"metric-kind-conflict:{literal}",
-                            message=(
-                                f"metric {literal!r} registered as {fn} here "
-                                f"but as {previous[0]} at "
-                                f"{previous[1]}:{previous[2]}"
-                            ),
-                        ))
-                    else:
-                        metric_kinds.setdefault(literal, (fn, path, call.lineno))
-            for cls in info.classes.values():
-                for map_name, mapping in cls.fields_literal.items():
-                    if map_name != "FIELDS":
-                        continue
-                    for metric_name, (value, lineno) in mapping.items():
-                        self._check_metric_name(
-                            findings, value, path, lineno, cls.name
-                        )
 
         # -- cross-checks ---------------------------------------------------
         for site, path, line, scope in used:
@@ -174,14 +94,3 @@ class SiteMetricConsistencyRule:
                         ),
                     ))
         return findings
-
-    def _check_metric_name(self, findings, name, path, lineno, scope) -> None:
-        if not METRIC_NAME_RE.match(name):
-            findings.append(Finding(
-                rule=self.name, path=path, line=lineno, symbol=scope,
-                key=f"metric-name:{name}",
-                message=(
-                    f"metric name {name!r} violates the component.noun_verb "
-                    "convention (lowercase dot-separated segments, >= 2)"
-                ),
-            ))

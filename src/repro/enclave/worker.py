@@ -30,7 +30,6 @@ from repro.errors import EnclaveError
 from repro.obs.flightrec import record_event
 from repro.obs.metrics import StatementRecord, StatsView, get_registry
 from repro.obs.tracing import get_tracer
-from repro.obs.transition_cost import get_transition_cost_model
 
 
 class CallMode(enum.Enum):
@@ -183,7 +182,10 @@ class EnclaveCallGateway:
                 started = time.perf_counter()
                 _busy_wait(self.transition_cost_s)
                 result = call()
-                self._observe_transition(n_rows, time.perf_counter() - started)
+                record_event(
+                    "enclave.transition", rows=n_rows,
+                    duration_s=time.perf_counter() - started,
+                )
                 return result
         item = _WorkItem(call, n_rows, self._tracer.capture())
         # The span covers submit→completion as seen by the host thread: the
@@ -200,7 +202,7 @@ class EnclaveCallGateway:
         if item.error is not None:
             raise item.error
         assert item.result is not None
-        self._observe_transition(n_rows, item.wall_s)
+        record_event("enclave.transition", rows=n_rows, duration_s=item.wall_s)
         return item.result
 
     # -- worker threads ----------------------------------------------------------
@@ -230,12 +232,6 @@ class EnclaveCallGateway:
                     return
                 self._process(item, wakeup=False)
                 deadline = time.perf_counter() + self.spin_duration_s
-
-    def _observe_transition(self, rows: int, wall_s: float) -> None:
-        """Feed the measured ecall wall time to the cost model and the
-        flight recorder — the batch executor's future cost-model input."""
-        get_transition_cost_model().observe(rows, wall_s)
-        record_event("enclave.transition", rows=rows, duration_s=wall_s)
 
     def _process(self, item: _WorkItem, wakeup: bool) -> None:
         """Run one item as part of its submitter's statement. A sleeping

@@ -39,7 +39,7 @@ from repro.keys.cmk import ColumnMasterKey
 from repro.net.encoding import decode_value, encode_value, memoize_structs
 from repro.net.encoding import register_enum, register_struct
 from repro.net.frames import encode_frame
-from repro.net.opcodes import opcode_byte
+from repro.net.opcodes import OPCODES, opcode_byte
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import RecoveryReport
 from repro.sqlengine.exec.executor import QueryResult, ResultColumn
@@ -394,6 +394,11 @@ class AdminCekVersionsReply:
     versions: dict[str, int] = field(default_factory=dict)
 
 
+if set(MESSAGE_TYPES) != set(OPCODES):
+    raise AssertionError(
+        f"opcodes without a message class: {sorted(set(OPCODES) - set(MESSAGE_TYPES))}"
+    )
+
 #: The catalogue is the export list: every message class, then the functions.
 __all__ = [
     *(cls.__name__ for cls in MESSAGE_TYPES.values()),
@@ -429,9 +434,9 @@ def decode_message(opcode: int, payload: bytes) -> Any:
 #: ReproError subclasses whose constructors cannot be rebuilt from a bare
 #: message string by :func:`reconstruct_error` — these degrade to
 #: :class:`~repro.errors.RemoteError` on the client, and that degradation
-#: is acknowledged here. Append-only: the protocol-typestate analyzer
-#: fails if a multi-argument error subclass is missing from this tuple
-#: (silent degradation) or if an entry stops being multi-argument (rot).
+#: is acknowledged here. Append-only: the wire tests fail if an error
+#: subclass that cannot be rebuilt faithfully is missing from this tuple
+#: (silent degradation), and they pin its contents (rot).
 NONRECONSTRUCTIBLE_ERRORS: tuple[str, ...] = ("RemoteError",)
 
 

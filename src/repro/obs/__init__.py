@@ -58,7 +58,6 @@ from repro.obs.tracing import (
     Tracer,
     get_tracer,
 )
-from repro.obs.transition_cost import TransitionCostModel, get_transition_cost_model
 
 __all__ = [
     "Counter",
@@ -83,7 +82,6 @@ __all__ = [
     "TraceContext",
     "TraceOrphanError",
     "Tracer",
-    "TransitionCostModel",
     "format_explain_analyze",
     "format_explain_stats",
     "get_latch_profiler",
@@ -91,7 +89,6 @@ __all__ = [
     "get_recorder",
     "get_registry",
     "get_tracer",
-    "get_transition_cost_model",
     "record_event",
     "record_leak",
     "snapshot_from_json",

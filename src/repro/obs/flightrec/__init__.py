@@ -8,9 +8,8 @@ without bound, and eviction is *counted*, never silent.
 
 Event kinds are a closed registry (:data:`EVENT_KINDS`), mirroring the
 ``ECALL_SURFACE`` pattern: instrumentation may only record declared
-kinds, the static analyzer validates every ``record_event("...")``
-literal against this registry, and the JSONL schema validator rejects
-files carrying undeclared kinds. Kind names follow the same
+kinds (recording any other raises), and the JSONL schema validator
+rejects files carrying undeclared kinds. Kind names follow the same
 ``component.noun`` convention as metric names (:data:`EVENT_NAME_RE`).
 
 Events carry the emitting thread's :class:`~repro.obs.tracing.TraceContext`
@@ -30,25 +29,23 @@ attribute check and return.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import METRIC_NAME_RE, get_registry
 from repro.obs.tracing import Span, TraceContext, get_tracer
 
-#: Shares the metric-name convention: lowercase dot-separated segments.
-EVENT_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
+#: The metric-name convention, shared: lowercase dot-separated segments.
+EVENT_NAME_RE = METRIC_NAME_RE
 
 SCHEMA_NAME = "repro-flightrec"
 SCHEMA_VERSION = 1
 
-#: The closed registry of event kinds: name → description. The analyzer's
-#: site-metric rule validates every ``record_event`` literal against this
-#: map, so an undeclared kind fails ``python -m repro.analysis --strict``
-#: before it can fail at runtime.
+#: The closed registry of event kinds: name → description. Recording an
+#: undeclared kind raises, and every ``record_event`` call site runs under
+#: a recording test, so a typo fails tier-1.
 EVENT_KINDS: dict[str, str] = {
     "stmt.begin": "a statement started executing on the server",
     "stmt.end": "a statement finished or failed (attrs: ok, elapsed_s, rows | error)",
@@ -181,8 +178,8 @@ class FlightRecorder:
         if kind not in EVENT_KINDS:
             raise FlightRecorderError(
                 f"event kind {kind!r} is not declared in "
-                "repro.obs.flightrec.EVENT_KINDS; declare it there (and let "
-                "the analyzer validate call sites) before recording it"
+                "repro.obs.flightrec.EVENT_KINDS; declare it there before "
+                "recording it"
             )
         thread = registry.thread
         statement = thread.record
@@ -271,10 +268,7 @@ def get_recorder() -> FlightRecorder:
     return _global_recorder
 
 
-#: The instrumentation hook: record one event at a *literal* kind. Call
-#: sites must pass the kind as a string literal (outside
-#: ``repro.obs``/``repro.faults``) — the static analyzer audits every
-#: literal against :data:`EVENT_KINDS`, exactly like fault sites. Bound
-#: directly to the global recorder's method so the hot path pays no
-#: wrapper-call or kwargs re-expansion cost.
+#: The instrumentation hook: record one event of a kind in
+#: :data:`EVENT_KINDS`. Bound directly to the global recorder's method so
+#: the hot path pays no wrapper-call or kwargs re-expansion cost.
 record_event = _global_recorder.record

@@ -4,8 +4,8 @@ Subcommands:
 
 * ``record --out DIR`` — build a small RND TPC-C system (QUEUED enclave
   gateway), drive it from concurrent client threads with the tracer armed
-  (a recording is a request for spans), and export ``flight.jsonl``,
-  ``flight.chrome.json`` (Perfetto-loadable) and ``transition_costs.json``;
+  (a recording is a request for spans), and export ``flight.jsonl`` and
+  ``flight.chrome.json`` (Perfetto-loadable);
 * ``validate PATH`` — check a JSONL recording against the event schema;
 * ``chrome PATH --out PATH`` — convert a JSONL recording to Chrome
   trace-event format;
@@ -26,7 +26,6 @@ def _cmd_record(args) -> int:
     from repro.obs.flightrec.export import write_chrome_trace, write_jsonl
     from repro.obs.flightrec.report import build_report, format_report
     from repro.obs.tracing import get_tracer
-    from repro.obs.transition_cost import get_transition_cost_model
     from repro.workloads.tpcc.config import EncryptionMode, TpccConfig
     from repro.workloads.tpcc.driver import build_system, run_multi_client
 
@@ -47,7 +46,6 @@ def _cmd_record(args) -> int:
     # The schema/load phase floods the ring; the recording of interest is
     # the concurrent client run.
     recorder.clear()
-    get_transition_cost_model().reset()
     print(
         f"recording {args.clients} clients x {args.txns} transactions ...",
         flush=True,
@@ -63,18 +61,14 @@ def _cmd_record(args) -> int:
     events = recorder.events()
     jsonl_path = out_dir / "flight.jsonl"
     chrome_path = out_dir / "flight.chrome.json"
-    costs_path = out_dir / "transition_costs.json"
     n_events = write_jsonl(recorder, jsonl_path)
     n_slices = write_chrome_trace(recorder, chrome_path)
-    get_transition_cost_model().save(costs_path)
     print(
         f"ran {result.transactions} transactions in {result.elapsed_s:.2f}s "
         f"({result.throughput:.1f} txn/s)"
     )
     print(f"wrote {jsonl_path} ({n_events} events, {recorder.dropped} dropped)")
     print(f"wrote {chrome_path} ({n_slices} trace events)")
-    print(f"wrote {costs_path} "
-          f"({get_transition_cost_model().observations} observations)")
     if args.report:
         print()
         print(format_report(build_report(events)))

@@ -3,16 +3,21 @@
 Each rule family gets a pair of fixture packages under ``fixtures/``
 (one deliberately violating, one clean); tests build bespoke
 :class:`~repro.analysis.config.AnalysisConfig` objects pointing at those
-roots — the default (real-tree) configuration is exercised separately in
-``test_real_tree.py`` and ``test_injection.py``.
+roots. The real tree is analyzed once per session (:func:`real_report`);
+every "the real tree is clean" test reads that report, and tests that
+drive the CLI over the real tree or an edited copy of it reuse its parse
+of every unchanged module (:func:`parse_once`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import model as model_mod
+from repro.analysis.config import default_config
 from repro.analysis.engine import AnalysisEngine
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,5 +38,30 @@ def run_rule():
     return _run
 
 
-def keys_of(findings) -> set:
-    return {f.key for f in findings}
+@pytest.fixture(scope="session")
+def real_report():
+    """The default battery over this repository's tree, run once."""
+    return AnalysisEngine(default_config()).run()
+
+
+@pytest.fixture(scope="session")
+def _parsed_modules(real_report) -> dict:
+    return {
+        (name, info.path.read_text(encoding="utf-8")): info
+        for name, info in real_report.model.modules.items()
+    }
+
+
+@pytest.fixture()
+def parse_once(monkeypatch, _parsed_modules):
+    """Model builds reuse the session's parse of any module whose source
+    is unchanged, so a CLI run parses only what an edit touched."""
+    parse = model_mod.parse_module
+
+    def cached(modname, path, source):
+        info = _parsed_modules.get((modname, source))
+        if info is None:
+            return parse(modname, path, source)
+        return dataclasses.replace(info, path=path)
+
+    monkeypatch.setattr(model_mod, "parse_module", cached)

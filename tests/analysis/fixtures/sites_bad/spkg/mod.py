@@ -1,6 +1,5 @@
-"""One deliberate violation per site-metric check: dynamic site name,
-unregistered fault_point, registered-but-untested site, bad metric name
-(call and FIELDS map), and a counter/gauge kind conflict."""
+"""One deliberate violation per fault-site check: dynamic site name,
+unregistered fault_point, registered-but-untested site."""
 
 
 def install(register_fault_site, dynamic_name):
@@ -8,18 +7,5 @@ def install(register_fault_site, dynamic_name):
     register_fault_site(dynamic_name, "dynamic")
 
 
-def hot_path(fault_point, registry):
+def hot_path(fault_point):
     fault_point("disk.unregistered")
-    registry.counter("BadMetricName")
-    registry.counter("disk.flips")
-    registry.gauge("disk.flips")
-
-
-def instrumented(record_event, computed_kind):
-    record_event(computed_kind)             # dynamic event kind
-    record_event("BadEventName")            # violates naming convention
-    record_event("made.up_kind")            # not in the registered kinds
-
-
-class DiskStats:
-    FIELDS = {"writes": "Disk.PagesWritten"}

@@ -1,20 +1,10 @@
-"""Registered + used + tested fault site, conforming metric literals.
-Must produce zero site-metric findings."""
+"""Registered + used + tested fault site.
+Must produce zero fault-site findings."""
 
 
 def install(register_fault_site):
     register_fault_site("disk.write_ok", "one page written")
 
 
-def hot_path(fault_point, registry):
+def hot_path(fault_point):
     fault_point("disk.write_ok")
-    writes = registry.counter("disk.pages_written")
-    writes.inc()
-
-
-def instrumented(record_event):
-    record_event("wal.flush", flushed_lsn=1)
-
-
-class DiskStats:
-    FIELDS = {"writes": "disk.pages_written"}

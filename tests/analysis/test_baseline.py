@@ -54,7 +54,7 @@ def test_missing_baseline_file_is_empty(fixtures_dir, tmp_path):
     assert report.new
 
 
-def test_cli_strict_fails_on_stale_entry(tmp_path, capsys):
+def test_cli_strict_fails_on_stale_entry(tmp_path, capsys, parse_once):
     # Real tree + real baseline passes (see test_real_tree); the same
     # baseline with one dead entry appended must flip --strict to 1.
     from repro.analysis.cli import main

@@ -6,14 +6,11 @@ import pytest
 
 from repro.analysis.callgraph import get_callgraph
 from repro.analysis.config import default_config
-from repro.analysis.model import ProjectModel
 
 
 @pytest.fixture(scope="module")
-def graph():
-    config = default_config()
-    model = ProjectModel.build(config.root, config.packages)
-    return get_callgraph(model, config)
+def graph(real_report):
+    return get_callgraph(real_report.model, default_config())
 
 
 def test_every_project_function_is_registered(graph):

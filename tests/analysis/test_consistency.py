@@ -1,6 +1,5 @@
-"""Site-metric rule: every consistency check fires on the violating
-fixture, the clean fixture stays quiet, and the analyzer's metric-name
-regex cannot drift from the runtime registry's."""
+"""Fault-site rule: every fault-site check fires on the violating
+fixture, and the clean fixture stays quiet."""
 
 from __future__ import annotations
 
@@ -10,17 +9,14 @@ from repro.analysis.config import AnalysisConfig
 
 
 def config(root) -> AnalysisConfig:
-    return AnalysisConfig(
-        root=root, packages=("spkg",), tests_root=root / "toy_tests",
-        event_kinds=("stmt.begin", "wal.flush"),
-    )
+    return AnalysisConfig(root=root, packages=("spkg",), tests_root=root / "toy_tests")
 
 
 @pytest.fixture(scope="module")
 def rule():
-    from repro.analysis.rules.consistency import SiteMetricConsistencyRule
+    from repro.analysis.rules.consistency import FaultSiteRule
 
-    return SiteMetricConsistencyRule()
+    return FaultSiteRule()
 
 
 def test_violating_fixture_flags_every_check(rule, run_rule, fixtures_dir):
@@ -29,13 +25,7 @@ def test_violating_fixture_flags_every_check(rule, run_rule, fixtures_dir):
     assert "dynamic-site:register_fault_site" in keys
     assert "unregistered-site:disk.unregistered" in keys
     assert "untested-site:disk.never_tested" in keys
-    assert "metric-name:BadMetricName" in keys
-    assert "metric-name:Disk.PagesWritten" in keys      # FIELDS map value
-    assert "metric-kind-conflict:disk.flips" in keys
-    assert "dynamic-event:record_event" in keys
-    assert "event-name:BadEventName" in keys
-    assert "unregistered-event:made.up_kind" in keys
-    assert all(f.rule == "site-metric" for f in findings)
+    assert all(f.rule == "fault-site" for f in findings)
 
 
 def test_clean_fixture_has_no_findings(rule, run_rule, fixtures_dir):
@@ -47,30 +37,3 @@ def test_missing_tests_root_disables_coverage_check(rule, run_rule, fixtures_dir
     keys = {f.key for f in run_rule(rule, cfg)}
     assert not any(k.startswith("untested-site:") for k in keys)
     assert "unregistered-site:disk.unregistered" in keys  # static checks remain
-
-
-def test_empty_event_kinds_disables_registration_check(rule, run_rule, fixtures_dir):
-    cfg = AnalysisConfig(
-        root=fixtures_dir / "sites_bad", packages=("spkg",)
-    )
-    keys = {f.key for f in run_rule(rule, cfg)}
-    assert not any(k.startswith("unregistered-event:") for k in keys)
-    assert "event-name:BadEventName" in keys     # naming always enforced
-    assert "dynamic-event:record_event" in keys
-
-
-def test_default_config_registers_the_runtime_event_kinds():
-    from repro.analysis.config import default_config
-    from repro.obs.flightrec import EVENT_KINDS
-
-    assert set(default_config().event_kinds) == set(EVENT_KINDS)
-
-
-def test_metric_regex_identical_to_runtime_registry():
-    from repro.analysis.rules.consistency import METRIC_NAME_RE as analyzer_re
-    from repro.obs.flightrec import EVENT_NAME_RE as event_re
-    from repro.obs.metrics import METRIC_NAME_RE as runtime_re
-
-    assert analyzer_re.pattern == runtime_re.pattern
-    # Event kinds share the convention: one regex, no drift.
-    assert event_re.pattern == runtime_re.pattern

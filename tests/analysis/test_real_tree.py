@@ -9,7 +9,7 @@ from repro.enclave import ECALL_SURFACE, Enclave, EnclaveCallGateway
 from repro.enclave.runtime import EnclaveError
 
 
-def test_strict_run_is_clean(capsys):
+def test_strict_run_is_clean(capsys, parse_once):
     from repro.analysis.cli import main
 
     assert main(["--strict"]) == 0
@@ -18,7 +18,7 @@ def test_strict_run_is_clean(capsys):
     # per-rule summary names every family
     for family in (
         "trust-boundary", "plaintext-taint", "wire-egress", "lock-order",
-        "latch-safety", "site-metric", "wire-opcode", "protocol-typestate",
+        "latch-safety", "fault-site", "protocol-typestate",
     ):
         assert f"{family}=0" in out
 
@@ -30,7 +30,7 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for family in (
         "trust-boundary", "plaintext-taint", "wire-egress", "lock-order",
-        "latch-safety", "site-metric", "wire-opcode", "protocol-typestate",
+        "latch-safety", "fault-site", "protocol-typestate",
     ):
         assert family in out
 

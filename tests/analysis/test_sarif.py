@@ -71,7 +71,7 @@ def test_round_trip_agrees_with_report(flow_bad_run, tmp_path):
         )
 
 
-def test_baselined_findings_carry_suppressions(tmp_path, capsys):
+def test_baselined_findings_carry_suppressions(tmp_path, capsys, parse_once):
     # real tree via the CLI: the two baselined taint findings must appear
     # as suppressed notes, not errors
     from repro.analysis.cli import main

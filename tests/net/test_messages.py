@@ -297,6 +297,46 @@ def test_non_repro_error_type_not_instantiated():
     assert isinstance(rebuilt, RemoteError)
 
 
+def test_every_registry_opcode_has_a_message():
+    import repro.net.messages as messages
+    from repro.net.opcodes import OPCODES
+
+    by_op = {
+        cls.OP
+        for cls in vars(messages).values()
+        if isinstance(cls, type) and hasattr(cls, "OP")
+    }
+    assert set(OPCODES) == by_op
+
+
+def test_every_error_subclass_is_reconstructible_or_registered():
+    import repro.errors as errors_mod
+    from repro.errors import RemoteError, ReproError
+    from repro.net.messages import (
+        NONRECONSTRUCTIBLE_ERRORS,
+        error_reply_for,
+        reconstruct_error,
+    )
+
+    for name in dir(errors_mod):
+        cls = getattr(errors_mod, name)
+        if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+            continue
+        if cls is ReproError or name in NONRECONSTRUCTIBLE_ERRORS:
+            continue
+        try:
+            exc = cls("probe message")
+        except TypeError:
+            pytest.fail(f"{name} is unregistered yet not message-constructible")
+        rebuilt = reconstruct_error(error_reply_for(exc))
+        assert type(rebuilt) is cls, name
+        assert not isinstance(rebuilt, RemoteError)
+        # A first parameter that is not the message (a site, a shard)
+        # would swallow the text on the way back: the rebuilt error must
+        # say what the original said.
+        assert str(rebuilt) == str(exc), name
+
+
 def test_unregistered_struct_rejected_at_decode():
     class NotRegistered:
         pass

@@ -40,7 +40,6 @@ from repro.obs.latchprof import get_latch_profiler
 from repro.obs.leakage import get_leakage_accountant
 from repro.obs.metrics import get_registry
 from repro.obs.querystats import QueryStats
-from repro.obs.transition_cost import get_transition_cost_model
 from repro.sqlengine.expression.vm import StackMachine
 from repro.sqlengine.index.comparators import CompositeComparator
 from repro.sqlengine.server import SqlServer
@@ -92,7 +91,6 @@ def telemetry_locks(monkeypatch) -> list[tuple[str, str]]:
         ("ring", get_recorder()),
         ("ledger", get_leakage_accountant()),
         ("latch_profiler", get_latch_profiler()),
-        ("transition_costs", get_transition_cost_model()),
     ):
         monkeypatch.setattr(holder, "_lock", CountingLock(holder._lock, owner, log))
     return log
