@@ -98,13 +98,12 @@ def main() -> None:
         conn, vault, "LegacyCMK", "https://vault.azure.net/keys/legacy",
         allow_enclave_computations=False,
     )
-    material = provision_cek(conn, vault, cmk_legacy, "LegacyCEK")
+    provision_cek(conn, vault, cmk_legacy, "LegacyCEK")
     cells = client_side_initial_encryption(
-        conn, "LEGACY", "note", "LegacyCEK", material,
-        EncryptionScheme.DETERMINISTIC, roundtrip_latency_s=0.0,
+        conn, "LEGACY", "k", "note", "LegacyCEK", EncryptionScheme.DETERMINISTIC,
     )
     print(f"client-side (AEv1-style) initial encryption: {cells} cells, "
-          "with a full client round-trip of the data")
+          "read through the driver and written back encrypted")
     r = conn.execute("SELECT k FROM LEGACY WHERE note = @n", {"n": "note-3"})
     assert r.rows == [(3,)]
     print("DET equality after client-side encryption:", r.rows)

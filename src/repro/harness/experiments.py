@@ -40,12 +40,13 @@ from repro.harness.perfmodel import (
 from repro.harness.result import claim, result, row
 from repro.keys import default_registry
 from repro.keys.cmk import ColumnMasterKey
+from repro.net.remote import RemoteServer
+from repro.net.wireserver import WireServer
 from repro.obs.flightrec import get_recorder
 from repro.obs.metrics import get_registry
 from repro.sqlengine.server import SqlServer
-from repro.tools.initial_encryption import client_side_initial_encryption
 from repro.tools.provisioning import provision_cek, provision_cmk
-from repro.tools.rotation import rotate_cek_online
+from repro.tools.rotation import client_side_initial_encryption, rotate_cek_online
 from repro.workloads.tpcc.config import TRANSACTION_MIX, EncryptionMode, TpccConfig
 from repro.workloads.tpcc.driver import CMK_NAME, CMK_PATH, TpccSystem, build_server, build_system
 from repro.workloads.tpcc.transactions import TpccTransactions
@@ -483,7 +484,7 @@ def telemetry(run: Run) -> dict:
                   rows, claims)
 
 
-def _enclave_stack(allow_enclave: bool = True, **build) -> tuple[SqlServer, Connection, bytes]:
+def _enclave_stack(allow_enclave: bool = True, **build) -> tuple[SqlServer, Connection]:
     """An enclave-backed server, an attested connection, CMK and ``CEK`` provisioned."""
     server, author = build_server(TpccConfig(mode=RND, eval_batch_size=64), **build)
     registry = default_registry()
@@ -492,7 +493,8 @@ def _enclave_stack(allow_enclave: bool = True, **build) -> tuple[SqlServer, Conn
     vault = registry.get("AZURE_KEY_VAULT_PROVIDER")
     cmk = provision_cmk(conn, vault, "CMK", "https://vault.azure.net/keys/harness",
                         allow_enclave_computations=allow_enclave)
-    return server, conn, provision_cek(conn, vault, cmk, "CEK")
+    provision_cek(conn, vault, cmk, "CEK")
+    return server, conn
 
 
 def _table_of(conn: Connection, table: str, column: str, values, encrypted: str = "") -> None:
@@ -516,7 +518,7 @@ def eval_batch(run: Run) -> dict:
     counters = ["worker.boundary_transitions", "enclave.ecalls", "enclave.cell_decrypts"]
     rows, claims = [], []
     for mode, cost_s in itertools.product((CallMode.SYNCHRONOUS, CallMode.QUEUED), (0.0, 0.0002)):
-        server, conn, __ = _enclave_stack(enclave_call_mode=mode)
+        server, conn = _enclave_stack(enclave_call_mode=mode)
         server.gateway.transition_cost_s = cost_s
         # No spinning: every queue item is a sleep→hot wakeup, so QUEUED
         # transition counts repeat exactly.
@@ -556,55 +558,74 @@ def eval_batch(run: Run) -> dict:
 def initial_encryption(run: Run) -> dict:
     """A3: encrypting a column in place via the enclave vs through the client."""
     n, pairs = run.pick(200, 20), run.pick(5, 2)
-    latency_s = n * 0.0005      # the client path ships the column both ways: 0.5 ms/row
-    stacks = {"in place": _enclave_stack(), "client": _enclave_stack(allow_enclave=False)}
+    counters = ["enclave.cell_encrypts", "driver.describe_roundtrips", "driver.execute_roundtrips"]
+    enclave_server, in_place = _enclave_stack()
+    client_server, setup = _enclave_stack(allow_enclave=False)
+    wire = WireServer(client_server).start()
+    remote = RemoteServer(wire.host, wire.port)
+    # The client tool on the paper's driver: one describe per execute.
+    client, wired = (connect(server, setup.registry, attestation_policy=setup.attestation_policy,
+                             cache_describe_results=False) for server in (client_server, remote))
 
     def fresh_table(conn: Connection, seed: int) -> str:
-        _table_of(conn, f"big{seed}", "s varchar(40)", (f"pii-value-{k}" for k in range(n)))
-        return f"big{seed}"
+        table = f"big{seed}" if conn is not wired else f"wired{seed}"
+        _table_of(conn, table, "s varchar(40)", (f"pii-value-{k}" for k in range(n)))
+        return table
 
-    def in_place(seed: int) -> Callable[[], object]:
-        conn = stacks["in place"][1]
-        ddl = (f"ALTER TABLE {fresh_table(conn, seed)} ALTER COLUMN s varchar(40)"
+    def alter(seed: int) -> Callable[[], object]:
+        ddl = (f"ALTER TABLE {fresh_table(in_place, seed)} ALTER COLUMN s varchar(40)"
                + _encrypted_with("Randomized"))
-        return lambda: conn.execute_ddl(ddl, authorize_enclave=True)
+        return lambda: in_place.execute_ddl(ddl, authorize_enclave=True)
 
-    def client(seed: int) -> Callable[[], object]:
-        __, conn, material = stacks["client"]
-        return functools.partial(
-            client_side_initial_encryption, conn, fresh_table(conn, seed), "s", "CEK", material,
-            EncryptionScheme.DETERMINISTIC, roundtrip_latency_s=latency_s)
+    def tool(conn: Connection, seed: int) -> Callable[[], object]:
+        return functools.partial(client_side_initial_encryption, conn, fresh_table(conn, seed),
+                                 "k", "s", "CEK", EncryptionScheme.DETERMINISTIC)
 
+    arms = {"in place": alter, "client": functools.partial(tool, client),
+            "client (wire)": functools.partial(tool, wired)}
     try:
-        sample = paired({"in place": in_place, "client": client}, pairs, 0,
-                        ["enclave.cell_encrypts"])
-        found = [conn.execute("SELECT k FROM big0 WHERE s = @s", {"s": "pii-value-7"}).rows
-                 for __, conn, __ in stacks.values()]
+        for arm in arms.values():       # attestation, CEK unwrap, plans
+            arm(0)()
+        sample = paired(arms, pairs, 1, counters)
+        found = [conn.execute(f"SELECT k FROM {table} WHERE s = @s", {"s": "pii-value-7"}).rows
+                 for conn, table in ((in_place, "big1"), (client, "big1"), (wired, "wired1"))]
     finally:
-        for server, __, __ in stacks.values():
+        for conn in (wired, client, setup):
+            conn.close()
+        remote.close()
+        wire.stop()
+        for server in (enclave_server, client_server):
             server.shutdown()
-    encrypts = [c["enclave.cell_encrypts"] for c in sample.per_pair().values()]
+    per = sample.per_pair()
+    encrypts = [c["enclave.cell_encrypts"] for c in per.values()]
+    trips = [c["driver.describe_roundtrips"] + c["driver.execute_roundtrips"] for c in per.values()]
     claims = [
         claim("in place the enclave encrypts every cell and none leaves the server; the client "
               "path pulls the column out and writes it back", "§1.1",
-              f"enclave encrypts per run of {n} rows: {encrypts[0]:g} in place, {encrypts[1]:g} "
-              "on the client path", "count", encrypts == [n, 0]),
-        claim("an equality lookup over the encrypted column finds its row on both paths",
-              "(correctness)", f"{found}", "count", found == [[(7,)], [(7,)]]),
-        sample.claim(f"in place beats the client path with {latency_s * 1e3:g} ms of simulated "
-                     "network each way", "\"as long as a week\" per TB",
-                     f"{sample.ratio('in place', 'client'):.2f}x the time", "in place", "client"),
+              "enclave encrypts per run of {}: {:g} in place, {:g} client, {:g} client (wire)"
+              .format(f"{n} rows", *encrypts), "count", encrypts == [n, 0, 0]),
+        claim("the client path pays two driver round trips per row; in place pays a constant "
+              "number that does not grow with the rows", "§1.1",
+              "describe + execute round trips per run of {}: {:g} in place, {:g} client, {:g} "
+              "client (wire)".format(f"{n} rows", *trips), "count",
+              trips[0] <= 2 and all(t >= 2 * n for t in trips[1:])),
+        claim("an equality lookup over the encrypted column finds its row on every path",
+              "(correctness)", f"{found}", "count", found == [[(7,)]] * 3),
+        sample.claim("in place beats the client path", "\"as long as a week\" per TB",
+                     f"{sample.ratio('in place', 'client'):.2f}x the in-process client's time, "
+                     f"{sample.ratio('in place', 'client (wire)'):.2f}x the wired client's",
+                     "in place", "client"),
     ]
     return result("initial-encryption",
                   run.params("encrypt column ms (median)", rows=n, pairs=pairs, label="path"),
-                  _arm_rows(sample, sample.per_pair()), claims)
+                  _arm_rows(sample, per), claims)
 
 
 def order_by(run: Run) -> dict:
     """A7: ORDER BY over an RND column — client-side sort vs enclave sort."""
     n, pairs = run.pick(120, 24), run.pick(10, 2)
     query, everything = "SELECT k, name FROM O WHERE name LIKE @p", {"p": "%"}
-    (client_server, client, __), (sorting_server, sorting, __) = _enclave_stack(), _enclave_stack()
+    (client_server, client), (sorting_server, sorting) = _enclave_stack(), _enclave_stack()
     sorting_server.allow_enclave_order_by = True    # the opt-in extension; off everywhere else
     for conn in (client, sorting):
         _table_of(conn, "O", "name varchar(24)",

@@ -7,7 +7,8 @@ engine* answers to each message.
 
 The ``audit_hook`` is the shard harness's seam: an ``AdminAudit`` frame
 runs it (e.g. TPC-C invariants + index-consistency checks over a local
-plain connection) and returns the violation strings.
+plain connection) and returns the violation strings. Without a hook the
+frame runs the server's own physical audit (``SqlServer.audit``).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class WireServer(FrameServer):
         if isinstance(request, msg.TxnIndoubt):
             return msg.TxnIndoubtReply(gtids=server.indoubt_gtids())
         if isinstance(request, msg.AdminAudit):
-            violations = [] if self.audit_hook is None else list(self.audit_hook())
+            violations = list((self.audit_hook or server.audit)())
             return msg.AdminAuditReply(violations=violations)
         if isinstance(request, msg.AdminCrash):
             # All volatile state dies with the "process": every session this

@@ -536,6 +536,16 @@ class InitialEncryptionJob(KeyLifecycleJob):
             raise SqlError(
                 f"column {self.table}.{self.column} is already encrypted"
             )
+        # Mid-job an index on the column would hold plaintext and ciphertext
+        # keys side by side, and nothing orders the two.
+        slot = schema.column_index(self.column)
+        for index in self.engine.table(self.table).indexes.values():
+            if slot in index.key_slots:
+                raise SqlError(
+                    f"column {self.table}.{self.column} is a key of index "
+                    f"{index.schema.name!r}; drop it, encrypt the column, then "
+                    "recreate it"
+                )
         self.engine.catalog.cek(self.new_cek)
         return RotationDescriptor(
             table=schema.name,

@@ -406,6 +406,10 @@ class SqlServer:
         """Prepared transactions awaiting a coordinator decision."""
         return self.engine.indoubt_gtids()
 
+    def audit(self) -> list[str]:
+        """The physical audit: every usable index that disagrees with its heap."""
+        return self.engine.verify_index_consistency()
+
     def accept_restored_state(self):
         """Operator override: make the restored state the trusted present.
 

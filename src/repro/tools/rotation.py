@@ -1,29 +1,30 @@
-"""Online key-lifecycle client tooling (Section 2.4.2, online variant).
+"""Key-lifecycle client tooling: online rotation and initial encryption (§2.4.2).
 
 The one-shot ``ALTER TABLE ... ALTER COLUMN`` DDL (``execute_ddl`` with
-``authorize_enclave=True``) rewrites the whole column inside a single
-statement — correct, but it holds every row lock at once and offers no
-crash-resume. These helpers drive the *online* path instead: the server's
-:class:`~repro.sqlengine.rotation.KeyRotationJob` re-encrypts the column
-batch-at-a-time through the enclave while concurrent sessions keep
-reading and writing, checkpointing progress to the WAL.
+``authorize_enclave=True``) rewrites the whole column in one statement:
+it holds every row lock at once and offers no crash-resume. These tools
+drive the server's online jobs instead (:mod:`repro.sqlengine.rotation`),
+which convert the column batch by batch while other sessions keep reading
+and writing, checkpointing progress to the WAL. The client describes the
+canonical job text, ships the keys the server names for it with the
+text's hash (the enclave's Recrypt oracle accepts nothing else), then
+drives the job through the admin verbs. They work alike against an
+in-process :class:`SqlServer`, a :class:`~repro.net.remote.RemoteServer`
+and, through the router, a sharded fleet.
 
-The client's part mirrors what it does for any enclave query: describe
-the (canonical) rotation statement text, ship the keys the server names
-for it, and authorize the text with the enclave so its Recrypt oracle
-accepts the batches, then drive the job through the admin verbs —
-which work identically against an in-process :class:`SqlServer` and a
-:class:`~repro.net.remote.RemoteServer` (and, through the router, against
-a sharded fleet, pinned to the affinity shard that owns the enclave
-session).
+:func:`client_side_initial_encryption` is the AEv1 contrast (§1.1): the
+same job for a key the enclave may not use, the driver encrypting every
+cell through ordinary statements, and no concurrent writers allowed.
 """
 
 from __future__ import annotations
 
 from repro.client.driver import Connection
 from repro.crypto.aead import EncryptionScheme
+from repro.errors import DriverError
 
 __all__ = [
+    "client_side_initial_encryption",
     "encrypt_column_online",
     "resume_rotation",
     "rotate_cek_online",
@@ -46,6 +47,15 @@ def rotation_query_text(table: str, column: str, new_cek: str) -> str:
     )
 
 
+def _drive(connection: Connection, rotation_id: str, run: bool) -> str:
+    """Drop describes the job made stale; with ``run``, finish the job."""
+    connection.invalidate_metadata_caches()
+    if run:
+        connection.server.rotate_run(rotation_id)
+        connection.invalidate_metadata_caches()
+    return rotation_id
+
+
 def rotate_cek_online(
     connection: Connection,
     table: str,
@@ -66,11 +76,7 @@ def rotate_cek_online(
     rotation_id = connection.server.rotate_start(
         table, column, new_cek, query_text, batch_size=batch_size
     )
-    connection.invalidate_metadata_caches()
-    if run:
-        connection.server.rotate_run(rotation_id)
-        connection.invalidate_metadata_caches()
-    return rotation_id
+    return _drive(connection, rotation_id, run)
 
 
 def encrypt_column_online(
@@ -95,11 +101,7 @@ def encrypt_column_online(
         kind="encrypt",
         scheme=scheme,
     )
-    connection.invalidate_metadata_caches()
-    if run:
-        connection.server.rotate_run(rotation_id)
-        connection.invalidate_metadata_caches()
-    return rotation_id
+    return _drive(connection, rotation_id, run)
 
 
 def resume_rotation(
@@ -121,8 +123,56 @@ def resume_rotation(
     query_text = rotation_query_text(table, column, new_cek)
     connection.authorize_enclave_query(query_text)
     connection.server.rotate_resume(rotation_id, query_text, batch_size=batch_size)
+    return _drive(connection, rotation_id, run)
+
+
+def client_side_initial_encryption(
+    connection: Connection,
+    table: str,
+    key_column: str,
+    column: str,
+    cek_name: str,
+    scheme: EncryptionScheme,
+) -> int:
+    """Encrypt a plaintext column through the client: the AEv1 path (§1.1).
+
+    For a CEK the enclave may not use, only the driver can encrypt. The
+    server's initial-encryption job flips the column without authorizing
+    anything to the enclave, which converts nothing; the driver reads every
+    row and writes each cell back encrypted in one transaction, keyed by
+    ``key_column`` (unique and non-NULL, else the write-back rolls back); the
+    job's sweep then finds no plaintext and ends with the CEK version bump.
+    Run again after a failure mid write-back, the tool adopts the column's
+    live job and finishes it. The read takes no locks: the column must have
+    no other writers until the tool returns. Returns the cells written.
+    """
+    server = connection.server
+    query_text = rotation_query_text(table, column, cek_name)
+    target = (table.lower(), column.lower(), cek_name.lower(), "encrypt")
+    live = [st.rotation_id for st in server.rotation_states() if st.active and target == (
+        st.table.lower(), st.column.lower(), st.new_cek.lower(), st.kind)]
+    if live:
+        rotation_id = server.rotate_resume(live[0], query_text)
+    else:
+        rotation_id = server.rotate_start(
+            table, column, cek_name, query_text, kind="encrypt", scheme=scheme
+        )
     connection.invalidate_metadata_caches()
-    if run:
-        connection.server.rotate_run(rotation_id)
-        connection.invalidate_metadata_caches()
-    return rotation_id
+    rows = connection.execute(f"SELECT {key_column}, {column} FROM {table}").rows
+    update = f"UPDATE {table} SET {column} = @v WHERE {key_column} = @k"
+    written = 0
+    connection.begin()
+    try:
+        for key, value in rows:
+            if value is not None:
+                changed = connection.execute(update, {"v": value, "k": key}).rowcount
+                if changed != 1:
+                    raise DriverError(f"{key_column} = {key!r} matched {changed} rows, not 1")
+                written += 1
+        connection.commit()
+    except Exception:
+        if connection.session.in_transaction:
+            connection.rollback()
+        raise
+    _drive(connection, rotation_id, run=True)
+    return written

@@ -91,11 +91,6 @@ class TpccSystem:
     def attestation_policy(self) -> AttestationPolicy | None:
         return self.connection.attestation_policy
 
-    @property
-    def enclave(self) -> Enclave | None:
-        """The in-process engine's enclave; shard enclaves are out of reach."""
-        return None if self.n_shards else self.server.enclave
-
     def new_client(
         self,
         seed: int,

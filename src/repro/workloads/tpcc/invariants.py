@@ -21,8 +21,9 @@ Checked conditions (loader initial state in parentheses):
   ``OL_QUANTITY`` of post-load order lines (loader orders have
   ``OL_O_ID ≤ customers_per_district``; S_YTD starts at 0).
 * **Referential** — every NEW_ORDER row points at an existing order.
-* **Physical** — every usable index agrees with its heap
-  (:meth:`~repro.sqlengine.engine.StorageEngine.verify_index_consistency`).
+* **Physical** — every usable index agrees with its heap, which the
+  server reports through its ``audit`` message
+  (:meth:`~repro.sqlengine.server.SqlServer.audit`).
 
 All comparisons over money columns use a small absolute tolerance:
 increments are applied in SQL expression order, Python re-sums in scan
@@ -131,7 +132,7 @@ def check_invariants(system) -> list[str]:
             )
 
     # -- physical: every index agrees with its heap ------------------------
-    violations.extend(system.server.engine.verify_index_consistency())
+    violations.extend(system.server.audit())
 
     return violations
 

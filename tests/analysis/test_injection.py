@@ -67,6 +67,13 @@ EDITS = (
           "            self.engine.resolve_deferred_transactions()\n"),),
         "nothing",
     ),
+    # -- trust-boundary: a client asks the server only what RemoteServer carries
+    Edit(
+        "trust-boundary", ("off-surface:server.engine",), "repro/workloads/tpcc/invariants.py",
+        (("    violations.extend(system.server.audit())\n",
+          "    violations.extend(system.server.engine.verify_index_consistency())\n"),),
+        "nothing",
+    ),
     # -- plaintext-taint: decrypted cells stay inside the DDL conversion
     Edit(
         "plaintext-taint", ("log-sink:print",), "repro/sqlengine/server.py",

@@ -60,3 +60,27 @@ def test_enclave_package_itself_is_exempt(rule, run_rule, fixtures_dir):
         surface=SURFACE,
     )
     assert run_rule(rule, cfg) == []
+
+
+def test_server_clients_reach_only_the_stubs_public_names(rule, run_rule, tmp_path):
+    """The stub's methods, class attributes and ``__init__`` attributes are
+    the allowlist, read from the tree; anything else on ``server`` is a reach."""
+    (tmp_path / "repro" / "net").mkdir(parents=True)
+    (tmp_path / "repro" / "net" / "remote.py").write_text(
+        "class RemoteServer:\n"
+        "    OPCODES = ()\n"
+        "    def __init__(self):\n"
+        "        self.hgs = None\n"
+        "        self._lock = None\n"
+        "    def audit(self):\n"
+        "        return []\n"
+    )
+    (tmp_path / "repro" / "tools").mkdir()
+    (tmp_path / "repro" / "tools" / "tool.py").write_text(
+        "def tool(conn, server):\n"
+        "    server.audit(), server.hgs, server.OPCODES, server.__class__\n"
+        "    return conn.server.engine, server._lock\n"
+    )
+    cfg = AnalysisConfig(root=tmp_path, packages=("repro",))
+    assert {f.key for f in run_rule(rule, cfg)} == {
+        "off-surface:server.engine", "off-surface:server._lock"}

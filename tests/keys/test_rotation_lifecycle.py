@@ -131,7 +131,7 @@ class TestMixedVersionWindow:
         from repro.workloads.tpcc import EncryptionMode, TpccConfig, build_system
 
         system = build_system(TpccConfig(1, 1, 10, 20, mode=EncryptionMode.RND))
-        enclave, conn = system.enclave, system.connection
+        enclave, conn = system.server.enclave, system.connection
         customers = conn.execute(
             "SELECT C_ID, C_LAST, C_FIRST FROM CUSTOMER WHERE C_W_ID = 1 AND C_D_ID = 1"
         ).rows
@@ -278,6 +278,28 @@ class TestInitialEncryptionOnline:
                 stack.conn, "T", "value", "RotNewCEK",
                 scheme=EncryptionScheme.RANDOMIZED,
             )
+
+    @pytest.mark.parametrize("scheme", list(EncryptionScheme))
+    def test_initial_encryption_refuses_an_indexed_column(
+        self, rotation_stack_factory, scheme
+    ):
+        """Mid-job the index would hold plaintext and ciphertext keys side
+        by side, which no comparison orders: refused before ROTATE_BEGIN,
+        so the table stays usable."""
+        stack = rotation_stack_factory()
+        make_table(stack.conn, rows=6)
+        stack.conn.execute_ddl("CREATE INDEX ix_tag ON T (tag)")
+        with pytest.raises(SqlError, match="ix_tag"):
+            encrypt_column_online(stack.conn, "T", "tag", "RotNewCEK", scheme=scheme)
+        assert stack.server.rotation_states() == []
+        column = stack.server.catalog.table("T").column("tag")
+        assert column.column_type.encryption is None
+        assert stack.conn.execute("SELECT id FROM T WHERE tag = @t", {"t": "t3"}).rows == [(3,)]
+        stack.conn.execute(
+            "INSERT INTO T (id, value, tag) VALUES (@id, @v, @t)", {"id": 6, "v": 60, "t": "t6"}
+        )
+        assert stack.conn.execute("SELECT id FROM T WHERE tag = @t", {"t": "t6"}).rows == [(6,)]
+        assert stack.server.audit() == []
 
 
 class TestRotationPreconditions:

@@ -4,7 +4,8 @@ A remote server has no catalog. Everything the driver and the rotation
 tools need to know about a DDL — which keys go to the enclave, and the
 attestation on first use — comes back in that DDL's describe. So every
 DDL costs one ``describe`` and at most one ``forward_package``, and
-nothing here ever sends ``attest`` or ``cek_fetch``.
+nothing here ever sends ``attest`` or ``cek_fetch``. The AEv1 client
+tool sends no ``forward_package`` either: the enclave has no part in it.
 """
 
 from __future__ import annotations
@@ -12,10 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.client.driver import connect
+from repro.crypto.aead import EncryptionScheme
 from repro.net.remote import RemoteServer
 from repro.net.wireserver import WireServer
 from repro.sqlengine.cells import Ciphertext
-from repro.tools.rotation import resume_rotation, rotate_cek_online
+from repro.tools.rotation import (
+    client_side_initial_encryption,
+    resume_rotation,
+    rotate_cek_online,
+)
 from tests.conftest import ALGO
 
 ROWS = 12
@@ -103,3 +109,62 @@ def test_key_tooling_runs_over_the_wire(wired):
         (i, i * 10) for i in range(ROWS)]
 
     assert "Attest" not in sent and "CekFetch" not in sent
+
+
+def plaintext_table(conn) -> None:
+    conn.execute_ddl("CREATE TABLE L (k int PRIMARY KEY, s varchar(16))")
+    for k in range(ROWS):
+        conn.execute("INSERT INTO L (k, s) VALUES (@k, @s)", {"k": k, "s": f"s{k}"})
+
+
+def encrypt_l(conn) -> int:
+    return client_side_initial_encryption(
+        conn, "L", "k", "s", "RotNewCEK", EncryptionScheme.DETERMINISTIC
+    )
+
+
+def assert_encrypted_and_finished(stack, remote, conn) -> None:
+    assert all(isinstance(row[1], Ciphertext) for __, row in stack.server.engine.scan("L"))
+    assert not any(state.active for state in remote.rotation_states())
+    assert remote.cek_versions() == {"RotNewCEK": 2}
+    assert conn.execute("SELECT k FROM L WHERE s = @s", {"s": "s7"}).rows == [(7,)]
+    assert remote.audit() == []
+
+
+def test_client_side_initial_encryption_runs_over_the_wire(wired):
+    """The AEv1 tool: the server's job flips the column, the driver encrypts
+    every cell, the job's sweep ends it. The enclave takes no part."""
+    stack, remote, sent = wired
+    conn = connect(remote, stack.registry, attestation_policy=stack.policy)
+    plaintext_table(conn)
+    encrypts, mark = stack.server.enclave.counters.cell_encrypts, len(sent)
+    assert encrypt_l(conn) == ROWS
+    assert "ForwardPackage" not in sent[mark:] and "Attest" not in sent[mark:]
+    assert stack.server.enclave.counters.cell_encrypts == encrypts
+    assert_encrypted_and_finished(stack, remote, conn)
+
+
+def test_a_failed_write_back_is_adopted_and_finished(wired, monkeypatch):
+    stack, remote, sent = wired
+    conn = connect(remote, stack.registry, attestation_policy=stack.policy)
+    plaintext_table(conn)
+    execute, updates = conn.execute, []
+
+    def failing(text, params=None, **options):
+        if text.startswith("UPDATE"):
+            updates.append(text)
+            if len(updates) > ROWS // 2:
+                raise RuntimeError("client failed mid write-back")
+        return execute(text, params, **options)
+
+    monkeypatch.setattr(conn, "execute", failing)
+    with pytest.raises(RuntimeError, match="mid write-back"):
+        encrypt_l(conn)
+    monkeypatch.setattr(conn, "execute", execute)
+    [state] = remote.rotation_states()
+    assert state.active and state.kind == "encrypt"
+    assert not any(isinstance(row[1], Ciphertext) for __, row in stack.server.engine.scan("L"))
+
+    assert encrypt_l(conn) == ROWS
+    assert [s.rotation_id for s in remote.rotation_states()] == [state.rotation_id]
+    assert_encrypted_and_finished(stack, remote, conn)

@@ -249,7 +249,7 @@ class TestAnchorCrossingsAreCounted:
             TpccConfig(1, 1, 8, 12, mode=EncryptionMode.RND), freshness_anchor=True
         )
         crossings: list[str] = []
-        system.enclave.add_boundary_observer(
+        system.server.enclave.add_boundary_observer(
             lambda name, inputs, output: name.startswith("anchor_") and crossings.append(name)
         )
         registry = get_registry()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.client.driver import connect
 from repro.crypto.aead import EncryptionScheme
-from repro.errors import EnclaveError, SecurityViolation
-from repro.tools.initial_encryption import client_side_initial_encryption
+from repro.errors import DriverError, EnclaveError, SecurityViolation, SqlError
+from repro.tools import client_side_initial_encryption
 from repro.tools.provisioning import provision_cek, provision_cmk, rotate_cmk
 from tests.conftest import ALGO
 
@@ -183,30 +183,65 @@ class TestClientSideInitialEncryption:
             conn, vault, "V1CMK", "https://vault.azure.net/keys/v1",
             allow_enclave_computations=False,
         )
-        material = provision_cek(conn, vault, cmk, "V1CEK")
+        provision_cek(conn, vault, cmk, "V1CEK")
         conn.execute_ddl("CREATE TABLE legacy (k int PRIMARY KEY, s varchar(10))")
         for k in range(6):
             conn.execute("INSERT INTO legacy (k, s) VALUES (@k, @s)", {"k": k, "s": f"s{k}"})
         count = client_side_initial_encryption(
-            conn, "legacy", "s", "V1CEK", material, EncryptionScheme.DETERMINISTIC
+            conn, "legacy", "k", "s", "V1CEK", EncryptionScheme.DETERMINISTIC
         )
         assert count == 6
         r = conn.execute("SELECT k FROM legacy WHERE s = @s", {"s": "s3"})
         assert r.rows == [(3,)]
 
     def test_already_encrypted_rejected(self, conn, vault, server):
-        from repro.errors import DriverError
-
         cmk = provision_cmk(
             conn, vault, "V1CMK2", "https://vault.azure.net/keys/v2",
             allow_enclave_computations=False,
         )
-        material = provision_cek(conn, vault, cmk, "V1CEK2")
+        provision_cek(conn, vault, cmk, "V1CEK2")
         conn.execute_ddl("CREATE TABLE legacy2 (k int PRIMARY KEY, s varchar(10))")
         client_side_initial_encryption(
-            conn, "legacy2", "s", "V1CEK2", material, EncryptionScheme.DETERMINISTIC
+            conn, "legacy2", "k", "s", "V1CEK2", EncryptionScheme.DETERMINISTIC
         )
-        with pytest.raises(DriverError):
+        with pytest.raises(SqlError, match="already encrypted"):
             client_side_initial_encryption(
-                conn, "legacy2", "s", "V1CEK2", material, EncryptionScheme.DETERMINISTIC
+                conn, "legacy2", "k", "s", "V1CEK2", EncryptionScheme.DETERMINISTIC
             )
+
+    @pytest.mark.parametrize(
+        "rows, matched",
+        [([(1, "a"), (1, "b"), (2, "c")], 2), ([(1, "a"), (None, "b")], 0)],
+        ids=["duplicate-key", "null-key"],
+    )
+    def test_a_key_that_is_not_one_row_rolls_the_write_back_back(
+        self, conn, vault, server, rows, matched
+    ):
+        """Each write-back UPDATE must change exactly one row: a duplicate key
+        would overwrite its twins with one value, a NULL key would leave its
+        cell plaintext. Either rolls back and leaves the job to adopt."""
+        cmk = provision_cmk(
+            conn, vault, "V1CMK3", "https://vault.azure.net/keys/v3",
+            allow_enclave_computations=False,
+        )
+        provision_cek(conn, vault, cmk, "V1CEK3")
+        conn.execute_ddl("CREATE TABLE loose (k int, s varchar(10))")
+        for k, s in rows:
+            conn.execute("INSERT INTO loose (k, s) VALUES (@k, @s)", {"k": k, "s": s})
+        with pytest.raises(DriverError, match=f"matched {matched} rows, not 1"):
+            client_side_initial_encryption(
+                conn, "loose", "k", "s", "V1CEK3", EncryptionScheme.DETERMINISTIC
+            )
+        [state] = server.rotation_states()
+        assert state.active and state.kind == "encrypt"
+        assert sorted(conn.execute("SELECT k, s FROM loose").rows, key=str) == sorted(rows, key=str)
+        assert server.audit() == []
+
+        conn.execute("DELETE FROM loose WHERE k = @k", {"k": 1})
+        conn.execute("DELETE FROM loose WHERE k IS NULL")
+        left = [row for row in rows if row[0] not in (1, None)]
+        assert client_side_initial_encryption(
+            conn, "loose", "k", "s", "V1CEK3", EncryptionScheme.DETERMINISTIC
+        ) == len(left)
+        assert not any(s.active for s in server.rotation_states())
+        assert conn.execute("SELECT k, s FROM loose").rows == left

@@ -93,7 +93,7 @@ class TestTransactions:
         assert det_system.transactions.counts.total >= 10 - det_system.transactions.counts.rollbacks
 
     def test_payment_by_last_name_uses_enclave_under_rnd(self, rnd_system):
-        enclave = rnd_system.enclave
+        enclave = rnd_system.server.enclave
         txns = rnd_system.transactions
         before = enclave.counters.ecalls
         # Force the by-last-name path a few times.
@@ -104,7 +104,7 @@ class TestTransactions:
         assert enclave.counters.ecalls > before
 
     def test_det_mode_does_not_use_enclave(self, det_system):
-        assert det_system.enclave is None
+        assert det_system.server.enclave is None
 
     def test_new_order_advances_district_counter(self, pt_system):
         conn = pt_system.connection

@@ -25,7 +25,7 @@ class TestConcurrentClients:
         system = build_system(TpccConfig(mode=EncryptionMode.RND, **TINY))
         clients = run_multi_client(system, n_clients=3, transactions_per_client=6).clients
         # Each client attested its own session; the single enclave served all.
-        assert system.enclave.counters.sessions_started >= 3
+        assert system.server.enclave.counters.sessions_started >= 3
         assert sum(c.counts.total for c in clients) > 0
 
     def test_database_consistent_after_concurrency(self):
