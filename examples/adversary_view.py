@@ -82,7 +82,7 @@ def main() -> None:
 
     # 3. The enclave's encryption oracle refuses unauthorized use.
     try:
-        enclave.encrypt_for_ddl("ALTER TABLE S ...", "CEK", b"\x01\x00", None)
+        enclave.encrypt_for_ddl("ALTER TABLE S ...", "CEK", [b"\x01\x00"], None)
     except EnclaveError as exc:
         print("unauthorized Encrypt refused:", str(exc)[:60], "...")
 

@@ -143,10 +143,12 @@ class _FunctionPass:
             for comparator in node.comparators:
                 self.expr_origins(comparator)
             return _EMPTY
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            return self.expr_origins(node.elt)
-        if isinstance(node, ast.DictComp):
-            return self.expr_origins(node.value)
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            for generator in node.generators:   # bound like a for loop's target
+                origins = self.expr_origins(generator.iter)
+                if origins:
+                    self.taint_target(generator.target, origins)
+            return self.expr_origins(node.value if isinstance(node, ast.DictComp) else node.elt)
         if isinstance(node, ast.Await):
             return self.expr_origins(node.value)
         return _EMPTY

@@ -18,6 +18,7 @@ and receives *plaintext* results; everything cryptographic is transparent:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import threading
 import time
@@ -532,16 +533,25 @@ class Connection:
             for i, column in enumerate(result.columns)
             if column.column_type.encryption is not None
         ]
-        if not encrypted_columns:
+        # Mid-decryption the column is already declared plaintext while
+        # unswept rows are still ciphertext: those cells are opened too.
+        leftover_columns = [i for i, column in enumerate(result.columns)
+                            if column.column_type.encryption is None
+                            and any(isinstance(row[i], Ciphertext) for row in result.rows)]
+        if not encrypted_columns and not leftover_columns:
             return result
         ciphers: dict[str, CellCipher] = {}
         for __, enc in encrypted_columns:
             if enc.cek_name not in ciphers:
                 ciphers[enc.cek_name] = self._cek(enc.cek_name).cipher
-        rotation_partners: dict[str, str | None] | None = None
+        rotation_partners = self._rotation_partners() if leftover_columns else None
         out_rows: list[tuple] = []
         for row in result.rows:
             cells = list(row)
+            for i in leftover_columns:
+                if isinstance(cells[i], Ciphertext):
+                    cells[i] = self._open_leftover(result.columns[i].name, cells[i],
+                                                   rotation_partners)
             for i, enc in encrypted_columns:
                 cell = cells[i]
                 if cell is None:
@@ -552,7 +562,7 @@ class Connection:
                     # them through only while that job is demonstrably live.
                     if rotation_partners is None:
                         rotation_partners = self._rotation_partners()
-                    if self._encrypting_live(enc.cek_name, rotation_partners):
+                    if self._converting_live(enc.cek_name, rotation_partners):
                         continue
                     raise DriverError(
                         f"result column {result.columns[i].name!r} should be "
@@ -579,8 +589,21 @@ class Connection:
         result.rows = out_rows
         return result
 
+    def _open_leftover(self, column: str, cell: Ciphertext, partners) -> object:
+        """A ciphertext cell of a column described as plaintext opens under a
+        key some live job converts to or from plaintext (the MAC picks it)."""
+        for cek_name in partners:
+            if self._converting_live(cek_name, partners):
+                with contextlib.suppress(IntegrityError):
+                    plaintext = self._cek(cek_name).cipher.decrypt(cell.envelope)
+                    self.stats.inc("results_decrypted")
+                    return deserialize_value(plaintext)
+        raise DriverError(f"result column {column!r} should be plaintext but is ciphertext")
+
     def _rotation_partners(self) -> dict[str, str | None]:
-        """Map each CEK involved in an active rotation to its partner.
+        """Map each CEK involved in an active lifecycle job to its partner:
+        the other key of a rotation, or None for a job converting a column
+        between the key and plaintext (initial encryption, decryption).
 
         Covers both directions of the mixed-version window: a fresh
         describe (column already flipped to the new CEK) reading unswept
@@ -591,15 +614,15 @@ class Connection:
         for state in self.server.rotation_states():
             if not state.active:
                 continue
-            if state.old_cek:
+            if state.old_cek and state.new_cek:
                 partners[state.new_cek] = state.old_cek
                 partners[state.old_cek] = state.new_cek
-            else:  # initial encryption: no old key, only plaintext behind
-                partners.setdefault(state.new_cek, None)
+            else:  # one key, only plaintext on the other side
+                partners.setdefault(state.old_cek or state.new_cek, None)
         return partners
 
     @staticmethod
-    def _encrypting_live(cek_name: str, partners: dict[str, str | None]) -> bool:
+    def _converting_live(cek_name: str, partners: dict[str, str | None]) -> bool:
         return cek_name in partners and partners[cek_name] is None
 
     # -- transactions ---------------------------------------------------------------

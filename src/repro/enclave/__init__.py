@@ -59,7 +59,6 @@ ECALL_SURFACE = EcallSurface(
         "begin_rotation",
         "end_rotation",
         "encrypt_for_ddl",
-        "recrypt_for_ddl",
         "recrypt_batch_for_ddl",
         "decrypt_for_ddl",
         "anchor_attach",

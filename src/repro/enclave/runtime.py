@@ -471,15 +471,20 @@ class Enclave:
         return results
 
     # -- ecall: the gated encryption oracle (Section 3.2) -----------------------
+    #
+    # One ecall per lifecycle-job batch: one authorization check, one cipher
+    # lookup per key, and one observation carrying only key names and the
+    # batch size. An empty batch still checks the text, which is how a job
+    # proves its authorization before it changes anything.
 
     def encrypt_for_ddl(
         self,
         query_text: str,
         cek_name: str,
-        serialized_plaintext: bytes,
+        serialized_plaintexts: list[bytes],
         scheme: EncryptionScheme,
-    ) -> Ciphertext:
-        """Encrypt a value — only for a client-authorized DDL statement.
+    ) -> list[Ciphertext]:
+        """Encrypt a batch of values — only for a client-authorized DDL.
 
         SQL Server supplies the raw query text as its proof; the enclave
         hashes it and requires the hash to have been authorized by some
@@ -487,30 +492,17 @@ class Enclave:
         """
         self._require_authorized(query_text, "Encrypt")
         cipher = self.sqlos.cipher_for(cek_name)
-        envelope = cipher.encrypt(serialized_plaintext, scheme)
-        self.counters.inc("cell_encrypts")
-        self._observe("encrypt_for_ddl", (query_text, cek_name), None)
-        return Ciphertext(envelope)
-
-    def recrypt_for_ddl(
-        self,
-        query_text: str,
-        old_cek: str,
-        new_cek: str,
-        ciphertext: Ciphertext,
-        new_scheme: EncryptionScheme,
-    ) -> Ciphertext:
-        """Re-encrypt a cell from one CEK/scheme to another (key rotation /
-        scheme conversion), gated on the same DDL authorization."""
-        self._require_authorized(query_text, "Recrypt")
-        old_cipher = self.sqlos.cipher_for(old_cek)
-        new_cipher = self.sqlos.cipher_for(new_cek)
-        plaintext = old_cipher.decrypt(ciphertext.envelope)
-        envelope = new_cipher.encrypt(plaintext, new_scheme)
-        self.counters.inc("cell_decrypts")
-        self.counters.inc("cell_encrypts")
-        self._observe("recrypt_for_ddl", (query_text, old_cek, new_cek), None)
-        return Ciphertext(envelope)
+        started = time.perf_counter()
+        outputs = [
+            Ciphertext(cipher.encrypt(plaintext, scheme))
+            for plaintext in serialized_plaintexts
+        ]
+        self.counters.inc("cpu_seconds", time.perf_counter() - started)
+        self.counters.inc("cell_encrypts", len(outputs))
+        self._observe(
+            "encrypt_for_ddl", (query_text, cek_name, len(outputs)), None
+        )
+        return outputs
 
     def recrypt_batch_for_ddl(
         self,
@@ -520,13 +512,9 @@ class Enclave:
         ciphertexts: list[Ciphertext],
         new_scheme: EncryptionScheme,
     ) -> list[Ciphertext]:
-        """Re-encrypt a batch of cells in one boundary crossing.
-
-        The rotation job's inner loop: one authorization check, one
-        cipher lookup per key, one ecall for the whole batch — the
-        eval_batch amortization applied to the Section 2.4.2 rotation
-        path. Plaintext exists only transiently inside the loop; the
-        single observation carries only key names and the batch size.
+        """Re-encrypt a batch of cells from one CEK/scheme to another (key
+        rotation, Section 2.4.2). Plaintext exists only transiently inside
+        the loop.
 
         Cells already under ``new_cek`` pass through unchanged, which
         makes a resumed rotation idempotent: after a crash the job may
@@ -561,8 +549,10 @@ class Enclave:
         )
         return outputs
 
-    def decrypt_for_ddl(self, query_text: str, cek_name: str, ciphertext: Ciphertext) -> bytes:
-        """Decrypt a cell for a client-authorized decryption DDL.
+    def decrypt_for_ddl(
+        self, query_text: str, cek_name: str, ciphertexts: list[Ciphertext]
+    ) -> list[bytes]:
+        """Decrypt a batch of cells for a client-authorized decryption DDL.
 
         Turning encryption *off* (ALTER COLUMN back to plaintext) exposes
         plaintext to the server by definition; like Encrypt, it is gated on
@@ -570,10 +560,14 @@ class Enclave:
         """
         self._require_authorized(query_text, "Decrypt")
         cipher = self.sqlos.cipher_for(cek_name)
-        plaintext = cipher.decrypt(ciphertext.envelope)
-        self.counters.inc("cell_decrypts")
-        self._observe("decrypt_for_ddl", (query_text, cek_name), None)
-        return plaintext
+        started = time.perf_counter()
+        plaintexts = [cipher.decrypt(ciphertext.envelope) for ciphertext in ciphertexts]
+        self.counters.inc("cpu_seconds", time.perf_counter() - started)
+        self.counters.inc("cell_decrypts", len(plaintexts))
+        self._observe(
+            "decrypt_for_ddl", (query_text, cek_name, len(plaintexts)), None
+        )
+        return plaintexts
 
     # -- ecall: the freshness anchor (rollback defense) -------------------------
 

@@ -159,6 +159,6 @@ def encryption_oracle_access(adversary: StrongAdversary) -> dict[str, int]:
     authorized = sum(
         1
         for e in adversary.boundary_events
-        if e.ecall in ("encrypt_for_ddl", "recrypt_for_ddl", "decrypt_for_ddl")
+        if e.ecall in ("encrypt_for_ddl", "recrypt_batch_for_ddl", "decrypt_for_ddl")
     )
     return {"authorized_uses": authorized}

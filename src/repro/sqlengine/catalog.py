@@ -96,7 +96,8 @@ class ColumnRotationState:
     new_cek: str
     watermark: int = -1   # last re-encrypted batch's final row ordinal
     #: "rotate" re-encrypts old_cek → new_cek; "encrypt" is the initial
-    #: encryption of a plaintext column (old_cek is empty).
+    #: encryption of a plaintext column (old_cek is empty); "decrypt" turns
+    #: it back to plaintext (new_cek is empty).
     kind: str = "rotate"
     #: rows the lifecycle job has re-encrypted so far (progress telemetry)
     rows_rotated: int = 0
@@ -241,31 +242,17 @@ class Catalog:
         with self._latch:
             return dict(self._cek_versions)
 
-    def bump_cek_version(self, cek_name: str) -> int:
-        """Record a completed rotation onto ``cek_name``; returns the new version."""
-        with self._latch:
-            self.cek(cek_name)
-            version = self._cek_versions.get(cek_name, 1) + 1
-            self._cek_versions[cek_name] = version
-            return version
-
     def set_column_encryption(
         self, table: str, column: str, encryption: EncryptionInfo | None
     ) -> None:
-        """Repoint a column's encryption attribute (DDL / rotation flip).
+        """Repoint a column's encryption attribute: the one place a live
+        column's type changes.
 
-        Idempotent; used by ALTER COLUMN and by lifecycle jobs flipping a
-        column to its new CEK at ROTATE_BEGIN (and by recovery replaying
-        that flip)."""
+        Idempotent; used by lifecycle jobs flipping a column to its target
+        at ROTATE_BEGIN (and by recovery replaying that flip)."""
         with self._latch:
-            sql_type = self.table(table).column(column).column_type.sql_type
-            self.set_column_type(table, column, ColumnType(sql_type, encryption))
-
-    def set_column_type(self, table: str, column: str, column_type: ColumnType) -> None:
-        """The one place a live column's type changes (ALTER COLUMN,
-        rotation flips, client-side initial encryption)."""
-        with self._latch:
-            self.table(table).column(column).column_type = column_type
+            schema = self.table(table).column(column)
+            schema.column_type = ColumnType(schema.column_type.sql_type, encryption)
             self.bump_schema_version()
 
     def ensure_cek_version(self, cek_name: str, version: int) -> int:
@@ -293,9 +280,9 @@ class Catalog:
                     raise SqlError(
                         f"column {state.table}.{state.column} already under rotation"
                     )
-            if state.old_cek:
-                self.cek(state.old_cek)
-            self.cek(state.new_cek)
+            for name in (state.old_cek, state.new_cek):
+                if name:
+                    self.cek(name)
             self._rotations[state.rotation_id] = state
 
     def rotation(self, rotation_id: str) -> ColumnRotationState:

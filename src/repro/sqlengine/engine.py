@@ -551,25 +551,24 @@ class StorageEngine:
                         f"column {column.name!r} does not allow NULL"
                     )
                 continue
-            if column.is_encrypted:
-                if not isinstance(cell, Ciphertext):
-                    # During an online *initial encryption* the column's
-                    # metadata flips to encrypted at ROTATE_BEGIN while old
-                    # rows are still plaintext; the sweep converts them.
-                    # Only that declared window tolerates plaintext its type takes.
-                    rotation = self.catalog.column_rotation(
-                        table.schema.name, column.name
-                    )
-                    if rotation is not None and rotation.kind == "encrypt":
-                        column.column_type.sql_type.validate(cell)
-                        continue
+            ciphertext = isinstance(cell, Ciphertext)
+            if ciphertext != column.is_encrypted:
+                # An online initial encryption (decryption) flips the
+                # column's metadata at ROTATE_BEGIN while old rows are still
+                # plaintext (ciphertext); the sweep converts them. Only that
+                # declared window tolerates the old form.
+                rotation = self.catalog.column_rotation(
+                    table.schema.name, column.name
+                )
+                window = "encrypt" if column.is_encrypted else "decrypt"
+                if rotation is None or rotation.kind != window:
                     raise SqlError(
                         f"column {column.name!r} is encrypted; the engine only "
                         "accepts ciphertext for it (the driver encrypts)"
+                        if column.is_encrypted
+                        else f"column {column.name!r} is plaintext; got ciphertext"
                     )
-            else:
-                if isinstance(cell, Ciphertext):
-                    raise SqlError(f"column {column.name!r} is plaintext; got ciphertext")
+            if not ciphertext:
                 column.column_type.sql_type.validate(cell)
 
     # -------------------------------------------------------- index maintenance
@@ -1000,7 +999,8 @@ class StorageEngine:
                 end_record = rotate_ended.get(rotation_id)
                 if end_record is not None:
                     version = int.from_bytes(end_record.after or b"", "big", signed=True)
-                    self.catalog.ensure_cek_version(descriptor.new_cek, version)
+                    if descriptor.new_cek:  # a decryption bumps nothing
+                        self.catalog.ensure_cek_version(descriptor.new_cek, version)
                     # The column may be under a later rotation by now.
                     state = self.catalog.column_rotation(descriptor.table, descriptor.column)
                     if state is not None and state.rotation_id == rotation_id:

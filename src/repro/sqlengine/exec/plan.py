@@ -209,6 +209,14 @@ class _Builder:
         lower = self.lower
         if isinstance(node, ast.ColumnName):
             resolved = self.scope.resolve(node)
+            job = self.engine.catalog.column_rotation(resolved.table.name, resolved.column.name)
+            if job is not None and job.kind != "rotate":
+                # Plaintext and ciphertext side by side: no one operation
+                # reads both (the enclave reads both keys of a rotation).
+                raise ExecutionError(
+                    f"column {resolved.table.name}.{resolved.column.name} is mid-{job.kind} "
+                    f"(job {job.rotation_id}); finish the job before computing on it"
+                )
             return ColumnRefExpr(
                 resolved.column.name, resolved.slot, resolved.column.column_type
             )

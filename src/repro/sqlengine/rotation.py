@@ -1,33 +1,37 @@
-"""Online key-lifecycle jobs: CEK rotation and initial encryption.
+"""Online key-lifecycle jobs: every in-place column conversion.
 
-Section 2.4.2 of the paper moves initial encryption and key rotation
-in-enclave so data never leaves the server. This module makes those
-operations *online*: a :class:`KeyRotationJob` (or its sibling
-:class:`InitialEncryptionJob`) walks a column batch-at-a-time through the
-enclave's batched recrypt ecall while concurrent sessions keep reading
-and writing the table.
+Section 2.4.2 of the paper moves initial encryption, key rotation and
+decryption in-enclave so data never leaves the server. This module makes
+those operations *online*: a :class:`KeyRotationJob`,
+:class:`InitialEncryptionJob` or :class:`DecryptionJob` walks a column
+batch-at-a-time through the enclave's batched ecall for its kind (one
+boundary crossing per batch) while concurrent sessions keep reading and
+writing the table. The admin verbs (``SqlServer.rotate_start`` …) and the
+``ALTER TABLE … ALTER COLUMN`` DDL both run these jobs.
 
 The moving parts, in the order a rotation touches them:
 
-* **Begin** — a ``ROTATE_BEGIN`` record (txn 0, like CHECKPOINT) carrying
-  the encoded :class:`RotationDescriptor` is flushed *before* any state
-  changes, then the catalog gains a
+* **Begin** — the kind's ecall is sent an empty batch, so a text no client
+  authorized is refused before anything changes. A ``ROTATE_BEGIN`` record
+  (txn 0, like CHECKPOINT) carrying the encoded :class:`RotationDescriptor`
+  is then flushed *before* any state changes, then the catalog gains a
   :class:`~repro.sqlengine.catalog.ColumnRotationState` and the column's
-  metadata flips to the new CEK. From that point new DML encrypts under
-  the new key while old rows are still under the old one — the
-  mixed-version window the driver resolves per cell by MAC probe.
-* **Batch** — lock a batch of rows, re-read under lock, push their cells
-  through ``recrypt_batch_for_ddl`` (one boundary crossing; cells
+  metadata flips to its target (the new CEK, or plaintext). From that
+  point new DML arrives in the target form while old rows are still in
+  the old one — the mixed-version window the driver resolves per cell.
+* **Batch** — lock a batch of rows, re-read under lock, push the cells
+  still in the old form through the kind's ecall (a rotation's cells
   already under the new key pass through unchanged, which makes replay
   idempotent), update the rows in one ordinary transaction, commit, then
   checkpoint a ``ROTATE_PROGRESS`` record with the cumulative watermark.
 * **Sweep convergence** — the job keeps sweeping the heap until a full
   sweep changes nothing: racing writers holding stale metadata may still
-  land old-key cells behind the cursor, and only a clean sweep proves
+  land old-form cells behind the cursor, and only a clean sweep proves
   the terminal all-new state.
 * **End** — ``ROTATE_END`` carrying the new CEK *version* is flushed
   first (the durable form of the version bump), then the catalog bump is
-  applied, then the freshness anchor witnesses it. A crash anywhere in
+  applied, then the freshness anchor witnesses it (a decryption leaves no
+  key behind and bumps nothing). A crash anywhere in
   that tail leaves the catalog at-or-ahead of the anchor — adopted at
   the next verify, never a false positive — while a restore to a
   pre-rotation image reports a version *below* what the anchor holds and
@@ -42,6 +46,8 @@ an ended one re-applies the version bump via ``ensure_cek_version``.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,8 +57,10 @@ from repro.faults.registry import fault_point, register_fault_site
 from repro.obs.flightrec import record_event
 from repro.sqlengine.catalog import ColumnRotationState
 from repro.sqlengine.cells import Ciphertext
+from repro.sqlengine.storage.heap import RowId
 from repro.sqlengine.storage.wal import LogOp
-from repro.sqlengine.values import serialize_value
+from repro.sqlengine.types import EncryptionInfo
+from repro.sqlengine.values import deserialize_value, serialize_value
 
 if TYPE_CHECKING:
     from repro.sqlengine.engine import StorageEngine
@@ -89,7 +97,7 @@ class RotationDescriptor:
     old_cek: str
     new_cek: str
     scheme: EncryptionScheme
-    kind: str = "rotate"  # "rotate" | "encrypt"
+    kind: str = "rotate"  # "rotate" | "encrypt" | "decrypt"
 
 
 @dataclass
@@ -142,13 +150,14 @@ def encode_watermark(value: int) -> bytes:
 def _flip_column_metadata(
     engine: "StorageEngine", descriptor: RotationDescriptor
 ) -> None:
-    """Point the column's catalog metadata at the new CEK (idempotent)."""
-    engine.catalog.set_column_encryption(
-        descriptor.table,
-        descriptor.column,
-        engine.catalog.encryption_info(descriptor.new_cek, descriptor.scheme),
-    )
-    engine.rebind_index_cek(descriptor.table, descriptor.column, descriptor.new_cek)
+    """Point the column's catalog metadata at the job's target: the new
+    CEK, or plaintext for a decryption (idempotent)."""
+    target = None
+    if descriptor.new_cek:
+        target = engine.catalog.encryption_info(descriptor.new_cek, descriptor.scheme)
+    engine.catalog.set_column_encryption(descriptor.table, descriptor.column, target)
+    if target is not None:
+        engine.rebind_index_cek(descriptor.table, descriptor.column, descriptor.new_cek)
 
 
 def reinstate_rotation(
@@ -196,9 +205,10 @@ class KeyLifecycleJob:
     Driven by :meth:`step` (one batch per call, so a server can interleave
     it with regular traffic or a wire client can drive it remotely) or
     :meth:`run` (to completion). ``query_text`` is the client-authorized
-    DDL text gating the enclave's recrypt/encrypt oracle — the job cannot
-    touch plaintext without an attested session having authorized exactly
-    this statement.
+    DDL text gating the enclave's encrypt/recrypt/decrypt oracle — the job
+    cannot touch plaintext without an attested session having authorized
+    exactly this statement. A subclass names its kind, what it refuses,
+    which cells it converts and the ecall that converts them.
     """
 
     kind = "rotate"
@@ -226,23 +236,64 @@ class KeyLifecycleJob:
         self._scheme = scheme
         self.done = False
         self._old_cek = ""
-        #: (page_id, slot) of the last row the current sweep considered.
-        self._cursor: tuple[int, int] | None = None
+        #: The last row the current sweep considered.
+        self._cursor: RowId | None = None
+        #: One driver at a time: a tool and a re-run DDL may share the job.
+        self._step_lock = threading.Lock()
         self._changed_in_sweep = 0
         self._rows_rotated = 0
         self._watermark = -1
 
     # -- subclass hooks ----------------------------------------------------
 
-    def _descriptor(self) -> RotationDescriptor:
-        """Validate preconditions and build the durable descriptor."""
+    def _refuse(self, current: EncryptionInfo | None) -> None:
+        """Raise :class:`SqlError` if this kind cannot convert the column
+        from its ``current`` encryption."""
         raise NotImplementedError
 
     def _needs_conversion(self, cell) -> bool:
         raise NotImplementedError
 
-    def _convert(self, state: ColumnRotationState, cells: list) -> list[Ciphertext]:
+    def _convert(self, cells: list) -> list:
+        """The batch through the kind's ecall: one boundary crossing."""
         raise NotImplementedError
+
+    # -- shared preconditions ------------------------------------------------
+
+    def _descriptor(self) -> RotationDescriptor:
+        """Validate preconditions and build the durable descriptor."""
+        schema = self.engine.catalog.table(self.table)
+        column = schema.column(self.column)
+        current = column.column_type.encryption
+        self._refuse(current)
+        if self.new_cek:
+            self.engine.catalog.cek(self.new_cek)
+        return RotationDescriptor(
+            table=schema.name,
+            column=column.name,
+            old_cek=current.cek_name if current is not None else "",
+            new_cek=self.new_cek,
+            scheme=self._scheme or current.scheme,
+            kind=self.kind,
+        )
+
+    def _refuse_indexed(self) -> None:
+        """Refuse a column an index is keyed on: mid-job the index would
+        hold keys in two forms that no one comparison orders."""
+        table = self.engine.table(self.table)
+        slot = table.schema.column_index(self.column)
+        for index in table.indexes.values():
+            if slot in index.key_slots:
+                raise SqlError(
+                    f"column {self.table}.{self.column} is a key of index "
+                    f"{index.schema.name!r}; drop it, convert the column, then "
+                    "recreate it"
+                )
+
+    def _enclave(self):
+        if self.engine.enclave is None:
+            raise SqlError(f"an online {self.kind} job requires an enclave")
+        return self.engine.enclave
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -260,6 +311,13 @@ class KeyLifecycleJob:
             raise SqlError(
                 f"column {self.table}.{self.column} already under rotation"
             )
+        self._old_cek, self._scheme = descriptor.old_cek, descriptor.scheme
+        # An empty batch proves the text is authorized before anything
+        # changes. The one job the enclave never converts for is an initial
+        # encryption to a key it may not hold: the AEv1 client tool's
+        # driver writes every cell of that one.
+        if self.kind != "encrypt" or engine.catalog.cek_enclave_enabled(self.new_cek):
+            self._convert([])
         fault_point("rotation.begin", rotation_id=self.rotation_id)
         engine.wal.append(
             0,
@@ -276,12 +334,11 @@ class KeyLifecycleJob:
             new_cek=descriptor.new_cek,
             kind=descriptor.kind,
         )
-        self._old_cek = descriptor.old_cek
         engine.catalog.begin_column_rotation(state)
         _flip_column_metadata(engine, descriptor)
         # Indexes keyed on the column now hold envelopes under both CEKs;
         # the enclave's comparison ecalls need the pair to probe both.
-        if engine.enclave is not None and descriptor.old_cek:
+        if engine.enclave is not None and self.kind == "rotate":
             engine.enclave.begin_rotation(descriptor.old_cek, descriptor.new_cek)
         record_event(
             "rotation.begin", rotation_id=self.rotation_id, job=descriptor.kind
@@ -294,7 +351,7 @@ class KeyLifecycleJob:
         self._old_cek = state.old_cek
         # Re-open the enclave's mixed-key comparison window: a process
         # restart started from an enclave with no registered pairs.
-        if self.engine.enclave is not None and state.old_cek:
+        if self.engine.enclave is not None and self.kind == "rotate":
             self.engine.enclave.begin_rotation(state.old_cek, state.new_cek)
         self._watermark = state.watermark
         self._rows_rotated = max(0, state.rows_rotated)
@@ -311,6 +368,10 @@ class KeyLifecycleJob:
         loses more than the in-flight batch — and that batch's row
         updates were transactional, so it is all-or-nothing too.
         """
+        with self._step_lock:
+            return self._step()
+
+    def _step(self) -> tuple[bool, int]:
         if self.done:
             return (False, 0)
         engine = self.engine
@@ -322,14 +383,9 @@ class KeyLifecycleJob:
         table = engine.table(state.table)
         slot = table.schema.column_index(state.column)
 
-        batch: list = []
-        for rid, row in engine.scan(state.table):
-            key = (rid.page_id, rid.slot)
-            if self._cursor is not None and key <= self._cursor:
-                continue
-            batch.append(rid)
-            if len(batch) >= self.batch_size:
-                break
+        # Resume the sweep at the cursor: a step reads only its own batch.
+        rows = table.heap.scan_after(self._cursor or RowId(-1, -1))
+        batch = [rid for rid, __ in itertools.islice(rows, self.batch_size)]
         if not batch:
             if self._changed_in_sweep:
                 # Racing writers may have landed old-key cells behind the
@@ -353,18 +409,10 @@ class KeyLifecycleJob:
                 row = engine.read(state.table, rid)
                 if row is not None and self._needs_conversion(row[slot]):
                     targets.append((rid, row))
-            outputs = (
-                self._convert(state, [row[slot] for _, row in targets])
-                if targets
-                else []
-            )
+            outputs = self._convert([row[slot] for _, row in targets]) if targets else []
             changed = 0
             for (rid, row), new_cell in zip(targets, outputs):
-                old_cell = row[slot]
-                if (
-                    isinstance(old_cell, Ciphertext)
-                    and new_cell.envelope == old_cell.envelope
-                ):
+                if new_cell == row[slot]:
                     continue  # passed through: already under the new key
                 engine.update(
                     txn, state.table, rid, row[:slot] + (new_cell,) + row[slot + 1 :]
@@ -381,7 +429,7 @@ class KeyLifecycleJob:
                 pass  # a forced crash may already have wedged the engine
             raise
 
-        self._cursor = (batch[-1].page_id, batch[-1].slot)
+        self._cursor = batch[-1]
         self._changed_in_sweep += changed
         self._rows_rotated += changed
         self._watermark = max(self._watermark, 0) + changed
@@ -426,19 +474,21 @@ class KeyLifecycleJob:
         """
         engine = self.engine
         fault_point("rotation.end", rotation_id=self.rotation_id)
-        target = engine.catalog.cek_version(state.new_cek) + 1
+        # A decryption leaves no key behind: its END carries no version.
+        version = engine.catalog.cek_version(state.new_cek) + 1 if state.new_cek else 0
         engine.wal.append(
             0,
             LogOp.ROTATE_END,
             table=self.rotation_id,
-            after=encode_watermark(target),
+            after=encode_watermark(version),
         )
         engine.wal.flush()
-        version = engine.catalog.ensure_cek_version(state.new_cek, target)
-        if engine.freshness is not None:
-            engine.freshness.witness_cek_version(state.new_cek, version)
+        if state.new_cek:
+            version = engine.catalog.ensure_cek_version(state.new_cek, version)
+            if engine.freshness is not None:
+                engine.freshness.witness_cek_version(state.new_cek, version)
         engine.catalog.finish_column_rotation(self.rotation_id)
-        if engine.enclave is not None and state.old_cek:
+        if engine.enclave is not None and self.kind == "rotate":
             engine.enclave.end_rotation(state.old_cek, state.new_cek)
         self.done = True
         record_event(
@@ -472,29 +522,21 @@ class KeyRotationJob(KeyLifecycleJob):
 
     kind = "rotate"
 
-    def _descriptor(self) -> RotationDescriptor:
-        schema = self.engine.catalog.table(self.table)
-        column = schema.column(self.column)
-        encryption = column.column_type.encryption
-        if encryption is None:
+    def _refuse(self, current: EncryptionInfo | None) -> None:
+        if current is None:
             raise SqlError(
                 f"column {self.table}.{self.column} is not encrypted; use "
                 "an initial-encryption job to encrypt it online"
             )
-        if encryption.cek_name == self.new_cek:
+        if current.cek_name == self.new_cek:
+            # Under one key the enclave's pass-through cannot tell a
+            # converted cell from an unconverted one: it would never end.
             raise SqlError(
                 f"column {self.table}.{self.column} is already under CEK "
-                f"{self.new_cek!r}"
+                f"{self.new_cek!r}; a change of scheme needs another CEK"
             )
-        self.engine.catalog.cek(self.new_cek)
-        return RotationDescriptor(
-            table=schema.name,
-            column=column.name,
-            old_cek=encryption.cek_name,
-            new_cek=self.new_cek,
-            scheme=self._scheme or encryption.scheme,
-            kind=self.kind,
-        )
+        if self._scheme not in (None, current.scheme):
+            self._refuse_indexed()  # a same-scheme rotation keeps its indexes
 
     def _needs_conversion(self, cell) -> bool:
         # Every non-NULL ciphertext goes through the enclave; cells already
@@ -502,14 +544,9 @@ class KeyRotationJob(KeyLifecycleJob):
         # sweep's convergence check still sees them as untouched.
         return isinstance(cell, Ciphertext)
 
-    def _convert(self, state: ColumnRotationState, cells: list) -> list[Ciphertext]:
-        if self.engine.enclave is None:
-            raise SqlError("online key rotation requires an enclave")
-        scheme = self._scheme or self.engine.catalog.table(state.table).column(
-            state.column
-        ).column_type.encryption.scheme
-        return self.engine.enclave.recrypt_batch_for_ddl(
-            self.query_text, state.old_cek, state.new_cek, cells, scheme
+    def _convert(self, cells: list) -> list:
+        return self._enclave().recrypt_batch_for_ddl(
+            self.query_text, self._old_cek, self.new_cek, cells, self._scheme
         )
 
 
@@ -529,65 +566,50 @@ class InitialEncryptionJob(KeyLifecycleJob):
         if self._scheme is None:
             raise SqlError("initial encryption requires an explicit scheme")
 
-    def _descriptor(self) -> RotationDescriptor:
-        schema = self.engine.catalog.table(self.table)
-        column = schema.column(self.column)
-        if column.column_type.encryption is not None:
+    def _refuse(self, current: EncryptionInfo | None) -> None:
+        if current is not None:
             raise SqlError(
                 f"column {self.table}.{self.column} is already encrypted"
             )
-        # Mid-job an index on the column would hold plaintext and ciphertext
-        # keys side by side, and nothing orders the two.
-        slot = schema.column_index(self.column)
-        for index in self.engine.table(self.table).indexes.values():
-            if slot in index.key_slots:
-                raise SqlError(
-                    f"column {self.table}.{self.column} is a key of index "
-                    f"{index.schema.name!r}; drop it, encrypt the column, then "
-                    "recreate it"
-                )
-        self.engine.catalog.cek(self.new_cek)
-        return RotationDescriptor(
-            table=schema.name,
-            column=column.name,
-            old_cek="",
-            new_cek=self.new_cek,
-            scheme=self._scheme,
-            kind=self.kind,
-        )
+        self._refuse_indexed()
 
     def _needs_conversion(self, cell) -> bool:
         return cell is not None and not isinstance(cell, Ciphertext)
 
-    def _convert(self, state: ColumnRotationState, cells: list) -> list[Ciphertext]:
-        if self.engine.enclave is None:
-            raise SqlError("online initial encryption requires an enclave")
-        return [
-            self.engine.enclave.encrypt_for_ddl(
-                self.query_text, state.new_cek, serialize_value(cell), self._scheme
-            )
-            for cell in cells
-        ]
+    def _convert(self, cells: list) -> list:
+        return self._enclave().encrypt_for_ddl(
+            self.query_text, self.new_cek, [serialize_value(c) for c in cells], self._scheme
+        )
 
 
-def job_for_descriptor(
-    engine: "StorageEngine",
-    rotation_id: str,
-    descriptor: RotationDescriptor,
-    query_text: str,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> KeyLifecycleJob:
-    """Rebuild the right job class for a reinstated rotation."""
-    cls = InitialEncryptionJob if descriptor.kind == "encrypt" else KeyRotationJob
-    job = cls(
-        engine,
-        rotation_id,
-        query_text,
-        descriptor.table,
-        descriptor.column,
-        descriptor.new_cek,
-        batch_size=batch_size,
-        scheme=descriptor.scheme,
-    )
-    job.resume()
-    return job
+class DecryptionJob(KeyLifecycleJob):
+    """Turn an encrypted column back to plaintext online: the mirror of
+    :class:`InitialEncryptionJob`. The column flips to plaintext at begin;
+    row validation tolerates ciphertext cells exactly while this job's
+    rotation state is active. It has no target CEK and bumps no version.
+    """
+
+    kind = "decrypt"
+
+    def _refuse(self, current: EncryptionInfo | None) -> None:
+        if current is None:
+            raise SqlError(f"column {self.table}.{self.column} is not encrypted")
+        if self.new_cek:
+            raise SqlError("a decryption job has no target CEK")
+        self._refuse_indexed()
+
+    def _needs_conversion(self, cell) -> bool:
+        return isinstance(cell, Ciphertext)
+
+    def _convert(self, cells: list) -> list:
+        # Turning encryption off exposes plaintext to the server by
+        # definition; the client authorized exactly this text.
+        plaintexts = self._enclave().decrypt_for_ddl(self.query_text, self._old_cek, cells)
+        return [deserialize_value(plaintext) for plaintext in plaintexts]
+
+
+#: Every lifecycle job by its kind: what ``rotate_start`` starts and what
+#: ``rotate_resume`` rebuilds from a reinstated rotation.
+JOB_KINDS: dict[str, type[KeyLifecycleJob]] = {
+    cls.kind: cls for cls in (KeyRotationJob, InitialEncryptionJob, DecryptionJob)
+}

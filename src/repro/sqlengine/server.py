@@ -10,9 +10,11 @@ Implements the server-side surface the paper describes:
   statement text's parse, the describe payload type deduction produced
   (Section 4.3) and its physical plan, valid at the schema version they
   were built at;
-* DDL, including the enclave-mediated ``ALTER TABLE ALTER COLUMN`` paths
-  for initial encryption, key rotation, and decryption (Sections 2.4.2,
-  3.2) — all *online* and without any client round-trip per row;
+* DDL, including the enclave-mediated ``ALTER TABLE ALTER COLUMN`` for
+  initial encryption, key rotation and decryption (Sections 2.4.2, 3.2),
+  which runs the column's online lifecycle job to completion — batch by
+  batch, crash-resumable, without any client round-trip per row;
+* the admin verbs that start, resume and step those jobs;
 * forwarding sealed CEK packages from driver to enclave (SQL is the
   untrusted man-in-the-middle), which also unblocks deferred transactions
   and pending index rebuilds, since "the client connects and sends keys".
@@ -24,7 +26,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.attestation.hgs import HostGuardianService
 from repro.attestation.protocol import AttestationInfo, server_attest
@@ -46,15 +48,12 @@ from repro.obs.metrics import StatsView, get_registry
 from repro.obs.tracing import STATEMENT, TraceContext, get_tracer
 from repro.keys.cmk import ColumnMasterKey
 from repro.sqlengine.catalog import Catalog, ColumnSchema, IndexSchema, TableSchema
-from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import StorageEngine
 from repro.sqlengine.rotation import (
-    InitialEncryptionJob,
+    DEFAULT_BATCH_SIZE,
+    JOB_KINDS,
     KeyLifecycleJob,
-    KeyRotationJob,
-    RotationDescriptor,
     RotationStatus,
-    job_for_descriptor,
 )
 from repro.sqlengine.storage.freshness import FreshnessAnchor
 from repro.sqlengine.exec.executor import Executor, QueryResult
@@ -63,8 +62,7 @@ from repro.sqlengine.scheduler import StatementScheduler
 from repro.sqlengine.scope import Scope
 from repro.sqlengine.sqlparser import ast, parse
 from repro.sqlengine.typededuce import deduce
-from repro.sqlengine.types import ColumnType, SqlType
-from repro.sqlengine.values import deserialize_value, serialize_value
+from repro.sqlengine.types import ColumnType, EncryptionInfo, SqlType
 
 
 #: The one message a quarantined server ever gives a query. Fixed text on
@@ -430,27 +428,28 @@ class SqlServer:
         column: str,
         new_cek: str,
         query_text: str,
-        batch_size: int = 64,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         kind: str = "rotate",
         scheme: EncryptionScheme | None = None,
     ) -> str:
         """Start an online lifecycle job; returns its rotation id.
 
-        ``query_text`` is the DDL text the client authorized through its
-        sealed CEK package — the enclave refuses the per-batch recrypt
-        without it, so starting a rotation is useless to an attacker who
-        has only compromised the server.
+        ``kind`` is ``"rotate"``, ``"encrypt"`` or ``"decrypt"`` (whose
+        ``new_cek`` is ``""``). ``query_text`` is the DDL text the client
+        authorized through its sealed CEK package — the enclave refuses the
+        job's first, empty batch without it, so an unauthorized start
+        changes nothing and is useless to an attacker who has only
+        compromised the server.
         """
         if self._quarantined:
             raise StaleRestoreError(QUARANTINE_MESSAGE)
-        if kind not in ("rotate", "encrypt"):
+        if kind not in JOB_KINDS:
             raise SqlError(f"unknown lifecycle kind {kind!r}")
         with self._rotation_lock:
             rotation_id = (
                 f"rot-{next(self._rotation_ids)}-{table.lower()}.{column.lower()}"
             )
-            cls = InitialEncryptionJob if kind == "encrypt" else KeyRotationJob
-            job = cls(
+            job = JOB_KINDS[kind](
                 self.engine,
                 rotation_id,
                 query_text,
@@ -465,37 +464,36 @@ class SqlServer:
         return rotation_id
 
     def rotate_resume(
-        self, rotation_id: str, query_text: str, batch_size: int = 64
+        self, rotation_id: str, query_text: str, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> str:
         """Re-adopt a recovery-reinstated rotation after a crash.
 
         The caller must have re-authorized ``query_text`` (a fresh sealed
         package) — the enclave's session state did not survive the crash.
+        A job this process is still driving is adopted as it is: its
+        drivers then take turns stepping it.
         """
         if self._quarantined:
             raise StaleRestoreError(QUARANTINE_MESSAGE)
         with self._rotation_lock:
             state = self.catalog.rotation(rotation_id)
-            encryption = (
-                self.catalog.table(state.table)
-                .column(state.column)
-                .column_type.encryption
+            live = self._rotation_jobs.get(rotation_id)
+            if live is not None and not live.done:
+                return rotation_id
+            # The column was flipped to the job's target at its begin.
+            target = self.catalog.table(state.table).column(state.column).column_type.encryption
+            job = JOB_KINDS[state.kind](
+                self.engine,
+                rotation_id,
+                query_text,
+                state.table,
+                state.column,
+                state.new_cek,
+                batch_size=batch_size,
+                scheme=target.scheme if target is not None else None,
             )
-            if encryption is None:
-                raise SqlError(
-                    f"rotation {rotation_id!r} column lost its encryption metadata"
-                )
-            descriptor = RotationDescriptor(
-                table=state.table,
-                column=state.column,
-                old_cek=state.old_cek,
-                new_cek=state.new_cek,
-                scheme=encryption.scheme,
-                kind=state.kind,
-            )
-            self._rotation_jobs[rotation_id] = job_for_descriptor(
-                self.engine, rotation_id, descriptor, query_text, batch_size
-            )
+            job.resume()
+            self._rotation_jobs[rotation_id] = job
         return rotation_id
 
     def rotate_step(self, rotation_id: str, max_batches: int = 1) -> tuple[bool, int]:
@@ -541,21 +539,8 @@ class SqlServer:
             out.append(job.status())
         seen = {status.rotation_id for status in out}
         for state in self.catalog.active_rotations():
-            if state.rotation_id in seen:
-                continue
-            out.append(
-                RotationStatus(
-                    rotation_id=state.rotation_id,
-                    table=state.table,
-                    column=state.column,
-                    old_cek=state.old_cek,
-                    new_cek=state.new_cek,
-                    kind=state.kind,
-                    watermark=state.watermark,
-                    rows_rotated=state.rows_rotated,
-                    active=True,
-                )
-            )
+            if state.rotation_id not in seen:
+                out.append(RotationStatus(active=True, **asdict(state)))
         return out
 
     def cek_versions(self) -> dict[str, int]:
@@ -793,25 +778,27 @@ class ServerSession:
             return QueryResult()
         raise SqlError(f"unsupported DDL {type(stmt).__name__}")
 
+    def _encryption_info(
+        self, clause: ast.ColumnEncryptionClause | None
+    ) -> EncryptionInfo | None:
+        if clause is None:
+            return None
+        scheme = (
+            EncryptionScheme.DETERMINISTIC
+            if clause.encryption_type == "Deterministic"
+            else EncryptionScheme.RANDOMIZED
+        )
+        return self.server.catalog.encryption_info(clause.cek_name, scheme, clause.algorithm)
+
     def _create_table(self, stmt: ast.CreateTableStmt) -> QueryResult:
         columns: list[ColumnSchema] = []
         for definition in stmt.columns:
-            encryption = None
-            if definition.encryption is not None:
-                scheme = (
-                    EncryptionScheme.DETERMINISTIC
-                    if definition.encryption.encryption_type == "Deterministic"
-                    else EncryptionScheme.RANDOMIZED
-                )
-                encryption = self.server.catalog.encryption_info(
-                    definition.encryption.cek_name, scheme, definition.encryption.algorithm
-                )
             columns.append(
                 ColumnSchema(
                     name=definition.name,
                     column_type=ColumnType(
                         sql_type=SqlType(definition.type_name, definition.type_length),
-                        encryption=encryption,
+                        encryption=self._encryption_info(definition.encryption),
                     ),
                     nullable=definition.nullable,
                 )
@@ -821,12 +808,14 @@ class ServerSession:
         return QueryResult()
 
     def _alter_column(self, query_text: str, stmt: ast.AlterColumnStmt) -> QueryResult:
-        """In-place (initial) encryption / rotation / decryption (§2.4.2, §3.2).
+        """In-place (initial) encryption, key rotation or decryption
+        (§2.4.2, §3.2): the column's online lifecycle job, run to completion
+        under this statement's text, which the enclave's oracle accepts
+        only if a client authorized it.
 
-        Uses the enclave's gated Encrypt/Recrypt/Decrypt: the enclave will
-        refuse unless the client authorized exactly this query text via the
-        sealed CEK package. All row rewrites run in one transaction and are
-        logged, so the operation is online and recoverable.
+        The job refuses what it cannot convert before anything changes. A
+        run that failed or crashed midway leaves its job live; the same
+        statement again adopts it and finishes.
         """
         server = self.server
         if server.enclave is None:
@@ -834,87 +823,36 @@ class ServerSession:
                 "ALTER COLUMN encryption changes require an enclave; use the "
                 "client-side tools for enclave-less (round-trip) encryption"
             )
-        engine = server.engine
-        table = engine.table(stmt.table)
-        schema = table.schema
-        column = schema.column(stmt.column)
-        slot = schema.column_index(stmt.column)
-        old_enc = column.column_type.encryption
-
-        new_enc = None
-        if stmt.encryption is not None:
-            scheme = (
-                EncryptionScheme.DETERMINISTIC
-                if stmt.encryption.encryption_type == "Deterministic"
-                else EncryptionScheme.RANDOMIZED
+        column = server.catalog.table(stmt.table).column(stmt.column)
+        sql_type = SqlType(stmt.type_name, stmt.type_length)
+        if sql_type != column.column_type.sql_type:
+            raise SqlError(
+                f"ALTER COLUMN cannot change the type of {stmt.table}.{stmt.column} "
+                f"from {column.column_type.sql_type} to {sql_type}"
             )
-            new_enc = server.catalog.encryption_info(
-                stmt.encryption.cek_name, scheme, stmt.encryption.algorithm
+        current = column.column_type.encryption
+        target = self._encryption_info(stmt.encryption)
+        if target is not None and not target.enclave_enabled:
+            raise EnclaveError(
+                "in-place encryption requires an enclave-enabled CEK; "
+                "otherwise a client round-trip is needed"
             )
-            if not new_enc.enclave_enabled:
-                raise EnclaveError(
-                    "in-place encryption requires an enclave-enabled CEK; "
-                    "otherwise a client round-trip is needed"
-                )
-        if old_enc is None and new_enc is None:
-            raise SqlError("ALTER COLUMN: column is already plaintext")
-
-        # Indexes keyed on this column must be rebuilt under the new type;
-        # drop their trees and recreate after the rewrite.
-        affected_indexes = [
-            obj.schema
-            for obj in table.indexes.values()
-            if slot in obj.key_slots
-        ]
-        for index_schema in affected_indexes:
-            engine.drop_index(stmt.table, index_schema.name)
-
-        # Update the schema first so row validation accepts the new cell
-        # form during the rewrite; on failure the old type is restored.
-        old_column_type = column.column_type
-        server.catalog.set_column_type(
-            stmt.table,
-            stmt.column,
-            ColumnType(sql_type=SqlType(stmt.type_name, stmt.type_length), encryption=new_enc),
-        )
-        txn = engine.begin()
-        try:
-            for rid, row in list(table.heap.scan()):
-                cell = row[slot]
-                if cell is None:
-                    continue
-                new_cell = self._convert_cell(query_text, cell, old_enc, new_enc)
-                new_row = list(row)
-                new_row[slot] = new_cell
-                engine.update(txn, stmt.table, rid, tuple(new_row))
-            engine.commit(txn)
-        except Exception:
-            if txn.is_active:
-                engine.abort(txn)
-            server.catalog.set_column_type(stmt.table, stmt.column, old_column_type)
-            raise
-        for index_schema in affected_indexes:
-            index_schema.valid = True
-            engine.create_index(index_schema)
+        if current == target:
+            # Restating the column's encryption changes nothing, unless a
+            # run of this conversion is still live (begin flipped it).
+            live = server.catalog.column_rotation(stmt.table, stmt.column)
+            if live is None:
+                return QueryResult()
+            rotation_id = server.rotate_resume(live.rotation_id, query_text)
+        else:
+            kind = "encrypt" if current is None else "decrypt" if target is None else "rotate"
+            rotation_id = server.rotate_start(
+                stmt.table,
+                stmt.column,
+                target.cek_name if target is not None else "",
+                query_text,
+                kind=kind,
+                scheme=target.scheme if target is not None else None,
+            )
+        server.rotate_run(rotation_id)
         return QueryResult()
-
-    def _convert_cell(self, query_text, cell, old_enc, new_enc):
-        enclave = self.server.enclave
-        if old_enc is None:
-            # Initial encryption: plaintext → ciphertext via the gated oracle.
-            return enclave.encrypt_for_ddl(
-                query_text, new_enc.cek_name, serialize_value(cell), new_enc.scheme
-            )
-        if new_enc is None:
-            # Decryption back to plaintext (client-authorized).
-            if not isinstance(cell, Ciphertext):
-                raise SqlError("expected ciphertext cell during decryption DDL")
-            return deserialize_value(
-                enclave.decrypt_for_ddl(query_text, old_enc.cek_name, cell)
-            )
-        # Key rotation / scheme change: recrypt inside the enclave.
-        if not isinstance(cell, Ciphertext):
-            raise SqlError("expected ciphertext cell during recrypt DDL")
-        return enclave.recrypt_for_ddl(
-            query_text, old_enc.cek_name, new_enc.cek_name, cell, new_enc.scheme
-        )

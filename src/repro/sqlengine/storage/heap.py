@@ -104,17 +104,26 @@ class HeapFile:
             return self._page(rid.page_id).delete(rid.slot)
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
-        """Yield every live row with its rid.
+        """Yield every live row with its rid."""
+        return self.scan_after(RowId(-1, -1))
+
+    def scan_after(self, rid: RowId) -> Iterator[tuple[RowId, tuple]]:
+        """Yield the live rows that :meth:`scan` yields after ``rid``,
+        without reading the pages before it (a resumable cursor).
 
         Each page's slots are materialized under the latches, then yielded
         outside them, so a long scan doesn't hold the pool latch while the
         consumer processes rows.
         """
         with self._latch:
-            page_ids = list(self._page_ids)
+            page_ids = [page_id for page_id in self._page_ids if page_id >= rid.page_id]
         for page_id in page_ids:
             with self._latch, self._pool.latch:
-                rows = [(RowId(page_id, slot), row) for slot, row in self._page(page_id).rows()]
+                rows = [
+                    (RowId(page_id, slot), row)
+                    for slot, row in self._page(page_id).rows()
+                    if page_id > rid.page_id or slot > rid.slot
+                ]
             yield from rows
 
     def row_count(self) -> int:

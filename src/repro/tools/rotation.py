@@ -1,14 +1,15 @@
 """Key-lifecycle client tooling: online rotation and initial encryption (§2.4.2).
 
-The one-shot ``ALTER TABLE ... ALTER COLUMN`` DDL (``execute_ddl`` with
-``authorize_enclave=True``) rewrites the whole column in one statement:
-it holds every row lock at once and offers no crash-resume. These tools
-drive the server's online jobs instead (:mod:`repro.sqlengine.rotation`),
-which convert the column batch by batch while other sessions keep reading
-and writing, checkpointing progress to the WAL. The client describes the
-canonical job text, ships the keys the server names for it with the
-text's hash (the enclave's Recrypt oracle accepts nothing else), then
-drives the job through the admin verbs. They work alike against an
+The ``ALTER TABLE ... ALTER COLUMN`` DDL (``execute_ddl`` with
+``authorize_enclave=True``) runs one of the server's online jobs
+(:mod:`repro.sqlengine.rotation`) to completion inside the statement.
+These tools start and drive the same jobs through the admin verbs, so the
+caller chooses the batch size and may step a job between its own
+statements. Either way the column converts batch by batch while other
+sessions keep reading and writing, progress is checkpointed to the WAL,
+and a crashed job resumes. The client describes the canonical job text
+and ships the keys the server names for it with the text's hash (the
+enclave's oracle accepts nothing else). The tools work alike against an
 in-process :class:`SqlServer`, a :class:`~repro.net.remote.RemoteServer`
 and, through the router, a sharded fleet.
 

@@ -36,9 +36,9 @@ class Edit:
 #: counts a quoted name anywhere under tests/ as tested, this file included.
 _NEW_SITE = ".".join(("wal", "truncate"))
 
-_CONVERT_DECRYPT = """            return deserialize_value(
-                enclave.decrypt_for_ddl(query_text, old_enc.cek_name, cell)
-            )
+_CONVERT_DECRYPT = """\
+        plaintexts = self._enclave().decrypt_for_ddl(self.query_text, self._old_cek, cells)
+        return [deserialize_value(plaintext) for plaintext in plaintexts]
 """
 
 EDITS = (
@@ -74,43 +74,36 @@ EDITS = (
           "    violations.extend(system.server.engine.verify_index_consistency())\n"),),
         "nothing",
     ),
-    # -- plaintext-taint: decrypted cells stay inside the DDL conversion
+    # -- plaintext-taint: decrypted cells stay inside the decrypt job's conversion
     Edit(
-        "plaintext-taint", ("log-sink:print",), "repro/sqlengine/server.py",
+        "plaintext-taint", ("log-sink:print",), "repro/sqlengine/rotation.py",
         ((_CONVERT_DECRYPT,
-          "            value = deserialize_value(\n"
-          "                enclave.decrypt_for_ddl(query_text, old_enc.cek_name, cell)\n"
-          "            )\n"
-          "            print(f\"decrypting {old_enc.cek_name}: {value!r}\")\n"
-          "            return value\n"),),
+          "        plaintexts = self._enclave().decrypt_for_ddl(self.query_text, self._old_cek, cells)\n"
+          "        values = [deserialize_value(plaintext) for plaintext in plaintexts]\n"
+          "        print(f\"decrypting {self._old_cek}: {values!r}\")\n"
+          "        return values\n"),),
         "nothing",
     ),
     Edit(
-        "plaintext-taint", ("return-plaintext",), "repro/sqlengine/server.py",
+        "plaintext-taint", ("return-plaintext",), "repro/sqlengine/rotation.py",
         ((_CONVERT_DECRYPT,
-          "            return self._decrypt_cell(query_text, old_enc, cell)\n"),
-         ("    def _convert_cell(self, query_text, cell, old_enc, new_enc):\n",
-          "    def _decrypt_cell(self, query_text, old_enc, cell):\n"
-          "        enclave = self.server.enclave\n"
-          "        return deserialize_value(\n"
-          "            enclave.decrypt_for_ddl(query_text, old_enc.cek_name, cell)\n"
-          "        )\n"
+          "        return self._decrypt_cells(cells)\n"
           "\n"
-          "    def _convert_cell(self, query_text, cell, old_enc, new_enc):\n")),
+          "    def _decrypt_cells(self, cells: list) -> list:\n"
+          + _CONVERT_DECRYPT),),
         "nothing",
     ),
     # -- wire-egress: plaintext never reaches the codec
     Edit(
-        "wire-egress", ("wire-sink:encode_value",), "repro/sqlengine/server.py",
+        "wire-egress", ("wire-sink:encode_value",), "repro/sqlengine/rotation.py",
         ((_CONVERT_DECRYPT,
-          "            from repro.net.encoding import encode_value\n"
+          "        from repro.net.encoding import encode_value\n"
           "\n"
-          "            value = deserialize_value(\n"
-          "                enclave.decrypt_for_ddl(query_text, old_enc.cek_name, cell)\n"
-          "            )\n"
-          "            if len(encode_value(value)) > 8000:\n"
-          "                raise SqlError(\"decrypted cell exceeds the row limit\")\n"
-          "            return value\n"),),
+          "        plaintexts = self._enclave().decrypt_for_ddl(self.query_text, self._old_cek, cells)\n"
+          "        values = [deserialize_value(plaintext) for plaintext in plaintexts]\n"
+          "        if any(len(encode_value(value)) > 8000 for value in values):\n"
+          "            raise SqlError(\"decrypted cell exceeds the row limit\")\n"
+          "        return values\n"),),
         "nothing",
     ),
     # -- lock-order: nesting follows DEFAULT_LOCK_ORDER

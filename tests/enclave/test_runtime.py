@@ -344,24 +344,51 @@ class TestGatedOracles:
     def test_encrypt_requires_authorization(self, enclave, session):
         with pytest.raises(EnclaveError, match="refused"):
             enclave.encrypt_for_ddl(
-                self.DDL, "TestCEK", serialize_value(1), EncryptionScheme.RANDOMIZED
+                self.DDL, "TestCEK", [serialize_value(1)], EncryptionScheme.RANDOMIZED
             )
+
+    @pytest.mark.parametrize("oracle", ["encrypt", "recrypt", "decrypt"])
+    def test_an_empty_batch_under_an_unauthorized_text_still_raises(
+        self, enclave, session, oracle
+    ):
+        """A lifecycle job's begin sends an empty batch to prove its text
+        is authorized, so the empty batch must be checked too."""
+        calls = {
+            "encrypt": lambda: enclave.encrypt_for_ddl(
+                self.DDL, "TestCEK", [], EncryptionScheme.RANDOMIZED
+            ),
+            "recrypt": lambda: enclave.recrypt_batch_for_ddl(
+                self.DDL, "TestCEK", "TestCEK", [], EncryptionScheme.RANDOMIZED
+            ),
+            "decrypt": lambda: enclave.decrypt_for_ddl(self.DDL, "TestCEK", []),
+        }
+        with pytest.raises(EnclaveError, match="refused"):
+            calls[oracle]()
+        self._authorize(enclave, session, self.DDL)
+        assert calls[oracle]() == []
 
     def test_encrypt_after_authorization(self, enclave, session, cek_material):
         self._authorize(enclave, session, self.DDL)
-        cell = enclave.encrypt_for_ddl(
-            self.DDL, "TestCEK", serialize_value(7), EncryptionScheme.RANDOMIZED
+        cells = enclave.encrypt_for_ddl(
+            self.DDL, "TestCEK", [serialize_value(7), serialize_value(8)],
+            EncryptionScheme.RANDOMIZED,
         )
-        assert CellCipher(cek_material).decrypt(cell.envelope) == serialize_value(7)
+        assert [CellCipher(cek_material).decrypt(c.envelope) for c in cells] == [
+            serialize_value(7), serialize_value(8)]
 
     def test_different_query_text_not_authorized(self, enclave, session):
         self._authorize(enclave, session, self.DDL)
         with pytest.raises(EnclaveError, match="refused"):
             enclave.encrypt_for_ddl(
-                self.DDL + " ", "TestCEK", serialize_value(1), EncryptionScheme.RANDOMIZED
+                self.DDL + " ", "TestCEK", [serialize_value(1)], EncryptionScheme.RANDOMIZED
             )
 
     def test_recrypt_gated_and_works(self, enclave, session, cek_material):
+        old_cell = rnd_cell(cek_material, 99)
+        with pytest.raises(EnclaveError, match="refused"):
+            enclave.recrypt_batch_for_ddl(
+                self.DDL, "TestCEK", "NewCEK", [old_cell], EncryptionScheme.RANDOMIZED
+            )
         self._authorize(enclave, session, self.DDL)
         session_id, secret = session
         new_material = bytes([5]) * 32
@@ -369,15 +396,15 @@ class TestGatedOracles:
             session_id,
             seal_package(secret, CekPackage(nonce=2, ceks=(("NewCEK", new_material),))),
         )
-        old_cell = rnd_cell(cek_material, 99)
-        new_cell = enclave.recrypt_for_ddl(
-            self.DDL, "TestCEK", "NewCEK", old_cell, EncryptionScheme.RANDOMIZED
+        [new_cell] = enclave.recrypt_batch_for_ddl(
+            self.DDL, "TestCEK", "NewCEK", [old_cell], EncryptionScheme.RANDOMIZED
         )
         assert CellCipher(new_material).decrypt(new_cell.envelope) == serialize_value(99)
 
     def test_decrypt_gated(self, enclave, session, cek_material):
-        cell = rnd_cell(cek_material, 3)
+        cells = [rnd_cell(cek_material, 3), rnd_cell(cek_material, 4)]
         with pytest.raises(EnclaveError, match="refused"):
-            enclave.decrypt_for_ddl("some ddl", "TestCEK", cell)
+            enclave.decrypt_for_ddl("some ddl", "TestCEK", cells)
         self._authorize(enclave, session, "some ddl")
-        assert enclave.decrypt_for_ddl("some ddl", "TestCEK", cell) == serialize_value(3)
+        assert enclave.decrypt_for_ddl("some ddl", "TestCEK", cells) == [
+            serialize_value(3), serialize_value(4)]

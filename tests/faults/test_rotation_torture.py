@@ -15,6 +15,11 @@ populated column. After ``crash(); recover()``:
   re-attests and re-authorizes the same statement text drives it to the
   terminal all-new state with the version bump applied exactly once.
 
+The ``ALTER COLUMN`` DDL runs the same job inside one statement, so it is
+one of the matrix's drivers: a rotating and a decrypting DDL crashed
+mid-job recover to one form per cell, and re-running the statement adopts
+the job and finishes it.
+
 The pre-rotation *restore* adversary gets its own class: restoring a
 backup taken before the rotation must be refused by BOTH the WAL-chain
 anchor (``wal.prefix``) and the per-CEK version floor
@@ -26,10 +31,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.aead import CellCipher
-from repro.errors import FaultInjected, ForcedCrash, StaleRestoreError
+from repro.errors import ExecutionError, FaultInjected, ForcedCrash, StaleRestoreError
 from repro.faults import ForceCrash, OnNth, PartialFlush, RaiseTransient, get_fault_registry
 from repro.faults.rollback import StaleCekVersion
 from repro.sqlengine.cells import Ciphertext
+from repro.sqlengine.rotation import DEFAULT_BATCH_SIZE
 from repro.sqlengine.server import QUARANTINE_MESSAGE
 from repro.tools.rotation import resume_rotation, rotate_cek_online
 
@@ -58,14 +64,23 @@ WAL_SITES = [
 ]
 
 
-def build(stack_factory):
+#: The in-place DDL for each kind the DDL matrix drives (target key, text).
+DDL = {
+    "rotate": ("RotNewCEK", "ALTER TABLE T ALTER COLUMN value int ENCRYPTED WITH "
+               "(COLUMN_ENCRYPTION_KEY = RotNewCEK, ENCRYPTION_TYPE = Randomized, "
+               f"ALGORITHM = '{ALGO}')"),
+    "decrypt": ("", "ALTER TABLE T ALTER COLUMN value int"),
+}
+
+
+def build(stack_factory, rows: int = ROWS):
     stack = stack_factory()
     stack.conn.execute_ddl(
         "CREATE TABLE T(id int PRIMARY KEY, value int ENCRYPTED WITH "
         "(COLUMN_ENCRYPTION_KEY = RotOldCEK, ENCRYPTION_TYPE = Randomized, "
         f"ALGORITHM = '{ALGO}'))"
     )
-    for i in range(ROWS):
+    for i in range(rows):
         stack.conn.execute(
             "INSERT INTO T (id, value) VALUES (@id, @v)", {"id": i, "v": i * 3}
         )
@@ -77,10 +92,12 @@ def census(stack) -> dict[str, int]:
     slot = engine.table("T").schema.column_index("value")
     old = CellCipher(stack.materials["RotOldCEK"])
     new = CellCipher(stack.materials["RotNewCEK"])
-    counts = {"old": 0, "new": 0, "neither": 0, "both": 0}
+    counts = {"old": 0, "new": 0, "neither": 0, "both": 0, "plaintext": 0}
     for __, row in engine.scan("T"):
         cell = row[slot]
-        assert isinstance(cell, Ciphertext), f"non-ciphertext cell {cell!r}"
+        if not isinstance(cell, Ciphertext):
+            counts["plaintext"] += 1
+            continue
         under_old = old.verify(cell.envelope)
         under_new = new.verify(cell.envelope)
         if under_old and under_new:
@@ -222,6 +239,83 @@ class TestRotationCrashMatrix:
         }
 
 
+class TestDdlCrashMatrix:
+    """The in-place DDL as a lifecycle job: crashed mid-job, recovered,
+    then finished by running the same statement again."""
+
+    @pytest.mark.parametrize("site,nth", [("rotation.batch", 2), ("rotation.end", 1)])
+    @pytest.mark.parametrize("kind", sorted(DDL))
+    def test_a_crashed_alter_column_is_finished_by_rerunning_it(
+        self, kind, site, nth, rotation_stack_factory
+    ):
+        rows = 2 * DEFAULT_BATCH_SIZE + 10      # the batch crash lands mid-column
+        stack = build(rotation_stack_factory, rows=rows)
+        target, text = DDL[kind]
+        faults = get_fault_registry()
+        armed = faults.arm(site, OnNth(nth), ForceCrash())
+        try:
+            with pytest.raises(ForcedCrash):
+                stack.conn.execute_ddl(text, authorize_enclave=True)
+        finally:
+            faults.disarm(armed)
+        stack.server.crash()
+        stack.server.recover()
+
+        # Every cell in exactly one form: under the old key, or converted.
+        counts = census(stack)
+        converted = "new" if target else "plaintext"
+        assert counts["old"] + counts[converted] == rows, counts
+        if site == "rotation.batch":
+            assert counts["old"] > 0 and counts[converted] > 0, counts
+        assert [s.kind for s in stack.server.rotation_states() if s.active] == [kind]
+
+        conn = stack.fresh_conn()
+        conn.execute_ddl(text, authorize_enclave=True)
+        assert not any(s.active for s in stack.server.rotation_states())
+        assert census(stack)[converted] == rows
+        assert stack.server.cek_versions() == ({target: 2} if target else {})
+        assert sorted(conn.execute("SELECT id, value FROM T").rows) == [
+            (i, i * 3) for i in range(rows)]
+        assert stack.server.audit() == []
+
+    @pytest.mark.parametrize("kind", sorted(DDL))
+    def test_the_window_a_crash_leaves_reads_through_the_driver(
+        self, kind, rotation_stack_factory
+    ):
+        """Between the crash and the re-run the column holds two forms. A
+        reader gets every value through the driver; a filter reads across
+        two keys, but not across plaintext and ciphertext, which is refused
+        by name until the re-run finishes the job."""
+        rows = 2 * DEFAULT_BATCH_SIZE + 10
+        stack = build(rotation_stack_factory, rows=rows)
+        target, text = DDL[kind]
+        select, where = "SELECT id, value FROM T", "SELECT id FROM T WHERE value = @v"
+        faults = get_fault_registry()
+        armed = faults.arm("rotation.batch", OnNth(2), ForceCrash())
+        try:
+            with pytest.raises(ForcedCrash):
+                stack.conn.execute_ddl(text, authorize_enclave=True)
+        finally:
+            faults.disarm(armed)
+        stack.server.crash()
+        stack.server.recover()
+        counts = census(stack)
+        assert counts["old"] > 0 and counts["new" if target else "plaintext"] > 0, counts
+
+        fresh = stack.fresh_conn()
+        expected = [(i, i * 3) for i in range(rows)]
+        assert sorted(fresh.execute(select).rows) == expected
+        if target:
+            assert fresh.execute(where, {"v": 21}).rows == [(7,)]
+        else:
+            with pytest.raises(ExecutionError, match=r"T\.value is mid-decrypt \(job rot-"):
+                fresh.execute(where, {"v": 21})
+
+        fresh.execute_ddl(text, authorize_enclave=True)
+        assert sorted(fresh.execute(select).rows) == expected
+        assert fresh.execute(where, {"v": 21}).rows == [(7,)]
+
+
 class TestPreRotationRestoreRefused:
     """The acceptance scenario: a backup taken before the rotation is
     restored afterwards. Recovery must refuse it, and the violation list
@@ -263,15 +357,20 @@ class TestPreRotationRestoreRefused:
             session.execute("SELECT id FROM T", {})
         assert str(refusal.value) == QUARANTINE_MESSAGE
 
-    def test_both_detections_fire_independently(self, rotation_stack_factory):
+    @pytest.mark.parametrize("driver", ["online-tool", "DDL"])
+    def test_both_detections_fire_independently(self, rotation_stack_factory, driver):
         """Inspect the anchor's verdict itself: the stale state violates
         the WAL-prefix check AND the cek.version floor — either alone
-        would refuse the restore."""
+        would refuse the restore. The in-place DDL's rotation bumps the
+        version exactly as the online tool's does."""
         stack = self._anchored_stack(rotation_stack_factory)
         backup = StaleCekVersion()
         backup.capture(stack.server.engine)
 
-        rotate_cek_online(stack.conn, "T", "value", "RotNewCEK", batch_size=8)
+        if driver == "DDL":
+            stack.conn.execute_ddl(DDL["rotate"][1], authorize_enclave=True)
+        else:
+            rotate_cek_online(stack.conn, "T", "value", "RotNewCEK", batch_size=8)
         stack.server.engine.checkpoint()
         backup.restore()
         stack.server.crash()

@@ -15,6 +15,7 @@ import pytest
 from repro.crypto.aead import CellCipher, EncryptionScheme
 from repro.errors import BindError, SqlError
 from repro.sqlengine.cells import Ciphertext
+from repro.sqlengine.storage.wal import LogOp
 from repro.tools.rotation import (
     encrypt_column_online,
     resume_rotation,
@@ -327,6 +328,29 @@ class TestRotationPreconditions:
             rotate_cek_online(stack.conn, "T", "value", "RotThirdCEK", run=False)
         stack.server.rotate_run(rid)
 
+    def test_a_rerun_ddl_adopts_the_job_a_tool_is_driving(self, rotation_stack_factory):
+        """The DDL restating a live job's target adopts the job this process
+        is already driving rather than building a second driver for it: the
+        tool's own job finishes, once."""
+        stack = rotation_stack_factory()
+        make_table(stack.conn, rows=20)
+        rid = rotate_cek_online(
+            stack.conn, "T", "value", "RotNewCEK", batch_size=4, run=False
+        )
+        stack.server.rotate_step(rid)
+        job = stack.server._rotation_jobs[rid]
+        stack.conn.execute_ddl(
+            "ALTER TABLE T ALTER COLUMN value int ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY "
+            f"= RotNewCEK, ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}')",
+            authorize_enclave=True,
+        )
+        assert job.done and job.step() == (False, 0)
+        ends = [record for record in stack.server.engine.wal.records(durable_only=False)
+                if record.op is LogOp.ROTATE_END]
+        assert [record.table for record in ends] == [rid]
+        assert stack.server.cek_versions() == {"RotNewCEK": 2}
+        assert cell_key_census(stack, "T", "value") == {"<plaintext>": 0, "RotNewCEK": 20}
+
     def test_unknown_rotation_id_names_the_resume_protocol(
         self, rotation_stack_factory
     ):
@@ -336,16 +360,45 @@ class TestRotationPreconditions:
 
     def test_unauthorized_query_text_cannot_recrypt(self, rotation_stack_factory):
         """A compromised server starting a rotation with an unauthorized
-        text gets nothing: the enclave refuses the batch."""
+        text gets nothing: the enclave refuses the job's first, empty batch
+        before ROTATE_BEGIN, so nothing changes."""
         from repro.errors import EnclaveError
 
         stack = rotation_stack_factory()
         make_table(stack.conn, rows=4)
-        rid = stack.server.rotate_start(
-            "T", "value", "RotNewCEK", "EVIL TEXT NO CLIENT SIGNED"
-        )
+        column = stack.server.catalog.table("T").column("value")
+        before = (column.column_type, len(stack.server.engine.wal.records(durable_only=False)))
         with pytest.raises(EnclaveError, match="no client authorized"):
-            stack.server.rotate_run(rid)
+            stack.server.rotate_start(
+                "T", "value", "RotNewCEK", "EVIL TEXT NO CLIENT SIGNED"
+            )
+        assert stack.server.rotation_states() == []
+        after = (column.column_type, len(stack.server.engine.wal.records(durable_only=False)))
+        assert after == before
+
+    @pytest.mark.parametrize("kind,column,cek,text", [
+        ("encrypt", "tag", "RotThirdCEK", ""),
+        ("decrypt", "value", "", "EVIL TEXT NO CLIENT SIGNED"),
+    ])
+    def test_an_unauthorized_start_of_either_plaintext_kind_changes_nothing(
+        self, rotation_stack_factory, kind, column, cek, text
+    ):
+        """No text is exempt from the probe, the empty one included, while
+        the enclave may hold the key: otherwise the column would flip and
+        the job fail at its first cell."""
+        from repro.errors import EnclaveError
+
+        stack = rotation_stack_factory()
+        make_table(stack.conn, rows=4)
+        schema = stack.server.catalog.table("T").column(column)
+        wal = stack.server.engine.wal
+        before = (schema.column_type, len(wal.records(durable_only=False)))
+        with pytest.raises(EnclaveError, match="no client authorized"):
+            stack.server.rotate_start(
+                "T", column, cek, text, kind=kind, scheme=EncryptionScheme.RANDOMIZED
+            )
+        assert stack.server.rotation_states() == []
+        assert (schema.column_type, len(wal.records(durable_only=False))) == before
 
 
 class TestRotationOverTheWire:

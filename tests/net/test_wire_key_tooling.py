@@ -92,7 +92,8 @@ def test_key_tooling_runs_over_the_wire(wired):
     rotate_cek_online(conn, "T", "value", "RotNewCEK", batch_size=5)
     assert sent[mark:mark + 3] == ["Describe", "ForwardPackage", "AdminRotateStart"]
     assert set(sent[mark + 3:]) == {"AdminRotateStep"}
-    assert remote.cek_versions() == {"RotNewCEK": 2}
+    # The in-place encrypt and rotate above bumped their targets once each.
+    assert remote.cek_versions() == {"RotNewCEK": 3, "RotThirdCEK": 2}
     assert sorted(conn.execute("SELECT id, value FROM T").rows) == [
         (i, i * 10) for i in range(ROWS)]
 
@@ -104,7 +105,7 @@ def test_key_tooling_runs_over_the_wire(wired):
     fresh = connect(remote, stack.registry, attestation_policy=stack.policy)
     resume_rotation(fresh, rid, "T", "value", "RotThirdCEK")
     assert not any(state.active for state in remote.rotation_states())
-    assert remote.cek_versions() == {"RotNewCEK": 2, "RotThirdCEK": 2}
+    assert remote.cek_versions() == {"RotNewCEK": 3, "RotThirdCEK": 3}
     assert sorted(fresh.execute("SELECT id, value FROM T").rows) == [
         (i, i * 10) for i in range(ROWS)]
 
@@ -117,21 +118,29 @@ def plaintext_table(conn) -> None:
         conn.execute("INSERT INTO L (k, s) VALUES (@k, @s)", {"k": k, "s": f"s{k}"})
 
 
+@pytest.fixture()
+def plain_key(wired, plain_cmk, plain_cek) -> None:
+    """The AEv1 tool's key: one whose CMK forbids enclave computations."""
+    stack = wired[0]
+    stack.server.catalog.create_cmk(plain_cmk)
+    stack.server.catalog.create_cek(plain_cek)
+
+
 def encrypt_l(conn) -> int:
     return client_side_initial_encryption(
-        conn, "L", "k", "s", "RotNewCEK", EncryptionScheme.DETERMINISTIC
+        conn, "L", "k", "s", "PlainCEK", EncryptionScheme.DETERMINISTIC
     )
 
 
 def assert_encrypted_and_finished(stack, remote, conn) -> None:
     assert all(isinstance(row[1], Ciphertext) for __, row in stack.server.engine.scan("L"))
     assert not any(state.active for state in remote.rotation_states())
-    assert remote.cek_versions() == {"RotNewCEK": 2}
+    assert remote.cek_versions() == {"PlainCEK": 2}
     assert conn.execute("SELECT k FROM L WHERE s = @s", {"s": "s7"}).rows == [(7,)]
     assert remote.audit() == []
 
 
-def test_client_side_initial_encryption_runs_over_the_wire(wired):
+def test_client_side_initial_encryption_runs_over_the_wire(wired, plain_key):
     """The AEv1 tool: the server's job flips the column, the driver encrypts
     every cell, the job's sweep ends it. The enclave takes no part."""
     stack, remote, sent = wired
@@ -144,7 +153,7 @@ def test_client_side_initial_encryption_runs_over_the_wire(wired):
     assert_encrypted_and_finished(stack, remote, conn)
 
 
-def test_a_failed_write_back_is_adopted_and_finished(wired, monkeypatch):
+def test_a_failed_write_back_is_adopted_and_finished(wired, plain_key, monkeypatch):
     stack, remote, sent = wired
     conn = connect(remote, stack.registry, attestation_policy=stack.policy)
     plaintext_table(conn)

@@ -25,6 +25,7 @@ from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.server import SqlServer
 from repro.sqlengine.values import serialize_value
 from repro.tools.provisioning import provision_cek, provision_cmk
+from repro.tools.rotation import rotate_cek_online
 from tests.conftest import ALGO
 
 
@@ -127,6 +128,15 @@ class TestEncryptionOracle:
             "ALTER TABLE L ALTER COLUMN name varchar(20)", authorize_enclave=True
         )
         assert encryption_oracle_access(adversary)["authorized_uses"] > 0
+
+    def test_online_rotation_uses_the_oracle_once_per_batch(
+        self, rnd_system, registry, enclave_cmk
+    ):
+        adversary, conn, names = rnd_system
+        vault = registry.get("AZURE_KEY_VAULT_PROVIDER")
+        provision_cek(conn, vault, enclave_cmk, "TestCEK2")
+        rotate_cek_online(conn, "L", "name", "TestCEK2", batch_size=2)
+        assert encryption_oracle_access(adversary)["authorized_uses"] >= len(names) // 2
 
 
 CITIES = ["seattle"] * 6 + ["zurich"] * 3 + ["portland"] * 1

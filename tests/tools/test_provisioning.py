@@ -112,6 +112,63 @@ class TestInPlaceDdl:
         assert r.rows == [(1,)]
 
 
+    def test_a_restated_type_that_differs_is_refused(self, conn, loaded, server):
+        """ALTER COLUMN changes encryption only: a new type would leave rows
+        the catalog no longer describes. Refused before anything changes."""
+        with pytest.raises(SqlError, match="cannot change the type"):
+            conn.execute_ddl(ALTER_V.format(cek="ECEK").replace("varchar(20)", "int"),
+                             authorize_enclave=True)
+        column = server.catalog.table("d").column("v")
+        assert str(column.column_type) == "VARCHAR(20)"
+        assert server.rotation_states() == []
+        assert sorted(conn.execute("SELECT k, v FROM d").rows) == [
+            (k, f"val-{k}") for k in range(4)]
+
+    def test_an_unauthorized_alter_changes_nothing(self, conn, loaded, server):
+        wal = server.engine.wal
+        before = (len(wal.records(durable_only=False)), server.catalog.schema_version)
+        with pytest.raises(EnclaveError, match="no client authorized"):
+            conn.execute_ddl(ALTER_V.format(cek="ECEK"), authorize_enclave=False)
+        assert (len(wal.records(durable_only=False)), server.catalog.schema_version) == before
+        assert server.rotation_states() == []
+
+    def test_restating_the_encryption_is_a_no_op(self, conn, loaded, server):
+        for text in ("ALTER TABLE d ALTER COLUMN v varchar(20)", ALTER_V.format(cek="ECEK")):
+            conn.execute_ddl(text, authorize_enclave=True)
+            before = [row for __, row in server.engine.scan("d")]
+            conn.execute_ddl(text, authorize_enclave=True)
+            assert [row for __, row in server.engine.scan("d")] == before
+        assert [state.kind for state in server.rotation_states()] == ["encrypt"]
+
+    def test_a_same_cek_change_of_scheme_is_refused(self, conn, loaded, server):
+        conn.execute_ddl(ALTER_V.format(cek="ECEK"), authorize_enclave=True)
+        with pytest.raises(SqlError, match="already under CEK 'ECEK'"):
+            conn.execute_ddl(ALTER_V.format(cek="ECEK").replace("Randomized", "Deterministic"),
+                             authorize_enclave=True)
+        assert server.catalog.table("d").column("v").column_type.encryption.cek_name == "ECEK"
+
+    def test_a_conversion_that_changes_an_index_key_is_refused(
+        self, conn, loaded, vault, server
+    ):
+        """Encrypt, decrypt and a change of scheme change what an index on
+        the column compares: refused, naming the index. A same-scheme CEK
+        rotation keeps its indexes."""
+        conn.execute_ddl("CREATE INDEX ix_v ON d (v)")
+        with pytest.raises(SqlError, match="ix_v"):
+            conn.execute_ddl(ALTER_V.format(cek="ECEK"), authorize_enclave=True)
+        conn.execute_ddl("DROP INDEX ix_v ON d")
+        conn.execute_ddl(ALTER_V.format(cek="ECEK"), authorize_enclave=True)
+        conn.execute_ddl("CREATE INDEX ix_v ON d (v)")
+        provision_cek(conn, vault, server.catalog.cmk("ECMK"), "ECEK2")
+        for text in (ALTER_V.format(cek="ECEK2").replace("Randomized", "Deterministic"),
+                     "ALTER TABLE d ALTER COLUMN v varchar(20)"):
+            with pytest.raises(SqlError, match="ix_v"):
+                conn.execute_ddl(text, authorize_enclave=True)
+        conn.execute_ddl(ALTER_V.format(cek="ECEK2"), authorize_enclave=True)
+        assert conn.execute("SELECT k FROM d WHERE v = @v", {"v": "val-3"}).rows == [(3,)]
+        assert server.audit() == []
+
+
 class TestDdlEnclaveKeys:
     """The server's describe names the keys a DDL ships to the enclave."""
 
