@@ -21,7 +21,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.querystats import QueryStats
 from repro.obs.tracing import OPERATOR, get_tracer
 from repro.sqlengine.cells import Ciphertext
-from repro.sqlengine.engine import StorageEngine
+from repro.sqlengine.engine import IndexObject, StorageEngine, TableObject
 from repro.sqlengine.exec.plan import (
     Access,
     Aggregation,
@@ -134,15 +134,16 @@ class Executor:
                 "query requires enclave computations but no enclave gateway is attached"
             )
         info = ""
-        rows: Iterator[tuple] = iter(((),))
+        rows: Iterable[tuple] = ((),)
         if plan.access is not None:
-            rows = (row for __, row in self._access(plan.access, params))
+            candidates, __ = self._access(plan.access, params)
+            rows = (row for __, row in candidates)
             info = plan.access.info
         # Joins (hash join on hashable equality keys, else nested loop).
         for join in plan.joins:
             rows, strategy = self._join(rows, join, params)
             info += " -> " + strategy
-        # Residual filter: the full WHERE (re-checks sargs; harmless).
+        # Residual filter: what the access path's key check did not decide.
         if where is not None:
             rows = self._qualify(rows, where, params)
             if note := self._batch_note(where):
@@ -150,6 +151,8 @@ class Executor:
 
         if plan.aggregate is not None:
             out = self._aggregate(plan.aggregate, rows, params)
+        elif plan.getter is not None:
+            out = list(map(plan.getter, rows))
         else:
             outputs = plan.outputs
             out = [
@@ -215,24 +218,58 @@ class Executor:
 
     # -- access paths ------------------------------------------------------------
 
-    def _access(self, access: Access, params: tuple) -> Iterator[tuple[RowId, tuple]]:
-        """Yield ``(rid, row)`` along ``access``: heap scan, seek or range scan."""
+    def _access(
+        self, access: Access, params: tuple
+    ) -> tuple[Iterable[tuple[RowId, tuple]], Callable[[tuple], bool] | None]:
+        """``(candidates, key_check)`` along ``access``.
+
+        A heap scan yields every ``(rid, row)`` and has no key check. A seek
+        or range scan fetches the rows its entries point at, then keeps those
+        that pass ``key_check``: the conjuncts the plan took out of the
+        residual, decided on the row's own key cells. An entry whose heap
+        image no longer carries the key it was found under (a concurrent
+        UPDATE moving it, docs/CONCURRENCY.md) fails it. ``key_check`` is
+        None when the path decided no conjunct.
+        """
         table, index = access.table, access.index
         if index is None:
-            self._table_scans.inc()
-            with self._tracer.span(
-                "exec.table_scan", kind=OPERATOR, table=table.schema.name
-            ):
-                scanned = 0
-                try:
-                    for entry in table.heap.scan():
-                        scanned += 1
-                        yield entry
-                finally:
-                    self._rows_scanned.inc(scanned)
-            return
+            return self._scan(table), None
+        value = self._value
+        prefix = tuple([value(operand, params) for operand in access.eq])
+        low = None if access.low is None else (value(access.low[0], params), access.low[1])
+        high = None if access.high is None else (value(access.high[0], params), access.high[1])
+        heap = table.heap
+        fetched = [
+            (rid, row)
+            for rid in self._seek(table, index, prefix, low, high)
+            if (row := heap.read_or_none(rid)) is not None
+        ]
+        self._rows_scanned.inc(len(fetched))
+        key_check = _key_check(access, prefix, low, high)
+        if key_check is not None:
+            fetched = [entry for entry in fetched if key_check(entry[1])]
+        return fetched, key_check
 
-        prefix = tuple([self._value(operand, params) for operand in access.eq])
+    def _scan(self, table: TableObject) -> Iterator[tuple[RowId, tuple]]:
+        self._table_scans.inc()
+        with self._tracer.span("exec.table_scan", kind=OPERATOR, table=table.schema.name):
+            scanned = 0
+            try:
+                for entry in table.heap.scan():
+                    scanned += 1
+                    yield entry
+            finally:
+                self._rows_scanned.inc(scanned)
+
+    def _seek(
+        self,
+        table: TableObject,
+        index: IndexObject,
+        prefix: tuple,
+        low: tuple[object, bool] | None,
+        high: tuple[object, bool] | None,
+    ) -> list[RowId]:
+        """The rids of ``index``'s entries in the bound key range."""
         if len(prefix) == len(index.key_slots):
             self._index_seeks.inc()
             with self._tracer.span(
@@ -241,45 +278,37 @@ class Executor:
                 table=table.schema.name,
                 index=index.schema.name,
             ):
-                rids = index.tree.search_eq(prefix)
-        else:
-            low: tuple = prefix
-            high: tuple = prefix + (MAX_KEY,)
-            high_inclusive = True
-            if access.low is not None:
-                operand, inclusive = access.low
-                low = prefix + (self._value(operand, params),)
-                if not inclusive:
-                    low = low + (MAX_KEY,)
-            if access.high is not None:
-                operand, high_inclusive = access.high
-                high = prefix + (self._value(operand, params),)
-                if high_inclusive:
-                    high = high + (MAX_KEY,)
-            self._index_range_scans.inc()
-            with self._tracer.span(
-                "exec.index_range_scan",
-                kind=OPERATOR,
-                table=table.schema.name,
-                index=index.schema.name,
-            ):
-                # ``< v`` stops at a key equal to ``prefix + (v,)`` rather
-                # than reading that row for the residual to drop.
-                rids = [
-                    rid for __, rid in index.tree.range_scan(low, high, True, high_inclusive)
-                ]
-        fetched = [
-            (rid, row)
-            for rid in rids
-            if (row := table.heap.read_or_none(rid)) is not None
-        ]
-        self._rows_scanned.inc(len(fetched))
-        yield from fetched
+                return index.tree.search_eq(prefix)
+        low_key: tuple = prefix
+        high_key: tuple = prefix + (MAX_KEY,)
+        high_inclusive = True
+        if low is not None:
+            low_key = prefix + (low[0],)
+            if not low[1]:
+                low_key = low_key + (MAX_KEY,)
+        if high is not None:
+            high_key = prefix + (high[0],)
+            high_inclusive = high[1]
+            if high_inclusive:
+                high_key = high_key + (MAX_KEY,)
+        self._index_range_scans.inc()
+        with self._tracer.span(
+            "exec.index_range_scan",
+            kind=OPERATOR,
+            table=table.schema.name,
+            index=index.schema.name,
+        ):
+            # ``< v`` stops at a key equal to ``prefix + (v,)`` rather
+            # than reading that row for the key check to drop.
+            return [
+                rid
+                for __, rid in index.tree.range_scan(low_key, high_key, True, high_inclusive)
+            ]
 
     # -- joins ----------------------------------------------------------------------
 
     def _join(
-        self, left_rows: Iterator[tuple], join: JoinStep, params: tuple
+        self, left_rows: Iterable[tuple], join: JoinStep, params: tuple
     ) -> tuple[Iterator[tuple], str]:
         if join.hash_slots is not None:
             left_slot, right_slot = join.hash_slots
@@ -321,7 +350,7 @@ class Executor:
     # -- aggregation -------------------------------------------------------------------
 
     def _aggregate(
-        self, spec: Aggregation, rows: Iterator[tuple], params: tuple
+        self, spec: Aggregation, rows: Iterable[tuple], params: tuple
     ) -> list[tuple]:
         aggregates = spec.aggregates
         groups: dict[tuple, list[list[object]]] = {}
@@ -459,7 +488,7 @@ class Executor:
         read-modify-writes lose updates.
         """
         predicate = plan.where
-        candidates = self._access(plan.access, params)
+        candidates, key_check = self._access(plan.access, params)
         if predicate is not None:
             candidates = self._qualify(
                 candidates, predicate, params, row_of=operator.itemgetter(1)
@@ -469,7 +498,7 @@ class Executor:
         for rid, __ in list(candidates):
             self.engine.lock_row(txn, plan.table, rid)
             row = self.engine.read(plan.table, rid)
-            if row is None:
+            if row is None or (key_check is not None and not key_check(row)):
                 continue
             # The re-check re-reads single rows, so it is a chunk of one.
             if predicate is not None and not list(
@@ -512,6 +541,50 @@ _HANDLERS = {
     UpdatePlan: ("exec.update", Executor._update),
     DeletePlan: ("exec.delete", Executor._delete),
 }
+
+
+def _key_check(
+    access: Access,
+    prefix: tuple,
+    low: tuple[object, bool] | None,
+    high: tuple[object, bool] | None,
+) -> Callable[[tuple], bool] | None:
+    """The row test for the sargs ``access`` decided, with these bound values.
+
+    Each checked key cell of the row is compared with its seek key or range
+    bound under the tree's comparator for that column. A NULL on either
+    side satisfies no comparison, so a NULL operand qualifies no row.
+    """
+    index = access.index
+    if index is None or not access.checked:
+        return None
+    comparator = index.tree.comparator
+    # (row slot, comparison, operand, the outcomes that satisfy it)
+    tests: list[tuple[int, Callable[[object, object], int], object, tuple[int, ...]]] = []
+    for position in access.checked:
+        slot, compare = index.key_slots[position], comparator.cell_compare(position)
+        if position < len(prefix):
+            tests.append((slot, compare, prefix[position], (0,)))
+            continue
+        if low is not None:
+            tests.append((slot, compare, low[0], (0, 1) if low[1] else (1,)))
+        if high is not None:
+            tests.append((slot, compare, high[0], (-1, 0) if high[1] else (-1,)))
+    if any(operand is None for __, __, operand, __ in tests):
+        return _no_row
+
+    def key_check(row: tuple) -> bool:
+        for slot, compare, operand, accept in tests:
+            cell = row[slot]
+            if cell is None or compare(cell, operand) not in accept:
+                return False
+        return True
+
+    return key_check
+
+
+def _no_row(row: tuple) -> bool:
+    return False
 
 
 def _hash_key(value: object) -> object:

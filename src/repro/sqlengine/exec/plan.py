@@ -15,12 +15,19 @@ built at (see :meth:`Catalog.bump_schema_version`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.crypto.aead import EncryptionScheme
 from repro.errors import BindError, ExecutionError, TypeDeductionError
 from repro.sqlengine.engine import IndexObject, StorageEngine, TableObject
-from repro.sqlengine.exec.planner import choose_access_path, extract_sargs
+from repro.sqlengine.exec.planner import (
+    choose_access_path,
+    extract_sargs,
+    is_randomized,
+    residual,
+)
 from repro.sqlengine.expression.compiler import CompiledExpression, compile_expression
 from repro.sqlengine.expression.program import Opcode
 from repro.sqlengine.expression.tree import (
@@ -76,7 +83,12 @@ class Scalar:
 @dataclass(frozen=True)
 class Access:
     """How the main table is read. Key operands are parameter positions
-    (``Scalar.slot`` indexes the bound parameter values) or constants."""
+    (``Scalar.slot`` indexes the bound parameter values) or constants.
+
+    ``checked`` are the key positions whose sargs the executor's key check
+    decides on every fetched row (position ``len(eq)``: the range bounds);
+    the plan's residual predicate no longer holds those conjuncts.
+    """
 
     table: TableObject
     info: str
@@ -84,6 +96,7 @@ class Access:
     eq: tuple[Scalar, ...] = ()                 # equality prefix of the index key
     low: tuple[Scalar, bool] | None = None      # (operand, inclusive) on the next column
     high: tuple[Scalar, bool] | None = None
+    checked: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -116,8 +129,9 @@ class SelectPlan:
     params: tuple[str, ...]                     # lower-cased names, in slot order
     access: Access | None                       # None: SELECT without FROM
     joins: tuple[JoinStep, ...]
-    where: CompiledExpression | None
+    where: CompiledExpression | None            # what the access path left undecided
     outputs: tuple[Scalar, ...]                 # projection; hidden sort columns last
+    getter: Callable[[tuple], tuple] | None     # the projection when every output is a column
     aggregate: Aggregation | None               # replaces ``outputs`` when set
     columns: tuple[ResultColumn, ...]           # visible result columns
     hidden: int
@@ -139,7 +153,7 @@ class DeletePlan:
     params: tuple[str, ...]
     table: str
     access: Access
-    where: CompiledExpression | None
+    where: CompiledExpression | None            # what the access path left undecided
 
 
 @dataclass(frozen=True)
@@ -172,9 +186,12 @@ def build_plan(
     return builder.modify(stmt)
 
 
-def _is_randomized(column_type: ColumnType) -> bool:
-    enc = column_type.encryption
-    return enc is not None and enc.scheme is EncryptionScheme.RANDOMIZED
+def _getter(slots: list[int]) -> Callable[[tuple], tuple]:
+    """One call that projects a row onto ``slots``."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda row: (row[slot],)
+    return operator.itemgetter(*slots)
 
 
 def _literal_type(value: object) -> ColumnType:
@@ -283,7 +300,11 @@ class _Builder:
 
     # -- access path -----------------------------------------------------------------
 
-    def access(self, table_name: str, where: ast.AstExpr | None, binding: str) -> Access:
+    def access(
+        self, table_name: str, where: ast.AstExpr | None, binding: str
+    ) -> tuple[Access, ast.AstExpr | None]:
+        """The main table's access path, and the part of ``where`` it
+        leaves to the residual predicate."""
         table = self.engine.table(table_name)
         path = choose_access_path(table, extract_sargs(where, self.scope, binding))
 
@@ -296,28 +317,30 @@ class _Builder:
             return Scalar(slot=scalar.slot - self.scope.width)
 
         if path.kind == "scan" or path.index is None:
-            return Access(table, path.describe())
-        return Access(
+            return Access(table, path.describe()), where
+        access = Access(
             table,
             path.describe(),
             index=path.index,
             eq=tuple(key(operand) for operand in path.eq_operands),
             low=path.low and (key(path.low[0]), path.low[1]),
             high=path.high and (key(path.high[0]), path.high[1]),
+            checked=tuple(path.checked),
         )
+        return access, residual(where, path.consumed)
 
     # -- SELECT ------------------------------------------------------------------------
 
     def select(self, stmt: ast.SelectStmt, allow_enclave_order_by: bool) -> SelectPlan:
         access = None
         joins: list[JoinStep] = []
+        where = stmt.where
         if stmt.table is not None:
-            access = self.access(stmt.table.name, stmt.where, stmt.table.binding_name)
+            access, where = self.access(stmt.table.name, where, stmt.table.binding_name)
             left_width = access.table.schema.arity
             for join in stmt.joins:
                 joins.append(self.join(join, left_width))
                 left_width += joins[-1].table.schema.arity
-        where = self.predicate(stmt.where)
 
         aggregate = None
         hidden: list[ast.ColumnName] = []
@@ -332,15 +355,20 @@ class _Builder:
             if not stmt.distinct:
                 hidden = [i.expr for i in stmt.order_by if isinstance(i.expr, ast.ColumnName)]
             outputs, columns = self.projection(stmt, hidden)
+        slots = [scalar.slot for scalar in outputs]
+        getter = None
+        if outputs and all(slot is not None and slot < self.scope.width for slot in slots):
+            getter = _getter(slots)
         visible = columns[: len(columns) - len(hidden)]
-        if stmt.distinct and any(_is_randomized(c.column_type) for c in visible):
+        if stmt.distinct and any(is_randomized(c.column_type) for c in visible):
             raise ExecutionError("DISTINCT over a randomized encrypted column is not supported")
         return SelectPlan(
             params=self.params,
             access=access,
             joins=tuple(joins),
-            where=where,
+            where=self.predicate(where),
             outputs=tuple(outputs),
+            getter=getter,
             aggregate=aggregate,
             columns=tuple(visible),
             hidden=len(hidden),
@@ -381,7 +409,7 @@ class _Builder:
             raise TypeDeductionError("cannot join an encrypted column with a plaintext column")
         if enc_left is not None and enc_left.cek_name != enc_right.cek_name:
             raise TypeDeductionError("join columns are encrypted with different CEKs")
-        if _is_randomized(left.column.column_type) or _is_randomized(right.column.column_type):
+        if is_randomized(left.column.column_type) or is_randomized(right.column.column_type):
             return None
         return left.slot, right.slot
 
@@ -417,7 +445,7 @@ class _Builder:
     def aggregation(self, stmt: ast.SelectStmt) -> tuple[Aggregation, list[ResultColumn]]:
         group_exprs = [self.lower(g) for g in stmt.group_by]
         for bound in group_exprs:
-            if isinstance(bound, ColumnRefExpr) and _is_randomized(bound.column_type):
+            if isinstance(bound, ColumnRefExpr) and is_randomized(bound.column_type):
                 raise ExecutionError("GROUP BY on a randomized encrypted column is not supported")
         aggregates: list[tuple[str, Scalar | None]] = []
         items: list[tuple[bool, int]] = []
@@ -495,12 +523,8 @@ class _Builder:
         return InsertPlan(self.params, stmt.table, (None,) * self.scope.width, tuple(rows))
 
     def modify(self, stmt: ast.UpdateStmt | ast.DeleteStmt) -> DeletePlan:
-        qualification = (
-            self.params,
-            stmt.table,
-            self.access(stmt.table, stmt.where, self.scope.bindings()[0][0]),
-            self.predicate(stmt.where),
-        )
+        access, where = self.access(stmt.table, stmt.where, self.scope.bindings()[0][0])
+        qualification = (self.params, stmt.table, access, self.predicate(where))
         if isinstance(stmt, ast.DeleteStmt):
             return DeletePlan(*qualification)
         schema = self.engine.catalog.table(stmt.table)

@@ -313,6 +313,10 @@ class CompositeComparator:
             type(cell) is CellComparator and type(cell.inner) is PlaintextComparator
             for cell in cells
         ]
+        self._cell_compares = [
+            _inline(cell.compare) if plain else cell.compare
+            for cell, plain in zip(cells, self._plain)
+        ]
 
     @property
     def supports_range(self) -> bool:
@@ -353,6 +357,11 @@ class CompositeComparator:
                 return c
         return (len(left) > len(right)) - (len(left) < len(right))
 
+    def cell_compare(self, column: int) -> Callable[[object, object], int]:
+        """Three-way comparison of two non-NULL cells of key column
+        ``column``, decided as :meth:`compare` decides that column."""
+        return self._cell_compares[column]
+
     def compare_one_to_many(self, probe: object, keys: list[object]) -> list[int]:
         """Batched lexicographic probe, column depth by column depth.
 
@@ -390,6 +399,19 @@ class CompositeComparator:
             active = tied
             depth += 1
         return results
+
+
+def _inline(compare: Callable[[object, object], int]) -> Callable[[object, object], int]:
+    """``compare`` of a plaintext column, with :meth:`CompositeComparator.compare`'s
+    inline verdict for two cells of one orderable type."""
+
+    def plain(a: object, b: object) -> int:
+        kind = type(a)
+        if kind is type(b) and kind in _INLINE_TYPES:
+            return (a > b) - (a < b)  # type: ignore[operator]
+        return compare(a, b)
+
+    return plain
 
 
 def orders_like_python(comparator: KeyComparator) -> bool:

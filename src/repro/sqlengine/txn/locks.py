@@ -1,8 +1,13 @@
 """A lock manager with shared/exclusive row and table locks.
 
-Deadlocks are handled by timeout (the workload transactions acquire locks
-in consistent orders, so timeouts indicate either contention with a
-*deferred* transaction — the Section 4.5 scenario — or a genuine cycle).
+Deadlocks are handled by timeout alone: there is no wait-for graph, so a
+genuine cycle waits out the full timeout before one of its transactions
+raises. The TPC-C transactions do not acquire locks in one consistent
+order: New-Order updates STOCK rows in the order its items are drawn, so
+two New-Orders on one warehouse can lock the same items in opposite
+orders. A timeout therefore means plain queueing that outlasted the
+timer, contention with a *deferred* transaction (the Section 4.5
+scenario), or a real deadlock cycle.
 """
 
 from __future__ import annotations

@@ -267,3 +267,73 @@ class TestRangeBounds:
         assert stats["<"].rows_returned == 20 and stats["<="].rows_returned == 21
         assert stats["<"].rows_scanned == 20
         assert stats["<"].enclave_comparisons <= stats["<="].enclave_comparisons
+
+
+class TestKeyCheck:
+    """The conjuncts an index decides leave the residual WHERE; the key
+    check on each fetched row decides them instead, with SQL's answers:
+    a NULL operand or a NULL key cell satisfies no comparison, and a
+    second equality on a key column still counts."""
+
+    @pytest.fixture()
+    def nullable(self, plain_server):
+        s = plain_server.connect()
+        for table in ("t", "twin"):
+            s.execute(
+                f"CREATE TABLE {table} (id int NOT NULL, a int, b int, c int, PRIMARY KEY (id))"
+            )
+        s.execute("CREATE INDEX t_b ON t (b)")
+        s.execute("CREATE INDEX t_ab ON t (a, b)")
+        rows = [
+            (1, 1, None), (2, 1, 5), (3, 1, None), (4, 1, 7), (5, 2, 5), (6, 1, 9), (7, None, 5)
+        ]
+        for table in ("t", "twin"):
+            for i, a, b in rows:
+                s.execute(
+                    f"INSERT INTO {table} (id, a, b, c) VALUES (@i, @a, @b, 0)",
+                    {"i": i, "a": a, "b": b},
+                )
+        return s
+
+    def test_a_null_operand_selects_and_updates_no_row(self, nullable):
+        s = nullable
+        r = s.execute("SELECT id FROM t WHERE b = @p", {"p": None})
+        assert "IndexSeek(t_b)" in r.plan_info
+        assert r.rows == []
+        assert s.execute("UPDATE t SET c = 1 WHERE b = @p", {"p": None}).rowcount == 0
+        both = s.execute("SELECT id FROM t WHERE a = @a AND b = @p", {"a": 1, "p": None})
+        assert both.rows == []
+        assert s.execute("SELECT COUNT(*) FROM t WHERE c = 1", {}).rows == [(0,)]
+
+    def test_two_equalities_on_one_key_column_both_hold(self, nullable):
+        s = nullable
+        query = "SELECT id FROM t WHERE b = @x AND b = @y"
+        assert s.execute(query, {"x": 5, "y": 7}).rows == []
+        assert sorted(s.execute(query, {"x": 5, "y": 5}).rows) == [(2,), (5,), (7,)]
+        update = "UPDATE t SET c = 1 WHERE a = @x AND a = @y"
+        assert s.execute(update, {"x": 1, "y": 2}).rowcount == 0
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "a = @a AND b BETWEEN @lo AND @hi",
+            "a = @a AND b < @hi",
+            "a = @a AND b <= @hi",
+            "a = @a AND b > @lo",
+            "a = @a AND b >= @lo AND b < @hi",
+            "a = @a AND b > @lo AND b BETWEEN @lo AND @hi",
+            "b < @hi",
+            "b >= @lo",
+        ],
+    )
+    def test_bounds_on_the_next_key_column_match_a_heap_scan(self, nullable, where):
+        s = nullable
+        for values in (
+            {"a": 1, "lo": 5, "hi": 9}, {"a": 1, "lo": 6, "hi": 7}, {"a": 2, "lo": 0, "hi": 5}
+        ):
+            seek = s.execute(f"SELECT id FROM t WHERE {where}", values)
+            scan = s.execute(f"SELECT id FROM twin WHERE {where}", values)
+            assert "IndexRangeScan" in seek.plan_info and "TableScan" in scan.plan_info
+            assert sorted(seek.rows) == sorted(scan.rows), values
+            counted = s.execute(f"UPDATE t SET c = c + 1 WHERE {where}", values).rowcount
+            assert counted == len(scan.rows), values

@@ -246,3 +246,68 @@ class TestDifferentialSql:
         )
         expected = sorted(i for i, v in enumerate(values) if v == probe)
         assert sorted(r[0] for r in result.rows) == expected
+
+    _CELL = st.one_of(st.none(), st.integers(0, 3))
+    _TERM = st.tuples(
+        st.sampled_from(["a", "b", "c", "v"]),
+        st.sampled_from(["=", "<", "<=", ">", ">=", "BETWEEN"]),
+        _CELL,
+        _CELL,
+    )
+
+    @given(
+        rows=st.lists(st.tuples(_CELL, _CELL, _CELL, _CELL), min_size=1, max_size=12),
+        terms=st.lists(_TERM, min_size=1, max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_conjunctions_over_composite_keys_match_reference(self, rows, terms):
+        """Random conjunctions over the keys of a plaintext composite index
+        ``(a, b)`` and of ``(a, v)`` with ``v`` RND, and over the non-key
+        ``c``, NULLs included: whatever the index decides and whatever it
+        leaves to the residual, SELECT and UPDATE qualify the reference's
+        rows."""
+        conn = _differential_connection()
+        _DIFF_STACK["n"] += 1
+        table = f"DIFF_{_DIFF_STACK['n']}"
+        conn.execute_ddl(
+            f"CREATE TABLE {table} (id int PRIMARY KEY, a int, b int, c int, "
+            "v int ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = DiffCEK, "
+            "ENCRYPTION_TYPE = Randomized, "
+            "ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256'))"
+        )
+        conn.execute_ddl(f"CREATE INDEX {table}_AB ON {table} (a, b)")
+        conn.execute_ddl(f"CREATE INDEX {table}_AV ON {table} (a, v)", authorize_enclave=True)
+        for i, (a, b, c, v) in enumerate(rows):
+            conn.execute(
+                f"INSERT INTO {table} (id, a, b, c, v) VALUES (@i, @a, @b, @c, @v)",
+                {"i": i, "a": a, "b": b, "c": c, "v": v},
+            )
+        sql: list[str] = []
+        params: dict[str, object] = {}
+        for n, (column, op, x, y) in enumerate(terms):
+            params[f"x{n}"] = x
+            if op == "BETWEEN":
+                params[f"y{n}"] = y
+                sql.append(f"{column} BETWEEN @x{n} AND @y{n}")
+            else:
+                sql.append(f"{column} {op} @x{n}")
+        where = " AND ".join(sql)
+
+        def holds(row: dict, column: str, op: str, x, y) -> bool:
+            cell = row[column]
+            if cell is None or x is None or (op == "BETWEEN" and y is None):
+                return False
+            if op == "BETWEEN":
+                return x <= cell <= y
+            return {"=": cell == x, "<": cell < x, "<=": cell <= x,
+                    ">": cell > x, ">=": cell >= x}[op]
+
+        expected = sorted(
+            i
+            for i, (a, b, c, v) in enumerate(rows)
+            if all(holds({"a": a, "b": b, "c": c, "v": v}, *term) for term in terms)
+        )
+        result = conn.execute(f"SELECT id FROM {table} WHERE {where}", params)
+        assert sorted(r[0] for r in result.rows) == expected, (where, result.plan_info)
+        updated = conn.execute(f"UPDATE {table} SET c = c WHERE {where}", params)
+        assert updated.rowcount == len(expected), (where, result.plan_info)

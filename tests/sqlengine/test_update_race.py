@@ -10,7 +10,9 @@ index entry whose key had not changed.
 The interleaving is deterministic: a fault action armed at
 ``engine.index_insert`` — which fires once per UPDATE, after the old
 entries of the moved indexes are out and before the new ones are in —
-issues the read from a second session on the writer's own thread.
+issues the read from a second session on the writer's own thread. The
+window after the inserts, before the heap write, is reached by wrapping
+the table's ``heap.update``.
 """
 
 from __future__ import annotations
@@ -124,6 +126,42 @@ class TestReaderDuringUpdate:
         (old_key, new_key), = probe.seen
         assert len(old_key) + len(new_key) <= 1
         assert reader.execute(by_pk, {"i": 700}).rows == [(700,)]
+        assert server.engine.verify_index_consistency() == []
+
+
+class TestEntryAheadOfItsRow:
+    """The other half of a key move: the new entry is in the index, and the
+    heap still holds the old image. A reader that seeks the new key finds
+    the entry; the key check on the row it points at must drop it, for a
+    SELECT and for the scan phase of an UPDATE alike."""
+
+    def test_a_seek_on_the_new_key_finds_nothing_until_the_row_moves(
+        self, sessions, monkeypatch
+    ):
+        server, writer, reader = sessions
+        heap = server.engine.table("stock").heap
+        write = heap.update
+        seen: list[tuple[list[tuple], int]] = []
+
+        def read_before_the_write(*args, **kwargs):
+            # Once: the reader's own statements write nothing here.
+            if not seen:
+                seen.append((
+                    reader.execute(
+                        "SELECT s_id, s_bin FROM stock WHERE s_bin = @b", {"b": 907}
+                    ).rows,
+                    reader.execute(
+                        "UPDATE stock SET s_qty = @q WHERE s_bin = @b", {"q": 0, "b": 907}
+                    ).rowcount,
+                ))
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(heap, "update", read_before_the_write)
+        writer.execute("UPDATE stock SET s_bin = @b WHERE s_id = @i", {"b": 907, "i": 7})
+        assert seen == [([], 0)]
+        assert reader.execute(
+            "SELECT s_id, s_qty, s_bin FROM stock WHERE s_bin = @b", {"b": 907}
+        ).rows == [(7, 50, 907)]
         assert server.engine.verify_index_consistency() == []
 
 
