@@ -42,7 +42,7 @@ from repro.faults.classify import is_transient
 from repro.faults.registry import fault_point, register_fault_site
 from repro.keys.providers import KeyProviderRegistry
 from repro.client.caches import AttestationSession, CachedCek, CekCache
-from repro.obs.metrics import StatsView, get_registry
+from repro.obs.metrics import EXECUTES, ROUNDTRIPS, StatementRecord, StatsView, get_registry
 from repro.obs.querystats import format_explain_analyze, format_explain_stats
 from repro.obs.tracing import get_tracer
 from repro.sqlengine.cells import Ciphertext
@@ -131,8 +131,6 @@ class Connection:
         self.attestation_policy = attestation_policy
         self.stats = DriverStats()
         self._metrics = get_registry()
-        self._executes = self.stats.handle("executes")
-        self._execute_roundtrips = self.stats.handle("execute_roundtrips")
         self.cek_cache = CekCache(
             ttl_s=self.options.cek_cache_ttl_s,
             max_entries=self.options.cek_cache_max_entries,
@@ -180,7 +178,7 @@ class Connection:
         # in it too, and everything settles once, here.
         record = self._metrics.open_record()
         try:
-            result = self._execute(query_text, params or {}, force_encryption)
+            result = self._execute(query_text, params or {}, force_encryption, record)
         finally:
             self._metrics.settle(record)
         result.driver_counts = record.counts
@@ -191,14 +189,32 @@ class Connection:
         query_text: str,
         params: dict[str, object],
         force_encryption: frozenset[str] | set[str],
+        record: StatementRecord,
     ) -> QueryResult:
-        self._executes.inc()
-        if not self.options.column_encryption:
+        plain = not self.options.column_encryption
+        if plain:
             # Plain connection: no describe round-trip, params pass through.
-            self._execute_roundtrips.inc()
-            self._roundtrip_delay()
-            return self.session.execute(query_text, params)
+            wire_params = params
+        else:
+            try:
+                wire_params = self._encrypt_params(query_text, params, force_encryption)
+            except BaseException:
+                record.fixed[EXECUTES] += 1      # an execute that never left the client
+                raise
+        record.fixed[EXECUTES] += 1
+        record.fixed[ROUNDTRIPS] += 1
+        self._roundtrip_delay()
+        result = self.session.execute(query_text, wire_params)
+        return result if plain else self._decrypt_result(result)
 
+    def _encrypt_params(
+        self,
+        query_text: str,
+        params: dict[str, object],
+        force_encryption: frozenset[str] | set[str],
+    ) -> dict[str, object]:
+        """Describe the statement and encrypt the parameters it says are
+        encrypted; ship the enclave its CEKs when it will need them."""
         describe = self._describe(query_text)
         self._check_forced(describe, force_encryption)
 
@@ -222,11 +238,7 @@ class Connection:
 
         if describe.uses_enclave:
             self._ensure_enclave_keys(describe)
-
-        self._execute_roundtrips.inc()
-        self._roundtrip_delay()
-        result = self.session.execute(query_text, wire_params)
-        return self._decrypt_result(result)
+        return wire_params
 
     def explain_stats(
         self, query_text: str, params: dict[str, object] | None = None

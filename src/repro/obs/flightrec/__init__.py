@@ -35,20 +35,19 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import METRIC_NAME_RE, get_registry
-from repro.obs.tracing import Span, TraceContext, get_tracer
+from repro.obs.tracing import Span, get_tracer
 
 #: The metric-name convention, shared: lowercase dot-separated segments.
 EVENT_NAME_RE = METRIC_NAME_RE
 
 SCHEMA_NAME = "repro-flightrec"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2          # 2: a statement is one event, stmt.end
 
 #: The closed registry of event kinds: name → description. Recording an
 #: undeclared kind raises, and every ``record_event`` call site runs under
 #: a recording test, so a typo fails tier-1.
 EVENT_KINDS: dict[str, str] = {
-    "stmt.begin": "a statement started executing on the server",
-    "stmt.end": "a statement finished or failed (attrs: ok, elapsed_s, rows | error)",
+    "stmt.end": "a statement ended, elapsed_s after it began (attrs: ok, query, rows | error)",
     "span.end": "a tracer span closed (attrs: name, span_kind, duration_s)",
     "enclave.ecall": "one enclave boundary crossing (attrs: name)",
     "enclave.transition": "measured ecall wall time (attrs: rows, duration_s)",
@@ -236,11 +235,10 @@ class FlightRecorder:
 
     # -- span sink ---------------------------------------------------------
 
-    def _span_sink(self, span: Span, context: TraceContext | None) -> None:
+    def _span_sink(self, span: Span) -> None:
         """Installed on the tracer: every closing span becomes a
-        ``span.end`` event (the exporters rebuild complete spans from it).
-        ``context`` is already the closing thread's trace, but the event
-        re-reads it via ``record`` — same value, one code path."""
+        ``span.end`` event (the exporters rebuild complete spans from it),
+        stamped with the closing thread's trace like any other event."""
         self.record(
             "span.end",
             name=span.name,

@@ -3,12 +3,13 @@ trace-event JSON (loadable in Perfetto / ``chrome://tracing``).
 
 JSONL layout — one header line, then one event per line::
 
-    {"schema": "repro-flightrec", "version": 1, "events": N, "dropped": D}
-    {"seq": 1, "ts_s": ..., "kind": "stmt.begin", "thread": "...", ...}
+    {"schema": "repro-flightrec", "version": 2, "events": N, "dropped": D}
+    {"seq": 1, "ts_s": ..., "kind": "stmt.end", "thread": "...", ...}
 
 The Chrome export turns every event with a ``duration_s`` attribute
-(closed spans, lock/latch waits, measured transitions) into a complete
-``"X"`` slice and everything else into an instant ``"i"`` marker. Slices
+(closed spans, lock/latch waits, measured transitions) or, ``stmt.end``,
+an ``elapsed_s`` into a complete ``"X"`` slice ending at the event, and
+everything else into an instant ``"i"`` marker. Slices
 are grouped by thread (tid): a statement runs start-to-finish on its
 session's thread and ecall spans close on that same thread, so Perfetto's
 time-nesting parents every ecall and wait slice under its statement span.
@@ -112,6 +113,8 @@ def _validate_event(payload: dict, path: Path, lineno: int) -> None:
     attrs = payload.get("attrs", {})
     if not isinstance(attrs, dict):
         raise SchemaError(f"{path}:{lineno}: attrs must be an object")
+    if kind == "stmt.end" and not isinstance(attrs.get("elapsed_s"), (int, float)):
+        raise SchemaError(f"{path}:{lineno}: stmt.end without a numeric elapsed_s")
 
 
 def validate_jsonl(path: str | Path) -> int:
@@ -150,7 +153,7 @@ def to_chrome_trace(source) -> dict:
         if event.statement_id is not None:
             args["statement_id"] = event.statement_id
             args["session_id"] = event.session_id
-        duration_s = event.attrs.get("duration_s")
+        duration_s = event.attrs.get("duration_s", event.attrs.get("elapsed_s"))
         ts_us = event.ts_s * 1e6
         name = event.attrs.get("name", event.kind)
         if isinstance(duration_s, (int, float)):

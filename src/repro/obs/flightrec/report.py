@@ -11,7 +11,7 @@ asks of a run:
 * **transition-cost distribution** — measured ecall wall time bucketed by
   batch size (the batch executor's cost-model input);
 * **slowest statements** — the top statement timelines, each statement's
-  events in order.
+  events in order, offset from its start (``stmt.end``'s ``ts_s − elapsed_s``).
 """
 
 from __future__ import annotations
@@ -74,10 +74,12 @@ def build_report(events: list[Event], top_statements: int = 5) -> dict:
             bucket["max_s"] = max(bucket["max_s"], wall)
         elif event.kind == "stmt.end":
             assert event.statement_id is not None
+            elapsed_s = float(event.attrs.get("elapsed_s", 0.0))
             statements[event.statement_id] = {
                 "statement_id": event.statement_id,
                 "session_id": event.session_id,
-                "elapsed_s": float(event.attrs.get("elapsed_s", 0.0)),
+                "start_s": event.ts_s - elapsed_s,
+                "elapsed_s": elapsed_s,
                 "query": event.attrs.get("query", ""),
                 "rows": event.attrs.get("rows", 0),
                 "error": event.attrs.get("error"),    # exception type, failed statements
@@ -164,9 +166,8 @@ def format_report(report: dict) -> str:
                 f"  #{entry['statement_id']} (session {entry['session_id']}) "
                 f"{entry['elapsed_s'] * 1000:.3f}ms {outcome}  {query}"
             )
-            start = entry["timeline"][0]["ts_s"] if entry["timeline"] else 0.0
             for item in entry["timeline"][:20]:
-                offset_ms = (item["ts_s"] - start) * 1000
+                offset_ms = (item["ts_s"] - entry["start_s"]) * 1000
                 detail = item["attrs"].get("name") or item["attrs"].get(
                     "latch") or item["attrs"].get("resource") or ""
                 lines.append(

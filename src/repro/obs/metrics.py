@@ -71,6 +71,17 @@ def validate_metric_name(name: str) -> None:
         )
 
 
+#: The counts every statement makes, kept in its record as a list of ints
+#: (``StatementRecord.fixed``, by position here) that the driver and the
+#: server add to in place and that settles into these counters.
+FIXED_COUNTS = (
+    "driver.executes", "driver.execute_roundtrips", "scheduler.statements_inline",
+    "server.plan_cache_hits", "server.statements_executed", "executor.rows_returned",
+)
+EXECUTES, ROUNDTRIPS, RAN, HIT, OK, ROWS = range(len(FIXED_COUNTS))
+_FIXED_POSITION = {name: at for at, name in enumerate(FIXED_COUNTS)}
+
+
 class StatementRecord:
     """What one statement did, written lock-free by the thread running it.
 
@@ -84,7 +95,7 @@ class StatementRecord:
     verdicts, so exactly one thread writes a record at any moment.
     """
 
-    __slots__ = ("trace", "parent", "counts", "deferred", "spans")
+    __slots__ = ("trace", "parent", "counts", "fixed", "deferred", "spans")
 
     def __init__(self, trace, parent: "StatementRecord | None", spans: list):
         #: Identity stamped on the statement's events (a ``TraceContext``).
@@ -92,6 +103,7 @@ class StatementRecord:
         self.parent = parent
         #: Counter -> amount incremented under this record.
         self.counts: dict[Counter, int | float] = {}
+        self.fixed = [0] * len(FIXED_COUNTS)
         #: Sink (flight recorder, leakage accountant) -> items buffered for
         #: its ``_settle``, in emission order.
         self.deferred: dict[object, list] = {}
@@ -115,13 +127,14 @@ class _ThreadState(threading.local):
 class Counter:
     """A monotonically increasing value (ints stay ints, floats allowed)."""
 
-    __slots__ = ("name", "help", "_value", "_registry")
+    __slots__ = ("name", "help", "_value", "_registry", "_fixed")
 
     def __init__(self, name: str, registry: "MetricsRegistry", help: str = ""):
         self.name = name
         self.help = help
         self._value: int | float = 0
         self._registry = registry
+        self._fixed = _FIXED_POSITION.get(name)
 
     def inc(self, amount: int | float = 1) -> None:
         registry = self._registry
@@ -133,18 +146,17 @@ class Counter:
         if record is None:
             with registry._lock:
                 self._value += amount
-        elif self in record.counts:
-            record.counts[self] += amount
         else:
-            record.counts[self] = amount
+            counts = record.counts
+            counts[self] = counts.get(self, 0) + amount
 
     @property
     def value(self) -> int | float:
         """Settled statements plus the calling thread's own open ones."""
-        value = self._value
+        value, at = self._value, self._fixed
         record = self._registry.thread.record
         while record is not None:
-            value += record.counts.get(self, 0)
+            value += record.counts.get(self, 0) + (0 if at is None else record.fixed[at])
             record = record.parent
         return value
 
@@ -263,6 +275,7 @@ class MetricsRegistry:
         #: The calling thread's telemetry state; ``thread.record`` is the
         #: statement record it is writing into (None outside a statement).
         self.thread = _ThreadState()
+        self._fixed_counters = [self.counter(name) for name in FIXED_COUNTS]
 
     # -- statement records --------------------------------------------------
 
@@ -292,19 +305,16 @@ class MetricsRegistry:
         if parent is not None:
             counts = parent.counts
             for counter, amount in record.counts.items():
-                if counter in counts:
-                    counts[counter] += amount
-                else:
-                    counts[counter] = amount
+                counts[counter] = counts.get(counter, 0) + amount
+            parent.fixed = [a + b for a, b in zip(parent.fixed, record.fixed)]
             for sink, items in record.deferred.items():
-                if sink in parent.deferred:
-                    parent.deferred[sink] += items
-                else:
-                    parent.deferred[sink] = items
+                parent.deferred[sink] = parent.deferred.get(sink, []) + items
             return
-        if record.counts:
+        if record.counts or self.enabled:
             with self._lock:
                 for counter, amount in record.counts.items():
+                    counter._value += amount
+                for counter, amount in zip(self._fixed_counters, record.fixed):
                     counter._value += amount
         for sink, items in record.deferred.items():
             sink._settle(items)
@@ -419,16 +429,11 @@ class MetricsRegistry:
                     lines.append(
                         f'{prom}_bucket{{metric="{name}",le="{bound}"}} {count}'
                     )
-                lines.append(f'{prom}_sum{{metric="{name}"}} {_fmt(value["sum"])}')
+                lines.append(f'{prom}_sum{{metric="{name}"}} {value["sum"]!r}')
                 lines.append(f'{prom}_count{{metric="{name}"}} {value["count"]}')
             else:
-                lines.append(f'{prom}{{metric="{name}"}} {_fmt(value)}')
+                lines.append(f'{prom}{{metric="{name}"}} {value!r}')
         return "\n".join(lines) + "\n"
-
-
-def _fmt(value: int | float) -> str:
-    # repr() round-trips python floats exactly; ints print as ints.
-    return repr(value)
 
 
 def _parse_num(text: str) -> int | float:

@@ -16,7 +16,8 @@ Timing is on request: the process-global tracer is off, and a span site
 builds a :class:`Span` only when its tracer is enabled (a recording) or
 the thread already has an open span (``EXPLAIN STATS`` / ``EXPLAIN
 ANALYZE`` open one with :meth:`Tracer.root` around their statement).
-Otherwise the site gets one shared do-nothing object.
+Otherwise the site gets one shared do-nothing object, :data:`NO_SPAN`,
+which the per-statement sites pick themselves without calling the tracer.
 
 Spans with no enclosing parent are returned to the caller but retained
 nowhere, so tracing a hot loop without an active statement trace cannot
@@ -164,11 +165,8 @@ class _SpanContext:
                 break
         if self._parent is not None:
             self._parent.add_child(span)
-        tracer = self._tracer
-        if tracer._sinks:
-            context = tracer.current_trace()
-            for sink in tuple(tracer._sinks):
-                sink(span, context)
+        for sink in tuple(self._tracer._sinks):
+            sink(span)
 
 
 class _NullSpanContext:
@@ -184,7 +182,7 @@ class _NullSpanContext:
 
 
 _NULL_SPAN = Span(name="disabled", kind=INTERNAL)
-_NULL_CONTEXT = _NullSpanContext()
+NO_SPAN = _NullSpanContext()
 
 
 class Tracer:
@@ -197,9 +195,9 @@ class Tracer:
         #: statement record (tests flip this on).
         self.strict = False
         self.registry = registry or get_registry()
-        #: Span sinks: callables ``(span, trace_context)`` invoked when a
-        #: span closes — how the flight recorder sees spans without the
-        #: tracer importing it (that would be a cycle).
+        #: Span sinks: callables ``(span)`` invoked on the closing thread —
+        #: how the flight recorder sees spans without the tracer importing
+        #: it (that would be a cycle).
         self._sinks: list = []
 
     def _stack(self) -> list[Span]:
@@ -212,11 +210,6 @@ class Tracer:
         return stack[-1] if stack else None
 
     # -- trace-context propagation ----------------------------------------
-
-    def current_trace(self) -> TraceContext | None:
-        """The trace context active on the calling thread, if any."""
-        record = self.registry.thread.record
-        return None if record is None else record.trace
 
     @contextlib.contextmanager
     def trace(self, context: TraceContext):
@@ -248,7 +241,7 @@ class Tracer:
     # -- span sinks --------------------------------------------------------
 
     def add_span_sink(self, sink) -> None:
-        """``sink(span, trace_context)`` is called at every span close."""
+        """``sink(span)`` is called at every span close."""
         if sink not in self._sinks:
             self._sinks.append(sink)
 
@@ -269,7 +262,7 @@ class Tracer:
         thread = self.registry.thread
         record = thread.record
         if not (self.enabled or (thread.spans if record is None else record.spans)):
-            return _NULL_CONTEXT
+            return NO_SPAN
         if self.strict and thread.adopted and record is None:
             raise TraceOrphanError(
                 f"span {name!r} opened on an adopted worker thread with no "

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 from repro.errors import ExecutionError
 from repro.obs.metrics import get_registry
 from repro.obs.querystats import QueryStats
-from repro.obs.tracing import OPERATOR, get_tracer
+from repro.obs.tracing import NO_SPAN, OPERATOR, get_tracer
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import IndexObject, StorageEngine, TableObject
 from repro.sqlengine.exec.plan import (
@@ -90,8 +90,8 @@ class Executor:
         self._vm = StackMachine(enclave=enclave_gateway)
         registry = get_registry()
         self._tracer = get_tracer()
+        self._thread = registry.thread
         self._rows_scanned = registry.counter("executor.rows_scanned")
-        self._rows_returned = registry.counter("executor.rows_returned")
         self._table_scans = registry.counter("executor.table_scans")
         self._index_seeks = registry.counter("executor.index_seeks")
         self._index_range_scans = registry.counter("executor.index_range_scans")
@@ -113,10 +113,11 @@ class Executor:
             raise ExecutionError(
                 f"missing value for parameter @{missing.args[0]}"
             ) from None
-        with self._tracer.span(span_name, kind=OPERATOR):
-            result = run(self, plan, values, txn)
-        self._rows_returned.inc(result.rowcount)
-        return result
+        tracer = self._tracer
+        with tracer.span(
+            span_name, kind=OPERATOR
+        ) if tracer.enabled or self._thread.spans else NO_SPAN:
+            return run(self, plan, values, txn)
 
     def _value(self, scalar: Scalar, inputs: tuple) -> object:
         if scalar.program is not None:
@@ -270,14 +271,16 @@ class Executor:
         high: tuple[object, bool] | None,
     ) -> list[RowId]:
         """The rids of ``index``'s entries in the bound key range."""
+        tracer = self._tracer
+        asked = tracer.enabled or self._thread.spans
         if len(prefix) == len(index.key_slots):
             self._index_seeks.inc()
-            with self._tracer.span(
+            with tracer.span(
                 "exec.index_seek",
                 kind=OPERATOR,
                 table=table.schema.name,
                 index=index.schema.name,
-            ):
+            ) if asked else NO_SPAN:
                 return index.tree.search_eq(prefix)
         low_key: tuple = prefix
         high_key: tuple = prefix + (MAX_KEY,)
@@ -292,12 +295,12 @@ class Executor:
             if high_inclusive:
                 high_key = high_key + (MAX_KEY,)
         self._index_range_scans.inc()
-        with self._tracer.span(
+        with tracer.span(
             "exec.index_range_scan",
             kind=OPERATOR,
             table=table.schema.name,
             index=index.schema.name,
-        ):
+        ) if asked else NO_SPAN:
             # ``< v`` stops at a key equal to ``prefix + (v,)`` rather
             # than reading that row for the key check to drop.
             return [

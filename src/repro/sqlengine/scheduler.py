@@ -11,7 +11,9 @@ across statements, so a per-statement cap lets lock waiters occupy every
 slot while the holders' next statements queue behind them until
 ``lock_timeout`` fires (docs/CONCURRENCY.md has the numbers);
 ``SqlServer(max_sessions=…)`` is the admission bound. The gate only
-counts statements and refuses them once the server is shut down.
+refuses statements once the server is shut down; the statement itself
+counts ``scheduler.statements_inline``, one of the counts every statement
+keeps in its record (``repro.obs.metrics.FIXED_COUNTS``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import SqlError
-from repro.obs.metrics import get_registry
 
 
 class StatementScheduler:
@@ -27,16 +28,11 @@ class StatementScheduler:
 
     def __init__(self) -> None:
         self._shutdown = False
-        self._inline = get_registry().counter(
-            "scheduler.statements_inline",
-            help="statements executed on the thread that submitted them",
-        )
 
     def submit(self, fn: Callable[[], object]) -> object:
         """Run ``fn`` here and return its result; errors propagate as raised."""
         if self._shutdown:
             raise SqlError("server is shut down")
-        self._inline.inc()
         return fn()
 
     def shutdown(self) -> None:

@@ -44,8 +44,8 @@ from repro.errors import (
 )
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.obs.flightrec import record_event
-from repro.obs.metrics import StatsView, get_registry
-from repro.obs.tracing import STATEMENT, TraceContext, get_tracer
+from repro.obs.metrics import HIT, OK, RAN, ROWS, StatsView, get_registry
+from repro.obs.tracing import NO_SPAN, STATEMENT, TraceContext, get_tracer
 from repro.keys.cmk import ColumnMasterKey
 from repro.sqlengine.catalog import Catalog, ColumnSchema, IndexSchema, TableSchema
 from repro.sqlengine.engine import StorageEngine
@@ -183,7 +183,6 @@ class SqlServer:
         self._plan_lock = threading.Lock()
         self.stats = ServerStats()
         self._plan_cache_hits = self.stats.handle("plan_cache_hits")
-        self._statements_executed = self.stats.handle("statements_executed")
         self._tracer = get_tracer()
         self._registry = get_registry()
         self._session_ids = itertools.count(1)
@@ -230,7 +229,9 @@ class SqlServer:
 
     # ------------------------------------------------------------- plan cache
 
-    def _plan(self, query_text: str) -> _CachedPlan:
+    def _plan(self, query_text: str) -> tuple[_CachedPlan, bool]:
+        """The text's plan, and whether the cache held it (the caller
+        counts the hit; a miss is counted here)."""
         # Read the version before anything it covers: a plan built while a
         # schema change is in flight is tagged with the older version and
         # dies at the change's bump.
@@ -239,14 +240,13 @@ class SqlServer:
             cached = self._plan_cache.get(query_text)
             if cached is not None and cached.version == version:
                 self._plan_cache.move_to_end(query_text)
-                self._plan_cache_hits.inc()
-                return cached
+                return cached, True
         self.stats.inc("plan_cache_misses")
         # Compile outside the lock: it only reads the catalog, and concurrent
         # first executions of one text just race to insert equivalent plans.
         stmt = parse(query_text)
         if not isinstance(stmt, PLANNED_STATEMENTS):
-            return _CachedPlan(version, stmt, None)
+            return _CachedPlan(version, stmt, None), False
         deduction = deduce(
             stmt,
             Scope.for_statement(self.catalog, stmt),
@@ -276,7 +276,7 @@ class SqlServer:
             self._plan_cache.move_to_end(query_text)
             if len(self._plan_cache) > PLAN_CACHE_CAPACITY:
                 self._plan_cache.popitem(last=False)
-        return cached
+        return cached, False
 
     # ------------------------------------------- sp_describe_parameter_encryption
 
@@ -291,7 +291,9 @@ class SqlServer:
         an online rotation's progress is not covered by the schema version.
         """
         self.stats.inc("describe_calls")
-        plan = self._plan(query_text)
+        plan, hit = self._plan(query_text)
+        if hit:
+            self._plan_cache_hits.inc()
         enclave_ceks = plan.enclave_ceks
         if plan.physical is None:
             enclave_ceks = tuple(map(self._cek_metadata, self._ddl_enclave_ceks(plan.stmt)))
@@ -662,11 +664,10 @@ class ServerSession:
             record = registry.open_record(trace)
         else:
             record.trace = trace
-        query = query_text[:120]
-        record_event("stmt.begin", query=query)
-        outcome: dict[str, object] = {"ok": False}
+        tracer = server._tracer
+        hit, rows, outcome = False, 0, {"ok": False}
         try:
-            plan = server._plan(query_text)
+            plan, hit = server._plan(query_text)
             if plan.physical is None:
                 raise ExecutionError(
                     f"executor cannot run {type(plan.stmt).__name__}"
@@ -678,36 +679,44 @@ class ServerSession:
             if autocommit:
                 txn = server.engine.begin()
             try:
-                with server._tracer.span(
+                # The span is opened only if someone asked (Tracer.span's
+                # rule, tested here to skip the call).
+                with tracer.span(
                     "server.statement",
                     kind=STATEMENT,
                     session=self.session_id,
                     statement=statement_id,
-                ) as root_span:
+                ) if tracer.enabled or record.spans else NO_SPAN as root_span:
                     result = server.executor.execute(plan.physical, params, txn=txn)
+                rows = result.rowcount
             except Exception:
                 if autocommit and txn is not None:
                     server.engine.abort(txn)
                 raise
             if autocommit and txn is not None:
                 server.engine.commit(txn)
-            server._statements_executed.inc()
-            outcome = {"ok": True, "rows": result.rowcount}
+            outcome = {"ok": True, "rows": rows}
         except BaseException as exc:
             outcome["error"] = type(exc).__name__
             raise
         finally:
-            # Every stmt.begin gets its stmt.end, and the events buffered
-            # before a failure reach the ring with it.
+            # The counts every statement makes, in place; the statement's
+            # one event, and with it the events buffered before a failure,
+            # reach the ring at settle (its start is ``ts_s - elapsed_s``).
+            fixed = record.fixed
+            fixed[RAN] += 1
+            fixed[HIT] += hit
+            fixed[OK] += outcome["ok"]
+            fixed[ROWS] += rows
             elapsed_s = time.perf_counter() - started
-            record_event("stmt.end", elapsed_s=elapsed_s, query=query, **outcome)
+            record_event("stmt.end", elapsed_s=elapsed_s, query=query_text[:120], **outcome)
             if base is None:
                 registry.settle(record)
             else:
                 record.trace = None
         # The shared null span of a site nobody asked to time has no end.
         facts = dict(query_text=query_text, elapsed_s=elapsed_s, statement_id=statement_id,
-                     session_id=self.session_id,
+                     session_id=self.session_id, plan_cache_hits=int(hit),
                      root_span=root_span if root_span.end_s is not None else None)
         result.counted = (record.counts if base is None else record.counts.copy(), base, facts)
         return result

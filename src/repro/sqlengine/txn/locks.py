@@ -8,6 +8,12 @@ two New-Orders on one warehouse can lock the same items in opposite
 orders. A timeout therefore means plain queueing that outlasted the
 timer, contention with a *deferred* transaction (the Section 4.5
 scenario), or a real deadlock cycle.
+
+``locks.acquired`` counts grants. A request for a resource the
+transaction already holds in a mode that covers it — X covers either
+mode, S covers S — returns at once: it neither waits nor counts. That is
+how an UPDATE or DELETE asks again for the row lock its qualification
+took. An S→X upgrade is a new grant and takes the normal path.
 """
 
 from __future__ import annotations
@@ -70,6 +76,11 @@ class LockManager:
         wait_started = None
         timeout = self.default_timeout_s if timeout_s is None else timeout_s
         with self._cond:
+            held = self._states.get(resource)
+            if held is not None and txn_id in held.holders and (
+                held.mode is LockMode.EXCLUSIVE or mode is LockMode.SHARED
+            ):
+                return
             while True:
                 state = self._states[resource]
                 if self._compatible(state, txn_id, mode):

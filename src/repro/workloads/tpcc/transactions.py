@@ -284,10 +284,14 @@ class TpccTransactions:
                 if not pending.rows:
                     continue
                 o_id = min(row[0] for row in pending.rows)
-                conn.execute(
+                deleted = conn.execute(
                     "DELETE FROM NEW_ORDER WHERE NO_W_ID = @w AND NO_D_ID = @d AND NO_O_ID = @o",
                     {"w": w_id, "d": d_id, "o": o_id},
                 )
+                if deleted.rowcount == 0:
+                    # Reads are unlocked: another Delivery took this order
+                    # between the SELECT and the DELETE, and credits it.
+                    continue
                 order = conn.execute(
                     "SELECT O_C_ID FROM ORDERS WHERE O_W_ID = @w AND O_D_ID = @d AND O_ID = @o",
                     {"w": w_id, "d": d_id, "o": o_id},

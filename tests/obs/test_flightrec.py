@@ -86,7 +86,7 @@ def test_capacity_must_be_positive():
 def test_clear_resets_ring_and_drop_count():
     recorder, __, __ = make_recorder(capacity=2)
     for __ in range(5):
-        recorder.record("stmt.begin", query="q")
+        recorder.record("wal.flush", flushed_lsn=1)
     recorder.clear()
     assert len(recorder) == 0
     assert recorder.dropped == 0
@@ -98,7 +98,7 @@ def test_clear_resets_ring_and_drop_count():
 def test_recorder_disabled_records_nothing():
     recorder, __, __ = make_recorder()
     recorder.enabled = False
-    recorder.record("stmt.begin", query="q")
+    recorder.record("wal.flush", flushed_lsn=1)
     assert not recorder.recording
     assert recorder.events() == []
 
@@ -106,11 +106,11 @@ def test_recorder_disabled_records_nothing():
 def test_registry_kill_switch_disables_recording():
     recorder, __, registry = make_recorder()
     registry.enabled = False
-    recorder.record("stmt.begin", query="q")
+    recorder.record("wal.flush", flushed_lsn=1)
     assert not recorder.recording
     assert recorder.events() == []
     registry.enabled = True
-    recorder.record("stmt.begin", query="q")
+    recorder.record("wal.flush", flushed_lsn=1)
     assert len(recorder.events()) == 1
 
 
@@ -179,8 +179,8 @@ def test_event_dict_omits_absent_trace_fields():
 def test_jsonl_round_trip(tmp_path):
     recorder, tracer, __ = make_recorder()
     with tracer.trace(TraceContext(trace_id=1, statement_id=1, session_id=1)):
-        recorder.record("stmt.begin", query="SELECT 1")
-        recorder.record("stmt.end", elapsed_s=0.01, rows=1, ok=True)
+        recorder.record("wal.flush", flushed_lsn=3)
+        recorder.record("stmt.end", elapsed_s=0.01, rows=1, ok=True, query="SELECT 1")
     path = tmp_path / "rec.jsonl"
     assert write_jsonl(recorder, path) == 2
     header, events = read_jsonl(path)
@@ -198,6 +198,19 @@ def test_jsonl_validation_rejects_undeclared_kind(tmp_path):
     bogus = {"seq": 1, "ts_s": 0.0, "kind": "made.up_kind", "thread": "t"}
     path.write_text(json.dumps(header) + "\n" + json.dumps(bogus) + "\n")
     with pytest.raises(SchemaError, match="undeclared event kind"):
+        validate_jsonl(path)
+
+
+def test_jsonl_validation_rejects_a_statement_without_its_elapsed_time(tmp_path):
+    """The exporters draw a statement from its one event, back from its
+    stamp by ``elapsed_s``: a ``stmt.end`` without one is malformed."""
+    path = tmp_path / "bad.jsonl"
+    header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION,
+              "events": 1, "dropped": 0}
+    end = {"seq": 1, "ts_s": 0.0, "kind": "stmt.end", "thread": "t",
+           "attrs": {"ok": True, "rows": 0}}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(end) + "\n")
+    with pytest.raises(SchemaError, match="elapsed_s"):
         validate_jsonl(path)
 
 
@@ -225,17 +238,24 @@ def test_jsonl_validation_rejects_event_count_mismatch(tmp_path):
 def test_chrome_trace_structure_and_round_trip(tmp_path):
     recorder, tracer, __ = make_recorder()
     with tracer.trace(TraceContext(trace_id=7, statement_id=7, session_id=2)):
-        recorder.record("stmt.begin", query="SELECT 1")
+        recorder.record("wal.flush", flushed_lsn=3)
         recorder.record("span.end", name="exec.statement",
                         span_kind=STATEMENT, duration_s=0.002)
+        recorder.record("stmt.end", elapsed_s=0.005, ok=True, rows=1, query="SELECT 1")
     payload = to_chrome_trace(recorder)
     phases = [entry["ph"] for entry in payload["traceEvents"]]
     assert "M" in phases          # process/thread metadata
-    assert "i" in phases          # instant: stmt.begin
-    assert "X" in phases          # complete slice: the closed span
-    slice_entry = next(e for e in payload["traceEvents"] if e["ph"] == "X")
-    assert slice_entry["args"]["statement_id"] == 7
-    assert slice_entry["dur"] == pytest.approx(2000.0)  # microseconds
+    assert "i" in phases          # instant: the WAL flush
+    slices = {e["cat"]: e for e in payload["traceEvents"] if e["ph"] == "X"}
+    assert set(slices) == {"span.end", "stmt.end"}
+    assert slices["span.end"]["args"]["statement_id"] == 7
+    assert slices["span.end"]["dur"] == pytest.approx(2000.0)  # microseconds
+    # The statement is one slice, drawn back from its one event.
+    statement = slices["stmt.end"]
+    end_us = recorder.events()[-1].ts_s * 1e6
+    assert statement["dur"] == pytest.approx(5000.0)
+    assert statement["ts"] + statement["dur"] == pytest.approx(end_us)
+    assert statement["args"]["statement_id"] == 7
     path = tmp_path / "trace.json"
     count = write_chrome_trace(recorder, path)
     assert count == len(payload["traceEvents"])
@@ -246,9 +266,9 @@ def test_chrome_trace_structure_and_round_trip(tmp_path):
 
 def _synthetic_events() -> list[Event]:
     return [
-        Event(seq=1, ts_s=0.0, kind="stmt.begin", thread="w1",
+        Event(seq=1, ts_s=0.05, kind="wal.flush", thread="w1",
               trace_id=1, statement_id=1, session_id=1,
-              attrs={"query": "SELECT a"}),
+              attrs={"flushed_lsn": 9}),
         Event(seq=2, ts_s=0.1, kind="leak.rnd_comparison", thread="w1",
               trace_id=1, statement_id=1, session_id=1,
               attrs={"column": "T.C_LAST", "count": 4}),
@@ -259,9 +279,9 @@ def _synthetic_events() -> list[Event]:
         Event(seq=4, ts_s=0.3, kind="enclave.transition", thread="w1",
               trace_id=1, statement_id=1, session_id=1,
               attrs={"rows": 8, "duration_s": 0.001}),
-        Event(seq=5, ts_s=0.4, kind="stmt.end", thread="w1",
+        Event(seq=5, ts_s=0.5, kind="stmt.end", thread="w1",
               trace_id=1, statement_id=1, session_id=1,
-              attrs={"elapsed_s": 0.4, "rows": 2, "query": "SELECT a"}),
+              attrs={"elapsed_s": 0.5, "rows": 2, "query": "SELECT a"}),
     ]
 
 
@@ -277,7 +297,8 @@ def test_build_report_aggregates_all_dimensions():
     assert report["transition_costs"][8]["calls"] == 1
     (slowest,) = report["slowest_statements"]
     assert slowest["statement_id"] == 1
-    assert [e["kind"] for e in slowest["timeline"]][0] == "stmt.begin"
+    assert [e["kind"] for e in slowest["timeline"]][-1] == "stmt.end"
+    assert slowest["start_s"] == pytest.approx(0.0)     # stmt.end's ts_s − elapsed_s
 
 
 def test_format_report_prints_contention_and_leakage():
@@ -286,9 +307,12 @@ def test_format_report_prints_contention_and_leakage():
     assert "T.C_LAST" in text
     assert "rnd_comparison=4" in text
     assert "WriteAheadLog._lock" in text
+    # Timeline offsets run from the statement's start, not its first event.
+    assert "+  50.000ms wal.flush" in text
+    assert "+ 500.000ms stmt.end" in text
 
 
-# -- every stmt.begin gets its stmt.end --------------------------------------
+# -- every statement, failed ones too, gets its stmt.end ---------------------
 
 def _fail_parse(session, other):
     session.execute("SELEC id FROM F")
@@ -334,10 +358,10 @@ def _fail_lock_timeout(session, other):
 )
 def test_failed_statement_still_ends(fail, error, leading_up):
     """A statement that fails — before planning, in the executor, on a
-    lock — leaves exactly one begin/end pair under one statement id, the
-    end saying what failed, and the events buffered before the failure
-    reach the ring with it (``flightrec report`` must not silently omit
-    exactly the statements that went wrong)."""
+    lock — leaves exactly one ``stmt.end`` under its statement id, saying
+    what failed, and the events buffered before the failure reach the ring
+    with it (``flightrec report`` must not silently omit exactly the
+    statements that went wrong)."""
     from repro.sqlengine.server import SqlServer
 
     server = SqlServer(lock_timeout_s=0.05)
@@ -354,19 +378,17 @@ def test_failed_statement_still_ends(fail, error, leading_up):
                   if e.session_id == session.session_id]
     finally:
         recorder.clear()
-    begins = [e for e in events if e.kind == "stmt.begin"]
-    ends = [e for e in events if e.kind == "stmt.end"]
-    assert len(begins) == len(ends) == 1
-    begin, end = begins[0], ends[0]
-    assert begin.statement_id == end.statement_id is not None
+    (end,) = [e for e in events if e.kind == "stmt.end"]
+    assert end.statement_id is not None
+    assert {e.statement_id for e in events} == {end.statement_id}
     assert end.attrs["ok"] is False
     assert end.attrs["error"] == error
     assert end.attrs["elapsed_s"] >= 0.0 and "rows" not in end.attrs
-    assert begin.ts_s <= end.ts_s and begin.seq < end.seq
     if leading_up is not None:
         (cause,) = [e for e in events if e.kind == leading_up]
         assert cause.statement_id == end.statement_id
-        assert begin.seq < cause.seq < end.seq
+        assert end.ts_s - end.attrs["elapsed_s"] <= cause.ts_s <= end.ts_s
+        assert cause.seq < end.seq
     # The report's slowest-statement table lists it, as failed.
     report = build_report(events)
     (entry,) = report["slowest_statements"]

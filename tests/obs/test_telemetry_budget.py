@@ -7,7 +7,12 @@ and ``time.perf_counter`` is counted inside the ``repro.obs`` modules.
 
 * a warm plaintext point SELECT through ``Connection.execute`` takes at
   most three telemetry locks — the counter settle, the ring append, the
-  leakage ledger — and reads the clock for no span;
+  leakage ledger — reads the clock for no span and stamps one event;
+* the same statement makes at most four ``Counter.inc`` calls (the counts
+  every statement makes go into its record's ``fixed`` list) and no
+  ``Tracer.span`` call;
+* a one-row UPDATE in an open transaction asks for its row lock twice and
+  is granted it once;
 * the same statement is one statement record (the driver's, which the
   server statement runs in), builds its ``QueryStats`` only when ``.stats``
   is read, and takes the buffer-pool latch once per heap read;
@@ -38,14 +43,16 @@ from repro.obs import flightrec, latchprof, tracing
 from repro.obs.flightrec import get_recorder
 from repro.obs.latchprof import get_latch_profiler
 from repro.obs.leakage import get_leakage_accountant
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, get_registry
 from repro.obs.querystats import QueryStats
+from repro.obs.tracing import Tracer
 from repro.sqlengine.expression.vm import StackMachine
 from repro.sqlengine.index.comparators import CompositeComparator
 from repro.sqlengine.server import SqlServer
 from repro.sqlengine.storage import page as page_module
 from repro.sqlengine.storage.heap import HeapFile
 from repro.sqlengine.storage.record import deserialize_row
+from repro.sqlengine.txn.locks import LockManager
 from repro.workloads.tpcc import TRANSACTION_MIX, EncryptionMode, TpccConfig, build_system
 from tests.conftest import make_encrypted_table
 
@@ -108,6 +115,12 @@ def clocks(monkeypatch) -> dict[str, CountingClock]:
 
 POINT_SELECT = "SELECT v FROM P WHERE id = @id"
 
+#: The counts every statement makes, each once per statement.
+EVERY_STATEMENT_COUNTS = (
+    "driver.executes", "driver.execute_roundtrips", "scheduler.statements_inline",
+    "server.plan_cache_hits", "server.statements_executed", "executor.rows_returned",
+)
+
 
 @pytest.fixture()
 def plain_connection(registry):
@@ -128,13 +141,79 @@ def test_plain_point_select_takes_three_locks_and_times_no_span(
     owners = [owner for owner, __ in telemetry_locks]
     assert len(owners) <= 3, owners
     assert owners.count("counters") == 1       # every count of the statement: one settle
-    assert owners.count("ring") == 1           # stmt.begin and stmt.end: one append
+    assert owners.count("ring") == 1           # stmt.end, the statement's one event
     assert set(owners) <= {"counters", "ring", "ledger"}
     assert clocks["repro.obs.tracing"].reads == 0
     assert clocks["repro.obs.latchprof"].reads == 0
-    assert clocks["repro.obs.flightrec"].reads == 2    # the two events keep their own stamps
+    assert clocks["repro.obs.flightrec"].reads == 1    # the one event's stamp
     assert result.stats.root_span is None
     assert result.stats.rows_scanned == 1 and result.stats.page_hits >= 1
+
+
+def test_plain_point_select_makes_four_incs_no_span_call_and_one_event(
+    plain_connection, monkeypatch
+):
+    """The counts every statement makes — the driver's execute and round
+    trip, the statement, its plan-cache hit, its success, its rows — are
+    added in place to the statement record's ``fixed`` list and settle with
+    it; what is left to ``inc`` is what this statement did: its seek, its
+    rows scanned, its node visits, its page."""
+    incs: list[str] = []
+    real_inc = Counter.inc
+    monkeypatch.setattr(
+        Counter, "inc", lambda counter, *a: incs.append(counter.name) or real_inc(counter, *a)
+    )
+    spans: list[str] = []
+    real_span = Tracer.span
+    monkeypatch.setattr(
+        Tracer, "span", lambda tracer, name, *a, **k: spans.append(name)
+        or real_span(tracer, name, *a, **k)
+    )
+    recorder = get_recorder()
+    recorder.clear()
+    registry = get_registry()
+    fixed = {name: registry.counter(name) for name in EVERY_STATEMENT_COUNTS}
+    before = {name: counter.value for name, counter in fixed.items()}
+    del incs[:]                                 # the ring's own sync at clear()
+
+    result = plain_connection.execute(POINT_SELECT, {"id": 3})
+
+    assert result.rows == [(9,)]
+    assert len(incs) <= 4, incs
+    assert not set(incs) & set(EVERY_STATEMENT_COUNTS), incs
+    assert spans == []
+    assert [e.kind for e in recorder.events()] == ["stmt.end"]
+    # ... and every fixed count is settled by the time execute returns.
+    assert {name: counter.value - before[name] for name, counter in fixed.items()} == {
+        name: 1 for name in EVERY_STATEMENT_COUNTS
+    }
+    assert result.stats.plan_cache_hits == 1 and result.stats.rows_returned == 1
+
+
+def test_one_row_update_is_granted_its_row_lock_once_for_two_requests(
+    plain_connection, monkeypatch
+):
+    """``_qualified_under_lock`` takes the row's X lock, and the engine's
+    update asks for it again: a re-grant, neither waited for nor counted."""
+    locks = plain_connection.server.engine.locks
+    requests: list[tuple] = []
+    real_acquire = LockManager.acquire
+    monkeypatch.setattr(
+        LockManager, "acquire",
+        lambda manager, txn_id, resource, mode, *a: requests.append(resource)
+        or real_acquire(manager, txn_id, resource, mode, *a),
+    )
+    acquired = get_registry().counter("locks.acquired")
+    plain_connection.begin()
+    try:
+        before = acquired.value
+        result = plain_connection.execute("UPDATE P SET v = @v WHERE id = @id", {"v": 0, "id": 5})
+        assert result.rowcount == 1
+        assert len(requests) == 2 and len(set(requests)) == 1, requests
+        assert acquired.value - before == 1
+        assert locks.held_by(plain_connection.session._txn.txn_id) == set(requests)
+    finally:
+        plain_connection.rollback()
 
 
 def test_the_same_statement_asked_through_explain_gets_its_tree(

