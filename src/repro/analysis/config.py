@@ -48,7 +48,7 @@ class TaintConfig:
 
     #: callee final-name producing plaintext from ciphertext
     sources: tuple[str, ...] = (
-        "decrypt", "decrypt_cell", "decrypt_for_ddl", "open_package",
+        "decrypt", "decrypt_many", "decrypt_cell", "decrypt_for_ddl", "open_package",
     )
     #: calls that pass taint from arguments to their result
     propagators: tuple[str, ...] = (

@@ -557,47 +557,57 @@ class Connection:
             if enc.cek_name not in ciphers:
                 ciphers[enc.cek_name] = self._cek(enc.cek_name).cipher
         rotation_partners = self._rotation_partners() if leftover_columns else None
+        # A column opens as one batch; the rows take its results in order.
+        opened = {i: iter(ciphers[enc.cek_name].decrypt_many(
+            [row[i].envelope for row in result.rows if isinstance(row[i], Ciphertext)]
+        )) for i, enc in encrypted_columns}
+        decrypted = 0
         out_rows: list[tuple] = []
-        for row in result.rows:
-            cells = list(row)
-            for i in leftover_columns:
-                if isinstance(cells[i], Ciphertext):
-                    cells[i] = self._open_leftover(result.columns[i].name, cells[i],
-                                                   rotation_partners)
-            for i, enc in encrypted_columns:
-                cell = cells[i]
-                if cell is None:
-                    continue
-                if not isinstance(cell, Ciphertext):
-                    # Mid initial-encryption the column is already declared
-                    # encrypted but unswept rows are still plaintext; pass
-                    # them through only while that job is demonstrably live.
-                    if rotation_partners is None:
-                        rotation_partners = self._rotation_partners()
-                    if self._converting_live(enc.cek_name, rotation_partners):
+        try:
+            for row in result.rows:
+                cells = list(row)
+                for i in leftover_columns:
+                    if isinstance(cells[i], Ciphertext):
+                        cells[i] = self._open_leftover(result.columns[i].name, cells[i],
+                                                       rotation_partners)
+                for i, enc in encrypted_columns:
+                    cell = cells[i]
+                    if cell is None:
                         continue
-                    raise DriverError(
-                        f"result column {result.columns[i].name!r} should be "
-                        "ciphertext but is not"
-                    )
-                try:
-                    plaintext = ciphers[enc.cek_name].decrypt(cell.envelope)
-                except IntegrityError:
-                    # Rows the rotation sweep has not reached yet (or, for a
-                    # stale describe cache, rows it already converted) carry
-                    # the rotation partner's CEK — a failed MAC is the probe;
-                    # the partner comes from the active lifecycle jobs.
-                    if rotation_partners is None:
-                        rotation_partners = self._rotation_partners()
-                    partner = rotation_partners.get(enc.cek_name)
-                    if not partner:
-                        raise
-                    if partner not in ciphers:
-                        ciphers[partner] = self._cek(partner).cipher
-                    plaintext = ciphers[partner].decrypt(cell.envelope)
-                cells[i] = deserialize_value(plaintext)
-                self.stats.inc("results_decrypted")
-            out_rows.append(tuple(cells))
+                    if not isinstance(cell, Ciphertext):
+                        # Mid initial-encryption the column is already declared
+                        # encrypted but unswept rows are still plaintext; pass
+                        # them through only while that job is demonstrably live.
+                        if rotation_partners is None:
+                            rotation_partners = self._rotation_partners()
+                        if self._converting_live(enc.cek_name, rotation_partners):
+                            continue
+                        raise DriverError(
+                            f"result column {result.columns[i].name!r} should be "
+                            "ciphertext but is not"
+                        )
+                    plaintext = next(opened[i])
+                    if isinstance(plaintext, IntegrityError):
+                        # Rows the rotation sweep has not reached yet (or, for a
+                        # stale describe cache, rows it already converted) carry
+                        # the rotation partner's CEK — a failed MAC is the probe;
+                        # the partner comes from the active lifecycle jobs.
+                        if rotation_partners is None:
+                            rotation_partners = self._rotation_partners()
+                        partner = rotation_partners.get(enc.cek_name)
+                        if not partner:
+                            raise plaintext
+                        if partner not in ciphers:
+                            ciphers[partner] = self._cek(partner).cipher
+                        plaintext = ciphers[partner].decrypt(cell.envelope)
+                    elif not isinstance(plaintext, bytes):
+                        raise plaintext
+                    cells[i] = deserialize_value(plaintext)
+                    decrypted += 1
+                out_rows.append(tuple(cells))
+        finally:
+            if decrypted:
+                self.stats.inc("results_decrypted", decrypted)
         result.rows = out_rows
         return result
 

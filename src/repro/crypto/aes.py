@@ -7,10 +7,9 @@ Python is the reference by choice, not for want of a library: it keeps
 the per-cell cost in plain view of the benchmark. ``cryptography`` does
 import on the development host and ``tests/crypto`` cross-checks against
 it where it does; offering it as a backend behind ``CellCipher`` is
-ROADMAP items 5 and 6 — the choice has to be recorded in the benchmark's
-``host`` block before numbers made with it mean anything. Correctness is
-pinned to the FIPS 197 / NIST SP 800-38A vectors and a byte-wise
-reference cipher in ``tests/crypto/``.
+parked on the ROADMAP until item 6(e) records the AES backend in the
+benchmark's ``host`` block. Correctness is pinned to the FIPS 197 / NIST
+SP 800-38A vectors and a byte-wise reference cipher in ``tests/crypto/``.
 
 The state is one 128-bit integer, big-endian over the block's 16 bytes
 (byte ``4 * column + row``). The S-box is derived from the GF(2^8) inverse
@@ -22,6 +21,13 @@ with one 128-bit round key; the last round, which has no MixColumns, is
 ``bytes.translate`` for SubBytes and a strided slice for ShiftRows.
 Decryption is the equivalent inverse cipher (FIPS 197 section 5.3.5): the
 same kernel over the inverse tables and a transformed key schedule.
+
+Many independent blocks (cells under one key; CBC chaining is a later
+xor) decrypt as one byte-sliced state (:meth:`AES.decrypt_blocks`):
+segment ``k`` holds one byte position of every block, InvShiftRows
+permutes segments, and InvSubBytes with each InvMixColumns coefficient is
+one ``bytes.translate``, so a round costs the same few operations however
+many blocks there are. :class:`~repro.crypto.aead.CellCipher` picks a path.
 """
 
 from __future__ import annotations
@@ -115,6 +121,11 @@ def _build_tables(sbox: bytes, coefficients: tuple[int, int, int, int], stride: 
 _ENC_TABLES = _build_tables(SBOX, (2, 1, 1, 3), _SHIFT_ROWS)
 _DEC_TABLES = _build_tables(INV_SBOX, (14, 9, 13, 11), _INV_SHIFT_ROWS)
 
+# The byte-sliced kernel's InvSubBytes with each InvMixColumns coefficient
+# (the k-th meets the row k below), and its segments in row-major order.
+_INV_MIX_TABLES = tuple(bytes(_gf_mul(s, c) for s in INV_SBOX) for c in (14, 11, 13, 9))
+_SLICE_ORDER = tuple(4 * column + row for row in range(4) for column in range(4))
+
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB]
 
 
@@ -137,6 +148,42 @@ def _cipher(state: int, keys: tuple[int, ...], tables, sbox: bytes, stride: int)
     return int.from_bytes((s.translate(sbox) * stride)[::stride], "big") ^ keys[-1]
 
 
+def _decrypt_sliced(data: bytes, keys: tuple[bytes, ...]) -> bytes:
+    """Decrypt ``n`` independent blocks as one state whose segment ``k``
+    (bytes ``k * n`` on) holds byte ``_SLICE_ORDER[k]`` of every block.
+    InvShiftRows lays the rows out twice, so row ``k`` below starts ``k``
+    rows on; ``translate`` spreads each (256-byte padded) round key."""
+    size, n = len(data), len(data) // BLOCK_SIZE
+    row = 4 * n
+    segments = b"".join([bytes([j]) * n for j in _SLICE_ORDER])
+    spread = [int.from_bytes(segments.translate(key), "big") for key in keys]
+    cuts = [(0, row)]
+    for r in (1, 2, 3):
+        start, turn = r * row, row - r * n
+        cuts += [(start + turn, start + row), (start, start + turn)]
+    cuts *= 2
+    m14, m11, m13, m9 = _INV_MIX_TABLES
+    frombytes = int.from_bytes
+    state = frombytes(b"".join([data[j::16] for j in _SLICE_ORDER]), "big") ^ spread[0]
+    for key in spread[1:-1]:
+        s = state.to_bytes(size, "big")
+        t = b"".join([s[i:j] for i, j in cuts])
+        state = (
+            frombytes(t[:size].translate(m14), "big")
+            ^ frombytes(t[row : row + size].translate(m11), "big")
+            ^ frombytes(t[2 * row : 2 * row + size].translate(m13), "big")
+            ^ frombytes(t[3 * row : 3 * row + size].translate(m9), "big")
+            ^ key
+        )
+    s = state.to_bytes(size, "big")
+    s = b"".join([s[i:j] for i, j in cuts[:7]]).translate(INV_SBOX)
+    s = (frombytes(s, "big") ^ spread[-1]).to_bytes(size, "big")
+    out = bytearray(size)
+    for k, j in enumerate(_SLICE_ORDER):
+        out[j::16] = s[k * n : k * n + n]
+    return bytes(out)
+
+
 class AES:
     """An AES cipher with a fixed key, usable for 128/192/256-bit keys.
 
@@ -151,6 +198,7 @@ class AES:
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._enc_keys = self._expand_key(key)
         self._dec_keys = self._expand_decryption_key()
+        self._dec_key_tables = tuple(key.to_bytes(16, "big") + bytes(240) for key in self._dec_keys)
 
     # -- key schedule -------------------------------------------------------
 
@@ -205,3 +253,10 @@ class AES:
         if len(block) != BLOCK_SIZE:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
         return self.decrypt_state(int.from_bytes(block, "big")).to_bytes(16, "big")
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt a run of independent blocks with the byte-sliced kernel
+        (the CBC chaining xor is the caller's)."""
+        if len(data) % BLOCK_SIZE:
+            raise CryptoError("AES batch must be a multiple of 16 bytes")
+        return _decrypt_sliced(data, self._dec_key_tables)

@@ -137,12 +137,14 @@ class _EcallCrypto:
     A local of the ecall — ``with _EcallCrypto(enclave) as crypto`` — so it
     dies on return and on raise, and concurrent ecalls (gateway workers,
     SYNCHRONOUS callers) share nothing. Leaving the block books the opens
-    actually performed, raised or not.
+    actually performed, raised or not; an operand decrypted ahead by
+    :meth:`prefetch` counts as opened when it is used, not before.
     """
 
     def __init__(self, enclave: "Enclave"):
         self._enclave = enclave
         self.plaintexts: dict[tuple[str, bytes], SqlScalar] = {}
+        self.prefetched: dict[tuple[str, bytes], bytes] = {}
         self.partners: dict[str, str | None] = {}
         self.opens = 0
 
@@ -151,6 +153,29 @@ class _EcallCrypto:
 
     def __exit__(self, *exc_info) -> None:
         self._enclave.counters.inc("cell_decrypts", self.opens)
+
+    def prefetch(self, decrypts: tuple[tuple[int, EncryptionInfo], ...], rows: list[list]) -> None:
+        """Decrypt a chunk's encrypted operands up front, one ``decrypt_many``
+        per CEK, row-major and no more than the memo may hold. Only cells
+        that pass their MAC under the named key are kept; the rest are left
+        to :meth:`Enclave._open`, which raises or tries the rotation partner."""
+        distinct = dict.fromkeys(
+            (enc.cek_name, cell.envelope)
+            for inputs in rows
+            for slot, enc in decrypts
+            if slot < len(inputs) and isinstance(cell := inputs[slot], Ciphertext)
+        )
+        by_cek: dict[str, list[bytes]] = {}
+        for cek_name, envelope in itertools.islice(distinct, _MEMO_CAPACITY - len(self.plaintexts)):
+            by_cek.setdefault(cek_name, []).append(envelope)
+        sqlos = self._enclave.sqlos
+        for cek_name, envelopes in by_cek.items():
+            if not sqlos.has_key(cek_name):
+                continue
+            opened = sqlos.cipher_for(cek_name).decrypt_many(envelopes)
+            for envelope, plaintext in zip(envelopes, opened):
+                if isinstance(plaintext, bytes):
+                    self.prefetched[cek_name, envelope] = plaintext
 
     def decrypt_cell(self, ciphertext: Ciphertext, enc: EncryptionInfo) -> SqlScalar:
         return self._enclave._open(self, enc.cek_name, ciphertext.envelope)
@@ -352,6 +377,7 @@ class Enclave:
         started = time.perf_counter()
         outputs: list[list[object]] = []
         with _EcallCrypto(self) as crypto:
+            crypto.prefetch(program.decrypts, rows)
             vm = StackMachine(crypto=crypto)
             for index, inputs in enumerate(rows):
                 fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
@@ -405,7 +431,9 @@ class Enclave:
                 crypto.partners[cek_name] = self._rotation_partners.get(cek_name)
         partner = crypto.partners[cek_name]
         crypto.opens += 1
-        value = deserialize_value(self._decrypt_for_compare(cek_name, envelope, partner))
+        plaintext = crypto.prefetched.pop(key, None) or self._decrypt_for_compare(
+            cek_name, envelope, partner)
+        value = deserialize_value(plaintext)
         if len(crypto.plaintexts) < _MEMO_CAPACITY:
             crypto.plaintexts[key] = value
         return value
@@ -527,6 +555,8 @@ class Enclave:
         new_cipher = self.sqlos.cipher_for(new_cek)
         started = time.perf_counter()
         outputs: list[Ciphertext] = []
+        # Cell by cell, not decrypt_many: the fault site checkpoints each
+        # row, and a batch would open the cells after a mid-batch fault.
         for index, ciphertext in enumerate(ciphertexts):
             fault_point(
                 "enclave.recrypt_batch", index=index, total=len(ciphertexts)
@@ -561,7 +591,9 @@ class Enclave:
         self._require_authorized(query_text, "Decrypt")
         cipher = self.sqlos.cipher_for(cek_name)
         started = time.perf_counter()
-        plaintexts = [cipher.decrypt(ciphertext.envelope) for ciphertext in ciphertexts]
+        plaintexts = cipher.decrypt_many([ciphertext.envelope for ciphertext in ciphertexts])
+        if failed := next((p for p in plaintexts if not isinstance(p, bytes)), None):
+            raise failed
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("cell_decrypts", len(plaintexts))
         self._observe(

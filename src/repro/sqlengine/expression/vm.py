@@ -74,6 +74,9 @@ class LoweredProgram(NamedTuple):
     #: result on the stack, which is output 0. Other residue is not computed.
     outputs: tuple[tuple[int, Node], ...]
     width: int  # output slots written: 1 + the highest ``SET_DATA`` slot
+    #: ``(slot, enc)`` per encrypted ``GET_DATA``: the operands a row opens.
+    #: Both sides of AND/OR are evaluated, so every row opens all of them.
+    decrypts: tuple[tuple[int, EncryptionInfo], ...]
 
 
 Program = StackProgram | LoweredProgram
@@ -99,6 +102,7 @@ class StackMachine:
         stack: list[Node] = []
         calls: list[tuple[bytes, tuple[Node, ...]]] = []
         outputs: list[tuple[int, Node]] = []
+        decrypts: list[tuple[int, EncryptionInfo]] = []
 
         def pop(count: int, what: object) -> list[Node]:
             if len(stack) < count:
@@ -110,7 +114,10 @@ class StackMachine:
         for ins in program.instructions:
             opcode, operand = ins.opcode, ins.operand
             if opcode is Opcode.GET_DATA:
-                stack.append(_get_data(*operand))  # type: ignore[misc]
+                slot, enc = operand  # type: ignore[misc]
+                stack.append(_get_data(slot, enc))
+                if enc is not None:
+                    decrypts.append((slot, enc))
             elif opcode is Opcode.PUSH_CONST:
                 stack.append(_constant(operand))
             elif opcode is Opcode.SET_DATA:
@@ -128,7 +135,7 @@ class StackMachine:
         if not outputs and stack:
             outputs.append((0, stack[-1]))
         width = 1 + max((slot for slot, __ in outputs), default=-1)
-        return LoweredProgram(tuple(calls), tuple(outputs), width)
+        return LoweredProgram(tuple(calls), tuple(outputs), width, tuple(decrypts))
 
     def eval(self, program: Program, inputs: Sequence[object], n_outputs: int = 1) -> list[object]:
         """Run ``program``; returns the outputs array (size ``n_outputs``)."""

@@ -20,3 +20,7 @@ def leak_metric(crypto, cell, rows_counter):
 def leak_fstring(crypto, cell, logger):
     value = deserialize_value(crypto.decrypt(cell))
     logger.info(f"decrypted {value}")
+
+
+def leak_batch(crypto, cells, logger):
+    logger.info(crypto.decrypt_many(cells)[0])

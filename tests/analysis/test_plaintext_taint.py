@@ -27,6 +27,8 @@ def test_violating_fixture_flags_every_sink(rule, run_rule, fixtures_dir):
     assert by_symbol["leak_metric"] == "metric-sink:inc"
     # propagator chain: decrypt -> deserialize_value -> f-string -> logger
     assert by_symbol["leak_fstring"] == "log-sink:info"
+    # a batch open is a source like a single one
+    assert by_symbol["leak_batch"] == "log-sink:info"
     assert all(f.rule == "plaintext-taint" for f in findings)
 
 

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.client.driver import connect
-from repro.errors import DriverError, SecurityViolation
+from repro.crypto.aead import CellCipher
+from repro.errors import DriverError, IntegrityError, SecurityViolation
 from repro.sqlengine.cells import Ciphertext
+from repro.sqlengine.storage.record import serialize_row
 from tests.conftest import ALGO, make_encrypted_table
 
 
@@ -34,6 +36,39 @@ class TestTransparency:
     def test_results_decrypted_for_application(self, encrypted_table):
         result = encrypted_table.execute("SELECT value FROM T WHERE id = @i", {"i": 4})
         assert result.rows == [(40,)]
+
+    def test_a_result_column_opens_in_one_batch(self, encrypted_table, monkeypatch):
+        sizes: list[int] = []
+        decrypt_many = CellCipher.decrypt_many
+
+        def spy(self, envelopes):
+            sizes.append(len(envelopes))
+            return decrypt_many(self, envelopes)
+
+        monkeypatch.setattr(CellCipher, "decrypt_many", spy)
+        encrypted_table.execute("INSERT INTO T (id, value) VALUES (@i, @v)", {"i": 10, "v": None})
+        before = encrypted_table.stats.results_decrypted
+        result = encrypted_table.execute("SELECT id, value FROM T WHERE id >= @i", {"i": 0})
+        assert sorted(result.rows) == [(i, 10 * i) for i in range(10)] + [(10, None)]
+        # One batch for the column's ten ciphertexts; the NULL is not a cell.
+        assert sizes == [10]
+        assert encrypted_table.stats.results_decrypted == before + 10
+
+    def test_a_failed_open_counts_and_raises_as_one_at_a_time(self, encrypted_table, server):
+        # Row 2's MAC is broken and row 8 holds plaintext: the first bad row
+        # raises, and the rows opened before it are counted.
+        table = server.engine.table("T")
+        for rid, row in list(table.heap.scan()):
+            if row[0] == 2:
+                envelope = bytearray(row[1].envelope)
+                envelope[-1] ^= 0x10
+                table.heap.update(rid, serialize_row((row[0], Ciphertext(bytes(envelope)))))
+            elif row[0] == 8:
+                table.heap.update(rid, serialize_row((row[0], 80)))
+        before = encrypted_table.stats.results_decrypted
+        with pytest.raises(IntegrityError):
+            encrypted_table.execute("SELECT id, value FROM T WHERE id >= @i", {"i": 0})
+        assert encrypted_table.stats.results_decrypted == before + 2
 
     def test_null_parameter_stays_null(self, ae_connection):
         make_encrypted_table(ae_connection, name="N")

@@ -149,31 +149,37 @@ class TestWireFormat:
         """AES-256-CBC + PKCS#7 + HMAC-SHA-256 built from ``cryptography``
         yields the same DET envelope, and its RND envelopes open here."""
         pytest.importorskip("cryptography")
-        from cryptography.hazmat.primitives import hashes, hmac, padding
-        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-        def mac(key: bytes, data: bytes) -> bytes:
-            h = hmac.HMAC(key, hashes.SHA256())
-            h.update(data)
-            return h.finalize()
-
-        def derive(purpose: str) -> bytes:
-            salt = (
-                f"Microsoft SQL Server cell {purpose} key with encryption algorithm:"
-                "AEAD_AES_256_CBC_HMAC_SHA_256 and key length:256"
-            )
-            return mac(CEK, salt.encode("utf-16-le"))
-
-        def seal(plaintext: bytes, iv: bytes) -> bytes:
-            padder = padding.PKCS7(128).padder()
-            encryptor = Cipher(algorithms.AES(derive("encryption")), modes.CBC(iv)).encryptor()
-            body = encryptor.update(padder.update(plaintext) + padder.finalize())
-            return b"\x01" + mac(derive("MAC"), b"\x01" + iv + body + b"\x01") + iv + body
-
         plaintext = bytes(range(size))
-        det_iv = mac(derive("IV"), plaintext)[:16]
-        assert cipher.encrypt(plaintext, EncryptionScheme.DETERMINISTIC) == seal(plaintext, det_iv)
-        assert cipher.decrypt(seal(plaintext, bytes(range(16, 32)))) == plaintext
+        assert cipher.encrypt(plaintext, EncryptionScheme.DETERMINISTIC) == library_envelope(
+            plaintext
+        )
+        assert cipher.decrypt(library_envelope(plaintext, bytes(range(16, 32)))) == plaintext
+
+
+def library_envelope(plaintext: bytes, iv: bytes | None = None) -> bytes:
+    """``plaintext``'s envelope under ``CEK`` assembled from ``cryptography``'s
+    primitives; the DET IV when ``iv`` is None. Callers skip without it."""
+    from cryptography.hazmat.primitives import hashes, hmac, padding
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    def mac(key: bytes, data: bytes) -> bytes:
+        h = hmac.HMAC(key, hashes.SHA256())
+        h.update(data)
+        return h.finalize()
+
+    def derive(purpose: str) -> bytes:
+        salt = (
+            f"Microsoft SQL Server cell {purpose} key with encryption algorithm:"
+            "AEAD_AES_256_CBC_HMAC_SHA_256 and key length:256"
+        )
+        return mac(CEK, salt.encode("utf-16-le"))
+
+    if iv is None:
+        iv = mac(derive("IV"), plaintext)[:16]
+    padder = padding.PKCS7(128).padder()
+    encryptor = Cipher(algorithms.AES(derive("encryption")), modes.CBC(iv)).encryptor()
+    body = encryptor.update(padder.update(plaintext) + padder.finalize())
+    return b"\x01" + mac(derive("MAC"), b"\x01" + iv + body + b"\x01") + iv + body
 
 
 class TestKeys:

@@ -1,5 +1,6 @@
 """The enclave runtime: sessions, CEK install, eval, gated oracles."""
 
+import hashlib
 import threading
 
 import pytest
@@ -9,7 +10,7 @@ from repro.crypto.dh import DiffieHellman, public_key_bytes
 from repro.crypto.rsa import verify_signature
 from repro.enclave.channel import CekPackage, SealedPackage, seal_package
 from repro.enclave.runtime import _MEMO_CAPACITY
-from repro.errors import EnclaveError, IntegrityError, KeysUnavailableError, ReplayError
+from repro.errors import CryptoError, EnclaveError, IntegrityError, KeysUnavailableError, ReplayError
 from repro.faults import Always, get_fault_registry
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.expression.program import Instruction, Opcode, StackProgram
@@ -326,6 +327,76 @@ class TestOpenOncePerEcall:
         with pytest.raises(IntegrityError):
             enclave.eval_batch(handle, rows)
         assert enclave.sqlos.memory_used == used
+
+
+class TestChunkOpenedAtOnce:
+    """``eval_batch`` opens its chunk's operands with one ``decrypt_many`` per
+    CEK; an operand is booked as opened when the row loop takes it."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch) -> list[int]:
+        """The size of every ``decrypt_many`` batch, process-wide."""
+        sizes: list[int] = []
+        decrypt_many = CellCipher.decrypt_many
+
+        def spy(self, envelopes):
+            sizes.append(len(envelopes))
+            return decrypt_many(self, envelopes)
+
+        monkeypatch.setattr(CellCipher, "decrypt_many", spy)
+        return sizes
+
+    def test_one_batch_per_cek_and_every_open_booked(self, enclave, session, cek_material, batches):
+        handle = TestOpenOncePerEcall.handle(enclave)
+        lo = rnd_cell(cek_material, 31)
+        rows = [[rnd_cell(cek_material, v), lo] for v in range(64)]
+        assert TestOpenOncePerEcall.opens(enclave, lambda: enclave.eval_batch(handle, rows)) == (
+            [[v > 31] for v in range(64)], 64 + 1
+        )
+        assert batches == [65]
+
+    def test_two_keys_two_batches(self, enclave, session, cek_material, batches):
+        package = CekPackage(nonce=1, ceks=(("OtherCEK", OTHER_MATERIAL),))
+        enclave.install_package(session[0], seal_package(session[1], package))
+        handle = enclave.register_program(StackProgram([
+            Instruction(Opcode.GET_DATA, (0, ENC)),
+            Instruction(Opcode.GET_DATA, (1, ENC)),
+            Instruction(Opcode.COMP, ">"),
+            Instruction(Opcode.GET_DATA, (2, OTHER_ENC)),
+            Instruction(Opcode.GET_DATA, (3, OTHER_ENC)),
+            Instruction(Opcode.COMP, "<"),
+            Instruction(Opcode.AND),
+            Instruction(Opcode.SET_DATA, (0, None)),
+        ]).serialize())
+        lo, hi = rnd_cell(cek_material, 10), rnd_cell(OTHER_MATERIAL, 30)
+        rows = [
+            [rnd_cell(cek_material, v), lo, rnd_cell(OTHER_MATERIAL, v), hi] for v in range(40)
+        ]
+        assert TestOpenOncePerEcall.opens(enclave, lambda: enclave.eval_batch(handle, rows)) == (
+            [[10 < v < 30] for v in range(40)], 82
+        )
+        assert batches == [41, 41]
+
+    def test_decrypt_for_ddl_raises_the_first_failure_in_cell_order(
+        self, enclave, session, cek_material, batches
+    ):
+        package = CekPackage(nonce=1, authorized_query_hashes=(hashlib.sha256(b"ddl").digest(),))
+        enclave.install_package(session[0], seal_package(session[1], package))
+        cells = [rnd_cell(cek_material, v) for v in range(30)]
+        before = enclave.counters.cell_decrypts
+        assert enclave.decrypt_for_ddl("ddl", "TestCEK", cells) == [
+            serialize_value(v) for v in range(30)
+        ]
+        assert enclave.counters.cell_decrypts - before == 30
+        tampered = bytearray(cells[9].envelope)
+        tampered[-1] ^= 1
+        cells[9] = Ciphertext(bytes(tampered))
+        cells[20] = Ciphertext(cells[20].envelope[:-1])
+        with pytest.raises(CryptoError) as raised:
+            enclave.decrypt_for_ddl("ddl", "TestCEK", cells)
+        assert raised.type is IntegrityError
+        assert enclave.counters.cell_decrypts - before == 30
+        assert batches == [30, 30]
 
 
 class TestGatedOracles:
