@@ -14,9 +14,9 @@ a call with parts ``(p0, …, pn)``:
 
 * ``f()`` — a module-level function ``f`` in the same module; else an
   import binding (``from x import f``) pointing at a project function
-  or class; else the *unique-name fallback* (exactly one definition of
-  ``f`` anywhere in the model, name not on the builtin-collision
-  denylist).
+  or class; else, unless ``f`` is a Python builtin, the *unique-name
+  fallback* (exactly one definition of ``f`` anywhere in the model, name
+  not on the builtin-collision denylist).
 * ``self.m()`` / ``cls.m()`` — method ``m`` of the enclosing class.
 * ``alias.m()`` — ``alias`` resolved through the configured
   receiver-alias table (``self._wal.flush()`` →
@@ -33,6 +33,7 @@ argument taints the instance).
 from __future__ import annotations
 
 import ast
+import builtins
 from dataclasses import dataclass, field
 
 from repro.analysis.model import CALL_MARK, ProjectModel
@@ -49,6 +50,11 @@ FALLBACK_DENYLIST = frozenset({
     "release", "remove", "run", "send", "set", "setdefault", "sort",
     "split", "start", "stop", "update", "values", "wait", "write",
 })
+
+#: Python's builtin names: a bare call of one the module does not bind
+#: never resolves by unique-name fallback (``next(it)`` is not a project
+#: method that happens to be called ``next``).
+_BUILTINS = frozenset(dir(builtins))
 
 
 @dataclass
@@ -218,7 +224,7 @@ class CallGraph:
 
         if len(parts) == 1:
             resolved = self.lookup(modname, parts[0])
-            if resolved is not None:
+            if resolved is not None or parts[0] in _BUILTINS:
                 return resolved
             return self._unique_fallback(parts[0])
 

@@ -24,9 +24,7 @@ not write them before flipping state.
 ``prepare_transaction`` and ``commit_prepared`` must make the decision
 durable (``decisions.record``) before the first ``commit_prepared``
 fan-out — the router's tests pass with the two swapped, since only a
-crash between them shows it. Dispatch functions (≥ ``_DISPATCH_MIN``
-``if isinstance(…)`` arms) route independent messages and are not
-coordinators.
+crash between them shows it.
 """
 
 from __future__ import annotations
@@ -34,10 +32,6 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
-
-#: minimum ``if isinstance(…):`` arms for a function to be treated as a
-#: dispatch function, which routes messages rather than coordinating.
-_DISPATCH_MIN = 5
 
 
 class ProtocolTypestateRule:
@@ -154,7 +148,7 @@ class ProtocolTypestateRule:
             for scope, records in by_scope.items():
                 prepares = [r for r in records if r.parts[-1] == "prepare_transaction"]
                 commits = [r for r in records if r.parts[-1] == "commit_prepared"]
-                if not prepares or not commits or self._is_dispatcher(info, scope):
+                if not prepares or not commits:
                     continue
                 decisions = [
                     r for r in records
@@ -171,17 +165,3 @@ class ProtocolTypestateRule:
                             "here half-commits under presumed abort"
                         ),
                     ))
-
-    @staticmethod
-    def _is_dispatcher(info, scope: str) -> bool:
-        """A dispatch function routes *independent* messages (the shard side
-        handles TxnPrepare and TxnCommitPrepared as separate frames); only
-        a single-flow function mixing prepare and commit is a coordinator."""
-        func = info.functions.get(scope)
-        return func is not None and sum(
-            1 for node in ast.walk(func)
-            if isinstance(node, ast.If)
-            and isinstance(node.test, ast.Call)
-            and isinstance(node.test.func, ast.Name)
-            and node.test.func.id == "isinstance"
-        ) >= _DISPATCH_MIN

@@ -5,7 +5,8 @@
 *answer* frames; everything about being a socket server is the same for
 both and lives here: one accept-loop thread plus one handler thread per
 connection, ``Hello`` → ``HelloReply``, then request → reply until the
-peer leaves or sends ``AdminShutdown``.
+peer leaves or sends ``AdminShutdown``. The loop answers ``Ping`` and
+``SessionClose`` itself: it owns the connection's sessions.
 
 Each connection owns its sessions: a dropped socket aborts and closes
 every session it opened (the usual connection-loss contract), so a client
@@ -162,6 +163,12 @@ class FrameServer:
                         # checked header and CRC on both legs, and the two
                         # ends that read the payload validate it themselves.
                         reply = relay(frame)[2]
+                    elif isinstance(request, (msg.Ping, msg.SessionClose)):
+                        if isinstance(request, msg.SessionClose):
+                            session = sessions.pop(request.session_id, None)
+                            if session is not None:
+                                session.close()
+                        reply = msg.encode_message(msg.Ok())
                     else:
                         reply = dispatch(request, sessions)
                         if not isinstance(reply, bytes):

@@ -24,7 +24,7 @@ refusals, transient classification) works identically over the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import repro.errors as _errors
@@ -33,7 +33,7 @@ from repro.attestation.protocol import AttestationInfo
 from repro.attestation.report import EnclaveReport, SignedReport
 from repro.crypto.rsa import RsaPublicKey
 from repro.enclave import SealedPackage
-from repro.errors import RemoteError, ReproError, UnknownOpcodeError
+from repro.errors import RemoteError, ReproError, UnknownOpcodeError, WireError
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.keys.cmk import ColumnMasterKey
 from repro.net.encoding import decode_value, encode_value, memoize_structs
@@ -341,10 +341,10 @@ class AdminRotateStart:
     sealed CEK package — the server only relays it; the enclave enforces."""
 
     OP = "admin_rotate_start"
-    table: str = ""
-    column: str = ""
-    new_cek: str = ""
-    query_text: str = ""
+    table: str
+    column: str
+    new_cek: str
+    query_text: str
     batch_size: int = 64
     kind: str = "rotate"
     scheme: EncryptionScheme | None = None
@@ -355,7 +355,7 @@ class AdminRotateStart:
 @dataclass
 class AdminRotateStep:
     OP = "admin_rotate_step"
-    rotation_id: str = ""
+    rotation_id: str
     max_batches: int = 1
 
 
@@ -399,11 +399,60 @@ if set(MESSAGE_TYPES) != set(OPCODES):
         f"opcodes without a message class: {sorted(set(OPCODES) - set(MESSAGE_TYPES))}"
     )
 
+
+# ------------------------------------------------------------------ verbs
+
+#: The server verbs one method call answers: request type → (``SqlServer``
+#: method, reply type, reply field). The request's fields are the method's
+#: arguments, in order; the reply field carries its result (``None``: the
+#: reply is :class:`Ok`; a tuple: the result is unpacked into those fields).
+#: ``RemoteServer`` builds its stub methods from this table and the wire
+#: server answers from it, so a verb is declared here and nowhere else. A
+#: request with a trailing field its method does not take
+#: (``AdminRotateStart.resume_id``) is answered by hand, not by :func:`answer`.
+VERBS: dict[type, tuple[str, type, str | tuple[str, ...] | None]] = {
+    Describe: ("describe_parameter_encryption", DescribeReply, "result"),
+    Attest: ("attest", AttestReply, "info"),
+    CekFetch: ("fetch_cek_metadata", CekFetchReply, "metadata"),
+    ForwardPackage: ("forward_enclave_package", Ok, None),
+    TxnCommitPrepared: ("commit_prepared", Ok, None),
+    TxnAbortPrepared: ("abort_prepared", Ok, None),
+    TxnIndoubt: ("indoubt_gtids", TxnIndoubtReply, "gtids"),
+    AdminAudit: ("audit", AdminAuditReply, "violations"),
+    AdminCrash: ("crash", Ok, None),
+    AdminRecover: ("recover", AdminRecoverReply, "report"),
+    AdminRotateStart: ("rotate_start", AdminRotateStepReply, "rotation_id"),
+    AdminRotateStep: ("rotate_step", AdminRotateStepReply, ("more", "rows_rotated")),
+    AdminRotateStatus: ("rotation_states", AdminRotateStatusReply, "statuses"),
+    AdminCekVersions: ("cek_versions", AdminCekVersionsReply, "versions"),
+}
+
+_ARGUMENTS = {cls: tuple(f.name for f in fields(cls)) for cls in VERBS}
+
+
+def answer(server: Any, request: Any) -> Any:
+    """Answer ``request`` by its :data:`VERBS` row: one call on ``server``."""
+    row = VERBS.get(type(request))
+    if row is None:
+        raise WireError(f"unhandled message type {type(request).__name__!r}")
+    method, reply_type, reply_field = row
+    result = getattr(server, method)(
+        *[getattr(request, name) for name in _ARGUMENTS[type(request)]]
+    )
+    if reply_field is None:
+        return reply_type()
+    if isinstance(reply_field, tuple):
+        return reply_type(**dict(zip(reply_field, result)))
+    return reply_type(**{reply_field: result})
+
+
 #: The catalogue is the export list: every message class, then the functions.
 __all__ = [
     *(cls.__name__ for cls in MESSAGE_TYPES.values()),
     "MESSAGE_TYPES",
     "NONRECONSTRUCTIBLE_ERRORS",
+    "VERBS",
+    "answer",
     "decode_message",
     "encode_message",
     "error_reply_for",

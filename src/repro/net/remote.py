@@ -7,7 +7,9 @@ server — ``connect``, ``describe_parameter_encryption``, ``attest``,
 ``hgs.signing_public_key``, ``rotation_states`` and the rotation admin
 verbs — so the AE driver runs unchanged against a remote process. It has
 no catalog: what a statement needs of the server's metadata, DDL
-included, comes back in its describe. Control-plane requests share one
+included, comes back in its describe. A verb one server method answers
+is one class-body line, ``attest = _verb(msg.Attest)``, built from its
+row of :data:`repro.net.messages.VERBS`. Control-plane requests share one
 locked channel; each :class:`RemoteSession` opens its own socket so
 statements on different sessions never serialize behind each other.
 
@@ -24,16 +26,13 @@ from __future__ import annotations
 
 import threading
 
-from repro.attestation.protocol import AttestationInfo
 from repro.crypto.rsa import RsaPublicKey
-from repro.enclave import SealedPackage
 from repro.errors import VersionMismatchError, WireError
 from repro.net import messages as msg
 from repro.net.frames import PROTOCOL_VERSION
 from repro.net.opcodes import opcode_byte
 from repro.net.transport import FrameChannel, connect_channel
 from repro.sqlengine.exec.executor import QueryResult
-from repro.sqlengine.server import CekMetadata, DescribeResult
 
 __all__ = ["RemoteHgs", "RemoteServer", "RemoteSession"]
 
@@ -45,6 +44,23 @@ class RemoteHgs:
 
     def __init__(self, signing_public_key: RsaPublicKey):
         self.signing_public_key = signing_public_key
+
+
+def _verb(request_type: type):
+    """The stub method for one :data:`~repro.net.messages.VERBS` row: its
+    arguments become the request's fields, the reply field its result."""
+    method, _reply_type, reply_field = msg.VERBS[request_type]
+
+    def call(self, *args, **kwargs):
+        reply = self._request(request_type(*args, **kwargs))
+        if reply_field is None:
+            return None
+        if isinstance(reply_field, tuple):
+            return tuple(getattr(reply, name) for name in reply_field)
+        return getattr(reply, reply_field)
+
+    call.__name__ = method
+    return call
 
 
 class RemoteServer:
@@ -136,92 +152,36 @@ class RemoteServer:
             raise msg.reconstruct_error(reply)
         return RemoteSession(self, channel, reply.session_id)
 
-    def describe_parameter_encryption(
-        self, query_text: str, client_dh_public: int | None = None
-    ) -> DescribeResult:
-        reply = self._request(
-            msg.Describe(query_text=query_text, client_dh_public=client_dh_public)
-        )
-        return reply.result
-
-    def attest(self, client_dh_public: int) -> AttestationInfo:
-        return self._request(msg.Attest(client_dh_public=client_dh_public)).info
-
-    def fetch_cek_metadata(self, cek_name: str) -> CekMetadata:
-        return self._request(msg.CekFetch(cek_name=cek_name)).metadata
-
-    def forward_enclave_package(self, enclave_session_id: int, sealed: SealedPackage) -> None:
-        self._request(
-            msg.ForwardPackage(enclave_session_id=enclave_session_id, sealed=sealed)
-        )
+    describe_parameter_encryption = _verb(msg.Describe)
+    attest = _verb(msg.Attest)
+    fetch_cek_metadata = _verb(msg.CekFetch)
+    forward_enclave_package = _verb(msg.ForwardPackage)
 
     # ------------------------------------------------------ admin (harness)
 
     def ping(self) -> bool:
         return isinstance(self._request(msg.Ping()), msg.Ok)
 
-    def audit(self) -> list[str]:
-        return self._request(msg.AdminAudit()).violations
-
-    def crash(self) -> None:
-        self._request(msg.AdminCrash())
-
-    def recover(self):
-        return self._request(msg.AdminRecover()).report
-
-    def commit_prepared(self, gtid: str) -> None:
-        self._request(msg.TxnCommitPrepared(gtid=gtid))
-
-    def abort_prepared(self, gtid: str) -> None:
-        self._request(msg.TxnAbortPrepared(gtid=gtid))
-
-    def indoubt_gtids(self) -> list[str]:
-        return self._request(msg.TxnIndoubt()).gtids
+    audit = _verb(msg.AdminAudit)
+    crash = _verb(msg.AdminCrash)
+    recover = _verb(msg.AdminRecover)
+    commit_prepared = _verb(msg.TxnCommitPrepared)
+    abort_prepared = _verb(msg.TxnAbortPrepared)
+    indoubt_gtids = _verb(msg.TxnIndoubt)
 
     # ------------------------------------------------ online key lifecycle
 
-    def rotate_start(
-        self,
-        table: str,
-        column: str,
-        new_cek: str,
-        query_text: str,
-        batch_size: int = 64,
-        kind: str = "rotate",
-        scheme=None,
-    ) -> str:
-        """Start an online lifecycle job on the server; returns its id."""
-        reply = self._request(
-            msg.AdminRotateStart(
-                table=table,
-                column=column,
-                new_cek=new_cek,
-                query_text=query_text,
-                batch_size=batch_size,
-                kind=kind,
-                scheme=scheme,
-            )
-        )
-        return reply.rotation_id
+    rotate_start = _verb(msg.AdminRotateStart)
+    rotate_step = _verb(msg.AdminRotateStep)
+    rotation_states = _verb(msg.AdminRotateStatus)
+    cek_versions = _verb(msg.AdminCekVersions)
 
     def rotate_resume(
         self, rotation_id: str, query_text: str, batch_size: int = 64
     ) -> str:
-        """Re-adopt a recovery-reinstated rotation (post-crash)."""
-        reply = self._request(
-            msg.AdminRotateStart(
-                query_text=query_text,
-                batch_size=batch_size,
-                resume_id=rotation_id,
-            )
-        )
-        return reply.rotation_id
-
-    def rotate_step(self, rotation_id: str, max_batches: int = 1) -> tuple[bool, int]:
-        reply = self._request(
-            msg.AdminRotateStep(rotation_id=rotation_id, max_batches=max_batches)
-        )
-        return reply.more, reply.rows_rotated
+        """Re-adopt a recovery-reinstated rotation (post-crash): a start
+        whose ``resume_id`` names the job instead of a column."""
+        return self.rotate_start("", "", "", query_text, batch_size, resume_id=rotation_id)
 
     def rotate_run(self, rotation_id: str) -> int:
         """Drive a rotation to completion over the wire, batch by batch."""
@@ -231,12 +191,6 @@ class RemoteServer:
             more, rows = self.rotate_step(rotation_id)
             total += rows
         return total
-
-    def rotation_states(self) -> list:
-        return self._request(msg.AdminRotateStatus()).statuses
-
-    def cek_versions(self) -> dict[str, int]:
-        return self._request(msg.AdminCekVersions()).versions
 
     def shutdown(self) -> None:
         try:

@@ -400,8 +400,6 @@ class Router(FrameServer):
         sessions: dict[int, RouterSession],
         affinity_shard: int,
     ) -> object:
-        if isinstance(request, msg.Ping):
-            return msg.Ok()
         if isinstance(request, msg.SessionOpen):
             shard_idx = (
                 affinity_shard
@@ -411,11 +409,6 @@ class Router(FrameServer):
             session = RouterSession(self, next(self._session_ids), shard_idx)
             sessions[session.session_id] = session
             return msg.SessionOpenReply(session_id=session.session_id)
-        if isinstance(request, msg.SessionClose):
-            session = sessions.pop(request.session_id, None)
-            if session is not None:
-                session.close()
-            return msg.Ok()
         if isinstance(request, msg.Execute):
             session = self._session(sessions, request.session_id)
             frame = session.execute_fast(request.query_text, request.params)

@@ -53,3 +53,10 @@ def test_builtin_colliding_names_do_not_fallback(graph):
 
 def test_class_constructions_are_indexed(graph):
     assert "repro.net.messages:ErrorReply" in graph.classes
+
+
+def test_builtin_calls_do_not_fallback_to_a_project_method(graph):
+    # A bare ``next(iterator)`` is the builtin, not the one project method
+    # named ``next``: only the real ``session.nonces.next()`` reaches it.
+    callee = graph.functions["repro.enclave.nonce:NonceCounter.next"]
+    assert callee.callers == {"repro.client.driver:Connection._ensure_enclave_keys"}

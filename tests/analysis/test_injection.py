@@ -74,6 +74,13 @@ EDITS = (
           "    violations.extend(system.server.engine.verify_index_consistency())\n"),),
         "nothing",
     ),
+    # The stub's verbs are class-body lines built from the verb table: the
+    # allowlist is read from them, so a verb dropped there is off-surface.
+    Edit(
+        "trust-boundary", ("off-surface:server.attest",), "repro/net/remote.py",
+        (("    attest = _verb(msg.Attest)\n", ""),),
+        "tests/net/test_verbs.py::test_stub_method_is_a_named_plain_function[Attest]",
+    ),
     # -- plaintext-taint: decrypted cells stay inside the decrypt job's conversion
     Edit(
         "plaintext-taint", ("log-sink:print",), "repro/sqlengine/rotation.py",

@@ -4,8 +4,9 @@ The invariants the rest of the system leans on:
 
 * every message type survives encode→decode with nested catalog/crypto
   metadata intact — *every*: a message class without a sample fails;
-* the bytes are protocol v2's: four pinned frames fail on any format
-  change that does not also bump the version, and a v1 frame is refused;
+* the bytes are protocol v2's: four pinned frames, and a digest of every
+  sample frame, fail on any format change that does not also bump the
+  version, and a v1 frame is refused;
 * a frame whose opcode disagrees with its payload type is rejected (a
   confused peer cannot smuggle an Execute inside a CekFetch frame);
 * ``QueryResult.stats`` — server-side telemetry holding plaintext-adjacent
@@ -17,6 +18,8 @@ The invariants the rest of the system leans on:
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -218,6 +221,57 @@ def test_v2_frame_bytes_are_pinned(name):
     frame = bytes.fromhex(golden)
     assert msg.encode_message(message) == frame
     assert msg.decode_message(*decode_frame(frame)) == message
+
+
+#: SHA-256 (first 16 hex digits) of every SAMPLES frame, in SAMPLES order:
+#: the other messages' bytes, pinned as compactly. A field added to a
+#: request, a field reordered or a default that starts travelling moves
+#: one of these; re-pin only with a PROTOCOL_VERSION bump.
+FRAME_DIGESTS = [
+    "f8b70b3a613fe196",  # Hello
+    "3d5852a5596698dd",  # Hello
+    "5676b369f1073824",  # HelloReply
+    "69e8b886d6705f66",  # Ok
+    "239f4bf386d8873a",  # Ping
+    "3d9e9f9f6045288a",  # ErrorReply
+    "c7c130306fe6ea5c",  # Describe
+    "7b6dc155837c9164",  # DescribeReply
+    "3433780c7623b5ff",  # Attest
+    "508c20a28b9b299c",  # AttestReply
+    "158f15d7708b5e1a",  # CekFetch
+    "dd33c4894849d9bb",  # CekFetchReply
+    "af6d1e4dbee5cd14",  # ForwardPackage
+    "4f41aadab5422175",  # SessionOpen
+    "d64261aac09d69bb",  # SessionOpenReply
+    "4cdb46427aac4188",  # SessionClose
+    "1e4f80d75690a5e3",  # Execute
+    "f93ebbc180eb2a22",  # ExecuteReply
+    "1aab8e2a8f36052b",  # TxnPrepare
+    "cf792aa95d7765aa",  # TxnCommitPrepared
+    "e4452d74ceb45c55",  # TxnAbortPrepared
+    "14ff01b7a502b783",  # TxnIndoubt
+    "a207d2fd70ee5fd1",  # TxnIndoubtReply
+    "debea85a6bba3512",  # AdminAudit
+    "6cfe6202138b15df",  # AdminAuditReply
+    "4d22ee0dc5e7d846",  # AdminCrash
+    "8005f4eb56773b97",  # AdminRecover
+    "c04d4e555db76e32",  # AdminRecoverReply
+    "227f7f7f522c2df3",  # AdminShutdown
+    "e88f50b6d9452ab8",  # AdminRotateStart
+    "70ba7c1746b09a31",  # AdminRotateStep
+    "0ef2e64dc2d91c68",  # AdminRotateStepReply
+    "eca42b307db8f0f2",  # AdminRotateStatus
+    "09bc4b2a22508712",  # AdminRotateStatusReply
+    "16a1d40942454c51",  # AdminCekVersions
+    "febc68741ebaa540",  # AdminCekVersionsReply
+]
+
+
+def test_every_sample_frame_is_pinned():
+    assert len(FRAME_DIGESTS) == len(SAMPLES)
+    for sample, digest in zip(SAMPLES, FRAME_DIGESTS):
+        frame = msg.encode_message(sample)
+        assert hashlib.sha256(frame).hexdigest()[:16] == digest, type(sample).__name__
 
 
 def test_v1_frame_is_refused():
