@@ -235,7 +235,8 @@ class _FunctionPass:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self.taint_target(element, origins)
-        elif isinstance(target, ast.Starred):
+        elif isinstance(target, (ast.Starred, ast.Subscript)):
+            # ``row[slot] = tainted`` packs like ``row.append(tainted)``
             self.taint_target(target.value, origins)
 
     def run(self, body: list) -> None:

@@ -35,7 +35,7 @@ import secrets
 from typing import Callable, Sequence
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.kdf import constant_time_equal, derive_key, hmac_sha256
+from repro.crypto.kdf import HmacSha256, constant_time_equal, derive_key
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
 from repro.errors import CryptoError, IntegrityError
 
@@ -80,25 +80,24 @@ class EncryptionScheme(enum.Enum):
 class CellCipher:
     """Encrypts and decrypts individual cell values under one CEK.
 
-    Instances are immutable: derived keys and the AES schedule are computed
-    once, so repeated cell operations (the inner loop of query processing)
-    avoid per-call key expansion.
+    Instances are immutable: derived keys, the AES schedule and the MAC
+    and IV keys' HMAC states are computed once, so repeated cell operations
+    (the inner loop of query processing) avoid per-call key expansion.
     """
 
     def __init__(self, root_key: bytes):
         if len(root_key) != KEY_SIZE:
             raise CryptoError(f"CEK root key must be {KEY_SIZE} bytes, got {len(root_key)}")
-        self._enc_key = derive_key(root_key, _ENC_KEY_SALT)
-        self._mac_key = derive_key(root_key, _MAC_KEY_SALT)
-        self._iv_key = derive_key(root_key, _IV_KEY_SALT)
-        self._aes = AES(self._enc_key)
+        self._aes = AES(derive_key(root_key, _ENC_KEY_SALT))
+        self._mac = HmacSha256(derive_key(root_key, _MAC_KEY_SALT))
+        self._iv = HmacSha256(derive_key(root_key, _IV_KEY_SALT))
 
     # -- public API ---------------------------------------------------------
 
     def encrypt(self, plaintext: bytes, scheme: EncryptionScheme) -> bytes:
         """Encrypt a serialized cell value, returning the full envelope."""
         if scheme is EncryptionScheme.DETERMINISTIC:
-            iv = hmac_sha256(self._iv_key, plaintext)[:BLOCK_SIZE]
+            iv = self._iv.digest(plaintext)[:BLOCK_SIZE]
         else:
             iv = secrets.token_bytes(BLOCK_SIZE)
         body = cbc_encrypt(self._aes, iv, pkcs7_pad(plaintext))
@@ -163,7 +162,7 @@ class CellCipher:
         return iv, body
 
     def _compute_mac(self, iv: bytes, body: bytes) -> bytes:
-        return hmac_sha256(self._mac_key, b"".join((_VERSION, iv, body, b"\x01")))
+        return self._mac.digest(b"".join((_VERSION, iv, body, b"\x01")))
 
 
 def _or_error(function: Callable[[bytes], object], argument: bytes) -> object:

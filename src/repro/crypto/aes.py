@@ -27,7 +27,11 @@ xor) decrypt as one byte-sliced state (:meth:`AES.decrypt_blocks`):
 segment ``k`` holds one byte position of every block, InvShiftRows
 permutes segments, and InvSubBytes with each InvMixColumns coefficient is
 one ``bytes.translate``, so a round costs the same few operations however
-many blocks there are. :class:`~repro.crypto.aead.CellCipher` picks a path.
+many blocks there are. Each round key is xored in spread to that width
+(segment ``k`` repeats its byte ``k``); an instance keeps the spread keys
+of its last few batch widths, since a column or a scan chunk arrives at
+the same width call after call. :class:`~repro.crypto.aead.CellCipher`
+picks a path.
 """
 
 from __future__ import annotations
@@ -148,15 +152,20 @@ def _cipher(state: int, keys: tuple[int, ...], tables, sbox: bytes, stride: int)
     return int.from_bytes((s.translate(sbox) * stride)[::stride], "big") ^ keys[-1]
 
 
-def _decrypt_sliced(data: bytes, keys: tuple[bytes, ...]) -> bytes:
+def _spread_keys(keys: tuple[bytes, ...], n: int) -> tuple[int, ...]:
+    """Each (256-byte padded) round key spread over the byte-sliced state of
+    ``n`` blocks: segment ``k`` is ``n`` copies of key byte ``_SLICE_ORDER[k]``."""
+    segments = b"".join([bytes([j]) * n for j in _SLICE_ORDER])
+    return tuple(int.from_bytes(segments.translate(key), "big") for key in keys)
+
+
+def _decrypt_sliced(data: bytes, spread: tuple[int, ...]) -> bytes:
     """Decrypt ``n`` independent blocks as one state whose segment ``k``
-    (bytes ``k * n`` on) holds byte ``_SLICE_ORDER[k]`` of every block.
-    InvShiftRows lays the rows out twice, so row ``k`` below starts ``k``
-    rows on; ``translate`` spreads each (256-byte padded) round key."""
+    (bytes ``k * n`` on) holds byte ``_SLICE_ORDER[k]`` of every block,
+    under round keys spread to that width. InvShiftRows lays the rows out
+    twice, so row ``k`` below starts ``k`` rows on."""
     size, n = len(data), len(data) // BLOCK_SIZE
     row = 4 * n
-    segments = b"".join([bytes([j]) * n for j in _SLICE_ORDER])
-    spread = [int.from_bytes(segments.translate(key), "big") for key in keys]
     cuts = [(0, row)]
     for r in (1, 2, 3):
         start, turn = r * row, row - r * n
@@ -184,11 +193,21 @@ def _decrypt_sliced(data: bytes, keys: tuple[bytes, ...]) -> bytes:
     return bytes(out)
 
 
+#: The spread round keys an :class:`AES` keeps: for at most this many batch
+#: widths, each of at most ``_SPREAD_MAX_BLOCKS`` blocks (15 keys of 16 KiB
+#: at the widest), so a key's cache stays under 2 MiB.
+_SPREAD_WIDTHS = 8
+_SPREAD_MAX_BLOCKS = 1024
+
+
 class AES:
     """An AES cipher with a fixed key, usable for 128/192/256-bit keys.
 
-    Instances are immutable and safe to share across threads; all state is
-    computed in ``__init__``.
+    Instances are safe to share across threads. The key schedules are
+    computed in ``__init__``; the one thing that grows later is the cache
+    of round keys spread per batch width (:meth:`decrypt_blocks`), where a
+    race costs at most a spread computed twice, or kept a moment past the
+    bound; no thread ever reads a spread of another width.
     """
 
     def __init__(self, key: bytes):
@@ -199,6 +218,7 @@ class AES:
         self._enc_keys = self._expand_key(key)
         self._dec_keys = self._expand_decryption_key()
         self._dec_key_tables = tuple(key.to_bytes(16, "big") + bytes(240) for key in self._dec_keys)
+        self._spreads: dict[int, tuple[int, ...]] = {}
 
     # -- key schedule -------------------------------------------------------
 
@@ -259,4 +279,12 @@ class AES:
         (the CBC chaining xor is the caller's)."""
         if len(data) % BLOCK_SIZE:
             raise CryptoError("AES batch must be a multiple of 16 bytes")
-        return _decrypt_sliced(data, self._dec_key_tables)
+        n = len(data) // BLOCK_SIZE
+        spread = self._spreads.get(n)
+        if spread is None:
+            spread = _spread_keys(self._dec_key_tables, n)
+            if n <= _SPREAD_MAX_BLOCKS:
+                if len(self._spreads) >= _SPREAD_WIDTHS:
+                    self._spreads.clear()
+                self._spreads[n] = spread
+        return _decrypt_sliced(data, spread)

@@ -16,6 +16,33 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
     return hmac.digest(key, data, "sha256")
 
 
+_BLOCK = 64  # SHA-256's input block: the width of HMAC's padded key
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+class HmacSha256:
+    """HMAC-SHA-256 under one fixed key (RFC 2104): the inner and outer
+    SHA-256 states of the padded key are hashed once, here, and each
+    :meth:`digest` copies them. The bytes are :func:`hmac_sha256`'s."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\x00")
+        self._inner = hashlib.sha256(key.translate(_INNER_PAD))
+        self._outer = hashlib.sha256(key.translate(_OUTER_PAD))
+
+    def digest(self, data: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(data)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
 def derive_key(root_key: bytes, label: str) -> bytes:
     """Derive a 32-byte sub-key from ``root_key`` for the given label.
 

@@ -19,7 +19,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.attestation.report import EnclaveReport
 from repro.crypto.aead import EncryptionScheme
@@ -154,17 +154,13 @@ class _EcallCrypto:
     def __exit__(self, *exc_info) -> None:
         self._enclave.counters.inc("cell_decrypts", self.opens)
 
-    def prefetch(self, decrypts: tuple[tuple[int, EncryptionInfo], ...], rows: list[list]) -> None:
-        """Decrypt a chunk's encrypted operands up front, one ``decrypt_many``
-        per CEK, row-major and no more than the memo may hold. Only cells
-        that pass their MAC under the named key are kept; the rest are left
-        to :meth:`Enclave._open`, which raises or tries the rotation partner."""
-        distinct = dict.fromkeys(
-            (enc.cek_name, cell.envelope)
-            for inputs in rows
-            for slot, enc in decrypts
-            if slot < len(inputs) and isinstance(cell := inputs[slot], Ciphertext)
-        )
+    def prefetch(self, operands: Iterable[tuple[str, bytes]]) -> None:
+        """Decrypt an ecall's ``(cek_name, envelope)`` operands up front, one
+        ``decrypt_many`` per CEK, in order and no more than the memo may
+        hold. Only cells that pass their MAC under the named key are kept;
+        the rest are left to :meth:`Enclave._open`, which raises or tries
+        the rotation partner."""
+        distinct = dict.fromkeys(operands)
         by_cek: dict[str, list[bytes]] = {}
         for cek_name, envelope in itertools.islice(distinct, _MEMO_CAPACITY - len(self.plaintexts)):
             by_cek.setdefault(cek_name, []).append(envelope)
@@ -377,7 +373,12 @@ class Enclave:
         started = time.perf_counter()
         outputs: list[list[object]] = []
         with _EcallCrypto(self) as crypto:
-            crypto.prefetch(program.decrypts, rows)
+            crypto.prefetch(
+                (enc.cek_name, cell.envelope)
+                for inputs in rows
+                for slot, enc in program.decrypts
+                if slot < len(inputs) and isinstance(cell := inputs[slot], Ciphertext)
+            )
             vm = StackMachine(crypto=crypto)
             for index, inputs in enumerate(rows):
                 fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
@@ -476,15 +477,18 @@ class Enclave:
     ) -> list[int]:
         """Three-way compare ``probe`` against every candidate in one ecall.
 
-        The probe — like any envelope the batch repeats — is opened once
-        for the whole ecall. The observation carries every per-pair
-        ordering verdict — the same cleartext results the adversary
-        collects from single compares, in one crossing.
+        The probe and the candidates are decrypted up front like an
+        ``eval_batch`` chunk, and the probe — like any envelope the batch
+        repeats — is opened once for the whole ecall. The observation
+        carries every per-pair ordering verdict — the same cleartext
+        results the adversary collects from single compares, in one
+        crossing.
         """
         if not candidates:
             return []
         started = time.perf_counter()
         with _EcallCrypto(self) as crypto:
+            crypto.prefetch((cek_name, cell.envelope) for cell in (probe, *candidates))
             probe_value = self._open(crypto, cek_name, probe.envelope)
             results = [
                 compare_values(probe_value, self._open(crypto, cek_name, candidate.envelope))

@@ -39,12 +39,16 @@ def validate_program(program: StackProgram, installed_ceks: frozenset[str]) -> s
     * GET_DATA/SET_DATA referencing a CEK not installed in the enclave;
     * COMP / LIKE mixing a decrypted value with host plaintext;
     * COMP / LIKE mixing values decrypted under different CEKs;
+    * one input slot read under two annotations (encrypted and in the
+      clear, or under two CEKs): the VM opens an encrypted slot once per
+      row, before any node runs, so every read of it sees the plaintext;
     * arithmetic on decrypted values (unsupported in AEv2);
     * nested TM_EVAL (the enclave never re-enters itself);
     * stack underflow (malformed program).
     """
     stack: list[_Provenance] = []
     used: set[str] = set()
+    reads: dict[int, str | None] = {}  # input slot -> the CEK it is read under
 
     def pop(n: int, what: str) -> list[_Provenance]:
         if len(stack) < n:
@@ -54,7 +58,13 @@ def validate_program(program: StackProgram, installed_ceks: frozenset[str]) -> s
     for ins in program.instructions:
         opcode = ins.opcode
         if opcode is Opcode.GET_DATA:
-            __, enc = ins.operand  # type: ignore[misc]
+            slot, enc = ins.operand  # type: ignore[misc]
+            cek = None if enc is None else enc.cek_name
+            if reads.setdefault(slot, cek) != cek:
+                raise EnclaveError(
+                    f"input slot {slot} is read {_under(reads[slot])} and {_under(cek)}: "
+                    "every read of a slot sees it opened once; rejected"
+                )
             if enc is not None:
                 if enc.cek_name not in installed_ceks:
                     raise EnclaveError(
@@ -100,6 +110,10 @@ def validate_program(program: StackProgram, installed_ceks: frozenset[str]) -> s
         else:  # pragma: no cover - exhaustive
             raise EnclaveError(f"unknown opcode {opcode} in enclave program")
     return used
+
+
+def _under(cek: str | None) -> str:
+    return "in the clear" if cek is None else f"under CEK {cek!r}"
 
 
 def _check_comparable(a: _Provenance, b: _Provenance, what: str) -> None:

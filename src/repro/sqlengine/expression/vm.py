@@ -8,8 +8,10 @@ binaries" approach (Section 4.4):
   allowed on them is binary equality (DET columns). Any ``TM_EVAL``
   instruction delegates to an :class:`EnclaveConnector`.
 * **Enclave side** — a crypto context backed by the enclave's CEK store is
-  supplied, so ``GET_DATA`` / ``SET_DATA`` transparently decrypt/encrypt at
-  the stack boundary and the program body computes on plaintext.
+  supplied. A row's encrypted ``GET_DATA`` slots are opened through it, each
+  once, before any node runs, and encrypted ``SET_DATA`` outputs are sealed
+  after: the stack boundary is the row's, and the program body computes on
+  plaintext only.
 
 Comparison results use SQL three-valued logic: ``None`` is UNKNOWN and
 propagates through comparisons; AND/OR follow Kleene semantics.
@@ -17,12 +19,12 @@ propagates through comparisons; AND/OR follow Kleene semantics.
 A program is lowered once (:meth:`StackMachine.lower`) into closures and
 evaluation calls those. The lowered form lives where the program does — on
 the plan's ``CompiledExpression`` / ``Scalar``, in the enclave's handle
-table — and takes the crypto context at call time: one evaluator for both.
+table — and knows no crypto context: the machine running it opens and seals
+at the row's edges, so one evaluator serves both sides.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Callable, NamedTuple, Protocol, Sequence
 
@@ -55,10 +57,10 @@ class EnclaveConnector(Protocol):
     def eval_batch(self, handle: int, rows: list[list[object]]) -> list[list[object]]: ...
 
 
-#: One stack value of one row: ``node(inputs, crypto, returned)`` over the
-#: row's input slots, the crypto context of the machine running the program
-#: (None on the host) and the results of the row's ``TM_EVAL`` calls so far.
-Node = Callable[[Sequence[object], "CryptoContext | None", Sequence[object]], object]
+#: One stack value of one row: ``node(inputs, returned)`` over the row's input
+#: slots — its encrypted ones already opened — and the results of the row's
+#: ``TM_EVAL`` calls so far. Nodes compute on plaintext and never decrypt.
+Node = Callable[[Sequence[object], Sequence[object]], object]
 
 
 class LoweredProgram(NamedTuple):
@@ -70,12 +72,14 @@ class LoweredProgram(NamedTuple):
 
     #: Each ``TM_EVAL`` in program order: sub-program bytes, a node per input.
     calls: tuple[tuple[bytes, tuple[Node, ...]], ...]
-    #: ``(slot, node)`` per ``SET_DATA``; a program without one leaves its
-    #: result on the stack, which is output 0. Other residue is not computed.
-    outputs: tuple[tuple[int, Node], ...]
+    #: ``(slot, node, enc)`` per ``SET_DATA``, sealed under ``enc`` when it
+    #: is not None; a program without one leaves its result on the stack,
+    #: which is output 0. Other residue is not computed.
+    outputs: tuple[tuple[int, Node, EncryptionInfo | None], ...]
     width: int  # output slots written: 1 + the highest ``SET_DATA`` slot
-    #: ``(slot, enc)`` per encrypted ``GET_DATA``: the operands a row opens.
-    #: Both sides of AND/OR are evaluated, so every row opens all of them.
+    #: ``(slot, enc)`` per slot an encrypted ``GET_DATA`` reads, each once, in
+    #: first-read order: the operands a row opens before its nodes run. Both
+    #: sides of AND/OR are evaluated, so every row reads all of them.
     decrypts: tuple[tuple[int, EncryptionInfo], ...]
 
 
@@ -101,8 +105,8 @@ class StackMachine:
         underflow, an unknown opcode or operator) rejected — here."""
         stack: list[Node] = []
         calls: list[tuple[bytes, tuple[Node, ...]]] = []
-        outputs: list[tuple[int, Node]] = []
-        decrypts: list[tuple[int, EncryptionInfo]] = []
+        outputs: list[tuple[int, Node, EncryptionInfo | None]] = []
+        decrypts: dict[int, EncryptionInfo] = {}
 
         def pop(count: int, what: object) -> list[Node]:
             if len(stack) < count:
@@ -115,14 +119,14 @@ class StackMachine:
             opcode, operand = ins.opcode, ins.operand
             if opcode is Opcode.GET_DATA:
                 slot, enc = operand  # type: ignore[misc]
-                stack.append(_get_data(slot, enc))
+                stack.append(_get_data(slot))
                 if enc is not None:
-                    decrypts.append((slot, enc))
+                    decrypts.setdefault(slot, enc)
             elif opcode is Opcode.PUSH_CONST:
                 stack.append(_constant(operand))
             elif opcode is Opcode.SET_DATA:
                 slot, enc = operand  # type: ignore[misc]
-                outputs.append((slot, _set_data(*pop(1, "SET_DATA"), enc)))
+                outputs.append((slot, *pop(1, "SET_DATA"), enc))
             elif opcode is Opcode.TM_EVAL:
                 blob, n_inputs = operand  # type: ignore[misc]
                 calls.append((blob, tuple(pop(n_inputs, "TM_EVAL"))))
@@ -133,13 +137,22 @@ class StackMachine:
             else:
                 raise ExecutionError(f"unknown opcode {opcode}")
         if not outputs and stack:
-            outputs.append((0, stack[-1]))
-        width = 1 + max((slot for slot, __ in outputs), default=-1)
-        return LoweredProgram(tuple(calls), tuple(outputs), width, tuple(decrypts))
+            outputs.append((0, stack[-1], None))
+        width = 1 + max((slot for slot, *__ in outputs), default=-1)
+        return LoweredProgram(tuple(calls), tuple(outputs), width, tuple(decrypts.items()))
 
     def eval(self, program: Program, inputs: Sequence[object], n_outputs: int = 1) -> list[object]:
-        """Run ``program``; returns the outputs array (size ``n_outputs``)."""
-        return self.eval_batch(program, [inputs], n_outputs)[0]
+        """Run ``program`` on one row; returns the outputs array (size
+        ``n_outputs``). The row's encrypted operands are opened first, its
+        nodes run on plaintext, and encrypted outputs are sealed last. A
+        program with ``TM_EVAL`` runs as a chunk of one."""
+        if isinstance(program, StackProgram) or program.calls:
+            return self.eval_batch(program, [inputs], n_outputs)[0]
+        if program.width > n_outputs:
+            raise ExecutionError(f"SET_DATA slot {program.width - 1} out of range")
+        if program.decrypts:
+            inputs = self._decrypt(self._crypto, program.decrypts, inputs)
+        return self._outputs(program, inputs, (), n_outputs)
 
     def eval_batch(
         self, program: Program, input_rows: list[Sequence[object]], n_outputs: int = 1
@@ -148,32 +161,33 @@ class StackMachine:
 
         A ``TM_EVAL`` ships the whole chunk's sub-program inputs through one
         enclave call — a program's calls go out in program order, each once
-        per chunk, their inputs computed first — and everything else runs row
-        by row afterwards. :meth:`eval` is the chunk of one. A
-        :class:`StackProgram` is lowered on the spot: whoever evaluates a
-        program more than once keeps its lowered form.
+        per chunk, their inputs computed first (after every row is opened) —
+        and everything else runs row by row afterwards. A program without
+        ``TM_EVAL`` is :meth:`eval` row by row. A :class:`StackProgram` is
+        lowered on the spot: whoever evaluates a program more than once keeps
+        its lowered form.
         """
         if isinstance(program, StackProgram):
             program = self.lower(program)
         if program.width > n_outputs:
             raise ExecutionError(f"SET_DATA slot {program.width - 1} out of range")
-        crypto = self._crypto
+        if not program.calls:
+            return [self.eval(program, inputs, n_outputs) for inputs in input_rows]
+        if program.decrypts:
+            input_rows = [self._decrypt(self._crypto, program.decrypts, inputs) for inputs in input_rows]
         # Per row, the results of its TM_EVAL calls so far.
-        returned: list[list[object]] = [[] for __ in input_rows] if program.calls else []
+        returned: list[list[object]] = [[] for __ in input_rows]
         for blob, arguments in program.calls:
             shipped = [
-                [node(inputs, crypto, got) for node in arguments]
+                [node(inputs, got) for node in arguments]
                 for inputs, got in zip(input_rows, returned)
             ]
             for got, result in zip(returned, self._tm_eval(blob, shipped)):
                 got.append(result[0])
-        chunk: list[list[object]] = []
-        for inputs, got in zip(input_rows, returned or itertools.repeat(())):
-            outputs: list[object] = [None] * n_outputs
-            for slot, node in program.outputs:
-                outputs[slot] = node(inputs, crypto, got)
-            chunk.append(outputs)
-        return chunk
+        return [
+            self._outputs(program, inputs, got, n_outputs)
+            for inputs, got in zip(input_rows, returned)
+        ]
 
     def eval_predicate(self, program: Program, inputs: Sequence[object]) -> bool | None:
         """Run a boolean-valued program; returns True/False/None (UNKNOWN)."""
@@ -206,20 +220,45 @@ class StackMachine:
             return [self._enclave.eval(handle, rows[0])]
         return self._enclave.eval_batch(handle, rows)
 
+    def _outputs(
+        self, program: LoweredProgram, inputs: Sequence[object], returned: Sequence[object],
+        n_outputs: int,
+    ) -> list[object]:
+        """One opened row's outputs array, each encrypted output sealed."""
+        outputs: list[object] = [None] * n_outputs
+        for slot, node, enc in program.outputs:
+            value = node(inputs, returned)
+            outputs[slot] = value if enc is None else self._encrypt(self._crypto, value, enc)
+        return outputs
+
     @staticmethod
-    def _decrypt(crypto: CryptoContext | None, value: object, enc: EncryptionInfo) -> SqlScalar:
-        if value is None:  # NULL cells are stored as NULL, never as ciphertext
-            return None
-        if crypto is None:
-            raise ExecutionError(
-                "encrypted GET_DATA outside the enclave: the host must never "
-                "decrypt column data"
-            )
-        if not isinstance(value, Ciphertext):
-            raise ExecutionError(
-                f"GET_DATA annotated encrypted but input is {type(value).__name__}"
-            )
-        return crypto.decrypt_cell(value, enc)
+    def _decrypt(
+        crypto: CryptoContext | None,
+        decrypts: tuple[tuple[int, EncryptionInfo], ...],
+        inputs: Sequence[object],
+    ) -> list[object]:
+        """``inputs`` with the cell of each encrypted slot opened, in order."""
+        row = list(inputs)
+        for slot, enc in decrypts:
+            try:
+                value = row[slot]
+            except IndexError:
+                raise ExecutionError(
+                    f"GET_DATA slot {slot} out of range ({len(inputs)} inputs)"
+                ) from None
+            if value is None:  # NULL cells are stored as NULL, never as ciphertext
+                continue
+            if crypto is None:
+                raise ExecutionError(
+                    "encrypted GET_DATA outside the enclave: the host must never "
+                    "decrypt column data"
+                )
+            if not isinstance(value, Ciphertext):
+                raise ExecutionError(
+                    f"GET_DATA annotated encrypted but input is {type(value).__name__}"
+                )
+            row[slot] = crypto.decrypt_cell(value, enc)
+        return row
 
     @staticmethod
     def _encrypt(
@@ -238,8 +277,8 @@ class StackMachine:
 # -- nodes --------------------------------------------------------------------
 
 
-def _get_data(slot: int, enc: EncryptionInfo | None) -> Node:
-    def get(inputs, crypto, returned):
+def _get_data(slot: int) -> Node:
+    def get(inputs, returned):
         try:
             return inputs[slot]
         except IndexError:
@@ -247,38 +286,24 @@ def _get_data(slot: int, enc: EncryptionInfo | None) -> Node:
                 f"GET_DATA slot {slot} out of range ({len(inputs)} inputs)"
             ) from None
 
-    if enc is None:
-        return get
-    return lambda inputs, crypto, returned: StackMachine._decrypt(
-        crypto, get(inputs, crypto, returned), enc
-    )
-
-
-def _set_data(node: Node, enc: EncryptionInfo | None) -> Node:
-    if enc is None:
-        return node
-    return lambda inputs, crypto, returned: StackMachine._encrypt(
-        crypto, node(inputs, crypto, returned), enc
-    )
+    return get
 
 
 def _constant(value: object) -> Node:
-    return lambda inputs, crypto, returned: value
+    return lambda inputs, returned: value
 
 
 def _call_result(call: int) -> Node:
-    return lambda inputs, crypto, returned: returned[call]
+    return lambda inputs, returned: returned[call]
 
 
 def _apply(operation: Callable[..., object], *operands: Node) -> Node:
     """``operation`` over its one or two operands, evaluated in push order."""
     if len(operands) == 1:
         (only,) = operands
-        return lambda inputs, crypto, returned: operation(only(inputs, crypto, returned))
+        return lambda inputs, returned: operation(only(inputs, returned))
     left, right = operands
-    return lambda inputs, crypto, returned: operation(
-        left(inputs, crypto, returned), right(inputs, crypto, returned)
-    )
+    return lambda inputs, returned: operation(left(inputs, returned), right(inputs, returned))
 
 
 # ---------------------------------------------------------------------------

@@ -24,3 +24,9 @@ def leak_fstring(crypto, cell, logger):
 
 def leak_batch(crypto, cells, logger):
     logger.info(crypto.decrypt_many(cells)[0])
+
+
+def leak_row(crypto, row, slot):
+    opened = list(row)
+    opened[slot] = crypto.decrypt_cell(row[slot])
+    return opened

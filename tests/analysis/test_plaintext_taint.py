@@ -29,6 +29,8 @@ def test_violating_fixture_flags_every_sink(rule, run_rule, fixtures_dir):
     assert by_symbol["leak_fstring"] == "log-sink:info"
     # a batch open is a source like a single one
     assert by_symbol["leak_batch"] == "log-sink:info"
+    # a store into a container taints it, as a packing method does
+    assert by_symbol["leak_row"] == "return-plaintext"
     assert all(f.rule == "plaintext-taint" for f in findings)
 
 

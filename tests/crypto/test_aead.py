@@ -1,9 +1,12 @@
 """AEAD_AES_256_CBC_HMAC_SHA_256 cell encryption (paper Section 2.3)."""
 
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.crypto.aead as aead
 from repro.crypto.aead import (
     ALGORITHM_VERSION,
     MAC_SIZE,
@@ -11,6 +14,7 @@ from repro.crypto.aead import (
     EncryptionScheme,
     generate_cek_material,
 )
+from repro.crypto.kdf import derive_key
 from repro.errors import CryptoError, IntegrityError
 
 CEK = bytes(range(32))
@@ -213,3 +217,26 @@ class TestProperties:
         ct_a = cipher.encrypt(a, EncryptionScheme.DETERMINISTIC)
         ct_b = cipher.encrypt(b, EncryptionScheme.DETERMINISTIC)
         assert (ct_a == ct_b) == (a == b)
+
+    @given(
+        root=st.binary(min_size=32, max_size=32),
+        plaintexts=st.lists(st.binary(max_size=100), min_size=1, max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mac_and_det_iv_are_the_hmac_digest_forms(self, root, plaintexts):
+        # The cipher keeps its MAC and IV keys as precomputed HMAC states;
+        # the bytes must stay those of HMAC-SHA-256 over the same input.
+        cipher = CellCipher(root)
+        mac_key = derive_key(root, aead._MAC_KEY_SALT)
+        iv_key = derive_key(root, aead._IV_KEY_SALT)
+        for plaintext in plaintexts:
+            for scheme in EncryptionScheme:
+                envelope = cipher.encrypt(plaintext, scheme)
+                mac, iv = envelope[1 : 1 + MAC_SIZE], envelope[1 + MAC_SIZE : 17 + MAC_SIZE]
+                body = envelope[17 + MAC_SIZE :]
+                assert mac == hmac.digest(
+                    mac_key, bytes([ALGORITHM_VERSION]) + iv + body + b"\x01", "sha256"
+                )
+                if scheme is EncryptionScheme.DETERMINISTIC:
+                    assert iv == hmac.digest(iv_key, plaintext, "sha256")[:16]
+                assert cipher.decrypt(envelope) == plaintext

@@ -7,13 +7,16 @@ either path it must give, envelope by envelope, what ``decrypt`` returns
 or raises — the MAC checked before anything is decrypted or unpadded.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.crypto.aead as aead
 from repro.crypto.aead import CellCipher, EncryptionScheme
-from repro.crypto.aes import AES
+from repro.crypto.aes import _SPREAD_MAX_BLOCKS, _SPREAD_WIDTHS, AES
 from repro.crypto.modes import cbc_encrypt
 from repro.errors import CryptoError, IntegrityError
 from tests.crypto import test_aead
@@ -59,6 +62,55 @@ class TestKnownAnswers:
         data = bytes((7 * i + i // 16) % 256 for i in range(16 * blocks))
         expected = b"".join(cipher.decrypt_block(data[o : o + 16]) for o in range(0, len(data), 16))
         assert cipher.decrypt_blocks(data) == expected
+
+    def test_alternating_widths_on_one_key_match_the_one_block_kernel(self):
+        # The round keys spread to a batch's width are kept per width: a
+        # spread kept for 8 blocks must not serve 64, nor 64 serve 65.
+        cipher = AES(bytes(range(32)))
+        for blocks in (8, 64, 65, 8, 64, 65, 8):
+            data = bytes((11 * i + blocks) % 256 for i in range(16 * blocks))
+            expected = b"".join(cipher.decrypt_block(data[o : o + 16]) for o in range(0, len(data), 16))
+            assert cipher.decrypt_blocks(data) == expected
+
+    def test_the_spread_cache_is_bounded(self):
+        cipher = AES(bytes(32))
+        for blocks in range(1, 3 * _SPREAD_WIDTHS):
+            cipher.decrypt_blocks(bytes(16 * blocks))
+            assert len(cipher._spreads) <= _SPREAD_WIDTHS
+        cipher.decrypt_blocks(bytes(16 * (_SPREAD_MAX_BLOCKS + 1)))
+        assert _SPREAD_MAX_BLOCKS + 1 not in cipher._spreads
+
+    def test_threads_sharing_one_key_get_their_own_width(self):
+        # Gateway workers share a CEK's cipher, and so its spread cache:
+        # more threads than cores, switching often, each alternating widths
+        # past the cache's bound, must each decrypt every batch right.
+        cipher = AES(bytes(range(32)))
+        widths = [8 + 7 * k for k in range(_SPREAD_WIDTHS + 3)]
+        batches = {n: bytes((5 * i + n) % 256 for i in range(16 * n)) for n in widths}
+        expected = {
+            n: b"".join(cipher.decrypt_block(data[o : o + 16]) for o in range(0, len(data), 16))
+            for n, data in batches.items()
+        }
+        wrong: list[int] = []
+
+        def work(offset):
+            for step in range(60):
+                n = widths[(offset + step) % len(widths)]
+                if cipher.decrypt_blocks(batches[n]) != expected[n]:
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("length", [1, 15, 17, 16 * 16 + 1])
     def test_misaligned_batch_rejected(self, length):

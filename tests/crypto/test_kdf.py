@@ -1,6 +1,11 @@
 """Key derivation helpers."""
 
-from repro.crypto.kdf import constant_time_equal, derive_key, hmac_sha256, sha256
+import hmac
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.kdf import HmacSha256, constant_time_equal, derive_key, hmac_sha256, sha256
 
 
 class TestHmac:
@@ -13,6 +18,16 @@ class TestHmac:
 
     def test_different_keys_differ(self):
         assert hmac_sha256(b"a", b"m") != hmac_sha256(b"b", b"m")
+
+    @given(st.binary(max_size=130), st.lists(st.binary(max_size=200), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_precomputed_states_give_hmac_digest_bytes(self, key, messages):
+        # Keys shorter than, equal to and longer than SHA-256's 64-byte
+        # block; one instance serves every message, so no digest may
+        # disturb the states the next one copies.
+        keyed = HmacSha256(key)
+        for message in messages:
+            assert keyed.digest(message) == hmac.digest(key, message, "sha256")
 
 
 class TestDeriveKey:

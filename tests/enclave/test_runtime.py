@@ -399,6 +399,38 @@ class TestChunkOpenedAtOnce:
         assert batches == [30, 30]
 
 
+class TestCompareBatchOpenedAtOnce:
+    """``compare_batch`` decrypts its probe and candidates like an
+    ``eval_batch`` chunk: one ``decrypt_many``, and each distinct envelope
+    booked once, when it is used."""
+
+    batches = TestChunkOpenedAtOnce.batches
+
+    def test_one_batch_and_distinct_opens(self, enclave, session, cek_material, batches):
+        probe = rnd_cell(cek_material, 50)
+        distinct = [rnd_cell(cek_material, v) for v in (10, 90, 50, 70, 30, 60, 20, 80)]
+        candidates = distinct + [distinct[0], probe, distinct[3], probe]
+        assert TestOpenOncePerEcall.opens(
+            enclave, lambda: enclave.compare_batch("TestCEK", probe, candidates)
+        ) == ([1, -1, 0, -1, 1, -1, 1, -1, 1, 0, -1, 0], 9)
+        assert batches == [9]
+
+    def test_a_tampered_candidate_raises_and_books_the_opens_before_it(
+        self, enclave, session, cek_material, batches
+    ):
+        probe = rnd_cell(cek_material, 50)
+        candidates = [rnd_cell(cek_material, v) for v in range(10)]
+        envelope = bytearray(candidates[6].envelope)
+        envelope[-1] ^= 1
+        candidates[6] = Ciphertext(bytes(envelope))
+        before = enclave.counters.cell_decrypts
+        with pytest.raises(IntegrityError):
+            enclave.compare_batch("TestCEK", probe, candidates)
+        # The probe, candidates 0-5 and the failed attempt.
+        assert enclave.counters.cell_decrypts - before == 8
+        assert batches == [11]
+
+
 class TestGatedOracles:
     DDL = "ALTER TABLE T ALTER COLUMN v int ENCRYPTED WITH (...)"
 

@@ -120,6 +120,25 @@ class TestRejected:
                 INSTALLED,
             )
 
+    @pytest.mark.parametrize("second", [None, ENC2], ids=["in_the_clear", "other_cek"])
+    def test_a_slot_read_two_ways_rejected(self, second):
+        # The VM opens slot 0 once per row, before any node runs: a second,
+        # plaintext read of it would compare the opened value with host
+        # plaintext (an oracle the provenance check cannot see).
+        with pytest.raises(EnclaveError, match="slot 0 is read"):
+            validate_program(
+                program(
+                    Instruction(Opcode.GET_DATA, (0, ENC)),
+                    Instruction(Opcode.GET_DATA, (1, ENC)),
+                    Instruction(Opcode.COMP, "<"),
+                    Instruction(Opcode.GET_DATA, (0, second)),
+                    Instruction(Opcode.IS_NULL, False),
+                    Instruction(Opcode.AND),
+                    Instruction(Opcode.SET_DATA, (0, None)),
+                ),
+                INSTALLED,
+            )
+
     def test_stack_underflow_rejected(self):
         with pytest.raises(EnclaveError, match="underflow"):
             validate_program(program(Instruction(Opcode.COMP, "=")), INSTALLED)

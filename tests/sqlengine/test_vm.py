@@ -268,9 +268,10 @@ class TestEvalBatch:
 # ---------------------------------------------------------------------------
 
 
-def reference_eval(program, inputs, connector=None, n_outputs=1):
+def reference_eval(program, inputs, connector=None, n_outputs=1, crypto=None):
     """The interpreter lowering replaced: one instruction at a time over one
-    row's stack, every check made when (and if) the instruction is reached."""
+    row's stack, every check made when (and if) the instruction is reached,
+    and an encrypted cell opened (through ``crypto``) at each read of it."""
     stack, outputs, wrote = [], [None] * n_outputs, False
 
     def pop(count, what):
@@ -284,13 +285,20 @@ def reference_eval(program, inputs, connector=None, n_outputs=1):
             slot, enc = operand
             if slot >= len(inputs):
                 raise ExecutionError("GET_DATA slot out of range")
-            if enc is not None and inputs[slot] is not None:
-                raise ExecutionError("the host must never decrypt column data")
-            stack.append(inputs[slot])
+            value = inputs[slot]
+            if enc is not None and value is not None:
+                if crypto is None:
+                    raise ExecutionError("the host must never decrypt column data")
+                if not isinstance(value, Ciphertext):
+                    raise ExecutionError("encrypted read of a plaintext cell")
+                value = crypto.decrypt_cell(value, enc)
+            stack.append(value)
         elif opcode is Opcode.SET_DATA:
             (value,) = pop(1, "SET_DATA")
             if operand[0] >= n_outputs:
                 raise ExecutionError("SET_DATA slot out of range")
+            if operand[1] is not None and value is not None:
+                value = crypto.encrypt_cell(value, operand[1])
             outputs[operand[0]], wrote = value, True
         elif opcode is Opcode.PUSH_CONST:
             stack.append(operand)
@@ -540,8 +548,8 @@ class TestLoweredAgainstReference:
 
     def test_one_lowered_program_serves_many_machines(self):
         """Plans are shared by session threads and a handle by every ecall:
-        the closures take the crypto context and the connector's results as
-        arguments and keep nothing between calls."""
+        the closures take the opened row and the connector's results as
+        arguments and keep nothing between calls; the machine opens."""
         lowered = StackMachine.lower(
             StackProgram([Instruction(Opcode.GET_DATA, (0, ENC)), const(2), Instruction(Opcode.COMP, "<")])
         )
@@ -558,3 +566,130 @@ class TestLoweredAgainstReference:
         assert StackMachine(crypto=Opens(5)).eval(lowered, [None]) == [None]
         with pytest.raises(ExecutionError, match="never"):
             StackMachine().eval(lowered, [CELLS[0]])
+
+
+# ---------------------------------------------------------------------------
+# Opened at the boundary: a row's encrypted slots, once each, before its nodes
+# ---------------------------------------------------------------------------
+
+FIVE, NINE = Ciphertext(b"\x05" * 70), Ciphertext(b"\x09" * 70)
+PLAINTEXTS = {cell.envelope: value for cell, value in zip(CELLS + [FIVE, NINE], [1, 1, "ab", 5, 9])}
+
+
+class _CountingCrypto:
+    """CryptoContext double: a cell's plaintext is looked up by envelope, a
+    sealed value is its repr; every open is logged."""
+
+    def __init__(self):
+        self.opened = []
+
+    def decrypt_cell(self, ciphertext, enc):
+        self.opened.append(ciphertext)
+        return PLAINTEXTS[ciphertext.envelope]
+
+    def encrypt_cell(self, value, enc):
+        return Ciphertext(repr(value).encode())
+
+
+def enc_get(slot):
+    return Instruction(Opcode.GET_DATA, (slot, ENC))
+
+
+# Slots 0 and 1 are read only encrypted (as the enclave's validator demands),
+# 2 and 3 only in the clear, and 4 is out of range. No TM_EVAL: the enclave
+# never re-enters itself.
+boundary_leaves = st.one_of(
+    st.builds(lambda slot: [get(slot)], st.integers(2, 4)),
+    st.builds(lambda v: [const(v)], values),
+    st.builds(lambda slot: [enc_get(slot)], st.integers(0, 1)),
+)
+boundary_expressions = st.recursive(
+    boundary_leaves,
+    lambda children: st.one_of(
+        _apply(st.builds(Instruction, st.just(Opcode.COMP), comparisons), 2)(children),
+        _apply(st.builds(Instruction, st.just(Opcode.ARITH), st.sampled_from("+-*/")), 2)(children),
+        _apply(st.sampled_from([Instruction(Opcode.AND), Instruction(Opcode.OR),
+                                Instruction(Opcode.LIKE)]), 2)(children),
+        _apply(st.sampled_from([Instruction(Opcode.NOT), Instruction(Opcode.IS_NULL, False),
+                                Instruction(Opcode.IS_NULL, True)]), 1)(children),
+    ),
+    max_leaves=8,
+)
+boundary_programs = st.builds(
+    lambda body, tail: StackProgram(body + tail),
+    boundary_expressions,
+    st.sampled_from([[], [Instruction(Opcode.SET_DATA, (0, None))],
+                     [Instruction(Opcode.SET_DATA, (0, ENC))]]),
+)
+boundary_rows = st.builds(
+    lambda sealed, clear: sealed + clear,
+    st.lists(st.sampled_from(CELLS + [None]), min_size=2, max_size=2),
+    st.lists(values, min_size=2, max_size=2),
+)
+
+
+class TestBoundaryOpens:
+    def test_one_open_per_distinct_encrypted_slot_per_row_in_first_read_order(self):
+        program = StackMachine.lower(StackProgram([
+            enc_get(1), enc_get(0), Instruction(Opcode.COMP, "<"),
+            enc_get(1), get(2), Instruction(Opcode.COMP, "="),
+            Instruction(Opcode.OR),
+        ]))
+        assert program.decrypts == ((1, ENC), (0, ENC))
+        crypto = _CountingCrypto()
+        rows = [[FIVE, NINE, 9], [NINE, FIVE, None]]
+        # 9 < 5 or 9 = 9; 5 < 9 or 5 = NULL.
+        assert StackMachine(crypto=crypto).eval_batch(program, rows) == [[True], [True]]
+        assert crypto.opened == [NINE, FIVE, FIVE, NINE]
+
+    def test_a_null_cell_is_not_opened(self):
+        crypto = _CountingCrypto()
+        program = StackProgram([enc_get(0), Instruction(Opcode.IS_NULL, False)])
+        assert StackMachine(crypto=crypto).eval(program, [None]) == [True]
+        assert crypto.opened == []
+
+    @pytest.mark.parametrize(
+        "crypto,row,error",
+        [
+            (None, [CELLS[0]], "encrypted GET_DATA outside the enclave: the host must never decrypt"),
+            (_CountingCrypto(), [7], "GET_DATA annotated encrypted but input is int"),
+            (_CountingCrypto(), [], r"GET_DATA slot 0 out of range \(0 inputs\)"),
+        ],
+        ids=["host", "plaintext_cell", "out_of_range"],
+    )
+    def test_refusals_keep_their_messages(self, crypto, row, error):
+        program = StackProgram([enc_get(0), const(1), Instruction(Opcode.COMP, "=")])
+        with pytest.raises(ExecutionError, match=error):
+            StackMachine(crypto=crypto).eval(program, row)
+        with pytest.raises(ExecutionError, match=error):
+            StackMachine(crypto=crypto).eval_batch(program, [row, row])
+        assert crypto is None or crypto.opened == []
+
+    def test_an_encrypted_output_is_sealed_after_its_node_runs(self):
+        program = StackProgram([enc_get(0), Instruction(Opcode.SET_DATA, (0, ENC))])
+        crypto = _CountingCrypto()
+        assert StackMachine(crypto=crypto).eval(program, [CELLS[2]]) == [Ciphertext(b"'ab'")]
+        with pytest.raises(ExecutionError, match="never encrypt"):
+            StackMachine().eval(StackProgram([const(1), Instruction(Opcode.SET_DATA, (0, ENC))]), [])
+
+    @given(boundary_programs, st.lists(boundary_rows, min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_property_agrees_with_opening_at_each_read(self, program, chunk):
+        lowered = StackMachine.lower(program)
+        crypto = _CountingCrypto()
+        expected = [
+            outcome(lambda: [reference_eval(program, row, crypto=_CountingCrypto())])
+            for row in chunk
+        ]
+        for row, verdict in zip(chunk, expected):
+            assert outcome(lambda: [StackMachine(crypto=crypto).eval(lowered, row)]) == verdict
+        crypto.opened.clear()
+        whole = outcome(lambda: StackMachine(crypto=crypto).eval_batch(lowered, chunk))
+        if all(isinstance(verdict, list) for verdict in expected):
+            assert whole == [verdict[0] for verdict in expected]
+            # Each row opened each of its non-NULL encrypted operands once.
+            assert len(crypto.opened) == sum(
+                row[slot] is not None for row in chunk for slot, __ in lowered.decrypts
+            )
+        else:
+            assert whole == next(v for v in expected if not isinstance(v, list))
