@@ -21,16 +21,22 @@ The paper uses this as a usability feature — clients can distinguish
 legitimate ciphertext from garbage — not as an integrity guarantee for the
 overall system.
 
-:meth:`CellCipher.decrypt_many` opens many cells under one key at once: each
-envelope is parsed and MAC-checked on its own, then the MAC-valid bodies go
-through :meth:`~repro.crypto.aes.AES.decrypt_blocks` as one byte-sliced
-batch (CBC decryption of independent blocks is parallel). A batch under
-``BATCH_MIN_BLOCKS`` blocks is a loop over :meth:`CellCipher.decrypt`.
+:meth:`CellCipher.decrypt_many` opens many cells under one key at once. Its
+one pass over the batch parses each envelope and checks its MAC, computed
+from copies of the MAC key's hashed inner and outer SHA-256 states (the
+bytes of ``_compute_mac``) and compared with :func:`hmac.compare_digest`.
+The MAC-valid bodies then go through
+:meth:`~repro.crypto.aes.AES.decrypt_blocks` as one byte-sliced batch (CBC
+decryption of independent blocks is parallel), and each is unpadded once.
+A malformed or forged envelope gets the error :meth:`CellCipher.decrypt`
+would raise. A batch under ``BATCH_MIN_BLOCKS`` blocks is a loop over
+:meth:`CellCipher.decrypt`.
 """
 
 from __future__ import annotations
 
 import enum
+import hmac
 import secrets
 from typing import Callable, Sequence
 
@@ -51,6 +57,9 @@ BATCH_MIN_BLOCKS = 8
 _VERSION = bytes([ALGORITHM_VERSION])
 _IV_OFFSET = 1 + MAC_SIZE
 _BODY_OFFSET = _IV_OFFSET + BLOCK_SIZE
+_MIN_ENVELOPE = _BODY_OFFSET + BLOCK_SIZE
+_MAC_TAIL = b"\x01"  # the version's size, last of the MAC's input
+_MAC_FAILED = "cell MAC verification failed (tampered or wrong key)"
 
 _ENC_KEY_SALT = (
     "Microsoft SQL Server cell encryption key with encryption algorithm:"
@@ -113,17 +122,27 @@ class CellCipher:
         """Per envelope, in order, what :meth:`decrypt` returns or raises."""
         if sum(map(len, envelopes)) - len(envelopes) * _BODY_OFFSET < BATCH_MIN_BLOCKS * BLOCK_SIZE:
             return [_or_error(self.decrypt, envelope) for envelope in envelopes]
+        inner, outer = self._mac.inner, self._mac.outer
         opened: list = []  # the error, or the body length until it is unpadded
         bodies, chains = [], []  # chains: what each block is xored with (IV, then its predecessor)
         for envelope in envelopes:
-            try:
-                iv, body = self._authenticate(envelope)
-            except CryptoError as exc:
-                opened.append(exc)
+            size = len(envelope)
+            if size < _MIN_ENVELOPE or envelope[0] != ALGORITHM_VERSION or (size - _BODY_OFFSET) % BLOCK_SIZE:
+                opened.append(_or_error(self._parse, envelope))
                 continue
-            opened.append(len(body))
-            bodies.append(body)
-            chains += (iv, body[:-BLOCK_SIZE])
+            # _compute_mac's bytes, from the MAC key's hashed pads.
+            mac = inner.copy()
+            mac.update(_VERSION)
+            mac.update(envelope[_IV_OFFSET:])
+            mac.update(_MAC_TAIL)
+            tag = outer.copy()
+            tag.update(mac.digest())
+            if not hmac.compare_digest(tag.digest(), envelope[1:_IV_OFFSET]):
+                opened.append(IntegrityError(_MAC_FAILED))
+                continue
+            opened.append(size - _BODY_OFFSET)
+            bodies.append(envelope[_BODY_OFFSET:])
+            chains.append(envelope[_IV_OFFSET:-BLOCK_SIZE])
         data = b"".join(bodies)
         padded = (
             int.from_bytes(self._aes.decrypt_blocks(data), "big")
@@ -132,7 +151,10 @@ class CellCipher:
         offset = 0
         for i, length in enumerate(opened):
             if isinstance(length, int):
-                opened[i] = _or_error(pkcs7_unpad, padded[offset : offset + length])
+                try:
+                    opened[i] = pkcs7_unpad(padded[offset : offset + length])
+                except CryptoError as exc:
+                    opened[i] = exc
                 offset += length
         return opened
 
@@ -145,9 +167,8 @@ class CellCipher:
     @staticmethod
     def _parse(envelope: bytes) -> tuple[bytes, bytes, bytes]:
         """Split an envelope into ``(mac, iv, body)`` after the length checks."""
-        minimum = _BODY_OFFSET + BLOCK_SIZE
-        if len(envelope) < minimum:
-            raise CryptoError(f"cell envelope too short: {len(envelope)} < {minimum} bytes")
+        if len(envelope) < _MIN_ENVELOPE:
+            raise CryptoError(f"cell envelope too short: {len(envelope)} < {_MIN_ENVELOPE} bytes")
         if envelope[0] != ALGORITHM_VERSION:
             raise CryptoError(f"unsupported cell algorithm version {envelope[0]:#x}")
         if (len(envelope) - _BODY_OFFSET) % BLOCK_SIZE != 0:
@@ -158,11 +179,11 @@ class CellCipher:
         """``(iv, body)`` of an envelope whose MAC checks out."""
         mac, iv, body = self._parse(envelope)
         if not constant_time_equal(self._compute_mac(iv, body), mac):
-            raise IntegrityError("cell MAC verification failed (tampered or wrong key)")
+            raise IntegrityError(_MAC_FAILED)
         return iv, body
 
     def _compute_mac(self, iv: bytes, body: bytes) -> bytes:
-        return self._mac.digest(b"".join((_VERSION, iv, body, b"\x01")))
+        return self._mac.digest(b"".join((_VERSION, iv, body, _MAC_TAIL)))
 
 
 def _or_error(function: Callable[[bytes], object], argument: bytes) -> object:

@@ -24,21 +24,24 @@ _OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
 class HmacSha256:
     """HMAC-SHA-256 under one fixed key (RFC 2104): the inner and outer
     SHA-256 states of the padded key are hashed once, here, and each
-    :meth:`digest` copies them. The bytes are :func:`hmac_sha256`'s."""
+    :meth:`digest` copies them. The bytes are :func:`hmac_sha256`'s.
 
-    __slots__ = ("_inner", "_outer")
+    ``inner`` and ``outer`` are those states, for a caller that feeds the
+    inner hash in pieces: copy them, never update them."""
+
+    __slots__ = ("inner", "outer")
 
     def __init__(self, key: bytes):
         if len(key) > _BLOCK:
             key = hashlib.sha256(key).digest()
         key = key.ljust(_BLOCK, b"\x00")
-        self._inner = hashlib.sha256(key.translate(_INNER_PAD))
-        self._outer = hashlib.sha256(key.translate(_OUTER_PAD))
+        self.inner = hashlib.sha256(key.translate(_INNER_PAD))
+        self.outer = hashlib.sha256(key.translate(_OUTER_PAD))
 
     def digest(self, data: bytes) -> bytes:
-        inner = self._inner.copy()
+        inner = self.inner.copy()
         inner.update(data)
-        outer = self._outer.copy()
+        outer = self.outer.copy()
         outer.update(inner.digest())
         return outer.digest()
 

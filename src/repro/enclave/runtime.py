@@ -173,6 +173,11 @@ class _EcallCrypto:
                 if isinstance(plaintext, bytes):
                     self.prefetched[cek_name, envelope] = plaintext
 
+    def machine(self) -> StackMachine:
+        """The ecall's VM: it opens operands through this context and reads
+        the ones already open from its memo."""
+        return StackMachine(crypto=self, opened=self.plaintexts)
+
     def decrypt_cell(self, ciphertext: Ciphertext, enc: EncryptionInfo) -> SqlScalar:
         return self._enclave._open(self, enc.cek_name, ciphertext.envelope)
 
@@ -349,7 +354,7 @@ class Enclave:
             raise EnclaveError(f"no registered program with handle {handle}")
         started = time.perf_counter()
         with _EcallCrypto(self) as crypto:
-            outputs = StackMachine(crypto=crypto).eval(program, inputs, n_outputs=1)
+            outputs = crypto.machine().eval(program, inputs, n_outputs=1)
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("evals")
         # The adversary sees the (ciphertext) inputs and the cleartext result.
@@ -361,36 +366,43 @@ class Enclave:
 
         The Section 4.6 amortization taken to its batched conclusion: one
         program lookup, one boundary crossing for the whole chunk. The
-        single observation carries the per-row inputs and per-row outputs,
-        so the adversary sees exactly the per-row verdicts it would have
-        seen from row-at-a-time eval — batching amortizes cost, it neither
-        hides nor adds information crossing the boundary in the clear.
+        chunk's operands are decrypted up front, one ``decrypt_many`` per
+        CEK, and :meth:`StackMachine.eval_batch` judges it in its one row
+        loop: per row, the ``enclave.eval_batch`` fault point, then the
+        row's opens — an operand already open in this ecall is read from
+        the memo, any other goes through :meth:`_open`, which books it —
+        then the plaintext program. The single observation carries the
+        per-row inputs and per-row outputs, so the adversary sees exactly
+        the per-row verdicts it would have seen from row-at-a-time eval —
+        batching amortizes cost, it neither hides nor adds information
+        crossing the boundary in the clear.
         """
         with self._lock:
             program = self._programs.get(handle)
         if program is None:
             raise EnclaveError(f"no registered program with handle {handle}")
         started = time.perf_counter()
-        outputs: list[list[object]] = []
+        total = len(rows)
         with _EcallCrypto(self) as crypto:
-            crypto.prefetch(
+            crypto.prefetch([
                 (enc.cek_name, cell.envelope)
                 for inputs in rows
                 for slot, enc in program.decrypts
                 if slot < len(inputs) and isinstance(cell := inputs[slot], Ciphertext)
+            ])
+            outputs = crypto.machine().eval_batch(
+                program,
+                rows,
+                checkpoint=lambda index: fault_point(
+                    "enclave.eval_batch", handle=handle, index=index, total=total
+                ),
             )
-            vm = StackMachine(crypto=crypto)
-            for index, inputs in enumerate(rows):
-                fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
-                outputs.append(vm.eval(program, inputs, n_outputs=1))
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
-        self.counters.inc("evals", len(rows))
+        self.counters.inc("evals", total)
         self.counters.inc("eval_batches")
-        self.counters.inc("batched_rows", len(rows))
+        self.counters.inc("batched_rows", total)
         self._observe(
-            "eval_batch",
-            (handle, tuple(tuple(inputs) for inputs in rows)),
-            tuple(tuple(row_outputs) for row_outputs in outputs),
+            "eval_batch", (handle, tuple(map(tuple, rows))), tuple(map(tuple, outputs))
         )
         return outputs
 

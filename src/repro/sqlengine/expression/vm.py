@@ -6,12 +6,16 @@ binaries" approach (Section 4.4):
 * **Host side** — crypto context is ``None``. Encrypted cells are opaque
   :class:`~repro.sqlengine.cells.Ciphertext` blobs; the only computation
   allowed on them is binary equality (DET columns). Any ``TM_EVAL``
-  instruction delegates to an :class:`EnclaveConnector`.
+  instruction delegates to an :class:`EnclaveConnector`, once per chunk of
+  rows: a call whose arguments are all slot reads ships them straight from
+  the rows, and a program whose one output is a call's result reads its
+  verdicts off that call's results, so no node runs per row.
 * **Enclave side** — a crypto context backed by the enclave's CEK store is
   supplied. A row's encrypted ``GET_DATA`` slots are opened through it, each
-  once, before any node runs, and encrypted ``SET_DATA`` outputs are sealed
-  after: the stack boundary is the row's, and the program body computes on
-  plaintext only.
+  once, before any node runs — an operand the context has already opened
+  is read from its memo — and encrypted ``SET_DATA`` outputs are sealed
+  as they are computed: the stack boundary is the row's, and the program
+  body computes on plaintext only.
 
 Comparison results use SQL three-valued logic: ``None`` is UNKNOWN and
 propagates through comparisons; AND/OR follow Kleene semantics.
@@ -20,13 +24,16 @@ A program is lowered once (:meth:`StackMachine.lower`) into closures and
 evaluation calls those. The lowered form lives where the program does — on
 the plan's ``CompiledExpression`` / ``Scalar``, in the enclave's handle
 table — and knows no crypto context: the machine running it opens and seals
-at the row's edges, so one evaluator serves both sides.
+at the row's edges. A program without ``TM_EVAL`` runs one row loop
+(:meth:`StackMachine.eval_batch`), checked once per chunk; it serves
+``eval``, ``eval_batch`` and both enclave eval ecalls.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.errors import ExecutionError
 from repro.sqlengine.cells import Ciphertext
@@ -58,44 +65,74 @@ class EnclaveConnector(Protocol):
 
 
 #: One stack value of one row: ``node(inputs, returned)`` over the row's input
-#: slots — its encrypted ones already opened — and the results of the row's
-#: ``TM_EVAL`` calls so far. Nodes compute on plaintext and never decrypt.
-Node = Callable[[Sequence[object], Sequence[object]], object]
+#: slots — its encrypted ones already opened — and, per ``TM_EVAL`` call of the
+#: program so far, the outputs that call returned for the row. Nodes compute on
+#: plaintext and never decrypt.
+Node = Callable[[Sequence[object], Sequence[Sequence[object]]], object]
+
+#: One ``TM_EVAL``'s argument reader: ``arguments(rows, results)`` is what the
+#: call ships for a chunk of opened rows — a list of arguments per row — where
+#: ``results`` holds, per earlier call, the outputs it returned for each row.
+Arguments = Callable[[Sequence[Sequence[object]], Sequence[Sequence[object]]], list[list[object]]]
+
+#: The outputs reader: ``outputs(inputs, returned, seal)`` is one opened row's
+#: outputs, ``width`` of them, each encrypted one passed through
+#: ``seal(value, enc)`` as it is computed.
+Outputs = Callable[[Sequence[object], Sequence[Sequence[object]], Callable], list[object]]
 
 
 class LoweredProgram(NamedTuple):
     """A :class:`StackProgram` as closures: straight-line stack code is an
     expression forest, so each value the program pushes becomes a
-    :data:`Node` over the nodes it popped. Nodes keep no state — one lowered
-    program serves every session thread of a shared plan and every ecall of
-    a registered handle."""
+    :data:`Node` over the nodes it popped, and each ``TM_EVAL`` an argument
+    reader over the nodes it popped. Readers and nodes keep no state — one
+    lowered program serves every session thread of a shared plan and every
+    ecall of a registered handle."""
 
-    #: Each ``TM_EVAL`` in program order: sub-program bytes, a node per input.
-    calls: tuple[tuple[bytes, tuple[Node, ...]], ...]
-    #: ``(slot, node, enc)`` per ``SET_DATA``, sealed under ``enc`` when it
-    #: is not None; a program without one leaves its result on the stack,
-    #: which is output 0. Other residue is not computed.
-    outputs: tuple[tuple[int, Node, EncryptionInfo | None], ...]
+    #: Each ``TM_EVAL`` in program order: sub-program bytes, argument reader.
+    #: A call whose arguments are all slot reads ships them straight from the
+    #: chunk's rows, without running a node.
+    calls: tuple[tuple[bytes, Arguments], ...]
+    #: The ``SET_DATA`` outputs, in program order, sealed under their ``enc``
+    #: when it is not None; a program without one leaves its result on the
+    #: stack, which is output 0. Other residue is not computed.
+    outputs: Outputs
     width: int  # output slots written: 1 + the highest ``SET_DATA`` slot
     #: ``(slot, enc)`` per slot an encrypted ``GET_DATA`` reads, each once, in
     #: first-read order: the operands a row opens before its nodes run. Both
     #: sides of AND/OR are evaluated, so every row reads all of them.
     decrypts: tuple[tuple[int, EncryptionInfo], ...]
+    #: The call whose result is the program's one output (slot 0, not
+    #: sealed), or None. A chunk's outputs are then read off that call's
+    #: results, and no node runs per row.
+    verdict: int | None
 
 
 Program = StackProgram | LoweredProgram
 
+#: Stands for "not opened yet" in a memo of opened cells, where None is a value.
+_UNOPENED = object()
+
 
 class StackMachine:
-    """Evaluates :class:`StackProgram` objects against input slot arrays."""
+    """Evaluates :class:`StackProgram` objects against input slot arrays.
+
+    ``opened`` maps ``(cek_name, envelope)`` to the plaintext of a cell the
+    crypto context has already opened and checked under that CEK; a row's
+    operand found there is read from it, and any other is opened through
+    ``crypto.decrypt_cell``. The mapping is the context's, and may grow while
+    the machine runs.
+    """
 
     def __init__(
         self,
         crypto: CryptoContext | None = None,
         enclave: EnclaveConnector | None = None,
+        opened: Mapping[tuple[str, bytes], SqlScalar] | None = None,
     ):
         self._crypto = crypto
         self._enclave = enclave
+        self._opened = {} if opened is None else opened
         self._handle_cache: dict[bytes, int] = {}
 
     @staticmethod
@@ -104,9 +141,11 @@ class StackMachine:
         not depend on a row is decided — and a malformed program (stack
         underflow, an unknown opcode or operator) rejected — here."""
         stack: list[Node] = []
-        calls: list[tuple[bytes, tuple[Node, ...]]] = []
+        calls: list[tuple[bytes, Arguments]] = []
         outputs: list[tuple[int, Node, EncryptionInfo | None]] = []
         decrypts: dict[int, EncryptionInfo] = {}
+        slot_of: dict[Node, int] = {}  # the slot each GET_DATA node reads
+        call_of: dict[Node, int] = {}  # the call each TM_EVAL result node reads
 
         def pop(count: int, what: object) -> list[Node]:
             if len(stack) < count:
@@ -119,7 +158,9 @@ class StackMachine:
             opcode, operand = ins.opcode, ins.operand
             if opcode is Opcode.GET_DATA:
                 slot, enc = operand  # type: ignore[misc]
-                stack.append(_get_data(slot))
+                node = _get_data(slot)
+                slot_of[node] = slot
+                stack.append(node)
                 if enc is not None:
                     decrypts.setdefault(slot, enc)
             elif opcode is Opcode.PUSH_CONST:
@@ -129,8 +170,10 @@ class StackMachine:
                 outputs.append((slot, *pop(1, "SET_DATA"), enc))
             elif opcode is Opcode.TM_EVAL:
                 blob, n_inputs = operand  # type: ignore[misc]
-                calls.append((blob, tuple(pop(n_inputs, "TM_EVAL"))))
-                stack.append(_call_result(len(calls) - 1))
+                calls.append((blob, _arguments(pop(n_inputs, "TM_EVAL"), slot_of)))
+                node = _call_result(len(calls) - 1)
+                call_of[node] = len(calls) - 1
+                stack.append(node)
             elif opcode in _OPERATIONS:
                 arity, operation = _OPERATIONS[opcode]
                 stack.append(_apply(operation(operand), *pop(arity, opcode.name)))
@@ -139,62 +182,60 @@ class StackMachine:
         if not outputs and stack:
             outputs.append((0, stack[-1], None))
         width = 1 + max((slot for slot, *__ in outputs), default=-1)
-        return LoweredProgram(tuple(calls), tuple(outputs), width, tuple(decrypts.items()))
+        verdict = None
+        if len(outputs) == 1 and outputs[0][0] == 0 and outputs[0][2] is None:
+            verdict = call_of.get(outputs[0][1])
+        return LoweredProgram(
+            tuple(calls), _outputs(outputs, width), width, tuple(decrypts.items()), verdict
+        )
 
     def eval(self, program: Program, inputs: Sequence[object], n_outputs: int = 1) -> list[object]:
-        """Run ``program`` on one row; returns the outputs array (size
-        ``n_outputs``). The row's encrypted operands are opened first, its
-        nodes run on plaintext, and encrypted outputs are sealed last. A
-        program with ``TM_EVAL`` runs as a chunk of one."""
-        if isinstance(program, StackProgram) or program.calls:
-            return self.eval_batch(program, [inputs], n_outputs)[0]
-        if program.width > n_outputs:
-            raise ExecutionError(f"SET_DATA slot {program.width - 1} out of range")
-        if program.decrypts:
-            inputs = self._decrypt(self._crypto, program.decrypts, inputs)
-        return self._outputs(program, inputs, (), n_outputs)
+        """Run ``program`` on one row — a chunk of one — and return its
+        outputs array (size ``n_outputs``)."""
+        return self.eval_batch(program, [inputs], n_outputs)[0]
 
     def eval_batch(
-        self, program: Program, input_rows: list[Sequence[object]], n_outputs: int = 1
+        self,
+        program: Program,
+        input_rows: Sequence[Sequence[object]],
+        n_outputs: int = 1,
+        checkpoint: Callable[[int], object] | None = None,
     ) -> list[list[object]]:
         """Run ``program`` over a chunk of input rows; one outputs array each.
 
-        A ``TM_EVAL`` ships the whole chunk's sub-program inputs through one
-        enclave call — a program's calls go out in program order, each once
-        per chunk, their inputs computed first (after every row is opened) —
-        and everything else runs row by row afterwards. A program without
-        ``TM_EVAL`` is :meth:`eval` row by row. A :class:`StackProgram` is
-        lowered on the spot: whoever evaluates a program more than once keeps
-        its lowered form.
+        The program is checked once per chunk. A program without ``TM_EVAL``
+        runs one row loop: per row, ``checkpoint(index)`` if given, then the
+        row's encrypted operands are opened, its nodes run on plaintext, and
+        its encrypted outputs are sealed. That loop is every evaluation on
+        the enclave side.
+
+        A program with ``TM_EVAL`` opens every row first, then ships the
+        whole chunk's arguments for each call through one enclave call, in
+        program order, and computes the outputs last; when the one output is
+        a call's result, the outputs are read off that call's results. A
+        :class:`StackProgram` is lowered on the spot: whoever evaluates a
+        program more than once keeps its lowered form.
         """
         if isinstance(program, StackProgram):
             program = self.lower(program)
         if program.width > n_outputs:
             raise ExecutionError(f"SET_DATA slot {program.width - 1} out of range")
-        if not program.calls:
-            return [self.eval(program, inputs, n_outputs) for inputs in input_rows]
-        if program.decrypts:
-            input_rows = [self._decrypt(self._crypto, program.decrypts, inputs) for inputs in input_rows]
-        # Per row, the results of its TM_EVAL calls so far.
-        returned: list[list[object]] = [[] for __ in input_rows]
-        for blob, arguments in program.calls:
-            shipped = [
-                [node(inputs, got) for node in arguments]
-                for inputs, got in zip(input_rows, returned)
-            ]
-            for got, result in zip(returned, self._tm_eval(blob, shipped)):
-                got.append(result[0])
-        return [
-            self._outputs(program, inputs, got, n_outputs)
-            for inputs, got in zip(input_rows, returned)
-        ]
+        if program.calls:
+            rows = self._chunk(program, input_rows)
+        else:
+            rows = self._rows(program, input_rows, checkpoint)
+        if n_outputs > program.width:
+            padding = [None] * (n_outputs - program.width)
+            for row in rows:
+                row += padding
+        return rows
 
     def eval_predicate(self, program: Program, inputs: Sequence[object]) -> bool | None:
         """Run a boolean-valued program; returns True/False/None (UNKNOWN)."""
         return self.eval_predicate_batch(program, [inputs])[0]
 
     def eval_predicate_batch(
-        self, program: Program, input_rows: list[Sequence[object]]
+        self, program: Program, input_rows: Sequence[Sequence[object]]
     ) -> list[bool | None]:
         """One True/False/None (UNKNOWN) verdict per input row."""
         verdicts: list[bool | None] = []
@@ -204,6 +245,40 @@ class StackMachine:
                 raise ExecutionError(f"predicate produced non-boolean {result!r}")
             verdicts.append(result)
         return verdicts
+
+    def _rows(
+        self,
+        program: LoweredProgram,
+        input_rows: Sequence[Sequence[object]],
+        checkpoint: Callable[[int], object] | None,
+    ) -> list[list[object]]:
+        """The row loop of a program without ``TM_EVAL``."""
+        decrypts, outputs, seal = program.decrypts, program.outputs, self._seal
+        rows: list[list[object]] = []
+        for index, inputs in enumerate(input_rows):
+            if checkpoint is not None:
+                checkpoint(index)
+            if decrypts:
+                inputs = self._decrypt(decrypts, inputs)
+            rows.append(outputs(inputs, (), seal))
+        return rows
+
+    def _chunk(
+        self, program: LoweredProgram, input_rows: Sequence[Sequence[object]]
+    ) -> list[list[object]]:
+        """A chunk of a program with ``TM_EVAL``: each call crosses once."""
+        if program.decrypts:
+            input_rows = [self._decrypt(program.decrypts, inputs) for inputs in input_rows]
+        results: list[list[list[object]]] = []  # per call, what it returned per row
+        for blob, arguments in program.calls:
+            results.append(self._tm_eval(blob, arguments(input_rows, results)))
+        if program.verdict is not None:
+            return [[result[0]] for result in results[program.verdict]]
+        outputs, seal = program.outputs, self._seal
+        return [
+            outputs(inputs, returned, seal)
+            for inputs, returned in zip(input_rows, zip(*results))
+        ]
 
     def _tm_eval(self, blob: bytes, rows: list[list[object]]) -> list[list[object]]:
         """One ``TM_EVAL`` for every row of the chunk: a single ``eval_batch``
@@ -220,61 +295,100 @@ class StackMachine:
             return [self._enclave.eval(handle, rows[0])]
         return self._enclave.eval_batch(handle, rows)
 
-    def _outputs(
-        self, program: LoweredProgram, inputs: Sequence[object], returned: Sequence[object],
-        n_outputs: int,
-    ) -> list[object]:
-        """One opened row's outputs array, each encrypted output sealed."""
-        outputs: list[object] = [None] * n_outputs
-        for slot, node, enc in program.outputs:
-            value = node(inputs, returned)
-            outputs[slot] = value if enc is None else self._encrypt(self._crypto, value, enc)
-        return outputs
-
-    @staticmethod
     def _decrypt(
-        crypto: CryptoContext | None,
-        decrypts: tuple[tuple[int, EncryptionInfo], ...],
-        inputs: Sequence[object],
+        self, decrypts: tuple[tuple[int, EncryptionInfo], ...], inputs: Sequence[object]
     ) -> list[object]:
         """``inputs`` with the cell of each encrypted slot opened, in order."""
+        crypto, opened = self._crypto, self._opened
         row = list(inputs)
         for slot, enc in decrypts:
             try:
-                value = row[slot]
+                cell = row[slot]
             except IndexError:
-                raise ExecutionError(
-                    f"GET_DATA slot {slot} out of range ({len(inputs)} inputs)"
-                ) from None
-            if value is None:  # NULL cells are stored as NULL, never as ciphertext
+                raise _out_of_range(slot, inputs) from None
+            if cell is None:  # NULL cells are stored as NULL, never as ciphertext
                 continue
             if crypto is None:
                 raise ExecutionError(
                     "encrypted GET_DATA outside the enclave: the host must never "
                     "decrypt column data"
                 )
-            if not isinstance(value, Ciphertext):
+            if not isinstance(cell, Ciphertext):
                 raise ExecutionError(
-                    f"GET_DATA annotated encrypted but input is {type(value).__name__}"
+                    f"GET_DATA annotated encrypted but input is {type(cell).__name__}"
                 )
-            row[slot] = crypto.decrypt_cell(value, enc)
+            value = opened.get((enc.cek_name, cell.envelope), _UNOPENED)
+            row[slot] = crypto.decrypt_cell(cell, enc) if value is _UNOPENED else value
         return row
 
-    @staticmethod
-    def _encrypt(
-        crypto: CryptoContext | None, value: object, enc: EncryptionInfo
-    ) -> Ciphertext | None:
+    def _seal(self, value: object, enc: EncryptionInfo) -> Ciphertext | None:
         if value is None:
             return None
-        if crypto is None:
+        if self._crypto is None:
             raise ExecutionError(
                 "encrypted SET_DATA outside the enclave: the host must never "
                 "encrypt column data"
             )
-        return crypto.encrypt_cell(value, enc)  # type: ignore[arg-type]
+        return self._crypto.encrypt_cell(value, enc)  # type: ignore[arg-type]
 
 
-# -- nodes --------------------------------------------------------------------
+# -- readers and nodes --------------------------------------------------------
+
+
+def _out_of_range(slot: int, inputs: Sequence[object]) -> ExecutionError:
+    return ExecutionError(f"GET_DATA slot {slot} out of range ({len(inputs)} inputs)")
+
+
+def _arguments(nodes: Sequence[Node], slot_of: dict[Node, int]) -> Arguments:
+    """A call's argument reader: slots taken straight from the rows when
+    every argument is a slot read, its nodes run row by row otherwise."""
+    if all(node in slot_of for node in nodes):
+        return _slot_arguments(tuple(slot_of[node] for node in nodes))
+    nodes = tuple(nodes)
+
+    def read(rows, results):
+        returned_rows = zip(*results) if results else itertools.repeat(())
+        return [
+            [node(inputs, returned) for node in nodes]
+            for inputs, returned in zip(rows, returned_rows)
+        ]
+
+    return read
+
+
+def _slot_arguments(slots: tuple[int, ...]) -> Arguments:
+    pick = operator.itemgetter(*slots) if len(slots) > 1 else None
+
+    def read(rows, results):
+        try:
+            if pick is not None:
+                return [[*pick(inputs)] for inputs in rows]
+            return [[inputs[slot] for slot in slots] for inputs in rows]
+        except IndexError:
+            # The first row, and in it the first slot, that a node would have failed on.
+            for inputs in rows:
+                for slot in slots:
+                    if not -len(inputs) <= slot < len(inputs):
+                        raise _out_of_range(slot, inputs) from None
+            raise
+
+    return read
+
+
+def _outputs(outputs: Sequence[tuple[int, Node, EncryptionInfo | None]], width: int) -> Outputs:
+    """The outputs reader of a program's ``(slot, node, enc)`` outputs."""
+    if len(outputs) == 1 and outputs[0][0] == 0 and outputs[0][2] is None:
+        only = outputs[0][1]
+        return lambda inputs, returned, seal: [only(inputs, returned)]
+
+    def read(inputs, returned, seal):
+        row: list[object] = [None] * width
+        for slot, node, enc in outputs:
+            value = node(inputs, returned)
+            row[slot] = value if enc is None else seal(value, enc)
+        return row
+
+    return read
 
 
 def _get_data(slot: int) -> Node:
@@ -282,9 +396,7 @@ def _get_data(slot: int) -> Node:
         try:
             return inputs[slot]
         except IndexError:
-            raise ExecutionError(
-                f"GET_DATA slot {slot} out of range ({len(inputs)} inputs)"
-            ) from None
+            raise _out_of_range(slot, inputs) from None
 
     return get
 
@@ -294,7 +406,7 @@ def _constant(value: object) -> Node:
 
 
 def _call_result(call: int) -> Node:
-    return lambda inputs, returned: returned[call]
+    return lambda inputs, returned: returned[call][0]
 
 
 def _apply(operation: Callable[..., object], *operands: Node) -> Node:
@@ -326,6 +438,9 @@ def _comparison(op: str) -> Callable[[object, object], bool | None]:
         raise ExecutionError(f"unknown comparison operator {op!r}")
 
     def compare(left: object, right: object) -> bool | None:
+        kind = type(left)
+        if kind is type(right) and (kind is int or kind is str):
+            return test(left, right)  # compare_values's order, without its type checks
         if left is None or right is None:
             return None
         left_ct = isinstance(left, Ciphertext)

@@ -2,18 +2,26 @@
 
 import hashlib
 import threading
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.aead import CellCipher, EncryptionScheme
 from repro.crypto.dh import DiffieHellman, public_key_bytes
 from repro.crypto.rsa import verify_signature
 from repro.enclave.channel import CekPackage, SealedPackage, seal_package
-from repro.enclave.runtime import _MEMO_CAPACITY
-from repro.errors import CryptoError, EnclaveError, IntegrityError, KeysUnavailableError, ReplayError
-from repro.faults import Always, get_fault_registry
+from repro.enclave.runtime import _MEMO_CAPACITY, _EcallCrypto
+from repro.errors import (
+    CryptoError, EnclaveError, IntegrityError, KeysUnavailableError, ReplayError, SqlError,
+    TransientFault,
+)
+from repro.faults import Always, OnNth, RaiseTransient, get_fault_registry
+from repro.faults.registry import fault_point
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.expression.program import Instruction, Opcode, StackProgram
+from repro.sqlengine.expression.vm import StackMachine
 from repro.sqlengine.types import EncryptionInfo
 from repro.sqlengine.values import serialize_value
 
@@ -429,6 +437,137 @@ class TestCompareBatchOpenedAtOnce:
         # The probe, candidates 0-5 and the failed attempt.
         assert enclave.counters.cell_decrypts - before == 8
         assert batches == [11]
+
+
+def _parent_row_loop(enclave, handle, rows):
+    """The chunk loop ``Enclave.eval_batch`` replaced: the chunk decrypted
+    up front, then per row the fault point and ``StackMachine.eval``, every
+    operand opened through ``decrypt_cell`` under one ``_EcallCrypto``."""
+    program = enclave._programs[handle]
+    with _EcallCrypto(enclave) as crypto:
+        crypto.prefetch(
+            (enc.cek_name, cell.envelope)
+            for inputs in rows
+            for slot, enc in program.decrypts
+            if slot < len(inputs) and isinstance(cell := inputs[slot], Ciphertext)
+        )
+        vm = StackMachine(crypto=crypto)
+        outputs = []
+        for index, inputs in enumerate(rows):
+            fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
+            outputs.append(vm.eval(program, inputs, n_outputs=1))
+    return outputs
+
+
+@lru_cache(maxsize=4)
+def _cell_pool(material: bytes) -> dict[str, list[Ciphertext]]:
+    """Per cell kind, a few envelopes: few enough that rows share them."""
+    good = {
+        "TestCEK": [rnd_cell(material, v) for v in range(4)],
+        "OtherCEK": [rnd_cell(OTHER_MATERIAL, v) for v in range(4)],
+    }
+    tampered = []
+    for cell in good["TestCEK"][:2] + good["OtherCEK"][:2]:
+        envelope = bytearray(cell.envelope)
+        envelope[-1] ^= 1
+        tampered.append(Ciphertext(bytes(envelope)))
+    return {**good, "tampered": tampered}
+
+
+#: What one slot of a row holds: a good cell under the slot's CEK, NULL, a
+#: cell under the other CEK, a tampered cell, or a plaintext. A clean chunk
+#: draws from the first three only, so that whole chunks succeed too.
+CLEAN_KINDS = ["own"] * 6 + ["null", "other"]
+ANY_KINDS = CLEAN_KINDS + ["tampered", "plain"]
+
+
+@st.composite
+def loop_cases(draw):
+    """``(rows, rotating, fault_row)``: a chunk of four-slot rows, some
+    short (an out-of-range slot), whether TestCEK and OtherCEK are a live
+    rotation pair, and the row at which ``enclave.eval_batch`` raises."""
+    n = draw(st.integers(1, 12))
+    rotating, clean = draw(st.booleans()), draw(st.booleans())
+    slot_cells = st.tuples(
+        st.sampled_from(CLEAN_KINDS if clean else ANY_KINDS), st.integers(0, 3)
+    )
+    rows = []
+    for __ in range(n):
+        row = draw(st.lists(slot_cells, min_size=4, max_size=4))
+        if not clean and draw(st.integers(0, 15)) == 0:
+            del row[draw(st.integers(0, 3)):]
+        rows.append(row)
+    return rows, rotating, draw(st.none() | st.integers(0, n - 1))
+
+
+class TestChunkLoop:
+    """``Enclave.eval_batch`` judges a chunk in one loop; it agrees with the
+    row loop it replaced on the outputs, the opens booked and the first
+    error's type and message."""
+
+    two_keys = TestOpenOncePerEcall.two_keys
+
+    #: Slots 0-1 read under TestCEK, slots 2-3 under OtherCEK.
+    PROGRAM = StackProgram([
+        Instruction(Opcode.GET_DATA, (0, ENC)),
+        Instruction(Opcode.GET_DATA, (1, ENC)),
+        Instruction(Opcode.COMP, ">"),
+        Instruction(Opcode.GET_DATA, (2, OTHER_ENC)),
+        Instruction(Opcode.GET_DATA, (3, OTHER_ENC)),
+        Instruction(Opcode.COMP, "<="),
+        Instruction(Opcode.OR),
+        Instruction(Opcode.SET_DATA, (0, None)),
+    ])
+
+    @staticmethod
+    def outcome(enclave, ecall, fault_row):
+        """(outputs or the error's type and message, cells booked as opened)."""
+        armed = None
+        if fault_row is not None:
+            armed = get_fault_registry().arm(
+                "enclave.eval_batch", OnNth(fault_row + 1), RaiseTransient(f"row {fault_row}")
+            )
+        before = enclave.counters.cell_decrypts
+        try:
+            result = ecall()
+        except (SqlError, CryptoError, TransientFault) as error:
+            result = (type(error), str(error))
+        finally:
+            if armed is not None:
+                get_fault_registry().disarm(armed)
+        return result, enclave.counters.cell_decrypts - before
+
+    @given(case=loop_cases())
+    @settings(
+        max_examples=120, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_property_agrees_with_the_row_loop(self, enclave, two_keys, cek_material, case):
+        specs, rotating, fault_row = case
+        pool = _cell_pool(cek_material)
+        owners = ("TestCEK", "TestCEK", "OtherCEK", "OtherCEK")
+        others = {"TestCEK": "OtherCEK", "OtherCEK": "TestCEK"}
+        kinds = {
+            "own": lambda owner, i: pool[owner][i],
+            "other": lambda owner, i: pool[others[owner]][i],
+            "tampered": lambda owner, i: pool["tampered"][i],
+            "null": lambda owner, i: None,
+            "plain": lambda owner, i: i,
+        }
+        rows = [
+            [kinds[kind](owner, i) for (kind, i), owner in zip(row, owners)] for row in specs
+        ]
+        handle = enclave.register_program(self.PROGRAM.serialize())
+        if rotating:
+            enclave.begin_rotation("TestCEK", "OtherCEK")
+        try:
+            expected = self.outcome(
+                enclave, lambda: _parent_row_loop(enclave, handle, rows), fault_row
+            )
+            actual = self.outcome(enclave, lambda: enclave.eval_batch(handle, rows), fault_row)
+        finally:
+            enclave.end_rotation("TestCEK", "OtherCEK")
+        assert actual == expected
 
 
 class TestGatedOracles:

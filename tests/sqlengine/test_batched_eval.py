@@ -8,6 +8,9 @@ per-statement telemetry, and the knob value (1) that makes every chunk
 one row.
 """
 
+import threading
+from collections import Counter
+
 import pytest
 
 from repro.client.driver import connect
@@ -160,6 +163,109 @@ class TestOpenOncePerEcall:
                 ), (batch_size, query)
         finally:
             server.gateway.shutdown()
+
+
+class TestChunkJudgedInOnePass:
+    """The budget of docs/PERF.md "Judge a chunk in one pass", on a warm
+    64-row RND range chunk: the host ships the chunk by slot, the enclave
+    judges it in one loop, and its batch MACs come from the hashed pads."""
+
+    RANGE = "SELECT id FROM T WHERE value > @lo AND value < @hi"
+
+    def test_budget(
+        self, enclave, host_machine, hgs, registry, attestation_policy,
+        enclave_cmk, enclave_cek, monkeypatch,
+    ):
+        from repro.crypto.aead import CellCipher
+        from repro.crypto.kdf import HmacSha256
+        from repro.enclave.runtime import Enclave
+        from repro.faults import Always, get_fault_registry
+        from repro.sqlengine.expression import vm
+
+        # What runs inside an ecall, on whichever thread runs it.
+        ecall = threading.local()
+        calls: Counter = Counter()
+
+        def counted(name, function, host_only=False):
+            def spy(*args, **kwargs):
+                inside = getattr(ecall, "depth", 0) > 0
+                if inside != host_only:
+                    calls[name] += 1
+                return function(*args, **kwargs)
+
+            return spy
+
+        def crossing(method):
+            def run(self, *args):
+                ecall.depth = getattr(ecall, "depth", 0) + 1
+                try:
+                    return method(self, *args)
+                finally:
+                    ecall.depth -= 1
+
+            return run
+
+        get_data = vm._get_data
+        monkeypatch.setattr(
+            vm, "_get_data", lambda slot: counted("host GET_DATA", get_data(slot), host_only=True)
+        )
+        for name in ("eval", "eval_batch"):
+            monkeypatch.setattr(Enclave, name, crossing(getattr(Enclave, name)))
+        monkeypatch.setattr(vm.StackMachine, "eval", counted("StackMachine.eval", vm.StackMachine.eval))
+        batches: list[int] = []
+        decrypt_many = CellCipher.decrypt_many
+
+        def sized(self, envelopes):
+            if getattr(ecall, "depth", 0):
+                batches.append(len(envelopes))
+            return decrypt_many(self, envelopes)
+
+        monkeypatch.setattr(CellCipher, "decrypt_many", sized)
+        monkeypatch.setattr(HmacSha256, "digest", counted("HmacSha256.digest", HmacSha256.digest))
+        monkeypatch.setattr(
+            CellCipher, "_authenticate", counted("_authenticate", CellCipher._authenticate)
+        )
+
+        class CountRows:
+            rows = 0
+
+            def trigger(self, site, ctx):
+                self.rows += 1
+
+        server = make_server(enclave, host_machine, hgs)
+        try:
+            conn = populate(
+                server, registry, attestation_policy, enclave_cmk, enclave_cek, n=64
+            )
+            params = {"lo": 95, "hi": 405}
+            conn.execute(self.RANGE, params)  # compiles, registers, warms the caches
+            calls.clear()
+            batches.clear()
+            counter = CountRows()
+            armed = get_fault_registry().arm("enclave.eval_batch", Always(), counter)
+            try:
+                result = conn.execute(self.RANGE, params)
+            finally:
+                get_fault_registry().disarm(armed)
+        finally:
+            server.gateway.shutdown()
+        assert sorted(row[0] for row in result.rows) == list(range(10, 41))
+        assert result.stats.enclave_eval_batches == 1
+        assert {
+            "host GET_DATA node calls": calls["host GET_DATA"],
+            "StackMachine.eval calls in the enclave": calls["StackMachine.eval"],
+            "enclave.eval_batch fault-point hits": counter.rows,
+            "decrypt_many batches in the enclave": batches,
+            "HmacSha256.digest calls in the enclave": calls["HmacSha256.digest"],
+            "CellCipher._authenticate calls in the enclave": calls["_authenticate"],
+        } == {
+            "host GET_DATA node calls": 0,
+            "StackMachine.eval calls in the enclave": 0,
+            "enclave.eval_batch fault-point hits": 64,
+            "decrypt_many batches in the enclave": [64 + 2],  # one CEK: the cells and @lo, @hi
+            "HmacSha256.digest calls in the enclave": 0,
+            "CellCipher._authenticate calls in the enclave": 0,
+        }
 
 
 class TestBatchProbeKnob:

@@ -693,3 +693,32 @@ class TestBoundaryOpens:
             )
         else:
             assert whole == next(v for v in expected if not isinstance(v, list))
+
+
+class TestShippedBySlot:
+    """A ``TM_EVAL`` whose arguments are all slot reads ships them straight
+    from the chunk's rows, and a program whose one output is a call's result
+    reads its verdicts off that call's results; neither changes what a
+    caller can see."""
+
+    BY_SLOT = StackProgram([get(0), get(3), Instruction(Opcode.TM_EVAL, (b"p", 2))])
+    BY_NODE = StackProgram([
+        get(0), get(3), const(1), Instruction(Opcode.ARITH, "*"),
+        Instruction(Opcode.TM_EVAL, (b"p", 2)),
+    ])
+
+    def test_the_chunk_ships_the_slots_and_reads_the_verdicts(self):
+        connector = _RecordingConnector()
+        chunk = [(1, "a", "b", 1), (2, "c", "d", 3)]
+        assert StackMachine(enclave=connector).eval_batch(self.BY_SLOT, chunk, n_outputs=2) == [
+            [True, None], [False, None]
+        ]
+        assert connector.batch_calls == [[[1, 1], [2, 3]]]
+
+    @pytest.mark.parametrize("program", [BY_SLOT, BY_NODE], ids=["by_slot", "by_node"])
+    def test_an_out_of_range_slot_reads_as_the_nodes_refusal(self, program):
+        connector = _RecordingConnector()
+        chunk = [[1, 2, 3, 4], [5, 6, 7], [8]]
+        with pytest.raises(ExecutionError, match=r"^GET_DATA slot 3 out of range \(3 inputs\)$"):
+            StackMachine(enclave=connector).eval_batch(program, chunk)
+        assert connector.log == []
