@@ -3,9 +3,13 @@
 The application issues parameterized queries with *plaintext* parameters
 and receives *plaintext* results; everything cryptographic is transparent:
 
-1. On first execution of a query, the driver calls
+1. Before executing a statement, the driver calls
    ``sp_describe_parameter_encryption`` (one extra round-trip — the cost
-   Figure 8's SQL-PT-AEConn configuration measures) and caches the result.
+   Figure 8's SQL-PT-AEConn configuration measures). In paper mode
+   (``cache_describe_results=False``, what every TPC-C client runs, pinned
+   by ``test_every_client_runs_in_paper_mode``) it does so on every
+   execute; otherwise it describes a text on its first execution and
+   caches the result.
 2. Parameters whose deduced type is encrypted are encrypted client-side
    with the right CEK and scheme. CEK material comes from the key provider
    via the CMK (verified against the client's trusted key paths and the
@@ -130,6 +134,9 @@ class Connection:
         self.options = options or ConnectionOptions()
         self.attestation_policy = attestation_policy
         self.stats = DriverStats()
+        self._describe_roundtrips = self.stats.handle("describe_roundtrips")
+        self._params_encrypted = self.stats.handle("params_encrypted")
+        self._results_decrypted = self.stats.handle("results_decrypted")
         self._metrics = get_registry()
         self.cek_cache = CekCache(
             ttl_s=self.options.cek_cache_ttl_s,
@@ -214,27 +221,25 @@ class Connection:
         force_encryption: frozenset[str] | set[str],
     ) -> dict[str, object]:
         """Describe the statement and encrypt the parameters it says are
-        encrypted; ship the enclave its CEKs when it will need them."""
+        encrypted; ship the enclave its CEKs when it will need them. The
+        application's ``params`` go out as they are unless one is encrypted."""
         describe = self._describe(query_text)
         self._check_forced(describe, force_encryption)
 
-        wire_params: dict[str, object] = dict(params)
-        for description in describe.parameters:
-            enc = description.column_type.encryption
-            if enc is None:
-                continue
-            name = description.name
+        wire_params = params
+        for name, sql_type, enc in describe.encrypted_parameters:
             key = self._param_key(params, name)
             plaintext = params[key]
             if plaintext is None:
-                wire_params[key] = None
                 continue
-            description.column_type.sql_type.validate(plaintext)
+            sql_type.validate(plaintext)
             cipher = self._cek(enc.cek_name, describe).cipher
+            if wire_params is params:
+                wire_params = dict(params)
             wire_params[key] = Ciphertext(
                 cipher.encrypt(serialize_value(plaintext), enc.scheme)
             )
-            self.stats.inc("params_encrypted")
+            self._params_encrypted.inc()
 
         if describe.uses_enclave:
             self._ensure_enclave_keys(describe)
@@ -305,14 +310,14 @@ class Connection:
 
     # ----------------------------------------------------------------- internals
 
-    def _with_retries(self, op: str, fn: Callable[[], _T]) -> _T:
-        """Run ``fn``, retrying classified-transient failures with bounded
-        exponential backoff. Only idempotent control-plane operations go
-        through here — DML is never silently re-executed."""
+    def _with_retries(self, op: str, fn: Callable[..., _T], *args) -> _T:
+        """Run ``fn(*args)``, retrying classified-transient failures with
+        bounded exponential backoff. Only idempotent control-plane
+        operations go through here — DML is never silently re-executed."""
         attempts = 0
         while True:
             try:
-                return fn()
+                return fn(*args)
             except Exception as exc:
                 attempts += 1
                 if not is_transient(exc) or attempts >= self.options.retry_max_attempts:
@@ -354,56 +359,65 @@ class Connection:
         self.stats.inc("package_roundtrips")
         self._roundtrip_delay()
 
-    def _param_key(self, params: dict[str, object], name: str) -> str:
+    @staticmethod
+    def _param_key(params: dict[str, object], name: str) -> str:
+        if name in params:
+            return name
+        lowered = name.lower()
         for key in params:
-            if key.lower() == name.lower():
+            if key.lower() == lowered:
                 return key
         raise DriverError(f"missing value for parameter @{name}")
 
     def _describe(self, query_text: str) -> DescribeResult:
-        # The whole lookup-or-describe runs under the state lock: a second
-        # thread racing the same text waits and takes the cache hit instead
-        # of issuing a duplicate describe (and, worse, a duplicate
-        # attestation session).
+        # A describe cache to fill or an attestation to negotiate is shared
+        # state: the whole lookup-or-describe then runs under the state
+        # lock, so a second thread racing the same text waits and takes the
+        # cache hit instead of issuing a duplicate describe (and, worse, a
+        # duplicate attestation session). Once attested (a session is never
+        # dropped), a paper-mode describe touches nothing shared.
+        if not self.options.cache_describe_results and (
+            self._attestation is not None or self.attestation_policy is None
+        ):
+            return self._with_retries("describe", self._describe_once, query_text)
         with self._state_lock:
             cached = self._describe_cache.get(query_text)
             if cached is not None:
                 return cached
-
-            def describe_once() -> DescribeResult:
-                # Only offer a DH public key when this connection is configured
-                # for enclave attestation and no shared secret is cached yet.
-                # Describes that come back without an attestation reuse the
-                # pending pair (one 2048-bit pow, not one per describe); an
-                # attestation consumes it and a failed attempt drops it, so a
-                # retried attestation still negotiates with a never-used pair.
-                client_dh = None
-                if self._attestation is None and self.attestation_policy is not None:
-                    client_dh = self._pending_dh = self._pending_dh or DiffieHellman()
-                try:
-                    fault_point("driver.describe_parameter_encryption", query=query_text)
-                    describe = self.server.describe_parameter_encryption(
-                        query_text,
-                        client_dh_public=client_dh.public_key if client_dh is not None else None,
-                    )
-                    self.stats.inc("describe_roundtrips")
-                    self._roundtrip_delay()
-                    if describe.attestation is not None and self._attestation is None:
-                        self._pending_dh = None
-                        secret = self._verify_attestation(describe, client_dh)
-                        self._attestation = AttestationSession(
-                            enclave_session_id=describe.attestation.session_id,
-                            shared_secret=secret,
-                        )
-                except BaseException:
-                    self._pending_dh = None
-                    raise
-                return describe
-
-            describe = self._with_retries("describe", describe_once)
+            describe = self._with_retries("describe", self._describe_once, query_text)
             if self.options.cache_describe_results:
                 self._describe_cache[query_text] = describe
             return describe
+
+    def _describe_once(self, query_text: str) -> DescribeResult:
+        # Only offer a DH public key when this connection is configured for
+        # enclave attestation and no shared secret is cached yet (then the
+        # caller holds the state lock). Describes that come back without an
+        # attestation reuse the pending pair (one 2048-bit pow, not one per
+        # describe); an attestation consumes it and a failed attempt drops
+        # it, so a retried attestation still negotiates with a never-used pair.
+        client_dh = None
+        if self._attestation is None and self.attestation_policy is not None:
+            client_dh = self._pending_dh = self._pending_dh or DiffieHellman()
+        try:
+            fault_point("driver.describe_parameter_encryption", query=query_text)
+            describe = self.server.describe_parameter_encryption(
+                query_text,
+                client_dh_public=client_dh.public_key if client_dh is not None else None,
+            )
+            self._describe_roundtrips.inc()
+            self._roundtrip_delay()
+            if describe.attestation is not None and self._attestation is None:
+                self._pending_dh = None
+                secret = self._verify_attestation(describe, client_dh)
+                self._attestation = AttestationSession(
+                    enclave_session_id=describe.attestation.session_id,
+                    shared_secret=secret,
+                )
+        except BaseException:
+            self._pending_dh = None
+            raise
+        return describe
 
     def _verify_attestation(self, describe: DescribeResult, client_dh: DiffieHellman) -> bytes:
         if self.attestation_policy is None:
@@ -433,7 +447,7 @@ class Connection:
                 # brand-new enclave session rather than resuming a half-built one.
                 client_dh, self._pending_dh = self._pending_dh or DiffieHellman(), None
                 info = self.server.attest(client_dh.public_key)
-                self.stats.inc("describe_roundtrips")
+                self._describe_roundtrips.inc()
                 self._roundtrip_delay()
                 if self.server.hgs is None:
                     raise DriverError("server has no HGS to verify attestation against")
@@ -448,9 +462,8 @@ class Connection:
             return self._attestation
 
     def _check_forced(self, describe: DescribeResult, forced: frozenset[str] | set[str]) -> None:
-        described = {p.name.lower(): p for p in describe.parameters}
         for name in forced:
-            description = described.get(name.lower())
+            description = describe.parameters_by_name.get(name.lower())
             if description is None or description.column_type.encryption is None:
                 raise SecurityViolation(
                     f"application forced parameter @{name} to be encrypted, but "
@@ -540,16 +553,19 @@ class Connection:
             session.installed_ceks.add(name)
 
     def _decrypt_result(self, result: QueryResult) -> QueryResult:
-        encrypted_columns = [
-            (i, column.column_type.encryption)
-            for i, column in enumerate(result.columns)
-            if column.column_type.encryption is not None
-        ]
-        # Mid-decryption the column is already declared plaintext while
-        # unswept rows are still ciphertext: those cells are opened too.
-        leftover_columns = [i for i, column in enumerate(result.columns)
-                            if column.column_type.encryption is None
-                            and any(isinstance(row[i], Ciphertext) for row in result.rows)]
+        rows = result.rows
+        if not rows:
+            return result
+        encrypted_columns: list[tuple[int, EncryptionInfo]] = []
+        leftover_columns: list[int] = []
+        for i, column in enumerate(result.columns):
+            enc = column.column_type.encryption
+            if enc is not None:
+                encrypted_columns.append((i, enc))
+            # Mid-decryption the column is already declared plaintext while
+            # unswept rows are still ciphertext: those cells are opened too.
+            elif any(isinstance(row[i], Ciphertext) for row in rows):
+                leftover_columns.append(i)
         if not encrypted_columns and not leftover_columns:
             return result
         ciphers: dict[str, CellCipher] = {}
@@ -607,7 +623,7 @@ class Connection:
                 out_rows.append(tuple(cells))
         finally:
             if decrypted:
-                self.stats.inc("results_decrypted", decrypted)
+                self._results_decrypted.inc(decrypted)
         result.rows = out_rows
         return result
 
@@ -618,7 +634,7 @@ class Connection:
             if self._converting_live(cek_name, partners):
                 with contextlib.suppress(IntegrityError):
                     plaintext = self._cek(cek_name).cipher.decrypt(cell.envelope)
-                    self.stats.inc("results_decrypted")
+                    self._results_decrypted.inc()
                     return deserialize_value(plaintext)
         raise DriverError(f"result column {column!r} should be plaintext but is ciphertext")
 

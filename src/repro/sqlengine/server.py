@@ -22,11 +22,13 @@ Implements the server-side surface the paper describes:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from repro.attestation.hgs import HostGuardianService
 from repro.attestation.protocol import AttestationInfo, server_attest
@@ -92,7 +94,13 @@ class CekMetadata:
 
 @dataclass
 class DescribeResult:
-    """Output of ``sp_describe_parameter_encryption``."""
+    """Output of ``sp_describe_parameter_encryption``.
+
+    A planned statement's result is built once, with its plan, and shared
+    by every describe of the text that carries no attestation: nobody may
+    mutate one. The two derived views below are not wire fields; each is
+    computed on first use, once per object.
+    """
 
     parameters: list[ParameterDescription]
     parameter_ceks: dict[str, CekMetadata]   # cek name → metadata
@@ -102,6 +110,20 @@ class DescribeResult:
     @property
     def uses_enclave(self) -> bool:
         return bool(self.enclave_ceks)
+
+    @cached_property
+    def encrypted_parameters(self) -> tuple[tuple[str, SqlType, EncryptionInfo], ...]:
+        """(name, type, encryption) of each parameter sent encrypted."""
+        return tuple(
+            (p.name, p.column_type.sql_type, p.column_type.encryption)
+            for p in self.parameters
+            if p.column_type.encryption is not None
+        )
+
+    @cached_property
+    def parameters_by_name(self) -> dict[str, ParameterDescription]:
+        """Every parameter under its lower-cased name."""
+        return {p.name.lower(): p for p in self.parameters}
 
 
 #: Plan-cache capacity in statement texts; least recently used goes first.
@@ -116,11 +138,14 @@ class _CachedPlan:
     version: int
     stmt: ast.Statement
     physical: Plan | None                          # None: not a planned statement
-    # The static part of sp_describe_parameter_encryption: what type
-    # deduction (Section 4.3) found, with the key metadata looked up.
+    # What type deduction (Section 4.3) found, with the key metadata
+    # looked up ...
     parameters: tuple[ParameterDescription, ...] = ()
     parameter_ceks: tuple[tuple[str, CekMetadata], ...] = ()
     enclave_ceks: tuple[CekMetadata, ...] = ()
+    # ... and sp_describe_parameter_encryption's answer built from it once;
+    # None for DDL, whose enclave CEKs are read at each describe.
+    describe: DescribeResult | None = None
 
 
 class ServerStats(StatsView):
@@ -181,8 +206,10 @@ class SqlServer:
         )
         self._plan_cache: OrderedDict[str, _CachedPlan] = OrderedDict()
         self._plan_lock = threading.Lock()
+        self._last_plan: _CachedPlan | None = None
         self.stats = ServerStats()
         self._plan_cache_hits = self.stats.handle("plan_cache_hits")
+        self._describe_calls = self.stats.handle("describe_calls")
         self._tracer = get_tracer()
         self._registry = get_registry()
         self._session_ids = itertools.count(1)
@@ -236,10 +263,17 @@ class SqlServer:
         # schema change is in flight is tagged with the older version and
         # dies at the change's bump.
         version = self.catalog.schema_version
+        # A statement's execute follows its describe: the entry last looked
+        # up is already the most recently used, so its hit skips the lock
+        # (one lookup is atomic on its own).
+        cached = self._plan_cache.get(query_text)
+        if cached is self._last_plan and cached is not None and cached.version == version:
+            return cached, True
         with self._plan_lock:
             cached = self._plan_cache.get(query_text)
             if cached is not None and cached.version == version:
                 self._plan_cache.move_to_end(query_text)
+                self._last_plan = cached
                 return cached, True
         self.stats.inc("plan_cache_misses")
         # Compile outside the lock: it only reads the catalog, and concurrent
@@ -261,19 +295,20 @@ class SqlServer:
             for enc in (p.column_type.encryption for p in parameters)
             if enc is not None
         }
+        enclave_ceks = tuple(self._cek_metadata(name) for name in sorted(deduction.enclave_ceks))
         cached = _CachedPlan(
             version=version,
             stmt=stmt,
             physical=build_plan(stmt, deduction, self.engine, self.allow_enclave_order_by),
             parameters=parameters,
             parameter_ceks=tuple(parameter_ceks.items()),
-            enclave_ceks=tuple(
-                self._cek_metadata(name) for name in sorted(deduction.enclave_ceks)
-            ),
+            enclave_ceks=enclave_ceks,
+            describe=DescribeResult(list(parameters), parameter_ceks, list(enclave_ceks)),
         )
         with self._plan_lock:
             self._plan_cache[query_text] = cached
             self._plan_cache.move_to_end(query_text)
+            self._last_plan = cached
             if len(self._plan_cache) > PLAN_CACHE_CAPACITY:
                 self._plan_cache.popitem(last=False)
         return cached, False
@@ -286,26 +321,30 @@ class SqlServer:
         """The Section 4.1 API: per-parameter encryption types, CEK/CMK
         metadata, and attestation info when the enclave is involved.
 
-        DDL is described too: its enclave CEKs are the only thing the driver
-        needs to know about it, and they are read at describe time, because
-        an online rotation's progress is not covered by the schema version.
+        A planned statement's answer is its plan's own ``DescribeResult``,
+        or a copy of it carrying the attestation. DDL is described too: its
+        enclave CEKs are the only thing the driver needs to know about it,
+        and they are read at describe time, because an online rotation's
+        progress is not covered by the schema version.
         """
-        self.stats.inc("describe_calls")
+        self._describe_calls.inc()
         plan, hit = self._plan(query_text)
         if hit:
-            self._plan_cache_hits.inc()
-        enclave_ceks = plan.enclave_ceks
-        if plan.physical is None:
-            enclave_ceks = tuple(map(self._cek_metadata, self._ddl_enclave_ceks(plan.stmt)))
-        attestation = None
-        if enclave_ceks and client_dh_public is not None:
-            attestation = self.attest(client_dh_public)
-        return DescribeResult(
-            parameters=list(plan.parameters),
-            parameter_ceks=dict(plan.parameter_ceks),
-            enclave_ceks=list(enclave_ceks),
-            attestation=attestation,
-        )
+            # In-process a describe runs in the driver's statement record:
+            # its hit is one of the counts every statement makes there.
+            record = self._registry.thread.record
+            if record is None:
+                self._plan_cache_hits.inc()
+            else:
+                record.fixed[HIT] += 1
+        described = plan.describe
+        if described is None:
+            described = DescribeResult(
+                [], {}, list(map(self._cek_metadata, self._ddl_enclave_ceks(plan.stmt)))
+            )
+        if described.enclave_ceks and client_dh_public is not None:
+            return dataclasses.replace(described, attestation=self.attest(client_dh_public))
+        return described
 
     def _ddl_enclave_ceks(self, stmt: ast.Statement) -> list[str]:
         """The CEKs a DDL statement needs inside the enclave.

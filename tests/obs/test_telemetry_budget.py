@@ -17,6 +17,10 @@ and ``time.perf_counter`` is counted inside the ``repro.obs`` modules.
   server statement runs in), builds its ``QueryStats`` only when ``.stats``
   is read, and takes the buffer-pool latch once per heap read;
 * the same statement through ``explain_analyze`` gets its full tree;
+* on a warm paper-mode AE connection, a point SELECT that binds no
+  encrypted parameter and returns no encrypted column pays its describe
+  round trip and nothing more: no CEK lookup, no cell cipher call, no
+  describe result built, and fewer ``Counter.inc`` calls than the parent;
 * a QUEUED-gateway statement takes no telemetry lock on the worker thread;
 * and settling once never changes the leakage ledger: it is a security
   output (access patterns are what encryption does not hide), so it may
@@ -37,6 +41,7 @@ from unittest import mock
 
 import pytest
 
+from repro.client.caches import CekCache
 from repro.client.driver import connect
 from repro.crypto.aead import CellCipher
 from repro.obs import flightrec, latchprof, tracing
@@ -48,7 +53,7 @@ from repro.obs.querystats import QueryStats
 from repro.obs.tracing import Tracer
 from repro.sqlengine.expression.vm import StackMachine
 from repro.sqlengine.index.comparators import CompositeComparator
-from repro.sqlengine.server import SqlServer
+from repro.sqlengine.server import DescribeResult, SqlServer
 from repro.sqlengine.storage import page as page_module
 from repro.sqlengine.storage.heap import HeapFile
 from repro.sqlengine.storage.record import deserialize_row
@@ -295,6 +300,70 @@ def test_describe_per_execute_books_its_plan_cache_hit_to_the_driver_not_the_sta
     assert plan_hits.value == before + 2         # the describe's and the statement's
     assert stats.plan_cache_hits == 1
     assert stats.describe_roundtrips == 1
+
+
+#: ``Counter.inc`` calls the parent commit (2e43ef9) made for the AE floor
+#: statement below, counted with the test itself: the plaintext statement's
+#: four, the describe's two (its call and its plan-cache hit) and the
+#: driver's describe round trip.
+PARENT_AE_FLOOR_INCS = 7
+AE_FLOOR_SELECT = "SELECT id FROM T WHERE id = @id"
+
+
+@pytest.fixture()
+def paper_mode_connection(ae_connection, registry, attestation_policy):
+    """A warm describe-per-execute AE connection: attested, its CEK in the
+    enclave, the floor statement's plan cached."""
+    make_encrypted_table(ae_connection)
+    for i in range(4):
+        ae_connection.execute("INSERT INTO T (id, value) VALUES (@id, @v)", {"id": i, "v": i * 10})
+    conn = connect(
+        ae_connection.server, registry, attestation_policy=attestation_policy,
+        cache_describe_results=False,
+    )
+    assert conn.execute("SELECT id FROM T WHERE value = @v", {"v": 20}).rows == [(2,)]
+    conn.execute(AE_FLOOR_SELECT, {"id": 2})
+    return conn
+
+
+def test_a_statement_that_touches_no_encrypted_value_pays_only_its_describe(
+    paper_mode_connection, monkeypatch
+):
+    """The parent commit made 7 ``Counter.inc`` calls here (``PARENT_AE_FLOOR_INCS``),
+    built a fresh ``DescribeResult`` on the server for the describe and walked
+    every parameter and result column in the driver. Now the describe answers
+    with the plan's own result and books its plan-cache hit in the statement
+    record with the statement's own counts."""
+    conn = paper_mode_connection
+    server = conn.server
+    incs: list[str] = []
+    real_inc = Counter.inc
+    monkeypatch.setattr(
+        Counter, "inc", lambda counter, *a: incs.append(counter.name) or real_inc(counter, *a)
+    )
+    cipher_calls: list[str] = []
+    for name in ("__init__", "encrypt", "decrypt", "decrypt_many", "verify"):
+        real = getattr(CellCipher, name)
+        monkeypatch.setattr(
+            CellCipher, name,
+            lambda *a, _n=name, _f=real, **k: cipher_calls.append(_n) or _f(*a, **k),
+        )
+    describes, roundtrips = server.stats.describe_calls, conn.stats.describe_roundtrips
+    with mock.patch.object(
+        CekCache, "entry", autospec=True, side_effect=CekCache.entry
+    ) as cek_lookups, mock.patch.object(
+        DescribeResult, "__init__", autospec=True, side_effect=DescribeResult.__init__
+    ) as described:
+        result = conn.execute(AE_FLOOR_SELECT, {"id": 3})
+
+    assert result.rows == [(3,)]
+    assert result.stats.describe_roundtrips == 1
+    assert conn.stats.describe_roundtrips == roundtrips + 1
+    assert server.stats.describe_calls == describes + 1
+    assert cek_lookups.call_count == 0
+    assert cipher_calls == []
+    assert described.call_count == 0
+    assert len(incs) < PARENT_AE_FLOOR_INCS, incs
 
 
 def test_queued_gateway_statement_takes_no_telemetry_lock_on_the_worker(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.client.driver import connect
 from repro.crypto.aead import CellCipher, EncryptionScheme
+from repro.crypto.dh import DiffieHellman
 from repro.enclave.runtime import Enclave
 from repro.errors import BindError, ExecutionError, TypeDeductionError
 from repro.obs.metrics import get_registry
@@ -20,10 +21,10 @@ from repro.sqlengine import server as server_module
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.exec import plan as plan_module
 from repro.sqlengine.scope import Scope
-from repro.sqlengine.server import SqlServer
+from repro.sqlengine.server import DescribeResult, SqlServer
 from repro.sqlengine.sqlparser import ast
 from repro.sqlengine.values import serialize_value
-from repro.tools.rotation import rotate_cek_online
+from repro.tools.rotation import rotate_cek_online, rotation_query_text
 from repro.workloads.tpcc import TRANSACTION_MIX, EncryptionMode, TpccConfig, build_system
 from tests.conftest import ALGO, make_encrypted_table
 
@@ -333,3 +334,144 @@ def test_warm_tpcc_transactions_plan_nothing(mode, monkeypatch):
         assert len(system.server._plan_cache) == entries
     finally:
         system.shutdown()
+
+
+# -- the shared describe result -------------------------------------------------------
+
+
+def _rebuilt(plan) -> DescribeResult:
+    """The describe result ``plan`` was built with, built again."""
+    return DescribeResult(
+        list(plan.parameters), dict(plan.parameter_ceks), list(plan.enclave_ceks)
+    )
+
+
+def test_every_shared_describe_is_still_what_its_plan_built():
+    """A planned text's describe result is built with its plan and shared
+    by every describe of the text: after a mixed paper-mode ``tpcc_rnd``
+    deck (a describe per execute, parameters encrypted, results decrypted,
+    enclave keys shipped), none was changed by anyone it was handed to."""
+    system = build_system(
+        TpccConfig(mode=EncryptionMode.RND, warehouses=1, districts_per_warehouse=2,
+                   customers_per_district=12, items=20)
+    )
+    try:
+        for kind, __ in TRANSACTION_MIX:
+            system.transactions.run_one(kind)
+        system.transactions.run_mix(40, TRANSACTION_MIX)
+        server = system.server
+        plans = {text: plan for text, plan in server._plan_cache.items() if plan.describe}
+        assert any(plan.describe.encrypted_parameters for plan in plans.values())
+        assert any(plan.describe.enclave_ceks for plan in plans.values())
+        for text, plan in plans.items():
+            assert plan.describe == _rebuilt(plan), text
+            assert plan.describe.attestation is None, text
+        # Every text the deck ran (not a loader text the schema outdated)
+        # is described with its plan's own result.
+        current = [text for text, plan in plans.items()
+                   if plan.version == server.catalog.schema_version]
+        assert len(current) > 10
+        for text in current:
+            assert server.describe_parameter_encryption(text) is plans[text].describe
+    finally:
+        system.shutdown()
+
+
+def test_a_describe_that_attests_answers_with_a_copy(ae_connection, server):
+    make_encrypted_table(ae_connection)
+    ae_connection.execute("INSERT INTO T (id, value) VALUES (@i, @v)", {"i": 1, "v": 10})
+    by_value = "SELECT id FROM T WHERE value = @v"
+    assert ae_connection.execute(by_value, {"v": 10}).rows == [(1,)]
+    plan = server._plan_cache[by_value]
+    shared = plan.describe
+
+    attested = server.describe_parameter_encryption(
+        by_value, client_dh_public=DiffieHellman().public_key
+    )
+
+    assert attested.attestation is not None
+    assert attested is not shared and attested != shared
+    assert (attested.parameters, attested.parameter_ceks, attested.enclave_ceks) == (
+        shared.parameters, shared.parameter_ceks, shared.enclave_ceks
+    )
+    assert shared.attestation is None and shared == _rebuilt(plan)
+    assert server.describe_parameter_encryption(by_value) is shared
+
+
+def test_a_mid_rotation_alter_column_describe_names_both_keys(rotation_stack_factory):
+    """A DDL's describe is read per call: a rotation's progress moves what it
+    names without any schema version bump."""
+    stack = rotation_stack_factory()
+    conn, server = stack.conn, stack.server
+    make_encrypted_table(conn, "R", cek="RotOldCEK")
+    for i in range(6):
+        conn.execute("INSERT INTO R (id, value) VALUES (@i, @v)", {"i": i, "v": i * 10})
+    to_third = (
+        "ALTER TABLE R ALTER COLUMN value int ENCRYPTED WITH ("
+        f"COLUMN_ENCRYPTION_KEY = RotThirdCEK, ENCRYPTION_TYPE = Randomized, ALGORITHM = '{ALGO}')"
+    )
+
+    def named(ddl: str) -> list[str]:
+        return [m.cek.name for m in server.describe_parameter_encryption(ddl).enclave_ceks]
+
+    online = rotation_query_text("R", "value", "RotNewCEK")
+    assert named(online) == ["RotOldCEK", "RotNewCEK"]
+    assert named(to_third) == ["RotOldCEK", "RotThirdCEK"]
+    rotation_id = rotate_cek_online(conn, "R", "value", "RotNewCEK", batch_size=2, run=False)
+    more, __ = server.rotate_step(rotation_id)
+    assert more
+    assert named(online) == ["RotOldCEK", "RotNewCEK"]
+    assert named(to_third) == ["RotOldCEK", "RotNewCEK", "RotThirdCEK"]
+    server.rotate_run(rotation_id)
+    assert named(to_third) == ["RotNewCEK", "RotThirdCEK"]
+    server.shutdown()
+
+
+def test_concurrent_paper_mode_clients_share_describes_and_plans(
+    ae_connection, server, registry, attestation_policy
+):
+    """Four attested paper-mode connections on one server interleave a
+    plaintext seek, an enclave seek and a fetch of the RND column: each
+    describe hands out its plan's shared result and each statement's lookup
+    may skip the plan lock, and neither may answer for another text."""
+    make_encrypted_table(ae_connection)
+    for i in range(8):
+        ae_connection.execute("INSERT INTO T (id, value) VALUES (@i, @v)", {"i": i, "v": i * 10})
+    by_id = "SELECT id FROM T WHERE id = @i"
+    by_value = "SELECT id FROM T WHERE value = @v"
+    fetch = "SELECT value FROM T WHERE id = @i"
+    barrier = threading.Barrier(4)
+    wrong: list = []
+    finished: list[int] = []
+
+    def client(seed: int) -> None:
+        conn = connect(server, registry, attestation_policy=attestation_policy,
+                       cache_describe_results=False)
+        assert conn.execute(by_value, {"v": 10}).rows == [(1,)]     # attests
+        barrier.wait(timeout=10)
+        for n in range(40):
+            i = (seed + n) % 8
+            for text, params, expected in ((by_id, {"i": i}, [(i,)]),
+                                           (by_value, {"v": i * 10}, [(i,)]),
+                                           (fetch, {"i": i}, [(i * 10,)])):
+                rows = conn.execute(text, params).rows
+                if rows != expected:
+                    wrong.append((text, params, rows))
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [0, 1, 2, 3] and wrong == []
+    for text in (by_id, by_value, fetch):
+        plan = server._plan_cache[text]
+        assert plan.describe == _rebuilt(plan) and plan.describe.attestation is None
+    server.shutdown()
