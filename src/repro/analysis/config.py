@@ -126,10 +126,6 @@ class AnalysisConfig:
     #: modules exempt from the latch exception-safety rule (the lock
     #: implementations themselves: their acquire/release *are* the lock)
     latch_exempt: tuple[str, ...] = ()
-    #: where fault_point()/register_fault_site() literals are collected;
-    #: packages exempt from the literal-site requirement (the registry
-    #: implementation itself passes names through variables)
-    consistency_exempt: tuple[str, ...] = ()
     #: directory scanned for fault-site test coverage (None disables)
     tests_root: Path | None = None
     baseline_path: Path | None = None
@@ -256,7 +252,6 @@ def default_config(
             order=DEFAULT_LOCK_ORDER,
             receiver_aliases=dict(DEFAULT_RECEIVER_ALIASES),
         ),
-        consistency_exempt=("repro.faults",),
         tests_root=tests_root,
         baseline_path=baseline_path,
     )

@@ -31,12 +31,9 @@ from repro.attestation.tpm import HostMachine
 from repro.crypto.dh import DiffieHellman, public_key_bytes
 from repro.crypto.rsa import RsaPublicKey, verify_signature
 from repro.errors import AttestationError
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 
-register_fault_site(
-    "attestation.verify",
-    "client-side verification of the attestation chain of trust",
-)
+_VERIFY = fault_site("attestation.verify")
 
 if TYPE_CHECKING:  # avoid a circular import: enclave.runtime uses our report
     from repro.enclave.runtime import Enclave
@@ -92,7 +89,8 @@ def verify_attestation_and_derive_secret(
     Performs the paper's four checks in order and raises
     :class:`AttestationError` naming the failed link.
     """
-    fault_point("attestation.verify")
+    if _VERIFY.armed:
+        _VERIFY.fire()
     # (1) Health certificate is signed by the HGS signing key.
     if not info.health_certificate.verify(hgs_public):
         raise AttestationError("health certificate is not signed by the HGS signing key")

@@ -43,7 +43,7 @@ from repro.errors import (
 )
 from repro.faults.actions import DropMessageDirective, DuplicateMessageDirective
 from repro.faults.classify import is_transient
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.keys.providers import KeyProviderRegistry
 from repro.client.caches import AttestationSession, CachedCek, CekCache
 from repro.obs.metrics import EXECUTES, ROUNDTRIPS, StatementRecord, StatsView, get_registry
@@ -55,14 +55,8 @@ from repro.sqlengine.server import CekMetadata, DescribeResult, SqlServer
 from repro.sqlengine.types import EncryptionInfo
 from repro.sqlengine.values import deserialize_value, serialize_value
 
-register_fault_site(
-    "driver.describe_parameter_encryption",
-    "the sp_describe_parameter_encryption round-trip (Section 4.1)",
-)
-register_fault_site(
-    "enclave.channel.send",
-    "a sealed CEK package leaving the driver; drop/duplicate capable",
-)
+_DESCRIBE = fault_site("driver.describe_parameter_encryption")
+_CHANNEL_SEND = fault_site("enclave.channel.send")
 
 _T = TypeVar("_T")
 
@@ -332,7 +326,7 @@ class Connection:
     def _send_package(self, session: AttestationSession, package: CekPackage) -> None:
         """Ship one sealed CEK package, with transient-drop retry.
 
-        The fault point fires *before* delivery, so a retried send never
+        The fault site fires *before* delivery, so a retried send never
         re-uses a nonce the enclave already consumed. A duplicated message
         is delivered twice; the enclave's nonce range tracker rejects the
         second copy (Section 4.2) and the driver treats that rejection as
@@ -340,7 +334,9 @@ class Connection:
         """
 
         def send_once() -> None:
-            directive = fault_point("enclave.channel.send", nonce=package.nonce)
+            directive = (
+                _CHANNEL_SEND.fire(nonce=package.nonce) if _CHANNEL_SEND.armed else None
+            )
             if isinstance(directive, DropMessageDirective):
                 raise TransientFault(
                     "enclave.channel.send", "sealed CEK package dropped in transit"
@@ -400,7 +396,8 @@ class Connection:
         if self._attestation is None and self.attestation_policy is not None:
             client_dh = self._pending_dh = self._pending_dh or DiffieHellman()
         try:
-            fault_point("driver.describe_parameter_encryption", query=query_text)
+            if _DESCRIBE.armed:
+                _DESCRIBE.fire(query=query_text)
             describe = self.server.describe_parameter_encryption(
                 query_text,
                 client_dh_public=client_dh.public_key if client_dh is not None else None,

@@ -29,22 +29,13 @@ from repro.enclave.channel import SealedPackage, SessionSecrets, open_package
 from repro.enclave.sqlos import SqlOs
 from repro.enclave.validate import validate_program
 from repro.errors import CryptoError, EnclaveError, IntegrityError, ReplayError
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.obs.flightrec import record_event
 from repro.obs.metrics import StatsView
 
-register_fault_site(
-    "enclave.channel.recv",
-    "a sealed CEK package arriving at the enclave's install ecall",
-)
-register_fault_site(
-    "enclave.eval_batch",
-    "per-row checkpoint inside a batched eval ecall (mid-batch failures)",
-)
-register_fault_site(
-    "enclave.recrypt_batch",
-    "per-row checkpoint inside a batched recrypt ecall (rotation mid-batch failures)",
-)
+_CHANNEL_RECV = fault_site("enclave.channel.recv")
+_EVAL_BATCH = fault_site("enclave.eval_batch")
+_RECRYPT_BATCH = fault_site("enclave.recrypt_batch")
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.expression.program import StackProgram
 from repro.sqlengine.expression.vm import LoweredProgram, StackMachine
@@ -293,7 +284,8 @@ class Enclave:
 
     def install_package(self, session_id: int, sealed: SealedPackage) -> None:
         """Install CEKs (and DDL authorizations) from a sealed package."""
-        fault_point("enclave.channel.recv", session_id=session_id)
+        if _CHANNEL_RECV.armed:
+            _CHANNEL_RECV.fire(session_id=session_id)
         session = self._session(session_id)
         try:
             package = open_package(session.shared_secret, sealed)
@@ -368,10 +360,10 @@ class Enclave:
         program lookup, one boundary crossing for the whole chunk. The
         chunk's operands are decrypted up front, one ``decrypt_many`` per
         CEK, and :meth:`StackMachine.eval_batch` judges it in its one row
-        loop: per row, the ``enclave.eval_batch`` fault point, then the
-        row's opens — an operand already open in this ecall is read from
-        the memo, any other goes through :meth:`_open`, which books it —
-        then the plaintext program. The single observation carries the
+        loop: per row, the ``enclave.eval_batch`` fault site (no checkpoint
+        at all while it is disarmed), then the row's opens — an operand
+        already open in this ecall is read from the memo, any other goes
+        through :meth:`_open`, which books it — then the plaintext program. The single observation carries the
         per-row inputs and per-row outputs, so the adversary sees exactly
         the per-row verdicts it would have seen from row-at-a-time eval —
         batching amortizes cost, it neither hides nor adds information
@@ -390,13 +382,12 @@ class Enclave:
                 for slot, enc in program.decrypts
                 if slot < len(inputs) and isinstance(cell := inputs[slot], Ciphertext)
             ])
-            outputs = crypto.machine().eval_batch(
-                program,
-                rows,
-                checkpoint=lambda index: fault_point(
-                    "enclave.eval_batch", handle=handle, index=index, total=total
-                ),
+            checkpoint = (
+                (lambda index: _EVAL_BATCH.fire(handle=handle, index=index, total=total))
+                if _EVAL_BATCH.armed
+                else None
             )
+            outputs = crypto.machine().eval_batch(program, rows, checkpoint=checkpoint)
         self.counters.inc("cpu_seconds", time.perf_counter() - started)
         self.counters.inc("evals", total)
         self.counters.inc("eval_batches")
@@ -574,9 +565,8 @@ class Enclave:
         # Cell by cell, not decrypt_many: the fault site checkpoints each
         # row, and a batch would open the cells after a mid-batch fault.
         for index, ciphertext in enumerate(ciphertexts):
-            fault_point(
-                "enclave.recrypt_batch", index=index, total=len(ciphertexts)
-            )
+            if _RECRYPT_BATCH.armed:
+                _RECRYPT_BATCH.fire(index=index, total=len(ciphertexts))
             try:
                 plaintext = old_cipher.decrypt(ciphertext.envelope)
             except IntegrityError:

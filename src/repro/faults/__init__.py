@@ -40,9 +40,8 @@ from repro.faults.registry import (
     ArmedFault,
     FaultRegistry,
     FaultSite,
-    fault_point,
+    fault_site,
     get_fault_registry,
-    register_fault_site,
 )
 from repro.faults.schedules import (
     Always,
@@ -84,8 +83,7 @@ __all__ = [
     "TornWrite",
     "TornWriteDirective",
     "classify_error",
-    "fault_point",
+    "fault_site",
     "get_fault_registry",
     "is_transient",
-    "register_fault_site",
 ]

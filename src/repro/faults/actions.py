@@ -4,7 +4,8 @@ Two shapes:
 
 * **Raising actions** (`RaiseTransient`, `RaiseFatal`, `ForceCrash`)
   raise the matching :mod:`repro.errors` exception straight out of the
-  ``fault_point`` call — the instrumented code needs no special handling.
+  ``FaultSite.fire`` call — the instrumented code needs no special
+  handling.
 * **Directive actions** (`TornWrite`, `PartialFlush`, `DropMessage`,
   `DuplicateMessage`) return a :class:`FaultDirective` that only the
   site that understands it applies (the disk tears the in-flight page

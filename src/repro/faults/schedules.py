@@ -1,9 +1,10 @@
 """Deterministic fault schedules: *when* an armed fault fires.
 
-Hit indexes are 1-based and private to each arming, so the same schedule
-object class always reproduces the same firing pattern for the same
-workload — the property the crash-torture harness depends on to shrink
-and replay failures.
+Hit indexes are 1-based and private to each arming, and a schedule's
+decision is a function of the hit index alone, so the same schedule — a
+fresh instance or one re-armed — always reproduces the same firing
+pattern for the same workload: the property the crash-torture harness
+depends on to shrink and replay failures.
 """
 
 from __future__ import annotations
@@ -55,15 +56,9 @@ class EveryKth:
             raise ValueError("EveryKth needs k >= 1")
         self.k = k
         self.limit = limit
-        self._fired = 0
 
     def should_fire(self, hit: int) -> bool:
-        if self.limit is not None and self._fired >= self.limit:
-            return False
-        if hit % self.k == 0:
-            self._fired += 1
-            return True
-        return False
+        return hit % self.k == 0 and (self.limit is None or hit <= self.k * self.limit)
 
     def __repr__(self) -> str:
         return f"EveryKth({self.k})"
@@ -72,9 +67,10 @@ class EveryKth:
 class SeededProbability:
     """Fire each hit with probability ``p``, from a private seeded RNG.
 
-    The RNG is owned by the schedule instance, so the decision sequence is
-    a pure function of (seed, hit index) — independent of any other
-    randomness in the process.
+    The RNG is owned by the schedule instance and reseeded at hit 1, so
+    the decision sequence is a pure function of (seed, hit index) —
+    independent of any other randomness in the process, and the same
+    again when the instance is re-armed.
     """
 
     def __init__(self, p: float, seed: int, limit: int | None = None):
@@ -87,6 +83,9 @@ class SeededProbability:
         self._fired = 0
 
     def should_fire(self, hit: int) -> bool:
+        if hit == 1:
+            self._rng = random.Random(self.seed)
+            self._fired = 0
         if self.limit is not None and self._fired >= self.limit:
             # Keep consuming the stream so the decision for hit N never
             # depends on whether earlier fires were suppressed.

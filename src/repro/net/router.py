@@ -42,7 +42,7 @@ import threading
 from functools import partial
 
 from repro.errors import TransactionError, WireError
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.net import messages as msg
 from repro.net.frameserver import Dispatch, FrameServer, Relay
 from repro.net.opcodes import opcode_byte
@@ -52,11 +52,7 @@ from repro.sqlengine.exec.executor import QueryResult
 
 __all__ = ["CommitDecisionLog", "Router", "shard_of"]
 
-register_fault_site(
-    "router.commit_decision",
-    "2PC coordinator about to make the commit decision durable "
-    "(all participants prepared; crash here means presumed abort)",
-)
+_COMMIT_DECISION = fault_site("router.commit_decision")
 
 
 def shard_of(warehouse: int, n_shards: int) -> int:
@@ -316,7 +312,8 @@ class Router(FrameServer):
             for shard_idx in sorted(branches):
                 branches[shard_idx].prepare_transaction(gtid)
                 prepared.append(shard_idx)
-            fault_point("router.commit_decision", gtid=gtid)
+            if _COMMIT_DECISION.armed:
+                _COMMIT_DECISION.fire(gtid=gtid)
         except Exception:
             for shard_idx in sorted(branches):
                 try:

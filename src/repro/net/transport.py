@@ -28,14 +28,14 @@ import socket
 from typing import Any, Callable
 
 from repro.errors import TruncatedFrameError
-from repro.faults import DropMessageDirective, fault_point, register_fault_site
+from repro.faults import DropMessageDirective, fault_site
 from repro.net.frames import try_decode
 from repro.net.messages import decode_message, encode_message
 
 __all__ = ["FrameChannel", "connect_channel"]
 
-register_fault_site("net.send_frame", "outbound wire frame about to be written")
-register_fault_site("net.recv_frame", "inbound wire frame about to be read")
+_SEND_FRAME = fault_site("net.send_frame")
+_RECV_FRAME = fault_site("net.recv_frame")
 
 #: tap(direction, opcode, frame_bytes); direction is "send" or "recv".
 FrameTap = Callable[[str, int, bytes], None]
@@ -56,7 +56,7 @@ class FrameChannel:
 
     def send_frame(self, frame: bytes) -> None:
         """Write one already-encoded frame (the router's forwarding path)."""
-        directive = fault_point("net.send_frame", frame=frame)
+        directive = _SEND_FRAME.fire(frame=frame) if _SEND_FRAME.armed else None
         if isinstance(directive, DropMessageDirective):
             # The peer will never see this frame; surface it as the socket
             # error a real half-open connection produces.
@@ -78,7 +78,7 @@ class FrameChannel:
         ``frame_bytes`` verbatim — validation (magic, version, opcode,
         length, CRC) has already happened in :func:`try_decode` either way.
         """
-        directive = fault_point("net.recv_frame")
+        directive = _RECV_FRAME.fire() if _RECV_FRAME.armed else None
         if isinstance(directive, DropMessageDirective):
             raise ConnectionResetError("injected: frame dropped on receive")
         while True:

@@ -37,7 +37,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.sqlengine.storage.freshness import FreshnessAnchor, page_digest
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.obs.metrics import get_registry
 from repro.sqlengine.storage.page import Page
 from repro.sqlengine.catalog import Catalog, IndexSchema, TableSchema
@@ -64,15 +64,9 @@ from repro.sqlengine.txn.transaction import (
 )
 
 
-register_fault_site(
-    "engine.commit", "transaction commit entry (before the COMMIT record lands)"
-)
-register_fault_site(
-    "engine.prepare", "2PC prepare entry (before the PREPARE record lands)"
-)
-register_fault_site(
-    "engine.index_insert", "index maintenance for one inserted/updated row"
-)
+_COMMIT = fault_site("engine.commit")
+_PREPARE = fault_site("engine.prepare")
+_INDEX_INSERT = fault_site("engine.index_insert")
 
 
 #: The log record that compensates each undo-entry kind.
@@ -321,7 +315,8 @@ class StorageEngine:
     def commit(self, txn: Transaction) -> None:
         if not txn.is_active:
             raise TransactionError(f"cannot commit txn in state {txn.state}")
-        fault_point("engine.commit", txn_id=txn.txn_id)
+        if _COMMIT.armed:
+            _COMMIT.fire(txn_id=txn.txn_id)
         self._ensure_begin_logged(txn)
         self.wal.append(txn.txn_id, LogOp.COMMIT)
         self.wal.flush()
@@ -352,7 +347,8 @@ class StorageEngine:
             raise TransactionError(f"cannot prepare txn in state {txn.state}")
         if gtid in self.prepared or gtid in self._resolved_gtids:
             raise TransactionError(f"gtid {gtid!r} already prepared or resolved")
-        fault_point("engine.prepare", txn_id=txn.txn_id, gtid=gtid)
+        if _PREPARE.armed:
+            _PREPARE.fire(txn_id=txn.txn_id, gtid=gtid)
         self._ensure_begin_logged(txn)
         self.wal.append(txn.txn_id, LogOp.PREPARE, table=gtid)
         self.wal.flush()
@@ -574,7 +570,8 @@ class StorageEngine:
     # -------------------------------------------------------- index maintenance
 
     def _index_insert(self, table: TableObject, row: tuple, rid: RowId) -> None:
-        fault_point("engine.index_insert", table=table.schema.name, rid=rid)
+        if _INDEX_INSERT.armed:
+            _INDEX_INSERT.fire(table=table.schema.name, rid=rid)
         inserted: list[tuple[IndexObject, object]] = []
         try:
             # list(): concurrent DDL on another session must not mutate the
@@ -598,7 +595,7 @@ class StorageEngine:
 
     def _index_reinsert_raw(self, table: TableObject, row: tuple, rid: RowId) -> None:
         """Restore just-removed index entries while rolling back a failed
-        WAL append. No fault point, no constraint surprises: the entries
+        WAL append. No fault site, no constraint surprises: the entries
         were present moments ago."""
         for obj in list(table.indexes.values()):
             if obj.state is not IndexState.READY or not obj.schema.valid:
@@ -637,14 +634,15 @@ class StorageEngine:
         """Re-key ``rid`` in the moved indexes: old entries out, new ones in.
 
         Between the two a reader of a moved index finds the row under
-        neither key. The fault point fires there once per updated row,
+        neither key. The fault site fires there once per updated row,
         moved keys or not.
         """
         for obj, old_key, __ in moves:
             obj.tree.delete(old_key, rid)
         placed = 0
         try:
-            fault_point("engine.index_insert", table=table.schema.name, rid=rid)
+            if _INDEX_INSERT.armed:
+                _INDEX_INSERT.fire(table=table.schema.name, rid=rid)
             for obj, __, new_key in moves:
                 obj.tree.insert(new_key, rid)
                 placed += 1
@@ -659,7 +657,7 @@ class StorageEngine:
         rid: RowId, moves: list[tuple[IndexObject, tuple, tuple]], placed: int
     ) -> None:
         """Undo :meth:`_index_rekey` after the first ``placed`` new entries
-        went in. No fault point: the old entries were present moments ago."""
+        went in. No fault site: the old entries were present moments ago."""
         for i, (obj, old_key, new_key) in enumerate(moves):
             if i < placed:
                 obj.tree.delete(new_key, rid)

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro.crypto.aead import EncryptionScheme
 from repro.errors import BindError, LockTimeoutError, SqlError
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.obs.flightrec import record_event
 from repro.sqlengine.catalog import ColumnRotationState
 from repro.sqlengine.cells import Ciphertext
@@ -65,22 +65,10 @@ from repro.sqlengine.values import deserialize_value, serialize_value
 if TYPE_CHECKING:
     from repro.sqlengine.engine import StorageEngine
 
-register_fault_site(
-    "rotation.begin",
-    "a lifecycle job about to flush its ROTATE_BEGIN record",
-)
-register_fault_site(
-    "rotation.batch",
-    "one rotation batch about to lock/recrypt/commit",
-)
-register_fault_site(
-    "rotation.checkpoint",
-    "a ROTATE_PROGRESS checkpoint about to flush (batch already committed)",
-)
-register_fault_site(
-    "rotation.end",
-    "rotation completion: before ROTATE_END flushes (all rows converted)",
-)
+_BEGIN = fault_site("rotation.begin")
+_BATCH = fault_site("rotation.batch")
+_CHECKPOINT = fault_site("rotation.checkpoint")
+_END = fault_site("rotation.end")
 
 #: One sweep's batch size if the caller does not choose one.
 DEFAULT_BATCH_SIZE = 64
@@ -318,7 +306,8 @@ class KeyLifecycleJob:
         # driver writes every cell of that one.
         if self.kind != "encrypt" or engine.catalog.cek_enclave_enabled(self.new_cek):
             self._convert([])
-        fault_point("rotation.begin", rotation_id=self.rotation_id)
+        if _BEGIN.armed:
+            _BEGIN.fire(rotation_id=self.rotation_id)
         engine.wal.append(
             0,
             LogOp.ROTATE_BEGIN,
@@ -396,9 +385,8 @@ class KeyLifecycleJob:
             self._finish(state)
             return (False, 0)
 
-        fault_point(
-            "rotation.batch", rotation_id=self.rotation_id, size=len(batch)
-        )
+        if _BATCH.armed:
+            _BATCH.fire(rotation_id=self.rotation_id, size=len(batch))
         txn = engine.begin()
         try:
             targets: list = []
@@ -438,11 +426,8 @@ class KeyLifecycleJob:
         # Checkpoint: the batch's row updates are durable (commit flushed),
         # now make the progress watermark durable too. A crash between the
         # two replays the batch — idempotent via enclave pass-through.
-        fault_point(
-            "rotation.checkpoint",
-            rotation_id=self.rotation_id,
-            watermark=self._watermark,
-        )
+        if _CHECKPOINT.armed:
+            _CHECKPOINT.fire(rotation_id=self.rotation_id, watermark=self._watermark)
         engine.wal.append(
             0,
             LogOp.ROTATE_PROGRESS,
@@ -473,7 +458,8 @@ class KeyLifecycleJob:
         keeps the catalog at-or-ahead of the anchor under any crash.
         """
         engine = self.engine
-        fault_point("rotation.end", rotation_id=self.rotation_id)
+        if _END.armed:
+            _END.fire(rotation_id=self.rotation_id)
         # A decryption leaves no key behind: its END carries no version.
         version = engine.catalog.cek_version(state.new_cek) + 1 if state.new_cek else 0
         engine.wal.append(

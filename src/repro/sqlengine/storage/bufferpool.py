@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.obs.latchprof import TimedLatch
 from repro.obs.metrics import StatsView, get_registry
 from repro.sqlengine.storage.disk import Disk
@@ -21,9 +21,7 @@ from repro.sqlengine.storage.page import Page
 if TYPE_CHECKING:
     from repro.sqlengine.storage.wal import WriteAheadLog
 
-register_fault_site(
-    "bufferpool.evict", "one page evicted (dirty pages write back to disk)"
-)
+_EVICT = fault_site("bufferpool.evict")
 
 
 class BufferPoolStats(StatsView):
@@ -147,7 +145,8 @@ class BufferPool:
             self._pages[page.page_id] = page
             self._pages.move_to_end(page.page_id)
             while len(self._pages) > self._capacity:
-                fault_point("bufferpool.evict")
+                if _EVICT.armed:
+                    _EVICT.fire()
                 __, evicted = self._pages.popitem(last=False)
                 self.stats.inc("evictions")
                 if evicted.dirty:

@@ -20,13 +20,10 @@ import threading
 
 from repro.errors import ForcedCrash, SqlError
 from repro.faults.actions import TornWriteDirective
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 
-register_fault_site(
-    "disk.write_page",
-    "one page image written to durable storage; torn-write capable",
-)
-register_fault_site("disk.read_page", "one page image read from durable storage")
+_WRITE_PAGE = fault_site("disk.write_page")
+_READ_PAGE = fault_site("disk.read_page")
 
 
 class Disk:
@@ -39,7 +36,9 @@ class Disk:
         self.writes = 0
 
     def write_page(self, page_id: int, image: bytes) -> None:
-        directive = fault_point("disk.write_page", page_id=page_id, image=image)
+        directive = (
+            _WRITE_PAGE.fire(page_id=page_id, image=image) if _WRITE_PAGE.armed else None
+        )
         if isinstance(directive, TornWriteDirective):
             with self._lock:
                 torn = directive.tear(image, self._pages.get(page_id))
@@ -53,7 +52,8 @@ class Disk:
             self.writes += 1
 
     def read_page(self, page_id: int) -> bytes:
-        fault_point("disk.read_page", page_id=page_id)
+        if _READ_PAGE.armed:
+            _READ_PAGE.fire(page_id=page_id)
         with self._lock:
             self.reads += 1
             try:

@@ -35,20 +35,14 @@ import hashlib
 from typing import TYPE_CHECKING
 
 from repro.errors import StaleRestoreError
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 
 if TYPE_CHECKING:
     from repro.sqlengine.engine import StorageEngine
     from repro.sqlengine.storage.wal import WriteAheadLog
 
-register_fault_site(
-    "freshness.advance",
-    "one anchor advance crossing into the trust root (WAL head or page)",
-)
-register_fault_site(
-    "freshness.verify",
-    "the recovery-time freshness verification against the anchor",
-)
+_ADVANCE = fault_site("freshness.advance")
+_VERIFY = fault_site("freshness.verify")
 
 
 def page_digest(image: bytes) -> bytes:
@@ -149,13 +143,15 @@ class FreshnessAnchor:
     # -- advance hooks -----------------------------------------------------
 
     def _on_wal_flush(self, flushed_lsn: int, chain_digest: bytes) -> None:
-        fault_point("freshness.advance", lsn=flushed_lsn)
+        if _ADVANCE.armed:
+            _ADVANCE.fire(lsn=flushed_lsn)
         self._backend.anchor_advance(
             chain_lsn=flushed_lsn, chain_digest=chain_digest
         )
 
     def _on_page_write(self, page_id: int, image: bytes) -> None:
-        fault_point("freshness.advance", page_id=page_id)
+        if _ADVANCE.armed:
+            _ADVANCE.fire(page_id=page_id)
         self._backend.anchor_advance(
             page_id=page_id, page_digest=page_digest(image)
         )
@@ -170,7 +166,8 @@ class FreshnessAnchor:
         flushed), so a crash in between leaves the catalog ahead of the
         anchor — adopted at the next verify, never a false positive.
         """
-        fault_point("freshness.advance", cek_name=cek_name, version=version)
+        if _ADVANCE.armed:
+            _ADVANCE.fire(cek_name=cek_name, version=version)
         return self._backend.anchor_cek_version(cek_name, version)
 
     # -- recovery ----------------------------------------------------------
@@ -189,7 +186,8 @@ class FreshnessAnchor:
         WAL/pages are old — internally consistent, every ciphertext
         valid, and still not the present.
         """
-        fault_point("freshness.verify")
+        if _VERIFY.armed:
+            _VERIFY.fire()
         base_lsn, base_digest = wal.chain_base()
         verdict = self._backend.anchor_verify(
             base_lsn,

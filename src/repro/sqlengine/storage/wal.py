@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.errors import ForcedCrash
 from repro.faults.actions import PartialFlushDirective
-from repro.faults.registry import fault_point, register_fault_site
+from repro.faults.registry import fault_site
 from repro.obs.flightrec import record_event
 from repro.obs.latchprof import TimedLatch
 from repro.obs.metrics import get_registry
@@ -33,11 +33,8 @@ _records_appended = get_registry().counter("wal.records_appended")
 _bytes_written = get_registry().counter("wal.bytes_written")
 _flushes = get_registry().counter("wal.flushes")
 
-register_fault_site("wal.append", "one log record appended")
-register_fault_site(
-    "wal.flush",
-    "the log forced to disk (commit durability point); partial-flush capable",
-)
+_APPEND = fault_site("wal.append")
+_FLUSH = fault_site("wal.flush")
 
 
 class LogOp(enum.Enum):
@@ -144,7 +141,8 @@ class WriteAheadLog:
         before: bytes | None = None,
         after: bytes | None = None,
     ) -> LogRecord:
-        fault_point("wal.append", txn_id=txn_id, op=op)
+        if _APPEND.armed:
+            _APPEND.fire(txn_id=txn_id, op=op)
         with self._lock:
             record = LogRecord(
                 lsn=self._next_lsn,
@@ -167,7 +165,7 @@ class WriteAheadLog:
 
     def flush(self) -> None:
         """Force the log to "disk" (commit durability point)."""
-        directive = fault_point("wal.flush")
+        directive = _FLUSH.fire() if _FLUSH.armed else None
         if isinstance(directive, PartialFlushDirective):
             with self._lock:
                 # The tail never regresses: a previously durable record

@@ -1,11 +1,14 @@
 """One deliberate violation per fault-site check: dynamic site name,
-unregistered fault_point, registered-but-untested site."""
+undeclared binding, declared-but-unbound row, declared-but-untested row."""
 
 
-def install(register_fault_site, dynamic_name):
-    register_fault_site("disk.never_tested", "registered but untested")
-    register_fault_site(dynamic_name, "dynamic")
+def table(FaultSite, dynamic_name):
+    return (
+        FaultSite("disk.never_tested", "bound but untested"),
+        FaultSite("disk.never_bound", "tested but bound by no module"),
+        FaultSite(dynamic_name, "dynamic"),
+    )
 
 
-def hot_path(fault_point):
-    fault_point("disk.unregistered")
+def bind(fault_site):
+    return fault_site("disk.never_tested"), fault_site("disk.unregistered")

@@ -1,3 +1,3 @@
 """Corpus file that does NOT mention disk.never_tested."""
 
-ARMED = "disk.some_other_site"
+ARMED = ("disk.some_other_site", "disk.never_bound")

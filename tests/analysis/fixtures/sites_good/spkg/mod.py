@@ -1,10 +1,10 @@
-"""Registered + used + tested fault site.
+"""Declared + bound + tested fault site.
 Must produce zero fault-site findings."""
 
 
-def install(register_fault_site):
-    register_fault_site("disk.write_ok", "one page written")
+def table(FaultSite):
+    return (FaultSite("disk.write_ok", "one page written"),)
 
 
-def hot_path(fault_point):
-    fault_point("disk.write_ok")
+def bind(fault_site):
+    return fault_site("disk.write_ok")

@@ -22,9 +22,11 @@ def rule():
 def test_violating_fixture_flags_every_check(rule, run_rule, fixtures_dir):
     findings = run_rule(rule, config(fixtures_dir / "sites_bad"))
     keys = {f.key for f in findings}
-    assert "dynamic-site:register_fault_site" in keys
+    assert "dynamic-site:FaultSite" in keys
     assert "unregistered-site:disk.unregistered" in keys
+    assert "unused-site:disk.never_bound" in keys
     assert "untested-site:disk.never_tested" in keys
+    assert "unused-site:disk.never_tested" not in keys
     assert all(f.rule == "fault-site" for f in findings)
 
 

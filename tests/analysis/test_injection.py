@@ -32,7 +32,7 @@ class Edit:
     also: str                   # what else catches it
 
 
-#: A fault site the edit registers. Spelled in parts: the coverage check
+#: A fault site the edit declares. Spelled in parts: the coverage check
 #: counts a quoted name anywhere under tests/ as tested, this file included.
 _NEW_SITE = ".".join(("wal", "truncate"))
 
@@ -169,23 +169,29 @@ EDITS = (
           "        return page\n"),),
         "nothing",
     ),
-    # -- fault-site: fault sites are registered, literal and tested
+    # -- fault-site: fault sites are declared, bound, literal and tested
     Edit(
         "fault-site", ("unregistered-site:engine.prepared",), "repro/sqlengine/engine.py",
-        (('fault_point("engine.prepare", txn_id', 'fault_point("engine.prepared", txn_id'),),
+        (('_PREPARE = fault_site("engine.prepare")', '_PREPARE = fault_site("engine.prepared")'),),
+        "tier-1: importing repro.sqlengine.engine raises the KeyError naming the known sites",
+    ),
+    Edit(
+        "fault-site", ("untested-site:wal.truncate",), "repro/faults/registry.py",
+        (('    FaultSite("wal.append", "one log record appended"),\n',
+          '    FaultSite("wal.append", "one log record appended"),\n'
+          f'    FaultSite("{_NEW_SITE}", "log prefix dropped after a checkpoint"),\n'),),
+        "tests/faults/test_registry.py::TestRegistry::test_global_registry_has_all_advertised_sites",
+    ),
+    Edit(
+        "fault-site", ("unused-site:bufferpool.evict",), "repro/sqlengine/storage/bufferpool.py",
+        (('_EVICT = fault_site("bufferpool.evict")\n', ''),
+         ('                if _EVICT.armed:\n                    _EVICT.fire()\n', '')),
         "nothing",
     ),
     Edit(
-        "fault-site", ("untested-site:wal.truncate",), "repro/sqlengine/storage/wal.py",
-        (('register_fault_site("wal.append", "one log record appended")\n',
-          'register_fault_site("wal.append", "one log record appended")\n'
-          f'register_fault_site("{_NEW_SITE}", "log prefix dropped after a checkpoint")\n'),),
-        "nothing",
-    ),
-    Edit(
-        "fault-site", ("dynamic-site:fault_point",), "repro/sqlengine/storage/wal.py",
-        (('        fault_point("wal.append", txn_id=txn_id, op=op)\n',
-          '        fault_point(f"wal.{op.name.lower()}", txn_id=txn_id, op=op)\n'),),
+        "fault-site", ("dynamic-site:fault_site",), "repro/sqlengine/storage/wal.py",
+        (('_APPEND = fault_site("wal.append")\n_FLUSH = fault_site("wal.flush")\n',
+          '_APPEND, _FLUSH = (fault_site(f"wal.{verb}") for verb in ("append", "flush"))\n'),),
         "nothing",
     ),
     # -- protocol-typestate: 2PC writes its log record before its state

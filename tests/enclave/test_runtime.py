@@ -18,7 +18,7 @@ from repro.errors import (
     TransientFault,
 )
 from repro.faults import Always, OnNth, RaiseTransient, get_fault_registry
-from repro.faults.registry import fault_point
+from repro.faults.registry import fault_site
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.expression.program import Instruction, Opcode, StackProgram
 from repro.sqlengine.expression.vm import StackMachine
@@ -441,9 +441,10 @@ class TestCompareBatchOpenedAtOnce:
 
 def _parent_row_loop(enclave, handle, rows):
     """The chunk loop ``Enclave.eval_batch`` replaced: the chunk decrypted
-    up front, then per row the fault point and ``StackMachine.eval``, every
+    up front, then per row the fault site and ``StackMachine.eval``, every
     operand opened through ``decrypt_cell`` under one ``_EcallCrypto``."""
     program = enclave._programs[handle]
+    site = fault_site("enclave.eval_batch")
     with _EcallCrypto(enclave) as crypto:
         crypto.prefetch(
             (enc.cek_name, cell.envelope)
@@ -454,7 +455,8 @@ def _parent_row_loop(enclave, handle, rows):
         vm = StackMachine(crypto=crypto)
         outputs = []
         for index, inputs in enumerate(rows):
-            fault_point("enclave.eval_batch", handle=handle, index=index, total=len(rows))
+            if site.armed:
+                site.fire(handle=handle, index=index, total=len(rows))
             outputs.append(vm.eval(program, inputs, n_outputs=1))
     return outputs
 

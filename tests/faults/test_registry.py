@@ -1,5 +1,6 @@
 """Units for the fault registry, schedules, actions, and error classifier."""
 
+import sys
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from repro.faults import (
     ErrorClass,
     EveryKth,
     FaultRegistry,
+    FaultSite,
     ForceCrash,
     Never,
     OnNth,
@@ -30,7 +32,7 @@ from repro.faults import (
     TornWrite,
     TornWriteDirective,
     classify_error,
-    fault_point,
+    fault_site,
     get_fault_registry,
     is_transient,
 )
@@ -38,10 +40,11 @@ from repro.obs.metrics import get_registry
 
 
 def make_registry(*sites: str) -> FaultRegistry:
-    registry = FaultRegistry()
-    for site in sites:
-        registry.register_site(site)
-    return registry
+    return FaultRegistry(FaultSite(site, "a unit-test site") for site in sites)
+
+
+def fire(registry: FaultRegistry, site: str, **ctx):
+    return registry.site(site).fire(**ctx)
 
 
 class TestSchedules:
@@ -167,38 +170,40 @@ class TestRegistry:
         with pytest.raises(KeyError, match="a.b"):
             registry.arm("a.typo", Always(), RaiseTransient())
 
-    def test_register_is_idempotent_and_keeps_description(self):
-        registry = make_registry()
-        registry.register_site("x.y", "first")
-        registry.register_site("x.y")
-        assert registry.site("x.y").description == "first"
+    def test_registry_serves_its_own_rows(self):
+        row = FaultSite("x.y", "first", ("drop",))
+        registry = FaultRegistry([row])
+        assert registry.site("x.y") is row
         assert registry.sites() == ["x.y"]
+        with pytest.raises(KeyError, match="x.y"):
+            registry.site("x.z")
+        assert registry.armed_at("x.z") == []
 
     def test_disarmed_site_returns_none(self):
         registry = make_registry("a.b")
-        assert registry.fire("a.b") is None
-        assert registry.fire("never.registered") is None
+        assert registry.site("a.b").armed == ()
+        assert fire(registry, "a.b") is None
 
     def test_fire_raises_and_counts(self):
         registry = make_registry("a.b")
         registry.arm("a.b", OnNth(2), RaiseTransient())
         baseline = get_registry().value("faults.injected")
-        assert registry.fire("a.b") is None          # hit 1: no fire
+        assert fire(registry, "a.b") is None          # hit 1: no fire
         with pytest.raises(TransientFault):
-            registry.fire("a.b")                     # hit 2: fires
-        assert registry.fire("a.b") is None          # hit 3: OnNth is done
+            fire(registry, "a.b")                     # hit 2: fires
+        assert fire(registry, "a.b") is None          # hit 3: OnNth is done
         assert get_registry().value("faults.injected") - baseline == 1
 
     def test_directive_returned_to_site(self):
         registry = make_registry("a.b")
         registry.arm("a.b", Always(), DropMessage())
-        assert isinstance(registry.fire("a.b"), DropMessageDirective)
+        assert isinstance(fire(registry, "a.b"), DropMessageDirective)
 
     def test_disarm_stops_firing(self):
         registry = make_registry("a.b")
         armed = registry.arm("a.b", Always(), RaiseTransient())
         registry.disarm(armed)
-        assert registry.fire("a.b") is None
+        assert fire(registry, "a.b") is None
         assert registry.armed_at("a.b") == []
 
     def test_disarm_all(self):
@@ -206,23 +211,63 @@ class TestRegistry:
         registry.arm("a.b", Always(), RaiseTransient())
         registry.arm("c.d", Always(), RaiseFatal())
         registry.disarm_all()
-        assert registry.fire("a.b") is None and registry.fire("c.d") is None
+        assert fire(registry, "a.b") is None and fire(registry, "c.d") is None
 
     def test_rearming_restarts_hit_count(self):
         registry = make_registry("a.b")
         first = registry.arm("a.b", OnNth(1), RaiseTransient())
         with pytest.raises(TransientFault):
-            registry.fire("a.b")
+            fire(registry, "a.b")
         registry.disarm(first)
         registry.arm("a.b", OnNth(1), RaiseTransient())
         with pytest.raises(TransientFault):
-            registry.fire("a.b")  # a fresh arming fires on its own first hit
+            fire(registry, "a.b")  # a fresh arming fires on its own first hit
+
+    def test_concurrent_arming_and_disarming_loses_no_arming(self):
+        registry = make_registry("a.b")
+        kept: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def churn():
+            mine = [registry.arm("a.b", Never(), RaiseTransient()) for __ in range(200)]
+            for armed in mine[::2]:
+                registry.disarm(armed)
+            kept.extend(mine[1::2])
+
+        try:
+            threads = [threading.Thread(target=churn) for __ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(map(id, registry.site("a.b").armed)) == sorted(map(id, kept))
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [OnNth(3), EveryKth(2, limit=2), SeededProbability(0.5, seed=7, limit=3)],
+        ids=repr,
+    )
+    def test_rearmed_schedule_object_replays_its_sequence(self, schedule):
+        registry = make_registry("a.b")
+
+        def run() -> list[int]:
+            armed = registry.arm("a.b", schedule, DropMessage())
+            fired = [hit for hit in range(1, 13) if fire(registry, "a.b") is not None]
+            registry.disarm(armed)
+            return fired
+
+        first = run()
+        assert first and run() == first
 
     def test_armed_fault_records_hits_and_fires(self):
         registry = make_registry("a.b")
         armed = registry.arm("a.b", EveryKth(2), DropMessage())
         for __ in range(6):
-            registry.fire("a.b")
+            fire(registry, "a.b")
         assert armed.hits == 6
         assert armed.fired == 3
 
@@ -233,7 +278,7 @@ class TestRegistry:
 
         def hammer():
             for __ in range(per_thread):
-                registry.fire("a.b")
+                fire(registry, "a.b")
 
         threads = [threading.Thread(target=hammer) for __ in range(n_threads)]
         for t in threads:
@@ -243,13 +288,7 @@ class TestRegistry:
         assert armed.hits == n_threads * per_thread
 
     def test_global_registry_has_all_advertised_sites(self):
-        # Importing the instrumented modules registers every site the
-        # issue promises. Driver/engine/storage/enclave/attestation.
-        import repro.attestation.protocol  # noqa: F401
-        import repro.client.driver  # noqa: F401
-        import repro.enclave.runtime  # noqa: F401
-        import repro.sqlengine.engine  # noqa: F401
-
+        # The table declares every site, whatever has been imported.
         expected = {
             "attestation.verify",
             "bufferpool.evict",
@@ -258,22 +297,39 @@ class TestRegistry:
             "driver.describe_parameter_encryption",
             "enclave.channel.recv",
             "enclave.channel.send",
+            "enclave.eval_batch",
+            "enclave.recrypt_batch",
             "engine.commit",
             "engine.index_insert",
+            "engine.prepare",
+            "freshness.advance",
+            "freshness.verify",
+            "net.recv_frame",
+            "net.send_frame",
+            "rotation.batch",
+            "rotation.begin",
+            "rotation.checkpoint",
+            "rotation.end",
+            "router.commit_decision",
             "wal.append",
             "wal.flush",
         }
-        assert expected <= set(get_fault_registry().sites())
-        assert len(expected) >= 10
+        assert set(get_fault_registry().sites()) == expected
 
-    def test_module_level_fault_point_uses_global_registry(self):
-        site = "test.module_level_site"
-        from repro.faults import register_fault_site
+    def test_bound_site_is_the_global_registry_row(self):
+        from repro.sqlengine.storage import wal
 
-        register_fault_site(site)
-        armed = get_fault_registry().arm(site, Always(), RaiseFatal())
+        site = fault_site("wal.flush")
+        assert site is wal._FLUSH is get_fault_registry().site("wal.flush")
+        armed = get_fault_registry().arm("wal.flush", Always(), RaiseFatal())
         try:
+            assert site.armed == (armed,)
             with pytest.raises(FatalFault):
-                fault_point(site)
+                site.fire()
         finally:
             get_fault_registry().disarm(armed)
+        assert site.armed == ()
+
+    def test_binding_an_undeclared_site_names_the_known_ones(self):
+        with pytest.raises(KeyError, match="wal.flush"):
+            fault_site("wal.flsuh")

@@ -1,9 +1,11 @@
 """The documents point at things that exist, and their numbers come from files.
 
 Every backticked repository path in the prose documents must exist (with its
-``::Class::test`` suffix, if it has one, defined in that file), and every
+``::Class::test`` suffix, if it has one, defined in that file), every
 ``<!-- harness:NAME -->`` block of EXPERIMENTS.md must equal ``python -m
-repro.harness report`` re-rendered from the committed ``results/NAME.json``.
+repro.harness report`` re-rendered from the committed ``results/NAME.json``,
+and docs/FAULTS.md's ``<!-- fault-sites -->`` block must be the fault-site
+table's rows, rendered.
 """
 
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.faults.registry import site_table
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.result import load_results, splice
 
@@ -47,3 +50,12 @@ def test_experiments_tables_are_the_rendered_results():
     marked = set(re.findall(r"<!-- harness:([\w-]+) -->", text))
     assert marked == set(EXPERIMENTS)
     assert splice(text, results) == text, "run `python -m repro.harness report` and paste"
+
+
+def test_fault_sites_table_is_the_rendered_rows():
+    text = (ROOT / "docs" / "FAULTS.md").read_text()
+    block = re.search(r"<!-- fault-sites -->\n(.*?)\n<!-- /fault-sites -->", text, re.DOTALL)
+    assert block is not None
+    assert block.group(1) == site_table(), (
+        "paste `python -c 'from repro.faults.registry import site_table; print(site_table())'`"
+    )
