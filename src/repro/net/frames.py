@@ -34,7 +34,7 @@ from repro.errors import (
     UnknownOpcodeError,
     VersionMismatchError,
 )
-from repro.net.opcodes import opcode_name
+from repro.net.opcodes import OPCODES
 
 __all__ = [
     "FRAME_HEADER_LEN",
@@ -57,6 +57,8 @@ _HEADER = struct.Struct(">2sBBII")
 #: is treated as stream corruption rather than an allocation request.
 MAX_PAYLOAD_LEN = 64 * 1024 * 1024
 
+_OPCODES = frozenset(OPCODES.values())
+
 
 def encode_frame(opcode: int, payload: bytes, *, version: int = PROTOCOL_VERSION) -> bytes:
     """Serialize one frame for ``opcode`` carrying ``payload``."""
@@ -74,8 +76,9 @@ def try_decode(buffer: bytes | bytearray) -> tuple[int, bytes, int] | None:
     Returns ``(opcode, payload, consumed)`` on success, ``None`` when more
     bytes are needed, and raises a :class:`WireError` subclass when the
     prefix already present is invalid. ``buffer`` is read in place (a
-    channel passes its growing receive buffer): nothing is copied until
-    the frame is whole, and then only the payload, once.
+    chunk as it came off the socket, or a channel's receive buffer):
+    nothing is copied until the frame is whole, and then only the
+    payload.
     """
     if len(buffer) < FRAME_HEADER_LEN:
         # Validate what we can see so a garbage prefix fails immediately.
@@ -89,15 +92,14 @@ def try_decode(buffer: bytes | bytearray) -> tuple[int, bytes, int] | None:
         raise VersionMismatchError(
             f"peer speaks protocol version {version}, this endpoint speaks {PROTOCOL_VERSION}"
         )
-    if opcode_name(opcode) is None:
+    if opcode not in _OPCODES:
         raise UnknownOpcodeError(f"unknown opcode byte 0x{opcode:02X}")
     if length > MAX_PAYLOAD_LEN:
         raise CorruptFrameError(f"declared payload length {length} exceeds maximum")
     total = FRAME_HEADER_LEN + length
     if len(buffer) < total:
         return None
-    with memoryview(buffer) as view:
-        payload = bytes(view[FRAME_HEADER_LEN:total])
+    payload = bytes(buffer[FRAME_HEADER_LEN:total])  # of a bytes slice: the slice itself
     if zlib.crc32(payload) != crc:
         raise CorruptFrameError("frame payload failed CRC check")
     return opcode, payload, total

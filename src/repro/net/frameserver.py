@@ -39,9 +39,9 @@ from repro.net.transport import FrameChannel, FrameTap
 
 __all__ = ["FrameServer"]
 
-#: ``dispatch(request, sessions) -> reply`` for one connection; the reply is
-#: a message, or ``bytes`` when it already is a frame (a shard's, verbatim).
-Dispatch = Callable[[object, dict], object]
+#: ``dispatch(request, frame, sessions) -> reply`` for one connection; the reply
+#: is a message, or ``bytes`` when it already is a frame (a shard's, verbatim).
+Dispatch = Callable[[object, bytes, dict], object]
 #: ``relay(request_frame) -> (opcode, payload, reply_frame)`` for one connection.
 Relay = Callable[[bytes], tuple[int, bytes, bytes]]
 
@@ -170,7 +170,7 @@ class FrameServer:
                                 session.close()
                         reply = msg.encode_message(msg.Ok())
                     else:
-                        reply = dispatch(request, sessions)
+                        reply = dispatch(request, frame, sessions)
                         if not isinstance(reply, bytes):
                             reply = msg.encode_message(reply)
                 except WireError:

@@ -38,7 +38,7 @@ from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.keys.cmk import ColumnMasterKey
 from repro.net.encoding import decode_value, encode_value, memoize_structs
 from repro.net.encoding import register_enum, register_struct
-from repro.net.frames import encode_frame
+from repro.net.frames import FRAME_HEADER_LEN, encode_frame
 from repro.net.opcodes import OPCODES, opcode_byte
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import RecoveryReport
@@ -402,29 +402,41 @@ if set(MESSAGE_TYPES) != set(OPCODES):
 
 # ------------------------------------------------------------------ verbs
 
+class Verb(tuple):
+    """A :data:`VERBS` row, ``(method, reply type, reply field)``; a router
+    relays a ``relayed`` verb to the affinity shard, frame for frame."""
+
+    def __new__(cls, method, reply_type, reply_field, relayed: bool = False):
+        row = super().__new__(cls, (method, reply_type, reply_field))
+        row.relayed = relayed
+        return row
+
+
 #: The server verbs one method call answers: request type → (``SqlServer``
 #: method, reply type, reply field). The request's fields are the method's
 #: arguments, in order; the reply field carries its result (``None``: the
 #: reply is :class:`Ok`; a tuple: the result is unpacked into those fields).
-#: ``RemoteServer`` builds its stub methods from this table and the wire
-#: server answers from it, so a verb is declared here and nowhere else. A
-#: request with a trailing field its method does not take
+#: ``RemoteServer`` builds its stub methods from this table, the wire server
+#: answers from it and the router relays its ``relayed`` rows (the enclave
+#: session lives in the affinity shard, and each shard rotates its own
+#: partition through its own enclave), so a verb is declared here and
+#: nowhere else. A request with a trailing field its method does not take
 #: (``AdminRotateStart.resume_id``) is answered by hand, not by :func:`answer`.
-VERBS: dict[type, tuple[str, type, str | tuple[str, ...] | None]] = {
-    Describe: ("describe_parameter_encryption", DescribeReply, "result"),
-    Attest: ("attest", AttestReply, "info"),
-    CekFetch: ("fetch_cek_metadata", CekFetchReply, "metadata"),
-    ForwardPackage: ("forward_enclave_package", Ok, None),
-    TxnCommitPrepared: ("commit_prepared", Ok, None),
-    TxnAbortPrepared: ("abort_prepared", Ok, None),
-    TxnIndoubt: ("indoubt_gtids", TxnIndoubtReply, "gtids"),
-    AdminAudit: ("audit", AdminAuditReply, "violations"),
-    AdminCrash: ("crash", Ok, None),
-    AdminRecover: ("recover", AdminRecoverReply, "report"),
-    AdminRotateStart: ("rotate_start", AdminRotateStepReply, "rotation_id"),
-    AdminRotateStep: ("rotate_step", AdminRotateStepReply, ("more", "rows_rotated")),
-    AdminRotateStatus: ("rotation_states", AdminRotateStatusReply, "statuses"),
-    AdminCekVersions: ("cek_versions", AdminCekVersionsReply, "versions"),
+VERBS: dict[type, Verb] = {
+    Describe: Verb("describe_parameter_encryption", DescribeReply, "result", relayed=True),
+    Attest: Verb("attest", AttestReply, "info", relayed=True),
+    CekFetch: Verb("fetch_cek_metadata", CekFetchReply, "metadata", relayed=True),
+    ForwardPackage: Verb("forward_enclave_package", Ok, None, relayed=True),
+    TxnCommitPrepared: Verb("commit_prepared", Ok, None),
+    TxnAbortPrepared: Verb("abort_prepared", Ok, None),
+    TxnIndoubt: Verb("indoubt_gtids", TxnIndoubtReply, "gtids"),
+    AdminAudit: Verb("audit", AdminAuditReply, "violations"),
+    AdminCrash: Verb("crash", Ok, None),
+    AdminRecover: Verb("recover", AdminRecoverReply, "report"),
+    AdminRotateStart: Verb("rotate_start", AdminRotateStepReply, "rotation_id", True),
+    AdminRotateStep: Verb("rotate_step", AdminRotateStepReply, ("more", "rows_rotated"), True),
+    AdminRotateStatus: Verb("rotation_states", AdminRotateStatusReply, "statuses", True),
+    AdminCekVersions: Verb("cek_versions", AdminCekVersionsReply, "versions", True),
 }
 
 _ARGUMENTS = {cls: tuple(f.name for f in fields(cls)) for cls in VERBS}
@@ -452,10 +464,12 @@ __all__ = [
     "MESSAGE_TYPES",
     "NONRECONSTRUCTIBLE_ERRORS",
     "VERBS",
+    "Verb",
     "answer",
     "decode_message",
     "encode_message",
     "error_reply_for",
+    "readdress",
     "reconstruct_error",
 ]
 
@@ -463,19 +477,59 @@ __all__ = [
 # ------------------------------------------------------------------ codec
 
 
+#: A plan's shared describe reply, coded once each way: the shard keeps the
+#: frame of each result object (held, as in the codec's encode memo), the
+#: client the reply decoded from each payload. Neither takes an attested
+#: reply; each is emptied when full (racing inserts overfill it by one each).
+_DESCRIBED = 1024
+_described_frames: dict[int, tuple[DescribeResult, bytes]] = {}
+_described_replies: dict[bytes, DescribeReply] = {}
+_DESCRIBE_REPLY_OP = opcode_byte(DescribeReply.OP)
+
+
 def encode_message(msg: Any) -> bytes:
     """Serialize a message to one complete frame."""
-    return encode_frame(_OPCODE_OF[type(msg)], encode_value(msg))
+    if type(msg) is not DescribeReply or msg.result.attestation is not None:
+        return encode_frame(_OPCODE_OF[type(msg)], encode_value(msg))
+    entry = _described_frames.get(id(msg.result))
+    if entry is None or entry[0] is not msg.result:
+        if len(_described_frames) >= _DESCRIBED:
+            _described_frames.clear()
+        entry = (msg.result, encode_frame(_DESCRIBE_REPLY_OP, encode_value(msg)))
+        _described_frames[id(msg.result)] = entry
+    return entry[1]
 
 
 def decode_message(opcode: int, payload: bytes) -> Any:
     """Decode a frame's payload back into its message dataclass."""
+    reply = _described_replies.get(payload) if opcode == _DESCRIBE_REPLY_OP else None
+    if reply is not None:
+        return reply
     msg = decode_value(payload)
     if _OPCODE_OF.get(type(msg)) != opcode:
         raise UnknownOpcodeError(
             f"frame opcode 0x{opcode:02X} does not match payload type {type(msg).__name__!r}"
         )
+    if opcode == _DESCRIBE_REPLY_OP and msg.result.attestation is None:
+        if len(_described_replies) >= _DESCRIBED:
+            _described_replies.clear()
+        _described_replies[payload] = msg
     return msg
+
+
+#: An Execute's payload opens with its struct tag and the tag of its session
+#: id, an int64 whose eight bytes end at payload byte 10.
+_EXECUTE_HEAD = encode_value(Execute(session_id=0, query_text=""))[:2]
+
+
+def readdress(frame: bytes, session_id: int) -> bytes:
+    """``frame``, an encoded :class:`Execute`, addressed to ``session_id``:
+    byte for byte ``encode_message`` of the same request under that id."""
+    if not frame.startswith(_EXECUTE_HEAD, FRAME_HEADER_LEN):
+        raise WireError("an Execute frame whose session id is not an int64")
+    session = session_id.to_bytes(8, "big", signed=True)
+    rest = frame[FRAME_HEADER_LEN + 10 :]
+    return encode_frame(_OPCODE_OF[Execute], _EXECUTE_HEAD + session + rest)
 
 
 # ------------------------------------------------------------------ errors

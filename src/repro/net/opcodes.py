@@ -131,8 +131,3 @@ if len(_IDS) != len(WIRE_IDS) or _IDS & set(RETIRED_WIRE_IDS.values()):
 def opcode_byte(name: str) -> int:
     """The wire byte for an opcode name; raises ``KeyError`` on unknowns."""
     return OPCODES[name]
-
-
-def opcode_name(byte: int) -> str | None:
-    """The opcode name for a wire byte, or ``None`` if unassigned."""
-    return _BY_BYTE.get(byte)

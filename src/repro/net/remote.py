@@ -112,23 +112,22 @@ class RemoteServer:
         in, the reply's ``(opcode, payload, frame_bytes)`` out, undecoded
         (the router hands ``frame_bytes`` to its own peer verbatim).
 
-        On a socket-level failure the channel is dead, but every message
-        routed through here is an idempotent control-plane operation — so
-        we heal (reopen + re-handshake) before re-raising, and the
-        driver's backoff classifier, which treats ``ConnectionError`` and
-        ``TimeoutError`` as transient, retries onto the fresh channel.
+        A failed exchange closes the channel, but every message routed
+        through here is an idempotent control-plane operation — so we heal
+        (reopen + re-handshake) before re-raising, and the driver's backoff
+        classifier, which treats ``ConnectionError`` and ``TimeoutError``
+        as transient, retries onto the fresh channel.
         """
         with self._lock:
             try:
                 return self._control.request_raw(frame)
-            except (ConnectionError, TimeoutError, OSError) as exc:
+            except Exception:
                 try:
-                    self._control.close()
                     self._control = self._open_channel()
                     self._handshake(self._control)
                 except Exception:
                     pass  # server gone: the retry will fail loudly instead
-                raise exc
+                raise
 
     def _request(self, message: object) -> object:
         """One control-plane round trip; reconstructs typed errors."""
@@ -212,7 +211,12 @@ class RemoteSession:
 
     @property
     def in_transaction(self) -> bool:
-        return self._in_transaction
+        return self._in_transaction and not self.lost
+
+    @property
+    def lost(self) -> bool:
+        """A failed exchange closed the channel: the server aborts the session."""
+        return self._channel.closed
 
     def _raise(self, reply: object) -> None:
         """Raise the typed error an Execute came back as, its transaction state mirrored."""
@@ -222,20 +226,18 @@ class RemoteSession:
             self._in_transaction = reply.in_transaction
         raise msg.reconstruct_error(reply)
 
-    def _send_execute(self, query_text: str, params: dict) -> tuple[int, bytes, bytes]:
-        request = msg.Execute(session_id=self.session_id, query_text=query_text, params=params)
-        return self._channel.request_raw(msg.encode_message(request))
-
     def execute(self, query_text: str, params: dict | None = None) -> QueryResult:
-        opcode, payload, _frame = self._send_execute(query_text, params or {})
+        request = msg.Execute(self.session_id, query_text, params or {})
+        opcode, payload, _frame = self._channel.request_raw(msg.encode_message(request))
         reply = msg.decode_message(opcode, payload)
         if not isinstance(reply, msg.ExecuteReply):
             self._raise(reply)
         self._in_transaction = reply.in_transaction
         return reply.result
 
-    def execute_raw(self, query_text: str, params: dict) -> bytes:
-        """One execute round trip returning the raw ``execute_reply`` frame.
+    def execute_raw(self, frame: bytes) -> bytes:
+        """One round trip of a client's ``Execute`` frame, readdressed to this
+        session (:func:`~repro.net.messages.readdress`); the raw reply frame.
 
         The router's forwarding fast path: the reply payload — dominated
         by result rows on reads — is *not* decoded here; the caller
@@ -244,10 +246,11 @@ class RemoteSession:
         ``_in_transaction`` is deliberately untouched on success: a DML
         statement never changes the branch's transaction state.
         """
-        opcode, payload, frame = self._send_execute(query_text, params)
+        request = msg.readdress(frame, self.session_id)
+        opcode, payload, reply = self._channel.request_raw(request)
         if opcode != _EXECUTE_REPLY_OP:
             self._raise(msg.decode_message(opcode, payload))
-        return frame
+        return reply
 
     def prepare_transaction(self, gtid: str) -> None:
         reply = self._channel.request(

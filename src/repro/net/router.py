@@ -122,7 +122,7 @@ class RouterSession:
 
     def _backend(self, shard_idx: int) -> RemoteSession:
         session = self.backends.get(shard_idx)
-        if session is None:
+        if session is None or session.lost:
             session = self.router.shards[shard_idx].connect()
             self.backends[shard_idx] = session
         return session
@@ -160,15 +160,15 @@ class RouterSession:
             return self._execute_broadcast(query_text, params)
         return self._execute_on(shard_idx, query_text, params)
 
-    def execute_fast(self, query_text: str, params: dict) -> bytes | None:
+    def execute_fast(self, query_text: str, params: dict, frame: bytes) -> bytes | None:
         """Single-shard forwarding fast path: the raw reply frame, or None.
 
         The slow path decodes the shard's reply (rows and all) only to
-        re-encode it byte-identically for the client — at benchmark rates
-        that double serialization is most of the router's CPU. When a
-        statement routes to exactly one shard, the shard's ``execute_reply``
-        frame is forwarded verbatim instead: its ``in_transaction`` flag is
-        the branch's state, which on the success path always equals this
+        re-encode it byte-identically for the client. When a statement
+        routes to exactly one shard, the client's own ``Execute`` ``frame``
+        goes on with its session id rewritten, and the shard's reply frame
+        comes back verbatim: its ``in_transaction`` flag is the branch's
+        state, which on the success path always equals this
         session's state (a DML statement never opens or closes a
         transaction). ``None`` means the statement needs the slow path
         (transaction verbs, DDL/keyless-write broadcasts); an error reply
@@ -178,19 +178,20 @@ class RouterSession:
         shard_idx = None if keyword in _TXN_KEYWORDS else self._route(keyword, params)
         if shard_idx is None:
             return None
-        return self._execute_on(shard_idx, query_text, params, raw=True)
+        return self._execute_on(shard_idx, query_text, params, frame)
 
-    def _execute_on(self, shard_idx: int, query_text: str, params: dict, raw: bool = False):
+    def _execute_on(self, shard_idx: int, query_text: str, params: dict, frame=None):
         backend = self._enlist(shard_idx)
         try:
-            if raw:
-                return backend.execute_raw(query_text, params)
+            if frame is not None:
+                return backend.execute_raw(frame)
             return backend.execute(query_text, params)
         except Exception:
             if self.in_transaction and not backend.in_transaction:
                 # The shard aborted its branch (deadlock victim, lock
-                # timeout): the distributed transaction cannot commit.
-                # Roll the other branches back so no branch half-commits.
+                # timeout, lost connection): the distributed transaction
+                # cannot commit. Roll the other branches back so no branch
+                # half-commits.
                 self.participants.discard(shard_idx)
                 self._rollback_participants()
                 self.in_transaction = False
@@ -370,30 +371,13 @@ class Router(FrameServer):
 
     # --------------------------------------------------------------- dispatch
 
-    #: control-plane types relayed to the affinity shard as raw frames,
-    #: request and reply, never decoded here (the enclave session created
-    #: by Attest lives in that one process). The
-    #: rotation verbs ride the same rule on purpose: the enclave's batched
-    #: recrypt is gated on the query authorization inside the *affinity*
-    #: shard's enclave, so a fleet-wide rotation opens one connection per
-    #: shard (affinity hints covering every shard) and rotates each
-    #: shard's partition through its own enclave — keys never leave any
-    #: of them.
-    _FORWARDED = (
-        msg.Describe,
-        msg.Attest,
-        msg.CekFetch,
-        msg.ForwardPackage,
-        msg.AdminRotateStart,
-        msg.AdminRotateStep,
-        msg.AdminRotateStatus,
-        msg.AdminCekVersions,
-    )
-    _RELAYED = frozenset(opcode_byte(cls.OP) for cls in _FORWARDED)
+    #: the ``relayed`` verbs: raw frames to the affinity shard and back, never decoded here.
+    _RELAYED = frozenset(opcode_byte(cls.OP) for cls, verb in msg.VERBS.items() if verb.relayed)
 
     def _dispatch(
         self,
         request: object,
+        frame: bytes,
         sessions: dict[int, RouterSession],
         affinity_shard: int,
     ) -> object:
@@ -408,9 +392,9 @@ class Router(FrameServer):
             return msg.SessionOpenReply(session_id=session.session_id)
         if isinstance(request, msg.Execute):
             session = self._session(sessions, request.session_id)
-            frame = session.execute_fast(request.query_text, request.params)
-            if frame is not None:
-                return frame
+            reply = session.execute_fast(request.query_text, request.params, frame)
+            if reply is not None:
+                return reply
             # None = slow path: nothing was sent to any shard yet.
             result = session.execute(request.query_text, request.params)
             return msg.ExecuteReply(result=result, in_transaction=session.in_transaction)

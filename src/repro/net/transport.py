@@ -40,7 +40,7 @@ _RECV_FRAME = fault_site("net.recv_frame")
 #: tap(direction, opcode, frame_bytes); direction is "send" or "recv".
 FrameTap = Callable[[str, int, bytes], None]
 
-_RECV_CHUNK = 64 * 1024
+_RECV_CHUNK = 8 * 1024  # a whole-frame recv lives on as the frame: size it near frames
 
 
 class FrameChannel:
@@ -50,7 +50,7 @@ class FrameChannel:
         self.sock = sock
         self.tap = tap
         self._buffer = bytearray()
-        self._closed = False
+        self.closed = False
 
     # ------------------------------------------------------------- sending
 
@@ -77,29 +77,38 @@ class FrameChannel:
         whether to decode the payload (:func:`decode_message`) or forward
         ``frame_bytes`` verbatim — validation (magic, version, opcode,
         length, CRC) has already happened in :func:`try_decode` either way.
+        A ``recv`` of exactly one whole frame into an empty buffer, the usual
+        case, is validated where it lies and is ``frame_bytes`` itself.
         """
         directive = _RECV_FRAME.fire() if _RECV_FRAME.armed else None
         if isinstance(directive, DropMessageDirective):
             raise ConnectionResetError("injected: frame dropped on receive")
-        while True:
-            # An empty buffer holds no frame: block on the socket, don't poll.
-            decoded = try_decode(self._buffer) if self._buffer else None
-            if decoded is not None:
-                opcode, payload, consumed = decoded
-                with memoryview(self._buffer) as view:
-                    frame = bytes(view[:consumed])
-                if self.tap is not None:
-                    self.tap("recv", opcode, frame)
-                del self._buffer[:consumed]
-                return opcode, payload, frame
+        buffer, frame = self._buffer, None
+        # An empty buffer holds no frame: block on the socket, don't poll.
+        decoded = try_decode(buffer) if buffer else None
+        while decoded is None:
             chunk = self.sock.recv(_RECV_CHUNK)
             if not chunk:
-                if self._buffer:
+                if buffer:
                     raise TruncatedFrameError(
-                        f"connection closed mid-frame with {len(self._buffer)} buffered bytes"
+                        f"connection closed mid-frame with {len(buffer)} buffered bytes"
                     )
                 return None
-            self._buffer.extend(chunk)
+            if buffer:
+                buffer += chunk
+                decoded = try_decode(buffer)
+            elif (decoded := try_decode(chunk)) is not None and decoded[2] == len(chunk):
+                frame = chunk
+            else:
+                buffer += chunk  # part of a frame, or more than one
+        opcode, payload, consumed = decoded
+        if frame is None:
+            with memoryview(buffer) as view:
+                frame = bytes(view[:consumed])
+            del buffer[:consumed]
+        if self.tap is not None:
+            self.tap("recv", opcode, frame)
+        return opcode, payload, frame
 
     def recv_message(self) -> Any | None:
         """Receive one message; ``None`` on clean EOF at a frame boundary."""
@@ -110,11 +119,21 @@ class FrameChannel:
         return decode_message(opcode, payload)
 
     def request_raw(self, frame: bytes) -> tuple[int, bytes, bytes]:
-        """Send one encoded frame and block for the peer's reply, undecoded."""
-        self.send_frame(frame)
-        raw = self.recv_frame()
-        if raw is None:
-            raise ConnectionResetError("connection closed while awaiting reply")
+        """Send one encoded frame and block for the peer's reply, undecoded.
+
+        A failed exchange closes the channel, so that a late reply is never
+        read as the next request's; later requests raise at once.
+        """
+        if self.closed:
+            raise ConnectionResetError("channel closed by an earlier failed exchange")
+        try:
+            self.send_frame(frame)
+            raw = self.recv_frame()
+            if raw is None:
+                raise ConnectionResetError("connection closed while awaiting reply")
+        except BaseException:
+            self.close()
+            raise
         return raw
 
     def request(self, msg: Any) -> Any:
@@ -125,9 +144,9 @@ class FrameChannel:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:

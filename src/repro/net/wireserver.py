@@ -52,7 +52,9 @@ class WireServer(FrameServer):
 
     # --------------------------------------------------------------- dispatch
 
-    def _dispatch(self, request: object, sessions: dict[int, ServerSession]) -> object:
+    def _dispatch(
+        self, request: object, _frame: bytes, sessions: dict[int, ServerSession]
+    ) -> object:
         server = self.server
         if isinstance(request, msg.Execute):
             session = self._session(sessions, request.session_id)

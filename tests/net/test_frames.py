@@ -14,7 +14,9 @@ at it. The properties here pin the codec's contract:
 * a payload that passed its CRC but is not a well-formed value — random
   bytes, or any one-byte mutation or truncation of a real message —
   raises :class:`CorruptFrameError` and nothing else, so the serving
-  loop's ``except WireError`` is all the handling a hostile peer needs.
+  loop's ``except WireError`` is all the handling a hostile peer needs;
+* however ``recv`` cuts a stream, a channel hands out its frames one at a
+  time, and a ``recv`` of exactly one whole frame is the frame returned.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.net.frames import (
     try_decode,
 )
 from repro.net.opcodes import OPCODES, opcode_byte
+from repro.net.transport import FrameChannel
 from tests.net.test_messages import SAMPLES
 
 # ---------------------------------------------------------------- strategies
@@ -208,3 +211,65 @@ def test_oversized_length_prefix_is_corruption():
     header[4:8] = (0xFFFFFFFF).to_bytes(4, "big")
     with pytest.raises(CorruptFrameError):
         try_decode(bytes(header))
+
+
+# ------------------------------------------------------------ receiving
+
+
+class ChunkedSocket:
+    """A socket stand-in whose ``recv`` hands out ``chunks`` in order, then EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_a_recv_of_one_whole_frame_is_the_frame_returned():
+    chunk = encode_frame(opcode_byte("ping"), b"payload")
+    channel = FrameChannel(ChunkedSocket([chunk]))
+    opcode, payload, frame = channel.recv_frame()
+    assert (opcode, payload) == (opcode_byte("ping"), b"payload")
+    assert frame is chunk
+    assert channel.recv_frame() is None
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(opcodes, st.binary(max_size=40)), min_size=1, max_size=5), st.data())
+def test_a_split_or_coalesced_stream_decodes_frame_by_frame(messages, data):
+    """However the stream is cut into ``recv`` chunks, frames come out one at
+    a time, in order, with the tap seeing each frame's bytes; a chunk that is
+    exactly one whole frame comes out as itself."""
+    frames = [encode_frame(opcode, payload) for opcode, payload in messages]
+    stream = b"".join(frames)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=8)))
+    bounds = [0, *cuts, len(stream)]
+    chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+    tapped = []
+    channel = FrameChannel(ChunkedSocket(chunks), tap=lambda *seen: tapped.append(seen))
+
+    received = [channel.recv_frame() for _ in frames]
+
+    assert channel.recv_frame() is None
+    assert [(opcode, payload) for opcode, payload, _frame in received] == messages
+    assert [frame for _opcode, _payload, frame in received] == frames
+    assert tapped == [("recv", opcode, frame) for opcode, _payload, frame in received]
+    starts = {sum(map(len, frames[:i])): i for i in range(len(frames))}
+    for start, chunk in zip(bounds, chunks):
+        index = starts.get(start)
+        if index is not None and chunk == frames[index]:
+            assert received[index][2] is chunk
+
+
+def test_a_stream_cut_mid_frame_is_truncated():
+    frame = encode_frame(opcode_byte("ping"), b"payload")
+    channel = FrameChannel(ChunkedSocket([frame[:5]]))
+    with pytest.raises(TruncatedFrameError):
+        channel.recv_frame()

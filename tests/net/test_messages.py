@@ -20,8 +20,12 @@ The invariants the rest of the system leans on:
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.attestation.hgs import HealthCertificate
 from repro.attestation.protocol import AttestationInfo
@@ -37,6 +41,7 @@ from repro.errors import (
     TransientFault,
     UnknownOpcodeError,
     VersionMismatchError,
+    WireError,
 )
 from repro.keys.cek import CekEncryptedValue, ColumnEncryptionKey
 from repro.keys.cmk import ColumnMasterKey
@@ -415,3 +420,108 @@ def encode_value_unchecked(value):
         body = b"".join(encode_value_unchecked(v) for v in value)
         return b"\x07" + struct.pack(">I", len(value)) + body
     raise AssertionError("only lists here")
+
+
+# ------------------------------------------------------- forwarding and memos
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.text(max_size=40),
+    st.dictionaries(
+        st.text(max_size=8),
+        st.one_of(st.none(), st.integers(-(2**70), 2**70), st.text(max_size=12),
+                  st.binary(max_size=12), st.floats(allow_nan=False)),
+        max_size=5,
+    ),
+)
+@example(1, 2**63 - 1, "SELECT ÿ FROM Ω WHERE n = @ñ", {"ñ": "日本", "w": 1})
+def test_a_readdressed_execute_is_the_frame_encode_message_makes(
+    client_id, backend_id, text, params
+):
+    """The router forwards the client's own ``Execute`` frame with the
+    backend session id written over the client's: the same bytes as
+    encoding the request again under that id."""
+    frame = msg.encode_message(msg.Execute(client_id, text, params))
+    readdressed = msg.readdress(frame, backend_id)
+    assert readdressed == msg.encode_message(msg.Execute(backend_id, text, params))
+    assert decode_frame(readdressed)[0] == opcode_byte("execute")
+
+
+def test_an_execute_whose_session_id_is_not_an_int64_is_not_readdressed():
+    """``True`` decodes to a session id equal to 1, but not in the int64
+    layout the router rewrites: the frame is a protocol violation."""
+    frame = encode_frame(opcode_byte("execute"), encode_value(msg.Execute(True, "SELECT 1")))
+    with pytest.raises(WireError):
+        msg.readdress(frame, 7)
+
+
+def _plan_describe() -> DescribeResult:
+    """A describe result as a plan shares it: no attestation."""
+    return DescribeResult(
+        parameters=[ParameterDescription("w", INT), ParameterDescription("v", RND_INT)],
+        parameter_ceks={"CEK1": CEK_METADATA},
+        enclave_ceks=[CEK_METADATA],
+    )
+
+
+def test_a_shared_describe_reply_is_coded_once_each_way():
+    """Encoded once per result object (an equal object is coded again, to
+    the same bytes), and decoded once per payload."""
+    result = _plan_describe()
+    frame = msg.encode_message(msg.DescribeReply(result))
+    assert msg.encode_message(msg.DescribeReply(result)) is frame
+    other = msg.encode_message(msg.DescribeReply(_plan_describe()))
+    assert other == frame and other is not frame
+
+    opcode, payload = decode_frame(frame)
+    reply = msg.decode_message(opcode, payload)
+    assert reply == msg.DescribeReply(result)
+    assert msg.decode_message(opcode, bytes(bytearray(payload))) is reply
+
+
+def test_an_attested_describe_reply_is_never_memoized():
+    attested = DESCRIBE_REPLY
+    assert attested.result.attestation is not None
+    frames = [msg.encode_message(attested) for _ in range(2)]
+    assert frames[0] == frames[1] and frames[0] is not frames[1]
+    opcode, payload = decode_frame(frames[0])
+    replies = [msg.decode_message(opcode, payload) for _ in range(2)]
+    assert replies[0] == replies[1] == attested and replies[0] is not replies[1]
+
+
+
+def test_describe_memos_shared_by_threads_answer_each_reply_with_its_own(monkeypatch):
+    """Eight threads code 24 distinct replies through memos bounded at four,
+    so entries are emptied under one another all the time: every frame and
+    every decoded reply is still the one its own result and bytes make."""
+    monkeypatch.setattr(msg, "_DESCRIBED", 4)
+    results = [
+        DescribeResult([ParameterDescription(f"p{i}", INT)], {}, []) for i in range(24)
+    ]
+    expected = [encode_frame(opcode_byte("describe_reply"),
+                             encode_value(msg.DescribeReply(r))) for r in results]
+    wrong: list = []
+
+    def worker(seed: int) -> None:
+        for n in range(300):
+            i = (seed * 7 + n) % len(results)
+            frame = msg.encode_message(msg.DescribeReply(results[i]))
+            reply = msg.decode_message(*decode_frame(bytes(bytearray(frame))))
+            if frame != expected[i] or reply.result != results[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

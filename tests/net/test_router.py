@@ -7,9 +7,9 @@ commit fast path, cross-shard 2PC, and the coordinator's failure
 behaviors: presumed abort when the decision never lands (an armed
 "router.commit_decision" fault) and decision-log replay when it did.
 
-The control plane is *relayed*: the router hands every ``_FORWARDED``
-request frame to the affinity shard and the reply frame back without
-decoding either. The last section pins what that must not change — typed
+The control plane is *relayed*: the router hands the request frame of
+every verb its ``messages.VERBS`` row marks ``relayed`` to the affinity
+shard and the reply frame back without decoding either. The last section pins what that must not change — typed
 errors, what a wire observer sees, fault behaviour on the relayed leg,
 and the pinning of one client's enclave session to one shard.
 """

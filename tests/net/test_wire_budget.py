@@ -6,6 +6,11 @@ After a warm-up round trip, a statement or a describe must:
 
 * call ``try_decode`` exactly once per frame received — a channel with
   an empty buffer blocks on its socket instead of polling the decoder;
+* encode two values: the client's ``Execute`` and the shard's
+  ``ExecuteReply`` — the router forwards the client's own frame;
+* code its plan's shared ``DescribeResult`` neither way: the shard's
+  describe reply is encoded once per result, and the client's decoded once
+  per payload;
 * decode its ``DescribeReply`` without constructing a ``SqlType`` (the
   parameter descriptions are memoized immutable metadata);
 * encode its ``ExecuteReply`` on the shard without encoding any field of
@@ -19,11 +24,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import encoding, transport
+from repro.net import encoding, messages, transport
+from repro.net.opcodes import WIRE_IDS
 from repro.net.remote import RemoteServer
 from repro.net.router import Router
 from repro.net.wireserver import WireServer
-from repro.sqlengine.server import SqlServer
+from repro.sqlengine.server import DescribeResult, SqlServer
 from repro.sqlengine.types import ColumnType, SqlType
 
 SELECT = "SELECT ID, VAL FROM T WHERE ID = @id AND W = @w"
@@ -89,3 +95,26 @@ def test_warm_execute_reply_encodes_no_result_column_field(session, monkeypatch)
     ]
     assert session.execute(SELECT, {"id": 1, "w": 1}).columns[1].name == "VAL"
     assert field_encodes == [[], []]
+
+
+def test_warm_execute_encodes_two_values(session, monkeypatch):
+    _client, session = session
+    encodes = counting(monkeypatch, messages, "encode_value")
+    assert session.execute(SELECT, {"id": 1, "w": 1}).rows == [(1, "a")]
+    assert [type(args[0]).__name__ for args in encodes] == ["Execute", "ExecuteReply"]
+
+
+def test_warm_describe_codes_its_result_neither_way(session, monkeypatch):
+    client, _session = session
+    first = client.describe_parameter_encryption(SELECT)
+    encodes = counting(monkeypatch, encoding._ENCODERS, DescribeResult)
+    # The compiled decoders look tags up in this very list: patch it in place.
+    decoders, tag = encoding._DECODERS, WIRE_IDS["DescribeResult"]
+    decode, decodes = decoders[tag], []
+    decoders[tag] = lambda *args: decodes.append(args) or decode(*args)
+    try:
+        described = client.describe_parameter_encryption(SELECT)
+    finally:
+        decoders[tag] = decode
+    assert (encodes, decodes) == ([], [])
+    assert described is first

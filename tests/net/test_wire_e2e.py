@@ -266,3 +266,59 @@ def test_idempotent_control_plane_survives_retry(plain_wire, clean_fault_registr
     assert retry.ping()
     retry.close()
     remote.close()
+
+
+# ------------------------------------------------------- a reply that came late
+
+
+def test_a_timed_out_execute_leaves_no_reply_for_the_next_statement():
+    """``s2``'s UPDATE waits on ``s1``'s row lock longer than the client
+    waits for its reply. The reply still comes once ``s1`` lets go; it must
+    not be read as the answer to ``s2``'s next statement. The session is
+    lost instead: every later call raises at once, and the server aborts
+    the session when its connection goes."""
+    with WireServer(SqlServer(lock_timeout_s=2.0), name="late") as wire:
+        remote = RemoteServer(wire.host, wire.port, timeout_s=0.5)
+        s1, s2 = remote.connect(), remote.connect()
+        s1.execute("CREATE TABLE T (ID INT PRIMARY KEY, V INT)", {})
+        s1.execute("INSERT INTO T (ID, V) VALUES (@i, @v)", {"i": 2, "v": 20})
+        s1.execute("BEGIN TRANSACTION", {})
+        s1.execute("UPDATE T SET V = @v WHERE ID = @i", {"i": 2, "v": 21})
+        with pytest.raises(TimeoutError):
+            s2.execute("UPDATE T SET V = @v WHERE ID = @i", {"i": 2, "v": 22})
+        s1.execute("ROLLBACK", {})
+        with pytest.raises(ConnectionResetError):
+            s2.execute("SELECT ID, V FROM T WHERE ID = @i", {"i": 2})
+        assert s2.lost and not s2.in_transaction
+        s2.close()
+        s3 = remote.connect()
+        assert s3.execute("SELECT ID FROM T WHERE ID = @i", {"i": 2}).rows == [(2,)]
+        s1.close()
+        s3.close()
+        remote.close()
+
+
+def test_a_router_drops_a_backend_whose_reply_came_late():
+    """The same late reply on a router's backend session: the client sees
+    the timeout, its transaction is over (the branch is aborted), and the
+    next statement runs on a fresh backend and gets its own answer."""
+    with WireServer(SqlServer(lock_timeout_s=2.0), name="late-shard") as shard:
+        with Router([(shard.host, shard.port)], name="R", timeout_s=0.5) as router:
+            remote = RemoteServer(router.host, router.port, timeout_s=10.0)
+            s1, s2 = remote.connect(), remote.connect()
+            s1.execute("CREATE TABLE T (ID INT PRIMARY KEY, W INT, V INT)", {})
+            s1.execute("INSERT INTO T (ID, W, V) VALUES (@i, @w, @v)", {"i": 2, "w": 1, "v": 20})
+            s1.execute("BEGIN TRANSACTION", {})
+            s1.execute("UPDATE T SET V = @v WHERE ID = @i AND W = @w", {"i": 2, "w": 1, "v": 21})
+            s2.execute("BEGIN TRANSACTION", {})
+            with pytest.raises(RemoteError) as excinfo:
+                s2.execute("UPDATE T SET V = @v WHERE ID = @i AND W = @w",
+                           {"i": 2, "w": 1, "v": 22})
+            assert excinfo.value.error_type == "TimeoutError"
+            s1.execute("ROLLBACK", {})
+            rows = s2.execute("SELECT ID, V FROM T WHERE ID = @i AND W = @w", {"i": 2, "w": 1})
+            assert rows.rows == [(2, 20)]
+            assert not s2.in_transaction
+            s1.close()
+            s2.close()
+            remote.close()
